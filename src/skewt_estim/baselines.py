@@ -14,8 +14,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.stats import chi2
 
-from ._linalg import psd_sqrt, symmetrize
-from .exceptions import DegeneracyError
+from ._linalg import psd_sqrt, solve_spd, symmetrize
+from .exceptions import DegeneracyError, NumericalFailureError
 from .filtering import GaussianBelief, StateSpaceModel
 from .skewt import SkewTComponent, log_pdf, moments
 
@@ -149,7 +149,14 @@ def rtss_gated_run(
     for k in range(n_steps - 2, -1, -1):
         m_pred = model.A @ filtered[k].mean
         p_pred = symmetrize(model.A @ filtered[k].cov @ model.A.T + model.Q)
-        gain = np.linalg.solve(p_pred, model.A @ filtered[k].cov).T
+        try:
+            gain = solve_spd(
+                p_pred, model.A @ filtered[k].cov, what="prediction covariance"
+            ).T
+        except NumericalFailureError as err:
+            raise NumericalFailureError(
+                f"backward gain failed: {err}", step=k
+            ) from err
         mean = filtered[k].mean + gain @ (smoothed[k + 1].mean - m_pred)
         cov = symmetrize(
             filtered[k].cov + gain @ (smoothed[k + 1].cov - p_pred) @ gain.T
@@ -179,18 +186,14 @@ def _density_table(spread_sq, shape, dof):
 def _component_log_likelihoods(model, residuals):
     """Per-component skew-t log densities of a residual matrix (n_p, n_y).
 
-    Large particle sets interpolate a cached dense grid of the exact
+    Interpolates each component's cached dense grid of the closed-form
     density (interpolation error far below the particle Monte Carlo
-    noise); residuals outside the grid are evaluated exactly.
+    noise); residuals outside the grid are evaluated directly.
     """
-    n_p, n_y = residuals.shape
     comps = model.noise_model().components
     out = np.zeros_like(residuals)
     for i, comp in enumerate(comps):
         r = residuals[:, i]
-        if n_p <= 512:
-            out[:, i] = log_pdf(comp, r)
-            continue
         grid, table = _density_table(comp.spread_sq, comp.shape, comp.dof)
         vals = np.interp(r, grid, table)
         outside = (r < grid[0]) | (r > grid[-1])

@@ -31,16 +31,6 @@ class OracleInfeasibleError(EstimationError):
     """The sampling oracle could not produce any usable samples."""
 
 
-class QuadratureError(EstimationError):
-    """Numerical integration failed to reach the requested accuracy."""
-
-    def __init__(self, message, residual=None):
-        if residual is not None:
-            message = f"{message}; largest residual {residual:.3e}"
-        super().__init__(message)
-        self.residual = residual
-
-
 class DegeneracyError(EstimationError):
     """All particle weights underflowed to zero."""
 

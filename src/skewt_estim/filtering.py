@@ -156,7 +156,10 @@ class VBConfig:
 
 @dataclass(frozen=True)
 class VBStepDiagnostics:
-    """Per-step internals of the VB loop (final iterate)."""
+    """Per-step internals of the VB loop (final iterate).
+
+    `lambda_diag` is the mixing-precision diagonal that iterate ran with.
+    """
 
     iterations: int
     lambda_diag: np.ndarray
@@ -280,6 +283,7 @@ def stf_update(
     converged = False
     iterations = 0
     for _ in range(cfg.max_iterations):
+        lam_used = lam
         post, _ = _augmented_update(
             prior.mean, prior.cov, y, model.C, model.Delta, model.R, lam, order_policy
         )
@@ -297,7 +301,7 @@ def stf_update(
     belief = GaussianBelief(x_new, symmetrize(post.cov[:n_x, :n_x]))
     diag = VBStepDiagnostics(
         iterations=iterations,
-        lambda_diag=lam,
+        lambda_diag=lam_used,
         psi_diag=psi,
         u_mean=u_mean,
         u_cov=u_cov,
@@ -306,12 +310,7 @@ def stf_update(
     return belief, diag
 
 
-def stf_run(
-    model: StateSpaceModel,
-    ys,
-    cfg: VBConfig = VBConfig(),
-    order_policy: TruncationOrderPolicy = OPTIMAL,
-) -> list:
+def stf_run(model: StateSpaceModel, ys, cfg: VBConfig = VBConfig()) -> list:
     """Filter a measurement sequence, alternating stf_update and predict.
 
     Returns one (GaussianBelief, VBStepDiagnostics) pair per measurement.
@@ -320,7 +319,7 @@ def stf_run(
     out = []
     for k, y in enumerate(ys):
         try:
-            post, diag = stf_update(model, belief, y, cfg, order_policy)
+            post, diag = stf_update(model, belief, y, cfg)
         except NumericalFailureError as err:
             raise NumericalFailureError(
                 f"measurement update failed: {err}", step=k

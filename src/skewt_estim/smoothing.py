@@ -25,7 +25,7 @@ from .filtering import (
     _psi_diagonal,
     expected_mixing_precision,
 )
-from .truncnorm import OPTIMAL, TruncationOrderPolicy
+from .truncnorm import OPTIMAL
 
 __all__ = [
     "AugmentedBelief",
@@ -72,7 +72,6 @@ def forward_pass(
     model: StateSpaceModel,
     ys,
     lambdas,
-    order_policy: TruncationOrderPolicy = OPTIMAL,
     measurement_matrices=None,
 ) -> tuple:
     """Truncated forward filtering with fixed mixing precisions.
@@ -99,7 +98,7 @@ def forward_pass(
             raise ValueError(f"lambdas[{k}] must be positive")
         try:
             post, aug_prior = _augmented_update(
-                x_pred, p_pred, y, c_seq[k], model.Delta, model.R, lam, order_policy
+                x_pred, p_pred, y, c_seq[k], model.Delta, model.R, lam, OPTIMAL
             )
         except NumericalFailureError as err:
             raise NumericalFailureError(
@@ -175,7 +174,6 @@ def sts_run(
     model: StateSpaceModel,
     ys,
     cfg: VBConfig = VBConfig(),
-    order_policy: TruncationOrderPolicy = OPTIMAL,
     measurement_matrices=None,
 ) -> list:
     """Iterated smoothing of a measurement sequence.
@@ -183,7 +181,7 @@ def sts_run(
     Returns the normal approximations of the smoothed x marginals, one
     GaussianBelief per step.
     """
-    result = _run_vb(model, ys, cfg, order_policy, measurement_matrices)
+    result = _run_vb(model, ys, cfg, measurement_matrices)
     n_x = model.n_x
     return [
         GaussianBelief(s.mean[:n_x], symmetrize(s.cov[:n_x, :n_x]))
@@ -191,8 +189,7 @@ def sts_run(
     ]
 
 
-def _run_vb(model, ys, cfg, order_policy=OPTIMAL, measurement_matrices=None,
-            n_iterations=None):
+def _run_vb(model, ys, cfg, measurement_matrices=None, n_iterations=None):
     """Full outer VB loop; returns the last SmootherIterate plus counters.
 
     Runs until the largest per-step change of the smoothed state means
@@ -215,9 +212,7 @@ def _run_vb(model, ys, cfg, order_policy=OPTIMAL, measurement_matrices=None,
     converged = False
     iterations = 0
     for _ in range(max_iter):
-        filtered, predicted = forward_pass(
-            model, ys, lambdas, order_policy, measurement_matrices
-        )
+        filtered, predicted = forward_pass(model, ys, lambdas, measurement_matrices)
         smoothed = backward_pass(filtered, predicted, model)
         plain = [
             update_lambda(smoothed[k], ys[k], model, c_seq[k])

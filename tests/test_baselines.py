@@ -8,6 +8,7 @@ import skewt_estim.baselines as baselines
 from skewt_estim.baselines import (
     GatingConfig,
     ParticleCloud,
+    kf_gated_run,
     kf_gated_update,
     pf_run,
     rtss_gated_run,
@@ -113,6 +114,21 @@ class TestGatedSmoother:
             c_rows, variances, model.prior_mean, model.prior_cov, ys.ravel()
         )
         np.testing.assert_allclose(smoothed[0].mean, mean_ref, atol=1e-8)
+
+    def test_zero_dynamics_keeps_filtered_beliefs(self):
+        # A = 0, Q = 0 makes every prediction covariance exactly zero, so
+        # the backward gain is zero and smoothing changes nothing.
+        model = StateSpaceModel(
+            A=np.zeros((2, 2)), Q=np.zeros((2, 2)), C=np.eye(2), R=[1.0, 1.0],
+            Delta=[0.0, 0.0], nu=[1e8, 1e8],
+            prior_mean=np.zeros(2), prior_cov=np.eye(2),
+        )
+        ys = [np.array([0.3, -0.2]), np.array([0.1, 0.4]), np.array([-0.5, 0.0])]
+        smoothed = rtss_gated_run(model, ys)
+        filtered, _ = kf_gated_run(model, ys)
+        for s, f in zip(smoothed, filtered):
+            np.testing.assert_array_equal(s.mean, f.mean)
+            np.testing.assert_array_equal(s.cov, f.cov)
 
 
 class TestParticleFilter:

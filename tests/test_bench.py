@@ -18,7 +18,7 @@ from skewt_estim.bench import (
     simulate,
 )
 from skewt_estim.bench.contours import CONTOUR_HEADER
-from skewt_estim.bench.experiments import _run_stf_gnss
+from skewt_estim.bench.experiments import _run_stf_gnss, run_estimator
 from skewt_estim.bench.gnss import ORBIT_RADIUS_M, RECEIVER_NOMINAL_M
 from skewt_estim.cli import main
 from skewt_estim.exceptions import ConfigError, GeometryError
@@ -244,6 +244,17 @@ class TestRunExperiment:
         assert keys == sorted(keys)
         assert all(r.status == "ok" for r in records)
         assert all(r.rmse >= 0.0 and r.mean_nees >= 0.0 for r in records)
+
+    @pytest.mark.parametrize("nu", [1.2, 1e6])
+    @pytest.mark.parametrize("rho", [1e-4, 1e6])
+    @pytest.mark.parametrize("delta", [0.0, 50.0])
+    @pytest.mark.parametrize("q", [0.0, 50.0])
+    def test_pf_finishes_on_extreme_scenarios(self, q, delta, rho, nu):
+        cfg = small_config(q=q, delta=delta, rho=rho, nu=nu, K=30, n_sats=5)
+        sats = make_constellation(cfg.n_sats, cfg.seed)
+        run = run_estimator("pf", cfg, sats, simulate(cfg, 0))
+        assert np.all(np.isfinite(run.positions))
+        assert np.all(np.isfinite(run.position_covs))
 
 
 class TestSmootherIterations:

@@ -8,12 +8,14 @@ from skewt_estim.filtering import (
     GaussianBelief,
     StateSpaceModel,
     VBConfig,
+    _augmented_update,
     expected_mixing_precision,
     predict,
     stf_run,
     stf_update,
 )
 from skewt_estim.skewt import log_pdf
+from skewt_estim.truncnorm import OPTIMAL
 
 from reference import kalman_filter
 
@@ -144,6 +146,18 @@ class TestMeasurementUpdate:
             )
             eig = np.linalg.eigvalsh(post.cov)
             assert eig.min() >= -1e-10 * np.trace(post.cov)
+
+    def test_lambda_diag_reproduces_returned_belief(self):
+        rng = np.random.default_rng(8)
+        model = random_model(rng, 3, 3, delta=4.0, nu=4.0)
+        prior = model.prior_belief()
+        y = np.array([8.0, -1.0, 0.3])
+        post, diag = stf_update(model, prior, y)
+        rerun, _ = _augmented_update(
+            prior.mean, prior.cov, y, model.C, model.Delta, model.R,
+            diag.lambda_diag, OPTIMAL,
+        )
+        np.testing.assert_array_equal(rerun.mean[: model.n_x], post.mean)
 
     def test_outlier_discounting_monotone(self):
         # Larger positive residuals must never get a larger mixing weight.

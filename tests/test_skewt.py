@@ -1,19 +1,24 @@
 """Tests for the skew-t noise model."""
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import gammaln, stdtr
 from scipy.stats import kstest, norm, t as t_dist
 
 from skewt_estim.skewt import (
     NoiseModel,
     SkewTComponent,
+    _log_t_cdf,
     log_pdf,
     moment_match,
     moments,
     sample,
 )
+
+from reference import skewt_log_pdf_quadrature
 
 
 def closed_form_offset_mean(dof):
@@ -76,6 +81,7 @@ class TestLogPdf:
             SkewTComponent(1.0, 5.0, 4.0),
             SkewTComponent(4.0, -2.0, 3.0),
             SkewTComponent(1.0, 1.0, 30.0),
+            SkewTComponent(1.0, 50.0, 1e6),
         ],
     )
     def test_normalization(self, comp):
@@ -117,6 +123,46 @@ class TestLogPdf:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             log_pdf(SkewTComponent(1.0, 0.0, 4.0), np.inf)
+
+    @pytest.mark.parametrize("dof", [1.2, 4.0, 30.0, 1e4, 1e6])
+    def test_matches_quadrature_oracle(self, dof):
+        compared = 0
+        for shape in (-5.0, 0.0, 5.0, 50.0):
+            for spread_sq in (0.01, 1.0, 100.0):
+                es = np.linspace(-50.0, 50.0, 201) * np.sqrt(spread_sq + shape**2)
+                ref = skewt_log_pdf_quadrature(spread_sq, shape, dof, es)
+                ok = np.isfinite(ref)  # NaN where the quadrature did not converge
+                got = log_pdf(SkewTComponent(spread_sq, shape, dof), es)
+                np.testing.assert_allclose(got[ok], ref[ok], rtol=0.0, atol=1e-8)
+                compared += ok.sum()
+        assert compared > 0.5 * 12 * 201
+
+    @settings(deadline=None)
+    @given(
+        e=st.floats(allow_nan=False, allow_infinity=False),
+        spread_sq=st.floats(1e-4, 1e6),
+        shape=st.floats(-50.0, 50.0),
+        dof=st.floats(0.5, 1e8),
+    )
+    def test_finite_for_every_finite_residual(self, e, spread_sq, shape, dof):
+        assert np.isfinite(log_pdf(SkewTComponent(spread_sq, shape, dof), e))
+
+    @pytest.mark.parametrize("dof", [2.2, 5.0, 31.0, 1e3, 1e4])
+    def test_log_t_cdf_tail_matches_mpmath(self, dof):
+        # Both sides of the point where stdtr underflows, which is where
+        # the continued fraction takes over.
+        xs = -np.array([3.0, 10.0, 40.0, 200.0, 1760.0, 1e5])
+        with mpmath.workdps(40):
+            ref = [
+                float(mpmath.log(mpmath.betainc(
+                    dof / 2, 0.5, 0, dof / (dof + mpmath.mpf(x) ** 2),
+                    regularized=True,
+                ) / 2))
+                for x in xs
+            ]
+        np.testing.assert_allclose(_log_t_cdf(dof, xs), ref, rtol=0.0, atol=1e-10)
+        if dof >= 1e3:
+            assert np.any(stdtr(dof, xs) == 0.0)
 
 
 class TestMoments:
