@@ -1,7 +1,7 @@
 """Small shared linear-algebra helpers."""
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .exceptions import NumericalFailureError
 
@@ -17,20 +17,20 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 def solve_spd(s: np.ndarray, b: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Solve s @ x = b for symmetric positive-definite s.
 
-    Escalating diagonal jitter (1e-12 then 1e-9 times trace) is added if the
-    Cholesky factorization fails; after that a NumericalFailureError carrying
-    the smallest eigenvalue of s is raised.
+    Calls LAPACK potrf/potrs (upper factor) directly.  Escalating diagonal
+    jitter (1e-12 then 1e-9 times the mean diagonal) is added if the
+    Cholesky factorization fails; after that a NumericalFailureError
+    carrying the smallest eigenvalue of s is raised.
     """
-    scale = float(np.trace(s)) / max(s.shape[0], 1)
-    if not np.isfinite(scale) or scale <= 0.0:
-        scale = 1.0
+    mat = s
     for level in _JITTER_LEVELS:
-        try:
-            mat = s if level == 0.0 else s + (level * scale) * np.eye(s.shape[0])
-            c, low = scipy.linalg.cho_factor(mat, check_finite=False)
-            return scipy.linalg.cho_solve((c, low), b, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            continue
+        if level:
+            scale = float(np.trace(s)) / max(s.shape[0], 1)
+            scale = scale if np.isfinite(scale) and scale > 0.0 else 1.0
+            mat = s + (level * scale) * np.eye(s.shape[0])
+        c, info = dpotrf(mat, clean=0)
+        if info == 0:
+            return dpotrs(c, b)[0]
     raise NumericalFailureError(
         f"{what} is not positive definite",
         smallest_eigenvalue=float(np.linalg.eigvalsh(symmetrize(s)).min()),

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..baselines import GatingConfig, kf_gated_update, pf_run, rtss_gated_run
+from ..exceptions import EstimationError
 from ..filtering import StateSpaceModel, VBConfig, predict, stf_update
 from ..skewt import SkewTComponent, moment_match, moments, sample_rng
 from ..smoothing import sts_run
@@ -209,7 +210,8 @@ def run_experiment(cfg: ScenarioConfig, out_path=None, timing: bool = False) -> 
     Returns the sorted RunRecord list and, when `out_path` is given, writes
     the CSV there.  By default the wall_time_s column is written as 0 so
     that identical configurations produce byte-identical files; pass
-    timing=True to emit measured (non-reproducible) times.
+    timing=True to emit measured (non-reproducible) times.  Only an
+    EstimationError makes a "failed" record; other exceptions propagate.
     """
     sats = make_constellation(cfg.n_sats, cfg.seed)
     records = []
@@ -239,7 +241,7 @@ def run_experiment(cfg: ScenarioConfig, out_path=None, timing: bool = False) -> 
                         "ok",
                     )
                 )
-            except Exception:
+            except EstimationError:
                 elapsed = time.perf_counter() - start
                 records.append(
                     RunRecord(cfg.name, est, rep, float("nan"), float("nan"),

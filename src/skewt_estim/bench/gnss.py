@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import GeometryError
+from ..exceptions import ConfigError, GeometryError
 from ..skewt import SkewTComponent, sample_rng
 
 __all__ = [
@@ -89,6 +89,10 @@ class ScenarioConfig:
             raise ValueError(
                 f"unknown estimators {unknown}; known: {KNOWN_ESTIMATORS}"
             )
+        if {"kf", "rtss"} & set(self.estimators) and self.nu <= 2.0:
+            raise ConfigError(f"kf and rtss need nu > 2, got {self.nu}")
+        if "pf" in self.estimators and self.pf_particles < 100:
+            raise ConfigError(f"pf needs pf_particles >= 100, got {self.pf_particles}")
 
 
 @dataclass(frozen=True)

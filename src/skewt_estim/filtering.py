@@ -238,7 +238,7 @@ def _augmented_update(x_pred, p_pred, y, c_mat, delta, r, lam, policy):
 
     cz = np.hstack([c_mat, np.diag(delta)])
     z_mean = z_prior_mean + gain @ (y - c_mat @ x_pred)
-    z_cov = symmetrize(z_prior_cov - gain @ (cz @ z_prior_cov))
+    z_cov = z_prior_cov - gain @ (cz @ z_prior_cov)  # rec_trunc symmetrizes it
 
     post = rec_trunc(
         MomentPair(z_mean, z_cov), range(n_x, n_x + n_y), policy

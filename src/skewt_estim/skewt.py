@@ -134,10 +134,16 @@ def log_pdf(c: SkewTComponent, e) -> "float | np.ndarray":
         raise ValueError("e must be finite")
     nu = c.dof
     s2 = c.spread_sq + c.shape**2
-    t = np.atleast_1d(arr).ravel() / np.sqrt(nu * s2)
+    x = np.atleast_1d(arr).ravel()
+    root = np.sqrt(nu * s2)
+    # t = x / root is held at +-1e300 (reachable only when root < 1) so it
+    # cannot overflow; `excess` is the rest of log|t|, t / hypot(1, t) is +-1.
+    excess = np.log(np.maximum(np.abs(x) * 1e-300 / root, 1.0))
+    t = x / np.maximum(root, np.abs(x) * 1e-300)
     # log1p(t^2) = log1p(m^2) + 2 log(big), which never squares a huge t.
     big = np.maximum(np.abs(t), 1.0)
     log1p_t2 = np.log1p(np.minimum(np.abs(t), 1.0 / big) ** 2) + 2.0 * np.log(big)
+    log1p_t2 += 2.0 * excess
     skew_arg = c.shape * np.sqrt((nu + 1.0) / c.spread_sq) * (t / np.hypot(1.0, t))
     out = (
         np.log(2.0)

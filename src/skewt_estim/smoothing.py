@@ -115,35 +115,35 @@ def forward_pass(
 def backward_pass(filtered, predicted, model: StateSpaceModel) -> list:
     """Fixed-interval backward recursion on the augmented state.
 
-    With the augmented transition blockdiag(A, 0), the gain at step k is
-    G = Z_f A_z^T Z_p^{-1} where Z_f is the filtered augmented covariance
-    and Z_p the augmented one-step prediction covariance of step k+1.
+    The gain at step k is G = Z_f A_z^T Z_p^{-1}, with Z_f the filtered
+    augmented covariance and Z_p = blockdiag(P, diag(1/lam)) the augmented
+    prediction covariance of step k+1.  A_z = blockdiag(A, 0) makes the
+    u-columns of G vanish, so G = Z_f[:, :n_x] A^T P^{-1} acts only on x.
     """
     n_steps = len(filtered)
     if len(predicted) != n_steps:
         raise ValueError("filtered and predicted sequences must align")
     if n_steps == 0:
         return []
-    n_x, n_y = model.n_x, model.n_y
-    a_z = np.zeros((n_x + n_y, n_x + n_y))
-    a_z[:n_x, :n_x] = model.A
+    n_x = model.n_x
 
     smoothed = [None] * n_steps
     smoothed[-1] = filtered[-1]
     for k in range(n_steps - 2, -1, -1):
         z_f = filtered[k]
         z_p = predicted[k + 1]
+        p_pred = z_p.cov[:n_x, :n_x]
         try:
             gain = solve_spd(
-                z_p.cov, a_z @ z_f.cov, what="augmented prediction covariance"
+                p_pred, model.A @ z_f.cov[:n_x], what="prediction covariance"
             ).T
         except NumericalFailureError as err:
             raise NumericalFailureError(
                 f"backward gain failed: {err}", step=k
             ) from err
-        mean = z_f.mean + gain @ (smoothed[k + 1].mean - z_p.mean)
+        mean = z_f.mean + gain @ (smoothed[k + 1].mean[:n_x] - z_p.mean[:n_x])
         cov = symmetrize(
-            z_f.cov + gain @ (smoothed[k + 1].cov - z_p.cov) @ gain.T
+            z_f.cov + gain @ (smoothed[k + 1].cov[:n_x, :n_x] - p_pred) @ gain.T
         )
         smoothed[k] = AugmentedBelief(mean, cov)
     return smoothed

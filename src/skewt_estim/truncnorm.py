@@ -118,6 +118,40 @@ class FixedOrder(TruncationOrderPolicy):
 OPTIMAL = Optimal()
 
 
+def _coefficients(xi: float) -> tuple:
+    """(mean_coeff, cov_coeff, underflowed) at boundary distance xi; see hazard."""
+    if not np.isfinite(xi):
+        raise ValueError(f"xi must be finite, got {xi!r}")
+    if xi < UNDERFLOW_XI:
+        return -xi, 1.0, True
+    eps = float(np.exp(-0.5 * xi * xi - _LOG_SQRT_2PI - log_ndtr(xi)))
+    return eps, min(max(xi * eps + eps * eps, 0.0), 1.0), False
+
+
+def _truncate_step(mean: np.ndarray, cov: np.ndarray, k: int) -> None:
+    """Apply the constraint z_k >= 0 to (mean, cov) in place."""
+    var_k = cov[k, k]
+    tol = 1e-14 * float(cov.trace())
+    if var_k <= tol:
+        raise DegenerateDirectionError(
+            f"direction {k} has variance {var_k:.3e} <= tolerance {tol:.3e}"
+        )
+    sd = np.sqrt(var_k)
+    mean_coeff, cov_coeff, _ = _coefficients(float(mean[k] / sd))
+    col = cov[:, k]  # a view, read in full before cov is updated
+    mean += (mean_coeff / sd) * col
+    cov -= (cov_coeff / var_k) * (col[:, None] * col)
+
+
+def _greedy_index(mean: np.ndarray, cov: np.ndarray, active: np.ndarray) -> int:
+    """Active index with the smallest mu_i / sqrt(Sigma_ii), lowest on ties."""
+    var = cov.diagonal()[active]
+    if np.count_nonzero(var <= 0.0):
+        raise DegenerateDirectionError("nonpositive variance in remaining directions")
+    ratios = mean[active] / np.sqrt(var)
+    return int(active.nonzero()[0][ratios.argmin()])
+
+
 def hazard(xi: float) -> HazardResult:
     """Truncation-update coefficients for standardized boundary distance xi.
 
@@ -126,40 +160,19 @@ def hazard(xi: float) -> HazardResult:
     xi < -37 (where Phi underflows in double precision) the limits
     epsilon + xi -> 0 and xi*epsilon + epsilon**2 -> 1 are substituted.
     """
-    xi = float(xi)
-    if not np.isfinite(xi):
-        raise ValueError(f"xi must be finite, got {xi!r}")
-    if xi < UNDERFLOW_XI:
-        return HazardResult(
-            epsilon=-xi, mean_coeff=-xi, cov_coeff=1.0, underflowed=True
-        )
-    eps = float(np.exp(-0.5 * xi * xi - _LOG_SQRT_2PI - log_ndtr(xi)))
-    cov_coeff = xi * eps + eps * eps
-    cov_coeff = min(max(cov_coeff, 0.0), 1.0)
-    return HazardResult(
-        epsilon=eps, mean_coeff=eps, cov_coeff=cov_coeff, underflowed=False
-    )
+    eps, cov_coeff, underflowed = _coefficients(float(xi))
+    return HazardResult(eps, eps, cov_coeff, underflowed)
 
 
 def truncate_once(m: MomentPair, k: int) -> MomentPair:
     """Moments of N(mean, cov) truncated by the single constraint z_k >= 0.
 
-    The output covariance is re-symmetrized to contain floating-point
-    drift.  Raises DegenerateDirectionError when cov[k, k] is not usably
-    positive (<= 1e-14 * trace).
+    The covariance is symmetrized first.  Raises DegenerateDirectionError
+    when cov[k, k] is not usably positive (<= 1e-14 * trace).
     """
-    var_k = m.cov[k, k]
-    tol = 1e-14 * float(np.trace(m.cov))
-    if var_k <= tol:
-        raise DegenerateDirectionError(
-            f"direction {k} has variance {var_k:.3e} <= tolerance {tol:.3e}"
-        )
-    sd = np.sqrt(var_k)
-    coeffs = hazard(m.mean[k] / sd)
-    col = m.cov[:, k]
-    mean = m.mean + (coeffs.mean_coeff / sd) * col
-    cov = m.cov - (coeffs.cov_coeff / var_k) * np.outer(col, col)
-    return MomentPair(mean, symmetrize(cov))
+    mean, cov = m.mean.copy(), symmetrize(m.cov)
+    _truncate_step(mean, cov, k)
+    return MomentPair(mean, cov)
 
 
 def select_next(m: MomentPair, remaining: Iterable[int]) -> int:
@@ -168,16 +181,11 @@ def select_next(m: MomentPair, remaining: Iterable[int]) -> int:
     This is the constraint that truncates the most probability mass, the
     per-step optimal choice.  Ties break to the lowest index.
     """
-    idx = sorted(int(i) for i in remaining)
-    if not idx:
+    active = np.zeros(m.dim, dtype=bool)
+    active[[int(i) for i in remaining]] = True
+    if not active.any():
         raise ValueError("remaining index set is empty")
-    var = m.cov[idx, idx]
-    if np.any(var <= 0.0):
-        raise DegenerateDirectionError(
-            "nonpositive variance among remaining truncation directions"
-        )
-    ratios = m.mean[idx] / np.sqrt(var)
-    return idx[int(np.argmin(ratios))]
+    return _greedy_index(m.mean, m.cov, active)
 
 
 def rec_trunc(
@@ -187,44 +195,36 @@ def rec_trunc(
 ) -> MomentPair:
     """Recursive truncation of N(mean, cov) to {z_i >= 0 for i in truncated}.
 
-    Applies truncate_once for every index in `truncated`, choosing the next
-    constraint according to `policy`.  With the default Optimal policy the
-    computation is deterministic and bit-reproducible.
+    Symmetrizes the covariance once (each rank-one downdate by
+    outer(col, col) keeps it exactly symmetric), then applies one
+    truncation step per index in `truncated`, in the order `policy` picks.
+    With the default Optimal policy the result is bit-reproducible.
     """
     todo = sorted({int(i) for i in truncated})
     if todo and (todo[0] < 0 or todo[-1] >= m.dim):
         raise ValueError(f"truncated indices {todo} out of range for dim {m.dim}")
     if not todo:
         return m
+    fixed = isinstance(policy, FixedOrder)
+    if fixed and sorted(policy.order) != todo:
+        raise ValueError(f"fixed order {policy.order} is not a permutation of {todo}")
+    random = isinstance(policy, RandomOrder)
+    rng = np.random.default_rng(policy.seed) if random else None
 
-    if isinstance(policy, FixedOrder):
-        if sorted(policy.order) != todo or len(policy.order) != len(todo):
-            raise ValueError(
-                f"fixed order {policy.order} is not a permutation of {todo}"
-            )
-        out = m
-        for k in policy.order:
-            out = truncate_once(out, k)
-        return out
-
-    rng = None
-    if isinstance(policy, RandomOrder):
-        rng = np.random.default_rng(policy.seed)
-
-    out = m
-    remaining = set(todo)
-    while remaining:
-        best = select_next(out, remaining)
-        if rng is None:
-            k = best
-        elif len(remaining) == 1:
-            k = next(iter(remaining))
+    mean, cov = m.mean.copy(), symmetrize(m.cov)
+    active = np.zeros(m.dim, dtype=bool)
+    active[todo] = True
+    for step in range(len(todo)):
+        if fixed:
+            k = policy.order[step]
         else:
-            others = sorted(remaining - {best})
-            k = others[int(rng.integers(len(others)))]
-        out = truncate_once(out, k)
-        remaining.discard(k)
-    return out
+            k = _greedy_index(mean, cov, active)
+            if random and step < len(todo) - 1:
+                others = [i for i in active.nonzero()[0] if i != k]
+                k = int(others[rng.integers(len(others))])
+        _truncate_step(mean, cov, k)
+        active[k] = False
+    return MomentPair(mean, cov)
 
 
 def _sample_truncnorm_positive(rng, mean, sd):

@@ -149,3 +149,65 @@ def skewt_log_pdf_quadrature(spread_sq, shape, dof, e, tol=1e-9,
         - 0.5 * np.log(s2)
     )
     return const + offset + prev
+
+
+def rec_trunc_stepwise(mean, cov, truncated, order="greedy", seed=None):
+    """Recursive positive-orthant truncation, one fresh copy per step.
+
+    Re-symmetrizes the covariance after every rank-one update and keeps
+    the remaining constraints in a sorted list.  `order` is "greedy"
+    (smallest standardized mean first), "random" (a uniformly drawn
+    non-greedy constraint from a default_rng(seed) stream, the greedy one
+    only when it is the last left) or an explicit index sequence.
+    Returns (mean, cov).
+    """
+    mean = np.array(mean, dtype=float)
+    cov = np.array(cov, dtype=float)
+    remaining = sorted({int(i) for i in truncated})
+    rng = np.random.default_rng(seed) if order == "random" else None
+    explicit = None if isinstance(order, str) else [int(i) for i in order]
+    log_sqrt_2pi = 0.5 * np.log(2.0 * np.pi)
+    while remaining:
+        if explicit is not None:
+            k = explicit[len(explicit) - len(remaining)]
+        else:
+            var = cov[remaining, remaining]
+            best = remaining[int(np.argmin(mean[remaining] / np.sqrt(var)))]
+            k = best
+            if rng is not None and len(remaining) > 1:
+                others = [i for i in remaining if i != best]
+                k = others[int(rng.integers(len(others)))]
+        sd = np.sqrt(cov[k, k])
+        xi = float(mean[k] / sd)
+        if xi < -37.0:
+            eps, cc = -xi, 1.0
+        else:
+            eps = float(np.exp(-0.5 * xi * xi - log_sqrt_2pi - log_ndtr(xi)))
+            cc = min(max(xi * eps + eps * eps, 0.0), 1.0)
+        col = cov[:, k]
+        mean = mean + (eps / sd) * col
+        cov = cov - (cc / cov[k, k]) * np.outer(col, col)
+        cov = 0.5 * (cov + cov.T)
+        remaining.remove(k)
+    return mean, cov
+
+
+def backward_pass_augmented(filtered, predicted, a):
+    """Fixed-interval smoother on augmented [x; u] beliefs with the full
+    augmented gain Z_f A_z^T Z_p^{-1}, A_z = blockdiag(a, 0).
+
+    `filtered` and `predicted` are sequences of (mean, cov) pairs; returns
+    the smoothed (mean, cov) pairs.
+    """
+    n_z = filtered[0][0].size
+    n_x = a.shape[0]
+    a_z = np.zeros((n_z, n_z))
+    a_z[:n_x, :n_x] = a
+    sm = [filtered[-1]]
+    for k in range(len(filtered) - 2, -1, -1):
+        m_f, p_f = filtered[k]
+        m_p, p_p = predicted[k + 1]
+        g = p_f @ a_z.T @ np.linalg.inv(p_p)
+        m_s, p_s = sm[0]
+        sm.insert(0, (m_f + g @ (m_s - m_p), p_f + g @ (p_s - p_p) @ g.T))
+    return sm

@@ -17,11 +17,17 @@ from skewt_estim.bench import (
     scenario_model,
     simulate,
 )
+from skewt_estim.bench import experiments
 from skewt_estim.bench.contours import CONTOUR_HEADER
 from skewt_estim.bench.experiments import _run_stf_gnss, run_estimator
 from skewt_estim.bench.gnss import ORBIT_RADIUS_M, RECEIVER_NOMINAL_M
 from skewt_estim.cli import main
-from skewt_estim.exceptions import ConfigError, GeometryError
+from skewt_estim.exceptions import (
+    ConfigError,
+    DegeneracyError,
+    GeometryError,
+    NumericalFailureError,
+)
 from skewt_estim.filtering import VBConfig
 from skewt_estim.skewt import SkewTComponent, moments
 from skewt_estim.smoothing import _run_vb
@@ -250,11 +256,52 @@ class TestRunExperiment:
     @pytest.mark.parametrize("delta", [0.0, 50.0])
     @pytest.mark.parametrize("q", [0.0, 50.0])
     def test_pf_finishes_on_extreme_scenarios(self, q, delta, rho, nu):
-        cfg = small_config(q=q, delta=delta, rho=rho, nu=nu, K=30, n_sats=5)
+        cfg = small_config(
+            q=q, delta=delta, rho=rho, nu=nu, K=30, n_sats=5, estimators=("pf",)
+        )
         sats = make_constellation(cfg.n_sats, cfg.seed)
         run = run_estimator("pf", cfg, sats, simulate(cfg, 0))
         assert np.all(np.isfinite(run.positions))
         assert np.all(np.isfinite(run.position_covs))
+
+    @pytest.mark.parametrize("nu", [1.2, 1e6])
+    @pytest.mark.parametrize("rho", [1e-4, 1e6])
+    @pytest.mark.parametrize("delta", [0.0, 50.0])
+    @pytest.mark.parametrize("q", [0.0, 50.0])
+    def test_vb_and_gaussian_estimators_on_extreme_scenarios(
+        self, q, delta, rho, nu
+    ):
+        grid = dict(q=q, delta=delta, rho=rho, nu=nu, K=30, n_sats=5)
+        gaussian = ("kf", "rtss")
+        if nu <= 2.0:
+            # Moment matching needs a finite noise variance.
+            for est in gaussian:
+                with pytest.raises(ConfigError):
+                    small_config(estimators=(est,), **grid)
+            gaussian = ()
+        cfg = small_config(estimators=("stf", "sts") + gaussian, **grid)
+        sats = make_constellation(cfg.n_sats, cfg.seed)
+        traj = simulate(cfg, 0)
+        for est in cfg.estimators:
+            run = run_estimator(est, cfg, sats, traj)
+            assert np.all(np.isfinite(run.positions)), est
+            assert np.all(np.isfinite(run.position_covs)), est
+
+    def test_estimation_error_gives_failed_record(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericalFailureError("not positive definite", step=3)
+
+        monkeypatch.setattr(experiments, "run_estimator", fail)
+        records = run_experiment(small_config(K=3, n_mc=1))
+        assert [r.status for r in records] == ["failed", "failed"]
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bad argument")
+
+        monkeypatch.setattr(experiments, "run_estimator", broken)
+        with pytest.raises(TypeError):
+            run_experiment(small_config(K=3, n_mc=1))
 
 
 class TestSmootherIterations:
@@ -345,12 +392,15 @@ class TestCli:
         )
         assert code == 1
 
-    def test_strict_mode_flags_estimator_failure(self, tmp_path):
+    def test_strict_mode_flags_estimator_failure(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise DegeneracyError("all particle weights vanished", step=0)
+
+        monkeypatch.setattr(experiments, "run_estimator", fail)
         cfg_file = tmp_path / "strict.cfg"
-        # pf_particles below the particle filter's floor makes pf fail.
         cfg_file.write_text(
             "name = strictdemo\nq = 1.0\ndelta = 1.0\nrho = 10.0\nnu = 4.0\n"
-            "K = 2\nn_mc = 1\nseed = 1\nestimators = pf\npf_particles = 10\n"
+            "K = 2\nn_mc = 1\nseed = 1\nestimators = pf\n"
         )
         out_dir = tmp_path / "out"
         assert main(
@@ -399,3 +449,14 @@ class TestScenarioValidation:
             small_config(rho=0.0)
         with pytest.raises(ValueError):
             small_config(estimators=("bogus",))
+
+    def test_estimator_applicability(self):
+        small_config(nu=2.5, estimators=("kf", "rtss"))
+        small_config(nu=1.2, estimators=("stf", "sts", "pf"))
+        for est in ("kf", "rtss"):
+            with pytest.raises(ConfigError):
+                small_config(nu=2.0, estimators=("stf", est))
+        small_config(pf_particles=100, estimators=("pf",))
+        small_config(pf_particles=10, estimators=("stf",))
+        with pytest.raises(ConfigError):
+            small_config(pf_particles=99, estimators=("pf",))

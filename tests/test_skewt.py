@@ -3,7 +3,7 @@
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln, stdtr
 from scipy.stats import kstest, norm, t as t_dist
@@ -144,6 +144,9 @@ class TestLogPdf:
         shape=st.floats(-50.0, 50.0),
         dof=st.floats(0.5, 1e8),
     )
+    # e / sqrt(nu (r + d^2)) overflows here.
+    @example(e=1.2711610061536464e308, spread_sq=0.5, shape=0.0, dof=1.0)
+    @example(e=-1.7e308, spread_sq=1e-4, shape=0.0, dof=0.5)
     def test_finite_for_every_finite_residual(self, e, spread_sq, shape, dof):
         assert np.isfinite(log_pdf(SkewTComponent(spread_sq, shape, dof), e))
 

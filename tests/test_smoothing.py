@@ -17,7 +17,7 @@ from skewt_estim.smoothing import (
     update_lambda,
 )
 
-from reference import kalman_filter, rts_smooth
+from reference import backward_pass_augmented, kalman_filter, rts_smooth
 from test_filtering import random_model, simulate_linear
 
 
@@ -106,6 +106,23 @@ class TestBackwardPass:
             np.testing.assert_allclose(
                 smoothed[k].cov[:3, :3], sp[k], rtol=1e-6, atol=1e-8
             )
+
+    @pytest.mark.parametrize("n_x,n_y", [(1, 1), (3, 2), (4, 5)])
+    def test_matches_full_augmented_gain(self, n_x, n_y):
+        rng = np.random.default_rng(38 + n_x)
+        model = random_model(rng, n_x, n_y, delta=2.0, nu=4.0)
+        ys = simulate_linear(model, rng, 20)
+        lambdas = list(rng.uniform(0.2, 1.5, (20, n_y)))
+        filtered, predicted = forward_pass(model, ys, lambdas)
+        smoothed = backward_pass(filtered, predicted, model)
+        ref = backward_pass_augmented(
+            [(b.mean, b.cov) for b in filtered],
+            [(b.mean, b.cov) for b in predicted],
+            model.A,
+        )
+        for got, (mean, cov) in zip(smoothed, ref):
+            np.testing.assert_allclose(got.mean, mean, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(got.cov, cov, rtol=0.0, atol=1e-12)
 
     def test_smoothing_reduces_variance_on_scalar_walk(self):
         model = StateSpaceModel(

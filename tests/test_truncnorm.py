@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from skewt_estim.exceptions import DegenerateDirectionError
@@ -17,7 +18,7 @@ from skewt_estim.truncnorm import (
     truncate_once,
 )
 
-from reference import truncated_univariate_moments
+from reference import rec_trunc_stepwise, truncated_univariate_moments
 
 HALF_NORMAL_MEAN = np.sqrt(2.0 / np.pi)
 HALF_NORMAL_VAR = 1.0 - 2.0 / np.pi
@@ -212,6 +213,55 @@ class TestRecTrunc:
         r1 = rec_trunc(m, range(4), RandomOrder(seed=5))
         r2 = rec_trunc(m, range(4), RandomOrder(seed=5))
         assert np.array_equal(r1.mean, r2.mean)
+
+
+@st.composite
+def truncation_cases(draw):
+    """Symmetric SPD moments of dim 1-16 (standardized means down into the
+    Phi-underflow range), a truncated index set and an ordering policy."""
+    dim = draw(st.integers(1, 16))
+    entries = draw(st.lists(st.floats(-3.0, 3.0), min_size=dim * dim,
+                            max_size=dim * dim))
+    a = np.array(entries).reshape(dim, dim)
+    cov = a @ a.T + draw(st.floats(0.1, 2.0)) * np.eye(dim)
+    cov = 0.5 * (cov + cov.T)
+    ratios = np.array(draw(st.lists(st.floats(-40.0, 10.0), min_size=dim,
+                                    max_size=dim)))
+    truncated = sorted(draw(st.sets(st.integers(0, dim - 1), min_size=1)))
+    kind = draw(st.sampled_from(["greedy", "random", "fixed"]))
+    if kind == "greedy":
+        policy, order = OPTIMAL, "greedy"
+    elif kind == "random":
+        seed = draw(st.integers(0, 2**32 - 1))
+        policy, order = RandomOrder(seed), "random"
+    else:
+        order = draw(st.permutations(truncated))
+        policy = FixedOrder(order)
+    m = MomentPair(ratios * np.sqrt(np.diag(cov)), cov)
+    return m, truncated, policy, order
+
+
+class TestRecTruncProperties:
+    @settings(deadline=None, max_examples=300)
+    @given(truncation_cases())
+    def test_bit_identical_to_stepwise_reference(self, case):
+        m, truncated, policy, order = case
+        seed = policy.seed if isinstance(policy, RandomOrder) else None
+        ref_mean, ref_cov = rec_trunc_stepwise(
+            m.mean, m.cov, truncated, order, seed
+        )
+        out = rec_trunc(m, truncated, policy)
+        np.testing.assert_array_equal(out.mean, ref_mean)
+        np.testing.assert_array_equal(out.cov, ref_cov)
+
+    @settings(deadline=None, max_examples=300)
+    @given(truncation_cases())
+    def test_psd_and_variances_never_increase(self, case):
+        m, truncated, policy, _ = case
+        out = rec_trunc(m, truncated, policy)
+        np.testing.assert_array_equal(out.cov, out.cov.T)
+        assert np.linalg.eigvalsh(out.cov).min() >= -1e-12 * np.trace(m.cov)
+        assert np.all(out.cov.diagonal() <= m.cov.diagonal())
 
 
 class TestOracle:
