@@ -14,14 +14,14 @@ from functools import lru_cache
 import numpy as np
 from scipy.stats import chi2
 
-from ._linalg import psd_sqrt, solve_spd, symmetrize
-from .exceptions import DegeneracyError, NumericalFailureError
-from .filtering import GaussianBelief, StateSpaceModel
+from ._linalg import psd_sqrt, symmetrize
+from .exceptions import DegeneracyError
+from .filtering import GaussianBelief, StateSpaceModel, predict
 from .skewt import SkewTComponent, log_pdf, moments
+from .smoothing import _measurement_matrices, backward_pass
 
 __all__ = [
     "GatingConfig",
-    "ParticleCloud",
     "kf_gated_update",
     "kf_gated_run",
     "rtss_gated_run",
@@ -42,34 +42,6 @@ class GatingConfig:
         object.__setattr__(
             self, "threshold", float(chi2.ppf(self.gate_probability, df=1))
         )
-
-
-@dataclass(frozen=True)
-class ParticleCloud:
-    """Weighted particle representation of a state posterior."""
-
-    states: np.ndarray  # (n_p, n_x)
-    weights: np.ndarray  # (n_p,), nonnegative, sums to one
-
-    def __post_init__(self):
-        states = np.atleast_2d(np.asarray(self.states, dtype=float))
-        weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if weights.shape != (states.shape[0],):
-            raise ValueError("weights must have one entry per particle")
-        if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be a probability vector")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "weights", weights)
-
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.states
-
-    def cov(self) -> np.ndarray:
-        centered = self.states - self.mean()
-        return symmetrize((self.weights[:, None] * centered).T @ centered)
-
-    def ess(self) -> float:
-        return float(1.0 / np.sum(self.weights**2))
 
 
 def kf_gated_update(
@@ -118,18 +90,15 @@ def kf_gated_run(
     beliefs) with predicted[k] the one-step prior of step k.
     """
     ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
-    if measurement_matrices is None:
-        measurement_matrices = [model.C] * len(ys)
+    c_seq = _measurement_matrices(model, len(ys), measurement_matrices)
     filtered = []
     predicted = []
     belief = model.prior_belief()
     for k, y in enumerate(ys):
         predicted.append(belief)
-        belief = kf_gated_update(measurement_matrices[k], model.R, belief, y, g)
+        belief = kf_gated_update(c_seq[k], model.R, belief, y, g)
         filtered.append(belief)
-        mean = model.A @ belief.mean
-        cov = symmetrize(model.A @ belief.cov @ model.A.T + model.Q)
-        belief = GaussianBelief(mean, cov)
+        belief = predict(model, belief)
     return filtered, predicted
 
 
@@ -139,30 +108,13 @@ def rtss_gated_run(
     g: GatingConfig = GatingConfig(),
     measurement_matrices=None,
 ) -> list:
-    """Gated Kalman forward pass plus classical fixed-interval smoothing."""
-    filtered, _ = kf_gated_run(model, ys, g, measurement_matrices)
-    n_steps = len(filtered)
-    if n_steps == 0:
-        return []
-    smoothed = [None] * n_steps
-    smoothed[-1] = filtered[-1]
-    for k in range(n_steps - 2, -1, -1):
-        m_pred = model.A @ filtered[k].mean
-        p_pred = symmetrize(model.A @ filtered[k].cov @ model.A.T + model.Q)
-        try:
-            gain = solve_spd(
-                p_pred, model.A @ filtered[k].cov, what="prediction covariance"
-            ).T
-        except NumericalFailureError as err:
-            raise NumericalFailureError(
-                f"backward gain failed: {err}", step=k
-            ) from err
-        mean = filtered[k].mean + gain @ (smoothed[k + 1].mean - m_pred)
-        cov = symmetrize(
-            filtered[k].cov + gain @ (smoothed[k + 1].cov - p_pred) @ gain.T
-        )
-        smoothed[k] = GaussianBelief(mean, cov)
-    return smoothed
+    """Gated Kalman forward pass plus classical fixed-interval smoothing.
+
+    The backward recursion is smoothing.backward_pass, the one the skew-t
+    smoother runs on its [x; u] beliefs: with no u-block the beliefs are
+    the plain state beliefs and that recursion is the classical RTS one.
+    """
+    return backward_pass(*kf_gated_run(model, ys, g, measurement_matrices), model)
 
 
 @lru_cache(maxsize=64)

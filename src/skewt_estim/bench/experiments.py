@@ -9,11 +9,12 @@ truncation orderings against the sampling oracle.
 
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from ..baselines import GatingConfig, kf_gated_update, pf_run, rtss_gated_run
-from ..exceptions import EstimationError
+from ..exceptions import EstimationError, NumericalFailureError
 from ..filtering import StateSpaceModel, VBConfig, predict, stf_update
 from ..skewt import SkewTComponent, moment_match, moments, sample_rng
 from ..smoothing import sts_run
@@ -24,6 +25,7 @@ from .gnss import (
     VERTICAL_WALK_STD_M,
     linearize,
     make_constellation,
+    pseudoranges,
     simulate,
     trajectory_prior,
 )
@@ -63,6 +65,7 @@ class RunRecord:
     mean_vb_iterations: float
     wall_time: float
     status: str
+    reason: str = ""  # str() of the error of a "failed" run; not in the CSV
 
 
 @dataclass(frozen=True)
@@ -97,58 +100,65 @@ def scenario_model(cfg: ScenarioConfig, sats: np.ndarray) -> StateSpaceModel:
     )
 
 
-def _adjusted_measurement(y, sats, nominal):
-    """Shift a pseudorange vector into the local linear model at `nominal`.
+def _relinearized_run(model, sats, traj, update, noise_offset=0.0):
+    """Forward filter with per-step relinearization at the predicted mean.
 
-    Returns (C, y_adj) with y_adj ~= C x + noise for states x near the
-    nominal point.
+    `update(C_k, prior, y_k) -> (posterior, vb_iterations)` folds in the
+    pseudoranges less `noise_offset`, shifted so that y_k ~= C_k x + noise.
+    Returns (posteriors, iteration counts, [C_k], [y_k]); smoothers rerun
+    on the last two.
     """
-    c_mat, y0 = linearize(sats, nominal)
-    return c_mat, y - y0 + c_mat @ nominal
-
-
-def _run_stf_gnss(model, cfg, sats, traj, vb_cfg):
-    """Skew-t filter with per-step relinearization at the predicted mean."""
     belief = model.prior_belief()
-    positions = np.zeros((cfg.K, 3))
-    covs = np.zeros((cfg.K, 3, 3))
-    iters = np.zeros(cfg.K)
-    c_seq = []
-    y_adj = np.zeros((cfg.K, cfg.n_sats))
-    for k in range(cfg.K):
-        c_mat, y_k = _adjusted_measurement(traj.measurements[k], sats, belief.mean)
-        step_model = replace(model, C=c_mat)
-        belief, diag = stf_update(step_model, belief, y_k, vb_cfg)
-        positions[k] = belief.mean[:3]
-        covs[k] = belief.cov[:3, :3]
-        iters[k] = diag.iterations
+    posteriors, iterations, c_seq, y_seq = [], [], [], []
+    for k, y in enumerate(traj.measurements):
+        c_mat, y0 = linearize(sats, belief.mean)
+        y_k = y - y0 + c_mat @ belief.mean - noise_offset
+        try:
+            belief, n_iter = update(c_mat, belief, y_k)
+        except NumericalFailureError as err:
+            raise NumericalFailureError(
+                f"measurement update failed: {err}", step=k
+            ) from err
+        posteriors.append(belief)
+        iterations.append(n_iter)
         c_seq.append(c_mat)
-        y_adj[k] = y_k
+        y_seq.append(y_k)
         belief = predict(model, belief)
-    return positions, covs, iters, c_seq, y_adj
+    return posteriors, np.array(iterations, dtype=float), c_seq, y_seq
 
 
-def _run_kf_gnss(model, cfg, sats, traj, gate):
-    """Gated Kalman filter on the moment-matched Gaussian model."""
+def _stf_step(model, vb_cfg):
+    """Skew-t filter update of `_relinearized_run`."""
+
+    def update(c_mat, prior, y_k):
+        post, diag = stf_update(replace(model, C=c_mat), prior, y_k, vb_cfg)
+        return post, diag.iterations
+
+    return update
+
+
+def _kf_step(model, cfg, gate):
+    """Moment-matched Gaussian model of the Kalman baselines, its gated
+    update for `_relinearized_run` and the noise mean to subtract."""
     comp = SkewTComponent(spread_sq=1.0, shape=cfg.delta, dof=cfg.nu)
     mean_off, _ = moments(comp)
     var, _, _ = moment_match(comp)
     gauss = replace(model, R=np.full(cfg.n_sats, var))
-    belief = gauss.prior_belief()
-    positions = np.zeros((cfg.K, 3))
-    covs = np.zeros((cfg.K, 3, 3))
-    c_seq = []
-    y_adj = np.zeros((cfg.K, cfg.n_sats))
-    for k in range(cfg.K):
-        c_mat, y_k = _adjusted_measurement(traj.measurements[k], sats, belief.mean)
-        y_k = y_k - mean_off
-        belief = kf_gated_update(c_mat, gauss.R, belief, y_k, gate)
-        positions[k] = belief.mean[:3]
-        covs[k] = belief.cov[:3, :3]
-        c_seq.append(c_mat)
-        y_adj[k] = y_k
-        belief = predict(gauss, belief)
-    return positions, covs, gauss, c_seq, y_adj
+
+    def update(c_mat, prior, y_k):
+        return kf_gated_update(c_mat, gauss.R, prior, y_k, gate), 0
+
+    return gauss, update, mean_off
+
+
+def _estimator_run(name, beliefs, vb_iterations=()):
+    """EstimatorRun of the position block of per-step beliefs."""
+    return EstimatorRun(
+        name,
+        np.stack([b.mean[:3] for b in beliefs]),
+        np.stack([b.cov[:3, :3] for b in beliefs]),
+        np.asarray(vb_iterations, dtype=float),
+    )
 
 
 def run_estimator(
@@ -166,41 +176,32 @@ def run_estimator(
     smoothers reuse the linearization points of their forward filter.
     """
     model = scenario_model(cfg, sats)
-    if name == "stf":
-        positions, covs, iters, _, _ = _run_stf_gnss(model, cfg, sats, traj, vb_cfg)
-        return EstimatorRun(name, positions, covs, iters)
-    if name == "sts":
-        _, _, _, c_seq, y_adj = _run_stf_gnss(model, cfg, sats, traj, vb_cfg)
-        beliefs = sts_run(model, y_adj, vb_cfg, measurement_matrices=c_seq)
-        positions = np.stack([b.mean[:3] for b in beliefs])
-        covs = np.stack([b.cov[:3, :3] for b in beliefs])
-        return EstimatorRun(name, positions, covs, np.array([]))
-    if name == "kf":
-        positions, covs, _, _, _ = _run_kf_gnss(model, cfg, sats, traj, gate)
-        return EstimatorRun(name, positions, covs, np.array([]))
-    if name == "rtss":
-        _, _, gauss, c_seq, y_adj = _run_kf_gnss(model, cfg, sats, traj, gate)
-        beliefs = rtss_gated_run(gauss, y_adj, gate, measurement_matrices=c_seq)
-        positions = np.stack([b.mean[:3] for b in beliefs])
-        covs = np.stack([b.cov[:3, :3] for b in beliefs])
-        return EstimatorRun(name, positions, covs, np.array([]))
-    if name == "pf":
-        def measurement_fn(states):
-            ranges = np.linalg.norm(
-                sats[None, :, :] - states[:, None, :3], axis=2
-            )
-            return ranges + states[:, 3:4]
-
-        beliefs = pf_run(
-            model,
-            traj.measurements,
-            cfg.pf_particles,
-            seed=_tagged_seed(cfg.seed, replication, 0x5054),
-            measurement_fn=measurement_fn,
+    if name in ("stf", "sts"):
+        filtered, iters, c_seq, y_seq = _relinearized_run(
+            model, sats, traj, _stf_step(model, vb_cfg)
         )
-        positions = np.stack([b.mean[:3] for b in beliefs])
-        covs = np.stack([b.cov[:3, :3] for b in beliefs])
-        return EstimatorRun(name, positions, covs, np.array([]))
+        if name == "stf":
+            return _estimator_run(name, filtered, iters)
+        return _estimator_run(
+            name, sts_run(model, y_seq, vb_cfg, measurement_matrices=c_seq)
+        )
+    if name in ("kf", "rtss"):
+        gauss, update, mean_off = _kf_step(model, cfg, gate)
+        filtered, _, c_seq, y_seq = _relinearized_run(
+            gauss, sats, traj, update, mean_off
+        )
+        if name == "kf":
+            return _estimator_run(name, filtered)
+        return _estimator_run(
+            name, rtss_gated_run(gauss, y_seq, gate, measurement_matrices=c_seq)
+        )
+    if name == "pf":
+        beliefs = pf_run(
+            model, traj.measurements, cfg.pf_particles,
+            seed=_tagged_seed(cfg.seed, replication, 0x5054),
+            measurement_fn=partial(pseudoranges, sats),
+        )
+        return _estimator_run(name, beliefs)
     raise ValueError(f"unknown estimator {name!r}")
 
 
@@ -241,11 +242,11 @@ def run_experiment(cfg: ScenarioConfig, out_path=None, timing: bool = False) -> 
                         "ok",
                     )
                 )
-            except EstimationError:
+            except EstimationError as err:
                 elapsed = time.perf_counter() - start
                 records.append(
                     RunRecord(cfg.name, est, rep, float("nan"), float("nan"),
-                              float("nan"), elapsed, "failed")
+                              float("nan"), elapsed, "failed", str(err))
                 )
     records.sort(key=lambda r: (r.scenario, r.estimator, r.replication))
     if out_path is not None:
@@ -310,10 +311,6 @@ def run_static_experiment(
         prior_mean=prior_mean,
         prior_cov=prior_cov,
     )
-    def measurement_fn(states):
-        ranges = np.linalg.norm(sats[None, :, :] - states[:, None, :3], axis=2)
-        return ranges + states[:, 3:4]
-
     dist_stf = np.zeros(n_replications)
     dist_rand = np.zeros(n_replications)
     dist_prior = np.zeros(n_replications)
@@ -322,9 +319,8 @@ def run_static_experiment(
     for rep in range(n_replications):
         rng = np.random.default_rng(seed ^ rep)
         x = prior_mean + np.sqrt(np.diag(prior_cov)) * rng.standard_normal(4)
-        ranges = np.linalg.norm(sats - x[:3], axis=1)
         noise_comp = SkewTComponent(spread_sq=1.0, shape=delta, dof=nu)
-        y = ranges + x[3] + sample_rng(noise_comp, n_sats, rng)
+        y = pseudoranges(sats, x) + sample_rng(noise_comp, n_sats, rng)
 
         y_adj = y - y0
         post, _ = stf_update(model, prior_belief, y_adj, vb_cfg)
@@ -335,7 +331,7 @@ def run_static_experiment(
         pf = pf_run(
             model, [y], pf_particles,
             seed=_tagged_seed(seed, rep, 0x5054),
-            measurement_fn=measurement_fn,
+            measurement_fn=partial(pseudoranges, sats),
         )[0]
 
         dist_stf[rep] = np.linalg.norm(post.mean[:3] - pf.mean[:3])

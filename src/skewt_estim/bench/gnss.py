@@ -22,6 +22,7 @@ __all__ = [
     "RECEIVER_NOMINAL_M",
     "make_constellation",
     "simulate",
+    "pseudoranges",
     "linearize",
     "trajectory_prior",
 ]
@@ -165,14 +166,19 @@ def simulate(cfg: ScenarioConfig, replication: int) -> Trajectory:
     for k in range(1, cfg.K):
         states[k] = states[k - 1] + walk_std * rng.standard_normal(4)
 
-    ranges = np.linalg.norm(
-        sats[None, :, :] - states[:, None, :3], axis=2
-    )
-    meas = ranges + states[:, 3:4]
+    meas = pseudoranges(sats, states)
     comp = SkewTComponent(spread_sq=1.0, shape=cfg.delta, dof=cfg.nu)
     for i in range(cfg.n_sats):
         meas[:, i] += sample_rng(comp, cfg.K, rng)
     return Trajectory(states, meas)
+
+
+def pseudoranges(sats: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Noise-free pseudoranges: range to each satellite plus clock bias.
+
+    `states` has shape (..., 4); the result has shape (..., n_sats).
+    """
+    return np.linalg.norm(sats - states[..., None, :3], axis=-1) + states[..., 3:4]
 
 
 def linearize(sats: np.ndarray, nominal: np.ndarray) -> tuple:

@@ -119,6 +119,8 @@ def backward_pass(filtered, predicted, model: StateSpaceModel) -> list:
     augmented covariance and Z_p = blockdiag(P, diag(1/lam)) the augmented
     prediction covariance of step k+1.  A_z = blockdiag(A, 0) makes the
     u-columns of G vanish, so G = Z_f[:, :n_x] A^T P^{-1} acts only on x.
+    This is the classical RTS recursion, and beliefs with no u-block get
+    exactly that: baselines.rtss_gated_run smooths through it as well.
     """
     n_steps = len(filtered)
     if len(predicted) != n_steps:

@@ -26,7 +26,11 @@ from skewt_estim.bench import (
     simulate,
     truncnorm_comparison,
 )
-from skewt_estim.bench.experiments import _run_kf_gnss, _run_stf_gnss
+from skewt_estim.bench.experiments import (
+    _kf_step,
+    _relinearized_run,
+    _stf_step,
+)
 from skewt_estim.filtering import VBConfig, expected_mixing_precision, stf_run
 from skewt_estim.smoothing import _run_vb, sts_run
 from skewt_estim.truncnorm import MomentPair, rec_trunc, select_next
@@ -72,9 +76,11 @@ def scenario_suite():
         )
         for rep in range(cfg.n_mc):
             traj = simulate(cfg, rep)
-            positions, covs, step_iters, c_seq, y_adj = _run_stf_gnss(
-                model, cfg, sats, traj, vb_cfg
+            filtered, step_iters, c_seq, y_adj = _relinearized_run(
+                model, sats, traj, _stf_step(model, vb_cfg)
             )
+            positions = np.stack([b.mean[:3] for b in filtered])
+            covs = np.stack([b.cov[:3, :3] for b in filtered])
             iters.extend(step_iters.tolist())
             stf_nees.append(nees(positions, covs, traj.states).mean())
             stf_rmse.append(rmse(positions, traj.states))
@@ -83,9 +89,11 @@ def scenario_suite():
             sts_pos = np.stack([s.mean[:3] for s in res.smoothed])
             sts_rmse.append(rmse(sts_pos, traj.states))
 
-            kf_pos, _, gauss, kf_c_seq, kf_y = _run_kf_gnss(
-                model, cfg, sats, traj, GatingConfig()
+            gauss, kf_update, mean_off = _kf_step(model, cfg, GatingConfig())
+            kf_filtered, _, kf_c_seq, kf_y = _relinearized_run(
+                gauss, sats, traj, kf_update, mean_off
             )
+            kf_pos = np.stack([b.mean[:3] for b in kf_filtered])
             kf_rmse.append(rmse(kf_pos, traj.states))
 
             smoothed = rtss_gated_run(

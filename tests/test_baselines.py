@@ -7,7 +7,6 @@ from scipy.stats import chi2
 import skewt_estim.baselines as baselines
 from skewt_estim.baselines import (
     GatingConfig,
-    ParticleCloud,
     kf_gated_run,
     kf_gated_update,
     pf_run,
@@ -197,17 +196,3 @@ class TestParticleFilter:
         )
         with pytest.raises(DegeneracyError, match="time step 0"):
             pf_run(model, [np.zeros(2)], 1000, seed=0)
-
-
-class TestParticleCloud:
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            ParticleCloud(np.zeros((3, 2)), np.array([0.5, 0.4, 0.2]))
-        with pytest.raises(ValueError):
-            ParticleCloud(np.zeros((3, 2)), np.array([0.5, 0.6, -0.1]))
-
-    def test_ess_bounds(self):
-        cloud = ParticleCloud(np.zeros((4, 1)), np.full(4, 0.25))
-        assert cloud.ess() == pytest.approx(4.0)
-        point = ParticleCloud(np.zeros((4, 1)), np.array([1.0, 0.0, 0.0, 0.0]))
-        assert point.ess() == pytest.approx(1.0)

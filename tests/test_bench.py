@@ -19,8 +19,12 @@ from skewt_estim.bench import (
 )
 from skewt_estim.bench import experiments
 from skewt_estim.bench.contours import CONTOUR_HEADER
-from skewt_estim.bench.experiments import _run_stf_gnss, run_estimator
-from skewt_estim.bench.gnss import ORBIT_RADIUS_M, RECEIVER_NOMINAL_M
+from skewt_estim.bench.experiments import (
+    _relinearized_run,
+    _stf_step,
+    run_estimator,
+)
+from skewt_estim.bench.gnss import ORBIT_RADIUS_M, RECEIVER_NOMINAL_M, pseudoranges
 from skewt_estim.cli import main
 from skewt_estim.exceptions import (
     ConfigError,
@@ -139,6 +143,18 @@ class TestLinearize:
     def test_degenerate_geometry_rejected(self):
         with pytest.raises(GeometryError):
             linearize(np.array([[0.0, 0.0, 0.1]]), np.zeros(4))
+
+
+class TestPseudoranges:
+    def test_batch_rows_equal_single_state_and_linearization(self):
+        cfg = small_config(K=20)
+        sats = make_constellation(cfg.n_sats, cfg.seed)
+        states = simulate(cfg, 0).states
+        batch = pseudoranges(sats, states)
+        assert batch.shape == (cfg.K, cfg.n_sats)
+        for row, state in zip(batch, states):
+            np.testing.assert_array_equal(row, pseudoranges(sats, state))
+            np.testing.assert_array_equal(row, linearize(sats, state)[1])
 
 
 class TestMetrics:
@@ -294,6 +310,26 @@ class TestRunExperiment:
         monkeypatch.setattr(experiments, "run_estimator", fail)
         records = run_experiment(small_config(K=3, n_mc=1))
         assert [r.status for r in records] == ["failed", "failed"]
+        assert [r.reason for r in records] == [
+            "not positive definite (time step 3)"
+        ] * 2
+
+    def test_update_failure_carries_time_step(self, monkeypatch):
+        real_update = experiments.stf_update
+        calls = []
+
+        def fail_on_fourth(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 4:
+                raise NumericalFailureError("not positive definite")
+            return real_update(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "stf_update", fail_on_fourth)
+        cfg = small_config(estimators=("stf",))
+        sats = make_constellation(cfg.n_sats, cfg.seed)
+        with pytest.raises(NumericalFailureError) as info:
+            run_estimator("stf", cfg, sats, simulate(cfg, 0))
+        assert info.value.step == 3
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -311,8 +347,8 @@ class TestSmootherIterations:
         model = scenario_model(cfg, sats)
         for rep in range(3):
             traj = simulate(cfg, rep)
-            _, _, _, c_seq, y_adj = _run_stf_gnss(
-                model, cfg, sats, traj, VBConfig()
+            _, _, c_seq, y_adj = _relinearized_run(
+                model, sats, traj, _stf_step(model, VBConfig())
             )
             res5 = _run_vb(
                 model, y_adj, VBConfig(), measurement_matrices=c_seq,
