@@ -10,8 +10,9 @@ _JITTER_LEVELS = (0.0, 1e-12, 1e-9)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return the symmetric part (a + a.T) / 2."""
-    return 0.5 * (a + a.T)
+    """Return the symmetric part (a + a.T) / 2 of a matrix or of each
+    matrix of a stack."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def solve_spd(s: np.ndarray, b: np.ndarray, what: str = "matrix") -> np.ndarray:

@@ -15,9 +15,10 @@ import numpy as np
 
 from ..baselines import GatingConfig, kf_gated_update, pf_run, rtss_gated_run
 from ..exceptions import EstimationError, NumericalFailureError
-from ..filtering import StateSpaceModel, VBConfig, predict, stf_update
+from .._linalg import symmetrize
+from ..filtering import StateSpaceModel, VBConfig, _stf_update_rows, predict, stf_update
 from ..skewt import SkewTComponent, moment_match, moments, sample_rng
-from ..smoothing import sts_run
+from ..smoothing import _run_vb_rows, sts_run
 from ..truncnorm import OPTIMAL, MomentPair, RandomOrder, rec_trunc, tmnd_oracle
 from .gnss import (
     ScenarioConfig,
@@ -52,6 +53,10 @@ CSV_HEADER = "scenario,estimator,replication,rmse_m,mean_nees,mean_vb_iters,wall
 STATIC_VERTICAL_PRIOR_STD_M = 0.22
 STATIC_BIAS_PRIOR_STD_M = 0.1
 
+# Replications run_experiment filters and smooths in one lockstep batch;
+# peak memory grows as rows * K * (4 + n_sats)^2.
+LOCKSTEP_ROWS = 32
+
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -65,7 +70,11 @@ class RunRecord:
     mean_vb_iterations: float
     wall_time: float
     status: str
-    reason: str = ""  # str() of the error of a "failed" run; not in the CSV
+    # Not in the CSV: str() of the error of a "failed" run, and for "sts"
+    # the outer VB iterations and whether they converged.
+    reason: str = ""
+    outer_iterations: int = 0
+    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -76,6 +85,8 @@ class EstimatorRun:
     positions: np.ndarray
     position_covs: np.ndarray
     vb_iterations: np.ndarray
+    outer_iterations: int = 0  # "sts" only, as is converged
+    converged: bool = True
 
 
 def _tagged_seed(*parts) -> int:
@@ -101,7 +112,8 @@ def scenario_model(cfg: ScenarioConfig, sats: np.ndarray) -> StateSpaceModel:
 
 
 def _relinearized_run(model, sats, traj, update, noise_offset=0.0):
-    """Forward filter with per-step relinearization at the predicted mean.
+    """Forward filter with per-step relinearization at the predicted mean,
+    for the Kalman baselines (_stf_rows is the skew-t filter's).
 
     `update(C_k, prior, y_k) -> (posterior, vb_iterations)` folds in the
     pseudoranges less `noise_offset`, shifted so that y_k ~= C_k x + noise.
@@ -127,16 +139,6 @@ def _relinearized_run(model, sats, traj, update, noise_offset=0.0):
     return posteriors, np.array(iterations, dtype=float), c_seq, y_seq
 
 
-def _stf_step(model, vb_cfg):
-    """Skew-t filter update of `_relinearized_run`."""
-
-    def update(c_mat, prior, y_k):
-        post, diag = stf_update(replace(model, C=c_mat), prior, y_k, vb_cfg)
-        return post, diag.iterations
-
-    return update
-
-
 def _kf_step(model, cfg, gate):
     """Moment-matched Gaussian model of the Kalman baselines, its gated
     update for `_relinearized_run` and the noise mean to subtract."""
@@ -151,13 +153,66 @@ def _kf_step(model, cfg, gate):
     return gauss, update, mean_off
 
 
-def _estimator_run(name, beliefs, vb_iterations=()):
+def _stf_rows(model, sats, trajs, vb_cfg):
+    """Skew-t filter of B trajectories in lockstep, relinearized per step
+    at each row's predicted mean; run_estimator("stf") is its one-row call.
+
+    Returns the "stf" EstimatorRun of each trajectory, and the (B, K,
+    n_sats, 4) linearizations and (B, K, n_sats) measurements the smoother
+    reruns on.  Each row is bit-equal to the same trajectory filtered
+    alone.
+    """
+    meas = np.stack([t.measurements for t in trajs])
+    n_rows, n_steps, n_y = meas.shape
+    n_x = model.n_x
+    x = np.tile(model.prior_mean, (n_rows, 1))
+    p = np.tile(model.prior_cov, (n_rows, 1, 1))
+    c_seq = np.empty((n_rows, n_steps, n_y, n_x))
+    y_seq = np.empty((n_rows, n_steps, n_y))
+    means = np.empty((n_rows, n_steps, n_x))
+    covs = np.empty((n_rows, n_steps, n_x, n_x))
+    iterations = np.empty((n_rows, n_steps))
+    for k in range(n_steps):
+        for b in range(n_rows):
+            c_seq[b, k], y0 = linearize(sats, x[b])
+            y_seq[b, k] = meas[b, k] - y0 + c_seq[b, k] @ x[b]
+        try:
+            means[:, k], covs[:, k], iterations[:, k], _ = _stf_update_rows(
+                model, x, p, y_seq[:, k], c_seq[:, k], vb_cfg
+            )
+        except NumericalFailureError as err:
+            raise NumericalFailureError(
+                f"measurement update failed: {err}", step=k
+            ) from err
+        x = (model.A @ means[:, k, :, None])[..., 0]
+        p = symmetrize(model.A @ covs[:, k] @ model.A.T + model.Q)
+    runs = [
+        EstimatorRun("stf", m[:, :3], c[:, :3, :3], it)
+        for m, c, it in zip(means, covs, iterations)
+    ]
+    return runs, c_seq, y_seq
+
+
+def _sts_rows(model, c_seq, y_seq, vb_cfg):
+    """The "sts" EstimatorRuns of B filtered trajectories (the c_seq and
+    y_seq of _stf_rows), smoothed in lockstep."""
+    rows = _run_vb_rows(model, y_seq, c_seq, vb_cfg)
+    s_mean, s_cov = rows.smoothed
+    covs = symmetrize(s_cov[..., : model.n_x, : model.n_x])
+    return [
+        EstimatorRun("sts", m[:, :3], c[:, :3, :3], np.zeros(0), int(n), bool(ok))
+        for m, c, n, ok in zip(s_mean, covs, rows.iterations, rows.converged)
+    ]
+
+
+def _estimator_run(name, beliefs, vb_iterations=(), **outer):
     """EstimatorRun of the position block of per-step beliefs."""
     return EstimatorRun(
         name,
         np.stack([b.mean[:3] for b in beliefs]),
         np.stack([b.cov[:3, :3] for b in beliefs]),
         np.asarray(vb_iterations, dtype=float),
+        **outer,
     )
 
 
@@ -174,16 +229,18 @@ def run_estimator(
 
     Measurements are relinearized per step at the running predicted mean;
     smoothers reuse the linearization points of their forward filter.
+    "stf" and "sts" are the one-trajectory calls of the lockstep batch
+    run_experiment runs.
     """
     model = scenario_model(cfg, sats)
     if name in ("stf", "sts"):
-        filtered, iters, c_seq, y_seq = _relinearized_run(
-            model, sats, traj, _stf_step(model, vb_cfg)
-        )
+        filtered, c_seq, y_seq = _stf_rows(model, sats, [traj], vb_cfg)
         if name == "stf":
-            return _estimator_run(name, filtered, iters)
+            return filtered[0]
+        smoothed = sts_run(model, y_seq[0], vb_cfg, measurement_matrices=c_seq[0])
         return _estimator_run(
-            name, sts_run(model, y_seq, vb_cfg, measurement_matrices=c_seq)
+            name, smoothed,
+            outer_iterations=smoothed.iterations, converged=smoothed.converged,
         )
     if name in ("kf", "rtss"):
         gauss, update, mean_off = _kf_step(model, cfg, gate)
@@ -205,49 +262,93 @@ def run_estimator(
     raise ValueError(f"unknown estimator {name!r}")
 
 
+def _lockstep_runs(cfg, sats, trajs):
+    """The "stf" and "sts" runs of run_experiment, filtered once and in
+    lockstep, with per-row seconds.
+
+    Returns {estimator: (runs, seconds)}; an estimator whose batch raised
+    an EstimationError is absent, and so is "sts" when "stf" failed.
+    """
+    model = scenario_model(cfg, sats)
+    vb_cfg = VBConfig()
+    out = {}
+    start = time.perf_counter()
+    try:
+        stf, c_seq, y_seq = _stf_rows(model, sats, trajs, vb_cfg)
+        out["stf"] = (stf, (time.perf_counter() - start) / len(trajs))
+        if "sts" in cfg.estimators:
+            sts = _sts_rows(model, c_seq, y_seq, vb_cfg)
+            out["sts"] = (sts, (time.perf_counter() - start) / len(trajs))
+    except EstimationError:
+        pass  # run_experiment reruns these replications one at a time
+    return out
+
+
+def _record(cfg, est, rep, traj, run, elapsed):
+    step_nees = nees(run.positions, run.position_covs, traj.states)
+    return RunRecord(
+        cfg.name,
+        est,
+        rep,
+        rmse(run.positions, traj.states),
+        float(step_nees.mean()),
+        float(run.vb_iterations.mean()) if run.vb_iterations.size else 0.0,
+        elapsed,
+        "ok",
+        outer_iterations=run.outer_iterations,
+        converged=run.converged,
+    )
+
+
 def run_experiment(cfg: ScenarioConfig, out_path=None, timing: bool = False) -> list:
     """Run all configured estimators over n_mc simulated replications.
+
+    "stf" and "sts" run the replications in lockstep batches of up to
+    LOCKSTEP_ROWS rows, and "sts" smooths the "stf" pass of its batch;
+    the other estimators run one replication at a time.  If a batch
+    raises an EstimationError, its replications rerun one at a time, so
+    each record is the one a single-replication run gives.
 
     Returns the sorted RunRecord list and, when `out_path` is given, writes
     the CSV there.  By default the wall_time_s column is written as 0 so
     that identical configurations produce byte-identical files; pass
-    timing=True to emit measured (non-reproducible) times.  Only an
-    EstimationError makes a "failed" record; other exceptions propagate.
+    timing=True to emit measured (non-reproducible) times, where a
+    lockstep row's time is its batch time divided by the batch rows.
+    Only an EstimationError makes a "failed" record; other exceptions
+    propagate.
     """
     sats = make_constellation(cfg.n_sats, cfg.seed)
+    lockstep = {"stf", "sts"} & set(cfg.estimators)
     records = []
-    for rep in range(cfg.n_mc):
-        traj = simulate(cfg, rep)
+    for first in range(0, cfg.n_mc, LOCKSTEP_ROWS):
+        reps = range(first, min(first + LOCKSTEP_ROWS, cfg.n_mc))
+        trajs = [simulate(cfg, rep) for rep in reps]
         if not cfg.estimators:
-            records.append(
+            records += [
                 RunRecord(cfg.name, "", rep, float("nan"), float("nan"),
                           float("nan"), 0.0, "simulated")
-            )
+                for rep in reps
+            ]
             continue
+        batch = _lockstep_runs(cfg, sats, trajs) if lockstep else {}
         for est in cfg.estimators:
-            start = time.perf_counter()
-            try:
-                run = run_estimator(est, cfg, sats, traj, replication=rep)
-                elapsed = time.perf_counter() - start
-                step_nees = nees(run.positions, run.position_covs, traj.states)
-                records.append(
-                    RunRecord(
-                        cfg.name,
-                        est,
-                        rep,
-                        rmse(run.positions, traj.states),
-                        float(step_nees.mean()),
-                        float(run.vb_iterations.mean()) if run.vb_iterations.size else 0.0,
-                        elapsed,
-                        "ok",
+            for i, (rep, traj) in enumerate(zip(reps, trajs)):
+                if est in batch:
+                    runs, elapsed = batch[est]
+                    records.append(_record(cfg, est, rep, traj, runs[i], elapsed))
+                    continue
+                start = time.perf_counter()
+                try:
+                    run = run_estimator(est, cfg, sats, traj, replication=rep)
+                    records.append(
+                        _record(cfg, est, rep, traj, run, time.perf_counter() - start)
                     )
-                )
-            except EstimationError as err:
-                elapsed = time.perf_counter() - start
-                records.append(
-                    RunRecord(cfg.name, est, rep, float("nan"), float("nan"),
-                              float("nan"), elapsed, "failed", str(err))
-                )
+                except EstimationError as err:
+                    elapsed = time.perf_counter() - start
+                    records.append(
+                        RunRecord(cfg.name, est, rep, float("nan"), float("nan"),
+                                  float("nan"), elapsed, "failed", str(err))
+                    )
     records.sort(key=lambda r: (r.scenario, r.estimator, r.replication))
     if out_path is not None:
         write_records_csv(records, out_path, timing=timing)

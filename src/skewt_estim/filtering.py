@@ -23,7 +23,13 @@ import numpy as np
 from ._linalg import solve_spd, symmetrize
 from .exceptions import NumericalFailureError
 from .skewt import NoiseModel, SkewTComponent
-from .truncnorm import OPTIMAL, MomentPair, TruncationOrderPolicy, rec_trunc
+from .truncnorm import (
+    OPTIMAL,
+    MomentPair,
+    TruncationOrderPolicy,
+    _rec_trunc_rows,
+    rec_trunc,
+)
 
 __all__ = [
     "StateSpaceModel",
@@ -191,8 +197,9 @@ class _AndersonMixer:
         self._gs = []
 
     def push(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        self._xs.append(np.asarray(x, dtype=float))
-        self._gs.append(np.asarray(g, dtype=float))
+        # Copies, so that a caller updating x or g in place keeps the history.
+        self._xs.append(np.array(x, dtype=float))
+        self._gs.append(np.array(g, dtype=float))
         self._xs = self._xs[-self.depth :]
         self._gs = self._gs[-self.depth :]
         if len(self._xs) < 2:
@@ -244,6 +251,71 @@ def _augmented_update(x_pred, p_pred, y, c_mat, delta, r, lam, policy):
         MomentPair(z_mean, z_cov), range(n_x, n_x + n_y), policy
     )
     return post, MomentPair(z_prior_mean, z_prior_cov)
+
+
+# From this many rows on, _augmented_update_rows truncates in lockstep.  A
+# lone row runs the scalar _augmented_update, at about half the cost of the
+# lockstep kernel (12 dims, 8 constraints); with lone rows in lockstep too,
+# the track_sweep benchmark ran 5% slower, and a threshold of 3 measured
+# the same as 2.
+_LOCKSTEP_MIN_ROWS = 2
+
+
+def _diag_rows(v: np.ndarray) -> np.ndarray:
+    """np.diag of the last axis: (..., n) -> (..., n, n)."""
+    n = v.shape[-1]
+    out = np.zeros(v.shape + (n,))
+    out[..., range(n), range(n)] = v
+    return out
+
+
+def _stack_cz(c_mat, delta):
+    """[C, diag(delta)] for each measurement matrix of a stack."""
+    d = np.broadcast_to(np.diag(delta), c_mat.shape[:-1] + (delta.size,))
+    return np.concatenate([c_mat, d], axis=-1)
+
+
+def _augmented_update_rows(x_pred, p_pred, y, c_mat, delta, r, lam):
+    """_augmented_update (greedy order) of B rows.
+
+    x_pred (B, n_x), p_pred (B, n_x, n_x), y (B, n_y), c_mat (B, n_y, n_x)
+    and lam (B, n_y) stack the rows; delta and r are shared.  Returns the
+    posterior and augmented prior (mean, cov) stacks.  Fewer than
+    _LOCKSTEP_MIN_ROWS rows run _augmented_update; from there on the rows
+    run in lockstep, with the scalar operand layouts and one solve_spd per
+    row, so every row is bit-equal to _augmented_update and fails the
+    same way.
+    """
+    if len(y) < _LOCKSTEP_MIN_ROWS:
+        pairs = [
+            _augmented_update(x_pred[b], p_pred[b], y[b], c_mat[b], delta, r, lam[b], OPTIMAL)
+            for b in range(len(y))
+        ]
+        columns = zip(*((post.mean, post.cov, prior.mean, prior.cov) for post, prior in pairs))
+        return tuple(np.array(a) for a in columns)
+    n_x = x_pred.shape[1]
+    n_y = y.shape[1]
+    lam_inv = 1.0 / lam
+
+    pct = p_pred @ c_mat.swapaxes(1, 2)
+    s = c_mat @ pct + _diag_rows(delta**2 * lam_inv + r * lam_inv)
+    zct = np.concatenate([pct, _diag_rows(delta * lam_inv)], axis=1)
+    gain = np.stack([
+        solve_spd(s_b, zct_b.T, what="innovation covariance").T
+        for s_b, zct_b in zip(s, zct)
+    ])
+
+    z_prior_mean = np.concatenate([x_pred, np.zeros_like(y)], axis=1)
+    z_prior_cov = np.zeros((len(y), n_x + n_y, n_x + n_y))
+    z_prior_cov[:, :n_x, :n_x] = p_pred
+    z_prior_cov[:, n_x:, n_x:] = _diag_rows(lam_inv)
+
+    cz = _stack_cz(c_mat, delta)
+    innovation = y - (c_mat @ x_pred[..., None])[..., 0]
+    z_mean = z_prior_mean + (gain @ innovation[..., None])[..., 0]
+    z_cov = z_prior_cov - gain @ (cz @ z_prior_cov)
+    post_mean, post_cov = _rec_trunc_rows(z_mean, z_cov, range(n_x, n_x + n_y))
+    return post_mean, post_cov, z_prior_mean, z_prior_cov
 
 
 def _psi_diagonal(y, cz, z_mean, z_cov, r, u_mean, u_cov):
@@ -308,6 +380,58 @@ def stf_update(
         converged=converged,
     )
     return belief, diag
+
+
+def _stf_update_rows(model, x_prior, p_prior, y, c_mat, cfg=VBConfig()) -> tuple:
+    """stf_update of B rows in lockstep, each with its own measurement matrix.
+
+    x_prior (B, n_x), p_prior (B, n_x, n_x), y (B, n_y) and c_mat
+    (B, n_y, n_x) stack the rows; model supplies Delta, R and nu.  A row
+    leaves the loop when it converges, and each row has its own Anderson
+    mixer, so row b is bit-equal to stf_update(replace(model,
+    C=c_mat[b]), GaussianBelief(x_prior[b], p_prior[b]), y[b], cfg).
+    Returns the posterior x means (B, n_x) and covariances (B, n_x, n_x),
+    the VB iteration counts and the convergence flags.
+
+    stf_update keeps its own loop for online use: run as this loop's
+    one-row call it was 9% slower on the online_heavy benchmark workload.
+    """
+    n_rows, n_x = x_prior.shape
+    n = n_x + y.shape[1]
+    cz = _stack_cz(c_mat, model.Delta)
+    lam = np.ones(y.shape)
+    mean = np.empty((n_rows, n))
+    cov = np.empty((n_rows, n, n))
+    mixers = [_AndersonMixer(upper=(model.nu + 2.0) / model.nu) for _ in range(n_rows)]
+    x_prev = [None] * n_rows
+    iterations = np.zeros(n_rows, dtype=int)
+    converged = np.zeros(n_rows, dtype=bool)
+    active = np.arange(n_rows)
+    for _ in range(cfg.max_iterations):
+        post_mean, post_cov, _, _ = _augmented_update_rows(
+            x_prior[active], p_prior[active], y[active], c_mat[active],
+            model.Delta, model.R, lam[active],
+        )
+        iterations[active] += 1
+        mean[active] = post_mean
+        cov[active] = post_cov
+        keep = []
+        for j, b in enumerate(active):
+            psi = _psi_diagonal(
+                y[b], cz[b], post_mean[j], post_cov[j], model.R,
+                post_mean[j, n_x:], post_cov[j, n_x:, n_x:],
+            )
+            lam[b] = mixers[b].push(lam[b], expected_mixing_precision(model.nu, psi))
+            x_new = post_mean[j, :n_x]
+            if x_prev[b] is not None and np.linalg.norm(x_new - x_prev[b]) < cfg.tol:
+                converged[b] = True
+            else:
+                x_prev[b] = x_new
+                keep.append(b)
+        active = np.array(keep, dtype=int)
+        if not keep:
+            break
+    return mean[:, :n_x], symmetrize(cov[:, :n_x, :n_x]), iterations, converged
 
 
 def stf_run(model: StateSpaceModel, ys, cfg: VBConfig = VBConfig()) -> list:

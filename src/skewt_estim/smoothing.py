@@ -8,6 +8,11 @@ precisions from the smoothed moments.  The augmented dynamics propagate
 x with the model transition and reset u each step (its transition block
 is zero), so the one-step augmented prediction covariance is
 blockdiag(A P A^T + Q, diag(1/lam)).
+
+The passes and the outer loop are written for B trajectories in lockstep
+(a leading batch axis; a row leaves the outer loop when it converges), and
+the public functions are their one-trajectory calls.  Every row is
+bit-equal to the same trajectory smoothed alone.
 """
 
 from dataclasses import dataclass
@@ -21,15 +26,17 @@ from .filtering import (
     StateSpaceModel,
     VBConfig,
     _AndersonMixer,
-    _augmented_update,
+    _augmented_update,  # noqa: F401  perfbench/tracer.py times it under this name too
+    _augmented_update_rows,
     _psi_diagonal,
+    _stack_cz,
     expected_mixing_precision,
 )
-from .truncnorm import OPTIMAL
 
 __all__ = [
     "AugmentedBelief",
     "SmootherIterate",
+    "SmoothedTrack",
     "forward_pass",
     "backward_pass",
     "update_lambda",
@@ -57,6 +64,19 @@ class SmootherIterate:
     lambdas: list
 
 
+class SmoothedTrack(list):
+    """The smoothed x marginals of sts_run, one GaussianBelief per step.
+
+    `iterations` counts the outer VB iterations run and `converged` says
+    whether the loop stopped at its tolerance before max_iterations.
+    """
+
+    def __init__(self, beliefs, iterations: int, converged: bool):
+        super().__init__(beliefs)
+        self.iterations = iterations
+        self.converged = converged
+
+
 def _measurement_matrices(model, n_steps, measurement_matrices):
     if measurement_matrices is None:
         return [model.C] * n_steps
@@ -66,6 +86,42 @@ def _measurement_matrices(model, n_steps, measurement_matrices):
             f"got {len(mats)} measurement matrices for {n_steps} steps"
         )
     return mats
+
+
+def _beliefs(mean, cov) -> list:
+    return [AugmentedBelief(m, c) for m, c in zip(mean, cov)]
+
+
+def _forward_rows(model, ys, lambdas, c_seq) -> tuple:
+    """Truncated forward filtering of B trajectories in lockstep.
+
+    ys and lambdas are (B, K, n_y), c_seq is (B, K, n_y, n_x).  Returns the
+    (mean, cov) stacks of the filtered and of the predicted augmented
+    beliefs, (B, K, n) and (B, K, n, n).  Row b is bit-equal to a
+    forward pass of that row alone.
+    """
+    n_rows, n_steps, n_y = ys.shape
+    n_x = model.n_x
+    f_mean = np.empty((n_rows, n_steps, n_x + n_y))
+    f_cov = np.empty((n_rows, n_steps, n_x + n_y, n_x + n_y))
+    p_mean = np.empty_like(f_mean)
+    p_cov = np.empty_like(f_cov)
+    x_pred = np.broadcast_to(model.prior_mean, (n_rows, n_x))
+    p_pred = np.broadcast_to(model.prior_cov, (n_rows, n_x, n_x))
+    for k in range(n_steps):
+        try:
+            step = _augmented_update_rows(
+                x_pred, p_pred, ys[:, k], c_seq[:, k],
+                model.Delta, model.R, lambdas[:, k],
+            )
+        except NumericalFailureError as err:
+            raise NumericalFailureError(
+                f"forward update failed: {err}", step=k
+            ) from err
+        f_mean[:, k], f_cov[:, k], p_mean[:, k], p_cov[:, k] = step
+        x_pred = (model.A @ f_mean[:, k, :n_x, None])[..., 0]
+        p_pred = symmetrize(model.A @ f_cov[:, k, :n_x, :n_x] @ model.A.T + model.Q)
+    return f_mean, f_cov, p_mean, p_cov
 
 
 def forward_pass(
@@ -87,29 +143,46 @@ def forward_pass(
     if len(lambdas) != n_steps:
         raise ValueError(f"got {len(lambdas)} lambdas for {n_steps} steps")
     c_seq = _measurement_matrices(model, n_steps, measurement_matrices)
-
-    filtered = []
-    predicted = []
-    x_pred = model.prior_mean
-    p_pred = model.prior_cov
-    for k, y in enumerate(ys):
-        lam = np.atleast_1d(np.asarray(lambdas[k], dtype=float))
+    lams = [np.atleast_1d(np.asarray(lam, dtype=float)) for lam in lambdas]
+    for k, lam in enumerate(lams):
         if np.any(lam <= 0.0):
             raise ValueError(f"lambdas[{k}] must be positive")
+    if n_steps == 0:
+        return [], []
+    f_mean, f_cov, p_mean, p_cov = _forward_rows(
+        model, np.stack(ys)[None], np.stack(lams)[None], np.stack(c_seq)[None]
+    )
+    return _beliefs(f_mean[0], f_cov[0]), _beliefs(p_mean[0], p_cov[0])
+
+
+def _backward_rows(f_mean, f_cov, p_mean, p_cov, model) -> tuple:
+    """The backward recursion of backward_pass on (B, K, ...) stacks of
+    filtered and predicted (mean, cov); returns the smoothed stacks.
+
+    Each row gets its own gain solve, so row b is bit-equal to a backward
+    pass of that row alone and fails the same way.
+    """
+    n_x = model.n_x
+    s_mean = f_mean.copy()
+    s_cov = f_cov.copy()
+    for k in range(f_mean.shape[1] - 2, -1, -1):
+        p_pred = p_cov[:, k + 1, :n_x, :n_x]
         try:
-            post, aug_prior = _augmented_update(
-                x_pred, p_pred, y, c_seq[k], model.Delta, model.R, lam, OPTIMAL
-            )
+            gain = np.stack([
+                solve_spd(p_b, model.A @ f_b[:n_x], what="prediction covariance").T
+                for p_b, f_b in zip(p_pred, f_cov[:, k])
+            ])
         except NumericalFailureError as err:
             raise NumericalFailureError(
-                f"forward update failed: {err}", step=k
+                f"backward gain failed: {err}", step=k
             ) from err
-        filtered.append(AugmentedBelief(post.mean, post.cov))
-        predicted.append(AugmentedBelief(aug_prior.mean, aug_prior.cov))
-        n_x = model.n_x
-        x_pred = model.A @ post.mean[:n_x]
-        p_pred = symmetrize(model.A @ post.cov[:n_x, :n_x] @ model.A.T + model.Q)
-    return filtered, predicted
+        step = s_mean[:, k + 1, :n_x] - p_mean[:, k + 1, :n_x]
+        s_mean[:, k] += (gain @ step[..., None])[..., 0]
+        s_cov[:, k] = symmetrize(
+            f_cov[:, k]
+            + gain @ (s_cov[:, k + 1, :n_x, :n_x] - p_pred) @ gain.swapaxes(1, 2)
+        )
+    return s_mean, s_cov
 
 
 def backward_pass(filtered, predicted, model: StateSpaceModel) -> list:
@@ -127,28 +200,26 @@ def backward_pass(filtered, predicted, model: StateSpaceModel) -> list:
         raise ValueError("filtered and predicted sequences must align")
     if n_steps == 0:
         return []
-    n_x = model.n_x
+    s_mean, s_cov = _backward_rows(
+        np.stack([b.mean for b in filtered])[None],
+        np.stack([b.cov for b in filtered])[None],
+        np.stack([b.mean for b in predicted])[None],
+        np.stack([b.cov for b in predicted])[None],
+        model,
+    )
+    return _beliefs(s_mean[0, :-1], s_cov[0, :-1]) + [filtered[-1]]
 
-    smoothed = [None] * n_steps
-    smoothed[-1] = filtered[-1]
-    for k in range(n_steps - 2, -1, -1):
-        z_f = filtered[k]
-        z_p = predicted[k + 1]
-        p_pred = z_p.cov[:n_x, :n_x]
-        try:
-            gain = solve_spd(
-                p_pred, model.A @ z_f.cov[:n_x], what="prediction covariance"
-            ).T
-        except NumericalFailureError as err:
-            raise NumericalFailureError(
-                f"backward gain failed: {err}", step=k
-            ) from err
-        mean = z_f.mean + gain @ (smoothed[k + 1].mean[:n_x] - z_p.mean[:n_x])
-        cov = symmetrize(
-            z_f.cov + gain @ (smoothed[k + 1].cov[:n_x, :n_x] - p_pred) @ gain.T
-        )
-        smoothed[k] = AugmentedBelief(mean, cov)
-    return smoothed
+
+def _lambda_rows(s_mean, s_cov, ys, cz, model) -> np.ndarray:
+    """Refreshed mixing precisions of smoothed (mean, cov) stacks whose
+    steps have measurements ys and [C, diag(Delta)] matrices cz, one
+    belief at a time: an einsum over the whole stack sums in another order."""
+    n_x = model.n_x
+    psi = np.empty(ys.shape)
+    for i in np.ndindex(ys.shape[:-1]):
+        m, c = s_mean[i], s_cov[i]
+        psi[i] = _psi_diagonal(ys[i], cz[i], m, c, model.R, m[n_x:], c[n_x:, n_x:])
+    return expected_mixing_precision(model.nu, psi)
 
 
 def update_lambda(
@@ -165,11 +236,8 @@ def update_lambda(
             f"smoothed belief has dim {smoothed.dim}, expected {n_x + n_y}"
         )
     c_mat = model.C if measurement_matrix is None else np.atleast_2d(measurement_matrix)
-    cz = np.hstack([c_mat, np.diag(model.Delta)])
-    u_mean = smoothed.mean[n_x:]
-    u_cov = smoothed.cov[n_x:, n_x:]
-    psi = _psi_diagonal(y, cz, smoothed.mean, smoothed.cov, model.R, u_mean, u_cov)
-    return expected_mixing_precision(model.nu, psi)
+    cz = _stack_cz(c_mat, model.Delta)
+    return _lambda_rows(smoothed.mean, smoothed.cov, y, cz, model)
 
 
 def sts_run(
@@ -177,59 +245,111 @@ def sts_run(
     ys,
     cfg: VBConfig = VBConfig(),
     measurement_matrices=None,
-) -> list:
+) -> SmoothedTrack:
     """Iterated smoothing of a measurement sequence.
 
     Returns the normal approximations of the smoothed x marginals, one
-    GaussianBelief per step.
+    GaussianBelief per step, with the outer-loop iteration count and
+    convergence flag.
     """
     result = _run_vb(model, ys, cfg, measurement_matrices)
     n_x = model.n_x
-    return [
-        GaussianBelief(s.mean[:n_x], symmetrize(s.cov[:n_x, :n_x]))
-        for s in result.smoothed
-    ]
+    return SmoothedTrack(
+        [
+            GaussianBelief(s.mean[:n_x], symmetrize(s.cov[:n_x, :n_x]))
+            for s in result.smoothed
+        ],
+        result.iterations,
+        result.converged,
+    )
 
 
 def _run_vb(model, ys, cfg, measurement_matrices=None, n_iterations=None):
-    """Full outer VB loop; returns the last SmootherIterate plus counters.
-
-    Runs until the largest per-step change of the smoothed state means
-    drops below cfg.tol or cfg.max_iterations is hit; `n_iterations`
-    forces an exact iteration count instead.
-    """
+    """Full outer VB loop of one trajectory; returns the last
+    SmootherIterate plus counters (see _run_vb_rows)."""
     ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
     n_steps = len(ys)
-    n_x = model.n_x
-    c_seq = _measurement_matrices(model, n_steps, measurement_matrices)
-    lambdas = [np.ones(model.n_y) for _ in range(n_steps)]
     if n_steps == 0:
         return _VBResult([], [], [], [], 0, True)
-
-    max_iter = cfg.max_iterations if n_iterations is None else n_iterations
-    mixer = _AndersonMixer(
-        upper=np.tile((model.nu + 2.0) / model.nu, n_steps)
+    c_seq = _measurement_matrices(model, n_steps, measurement_matrices)
+    rows = _run_vb_rows(
+        model, np.stack(ys)[None], np.stack(c_seq)[None], cfg, n_iterations
     )
-    x_prev = None
-    converged = False
-    iterations = 0
+    return _VBResult(
+        _beliefs(rows.filtered[0][0], rows.filtered[1][0]),
+        _beliefs(rows.predicted[0][0], rows.predicted[1][0]),
+        _beliefs(rows.smoothed[0][0], rows.smoothed[1][0]),
+        list(rows.lambdas[0]),
+        int(rows.iterations[0]),
+        bool(rows.converged[0]),
+    )
+
+
+@dataclass(frozen=True)
+class _VBRows:
+    """Final iterates of _run_vb_rows: (mean, cov) stacks of the filtered,
+    predicted and smoothed augmented beliefs, (B, K, n) and (B, K, n, n),
+    the next mixing precisions (B, K, n_y) and per-row counters."""
+
+    filtered: tuple
+    predicted: tuple
+    smoothed: tuple
+    lambdas: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+
+
+def _run_vb_rows(model, ys, c_seq, cfg, n_iterations=None) -> _VBRows:
+    """Outer VB loop of B trajectories in lockstep.
+
+    ys is (B, K, n_y) and c_seq (B, K, n_y, n_x).  A row runs until the
+    largest per-step change of its smoothed state means drops below
+    cfg.tol, then leaves the batch, or until cfg.max_iterations;
+    `n_iterations` forces an exact iteration count instead.  Each row has
+    its own Anderson mixer and is bit-equal to the loop run on it alone.
+    """
+    n_rows, n_steps, n_y = ys.shape
+    n_x = model.n_x
+    cz = _stack_cz(c_seq, model.Delta)
+    lambdas = np.ones((n_rows, n_steps, n_y))
+    upper = np.tile((model.nu + 2.0) / model.nu, n_steps)
+    mixers = [_AndersonMixer(upper=upper) for _ in range(n_rows)]
+    max_iter = cfg.max_iterations if n_iterations is None else n_iterations
+    x_prev = [None] * n_rows
+    iterations = np.zeros(n_rows, dtype=int)
+    converged = np.zeros(n_rows, dtype=bool)
+    n = n_x + n_y
+    out = [np.empty((n_rows, n_steps) + shape) for shape in ((n,), (n, n)) * 3]
+    active = np.arange(n_rows)
     for _ in range(max_iter):
-        filtered, predicted = forward_pass(model, ys, lambdas, measurement_matrices)
-        smoothed = backward_pass(filtered, predicted, model)
-        plain = [
-            update_lambda(smoothed[k], ys[k], model, c_seq[k])
-            for k in range(n_steps)
-        ]
-        mixed = mixer.push(np.concatenate(lambdas), np.concatenate(plain))
-        lambdas = list(mixed.reshape(n_steps, model.n_y))
-        iterations += 1
-        xs = np.stack([s.mean[:n_x] for s in smoothed])
-        if n_iterations is None and x_prev is not None:
-            if np.linalg.norm(xs - x_prev, axis=1).max() < cfg.tol:
-                converged = True
-                break
-        x_prev = xs
-    return _VBResult(filtered, predicted, smoothed, lambdas, iterations, converged)
+        stacks = _forward_rows(model, ys[active], lambdas[active], c_seq[active])
+        stacks += _backward_rows(*stacks, model)
+        plain = _lambda_rows(*stacks[4:], ys[active], cz[active], model)
+        for whole, part in zip(out, stacks):
+            whole[active] = part
+        iterations[active] += 1
+        keep = []
+        for j, b in enumerate(active):
+            lambdas[b] = mixers[b].push(lambdas[b].ravel(), plain[j].ravel()).reshape(
+                n_steps, n_y
+            )
+            xs = stacks[4][j, :, :n_x]
+            if (
+                n_iterations is None
+                and x_prev[b] is not None
+                and np.linalg.norm(xs - x_prev[b], axis=1).max() < cfg.tol
+            ):
+                converged[b] = True
+            else:
+                x_prev[b] = xs
+                keep.append(b)
+        active = np.array(keep, dtype=int)
+        if not keep:
+            break
+    return _VBRows(
+        (out[0], out[1]), (out[2], out[3]), (out[4], out[5]),
+        lambdas, iterations, converged,
+    )
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,73 @@ def _greedy_index(mean: np.ndarray, cov: np.ndarray, active: np.ndarray) -> int:
     return int(active.nonzero()[0][ratios.argmin()])
 
 
+def _truncate_rows(mean, cov, active, rows) -> None:
+    """One greedy step of every row of a (B, n) / (B, n, n) stack, in place.
+
+    Per row this is _greedy_index then _truncate_step, with the same
+    operations and checks, so each row stays bit-equal to the scalar
+    kernel; the exception of the first failing row is raised.  The
+    covariances must be exactly symmetric (rec_trunc keeps them so), which
+    lets row k stand for column k.
+    """
+    n = mean.shape[1]
+    var = np.where(active, cov.diagonal(axis1=1, axis2=2), 1.0)
+    if np.count_nonzero(var <= 0.0):
+        raise DegenerateDirectionError("nonpositive variance in remaining directions")
+    k = np.where(active, mean / np.sqrt(var), np.inf).argmin(axis=1)
+    flat = rows * n + k
+    if np.count_nonzero(active.take(flat)) < len(rows):
+        # Every active ratio of such a row is +inf; the scalar argmin over
+        # the active set takes the lowest active index.
+        k = np.where(active.take(flat), k, active.argmax(axis=1))
+        flat = rows * n + k
+    active.put(flat, False)
+
+    var_k = var.take(flat)
+    tol = 1e-14 * cov.trace(axis1=1, axis2=2)
+    if np.count_nonzero(var_k <= tol):
+        b = (var_k <= tol).argmax()
+        raise DegenerateDirectionError(
+            f"direction {k[b]} has variance {var_k[b]:.3e} <= tolerance {tol[b]:.3e}"
+        )
+    sd = np.sqrt(var_k)
+    xi = mean.take(flat) / sd
+    if np.count_nonzero(np.isfinite(xi)) < len(rows):
+        raise ValueError(f"xi must be finite, got {xi[~np.isfinite(xi)][0]!r}")
+    # Rows below UNDERFLOW_XI take the limits; clipping keeps their unused
+    # closed-form values finite.
+    xc = np.maximum(xi, UNDERFLOW_XI)
+    eps = np.exp(-0.5 * xc * xc - _LOG_SQRT_2PI - log_ndtr(xc))
+    cov_coeff = np.minimum(np.maximum(xc * eps + eps * eps, 0.0), 1.0)
+    under = xi < UNDERFLOW_XI
+    if np.count_nonzero(under):
+        eps = np.where(under, -xi, eps)
+        cov_coeff = np.where(under, 1.0, cov_coeff)
+    col = cov.reshape(-1, n).take(flat, axis=0)
+    mean += (eps / sd)[:, None] * col
+    downdate = col[:, :, None] * col[:, None, :]
+    downdate *= (cov_coeff / var_k)[:, None, None]
+    cov -= downdate
+
+
+def _rec_trunc_rows(mean: np.ndarray, cov: np.ndarray, truncated) -> tuple:
+    """rec_trunc(..., OPTIMAL) of B rows in lockstep: (B, n) means and
+    (B, n, n) covariances, one truncated index set for all rows.
+
+    Row b of the returned (mean, cov) is bit-equal to
+    rec_trunc(MomentPair(mean[b], cov[b]), truncated).  For a single row
+    rec_trunc itself is faster.
+    """
+    todo = sorted({int(i) for i in truncated})
+    mean, cov = mean.copy(), symmetrize(cov)
+    active = np.zeros(mean.shape, dtype=bool)
+    active[:, todo] = True
+    rows = np.arange(mean.shape[0])
+    for _ in todo:
+        _truncate_rows(mean, cov, active, rows)
+    return mean, cov
+
+
 def hazard(xi: float) -> HazardResult:
     """Truncation-update coefficients for standardized boundary distance xi.
 

@@ -2,7 +2,10 @@
 
 Everything here is deliberately written in the plainest possible form
 (batch matrix updates, explicit inverses) and shares no code with the
-package under test.
+package under test.  The one exception is sts_run_scalar, the smoother of
+one trajectory at a time that the lockstep smoother replaced: it is built
+on the package's scalar update kernel, so the lockstep rows can be held
+to it bit for bit.
 """
 
 import numpy as np
@@ -10,6 +13,10 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln, log_ndtr
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import truncnorm as scipy_truncnorm
+
+from skewt_estim._linalg import solve_spd, symmetrize
+from skewt_estim.filtering import _AndersonMixer, _augmented_update
+from skewt_estim.truncnorm import OPTIMAL
 
 
 def kalman_filter(a, q, c, r_diag, m0, p0, ys):
@@ -211,3 +218,67 @@ def backward_pass_augmented(filtered, predicted, a):
         m_s, p_s = sm[0]
         sm.insert(0, (m_f + g @ (m_s - m_p), p_f + g @ (p_s - p_p) @ g.T))
     return sm
+
+
+def sts_run_scalar(model, ys, cfg, measurement_matrices, n_iterations=None):
+    """The outer VB smoother loop on one trajectory, step by step.
+
+    Returns (smoothed means (K, n), smoothed covariances (K, n, n),
+    iterations, converged).
+    """
+    ys = [np.asarray(y, dtype=float) for y in ys]
+    c_seq = list(measurement_matrices)
+    n_steps, n_x, n_y = len(ys), model.n_x, model.n_y
+    cz_seq = [np.hstack([c, np.diag(model.Delta)]) for c in c_seq]
+    lambdas = [np.ones(n_y) for _ in range(n_steps)]
+    mixer = _AndersonMixer(upper=np.tile((model.nu + 2.0) / model.nu, n_steps))
+    x_prev = None
+    converged = False
+    iterations = 0
+    max_iter = cfg.max_iterations if n_iterations is None else n_iterations
+    for _ in range(max_iter):
+        # Forward pass with the mixing precisions held fixed.
+        filtered, predicted = [], []
+        x_pred, p_pred = model.prior_mean, model.prior_cov
+        for k in range(n_steps):
+            post, prior = _augmented_update(
+                x_pred, p_pred, ys[k], c_seq[k], model.Delta, model.R, lambdas[k], OPTIMAL
+            )
+            filtered.append((post.mean, post.cov))
+            predicted.append((prior.mean, prior.cov))
+            x_pred = model.A @ post.mean[:n_x]
+            p_pred = symmetrize(model.A @ post.cov[:n_x, :n_x] @ model.A.T + model.Q)
+        # Backward pass with the x-only RTS gain.
+        smoothed = [None] * n_steps
+        smoothed[-1] = filtered[-1]
+        for k in range(n_steps - 2, -1, -1):
+            f_mean, f_cov = filtered[k]
+            p_mean, p_cov = predicted[k + 1]
+            s_mean, s_cov = smoothed[k + 1]
+            p_x = p_cov[:n_x, :n_x]
+            gain = solve_spd(p_x, model.A @ f_cov[:n_x]).T
+            smoothed[k] = (
+                f_mean + gain @ (s_mean[:n_x] - p_mean[:n_x]),
+                symmetrize(f_cov + gain @ (s_cov[:n_x, :n_x] - p_x) @ gain.T),
+            )
+        # Mixing-precision refresh, Anderson-mixed over the whole trajectory.
+        plain = []
+        for (s_mean, s_cov), y, cz in zip(smoothed, ys, cz_seq):
+            resid = y - cz @ s_mean
+            quad = np.einsum("ij,jk,ik->i", cz, s_cov, cz)
+            psi = (resid**2 + quad) / model.R + s_mean[n_x:] ** 2
+            psi = psi + np.diag(s_cov[n_x:, n_x:])
+            plain.append((model.nu + 2.0) / (model.nu + psi))
+        mixed = mixer.push(np.concatenate(lambdas), np.concatenate(plain))
+        lambdas = list(mixed.reshape(n_steps, n_y))
+        iterations += 1
+        xs = np.stack([m[:n_x] for m, _ in smoothed])
+        if n_iterations is None and x_prev is not None:
+            if np.linalg.norm(xs - x_prev, axis=1).max() < cfg.tol:
+                converged = True
+                break
+        x_prev = xs
+    means = np.stack([m for m, _ in smoothed])
+    covs = np.stack([c for _, c in smoothed])
+    return means, covs, iterations, converged
+

@@ -27,12 +27,14 @@ from skewt_estim.bench import (
     truncnorm_comparison,
 )
 from skewt_estim.bench.experiments import (
+    LOCKSTEP_ROWS,
     _kf_step,
     _relinearized_run,
-    _stf_step,
+    _stf_rows,
+    _sts_rows,
 )
 from skewt_estim.filtering import VBConfig, expected_mixing_precision, stf_run
-from skewt_estim.smoothing import _run_vb, sts_run
+from skewt_estim.smoothing import sts_run
 from skewt_estim.truncnorm import MomentPair, rec_trunc, select_next
 
 from reference import kalman_filter, rts_smooth
@@ -61,7 +63,11 @@ N_MC = 100
 
 @pytest.fixture(scope="module")
 def scenario_suite():
-    """STF/STS/gated-KF/gated-RTSS on (q=0.5, d=5) and (q=5, d=5)."""
+    """STF/STS/gated-KF/gated-RTSS on (q=0.5, d=5) and (q=5, d=5).
+
+    STF and STS run the replications in lockstep batches, as
+    run_experiment does; the Kalman baselines one at a time.
+    """
     out = {}
     vb_cfg = VBConfig()
     for q in (0.5, 5.0):
@@ -74,20 +80,18 @@ def scenario_suite():
         iters, stf_nees, stf_rmse, sts_rmse, kf_rmse, rtss_rmse = (
             [], [], [], [], [], []
         )
-        for rep in range(cfg.n_mc):
-            traj = simulate(cfg, rep)
-            filtered, step_iters, c_seq, y_adj = _relinearized_run(
-                model, sats, traj, _stf_step(model, vb_cfg)
-            )
-            positions = np.stack([b.mean[:3] for b in filtered])
-            covs = np.stack([b.cov[:3, :3] for b in filtered])
-            iters.extend(step_iters.tolist())
-            stf_nees.append(nees(positions, covs, traj.states).mean())
-            stf_rmse.append(rmse(positions, traj.states))
-
-            res = _run_vb(model, y_adj, vb_cfg, measurement_matrices=c_seq)
-            sts_pos = np.stack([s.mean[:3] for s in res.smoothed])
-            sts_rmse.append(rmse(sts_pos, traj.states))
+        trajs = [simulate(cfg, rep) for rep in range(cfg.n_mc)]
+        stf_runs, sts_runs = [], []
+        for first in range(0, cfg.n_mc, LOCKSTEP_ROWS):
+            batch = trajs[first:first + LOCKSTEP_ROWS]
+            runs, c_seq, y_adj = _stf_rows(model, sats, batch, vb_cfg)
+            stf_runs += runs
+            sts_runs += _sts_rows(model, c_seq, y_adj, vb_cfg)
+        for traj, stf, sts in zip(trajs, stf_runs, sts_runs):
+            iters.extend(stf.vb_iterations.tolist())
+            stf_nees.append(nees(stf.positions, stf.position_covs, traj.states).mean())
+            stf_rmse.append(rmse(stf.positions, traj.states))
+            sts_rmse.append(rmse(sts.positions, traj.states))
 
             gauss, kf_update, mean_off = _kf_step(model, cfg, GatingConfig())
             kf_filtered, _, kf_c_seq, kf_y = _relinearized_run(

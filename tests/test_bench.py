@@ -19,11 +19,7 @@ from skewt_estim.bench import (
 )
 from skewt_estim.bench import experiments
 from skewt_estim.bench.contours import CONTOUR_HEADER
-from skewt_estim.bench.experiments import (
-    _relinearized_run,
-    _stf_step,
-    run_estimator,
-)
+from skewt_estim.bench.experiments import _stf_rows, run_estimator
 from skewt_estim.bench.gnss import ORBIT_RADIUS_M, RECEIVER_NOMINAL_M, pseudoranges
 from skewt_estim.cli import main
 from skewt_estim.exceptions import (
@@ -308,6 +304,7 @@ class TestRunExperiment:
             raise NumericalFailureError("not positive definite", step=3)
 
         monkeypatch.setattr(experiments, "run_estimator", fail)
+        monkeypatch.setattr(experiments, "_stf_rows", fail)  # the lockstep "stf"
         records = run_experiment(small_config(K=3, n_mc=1))
         assert [r.status for r in records] == ["failed", "failed"]
         assert [r.reason for r in records] == [
@@ -315,7 +312,7 @@ class TestRunExperiment:
         ] * 2
 
     def test_update_failure_carries_time_step(self, monkeypatch):
-        real_update = experiments.stf_update
+        real_update = experiments._stf_update_rows
         calls = []
 
         def fail_on_fourth(*args, **kwargs):
@@ -324,7 +321,7 @@ class TestRunExperiment:
                 raise NumericalFailureError("not positive definite")
             return real_update(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "stf_update", fail_on_fourth)
+        monkeypatch.setattr(experiments, "_stf_update_rows", fail_on_fourth)
         cfg = small_config(estimators=("stf",))
         sats = make_constellation(cfg.n_sats, cfg.seed)
         with pytest.raises(NumericalFailureError) as info:
@@ -347,9 +344,8 @@ class TestSmootherIterations:
         model = scenario_model(cfg, sats)
         for rep in range(3):
             traj = simulate(cfg, rep)
-            _, _, c_seq, y_adj = _relinearized_run(
-                model, sats, traj, _stf_step(model, VBConfig())
-            )
+            _, c_rows, y_rows = _stf_rows(model, sats, [traj], VBConfig())
+            c_seq, y_adj = c_rows[0], y_rows[0]
             res5 = _run_vb(
                 model, y_adj, VBConfig(), measurement_matrices=c_seq,
                 n_iterations=5,
