@@ -57,24 +57,40 @@ def kf_gated_update(
     a component is discarded when its normalized innovation squared
     exceeds the gate threshold.  `r_matched` holds the matched normal
     variances (diagonal); the caller removes any noise mean offset from y
-    beforehand.
+    beforehand.  This is the one-row call of _kf_gated_update_rows.
     """
     c_mat = np.atleast_2d(np.asarray(c_mat, dtype=float))
     r_matched = np.atleast_1d(np.asarray(r_matched, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    x = prior.mean.copy()
-    p = prior.cov.copy()
-    for i in range(y.size):
-        ci = c_mat[i]
-        pc = p @ ci
-        s = float(ci @ pc + r_matched[i])
-        innov = float(y[i] - ci @ x)
-        if innov * innov / s > g.threshold:
-            continue
-        gain = pc / s
-        x = x + gain * innov
-        p = p - s * np.outer(gain, gain)
-    return GaussianBelief(x, symmetrize(p))
+    x, p, _ = _kf_gated_update_rows(
+        c_mat[None], r_matched, prior.mean[None], prior.cov[None], y[None], g
+    )
+    return GaussianBelief(x[0], p[0])
+
+
+def _kf_gated_update_rows(c_mat, r_matched, x, p, y, g):
+    """kf_gated_update of B rows: c_mat (B, n_y, n_x), prior means x
+    (B, n_x) and covariances p (B, n_x, n_x), measurements y (B, n_y).
+
+    The gate is a per-row mask, and each row is bit-equal to the same
+    row updated alone.  Returns the posterior means and covariances and
+    the gating decisions (B, n_y), True where a component was used.
+    """
+    used = np.empty(y.shape, dtype=bool)
+    for i in range(y.shape[1]):
+        ci = c_mat[:, i, None, :]
+        pc = (p @ ci.swapaxes(1, 2))[..., 0]
+        s = (ci @ pc[..., None])[:, 0, 0] + r_matched[i]
+        innov = y[:, i] - (ci @ x[..., None])[:, 0, 0]
+        used[:, i] = ~(innov * innov / s > g.threshold)
+        gain = pc / s[:, None]
+        x = np.where(used[:, i, None], x + gain * innov[:, None], x)
+        p = np.where(
+            used[:, i, None, None],
+            p - s[:, None, None] * (gain[:, :, None] * gain[:, None, :]),
+            p,
+        )
+    return x, symmetrize(p), used
 
 
 def kf_gated_run(

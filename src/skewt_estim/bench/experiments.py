@@ -13,12 +13,12 @@ from functools import partial
 
 import numpy as np
 
-from ..baselines import GatingConfig, kf_gated_update, pf_run, rtss_gated_run
+from ..baselines import GatingConfig, _kf_gated_update_rows, pf_run
 from ..exceptions import EstimationError, NumericalFailureError
 from .._linalg import symmetrize
-from ..filtering import StateSpaceModel, VBConfig, _stf_update_rows, predict, stf_update
+from ..filtering import StateSpaceModel, VBConfig, _stf_update_rows, stf_update
 from ..skewt import SkewTComponent, moment_match, moments, sample_rng
-from ..smoothing import _run_vb_rows, sts_run
+from ..smoothing import _backward_rows, _run_vb_rows
 from ..truncnorm import OPTIMAL, MomentPair, RandomOrder, rec_trunc, tmnd_oracle
 from .gnss import (
     ScenarioConfig,
@@ -70,8 +70,9 @@ class RunRecord:
     mean_vb_iterations: float
     wall_time: float
     status: str
-    # Not in the CSV: str() of the error of a "failed" run, and for "sts"
-    # the outer VB iterations and whether they converged.
+    # Not in the CSV: str() of the error of a "failed" run; for "sts" the
+    # outer VB iterations; for "stf" and "sts" whether every VB loop
+    # converged.
     reason: str = ""
     outer_iterations: int = 0
     converged: bool = True
@@ -85,8 +86,8 @@ class EstimatorRun:
     positions: np.ndarray
     position_covs: np.ndarray
     vb_iterations: np.ndarray
-    outer_iterations: int = 0  # "sts" only, as is converged
-    converged: bool = True
+    outer_iterations: int = 0  # "sts" only
+    converged: bool = True  # "stf": every step's VB loop; "sts": the outer loop
 
 
 def _tagged_seed(*parts) -> int:
@@ -111,84 +112,66 @@ def scenario_model(cfg: ScenarioConfig, sats: np.ndarray) -> StateSpaceModel:
     )
 
 
-def _relinearized_run(model, sats, traj, update, noise_offset=0.0):
-    """Forward filter with per-step relinearization at the predicted mean,
-    for the Kalman baselines (_stf_rows is the skew-t filter's).
+def _filter_rows(model, sats, trajs, update, noise_offset=0.0):
+    """Forward filter of B trajectories in lockstep, relinearized per step
+    at each row's predicted mean: the one loop of the skew-t filter and
+    the Kalman baselines.
 
-    `update(C_k, prior, y_k) -> (posterior, vb_iterations)` folds in the
-    pseudoranges less `noise_offset`, shifted so that y_k ~= C_k x + noise.
-    Returns (posteriors, iteration counts, [C_k], [y_k]); smoothers rerun
-    on the last two.
-    """
-    belief = model.prior_belief()
-    posteriors, iterations, c_seq, y_seq = [], [], [], []
-    for k, y in enumerate(traj.measurements):
-        c_mat, y0 = linearize(sats, belief.mean)
-        y_k = y - y0 + c_mat @ belief.mean - noise_offset
-        try:
-            belief, n_iter = update(c_mat, belief, y_k)
-        except NumericalFailureError as err:
-            raise NumericalFailureError(
-                f"measurement update failed: {err}", step=k
-            ) from err
-        posteriors.append(belief)
-        iterations.append(n_iter)
-        c_seq.append(c_mat)
-        y_seq.append(y_k)
-        belief = predict(model, belief)
-    return posteriors, np.array(iterations, dtype=float), c_seq, y_seq
-
-
-def _kf_step(model, cfg, gate):
-    """Moment-matched Gaussian model of the Kalman baselines, its gated
-    update for `_relinearized_run` and the noise mean to subtract."""
-    comp = SkewTComponent(spread_sq=1.0, shape=cfg.delta, dof=cfg.nu)
-    mean_off, _ = moments(comp)
-    var, _, _ = moment_match(comp)
-    gauss = replace(model, R=np.full(cfg.n_sats, var))
-
-    def update(c_mat, prior, y_k):
-        return kf_gated_update(c_mat, gauss.R, prior, y_k, gate), 0
-
-    return gauss, update, mean_off
-
-
-def _stf_rows(model, sats, trajs, vb_cfg):
-    """Skew-t filter of B trajectories in lockstep, relinearized per step
-    at each row's predicted mean; run_estimator("stf") is its one-row call.
-
-    Returns the "stf" EstimatorRun of each trajectory, and the (B, K,
-    n_sats, 4) linearizations and (B, K, n_sats) measurements the smoother
-    reruns on.  Each row is bit-equal to the same trajectory filtered
-    alone.
+    `update(x, p, y_k, c_k)` maps the (B, n_x) prior means, (B, n_x, n_x)
+    covariances, (B, n_y) measurements and (B, n_y, n_x) linearizations
+    of one step to the posterior means, covariances and any per-row
+    diagnostics.  y_k is the pseudoranges less `noise_offset`, shifted so
+    that y_k ~= C_k x + noise.  Returns the prior and the posterior
+    (mean, cov) stacks (B, K, n_x) and (B, K, n_x, n_x), the diagnostics
+    stacked over steps (B, K, ...), and the (B, K, n_y, n_x)
+    linearizations and (B, K, n_y) measurements that smoothers rerun on.
     """
     meas = np.stack([t.measurements for t in trajs])
     n_rows, n_steps, n_y = meas.shape
     n_x = model.n_x
     x = np.tile(model.prior_mean, (n_rows, 1))
     p = np.tile(model.prior_cov, (n_rows, 1, 1))
+    priors = (np.empty((n_rows, n_steps, n_x)), np.empty((n_rows, n_steps, n_x, n_x)))
+    posts = (np.empty_like(priors[0]), np.empty_like(priors[1]))
     c_seq = np.empty((n_rows, n_steps, n_y, n_x))
     y_seq = np.empty((n_rows, n_steps, n_y))
-    means = np.empty((n_rows, n_steps, n_x))
-    covs = np.empty((n_rows, n_steps, n_x, n_x))
-    iterations = np.empty((n_rows, n_steps))
+    diagnostics = []
     for k in range(n_steps):
-        for b in range(n_rows):
-            c_seq[b, k], y0 = linearize(sats, x[b])
-            y_seq[b, k] = meas[b, k] - y0 + c_seq[b, k] @ x[b]
+        priors[0][:, k], priors[1][:, k] = x, p
+        c_seq[:, k], y0 = linearize(sats, x)
+        y_seq[:, k] = meas[:, k] - y0 + (c_seq[:, k] @ x[..., None])[..., 0] - noise_offset
         try:
-            means[:, k], covs[:, k], iterations[:, k], _ = _stf_update_rows(
-                model, x, p, y_seq[:, k], c_seq[:, k], vb_cfg
-            )
+            x, p, *diag = update(x, p, y_seq[:, k], c_seq[:, k])
         except NumericalFailureError as err:
             raise NumericalFailureError(
                 f"measurement update failed: {err}", step=k
             ) from err
-        x = (model.A @ means[:, k, :, None])[..., 0]
-        p = symmetrize(model.A @ covs[:, k] @ model.A.T + model.Q)
+        posts[0][:, k], posts[1][:, k] = x, p
+        diagnostics.append(diag)
+        x = (model.A @ x[..., None])[..., 0]
+        p = symmetrize(model.A @ p @ model.A.T + model.Q)
+    diagnostics = [np.stack(d, axis=1) for d in zip(*diagnostics)]
+    return priors, posts, diagnostics, c_seq, y_seq
+
+
+def _stf_rows(model, sats, trajs, vb_cfg):
+    """Skew-t filter of B trajectories in lockstep; run_estimator("stf")
+    is its one-row call.
+
+    Returns the "stf" EstimatorRun of each trajectory, and the (B, K,
+    n_sats, 4) linearizations and (B, K, n_sats) measurements the smoother
+    reruns on.  Each row is bit-equal to the same trajectory filtered
+    alone.
+    """
+    def update(x, p, y, c_mat):
+        return _stf_update_rows(model, x, p, y, c_mat, vb_cfg)
+
+    _, (means, covs), (iterations, converged), c_seq, y_seq = _filter_rows(
+        model, sats, trajs, update
+    )
     runs = [
-        EstimatorRun("stf", m[:, :3], c[:, :3, :3], it)
-        for m, c, it in zip(means, covs, iterations)
+        EstimatorRun("stf", m[:, :3], c[:, :3, :3], it.astype(float), converged=bool(ok.all()))
+        for m, c, it, ok in zip(means, covs, iterations, converged)
     ]
     return runs, c_seq, y_seq
 
@@ -205,15 +188,39 @@ def _sts_rows(model, c_seq, y_seq, vb_cfg):
     ]
 
 
-def _estimator_run(name, beliefs, vb_iterations=(), **outer):
-    """EstimatorRun of the position block of per-step beliefs."""
-    return EstimatorRun(
-        name,
-        np.stack([b.mean[:3] for b in beliefs]),
-        np.stack([b.cov[:3, :3] for b in beliefs]),
-        np.asarray(vb_iterations, dtype=float),
-        **outer,
-    )
+def _kf_rows(model, cfg, sats, trajs, gate):
+    """Gated Kalman filter of B trajectories in lockstep, against the
+    moment-matched normal noise of the scenario less its mean.
+
+    Returns the "kf" EstimatorRun of each trajectory, the smoothing input
+    of _rtss_rows and the gating decisions (B, K, n_sats), True where a
+    component was used.  Each row is bit-equal to the same trajectory
+    filtered alone, with the same decisions.
+    """
+    comp = SkewTComponent(spread_sq=1.0, shape=cfg.delta, dof=cfg.nu)
+    mean_off, _ = moments(comp)
+    var, _, _ = moment_match(comp)
+    gauss = replace(model, R=np.full(cfg.n_sats, var))
+
+    def update(x, p, y, c_mat):
+        return _kf_gated_update_rows(c_mat, gauss.R, x, p, y, gate)
+
+    priors, posts, (used,), _, _ = _filter_rows(gauss, sats, trajs, update, mean_off)
+    runs = [
+        EstimatorRun("kf", m[:, :3], c[:, :3, :3], np.zeros(0))
+        for m, c in zip(*posts)
+    ]
+    return runs, (*posts, *priors, gauss), used
+
+
+def _rtss_rows(pass_rows):
+    """The "rtss" EstimatorRuns: the forward pass of _kf_rows smoothed by
+    the RTS recursion, for all rows at once."""
+    s_mean, s_cov = _backward_rows(*pass_rows)
+    return [
+        EstimatorRun("rtss", m[:, :3], c[:, :3, :3], np.zeros(0))
+        for m, c in zip(s_mean, s_cov)
+    ]
 
 
 def run_estimator(
@@ -229,58 +236,65 @@ def run_estimator(
 
     Measurements are relinearized per step at the running predicted mean;
     smoothers reuse the linearization points of their forward filter.
-    "stf" and "sts" are the one-trajectory calls of the lockstep batch
-    run_experiment runs.
+    "stf", "sts", "kf" and "rtss" are the one-trajectory calls of the
+    lockstep batches run_experiment runs.
     """
     model = scenario_model(cfg, sats)
     if name in ("stf", "sts"):
-        filtered, c_seq, y_seq = _stf_rows(model, sats, [traj], vb_cfg)
-        if name == "stf":
-            return filtered[0]
-        smoothed = sts_run(model, y_seq[0], vb_cfg, measurement_matrices=c_seq[0])
-        return _estimator_run(
-            name, smoothed,
-            outer_iterations=smoothed.iterations, converged=smoothed.converged,
-        )
+        runs, c_seq, y_seq = _stf_rows(model, sats, [traj], vb_cfg)
+        return runs[0] if name == "stf" else _sts_rows(model, c_seq, y_seq, vb_cfg)[0]
     if name in ("kf", "rtss"):
-        gauss, update, mean_off = _kf_step(model, cfg, gate)
-        filtered, _, c_seq, y_seq = _relinearized_run(
-            gauss, sats, traj, update, mean_off
-        )
-        if name == "kf":
-            return _estimator_run(name, filtered)
-        return _estimator_run(
-            name, rtss_gated_run(gauss, y_seq, gate, measurement_matrices=c_seq)
-        )
+        runs, kf_pass, _ = _kf_rows(model, cfg, sats, [traj], gate)
+        return runs[0] if name == "kf" else _rtss_rows(kf_pass)[0]
     if name == "pf":
         beliefs = pf_run(
             model, traj.measurements, cfg.pf_particles,
             seed=_tagged_seed(cfg.seed, replication, 0x5054),
             measurement_fn=partial(pseudoranges, sats),
         )
-        return _estimator_run(name, beliefs)
+        return EstimatorRun(
+            name,
+            np.stack([b.mean[:3] for b in beliefs]),
+            np.stack([b.cov[:3, :3] for b in beliefs]),
+            np.zeros(0),
+        )
     raise ValueError(f"unknown estimator {name!r}")
 
 
 def _lockstep_runs(cfg, sats, trajs):
-    """The "stf" and "sts" runs of run_experiment, filtered once and in
-    lockstep, with per-row seconds.
+    """The lockstep runs of run_experiment, with per-row seconds: "sts"
+    smooths the "stf" pass and "rtss" the "kf" pass.
 
     Returns {estimator: (runs, seconds)}; an estimator whose batch raised
-    an EstimationError is absent, and so is "sts" when "stf" failed.
+    an EstimationError is absent, and so is a smoother whose filter
+    failed.  run_experiment reruns those replications one at a time.
     """
     model = scenario_model(cfg, sats)
     vb_cfg = VBConfig()
+    wanted = set(cfg.estimators)
     out = {}
-    start = time.perf_counter()
-    try:
-        stf, c_seq, y_seq = _stf_rows(model, sats, trajs, vb_cfg)
-        out["stf"] = (stf, (time.perf_counter() - start) / len(trajs))
-        if "sts" in cfg.estimators:
-            sts = _sts_rows(model, c_seq, y_seq, vb_cfg)
-            out["sts"] = (sts, (time.perf_counter() - start) / len(trajs))
-    except EstimationError:
-        pass  # run_experiment reruns these replications one at a time
+
+    def timed(runs, start):
+        return runs, (time.perf_counter() - start) / len(trajs)
+
+    if wanted & {"stf", "sts"}:
+        start = time.perf_counter()
+        try:
+            runs, c_seq, y_seq = _stf_rows(model, sats, trajs, vb_cfg)
+            out["stf"] = timed(runs, start)
+            if "sts" in wanted:
+                out["sts"] = timed(_sts_rows(model, c_seq, y_seq, vb_cfg), start)
+        except EstimationError:
+            pass
+    if wanted & {"kf", "rtss"}:
+        start = time.perf_counter()
+        try:
+            runs, kf_pass, _ = _kf_rows(model, cfg, sats, trajs, GatingConfig())
+            out["kf"] = timed(runs, start)
+            if "rtss" in wanted:
+                out["rtss"] = timed(_rtss_rows(kf_pass), start)
+        except EstimationError:
+            pass
     return out
 
 
@@ -303,11 +317,12 @@ def _record(cfg, est, rep, traj, run, elapsed):
 def run_experiment(cfg: ScenarioConfig, out_path=None, timing: bool = False) -> list:
     """Run all configured estimators over n_mc simulated replications.
 
-    "stf" and "sts" run the replications in lockstep batches of up to
-    LOCKSTEP_ROWS rows, and "sts" smooths the "stf" pass of its batch;
-    the other estimators run one replication at a time.  If a batch
-    raises an EstimationError, its replications rerun one at a time, so
-    each record is the one a single-replication run gives.
+    "stf", "sts", "kf" and "rtss" run the replications in lockstep
+    batches of up to LOCKSTEP_ROWS rows; "sts" smooths the "stf" pass of
+    its batch and "rtss" the "kf" pass.  The PF runs one replication at a
+    time.  If a batch raises an EstimationError, its replications rerun
+    one at a time, so each record is the one a single-replication run
+    gives.
 
     Returns the sorted RunRecord list and, when `out_path` is given, writes
     the CSV there.  By default the wall_time_s column is written as 0 so
@@ -318,7 +333,6 @@ def run_experiment(cfg: ScenarioConfig, out_path=None, timing: bool = False) -> 
     propagate.
     """
     sats = make_constellation(cfg.n_sats, cfg.seed)
-    lockstep = {"stf", "sts"} & set(cfg.estimators)
     records = []
     for first in range(0, cfg.n_mc, LOCKSTEP_ROWS):
         reps = range(first, min(first + LOCKSTEP_ROWS, cfg.n_mc))
@@ -330,7 +344,7 @@ def run_experiment(cfg: ScenarioConfig, out_path=None, timing: bool = False) -> 
                 for rep in reps
             ]
             continue
-        batch = _lockstep_runs(cfg, sats, trajs) if lockstep else {}
+        batch = _lockstep_runs(cfg, sats, trajs)
         for est in cfg.estimators:
             for i, (rep, traj) in enumerate(zip(reps, trajs)):
                 if est in batch:

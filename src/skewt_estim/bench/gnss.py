@@ -186,14 +186,19 @@ def linearize(sats: np.ndarray, nominal: np.ndarray) -> tuple:
 
     Returns (C, y0): row i of C is [-unit vector to satellite i, 1] and
     y0 holds the predicted pseudoranges at the nominal state, so that
-    y ~= y0 + C (x - nominal).
+    y ~= y0 + C (x - nominal).  `nominal` has shape (..., 4); C has shape
+    (..., n_sats, 4) and y0 (..., n_sats), and each nominal state of a
+    stack gets exactly its own linearization.
     """
     sats = np.atleast_2d(np.asarray(sats, dtype=float))
     nominal = np.atleast_1d(np.asarray(nominal, dtype=float))
-    diff = sats - nominal[:3]
-    ranges = np.linalg.norm(diff, axis=1)
-    if np.any(ranges < 1.0):
-        raise GeometryError("nominal position coincides with a satellite")
-    c_mat = np.hstack([-diff / ranges[:, None], np.ones((sats.shape[0], 1))])
-    y0 = ranges + nominal[3]
+    diff = sats - nominal[..., None, :3]
+    ranges = np.linalg.norm(diff, axis=-1)
+    close = ranges < 1.0
+    if np.any(close):
+        row = np.argwhere(close.any(-1))[0] if nominal.ndim > 1 else ()
+        where = f" of row {', '.join(str(i) for i in row)}" if len(row) else ""
+        raise GeometryError(f"nominal position{where} coincides with a satellite")
+    c_mat = np.concatenate([-diff / ranges[..., None], np.ones(ranges.shape + (1,))], axis=-1)
+    y0 = ranges + nominal[..., 3:4]
     return c_mat, y0

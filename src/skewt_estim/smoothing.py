@@ -30,6 +30,7 @@ from .filtering import (
     _augmented_update_rows,
     _psi_diagonal,
     _stack_cz,
+    _step_norm,
     expected_mixing_precision,
 )
 
@@ -50,18 +51,31 @@ AugmentedBelief = GaussianBelief
 
 @dataclass(frozen=True)
 class SmootherIterate:
-    """State of one outer VB iteration over a length-K trajectory.
+    """Final iterate of the outer VB loop over B trajectories of K steps.
 
-    `filtered` and `smoothed` hold augmented beliefs; `predicted[k]` is the
-    augmented one-step prior used when filtering step k (for k = 0 it is
-    the initial augmented prior).  `lambdas[k]` are the expected mixing
-    precision diagonals used in the forward pass.
+    `filtered`, `predicted` and `smoothed` are (mean, cov) stacks of
+    augmented beliefs, (B, K, n) and (B, K, n, n); `predicted[k]` is the
+    one-step prior filtering step k started from (for k = 0 the initial
+    augmented prior).  `lambdas` (B, K, n_y) are the next mixing
+    precisions; `iterations` and `converged` count the outer iterations
+    of each row and say whether it stopped at its tolerance.  `row(b)`
+    is the iterate of row b alone, without the leading axis.
     """
 
-    filtered: list
-    predicted: list
-    smoothed: list
-    lambdas: list
+    filtered: tuple
+    predicted: tuple
+    smoothed: tuple
+    lambdas: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+
+    def row(self, b: int) -> "SmootherIterate":
+        return SmootherIterate(
+            *((m[b], c[b]) for m, c in (self.filtered, self.predicted, self.smoothed)),
+            self.lambdas[b],
+            int(self.iterations[b]),
+            bool(self.converged[b]),
+        )
 
 
 class SmoothedTrack(list):
@@ -159,8 +173,9 @@ def _backward_rows(f_mean, f_cov, p_mean, p_cov, model) -> tuple:
     """The backward recursion of backward_pass on (B, K, ...) stacks of
     filtered and predicted (mean, cov); returns the smoothed stacks.
 
-    Each row gets its own gain solve, so row b is bit-equal to a backward
-    pass of that row alone and fails the same way.
+    Each row gets its own gain solve (see _augmented_update_rows for why
+    the solve is not stacked), so row b is bit-equal to a backward pass of
+    that row alone and fails the same way.
     """
     n_x = model.n_x
     s_mean = f_mean.copy()
@@ -212,13 +227,8 @@ def backward_pass(filtered, predicted, model: StateSpaceModel) -> list:
 
 def _lambda_rows(s_mean, s_cov, ys, cz, model) -> np.ndarray:
     """Refreshed mixing precisions of smoothed (mean, cov) stacks whose
-    steps have measurements ys and [C, diag(Delta)] matrices cz, one
-    belief at a time: an einsum over the whole stack sums in another order."""
-    n_x = model.n_x
-    psi = np.empty(ys.shape)
-    for i in np.ndindex(ys.shape[:-1]):
-        m, c = s_mean[i], s_cov[i]
-        psi[i] = _psi_diagonal(ys[i], cz[i], m, c, model.R, m[n_x:], c[n_x:, n_x:])
+    steps have measurements ys and [C, diag(Delta)] matrices cz."""
+    psi = _psi_diagonal(ys, cz, s_mean, s_cov, model.R, model.n_x)
     return expected_mixing_precision(model.nu, psi)
 
 
@@ -254,10 +264,11 @@ def sts_run(
     """
     result = _run_vb(model, ys, cfg, measurement_matrices)
     n_x = model.n_x
+    s_mean, s_cov = result.smoothed
     return SmoothedTrack(
         [
-            GaussianBelief(s.mean[:n_x], symmetrize(s.cov[:n_x, :n_x]))
-            for s in result.smoothed
+            GaussianBelief(m[:n_x], symmetrize(c[:n_x, :n_x]))
+            for m, c in zip(s_mean, s_cov)
         ],
         result.iterations,
         result.converged,
@@ -265,94 +276,64 @@ def sts_run(
 
 
 def _run_vb(model, ys, cfg, measurement_matrices=None, n_iterations=None):
-    """Full outer VB loop of one trajectory; returns the last
-    SmootherIterate plus counters (see _run_vb_rows)."""
+    """Full outer VB loop of one trajectory: the SmootherIterate of
+    _run_vb_rows for that row alone."""
     ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
     n_steps = len(ys)
     if n_steps == 0:
-        return _VBResult([], [], [], [], 0, True)
+        n = model.n_x + model.n_y
+        empty = (np.empty((0, n)), np.empty((0, n, n)))
+        return SmootherIterate(empty, empty, empty, np.empty((0, model.n_y)), 0, True)
     c_seq = _measurement_matrices(model, n_steps, measurement_matrices)
-    rows = _run_vb_rows(
+    return _run_vb_rows(
         model, np.stack(ys)[None], np.stack(c_seq)[None], cfg, n_iterations
-    )
-    return _VBResult(
-        _beliefs(rows.filtered[0][0], rows.filtered[1][0]),
-        _beliefs(rows.predicted[0][0], rows.predicted[1][0]),
-        _beliefs(rows.smoothed[0][0], rows.smoothed[1][0]),
-        list(rows.lambdas[0]),
-        int(rows.iterations[0]),
-        bool(rows.converged[0]),
-    )
+    ).row(0)
 
 
-@dataclass(frozen=True)
-class _VBRows:
-    """Final iterates of _run_vb_rows: (mean, cov) stacks of the filtered,
-    predicted and smoothed augmented beliefs, (B, K, n) and (B, K, n, n),
-    the next mixing precisions (B, K, n_y) and per-row counters."""
-
-    filtered: tuple
-    predicted: tuple
-    smoothed: tuple
-    lambdas: np.ndarray
-    iterations: np.ndarray
-    converged: np.ndarray
-
-
-def _run_vb_rows(model, ys, c_seq, cfg, n_iterations=None) -> _VBRows:
+def _run_vb_rows(model, ys, c_seq, cfg, n_iterations=None) -> SmootherIterate:
     """Outer VB loop of B trajectories in lockstep.
 
     ys is (B, K, n_y) and c_seq (B, K, n_y, n_x).  A row runs until the
     largest per-step change of its smoothed state means drops below
     cfg.tol, then leaves the batch, or until cfg.max_iterations;
-    `n_iterations` forces an exact iteration count instead.  Each row has
-    its own Anderson mixer and is bit-equal to the loop run on it alone.
+    `n_iterations` forces an exact iteration count instead.  The mixing
+    precisions of each row are one Anderson-mixed vector over the whole
+    trajectory, and every kernel runs on the stack, so each row is
+    bit-equal to the loop run on it alone.
     """
     n_rows, n_steps, n_y = ys.shape
     n_x = model.n_x
     cz = _stack_cz(c_seq, model.Delta)
-    lambdas = np.ones((n_rows, n_steps, n_y))
-    upper = np.tile((model.nu + 2.0) / model.nu, n_steps)
-    mixers = [_AndersonMixer(upper=upper) for _ in range(n_rows)]
+    lambdas = np.ones((n_rows, n_steps * n_y))
+    mixer = _AndersonMixer(upper=np.tile((model.nu + 2.0) / model.nu, n_steps))
     max_iter = cfg.max_iterations if n_iterations is None else n_iterations
-    x_prev = [None] * n_rows
+    x_prev = np.empty((n_rows, n_steps, n_x))
     iterations = np.zeros(n_rows, dtype=int)
     converged = np.zeros(n_rows, dtype=bool)
     n = n_x + n_y
     out = [np.empty((n_rows, n_steps) + shape) for shape in ((n,), (n, n)) * 3]
     active = np.arange(n_rows)
-    for _ in range(max_iter):
-        stacks = _forward_rows(model, ys[active], lambdas[active], c_seq[active])
+    for it in range(max_iter):
+        stacks = _forward_rows(
+            model, ys[active], lambdas[active].reshape(-1, n_steps, n_y), c_seq[active]
+        )
         stacks += _backward_rows(*stacks, model)
         plain = _lambda_rows(*stacks[4:], ys[active], cz[active], model)
         for whole, part in zip(out, stacks):
             whole[active] = part
         iterations[active] += 1
-        keep = []
-        for j, b in enumerate(active):
-            lambdas[b] = mixers[b].push(lambdas[b].ravel(), plain[j].ravel()).reshape(
-                n_steps, n_y
-            )
-            xs = stacks[4][j, :, :n_x]
-            if (
-                n_iterations is None
-                and x_prev[b] is not None
-                and np.linalg.norm(xs - x_prev[b], axis=1).max() < cfg.tol
-            ):
-                converged[b] = True
-            else:
-                x_prev[b] = xs
-                keep.append(b)
-        active = np.array(keep, dtype=int)
-        if not keep:
+        lambdas[active] = mixer.push(lambdas[active], plain.reshape(len(active), -1), active)
+        xs = stacks[4][..., :n_x]
+        if n_iterations is None and it:
+            done = _step_norm(xs - x_prev[active]).max(-1) < cfg.tol
+        else:
+            done = np.zeros(len(active), dtype=bool)
+        converged[active[done]] = True
+        x_prev[active] = xs
+        active = active[~done]
+        if not active.size:
             break
-    return _VBRows(
+    return SmootherIterate(
         (out[0], out[1]), (out[2], out[3]), (out[4], out[5]),
-        lambdas, iterations, converged,
+        lambdas.reshape(n_rows, n_steps, n_y), iterations, converged,
     )
-
-
-@dataclass(frozen=True)
-class _VBResult(SmootherIterate):
-    iterations: int = 0
-    converged: bool = False

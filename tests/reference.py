@@ -265,7 +265,7 @@ def sts_run_scalar(model, ys, cfg, measurement_matrices, n_iterations=None):
         plain = []
         for (s_mean, s_cov), y, cz in zip(smoothed, ys, cz_seq):
             resid = y - cz @ s_mean
-            quad = np.einsum("ij,jk,ik->i", cz, s_cov, cz)
+            quad = ((cz @ s_cov) * cz).sum(-1)
             psi = (resid**2 + quad) / model.R + s_mean[n_x:] ** 2
             psi = psi + np.diag(s_cov[n_x:, n_x:])
             plain.append((model.nu + 2.0) / (model.nu + psi))

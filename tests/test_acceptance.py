@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import norm
 from scipy.stats import truncnorm as scipy_truncnorm
 
-from skewt_estim.baselines import GatingConfig, rtss_gated_run
+from skewt_estim.baselines import GatingConfig
 from skewt_estim.bench import (
     ScenarioConfig,
     make_constellation,
@@ -28,8 +28,8 @@ from skewt_estim.bench import (
 )
 from skewt_estim.bench.experiments import (
     LOCKSTEP_ROWS,
-    _kf_step,
-    _relinearized_run,
+    _kf_rows,
+    _rtss_rows,
     _stf_rows,
     _sts_rows,
 )
@@ -65,8 +65,8 @@ N_MC = 100
 def scenario_suite():
     """STF/STS/gated-KF/gated-RTSS on (q=0.5, d=5) and (q=5, d=5).
 
-    STF and STS run the replications in lockstep batches, as
-    run_experiment does; the Kalman baselines one at a time.
+    All four run the replications in lockstep batches, as
+    run_experiment does.
     """
     out = {}
     vb_cfg = VBConfig()
@@ -81,30 +81,22 @@ def scenario_suite():
             [], [], [], [], [], []
         )
         trajs = [simulate(cfg, rep) for rep in range(cfg.n_mc)]
-        stf_runs, sts_runs = [], []
+        stf_runs, sts_runs, kf_runs, rtss_runs = [], [], [], []
         for first in range(0, cfg.n_mc, LOCKSTEP_ROWS):
             batch = trajs[first:first + LOCKSTEP_ROWS]
             runs, c_seq, y_adj = _stf_rows(model, sats, batch, vb_cfg)
             stf_runs += runs
             sts_runs += _sts_rows(model, c_seq, y_adj, vb_cfg)
-        for traj, stf, sts in zip(trajs, stf_runs, sts_runs):
+            runs, kf_pass, _ = _kf_rows(model, cfg, sats, batch, GatingConfig())
+            kf_runs += runs
+            rtss_runs += _rtss_rows(kf_pass)
+        for traj, stf, sts, kf, rtss in zip(trajs, stf_runs, sts_runs, kf_runs, rtss_runs):
             iters.extend(stf.vb_iterations.tolist())
             stf_nees.append(nees(stf.positions, stf.position_covs, traj.states).mean())
             stf_rmse.append(rmse(stf.positions, traj.states))
             sts_rmse.append(rmse(sts.positions, traj.states))
-
-            gauss, kf_update, mean_off = _kf_step(model, cfg, GatingConfig())
-            kf_filtered, _, kf_c_seq, kf_y = _relinearized_run(
-                gauss, sats, traj, kf_update, mean_off
-            )
-            kf_pos = np.stack([b.mean[:3] for b in kf_filtered])
-            kf_rmse.append(rmse(kf_pos, traj.states))
-
-            smoothed = rtss_gated_run(
-                gauss, kf_y, measurement_matrices=kf_c_seq
-            )
-            rtss_pos = np.stack([b.mean[:3] for b in smoothed])
-            rtss_rmse.append(rmse(rtss_pos, traj.states))
+            kf_rmse.append(rmse(kf.positions, traj.states))
+            rtss_rmse.append(rmse(rtss.positions, traj.states))
         out[q] = ScenarioStats(
             iterations=np.array(iters),
             stf_nees=np.array(stf_nees),

@@ -152,6 +152,24 @@ class TestPseudoranges:
             np.testing.assert_array_equal(row, pseudoranges(sats, state))
             np.testing.assert_array_equal(row, linearize(sats, state)[1])
 
+    def test_stacked_linearization_rows_equal_single_state(self):
+        cfg = small_config(K=20)
+        sats = make_constellation(cfg.n_sats, cfg.seed)
+        states = simulate(cfg, 0).states
+        c_mat, y0 = linearize(sats, states.reshape(4, 5, 4))
+        assert c_mat.shape == (4, 5, cfg.n_sats, 4) and y0.shape == (4, 5, cfg.n_sats)
+        for i, state in enumerate(states):
+            c_one, y_one = linearize(sats, state)
+            np.testing.assert_array_equal(c_mat[i // 5, i % 5], c_one)
+            np.testing.assert_array_equal(y0[i // 5, i % 5], y_one)
+
+    def test_stacked_degenerate_geometry_names_the_row(self):
+        sats = make_constellation(6, seed=5)
+        nominal = np.zeros((3, 4))
+        nominal[2, :3] = sats[4]
+        with pytest.raises(GeometryError, match="row 2 coincides"):
+            linearize(sats, nominal)
+
 
 class TestMetrics:
     def test_rmse_exact_match(self):
@@ -305,6 +323,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiments, "run_estimator", fail)
         monkeypatch.setattr(experiments, "_stf_rows", fail)  # the lockstep "stf"
+        monkeypatch.setattr(experiments, "_kf_rows", fail)  # the lockstep "kf"
         records = run_experiment(small_config(K=3, n_mc=1))
         assert [r.status for r in records] == ["failed", "failed"]
         assert [r.reason for r in records] == [
@@ -333,6 +352,7 @@ class TestRunExperiment:
             raise TypeError("bad argument")
 
         monkeypatch.setattr(experiments, "run_estimator", broken)
+        monkeypatch.setattr(experiments, "_kf_rows", broken)  # the lockstep "kf"
         with pytest.raises(TypeError):
             run_experiment(small_config(K=3, n_mc=1))
 
@@ -354,8 +374,8 @@ class TestSmootherIterations:
                 model, y_adj, VBConfig(), measurement_matrices=c_seq,
                 n_iterations=30,
             )
-            pos5 = np.stack([s.mean[:3] for s in res5.smoothed])
-            pos30 = np.stack([s.mean[:3] for s in res30.smoothed])
+            pos5 = res5.smoothed[0][:, :3]
+            pos30 = res30.smoothed[0][:, :3]
             r5 = rmse(pos5, traj.states)
             r30 = rmse(pos30, traj.states)
             assert abs(r5 - r30) <= 0.01 * r30

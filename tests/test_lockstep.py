@@ -2,9 +2,10 @@
 
 run_experiment filters and smooths the replications of a scenario in
 lockstep batches.  Every row of a batch must equal the same replication
-run alone: the truncation, the augmented update, the VB filter update and
-the smoother are checked row by row with np.array_equal, and a failing
-batch must give the records of one-at-a-time runs.
+run alone: the truncation, the augmented update, the psi statistic, the
+Anderson step, the VB filter update, the smoother and the gated Kalman
+filter and smoother are checked row by row with np.array_equal, and a
+failing batch must give the records of one-at-a-time runs.
 """
 
 from dataclasses import replace
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
 from skewt_estim import filtering
+from skewt_estim.baselines import GatingConfig, _kf_gated_update_rows, kf_gated_update
 from skewt_estim.bench import (
     ScenarioConfig,
     make_constellation,
@@ -25,6 +27,8 @@ from skewt_estim.bench import (
 from skewt_estim.bench import experiments
 from skewt_estim.bench.experiments import (
     LOCKSTEP_ROWS,
+    _kf_rows,
+    _rtss_rows,
     _stf_rows,
     _sts_rows,
     run_estimator,
@@ -36,12 +40,18 @@ from skewt_estim.filtering import (
     StateSpaceModel,
     VBConfig,
     _AndersonMixer,
+    _anderson_step,
     _augmented_update,
     _augmented_update_rows,
+    _lstsq2,
+    _psi_diagonal,
+    _stack_cz,
     _stf_update_rows,
     predict,
     stf_update,
 )
+from skewt_estim.skewt import SkewTComponent, moments
+from skewt_estim.smoothing import _forward_rows, backward_pass
 from skewt_estim.truncnorm import (
     OPTIMAL,
     UNDERFLOW_XI,
@@ -181,6 +191,192 @@ class TestAndersonMixer:
             assert_array_equal(lam, want)
 
 
+def lstsq_reference(d, f):
+    return np.linalg.lstsq(d.T, f, rcond=None)[0]
+
+
+def mixer_reference(xs, gs, upper):
+    """One Anderson step of a (3, m) history as a single lstsq call."""
+    f = gs - xs
+    d = np.diff(f, axis=0)
+    if not np.any(d):
+        return gs[-1]
+    return np.clip(gs[-1] - lstsq_reference(d, f[-1]) @ np.diff(gs, axis=0), 1e-12, upper)
+
+
+def two_columns(rng, m, kind):
+    d = rng.standard_normal((2, m))
+    if kind == "nearly collinear":
+        d[1] = -0.7 * d[0] + 1e-7 * d[1]
+    elif kind == "exactly collinear":
+        d[1] = 0.5 * d[0]  # exact in binary floating point
+    elif kind == "one zero column":
+        d[0] = 0.0
+    elif kind == "zero":
+        d[:] = 0.0
+    return d
+
+
+class TestAndersonStep:
+    @pytest.mark.parametrize(
+        "kind", ["random", "nearly collinear", "exactly collinear", "one zero column", "zero"]
+    )
+    @pytest.mark.parametrize("m", [1, 2, 8, 800])
+    def test_lstsq2_matches_lstsq(self, kind, m):
+        rng = np.random.default_rng(m)
+        # Both solvers err by about the condition number times eps.
+        rtol = 1e-6 if kind == "nearly collinear" else 1e-11
+        for _ in range(20):
+            d = two_columns(rng, m, kind)
+            f = rng.standard_normal(m)
+            want = lstsq_reference(d, f)
+            np.testing.assert_allclose(
+                np.stack(_lstsq2(d, f)), want, rtol=rtol, atol=rtol * np.abs(want).max()
+            )
+
+    def test_rank_cutoff_is_lstsq_cutoff(self):
+        """Singular-value ratios far below and above eps * max(m, 2)."""
+        rng = np.random.default_rng(3)
+        m = 8
+        cutoff = np.finfo(float).eps * m
+        u, _ = np.linalg.qr(rng.standard_normal((m, 2)))
+        v, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        f = rng.standard_normal(m)
+        for ratio, rtol in ((1e-3 * cutoff, 1e-10), (1e5 * cutoff, 1e-3)):
+            d = ((u * [1.0, ratio]) @ v.T).T
+            want = lstsq_reference(d, f)
+            got = np.stack(_lstsq2(d, f))
+            np.testing.assert_allclose(got, want, rtol=rtol)
+            # Full rank puts a weight of about 1 / ratio on the small direction.
+            assert (np.abs(got).max() > 1e6) == (ratio > cutoff)
+
+    @pytest.mark.parametrize("m", [1, 8, 800])
+    def test_step_matches_lstsq_mixer(self, m):
+        rng = np.random.default_rng(m + 1)
+        upper = np.full(m, 1.5)
+        for _ in range(20):
+            xs = rng.uniform(0.1, 2.0, (3, m))
+            gs = rng.uniform(0.1, 2.0, (3, m))
+            np.testing.assert_allclose(
+                _anderson_step(xs, gs, upper), mixer_reference(xs, gs, upper), rtol=1e-10
+            )
+
+    def test_zero_difference_history_returns_plain_image(self):
+        x = np.array([0.3, 0.9, 1.1])
+        g = np.array([0.5, 0.8, 2e-13])  # below the clip, so unclipped shows
+        out = _anderson_step(np.tile(x, (3, 1)), np.tile(g, (3, 1)), np.ones(3))
+        assert_array_equal(out, g)
+        # The same when the iterates move but the residuals do not (all
+        # values exact in binary floating point).
+        xs = np.array([0.25, 0.5, 1.0]) + np.array([[0.0], [0.125], [0.25]])
+        gs = xs + np.array([0.25, 0.25, -0.5])
+        assert_array_equal(_anderson_step(xs, gs, np.full(3, 0.1)), gs[-1])
+
+
+@st.composite
+def kernel_rows(draw):
+    """1-8 rows of one random size, and a random generator."""
+    n_rows = draw(st.integers(1, 8))
+    n_x = draw(st.integers(1, 5))
+    n_y = draw(st.integers(1, 9))
+    return n_rows, n_x, n_y, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+def spd_stack(rng, n_rows, n):
+    a = rng.standard_normal((n_rows, n, n))
+    return a @ a.swapaxes(1, 2) + 0.1 * np.eye(n)
+
+
+class TestStackedKernels:
+    """Each stacked kernel against its one-row call, for 1-8 rows."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(kernel_rows())
+    def test_psi_rows_bit_equal(self, case):
+        n_rows, n_x, n_y, rng = case
+        n = n_x + n_y
+        cz = _stack_cz(rng.standard_normal((n_rows, n_y, n_x)), rng.standard_normal(n_y))
+        mean = rng.standard_normal((n_rows, n))
+        cov = spd_stack(rng, n_rows, n)
+        y = rng.standard_normal((n_rows, n_y))
+        r = rng.uniform(0.5, 2.0, n_y)
+        psi = _psi_diagonal(y, cz, mean, cov, r, n_x)
+        for b in range(n_rows):
+            assert_array_equal(psi[b], _psi_diagonal(y[b], cz[b], mean[b], cov[b], r, n_x))
+
+    @settings(deadline=None, max_examples=150)
+    @given(kernel_rows(), st.sampled_from(["random", "nearly collinear", "exactly collinear", "zero"]))
+    def test_anderson_rows_bit_equal(self, case, kind):
+        n_rows, _, m, rng = case
+        xs = rng.uniform(0.1, 2.0, (n_rows, 3, m))
+        gs = rng.uniform(0.1, 2.0, (n_rows, 3, m))
+        b = rng.integers(n_rows)
+        d = two_columns(rng, m, kind)  # residual differences of row b
+        gs[b] = xs[b] + np.cumsum(np.vstack([rng.standard_normal(m), d]), axis=0)
+        upper = np.full(m, 1.5)
+        out = _anderson_step(xs, gs, upper)
+        for b in range(n_rows):
+            assert_array_equal(out[b], _anderson_step(xs[b], gs[b], upper))
+
+    @settings(deadline=None, max_examples=50)
+    @given(kernel_rows())
+    def test_mixer_rows_bit_equal_as_rows_leave(self, case):
+        n_rows, _, m, rng = case
+        upper = np.full(m, 1.5)
+        stacked = _AndersonMixer(upper)
+        alone = [_AndersonMixer(upper) for _ in range(n_rows)]
+        lam = np.ones((n_rows, m))
+        active = np.arange(n_rows)
+        for _ in range(6):
+            g = rng.uniform(0.1, 1.5, (len(active), m))
+            want = [alone[b].push(lam[b], g[j]) for j, b in enumerate(active)]
+            lam[active] = stacked.push(lam[active], g, active)
+            assert_array_equal(lam[active], np.array(want).reshape(len(active), m))
+            active = active[rng.random(len(active)) < 0.8]
+            if not active.size:
+                break
+
+    @settings(deadline=None, max_examples=150)
+    @given(kernel_rows())
+    def test_kf_update_rows_bit_equal(self, case):
+        n_rows, n_x, n_y, rng = case
+        c = rng.standard_normal((n_rows, n_y, n_x))
+        p = spd_stack(rng, n_rows, n_x)
+        x = rng.standard_normal((n_rows, n_x))
+        # Outliers on about a third of the components trip the gate.
+        y = (c @ x[..., None])[..., 0] + rng.standard_normal((n_rows, n_y))
+        y += 30.0 * (rng.random((n_rows, n_y)) < 0.3)
+        r = rng.uniform(0.5, 2.0, n_y)
+        gate = GatingConfig()
+        x_post, p_post, used = _kf_gated_update_rows(c, r, x, p, y, gate)
+        for b in range(n_rows):
+            post = kf_gated_update(c[b], r, GaussianBelief(x[b], p[b]), y[b], gate)
+            assert_array_equal(x_post[b], post.mean)
+            assert_array_equal(p_post[b], post.cov)
+            one = _kf_gated_update_rows(c[b:b + 1], r, x[b:b + 1], p[b:b + 1], y[b:b + 1], gate)
+            assert_array_equal(used[b], one[2][0])
+
+    def test_non_spd_row_raises_with_solve_spd_message_and_step(self):
+        """A negative mixing precision in one row makes that row's
+        innovation covariance indefinite at step 3 of a 4-row batch."""
+        rng = np.random.default_rng(11)
+        n_rows, n_steps, n_x, n_y = 4, 5, 3, 4
+        model = StateSpaceModel(
+            A=np.eye(n_x), Q=0.1 * np.eye(n_x), C=rng.standard_normal((n_y, n_x)),
+            R=np.ones(n_y), Delta=np.full(n_y, 2.0), nu=np.full(n_y, 4.0),
+            prior_mean=np.zeros(n_x), prior_cov=np.eye(n_x),
+        )
+        ys = rng.standard_normal((n_rows, n_steps, n_y))
+        c_seq = np.broadcast_to(model.C, (n_rows, n_steps, n_y, n_x)).copy()
+        lambdas = np.ones((n_rows, n_steps, n_y))
+        lambdas[2, 3, 1] = -1e-3
+        with pytest.raises(
+            NumericalFailureError, match="innovation covariance is not positive definite"
+        ) as info:
+            _forward_rows(model, ys, lambdas, c_seq)
+        assert info.value.step == 3
+
+
 SWEEP = dict(delta=5.0, nu=4.0, rho=100.0, K=100, n_sats=8, n_mc=6)
 
 
@@ -232,6 +428,50 @@ def test_sweep_rows_equal_scalar_reference(q, seed):
     assert_array_equal(alone[0].positions, stf[2].positions)
     alone_sts = _sts_rows(model, c_one, y_one, vb_cfg)
     assert_array_equal(alone_sts[0].positions, sts[2].positions)
+
+
+def kf_reference(gauss, sats, traj, noise_mean, gate):
+    """The gated Kalman filter of one trajectory, step by step on
+    kf_gated_update: the posteriors and the priors they started from."""
+    belief = gauss.prior_belief()
+    filtered, predicted = [], []
+    for y in traj.measurements:
+        c_mat, y0 = linearize(sats, belief.mean)
+        y_k = y - y0 + c_mat @ belief.mean - noise_mean
+        predicted.append(belief)
+        belief = kf_gated_update(c_mat, gauss.R, belief, y_k, gate)
+        filtered.append(belief)
+        belief = predict(gauss, belief)
+    return filtered, predicted
+
+
+@pytest.mark.parametrize("q", [0.5, 5.0])
+def test_kf_and_rtss_rows_equal_one_trajectory_runs(q):
+    """Row b of a lockstep KF/RTSS batch equals trajectory b run alone and
+    the step-by-step reference, with the same gating decisions."""
+    cfg = ScenarioConfig(q=q, seed=1, **SWEEP)
+    sats = make_constellation(cfg.n_sats, cfg.seed)
+    model = scenario_model(cfg, sats)
+    gate = GatingConfig()
+    trajs = [simulate(cfg, rep) for rep in range(cfg.n_mc)]
+    kf, kf_pass, used = _kf_rows(model, cfg, sats, trajs, gate)
+    rtss = _rtss_rows(kf_pass)
+    gauss = kf_pass[-1]
+    noise_mean, _ = moments(SkewTComponent(spread_sq=1.0, shape=cfg.delta, dof=cfg.nu))
+    assert used.shape == (cfg.n_mc, cfg.K, cfg.n_sats) and 0 < used.mean() < 1
+    for b, traj in enumerate(trajs):
+        alone, alone_pass, alone_used = _kf_rows(model, cfg, sats, [traj], gate)
+        assert_array_equal(alone[0].positions, kf[b].positions)
+        assert_array_equal(alone[0].position_covs, kf[b].position_covs)
+        assert_array_equal(alone_used[0], used[b])
+        assert_array_equal(_rtss_rows(alone_pass)[0].positions, rtss[b].positions)
+        filtered, predicted = kf_reference(gauss, sats, traj, noise_mean, gate)
+        assert_array_equal(kf[b].positions, np.stack([f.mean[:3] for f in filtered]))
+        smoothed = backward_pass(filtered, predicted, gauss)
+        assert_array_equal(rtss[b].positions, np.stack([s.mean[:3] for s in smoothed]))
+        assert_array_equal(
+            rtss[b].position_covs, np.stack([s.cov[:3, :3] for s in smoothed])
+        )
 
 
 def sweep_config(**overrides):
@@ -289,6 +529,34 @@ class TestRunExperimentLockstep:
         assert [(r.outer_iterations, r.converged) for r in rows] == [(2, False)] * 3
         for record in run_experiment(replace(cfg, estimators=("sts",))):
             assert record.converged and 2 <= record.outer_iterations < 30
+
+    def test_kalman_records_equal_scalar_runs(self):
+        cfg = sweep_config(n_mc=5, estimators=("kf", "rtss"))
+        sats = make_constellation(cfg.n_sats, cfg.seed)
+        records = {(r.estimator, r.replication): r for r in run_experiment(cfg)}
+        assert len(records) == 10
+        for rep in range(cfg.n_mc):
+            traj = simulate(cfg, rep)
+            for est in cfg.estimators:
+                run = run_estimator(est, cfg, sats, traj, replication=rep)
+                want = experiments._record(cfg, est, rep, traj, run, 0.0)
+                assert replace(records[est, rep], wall_time=0.0) == want
+
+    def test_stf_reports_nonconvergence(self, monkeypatch):
+        cfg = sweep_config(n_mc=3, estimators=("stf",))
+        sats = make_constellation(cfg.n_sats, cfg.seed)
+        model = scenario_model(cfg, sats)
+        trajs = [simulate(cfg, rep) for rep in range(cfg.n_mc)]
+        capped = VBConfig(max_iterations=1)
+        assert not run_estimator("stf", cfg, sats, trajs[0], vb_cfg=capped).converged
+        assert run_estimator("stf", cfg, sats, trajs[0]).converged
+        runs, _, _ = _stf_rows(model, sats, trajs, capped)
+        assert [r.converged for r in runs] == [False] * 3
+        assert all(r.converged for r in run_experiment(cfg))
+        # run_experiment runs its batches with VBConfig(); cap that.
+        monkeypatch.setattr(experiments, "VBConfig", lambda: capped)
+        for record in run_experiment(cfg):
+            assert not record.converged and record.mean_vb_iterations == 1.0
 
     def test_failed_replication_falls_back_to_scalar_runs(self, monkeypatch):
         """Replication 2 fails at time step 3 inside the batch: that batch

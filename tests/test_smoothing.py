@@ -212,10 +212,10 @@ class TestSmootherRun:
         model = random_model(rng, 3, 3, delta=3.0, nu=4.0)
         ys = simulate_linear(model, rng, 20)
         result = _run_vb(model, ys, VBConfig())
-        for filt, smth in zip(result.filtered, result.smoothed):
+        for filt, smth in zip(result.filtered[1], result.smoothed[1]):
             assert (
-                np.trace(smth.cov[:3, :3])
-                <= np.trace(filt.cov[:3, :3]) + 1e-10
+                np.trace(smth[:3, :3])
+                <= np.trace(filt[:3, :3]) + 1e-10
             )
 
     def test_converged_lambda_stable(self):
