@@ -4,8 +4,12 @@ The Kalman baselines run against moment-matched normal noise (see
 skewt.moment_match) with per-component validation gating: a measurement
 component whose normalized innovation squared exceeds a chi-square(1)
 quantile is discarded.  The bootstrap particle filter weights particles
-with the exact skew-t component densities and serves as the reference
-posterior in the benchmark experiments.
+with the skew-t component densities and serves as the reference
+posterior in the benchmark experiments.  The densities are interpolated
+in a cached table of each component's log density on a uniform grid,
+looked up by direct indexing; the grid step of at most 0.05 spreads bounds
+the interpolation error (see _component_log_likelihoods), and residuals
+outside the grid take the exact density.
 """
 
 from dataclasses import dataclass, field
@@ -133,12 +137,22 @@ def rtss_gated_run(
     return backward_pass(*kf_gated_run(model, ys, g, measurement_matrices), model)
 
 
+# Density tables: points per grid, and the largest grid step in units of
+# the component spread, which bounds the interpolation error (see
+# _component_log_likelihoods).
+_GRID_POINTS = 16385
+_MAX_GRID_STEP = 0.05
+
+
 @lru_cache(maxsize=64)
 def _density_table(spread_sq, shape, dof):
-    """Cached dense log-density grid of one skew-t component.
+    """Cached log density of one skew-t component on a uniform grid.
 
     The grid spec depends only on the component parameters (never on the
     data), so cached lookups are reproducible regardless of call history.
+    It spans 60 standard deviations about the mean (dof > 2) or a wide
+    window about the shape (dof <= 2), narrowed where needed so that the
+    step is at most _MAX_GRID_STEP spreads.
     """
     comp = SkewTComponent(spread_sq=spread_sq, shape=shape, dof=dof)
     if dof > 2.0:
@@ -147,34 +161,74 @@ def _density_table(spread_sq, shape, dof):
     else:
         mean = shape
         half = 1000.0 * (abs(shape) + np.sqrt(spread_sq))
-    grid = np.linspace(mean - half, mean + half, 16385)
+    half = min(half, 0.5 * (_GRID_POINTS - 1) * _MAX_GRID_STEP * np.sqrt(spread_sq))
+    grid = np.linspace(mean - half, mean + half, _GRID_POINTS)
     return grid, log_pdf(comp, grid)
+
+
+@lru_cache(maxsize=64)
+def _stacked_tables(params):
+    """The density tables of components `params` ((spread_sq, shape, dof), ...)
+    laid end to end for one lookup over all components.
+
+    Returns per component the grid ends and step, the offset of its table
+    in the flat arrays, and the flat grids, tables and slopes.  Each table
+    has one slope per point; the last point's is 0, a placeholder, since a
+    lookup there sits on the grid point itself.
+    """
+    grids, tables = map(np.stack, zip(*(_density_table(*p) for p in params)))
+    slopes = np.zeros_like(tables)
+    slopes[:, :-1] = np.diff(tables, axis=1) / np.diff(grids, axis=1)
+    lo, hi = grids[:, 0], grids[:, -1]
+    offset = np.arange(len(params)) * _GRID_POINTS
+    step = (hi - lo) / (_GRID_POINTS - 1)
+    return lo, hi, step, offset, grids.ravel(), tables.ravel(), slopes.ravel()
 
 
 def _component_log_likelihoods(model, residuals):
     """Per-component skew-t log densities of a residual matrix (n_p, n_y).
 
-    Interpolates each component's cached dense grid of the closed-form
-    density (interpolation error far below the particle Monte Carlo
-    noise); residuals outside the grid are evaluated directly.
+    Interpolates linearly in each component's cached density table, in
+    one pass over the whole matrix.  The grid is uniform, so a residual's
+    bracket is found by direct indexing and then moved by at most one
+    step against the grid points; bracket and arithmetic are np.interp's,
+    bit for bit.  The error at a grid midpoint is about step**2 / 8 times
+    the curvature of the log density; with the step capped at 0.05
+    spreads it measured at most 3.3e-4 on components with dof from 1.2 to
+    1e8 and shapes up to 200 spreads, and 9.3e-4 at dof 0.5.  Residuals outside the grid
+    are evaluated exactly with log_pdf; NaN residuals give NaN.
     """
     comps = model.noise_model().components
-    out = np.zeros_like(residuals)
-    for i, comp in enumerate(comps):
-        r = residuals[:, i]
-        grid, table = _density_table(comp.spread_sq, comp.shape, comp.dof)
-        vals = np.interp(r, grid, table)
-        outside = (r < grid[0]) | (r > grid[-1])
-        if np.any(outside):
-            vals[outside] = log_pdf(comp, r[outside])
-        out[:, i] = vals
+    lo, hi, step, offset, grid, table, slope = _stacked_tables(
+        tuple((c.spread_sq, c.shape, c.dof) for c in comps)
+    )
+    # Clamped as floats before the cast: fmax maps NaN to 0, so NaN and
+    # far-off residuals get a valid index (their values are NaN or exact).
+    q = (residuals - lo) / step
+    j = np.fmin(np.fmax(q, 0.0, out=q), _GRID_POINTS - 2.0, out=q).astype(np.intp)
+    j += offset
+    j -= grid[j] > residuals
+    j += grid[j + 1] <= residuals
+    out = slope[j] * (residuals - grid[j]) + table[j]
+    outside = (residuals < lo) | (residuals > hi)
+    # Most calls have no residual outside the grid: test that first, as the
+    # column-wise any() costs more than a lookup step.
+    if outside.any():
+        for i in np.flatnonzero(outside.any(axis=0)):
+            rows = outside[:, i]
+            out[rows, i] = log_pdf(comps[i], residuals[rows, i])
     return out
 
 
 def _systematic_resample(weights, rng):
+    """Systematic resampling indices of normalized `weights`.
+
+    The cumulative sum can round to just below 1, so an index is clamped
+    to n - 1 rather than run past the last particle.
+    """
     n = weights.size
     positions = (np.arange(n) + rng.random()) / n
-    return np.searchsorted(np.cumsum(weights), positions)
+    return np.minimum(np.searchsorted(np.cumsum(weights), positions), n - 1)
 
 
 def pf_run(

@@ -178,7 +178,19 @@ def pseudoranges(sats: np.ndarray, states: np.ndarray) -> np.ndarray:
 
     `states` has shape (..., 4); the result has shape (..., n_sats).
     """
-    return np.linalg.norm(sats - states[..., None, :3], axis=-1) + states[..., 3:4]
+    # One contiguous (..., n_sats) array per coordinate: on a particle
+    # stack this is twice as fast as strided views of a (..., n_sats, 3) one.
+    dx, dy, dz = (s - states[..., i, None] for i, s in enumerate(sats.T))
+    return _range(dx, dy, dz) + states[..., 3:4]
+
+
+def _range(dx, dy, dz):
+    """Length of the vectors with components dx, dy, dz.
+
+    The explicit sum sqrt(dx*dx + dy*dy + dz*dz) adds in the order of
+    np.linalg.norm over a last axis of length 3, so it has the same bits.
+    """
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def linearize(sats: np.ndarray, nominal: np.ndarray) -> tuple:
@@ -193,7 +205,7 @@ def linearize(sats: np.ndarray, nominal: np.ndarray) -> tuple:
     sats = np.atleast_2d(np.asarray(sats, dtype=float))
     nominal = np.atleast_1d(np.asarray(nominal, dtype=float))
     diff = sats - nominal[..., None, :3]
-    ranges = np.linalg.norm(diff, axis=-1)
+    ranges = _range(diff[..., 0], diff[..., 1], diff[..., 2])
     close = ranges < 1.0
     if np.any(close):
         row = np.argwhere(close.any(-1))[0] if nominal.ndim > 1 else ()

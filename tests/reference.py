@@ -2,10 +2,12 @@
 
 Everything here is deliberately written in the plainest possible form
 (batch matrix updates, explicit inverses) and shares no code with the
-package under test.  The one exception is sts_run_scalar, the smoother of
-one trajectory at a time that the lockstep smoother replaced: it is built
-on the package's scalar update kernel, so the lockstep rows can be held
-to it bit for bit.
+package under test.  The exceptions are sts_run_scalar, the smoother of
+one trajectory at a time that the lockstep smoother replaced, and
+component_log_likelihoods_interp, the per-component np.interp lookup
+that the one-pass lookup replaced.  They are built on the package's
+scalar update kernel and density tables, so the code that replaced them
+can be held to them bit for bit.
 """
 
 import numpy as np
@@ -15,7 +17,9 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import truncnorm as scipy_truncnorm
 
 from skewt_estim._linalg import solve_spd, symmetrize
+from skewt_estim.baselines import _density_table
 from skewt_estim.filtering import _AndersonMixer, _augmented_update
+from skewt_estim.skewt import log_pdf
 from skewt_estim.truncnorm import OPTIMAL
 
 
@@ -282,3 +286,18 @@ def sts_run_scalar(model, ys, cfg, measurement_matrices, n_iterations=None):
     covs = np.stack([c for _, c in smoothed])
     return means, covs, iterations, converged
 
+
+def component_log_likelihoods_interp(model, residuals):
+    """Per-component skew-t log densities of a residual matrix (n_p, n_y):
+    np.interp in each component's density table, one component at a
+    time, and the exact log_pdf outside the table's grid."""
+    out = np.zeros_like(residuals)
+    for i, comp in enumerate(model.noise_model().components):
+        r = residuals[:, i]
+        grid, table = _density_table(comp.spread_sq, comp.shape, comp.dof)
+        vals = np.interp(r, grid, table)
+        outside = (r < grid[0]) | (r > grid[-1])
+        if np.any(outside):
+            vals[outside] = log_pdf(comp, r[outside])
+        out[:, i] = vals
+    return out

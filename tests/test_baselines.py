@@ -1,21 +1,35 @@
 """Tests for the gated Kalman baselines and the bootstrap particle filter."""
 
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 import skewt_estim.baselines as baselines
 from skewt_estim.baselines import (
     GatingConfig,
+    _component_log_likelihoods,
+    _density_table,
+    _systematic_resample,
     kf_gated_run,
     kf_gated_update,
     pf_run,
     rtss_gated_run,
 )
+from skewt_estim.bench import ScenarioConfig, make_constellation, scenario_model, simulate
+from skewt_estim.bench.gnss import pseudoranges
 from skewt_estim.exceptions import DegeneracyError
 from skewt_estim.filtering import GaussianBelief, StateSpaceModel
+from skewt_estim.skewt import SkewTComponent, log_pdf
 
-from reference import kalman_filter, rts_smooth, wls_pool
+from reference import (
+    component_log_likelihoods_interp,
+    kalman_filter,
+    rts_smooth,
+    wls_pool,
+)
 from test_filtering import random_model, simulate_linear
 
 
@@ -196,3 +210,141 @@ class TestParticleFilter:
         )
         with pytest.raises(DegeneracyError, match="time step 0"):
             pf_run(model, [np.zeros(2)], 1000, seed=0)
+
+    def test_degeneracy_from_nan_residual(self):
+        # A NaN residual gives a NaN likelihood, which must reach the
+        # degeneracy check rather than an index error in the lookup.
+        model = noise_model_of([(1.0, 5.0, 4.0), (1.0, 5.0, 1.2)])
+        with pytest.raises(DegeneracyError, match="time step 1"):
+            pf_run(model, [np.zeros(2), np.array([0.0, np.nan])], 1000, seed=0)
+
+
+class _AlmostOneRng:
+    """Stub generator whose uniform draw is the largest double below 1."""
+
+    def random(self):
+        return np.nextafter(1.0, 0.0)
+
+
+class TestSystematicResample:
+    def test_index_clamped_when_cumsum_rounds_below_one(self):
+        # With the offset just below 1 the last position, (n - 1 + u) / n,
+        # can exceed a cumulative sum that rounds to just below 1;
+        # searchsorted then returns n, one past the last particle.
+        rng = np.random.default_rng(63)
+        rounded_low = 0
+        for _ in range(2000):
+            n = int(rng.integers(100, 1100))
+            w = rng.random(n)
+            w /= w.sum()
+            idx = _systematic_resample(w, _AlmostOneRng())
+            positions = (np.arange(n) + np.nextafter(1.0, 0.0)) / n
+            raw = np.searchsorted(np.cumsum(w), positions)
+            rounded_low += raw[-1] == n
+            assert idx.max() <= n - 1
+            np.testing.assert_array_equal(idx, np.minimum(raw, n - 1))
+        assert rounded_low > 0
+
+
+def noise_model_of(components):
+    """A one-state model whose measurement noise has the given
+    (spread_sq, shape, dof) components."""
+    spread_sq, shape, dof = (np.array(v, dtype=float) for v in zip(*components))
+    n_y = len(components)
+    return StateSpaceModel(
+        A=np.eye(1), Q=np.eye(1), C=np.ones((n_y, 1)), R=spread_sq,
+        Delta=shape, nu=dof, prior_mean=np.zeros(1), prior_cov=np.eye(1),
+    )
+
+
+# Five tables the grid-step cap leaves unchanged, among them every table
+# of the benchmark and the static experiments, and two it refines: heavy
+# tails (dof 1.2) and a large shape.
+TABLE_COMPONENTS = [
+    (1.0, 5.0, 4.0), (1.0, 0.0, 1e8), (1.0, 5.0, 1e8), (1.0, 0.0, 4.0),
+    (0.25, 2.0, 3.0), (1.0, 5.0, 1.2), (1.0, 50.0, 4.0),
+]
+
+
+@st.composite
+def lookup_cases(draw):
+    """Components, some with dof <= 2, and residuals that sit on grid
+    points, their float neighbours, the grid ends, inside and outside the
+    grid, or are NaN."""
+    comps = draw(st.lists(
+        st.tuples(
+            st.sampled_from([0.25, 1.0]) | st.floats(0.05, 10.0),
+            st.sampled_from([0.0, 5.0, 50.0]) | st.floats(0.0, 60.0),
+            st.sampled_from([1.2, 2.0, 4.0, 30.0, 1e8]) | st.floats(0.6, 60.0),
+        ),
+        min_size=1, max_size=4,
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_p = 300
+    residuals = np.empty((n_p, len(comps)))
+    for i, comp in enumerate(comps):
+        grid, _ = _density_table(*comp)
+        node = grid[rng.integers(0, grid.size, n_p)]
+        candidates = np.stack([
+            node,
+            np.nextafter(node, np.inf),
+            np.nextafter(node, -np.inf),
+            np.where(rng.random(n_p) < 0.5, grid[0], grid[-1]),
+            rng.uniform(grid[0], grid[-1], n_p),
+            rng.uniform(grid[0] - 100.0, grid[-1] + 100.0, n_p),
+            np.full(n_p, np.nan),
+        ])
+        kind = rng.choice(len(candidates), n_p, p=[0.2, 0.15, 0.15, 0.1, 0.2, 0.15, 0.05])
+        residuals[:, i] = candidates[kind, np.arange(n_p)]
+    return noise_model_of(comps), residuals
+
+
+class TestLikelihoodLookup:
+    @settings(deadline=None, max_examples=60)
+    @given(lookup_cases())
+    def test_bit_equal_to_interp_per_component(self, case):
+        model, residuals = case
+        np.testing.assert_array_equal(
+            _component_log_likelihoods(model, residuals),
+            component_log_likelihoods_interp(model, residuals),
+        )
+
+    @pytest.mark.parametrize("comp", TABLE_COMPONENTS)
+    def test_bit_equal_on_every_grid_point_and_its_neighbours(self, comp):
+        grid, _ = _density_table(*comp)
+        residuals = np.concatenate(
+            [grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf)]
+        )[:, None]
+        model = noise_model_of([comp])
+        np.testing.assert_array_equal(
+            _component_log_likelihoods(model, residuals),
+            component_log_likelihoods_interp(model, residuals),
+        )
+
+    @pytest.mark.parametrize("comp", TABLE_COMPONENTS)
+    def test_midpoint_error_bounded(self, comp):
+        grid, _ = _density_table(*comp)
+        assert grid[1] - grid[0] <= 0.05 * np.sqrt(comp[0]) * (1 + 1e-12)
+        mid = 0.5 * (grid[:-1] + grid[1:])
+        got = _component_log_likelihoods(noise_model_of([comp]), mid[:, None])[:, 0]
+        assert np.abs(got - log_pdf(SkewTComponent(*comp), mid)).max() <= 1e-3
+
+    @pytest.mark.parametrize("n_particles", [1000, 100_000])
+    @pytest.mark.parametrize("q", [0.5, 5.0])
+    def test_pf_bit_equal_to_interp_reference(self, monkeypatch, q, n_particles):
+        # A few steps of a sweep scenario (the benchmark's PF workload)
+        # with the one-pass lookup and with per-component np.interp.
+        cfg = ScenarioConfig(q=q, delta=5.0, nu=4.0, rho=100.0, K=4, n_mc=1, seed=1)
+        sats = make_constellation(cfg.n_sats, cfg.seed)
+        model = scenario_model(cfg, sats)
+        ys = simulate(cfg, 0).measurements
+        run = partial(pf_run, model, ys, n_particles, 7,
+                      measurement_fn=partial(pseudoranges, sats))
+        fast = run()
+        monkeypatch.setattr(
+            baselines, "_component_log_likelihoods", component_log_likelihoods_interp
+        )
+        for a, b in zip(fast, run(), strict=True):
+            assert np.array_equal(a.mean, b.mean)
+            assert np.array_equal(a.cov, b.cov)
+

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest, norm
 
 from skewt_estim.bench import (
@@ -169,6 +170,29 @@ class TestPseudoranges:
         nominal[2, :3] = sats[4]
         with pytest.raises(GeometryError, match="row 2 coincides"):
             linearize(sats, nominal)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.sampled_from([(), (1,), (7,), (1000,), (3, 5)]),
+        st.floats(-3.0, 7.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_ranges_bit_equal_to_norm(self, batch, log_scale, seed):
+        # The explicit range sum has the bits of np.linalg.norm on the
+        # last axis, for pseudoranges and linearize alike, on any stack.
+        rng = np.random.default_rng(seed)
+        sats = make_constellation(8, seed=seed % 97)
+        nominal = np.append(RECEIVER_NOMINAL_M, 0.0)
+        states = nominal * rng.random() + 10.0**log_scale * rng.standard_normal(batch + (4,))
+        diff = sats - states[..., None, :3]
+        ranges = np.linalg.norm(diff, axis=-1)
+        np.testing.assert_array_equal(
+            pseudoranges(sats, states), ranges + states[..., 3:4]
+        )
+        c_mat, y0 = linearize(sats, states)
+        np.testing.assert_array_equal(y0, ranges + states[..., 3:4])
+        np.testing.assert_array_equal(c_mat[..., :3], -diff / ranges[..., None])
+        np.testing.assert_array_equal(c_mat[..., 3], np.ones(batch + (8,)))
 
 
 class TestMetrics:
