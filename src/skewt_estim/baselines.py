@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from ._linalg import psd_sqrt, symmetrize
 from .exceptions import DegeneracyError
@@ -35,7 +35,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GatingConfig:
-    """Validation gate on the per-component normalized innovation squared."""
+    """Validation gate on the per-component normalized innovation squared.
+
+    The threshold is the chi-square(1) quantile of gate_probability,
+    2 * gammaincinv(1/2, p): chi2(1) is Gamma(1/2, scale=2), and this is
+    the expression scipy.stats.chi2.ppf(p, df=1) evaluates, bit for bit.
+    It is written out so that importing the package does not load
+    scipy.stats.
+    """
 
     gate_probability: float = 0.99
     threshold: float = field(init=False)
@@ -44,7 +51,7 @@ class GatingConfig:
         if not 0.0 < self.gate_probability < 1.0:
             raise ValueError("gate_probability must lie in (0, 1)")
         object.__setattr__(
-            self, "threshold", float(chi2.ppf(self.gate_probability, df=1))
+            self, "threshold", 2.0 * float(gammaincinv(0.5, self.gate_probability))
         )
 
 
@@ -167,26 +174,29 @@ def _density_table(spread_sq, shape, dof):
 
 
 @lru_cache(maxsize=64)
-def _stacked_tables(params):
-    """The density tables of components `params` ((spread_sq, shape, dof), ...)
-    laid end to end for one lookup over all components.
+def _stacked_tables(comps):
+    """The density tables of the skew-t components `comps` (a tuple) laid
+    end to end for one lookup over all components.
 
     Returns per component the grid ends and step, the offset of its table
     in the flat arrays, and the flat grids, tables and slopes.  Each table
     has one slope per point; the last point's is 0, a placeholder, since a
     lookup there sits on the grid point itself.
     """
-    grids, tables = map(np.stack, zip(*(_density_table(*p) for p in params)))
+    grids, tables = map(
+        np.stack, zip(*(_density_table(c.spread_sq, c.shape, c.dof) for c in comps))
+    )
     slopes = np.zeros_like(tables)
     slopes[:, :-1] = np.diff(tables, axis=1) / np.diff(grids, axis=1)
     lo, hi = grids[:, 0], grids[:, -1]
-    offset = np.arange(len(params)) * _GRID_POINTS
+    offset = np.arange(len(comps)) * _GRID_POINTS
     step = (hi - lo) / (_GRID_POINTS - 1)
     return lo, hi, step, offset, grids.ravel(), tables.ravel(), slopes.ravel()
 
 
-def _component_log_likelihoods(model, residuals):
-    """Per-component skew-t log densities of a residual matrix (n_p, n_y).
+def _component_log_likelihoods(comps, residuals):
+    """Skew-t log densities of a residual matrix (n_p, n_y), column i
+    under component comps[i] (a tuple of SkewTComponent).
 
     Interpolates linearly in each component's cached density table, in
     one pass over the whole matrix.  The grid is uniform, so a residual's
@@ -195,13 +205,21 @@ def _component_log_likelihoods(model, residuals):
     bit for bit.  The error at a grid midpoint is about step**2 / 8 times
     the curvature of the log density; with the step capped at 0.05
     spreads it measured at most 3.3e-4 on components with dof from 1.2 to
-    1e8 and shapes up to 200 spreads, and 9.3e-4 at dof 0.5.  Residuals outside the grid
-    are evaluated exactly with log_pdf; NaN residuals give NaN.
+    1e8 and shapes up to 200 spreads, and 9.3e-4 at dof 0.5.  Residuals
+    outside the grid are evaluated exactly with log_pdf; NaN and infinite
+    residuals give NaN.
     """
-    comps = model.noise_model().components
-    lo, hi, step, offset, grid, table, slope = _stacked_tables(
-        tuple((c.spread_sq, c.shape, c.dof) for c in comps)
-    )
+    lo, hi, step, offset, grid, table, slope = _stacked_tables(comps)
+    outside = (residuals < lo) | (residuals > hi)
+    # Most calls have no residual outside the grid: test that first, as the
+    # column-wise any() costs more than a lookup step.
+    far = outside.any()
+    if far:
+        # Infinite residuals become NaN before the lookup, which would warn
+        # on 0 * inf, and stay out of log_pdf, which takes finite ones only.
+        infinite = np.isinf(residuals)
+        residuals = np.where(infinite, np.nan, residuals)
+        outside &= ~infinite
     # Clamped as floats before the cast: fmax maps NaN to 0, so NaN and
     # far-off residuals get a valid index (their values are NaN or exact).
     q = (residuals - lo) / step
@@ -210,10 +228,7 @@ def _component_log_likelihoods(model, residuals):
     j -= grid[j] > residuals
     j += grid[j + 1] <= residuals
     out = slope[j] * (residuals - grid[j]) + table[j]
-    outside = (residuals < lo) | (residuals > hi)
-    # Most calls have no residual outside the grid: test that first, as the
-    # column-wise any() costs more than a lookup step.
-    if outside.any():
+    if far:
         for i in np.flatnonzero(outside.any(axis=0)):
             rows = outside[:, i]
             out[rows, i] = log_pdf(comps[i], residuals[rows, i])
@@ -247,11 +262,14 @@ def pf_run(
     `measurement_fn(states) -> (n_p, n_y)` replaces the linear map C x,
     letting the same filter run on nonlinear measurement models.
     Deterministic for a given seed; returns one GaussianBelief per step.
+    A NaN or infinite measurement leaves no weight finite and raises
+    DegeneracyError at its step.
     """
     n_particles = int(n_particles)
     if n_particles < 100:
         raise ValueError(f"n_particles must be >= 100, got {n_particles}")
     ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
+    comps = model.noise_model().components
     rng = np.random.default_rng(seed)
 
     prior_factor = psd_sqrt(model.prior_cov)
@@ -270,7 +288,7 @@ def pf_run(
         predicted = (
             measurement_fn(states) if measurement_fn is not None else states @ model.C.T
         )
-        log_w = log_w + _component_log_likelihoods(model, y - predicted).sum(axis=1)
+        log_w = log_w + _component_log_likelihoods(comps, y - predicted).sum(axis=1)
         shift = log_w.max()
         if not np.isfinite(shift):
             raise DegeneracyError("all particle weights vanished", step=k)

@@ -8,7 +8,6 @@ side.
 """
 
 import numpy as np
-from scipy.stats import norm, t as t_dist
 
 from ..skewt import SkewTComponent, log_pdf, moment_match, moments
 
@@ -34,6 +33,10 @@ def likelihood_contour_grid(
     Returns a dict with the grid axes ('x', 'y') and one (n_grid, n_grid)
     array per model ('normal', 'student_t', 'skew_t').
     """
+    # Imported here: scipy.stats costs more to import than the rest of the
+    # package, and nothing else in it needs scipy.stats.
+    from scipy.stats import norm, t as t_dist
+
     comp = SkewTComponent(spread_sq=1.0, shape=delta, dof=nu)
     mean_off, _ = moments(comp)
     normal_var, t_scale_sq, t_dof = moment_match(comp)

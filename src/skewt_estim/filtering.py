@@ -330,11 +330,18 @@ def _augmented_update(x_pred, p_pred, y, c_mat, delta, r, lam, policy):
 _LOCKSTEP_MIN_ROWS = 2
 
 
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of each matrix of a C-contiguous
+    (..., n, n) stack (of any other layout, reshape makes a copy, and
+    writes to it would be lost)."""
+    n = a.shape[-1]
+    return a.reshape(a.shape[:-2] + (n * n,))[..., :: n + 1]
+
+
 def _diag_rows(v: np.ndarray) -> np.ndarray:
     """np.diag of the last axis: (..., n) -> (..., n, n)."""
-    n = v.shape[-1]
-    out = np.zeros(v.shape + (n,))
-    out[..., range(n), range(n)] = v
+    out = np.zeros(v.shape + v.shape[-1:])
+    _diagonal(out)[...] = v
     return out
 
 
@@ -344,11 +351,12 @@ def _stack_cz(c_mat, delta):
     return np.concatenate([c_mat, d], axis=-1)
 
 
-def _augmented_update_rows(x_pred, p_pred, y, c_mat, delta, r, lam):
+def _augmented_update_rows(x_pred, p_pred, y, c_mat, cz, delta, r, lam):
     """_augmented_update (greedy order) of B rows.
 
     x_pred (B, n_x), p_pred (B, n_x, n_x), y (B, n_y), c_mat (B, n_y, n_x)
-    and lam (B, n_y) stack the rows; delta and r are shared.  Returns the
+    and lam (B, n_y) stack the rows, and cz (B, n_y, n_x + n_y) holds
+    [C, diag(delta)] of each row; delta and r are shared.  Returns the
     posterior and augmented prior (mean, cov) stacks.  Fewer than
     _LOCKSTEP_MIN_ROWS rows run _augmented_update; from there on the rows
     run in lockstep, with the scalar operand layouts and one solve_spd per
@@ -373,17 +381,15 @@ def _augmented_update_rows(x_pred, p_pred, y, c_mat, delta, r, lam):
     pct = p_pred @ c_mat.swapaxes(1, 2)
     s = c_mat @ pct + _diag_rows(delta**2 * lam_inv + r * lam_inv)
     zct = np.concatenate([pct, _diag_rows(delta * lam_inv)], axis=1)
-    gain = np.stack([
-        solve_spd(s_b, zct_b.T, what="innovation covariance").T
-        for s_b, zct_b in zip(s, zct)
-    ])
+    gain = np.empty_like(zct)
+    for b in range(len(y)):
+        gain[b] = solve_spd(s[b], zct[b].T, what="innovation covariance").T
 
     z_prior_mean = np.concatenate([x_pred, np.zeros_like(y)], axis=1)
     z_prior_cov = np.zeros((len(y), n_x + n_y, n_x + n_y))
     z_prior_cov[:, :n_x, :n_x] = p_pred
-    z_prior_cov[:, n_x:, n_x:] = _diag_rows(lam_inv)
+    _diagonal(z_prior_cov)[:, n_x:] = lam_inv
 
-    cz = _stack_cz(c_mat, delta)
     innovation = y - (c_mat @ x_pred[..., None])[..., 0]
     z_mean = z_prior_mean + (gain @ innovation[..., None])[..., 0]
     z_cov = z_prior_cov - gain @ (cz @ z_prior_cov)
@@ -484,14 +490,15 @@ def _stf_update_rows(model, x_prior, p_prior, y, c_mat, cfg=VBConfig()) -> tuple
     converged = np.zeros(n_rows, dtype=bool)
     active = np.arange(n_rows)
     for it in range(cfg.max_iterations):
+        y_a, cz_a = y[active], cz[active]
         post_mean, post_cov, _, _ = _augmented_update_rows(
-            x_prior[active], p_prior[active], y[active], c_mat[active],
+            x_prior[active], p_prior[active], y_a, c_mat[active], cz_a,
             model.Delta, model.R, lam[active],
         )
         iterations[active] += 1
         mean[active] = post_mean
         cov[active] = post_cov
-        psi = _psi_diagonal(y[active], cz[active], post_mean, post_cov, model.R, n_x)
+        psi = _psi_diagonal(y_a, cz_a, post_mean, post_cov, model.R, n_x)
         lam[active] = mixer.push(lam[active], expected_mixing_precision(model.nu, psi), active)
         x_new = post_mean[:, :n_x]
         done = _step_norm(x_new - x_prev[active]) < cfg.tol if it else np.zeros(len(active), bool)

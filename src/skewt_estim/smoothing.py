@@ -122,10 +122,11 @@ def _forward_rows(model, ys, lambdas, c_seq) -> tuple:
     p_cov = np.empty_like(f_cov)
     x_pred = np.broadcast_to(model.prior_mean, (n_rows, n_x))
     p_pred = np.broadcast_to(model.prior_cov, (n_rows, n_x, n_x))
+    cz = _stack_cz(c_seq, model.Delta)
     for k in range(n_steps):
         try:
             step = _augmented_update_rows(
-                x_pred, p_pred, ys[:, k], c_seq[:, k],
+                x_pred, p_pred, ys[:, k], c_seq[:, k], cz[:, k],
                 model.Delta, model.R, lambdas[:, k],
             )
         except NumericalFailureError as err:
@@ -180,13 +181,12 @@ def _backward_rows(f_mean, f_cov, p_mean, p_cov, model) -> tuple:
     n_x = model.n_x
     s_mean = f_mean.copy()
     s_cov = f_cov.copy()
+    gain = np.empty(f_cov.shape[:1] + f_cov.shape[-1:] + (n_x,))
     for k in range(f_mean.shape[1] - 2, -1, -1):
         p_pred = p_cov[:, k + 1, :n_x, :n_x]
         try:
-            gain = np.stack([
-                solve_spd(p_b, model.A @ f_b[:n_x], what="prediction covariance").T
-                for p_b, f_b in zip(p_pred, f_cov[:, k])
-            ])
+            for b, (p_b, f_b) in enumerate(zip(p_pred, f_cov[:, k])):
+                gain[b] = solve_spd(p_b, model.A @ f_b[:n_x], what="prediction covariance").T
         except NumericalFailureError as err:
             raise NumericalFailureError(
                 f"backward gain failed: {err}", step=k

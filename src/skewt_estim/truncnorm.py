@@ -152,26 +152,27 @@ def _greedy_index(mean: np.ndarray, cov: np.ndarray, active: np.ndarray) -> int:
     return int(active.nonzero()[0][ratios.argmin()])
 
 
-def _truncate_rows(mean, cov, active, rows) -> None:
+def _truncate_rows(mean, cov, diag, active, base) -> None:
     """One greedy step of every row of a (B, n) / (B, n, n) stack, in place.
 
-    Per row this is _greedy_index then _truncate_step, with the same
-    operations and checks, so each row stays bit-equal to the scalar
-    kernel; the exception of the first failing row is raised.  The
+    `diag` is the diagonal view of cov and `base` the flat offsets b * n
+    of the rows.  Per row this is _greedy_index then _truncate_step, with
+    the same operations and checks, so each row stays bit-equal to the
+    scalar kernel; the exception of the first failing row is raised.  The
     covariances must be exactly symmetric (rec_trunc keeps them so), which
     lets row k stand for column k.
     """
     n = mean.shape[1]
-    var = np.where(active, cov.diagonal(axis1=1, axis2=2), 1.0)
+    var = np.where(active, diag, 1.0)
     if np.count_nonzero(var <= 0.0):
         raise DegenerateDirectionError("nonpositive variance in remaining directions")
     k = np.where(active, mean / np.sqrt(var), np.inf).argmin(axis=1)
-    flat = rows * n + k
-    if np.count_nonzero(active.take(flat)) < len(rows):
+    flat = base + k
+    if np.count_nonzero(active.take(flat)) < len(base):
         # Every active ratio of such a row is +inf; the scalar argmin over
         # the active set takes the lowest active index.
         k = np.where(active.take(flat), k, active.argmax(axis=1))
-        flat = rows * n + k
+        flat = base + k
     active.put(flat, False)
 
     var_k = var.take(flat)
@@ -183,7 +184,7 @@ def _truncate_rows(mean, cov, active, rows) -> None:
         )
     sd = np.sqrt(var_k)
     xi = mean.take(flat) / sd
-    if np.count_nonzero(np.isfinite(xi)) < len(rows):
+    if np.count_nonzero(np.isfinite(xi)) < len(base):
         raise ValueError(f"xi must be finite, got {xi[~np.isfinite(xi)][0]!r}")
     # Rows below UNDERFLOW_XI take the limits; clipping keeps their unused
     # closed-form values finite.
@@ -213,9 +214,10 @@ def _rec_trunc_rows(mean: np.ndarray, cov: np.ndarray, truncated) -> tuple:
     mean, cov = mean.copy(), symmetrize(cov)
     active = np.zeros(mean.shape, dtype=bool)
     active[:, todo] = True
-    rows = np.arange(mean.shape[0])
+    diag = cov.diagonal(axis1=1, axis2=2)
+    base = np.arange(mean.shape[0]) * mean.shape[1]
     for _ in todo:
-        _truncate_rows(mean, cov, active, rows)
+        _truncate_rows(mean, cov, diag, active, base)
     return mean, cov
 
 

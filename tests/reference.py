@@ -287,12 +287,12 @@ def sts_run_scalar(model, ys, cfg, measurement_matrices, n_iterations=None):
     return means, covs, iterations, converged
 
 
-def component_log_likelihoods_interp(model, residuals):
-    """Per-component skew-t log densities of a residual matrix (n_p, n_y):
-    np.interp in each component's density table, one component at a
-    time, and the exact log_pdf outside the table's grid."""
+def component_log_likelihoods_interp(comps, residuals):
+    """Skew-t log densities of a residual matrix (n_p, n_y), column i under
+    comps[i]: np.interp in each component's density table, one component
+    at a time, and the exact log_pdf outside the table's grid."""
     out = np.zeros_like(residuals)
-    for i, comp in enumerate(model.noise_model().components):
+    for i, comp in enumerate(comps):
         r = residuals[:, i]
         grid, table = _density_table(comp.spread_sq, comp.shape, comp.dof)
         vals = np.interp(r, grid, table)

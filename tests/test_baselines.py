@@ -1,5 +1,6 @@
 """Tests for the gated Kalman baselines and the bootstrap particle filter."""
 
+import warnings
 from functools import partial
 
 import numpy as np
@@ -34,10 +35,12 @@ from test_filtering import random_model, simulate_linear
 
 
 class TestGatingConfig:
-    def test_threshold_is_chi2_quantile(self):
-        g = GatingConfig(gate_probability=0.99)
-        assert g.threshold == pytest.approx(chi2.ppf(0.99, df=1), abs=1e-12)
-        assert g.threshold == pytest.approx(6.635, abs=1e-3)
+    @pytest.mark.parametrize("p", [1e-3, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0 - 1e-7])
+    def test_threshold_is_chi2_quantile(self, p):
+        assert GatingConfig(gate_probability=p).threshold == chi2.ppf(p, df=1)
+
+    def test_default_threshold(self):
+        assert GatingConfig().threshold == pytest.approx(6.635, abs=1e-3)
 
     def test_probability_bounds(self):
         with pytest.raises(ValueError):
@@ -211,12 +214,19 @@ class TestParticleFilter:
         with pytest.raises(DegeneracyError, match="time step 0"):
             pf_run(model, [np.zeros(2)], 1000, seed=0)
 
-    def test_degeneracy_from_nan_residual(self):
-        # A NaN residual gives a NaN likelihood, which must reach the
-        # degeneracy check rather than an index error in the lookup.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_degeneracy_from_nonfinite_measurement(self, bad, column):
+        # A NaN or infinite residual gives a NaN likelihood, which must
+        # reach the degeneracy check without a warning, an index error in
+        # the lookup or log_pdf's ValueError on nonfinite input.
         model = noise_model_of([(1.0, 5.0, 4.0), (1.0, 5.0, 1.2)])
-        with pytest.raises(DegeneracyError, match="time step 1"):
-            pf_run(model, [np.zeros(2), np.array([0.0, np.nan])], 1000, seed=0)
+        y = np.zeros(2)
+        y[column] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegeneracyError, match="time step 1"):
+                pf_run(model, [np.zeros(2), y], 1000, seed=0)
 
 
 class _AlmostOneRng:
@@ -255,6 +265,11 @@ def noise_model_of(components):
         A=np.eye(1), Q=np.eye(1), C=np.ones((n_y, 1)), R=spread_sq,
         Delta=shape, nu=dof, prior_mean=np.zeros(1), prior_cov=np.eye(1),
     )
+
+
+def components_of(components):
+    """The SkewTComponent tuple of (spread_sq, shape, dof) triples."""
+    return tuple(SkewTComponent(*c) for c in components)
 
 
 # Five tables the grid-step cap leaves unchanged, among them every table
@@ -296,17 +311,17 @@ def lookup_cases(draw):
         ])
         kind = rng.choice(len(candidates), n_p, p=[0.2, 0.15, 0.15, 0.1, 0.2, 0.15, 0.05])
         residuals[:, i] = candidates[kind, np.arange(n_p)]
-    return noise_model_of(comps), residuals
+    return components_of(comps), residuals
 
 
 class TestLikelihoodLookup:
     @settings(deadline=None, max_examples=60)
     @given(lookup_cases())
     def test_bit_equal_to_interp_per_component(self, case):
-        model, residuals = case
+        comps, residuals = case
         np.testing.assert_array_equal(
-            _component_log_likelihoods(model, residuals),
-            component_log_likelihoods_interp(model, residuals),
+            _component_log_likelihoods(comps, residuals),
+            component_log_likelihoods_interp(comps, residuals),
         )
 
     @pytest.mark.parametrize("comp", TABLE_COMPONENTS)
@@ -315,10 +330,10 @@ class TestLikelihoodLookup:
         residuals = np.concatenate(
             [grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf)]
         )[:, None]
-        model = noise_model_of([comp])
+        comps = components_of([comp])
         np.testing.assert_array_equal(
-            _component_log_likelihoods(model, residuals),
-            component_log_likelihoods_interp(model, residuals),
+            _component_log_likelihoods(comps, residuals),
+            component_log_likelihoods_interp(comps, residuals),
         )
 
     @pytest.mark.parametrize("comp", TABLE_COMPONENTS)
@@ -326,7 +341,7 @@ class TestLikelihoodLookup:
         grid, _ = _density_table(*comp)
         assert grid[1] - grid[0] <= 0.05 * np.sqrt(comp[0]) * (1 + 1e-12)
         mid = 0.5 * (grid[:-1] + grid[1:])
-        got = _component_log_likelihoods(noise_model_of([comp]), mid[:, None])[:, 0]
+        got = _component_log_likelihoods(components_of([comp]), mid[:, None])[:, 0]
         assert np.abs(got - log_pdf(SkewTComponent(*comp), mid)).max() <= 1e-3
 
     @pytest.mark.parametrize("n_particles", [1000, 100_000])

@@ -1,5 +1,7 @@
 """Tests for the GNSS benchmark harness and CLI."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -353,6 +355,21 @@ class TestRunExperiment:
         assert [r.reason for r in records] == [
             "not positive definite (time step 3)"
         ] * 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_measurement_gives_failed_pf_record(self, monkeypatch, bad):
+        real_simulate = experiments.simulate
+
+        def corrupted(cfg, rep):
+            traj = real_simulate(cfg, rep)
+            meas = traj.measurements.copy()
+            meas[2, 0] = bad
+            return replace(traj, measurements=meas)
+
+        monkeypatch.setattr(experiments, "simulate", corrupted)
+        records = run_experiment(small_config(K=3, n_mc=1, estimators=("pf",)))
+        assert [r.status for r in records] == ["failed"]
+        assert records[0].reason == "all particle weights vanished (time step 2)"
 
     def test_update_failure_carries_time_step(self, monkeypatch):
         real_update = experiments._stf_update_rows

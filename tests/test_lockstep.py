@@ -150,7 +150,7 @@ class TestUpdateRows:
             delta = 3.0 * rng.standard_normal(n_y)
             r = rng.uniform(0.5, 2.0, n_y)
             lam = rng.uniform(0.2, 1.5, (n_rows, n_y))
-            stacks = _augmented_update_rows(x, p, y, c, delta, r, lam)
+            stacks = _augmented_update_rows(x, p, y, c, _stack_cz(c, delta), delta, r, lam)
             for b in range(n_rows):
                 post, prior = _augmented_update(
                     x[b], p[b], y[b], c[b], delta, r, lam[b], OPTIMAL
