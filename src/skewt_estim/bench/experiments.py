@@ -125,9 +125,14 @@ def _filter_rows(model, sats, trajs, update, noise_offset=0.0):
     (mean, cov) stacks (B, K, n_x) and (B, K, n_x, n_x), the diagnostics
     stacked over steps (B, K, ...), and the (B, K, n_y, n_x)
     linearizations and (B, K, n_y) measurements that smoothers rerun on.
+    A non-finite pseudorange raises NumericalFailureError with the first
+    step that has one.
     """
     meas = np.stack([t.measurements for t in trajs])
     n_rows, n_steps, n_y = meas.shape
+    finite = np.isfinite(meas).all(axis=(0, 2))
+    if not finite.all():
+        raise NumericalFailureError("pseudorange is not finite", step=int(finite.argmin()))
     n_x = model.n_x
     x = np.tile(model.prior_mean, (n_rows, 1))
     p = np.tile(model.prior_cov, (n_rows, 1, 1))
@@ -163,8 +168,11 @@ def _stf_rows(model, sats, trajs, vb_cfg):
     reruns on.  Each row is bit-equal to the same trajectory filtered
     alone.
     """
+    n_x = model.n_x
+
     def update(x, p, y, c_mat):
-        return _stf_update_rows(model, x, p, y, c_mat, vb_cfg)
+        mean, cov, _, _, *diag = _stf_update_rows(model, x, p, y, c_mat, vb_cfg)
+        return mean[:, :n_x], symmetrize(cov[:, :n_x, :n_x]), *diag
 
     _, (means, covs), (iterations, converged), c_seq, y_seq = _filter_rows(
         model, sats, trajs, update
@@ -230,7 +238,6 @@ def run_estimator(
     traj: Trajectory,
     replication: int = 0,
     vb_cfg: VBConfig = VBConfig(),
-    gate: GatingConfig = GatingConfig(),
 ) -> EstimatorRun:
     """Run one named estimator on a simulated trajectory.
 
@@ -244,7 +251,7 @@ def run_estimator(
         runs, c_seq, y_seq = _stf_rows(model, sats, [traj], vb_cfg)
         return runs[0] if name == "stf" else _sts_rows(model, c_seq, y_seq, vb_cfg)[0]
     if name in ("kf", "rtss"):
-        runs, kf_pass, _ = _kf_rows(model, cfg, sats, [traj], gate)
+        runs, kf_pass, _ = _kf_rows(model, cfg, sats, [traj], GatingConfig())
         return runs[0] if name == "kf" else _rtss_rows(kf_pass)[0]
     if name == "pf":
         beliefs = pf_run(

@@ -73,6 +73,9 @@ class ScenarioConfig:
         object.__setattr__(
             self, "estimators", tuple(str(e) for e in self.estimators)
         )
+        for name in ("q", "delta", "rho", "nu"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.q < 0.0 or self.delta < 0.0:
             raise ValueError("q and delta must be nonnegative")
         if not self.rho > 0.0 or not self.nu > 0.0:

@@ -14,8 +14,8 @@ class DegenerateDirectionError(EstimationError):
 
 
 class NumericalFailureError(EstimationError):
-    """A linear-algebra step failed (e.g. a matrix that must be positive
-    definite is not, even after jitter escalation)."""
+    """A numerical step failed: a matrix that must be positive definite is
+    not, even after jitter escalation, or an input is not finite."""
 
     def __init__(self, message, smallest_eigenvalue=None, step=None):
         if step is not None:

@@ -264,12 +264,8 @@ class _AndersonMixer:
         self._xs = None
         self._gs = None
 
-    def push(self, x: np.ndarray, g: np.ndarray, rows=...) -> np.ndarray:
-        """Record the image g of iterate x and return the next iterate.
-
-        For a stack, `rows` indexes the history rows that x and g hold;
-        the first push must hold them all.
-        """
+    def push(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Record the image g of iterate x and return the next iterate."""
         x = np.asarray(x, dtype=float)
         g = np.asarray(g, dtype=float)
         if self._xs is None:
@@ -278,9 +274,14 @@ class _AndersonMixer:
             self._xs = np.repeat(x[..., None, :], self.depth, axis=-2)
             self._gs = np.repeat(g[..., None, :], self.depth, axis=-2)
         else:
-            self._xs[rows] = np.concatenate([self._xs[rows][..., 1:, :], x[..., None, :]], axis=-2)
-            self._gs[rows] = np.concatenate([self._gs[rows][..., 1:, :], g[..., None, :]], axis=-2)
-        return _anderson_step(self._xs[rows], self._gs[rows], self.upper)
+            self._xs = np.concatenate([self._xs[..., 1:, :], x[..., None, :]], axis=-2)
+            self._gs = np.concatenate([self._gs[..., 1:, :], g[..., None, :]], axis=-2)
+        return _anderson_step(self._xs, self._gs, self.upper)
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the history rows of a stack where `mask` is False."""
+        self._xs = self._xs[mask]
+        self._gs = self._gs[mask]
 
 
 def predict(model: StateSpaceModel, b: GaussianBelief) -> GaussianBelief:
@@ -288,46 +289,6 @@ def predict(model: StateSpaceModel, b: GaussianBelief) -> GaussianBelief:
     mean = model.A @ b.mean
     cov = symmetrize(model.A @ b.cov @ model.A.T + model.Q)
     return GaussianBelief(mean, cov)
-
-
-def _augmented_update(x_pred, p_pred, y, c_mat, delta, r, lam, policy):
-    """One truncated Kalman update of the joint [x; u] belief.
-
-    Returns (posterior MomentPair, augmented prior MomentPair).  The
-    augmented prior stacks the state prediction with the zero-mean u prior
-    of covariance diag(1/lam); the gain is computed against the full
-    augmented prior covariance.
-    """
-    n_x = x_pred.size
-    n_y = y.size
-    lam_inv = 1.0 / lam
-
-    pct = p_pred @ c_mat.T
-    s = c_mat @ pct + np.diag(delta**2 * lam_inv + r * lam_inv)
-    zct = np.vstack([pct, np.diag(delta * lam_inv)])
-    gain = solve_spd(s, zct.T, what="innovation covariance").T
-
-    z_prior_mean = np.concatenate([x_pred, np.zeros(n_y)])
-    z_prior_cov = np.zeros((n_x + n_y, n_x + n_y))
-    z_prior_cov[:n_x, :n_x] = p_pred
-    z_prior_cov[n_x:, n_x:] = np.diag(lam_inv)
-
-    cz = np.hstack([c_mat, np.diag(delta)])
-    z_mean = z_prior_mean + gain @ (y - c_mat @ x_pred)
-    z_cov = z_prior_cov - gain @ (cz @ z_prior_cov)  # rec_trunc symmetrizes it
-
-    post = rec_trunc(
-        MomentPair(z_mean, z_cov), range(n_x, n_x + n_y), policy
-    )
-    return post, MomentPair(z_prior_mean, z_prior_cov)
-
-
-# From this many rows on, _augmented_update_rows truncates in lockstep.  A
-# lone row runs the scalar _augmented_update, at about half the cost of the
-# lockstep kernel (12 dims, 8 constraints); with lone rows in lockstep too,
-# the track_sweep benchmark ran 5% slower, and a threshold of 3 measured
-# the same as 2.
-_LOCKSTEP_MIN_ROWS = 2
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray:
@@ -346,55 +307,70 @@ def _diag_rows(v: np.ndarray) -> np.ndarray:
 
 
 def _stack_cz(c_mat, delta):
-    """[C, diag(delta)] for each measurement matrix of a stack."""
+    """[C, diag(delta)] for a measurement matrix or each one of a stack."""
     d = np.broadcast_to(np.diag(delta), c_mat.shape[:-1] + (delta.size,))
     return np.concatenate([c_mat, d], axis=-1)
 
 
-def _augmented_update_rows(x_pred, p_pred, y, c_mat, cz, delta, r, lam):
-    """_augmented_update (greedy order) of B rows.
+def _augmented_update(x_pred, p_pred, y, c_mat, cz, delta, r, lam, policy=OPTIMAL):
+    """One truncated Kalman update of the joint [x; u] belief, of one row
+    or of a lockstep stack of rows.
 
-    x_pred (B, n_x), p_pred (B, n_x, n_x), y (B, n_y), c_mat (B, n_y, n_x)
-    and lam (B, n_y) stack the rows, and cz (B, n_y, n_x + n_y) holds
-    [C, diag(delta)] of each row; delta and r are shared.  Returns the
-    posterior and augmented prior (mean, cov) stacks.  Fewer than
-    _LOCKSTEP_MIN_ROWS rows run _augmented_update; from there on the rows
-    run in lockstep, with the scalar operand layouts and one solve_spd per
-    row, so every row is bit-equal to _augmented_update and fails the
-    same way.  The gain solve stays per row: for 8x8 systems with 12
-    right-hand sides, a stacked np.linalg.cholesky check plus
-    np.linalg.solve took 20/30/42 us at 1/3/6 rows and scipy's batched
-    positive-definite solve 42/56/63 us, against 12/25/43 us for the
-    per-row LAPACK calls (one thread, 2-vCPU host).
+    x_pred (..., n_x), p_pred (..., n_x, n_x), y (..., n_y), c_mat
+    (..., n_y, n_x) and lam (..., n_y) hold the rows, with a leading shape
+    () for one row or (B,) for a stack, and cz (..., n_y, n_x + n_y) holds
+    [C, diag(delta)] of each row; delta and r are shared.  The augmented
+    prior stacks the state prediction with the zero-mean u prior of
+    covariance diag(1/lam); the gain is computed against the full
+    augmented prior covariance.  Returns the posterior and augmented
+    prior means and covariances.
+
+    One row is truncated by rec_trunc in the order `policy` picks, a stack
+    by _rec_trunc_rows in greedy order, so row b of a stack is bit-equal
+    to its own call; a stack of one row runs as that row, where rec_trunc
+    costs about half as much (12 dims, 8 constraints; with lone rows
+    stacked the track_sweep benchmark ran 5% slower).  The gain solve runs
+    solve_spd once per row: for 8x8 systems with 12 right-hand sides, a
+    stacked np.linalg.cholesky check plus np.linalg.solve took 20/30/42 us
+    at 1/3/6 rows and scipy's batched positive-definite solve 42/56/63 us,
+    against 12/25/43 us for the per-row LAPACK calls (one thread, 2-vCPU
+    host).
     """
-    if len(y) < _LOCKSTEP_MIN_ROWS:
-        pairs = [
-            _augmented_update(x_pred[b], p_pred[b], y[b], c_mat[b], delta, r, lam[b], OPTIMAL)
-            for b in range(len(y))
-        ]
-        columns = zip(*((post.mean, post.cov, prior.mean, prior.cov) for post, prior in pairs))
-        return tuple(np.array(a) for a in columns)
-    n_x = x_pred.shape[1]
-    n_y = y.shape[1]
+    batch = y.shape[:-1]
+    if batch and policy != OPTIMAL:
+        raise ValueError(f"a stack of rows is truncated in greedy order, not {policy!r}")
+    lone = batch == (1,)
+    if lone:
+        x_pred, p_pred, y, c_mat, cz, lam = (
+            a[0] for a in (x_pred, p_pred, y, c_mat, cz, lam)
+        )
+        batch = ()
+    n_x = x_pred.shape[-1]
+    n_y = y.shape[-1]
     lam_inv = 1.0 / lam
 
-    pct = p_pred @ c_mat.swapaxes(1, 2)
+    pct = p_pred @ c_mat.swapaxes(-1, -2)
     s = c_mat @ pct + _diag_rows(delta**2 * lam_inv + r * lam_inv)
-    zct = np.concatenate([pct, _diag_rows(delta * lam_inv)], axis=1)
+    zct = np.concatenate([pct, _diag_rows(delta * lam_inv)], axis=-2)
     gain = np.empty_like(zct)
-    for b in range(len(y)):
-        gain[b] = solve_spd(s[b], zct[b].T, what="innovation covariance").T
+    for i in np.ndindex(batch):
+        gain[i] = solve_spd(s[i], zct[i].T, what="innovation covariance").T
 
-    z_prior_mean = np.concatenate([x_pred, np.zeros_like(y)], axis=1)
-    z_prior_cov = np.zeros((len(y), n_x + n_y, n_x + n_y))
-    z_prior_cov[:, :n_x, :n_x] = p_pred
-    _diagonal(z_prior_cov)[:, n_x:] = lam_inv
+    z_prior_mean = np.concatenate([x_pred, np.zeros_like(y)], axis=-1)
+    z_prior_cov = np.zeros(batch + (n_x + n_y, n_x + n_y))
+    z_prior_cov[..., :n_x, :n_x] = p_pred
+    _diagonal(z_prior_cov)[..., n_x:] = lam_inv
 
     innovation = y - (c_mat @ x_pred[..., None])[..., 0]
     z_mean = z_prior_mean + (gain @ innovation[..., None])[..., 0]
-    z_cov = z_prior_cov - gain @ (cz @ z_prior_cov)
-    post_mean, post_cov = _rec_trunc_rows(z_mean, z_cov, range(n_x, n_x + n_y))
-    return post_mean, post_cov, z_prior_mean, z_prior_cov
+    z_cov = z_prior_cov - gain @ (cz @ z_prior_cov)  # truncation symmetrizes it
+    truncated = range(n_x, n_x + n_y)
+    if batch:
+        out = (*_rec_trunc_rows(z_mean, z_cov, truncated), z_prior_mean, z_prior_cov)
+    else:
+        post = rec_trunc(MomentPair(z_mean, z_cov), truncated, policy)
+        out = (post.mean, post.cov, z_prior_mean, z_prior_cov)
+    return tuple(a[None] for a in out) if lone else out
 
 
 def _psi_diagonal(y, cz, z_mean, z_cov, r, n_x):
@@ -405,6 +381,54 @@ def _psi_diagonal(y, cz, z_mean, z_cov, r, n_x):
     quad = ((cz @ z_cov) * cz).sum(-1)
     u_var = np.diagonal(z_cov, axis1=-2, axis2=-1)[..., n_x:]
     return (resid**2 + quad) / r + z_mean[..., n_x:] ** 2 + u_var
+
+
+def _stf_update_rows(model, x_prior, p_prior, y, c_mat, cfg=VBConfig(), policy=OPTIMAL) -> tuple:
+    """The VB loop of stf_update, for one row or a lockstep stack of rows,
+    each with its own measurement matrix.
+
+    x_prior (..., n_x), p_prior (..., n_x, n_x), y (..., n_y) and c_mat
+    (..., n_y, n_x) hold the rows, with a leading shape () for one row or
+    (B,) for a stack; model supplies Delta, R and nu.  A row of a stack
+    leaves the loop when it converges, and every kernel runs on the rows
+    left, so row b is bit-equal to the call on that row alone.  Returns
+    the posterior augmented means (..., n) and covariances (..., n, n),
+    the mixing precisions (..., n_y) the last update ran with, the psi
+    statistic (..., n_y) of the last posterior, the VB iteration counts
+    and the convergence flags.
+    """
+    batch = y.shape[:-1]
+    n_x = x_prior.shape[-1]
+    n = n_x + y.shape[-1]
+    cz = _stack_cz(c_mat, model.Delta)
+    rows = np.arange(batch[0]) if batch else ...  # the output rows still in the loop
+    out = [np.empty(batch + shape) for shape in ((n,), (n, n), y.shape[-1:], y.shape[-1:])]
+    iterations = np.zeros(batch, dtype=int)
+    converged = np.zeros(batch, dtype=bool)
+    lam = np.ones(y.shape)
+    mixer = _AndersonMixer(upper=(model.nu + 2.0) / model.nu)
+    for it in range(cfg.max_iterations):
+        mean, cov, _, _ = _augmented_update(
+            x_prior, p_prior, y, c_mat, cz, model.Delta, model.R, lam, policy
+        )
+        psi = _psi_diagonal(y, cz, mean, cov, model.R, n_x)
+        for whole, part in zip(out, (mean, cov, lam, psi)):
+            whole[rows] = part
+        iterations[rows] += 1
+        lam = mixer.push(lam, expected_mixing_precision(model.nu, psi))
+        x_new = mean[..., :n_x]
+        done = _step_norm(x_new - x_prev) < cfg.tol if it else np.zeros(x_new.shape[:-1], bool)
+        converged[rows] = done
+        if done.all():
+            break
+        if done.any():
+            left = ~done
+            rows, x_prior, p_prior, y, c_mat, cz, lam, x_new = (
+                a[left] for a in (rows, x_prior, p_prior, y, c_mat, cz, lam, x_new)
+            )
+            mixer.keep(left)
+        x_prev = x_new
+    return (*out, iterations, converged)
 
 
 def stf_update(
@@ -429,85 +453,19 @@ def stf_update(
         raise ValueError(f"y must have length {n_y}, got shape {y.shape}")
     if prior.dim != n_x:
         raise ValueError(f"prior dimension {prior.dim} != n_x {n_x}")
-
-    cz = np.hstack([model.C, np.diag(model.Delta)])
-    lam = np.ones(n_y)
-    mixer = _AndersonMixer(upper=(model.nu + 2.0) / model.nu)
-    x_prev = None
-    converged = False
-    iterations = 0
-    for _ in range(cfg.max_iterations):
-        lam_used = lam
-        post, _ = _augmented_update(
-            prior.mean, prior.cov, y, model.C, model.Delta, model.R, lam, order_policy
-        )
-        iterations += 1
-        x_new = post.mean[:n_x]
-        psi = _psi_diagonal(y, cz, post.mean, post.cov, model.R, n_x)
-        lam = mixer.push(lam, expected_mixing_precision(model.nu, psi))
-        if x_prev is not None and _step_norm(x_new - x_prev) < cfg.tol:
-            converged = True
-            break
-        x_prev = x_new
-
-    belief = GaussianBelief(x_new, symmetrize(post.cov[:n_x, :n_x]))
+    mean, cov, lam, psi, iterations, converged = _stf_update_rows(
+        model, prior.mean, prior.cov, y, model.C, cfg, order_policy
+    )
+    belief = GaussianBelief(mean[:n_x], symmetrize(cov[:n_x, :n_x]))
     diag = VBStepDiagnostics(
-        iterations=iterations,
-        lambda_diag=lam_used,
+        iterations=int(iterations),
+        lambda_diag=lam,
         psi_diag=psi,
-        u_mean=post.mean[n_x:],
-        u_cov=post.cov[n_x:, n_x:],
-        converged=converged,
+        u_mean=mean[n_x:],
+        u_cov=cov[n_x:, n_x:],
+        converged=bool(converged),
     )
     return belief, diag
-
-
-def _stf_update_rows(model, x_prior, p_prior, y, c_mat, cfg=VBConfig()) -> tuple:
-    """stf_update of B rows in lockstep, each with its own measurement matrix.
-
-    x_prior (B, n_x), p_prior (B, n_x, n_x), y (B, n_y) and c_mat
-    (B, n_y, n_x) stack the rows; model supplies Delta, R and nu.  A row
-    leaves the loop when it converges.  The psi statistic, the Anderson
-    step and the convergence norm are the kernels stf_update calls, run
-    on the stack, so row b is bit-equal to stf_update(replace(model,
-    C=c_mat[b]), GaussianBelief(x_prior[b], p_prior[b]), y[b], cfg).
-    Returns the posterior x means (B, n_x) and covariances (B, n_x, n_x),
-    the VB iteration counts and the convergence flags.
-
-    stf_update keeps its own loop for online use: run as this loop's
-    one-row call it took 5.2-5.3 ms per epoch against 3.9-4.5 ms (12
-    satellites, nu=1.2, 300 epochs, process CPU time on one thread).
-    """
-    n_rows, n_x = x_prior.shape
-    n = n_x + y.shape[1]
-    cz = _stack_cz(c_mat, model.Delta)
-    lam = np.ones(y.shape)
-    mean = np.empty((n_rows, n))
-    cov = np.empty((n_rows, n, n))
-    mixer = _AndersonMixer(upper=(model.nu + 2.0) / model.nu)
-    x_prev = np.empty((n_rows, n_x))
-    iterations = np.zeros(n_rows, dtype=int)
-    converged = np.zeros(n_rows, dtype=bool)
-    active = np.arange(n_rows)
-    for it in range(cfg.max_iterations):
-        y_a, cz_a = y[active], cz[active]
-        post_mean, post_cov, _, _ = _augmented_update_rows(
-            x_prior[active], p_prior[active], y_a, c_mat[active], cz_a,
-            model.Delta, model.R, lam[active],
-        )
-        iterations[active] += 1
-        mean[active] = post_mean
-        cov[active] = post_cov
-        psi = _psi_diagonal(y_a, cz_a, post_mean, post_cov, model.R, n_x)
-        lam[active] = mixer.push(lam[active], expected_mixing_precision(model.nu, psi), active)
-        x_new = post_mean[:, :n_x]
-        done = _step_norm(x_new - x_prev[active]) < cfg.tol if it else np.zeros(len(active), bool)
-        converged[active[done]] = True
-        x_prev[active] = x_new
-        active = active[~done]
-        if not active.size:
-            break
-    return mean[:, :n_x], symmetrize(cov[:, :n_x, :n_x]), iterations, converged
 
 
 def stf_run(model: StateSpaceModel, ys, cfg: VBConfig = VBConfig()) -> list:

@@ -26,8 +26,7 @@ from .filtering import (
     StateSpaceModel,
     VBConfig,
     _AndersonMixer,
-    _augmented_update,  # noqa: F401  perfbench/tracer.py times it under this name too
-    _augmented_update_rows,
+    _augmented_update,
     _psi_diagonal,
     _stack_cz,
     _step_norm,
@@ -125,7 +124,7 @@ def _forward_rows(model, ys, lambdas, c_seq) -> tuple:
     cz = _stack_cz(c_seq, model.Delta)
     for k in range(n_steps):
         try:
-            step = _augmented_update_rows(
+            step = _augmented_update(
                 x_pred, p_pred, ys[:, k], c_seq[:, k], cz[:, k],
                 model.Delta, model.R, lambdas[:, k],
             )
@@ -174,7 +173,7 @@ def _backward_rows(f_mean, f_cov, p_mean, p_cov, model) -> tuple:
     """The backward recursion of backward_pass on (B, K, ...) stacks of
     filtered and predicted (mean, cov); returns the smoothed stacks.
 
-    Each row gets its own gain solve (see _augmented_update_rows for why
+    Each row gets its own gain solve (see _augmented_update for why
     the solve is not stacked), so row b is bit-equal to a backward pass of
     that row alone and fails the same way.
     """
@@ -322,7 +321,7 @@ def _run_vb_rows(model, ys, c_seq, cfg, n_iterations=None) -> SmootherIterate:
         for whole, part in zip(out, stacks):
             whole[active] = part
         iterations[active] += 1
-        lambdas[active] = mixer.push(lambdas[active], plain.reshape(len(active), -1), active)
+        lambdas[active] = mixer.push(lambdas[active], plain.reshape(len(active), -1))
         xs = stacks[4][..., :n_x]
         if n_iterations is None and it:
             done = _step_norm(xs - x_prev[active]).max(-1) < cfg.tol
@@ -333,6 +332,8 @@ def _run_vb_rows(model, ys, c_seq, cfg, n_iterations=None) -> SmootherIterate:
         active = active[~done]
         if not active.size:
             break
+        if done.any():
+            mixer.keep(~done)
     return SmootherIterate(
         (out[0], out[1]), (out[2], out[3]), (out[4], out[5]),
         lambdas.reshape(n_rows, n_steps, n_y), iterations, converged,

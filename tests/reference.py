@@ -20,7 +20,6 @@ from skewt_estim._linalg import solve_spd, symmetrize
 from skewt_estim.baselines import _density_table
 from skewt_estim.filtering import _AndersonMixer, _augmented_update
 from skewt_estim.skewt import log_pdf
-from skewt_estim.truncnorm import OPTIMAL
 
 
 def kalman_filter(a, q, c, r_diag, m0, p0, ys):
@@ -245,13 +244,13 @@ def sts_run_scalar(model, ys, cfg, measurement_matrices, n_iterations=None):
         filtered, predicted = [], []
         x_pred, p_pred = model.prior_mean, model.prior_cov
         for k in range(n_steps):
-            post, prior = _augmented_update(
-                x_pred, p_pred, ys[k], c_seq[k], model.Delta, model.R, lambdas[k], OPTIMAL
+            post_mean, post_cov, prior_mean, prior_cov = _augmented_update(
+                x_pred, p_pred, ys[k], c_seq[k], cz_seq[k], model.Delta, model.R, lambdas[k]
             )
-            filtered.append((post.mean, post.cov))
-            predicted.append((prior.mean, prior.cov))
-            x_pred = model.A @ post.mean[:n_x]
-            p_pred = symmetrize(model.A @ post.cov[:n_x, :n_x] @ model.A.T + model.Q)
+            filtered.append((post_mean, post_cov))
+            predicted.append((prior_mean, prior_cov))
+            x_pred = model.A @ post_mean[:n_x]
+            p_pred = symmetrize(model.A @ post_cov[:n_x, :n_x] @ model.A.T + model.Q)
         # Backward pass with the x-only RTS gain.
         smoothed = [None] * n_steps
         smoothed[-1] = filtered[-1]

@@ -276,6 +276,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(self.GOOD.replace("stf, kf", "stf, bogus"))
 
+    @pytest.mark.parametrize("key, value", [("q", "5.0"), ("delta", "5.0"), ("rho", "100.0"),
+                                            ("nu", "4.0")])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_nonfinite_value_rejected(self, key, value, bad):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            parse_config(self.GOOD.replace(f"{key} = {value}", f"{key} = {bad}"))
+
 
 class TestRunExperiment:
     def test_empty_monte_carlo_writes_header(self, tmp_path):
@@ -357,19 +364,25 @@ class TestRunExperiment:
         ] * 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_measurement_gives_failed_pf_record(self, monkeypatch, bad):
+    @pytest.mark.parametrize("estimator", ["pf", "stf", "sts", "kf", "rtss"])
+    def test_nonfinite_measurement_gives_failed_record(self, monkeypatch, bad, estimator):
         real_simulate = experiments.simulate
 
         def corrupted(cfg, rep):
             traj = real_simulate(cfg, rep)
+            if rep:
+                return traj
             meas = traj.measurements.copy()
             meas[2, 0] = bad
             return replace(traj, measurements=meas)
 
         monkeypatch.setattr(experiments, "simulate", corrupted)
-        records = run_experiment(small_config(K=3, n_mc=1, estimators=("pf",)))
-        assert [r.status for r in records] == ["failed"]
-        assert records[0].reason == "all particle weights vanished (time step 2)"
+        records = run_experiment(small_config(K=3, n_mc=2, estimators=(estimator,)))
+        assert [r.status for r in records] == ["failed", "ok"]
+        if estimator == "pf":
+            assert records[0].reason == "all particle weights vanished (time step 2)"
+        else:
+            assert records[0].reason == "pseudorange is not finite (time step 2)"
 
     def test_update_failure_carries_time_step(self, monkeypatch):
         real_update = experiments._stf_update_rows

@@ -15,7 +15,6 @@ from skewt_estim.filtering import (
     stf_update,
 )
 from skewt_estim.skewt import log_pdf
-from skewt_estim.truncnorm import OPTIMAL
 
 from reference import kalman_filter
 
@@ -147,17 +146,22 @@ class TestMeasurementUpdate:
             eig = np.linalg.eigvalsh(post.cov)
             assert eig.min() >= -1e-10 * np.trace(post.cov)
 
-    def test_lambda_diag_reproduces_returned_belief(self):
+    # The default loop converges; cut off after two iterations it does not.
+    @pytest.mark.parametrize("cfg", [VBConfig(), VBConfig(max_iterations=2, tol=1e-12)])
+    def test_lambda_diag_reproduces_returned_belief(self, cfg):
         rng = np.random.default_rng(8)
         model = random_model(rng, 3, 3, delta=4.0, nu=4.0)
         prior = model.prior_belief()
         y = np.array([8.0, -1.0, 0.3])
-        post, diag = stf_update(model, prior, y)
-        rerun, _ = _augmented_update(
-            prior.mean, prior.cov, y, model.C, model.Delta, model.R,
-            diag.lambda_diag, OPTIMAL,
+        post, diag = stf_update(model, prior, y, cfg)
+        assert diag.converged == (cfg.max_iterations > 2)
+        cz = np.hstack([model.C, np.diag(model.Delta)])
+        mean, cov, _, _ = _augmented_update(
+            prior.mean, prior.cov, y, model.C, cz, model.Delta, model.R, diag.lambda_diag
         )
-        np.testing.assert_array_equal(rerun.mean[: model.n_x], post.mean)
+        np.testing.assert_array_equal(mean[: model.n_x], post.mean)
+        np.testing.assert_array_equal(mean[model.n_x :], diag.u_mean)
+        np.testing.assert_array_equal(cov[model.n_x :, model.n_x :], diag.u_cov)
 
     def test_outlier_discounting_monotone(self):
         # Larger positive residuals must never get a larger mixing weight.

@@ -42,7 +42,6 @@ from skewt_estim.filtering import (
     _AndersonMixer,
     _anderson_step,
     _augmented_update,
-    _augmented_update_rows,
     _lstsq2,
     _psi_diagonal,
     _stack_cz,
@@ -56,6 +55,7 @@ from skewt_estim.truncnorm import (
     OPTIMAL,
     UNDERFLOW_XI,
     MomentPair,
+    RandomOrder,
     _rec_trunc_rows,
     rec_trunc,
 )
@@ -150,17 +150,23 @@ class TestUpdateRows:
             delta = 3.0 * rng.standard_normal(n_y)
             r = rng.uniform(0.5, 2.0, n_y)
             lam = rng.uniform(0.2, 1.5, (n_rows, n_y))
-            stacks = _augmented_update_rows(x, p, y, c, _stack_cz(c, delta), delta, r, lam)
+            cz = _stack_cz(c, delta)
+            stacks = _augmented_update(x, p, y, c, cz, delta, r, lam)
             for b in range(n_rows):
-                post, prior = _augmented_update(
-                    x[b], p[b], y[b], c[b], delta, r, lam[b], OPTIMAL
-                )
-                wanted = (post.mean, post.cov, prior.mean, prior.cov)
+                wanted = _augmented_update(x[b], p[b], y[b], c[b], cz[b], delta, r, lam[b])
                 for got, want in zip(stacks, wanted):
                     assert_array_equal(got[b], want)
+            with pytest.raises(ValueError, match="greedy"):
+                _augmented_update(x, p, y, c, cz, delta, r, lam, RandomOrder(0))
 
+    # The default loop, and caps of 1-3 iterations at a loose tolerance:
+    # there some rows converge and leave the stack while others are cut
+    # off at the cap with the mixing precisions of their last update.
+    @pytest.mark.parametrize(
+        "cfg", [VBConfig(), VBConfig(1, 0.3), VBConfig(2, 0.3), VBConfig(3, 0.3)]
+    )
     @pytest.mark.parametrize("nu", [1.2, 4.0])
-    def test_stf_update_rows_bit_equal(self, nu):
+    def test_stf_update_rows_bit_equal(self, nu, cfg):
         rng = np.random.default_rng(int(10 * nu))
         n_x, n_y, n_rows = 4, 8, 6
         x, p, y, c = random_rows(rng, n_rows, n_x, n_y)
@@ -169,12 +175,22 @@ class TestUpdateRows:
             Delta=np.full(n_y, 5.0), nu=np.full(n_y, nu),
             prior_mean=np.zeros(n_x), prior_cov=np.eye(n_x),
         )
-        mean, cov, iterations, converged = _stf_update_rows(model, x, p, y, c)
+        stacks = _stf_update_rows(model, x, p, y, c, cfg)
+        mean, cov, lam, psi, iterations, converged = stacks
+        if cfg.max_iterations == 30:
+            assert len(set(iterations)) > 1
+        elif cfg.max_iterations > 1:
+            assert converged.any() and not converged.all()
         for b in range(n_rows):
+            alone = _stf_update_rows(model, x[b], p[b], y[b], c[b], cfg)
+            for got, want in zip(stacks, alone):
+                assert_array_equal(got[b], want)
             prior = GaussianBelief(x[b], p[b])
-            post, diag = stf_update(replace(model, C=c[b]), prior, y[b])
-            assert_array_equal(mean[b], post.mean)
-            assert_array_equal(cov[b], post.cov)
+            post, diag = stf_update(replace(model, C=c[b]), prior, y[b], cfg)
+            assert_array_equal(mean[b, :n_x], post.mean)
+            assert_array_equal(cov[b, :n_x, :n_x], post.cov)
+            assert_array_equal(lam[b], diag.lambda_diag)
+            assert_array_equal(psi[b], diag.psi_diag)
             assert iterations[b] == diag.iterations
             assert converged[b] == diag.converged
 
@@ -330,11 +346,13 @@ class TestStackedKernels:
         for _ in range(6):
             g = rng.uniform(0.1, 1.5, (len(active), m))
             want = [alone[b].push(lam[b], g[j]) for j, b in enumerate(active)]
-            lam[active] = stacked.push(lam[active], g, active)
+            lam[active] = stacked.push(lam[active], g)
             assert_array_equal(lam[active], np.array(want).reshape(len(active), m))
-            active = active[rng.random(len(active)) < 0.8]
+            left = rng.random(len(active)) < 0.8
+            active = active[left]
             if not active.size:
                 break
+            stacked.keep(left)
 
     @settings(deadline=None, max_examples=150)
     @given(kernel_rows())
