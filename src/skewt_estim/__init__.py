@@ -24,7 +24,7 @@ from .filtering import (
     stf_run,
     stf_update,
 )
-from .smoothing import AugmentedBelief, backward_pass, forward_pass, sts_run, update_lambda
+from .smoothing import backward_pass, forward_pass, sts_run, update_lambda
 from .truncnorm import (
     OPTIMAL,
     FixedOrder,
@@ -53,7 +53,6 @@ __all__ = [
     "predict",
     "stf_update",
     "stf_run",
-    "AugmentedBelief",
     "forward_pass",
     "backward_pass",
     "update_lambda",

@@ -20,9 +20,9 @@ from scipy.special import gammaincinv
 
 from ._linalg import psd_sqrt, symmetrize
 from .exceptions import DegeneracyError
-from .filtering import GaussianBelief, StateSpaceModel, predict
+from .filtering import GaussianBelief, StateSpaceModel, _forward
 from .skewt import SkewTComponent, log_pdf, moments
-from .smoothing import _measurement_matrices, backward_pass
+from .smoothing import backward_pass
 
 __all__ = [
     "GatingConfig",
@@ -104,12 +104,7 @@ def _kf_gated_update_rows(c_mat, r_matched, x, p, y, g):
     return x, symmetrize(p), used
 
 
-def kf_gated_run(
-    model: StateSpaceModel,
-    ys,
-    g: GatingConfig = GatingConfig(),
-    measurement_matrices=None,
-):
+def kf_gated_run(model: StateSpaceModel, ys, g: GatingConfig = GatingConfig()):
     """Gated Kalman forward pass over a measurement sequence.
 
     The model is interpreted as Gaussian: R holds the matched normal
@@ -117,31 +112,26 @@ def kf_gated_run(
     beliefs) with predicted[k] the one-step prior of step k.
     """
     ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
-    c_seq = _measurement_matrices(model, len(ys), measurement_matrices)
     filtered = []
     predicted = []
-    belief = model.prior_belief()
-    for k, y in enumerate(ys):
-        predicted.append(belief)
-        belief = kf_gated_update(c_seq[k], model.R, belief, y, g)
-        filtered.append(belief)
-        belief = predict(model, belief)
+
+    def step(k, x, p):
+        predicted.append(GaussianBelief(x, p))
+        filtered.append(kf_gated_update(model.C, model.R, predicted[-1], ys[k], g))
+        return filtered[-1].mean, filtered[-1].cov
+
+    _forward(model, len(ys), step, model.prior_mean, model.prior_cov)
     return filtered, predicted
 
 
-def rtss_gated_run(
-    model: StateSpaceModel,
-    ys,
-    g: GatingConfig = GatingConfig(),
-    measurement_matrices=None,
-) -> list:
+def rtss_gated_run(model: StateSpaceModel, ys, g: GatingConfig = GatingConfig()) -> list:
     """Gated Kalman forward pass plus classical fixed-interval smoothing.
 
     The backward recursion is smoothing.backward_pass, the one the skew-t
     smoother runs on its [x; u] beliefs: with no u-block the beliefs are
     the plain state beliefs and that recursion is the classical RTS one.
     """
-    return backward_pass(*kf_gated_run(model, ys, g, measurement_matrices), model)
+    return backward_pass(*kf_gated_run(model, ys, g), model)
 
 
 # Density tables: points per grid, and the largest grid step in units of

@@ -16,7 +16,7 @@ import numpy as np
 from ..baselines import GatingConfig, _kf_gated_update_rows, pf_run
 from ..exceptions import EstimationError, NumericalFailureError
 from .._linalg import symmetrize
-from ..filtering import StateSpaceModel, VBConfig, _stf_update_rows, stf_update
+from ..filtering import StateSpaceModel, VBConfig, _forward, _stf_update_rows, stf_update
 from ..skewt import SkewTComponent, moment_match, moments, sample_rng
 from ..smoothing import _backward_rows, _run_vb_rows
 from ..truncnorm import OPTIMAL, MomentPair, RandomOrder, rec_trunc, tmnd_oracle
@@ -113,9 +113,9 @@ def scenario_model(cfg: ScenarioConfig, sats: np.ndarray) -> StateSpaceModel:
 
 
 def _filter_rows(model, sats, trajs, update, noise_offset=0.0):
-    """Forward filter of B trajectories in lockstep, relinearized per step
-    at each row's predicted mean: the one loop of the skew-t filter and
-    the Kalman baselines.
+    """Forward filter of B trajectories in lockstep: filtering._forward
+    with a step that relinearizes at each row's predicted mean, then
+    updates.  The skew-t filter and the Kalman baselines run through it.
 
     `update(x, p, y_k, c_k)` maps the (B, n_x) prior means, (B, n_x, n_x)
     covariances, (B, n_y) measurements and (B, n_y, n_x) linearizations
@@ -129,34 +129,21 @@ def _filter_rows(model, sats, trajs, update, noise_offset=0.0):
     step that has one.
     """
     meas = np.stack([t.measurements for t in trajs])
-    n_rows, n_steps, n_y = meas.shape
     finite = np.isfinite(meas).all(axis=(0, 2))
     if not finite.all():
         raise NumericalFailureError("pseudorange is not finite", step=int(finite.argmin()))
-    n_x = model.n_x
-    x = np.tile(model.prior_mean, (n_rows, 1))
-    p = np.tile(model.prior_cov, (n_rows, 1, 1))
-    priors = (np.empty((n_rows, n_steps, n_x)), np.empty((n_rows, n_steps, n_x, n_x)))
-    posts = (np.empty_like(priors[0]), np.empty_like(priors[1]))
-    c_seq = np.empty((n_rows, n_steps, n_y, n_x))
-    y_seq = np.empty((n_rows, n_steps, n_y))
-    diagnostics = []
-    for k in range(n_steps):
-        priors[0][:, k], priors[1][:, k] = x, p
-        c_seq[:, k], y0 = linearize(sats, x)
-        y_seq[:, k] = meas[:, k] - y0 + (c_seq[:, k] @ x[..., None])[..., 0] - noise_offset
-        try:
-            x, p, *diag = update(x, p, y_seq[:, k], c_seq[:, k])
-        except NumericalFailureError as err:
-            raise NumericalFailureError(
-                f"measurement update failed: {err}", step=k
-            ) from err
-        posts[0][:, k], posts[1][:, k] = x, p
-        diagnostics.append(diag)
-        x = (model.A @ x[..., None])[..., 0]
-        p = symmetrize(model.A @ p @ model.A.T + model.Q)
-    diagnostics = [np.stack(d, axis=1) for d in zip(*diagnostics)]
-    return priors, posts, diagnostics, c_seq, y_seq
+
+    def step(k, x, p):
+        c_k, y0 = linearize(sats, x)
+        y_k = meas[:, k] - y0 + (c_k @ x[..., None])[..., 0] - noise_offset
+        post_x, post_p, *diag = update(x, p, y_k, c_k)
+        return post_x, post_p, x, p, c_k, y_k, *diag
+
+    posts_x, posts_p, priors_x, priors_p, c_seq, y_seq, *diag = _forward(
+        model, meas.shape[1], step,
+        np.tile(model.prior_mean, (len(trajs), 1)), np.tile(model.prior_cov, (len(trajs), 1, 1)),
+    )
+    return (priors_x, priors_p), (posts_x, posts_p), diag, c_seq, y_seq
 
 
 def _stf_rows(model, sats, trajs, vb_cfg):

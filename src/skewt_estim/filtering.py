@@ -284,11 +284,38 @@ class _AndersonMixer:
         self._gs = self._gs[mask]
 
 
+def _time_update(model, x, p) -> tuple:
+    """A x and A p A^T + Q (re-symmetrized), of one row or a stack of rows."""
+    return (model.A @ x[..., None])[..., 0], symmetrize(model.A @ p @ model.A.T + model.Q)
+
+
 def predict(model: StateSpaceModel, b: GaussianBelief) -> GaussianBelief:
     """Time update: mean' = A mean, cov' = A cov A^T + Q (re-symmetrized)."""
-    mean = model.A @ b.mean
-    cov = symmetrize(model.A @ b.cov @ model.A.T + model.Q)
-    return GaussianBelief(mean, cov)
+    return GaussianBelief(*_time_update(model, b.mean, b.cov))
+
+
+def _forward(model: StateSpaceModel, n_steps: int, step, x, p) -> list:
+    """The forward recursion of every filter, from the prior (x, p): at
+    each step k the measurement update `step(k, x, p)`, then the time update.
+
+    x (..., n_x) and p (..., n_x, n_x) are one row (leading shape ()) or a
+    lockstep stack ((B,)).  `step` returns the posterior mean and
+    covariance, then anything else the caller keeps; the next prior is the
+    time update of their leading n_x block (for the smoother's [x; u], the
+    x block: u has a zero transition).  Returns each output of `step`
+    stacked over a step axis after the leading shape.  A
+    NumericalFailureError of step k is raised again with step=k.
+    """
+    n_x = model.n_x
+    outs = []
+    for k in range(n_steps):
+        try:
+            out = step(k, x, p)
+        except NumericalFailureError as err:
+            raise NumericalFailureError(f"measurement update failed: {err}", step=k) from err
+        outs.append(out)
+        x, p = _time_update(model, out[0][..., :n_x], out[1][..., :n_x, :n_x])
+    return [np.stack(o, axis=x.ndim - 1) for o in zip(*outs)]
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray:
@@ -473,15 +500,13 @@ def stf_run(model: StateSpaceModel, ys, cfg: VBConfig = VBConfig()) -> list:
 
     Returns one (GaussianBelief, VBStepDiagnostics) pair per measurement.
     """
-    belief = model.prior_belief()
+    ys = list(ys)
     out = []
-    for k, y in enumerate(ys):
-        try:
-            post, diag = stf_update(model, belief, y, cfg)
-        except NumericalFailureError as err:
-            raise NumericalFailureError(
-                f"measurement update failed: {err}", step=k
-            ) from err
+
+    def step(k, x, p):
+        post, diag = stf_update(model, GaussianBelief(x, p), ys[k], cfg)
         out.append((post, diag))
-        belief = predict(model, post)
+        return post.mean, post.cov
+
+    _forward(model, len(ys), step, model.prior_mean, model.prior_cov)
     return out

@@ -1,13 +1,13 @@
 """Variational-Bayes smoother for linear models with skew-t measurement noise.
 
-The outer loop alternates, over the whole trajectory: a forward pass of
-truncated augmented measurement updates with the current expected mixing
-precisions held fixed, a fixed-interval backward recursion on the
-augmented [x; u] state, and the per-step refresh of the mixing
-precisions from the smoothed moments.  The augmented dynamics propagate
-x with the model transition and reset u each step (its transition block
-is zero), so the one-step augmented prediction covariance is
-blockdiag(A P A^T + Q, diag(1/lam)).
+The outer loop alternates, over the whole trajectory: the filter's
+forward recursion (filtering._forward) with the expected mixing
+precisions held fixed, one truncated augmented update per step; a
+fixed-interval backward recursion on the augmented [x; u] state; and the
+per-step refresh of the mixing precisions from the smoothed moments.  The
+augmented dynamics propagate x with the model transition and reset u each
+step (its transition block is zero), so the one-step augmented prediction
+covariance is blockdiag(A P A^T + Q, diag(1/lam)).
 
 The passes and the outer loop are written for B trajectories in lockstep
 (a leading batch axis; a row leaves the outer loop when it converges), and
@@ -27,6 +27,7 @@ from .filtering import (
     VBConfig,
     _AndersonMixer,
     _augmented_update,
+    _forward,
     _psi_diagonal,
     _stack_cz,
     _step_norm,
@@ -34,7 +35,6 @@ from .filtering import (
 )
 
 __all__ = [
-    "AugmentedBelief",
     "SmootherIterate",
     "SmoothedTrack",
     "forward_pass",
@@ -42,11 +42,6 @@ __all__ = [
     "update_lambda",
     "sts_run",
 ]
-
-# An augmented belief is an ordinary Gaussian belief over the stacked
-# [x; u] vector (dimension n_x + n_y).
-AugmentedBelief = GaussianBelief
-
 
 @dataclass(frozen=True)
 class SmootherIterate:
@@ -90,81 +85,56 @@ class SmoothedTrack(list):
         self.converged = converged
 
 
-def _measurement_matrices(model, n_steps, measurement_matrices):
-    if measurement_matrices is None:
-        return [model.C] * n_steps
-    mats = [np.atleast_2d(np.asarray(c, dtype=float)) for c in measurement_matrices]
-    if len(mats) != n_steps:
-        raise ValueError(
-            f"got {len(mats)} measurement matrices for {n_steps} steps"
-        )
-    return mats
-
-
 def _beliefs(mean, cov) -> list:
-    return [AugmentedBelief(m, c) for m, c in zip(mean, cov)]
+    return [GaussianBelief(m, c) for m, c in zip(mean, cov)]
 
 
-def _forward_rows(model, ys, lambdas, c_seq) -> tuple:
-    """Truncated forward filtering of B trajectories in lockstep.
+def _forward_rows(model, ys, lambdas, c_seq) -> list:
+    """Truncated forward filtering of B trajectories in lockstep, one
+    augmented update per step at the fixed mixing precisions.
 
     ys and lambdas are (B, K, n_y), c_seq is (B, K, n_y, n_x).  Returns the
     (mean, cov) stacks of the filtered and of the predicted augmented
     beliefs, (B, K, n) and (B, K, n, n).  Row b is bit-equal to a
     forward pass of that row alone.
     """
-    n_rows, n_steps, n_y = ys.shape
+    n_rows, n_steps, _ = ys.shape
     n_x = model.n_x
-    f_mean = np.empty((n_rows, n_steps, n_x + n_y))
-    f_cov = np.empty((n_rows, n_steps, n_x + n_y, n_x + n_y))
-    p_mean = np.empty_like(f_mean)
-    p_cov = np.empty_like(f_cov)
-    x_pred = np.broadcast_to(model.prior_mean, (n_rows, n_x))
-    p_pred = np.broadcast_to(model.prior_cov, (n_rows, n_x, n_x))
     cz = _stack_cz(c_seq, model.Delta)
-    for k in range(n_steps):
-        try:
-            step = _augmented_update(
-                x_pred, p_pred, ys[:, k], c_seq[:, k], cz[:, k],
-                model.Delta, model.R, lambdas[:, k],
-            )
-        except NumericalFailureError as err:
-            raise NumericalFailureError(
-                f"forward update failed: {err}", step=k
-            ) from err
-        f_mean[:, k], f_cov[:, k], p_mean[:, k], p_cov[:, k] = step
-        x_pred = (model.A @ f_mean[:, k, :n_x, None])[..., 0]
-        p_pred = symmetrize(model.A @ f_cov[:, k, :n_x, :n_x] @ model.A.T + model.Q)
-    return f_mean, f_cov, p_mean, p_cov
+
+    def step(k, x, p):
+        return _augmented_update(
+            x, p, ys[:, k], c_seq[:, k], cz[:, k], model.Delta, model.R, lambdas[:, k]
+        )
+
+    return _forward(
+        model, n_steps, step,
+        np.broadcast_to(model.prior_mean, (n_rows, n_x)),
+        np.broadcast_to(model.prior_cov, (n_rows, n_x, n_x)),
+    )
 
 
-def forward_pass(
-    model: StateSpaceModel,
-    ys,
-    lambdas,
-    measurement_matrices=None,
-) -> tuple:
+def forward_pass(model: StateSpaceModel, ys, lambdas) -> tuple:
     """Truncated forward filtering with fixed mixing precisions.
 
     `lambdas` holds one positive precision diagonal per step.  Returns
     (filtered, predicted): the truncated augmented posteriors and the
-    augmented one-step priors they were updated from.  An optional
-    sequence of per-step measurement matrices overrides model.C (used by
-    harnesses that relinearize a nonlinear measurement per step).
+    augmented one-step priors they were updated from, as GaussianBeliefs
+    over [x; u].
     """
     ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
     n_steps = len(ys)
     if len(lambdas) != n_steps:
         raise ValueError(f"got {len(lambdas)} lambdas for {n_steps} steps")
-    c_seq = _measurement_matrices(model, n_steps, measurement_matrices)
     lams = [np.atleast_1d(np.asarray(lam, dtype=float)) for lam in lambdas]
     for k, lam in enumerate(lams):
         if np.any(lam <= 0.0):
             raise ValueError(f"lambdas[{k}] must be positive")
     if n_steps == 0:
         return [], []
+    c_seq = np.broadcast_to(model.C, (1, n_steps) + model.C.shape)
     f_mean, f_cov, p_mean, p_cov = _forward_rows(
-        model, np.stack(ys)[None], np.stack(lams)[None], np.stack(c_seq)[None]
+        model, np.stack(ys)[None], np.stack(lams)[None], c_seq
     )
     return _beliefs(f_mean[0], f_cov[0]), _beliefs(p_mean[0], p_cov[0])
 
@@ -232,10 +202,9 @@ def _lambda_rows(s_mean, s_cov, ys, cz, model) -> np.ndarray:
 
 
 def update_lambda(
-    smoothed: AugmentedBelief,
+    smoothed: GaussianBelief,
     y: np.ndarray,
     model: StateSpaceModel,
-    measurement_matrix=None,
 ) -> np.ndarray:
     """Refreshed mixing-precision diagonal from one smoothed augmented belief."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -244,24 +213,18 @@ def update_lambda(
         raise ValueError(
             f"smoothed belief has dim {smoothed.dim}, expected {n_x + n_y}"
         )
-    c_mat = model.C if measurement_matrix is None else np.atleast_2d(measurement_matrix)
-    cz = _stack_cz(c_mat, model.Delta)
+    cz = _stack_cz(model.C, model.Delta)
     return _lambda_rows(smoothed.mean, smoothed.cov, y, cz, model)
 
 
-def sts_run(
-    model: StateSpaceModel,
-    ys,
-    cfg: VBConfig = VBConfig(),
-    measurement_matrices=None,
-) -> SmoothedTrack:
+def sts_run(model: StateSpaceModel, ys, cfg: VBConfig = VBConfig()) -> SmoothedTrack:
     """Iterated smoothing of a measurement sequence.
 
     Returns the normal approximations of the smoothed x marginals, one
     GaussianBelief per step, with the outer-loop iteration count and
     convergence flag.
     """
-    result = _run_vb(model, ys, cfg, measurement_matrices)
+    result = _run_vb(model, ys, cfg)
     n_x = model.n_x
     s_mean, s_cov = result.smoothed
     return SmoothedTrack(
@@ -276,14 +239,15 @@ def sts_run(
 
 def _run_vb(model, ys, cfg, measurement_matrices=None, n_iterations=None):
     """Full outer VB loop of one trajectory: the SmootherIterate of
-    _run_vb_rows for that row alone."""
+    _run_vb_rows for that row alone.  `measurement_matrices`, one per
+    step, default to model.C."""
     ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
     n_steps = len(ys)
     if n_steps == 0:
         n = model.n_x + model.n_y
         empty = (np.empty((0, n)), np.empty((0, n, n)))
         return SmootherIterate(empty, empty, empty, np.empty((0, model.n_y)), 0, True)
-    c_seq = _measurement_matrices(model, n_steps, measurement_matrices)
+    c_seq = [model.C] * n_steps if measurement_matrices is None else measurement_matrices
     return _run_vb_rows(
         model, np.stack(ys)[None], np.stack(c_seq)[None], cfg, n_iterations
     ).row(0)

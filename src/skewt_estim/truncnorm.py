@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from ._linalg import symmetrize
-from .exceptions import DegenerateDirectionError, OracleInfeasibleError
+from .exceptions import DegenerateDirectionError, NumericalFailureError, OracleInfeasibleError
 
 __all__ = [
     "MomentPair",
@@ -121,7 +121,7 @@ OPTIMAL = Optimal()
 def _coefficients(xi: float) -> tuple:
     """(mean_coeff, cov_coeff, underflowed) at boundary distance xi; see hazard."""
     if not np.isfinite(xi):
-        raise ValueError(f"xi must be finite, got {xi!r}")
+        raise NumericalFailureError(f"truncation distance is not finite, got {xi!r}")
     if xi < UNDERFLOW_XI:
         return -xi, 1.0, True
     eps = float(np.exp(-0.5 * xi * xi - _LOG_SQRT_2PI - log_ndtr(xi)))
@@ -185,7 +185,8 @@ def _truncate_rows(mean, cov, diag, active, base) -> None:
     sd = np.sqrt(var_k)
     xi = mean.take(flat) / sd
     if np.count_nonzero(np.isfinite(xi)) < len(base):
-        raise ValueError(f"xi must be finite, got {xi[~np.isfinite(xi)][0]!r}")
+        bad = float(xi[~np.isfinite(xi)][0])
+        raise NumericalFailureError(f"truncation distance is not finite, got {bad!r}")
     # Rows below UNDERFLOW_XI take the limits; clipping keeps their unused
     # closed-form values finite.
     xc = np.maximum(xi, UNDERFLOW_XI)
@@ -229,7 +230,10 @@ def hazard(xi: float) -> HazardResult:
     xi < -37 (where Phi underflows in double precision) the limits
     epsilon + xi -> 0 and xi*epsilon + epsilon**2 -> 1 are substituted.
     """
-    eps, cov_coeff, underflowed = _coefficients(float(xi))
+    xi = float(xi)
+    if not np.isfinite(xi):
+        raise ValueError(f"xi must be finite, got {xi!r}")
+    eps, cov_coeff, underflowed = _coefficients(xi)
     return HazardResult(eps, eps, cov_coeff, underflowed)
 
 

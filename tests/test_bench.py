@@ -384,6 +384,22 @@ class TestRunExperiment:
         else:
             assert records[0].reason == "pseudorange is not finite (time step 2)"
 
+    def test_non_finite_truncation_distance_fails_its_replications(self):
+        """At nu=0.02 the augmented update overflows and the truncation
+        meets a NaN boundary distance: a typed error that fails the
+        replication at its step instead of aborting the sweep."""
+        cfg = ScenarioConfig(
+            q=0.5, delta=5.0, rho=100.0, nu=0.02, K=10, n_mc=4, seed=1,
+            estimators=("stf", "sts"),
+        )
+        with np.errstate(all="ignore"):
+            records = run_experiment(cfg)
+        assert len(records) == 8
+        for r in records:
+            assert r.status == "failed"
+            assert "truncation distance is not finite" in r.reason
+            assert "(time step " in r.reason
+
     def test_update_failure_carries_time_step(self, monkeypatch):
         real_update = experiments._stf_update_rows
         calls = []

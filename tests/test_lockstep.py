@@ -16,7 +16,12 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
 from skewt_estim import filtering
-from skewt_estim.baselines import GatingConfig, _kf_gated_update_rows, kf_gated_update
+from skewt_estim.baselines import (
+    GatingConfig,
+    _kf_gated_update_rows,
+    kf_gated_run,
+    kf_gated_update,
+)
 from skewt_estim.bench import (
     ScenarioConfig,
     make_constellation,
@@ -47,10 +52,11 @@ from skewt_estim.filtering import (
     _stack_cz,
     _stf_update_rows,
     predict,
+    stf_run,
     stf_update,
 )
 from skewt_estim.skewt import SkewTComponent, moments
-from skewt_estim.smoothing import _forward_rows, backward_pass
+from skewt_estim.smoothing import _forward_rows, _run_vb, backward_pass
 from skewt_estim.truncnorm import (
     OPTIMAL,
     UNDERFLOW_XI,
@@ -393,6 +399,54 @@ class TestStackedKernels:
         ) as info:
             _forward_rows(model, ys, lambdas, c_seq)
         assert info.value.step == 3
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_forward_recursion_bit_equal_under_non_identity_dynamics(seed):
+    """With a random stable A and a full Q, stf_run, kf_gated_run and the
+    smoother equal their step-by-step references bit for bit."""
+    rng = np.random.default_rng(seed)
+    n_x, n_y, n_steps = int(rng.integers(2, 6)), int(rng.integers(2, 6)), 8
+    a = rng.standard_normal((n_x, n_x))
+    g = rng.standard_normal((n_x, n_x))
+    model = StateSpaceModel(
+        A=a * 0.9 / np.abs(np.linalg.eigvals(a)).max(),
+        Q=g @ g.T / n_x + 0.1 * np.eye(n_x),
+        C=rng.standard_normal((n_y, n_x)),
+        R=rng.uniform(0.5, 2.0, n_y),
+        Delta=rng.uniform(-3.0, 3.0, n_y),
+        nu=rng.uniform(2.0, 8.0, n_y),
+        prior_mean=rng.standard_normal(n_x),
+        prior_cov=2.0 * np.eye(n_x),
+    )
+    ys = list(2.0 * rng.standard_normal((n_steps, n_y)))
+
+    belief = model.prior_belief()
+    for (post, diag), y in zip(stf_run(model, ys), ys):
+        ref, ref_diag = stf_update(model, belief, y)
+        assert_array_equal(post.mean, ref.mean)
+        assert_array_equal(post.cov, ref.cov)
+        assert_array_equal(diag.lambda_diag, ref_diag.lambda_diag)
+        assert diag.iterations == ref_diag.iterations
+        belief = predict(model, ref)
+
+    filtered, predicted = kf_gated_run(model, ys)
+    belief = model.prior_belief()
+    for f, p, y in zip(filtered, predicted, ys):
+        assert_array_equal(p.mean, belief.mean)
+        assert_array_equal(p.cov, belief.cov)
+        belief = kf_gated_update(model.C, model.R, belief, y)
+        assert_array_equal(f.mean, belief.mean)
+        assert_array_equal(f.cov, belief.cov)
+        belief = predict(model, belief)
+
+    result = _run_vb(model, ys, VBConfig())
+    means, covs, n_outer, converged = sts_run_scalar(
+        model, ys, VBConfig(), [model.C] * n_steps
+    )
+    assert_array_equal(result.smoothed[0], means)
+    assert_array_equal(result.smoothed[1], covs)
+    assert (result.iterations, result.converged) == (n_outer, converged)
 
 
 SWEEP = dict(delta=5.0, nu=4.0, rho=100.0, K=100, n_sats=8, n_mc=6)
