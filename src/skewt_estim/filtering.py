@@ -16,6 +16,7 @@ tolerance between successive updates.  A normal approximation of the x
 marginal is carried to the next time step.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,7 +187,7 @@ def _step_norm(d: np.ndarray) -> np.ndarray:
     return np.sqrt((d * d).sum(-1))
 
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
 def _lstsq2(d: np.ndarray, f: np.ndarray) -> tuple:
@@ -199,7 +200,7 @@ def _lstsq2(d: np.ndarray, f: np.ndarray) -> tuple:
     up to eps * max(m, 2) times the largest count as zero, and the
     solution is then the minimum-norm one.  Every operation is elementwise
     or a sum over the last axis, so each row of a stack is bit-equal to
-    its own call.
+    its own call, and to _lstsq2_row.
     """
     sq = (d * d).sum(-1)
     swap = sq[..., 0] < sq[..., 1]
@@ -224,24 +225,70 @@ def _lstsq2(d: np.ndarray, f: np.ndarray) -> tuple:
     return np.where(swap, g2, g1), np.where(swap, g1, g2)
 
 
+def _lstsq2_row(d: np.ndarray, f: np.ndarray) -> tuple:
+    """_lstsq2 of one (2, m) pair of columns and (m,) target, bit-equal.
+
+    The last-axis sums run in numpy, in _lstsq2's summation order; the
+    scalar algebra between them runs on Python floats in the same IEEE
+    operations, and the vector updates of w are _lstsq2's.
+    """
+    sq0, sq1 = (d * d).sum(-1).tolist()
+    swap = sq0 < sq1
+    e1, e2 = (d[1], d[0]) if swap else (d[0], d[1])
+    a = sq1 if swap or sq1 != sq1 else sq0  # np.max: a NaN propagates
+    if a == 0.0:
+        a = 1.0  # zero columns: gamma = 0, lstsq's answer
+    p = float((e1 * e2).sum()) / a
+    w = e2 - p * e1
+    p_re = float((e1 * w).sum()) / a
+    w = w - p_re * e1
+    p = p + p_re
+    ww = float((w * w).sum())
+    t = float((e1 * f).sum()) / a
+    frob = a * (1.0 + p * p) + ww
+    disc = frob * frob - 4.0 * a * ww
+    if disc < 0.0:  # np.maximum(disc, 0.0): a NaN stays
+        disc = 0.0
+    s_max2 = 0.5 * (frob + math.sqrt(disc))
+    if math.sqrt(a * ww) > _EPS * max(f.shape[-1], 2) * s_max2:  # full rank, so ww > 0
+        g2 = float((w * f).sum()) / ww
+        g1 = t - p * g2
+    else:
+        g2 = p * t / (1.0 + p * p)
+        g1 = t / (1.0 + p * p)
+    return (g2, g1) if swap else (g1, g2)
+
+
 def _anderson_step(xs: np.ndarray, gs: np.ndarray, upper) -> np.ndarray:
     """Anderson extrapolation from (..., 3, m) histories of iterates xs
     and their images gs, oldest first: the last image less the image
     differences weighted by the least-squares fit of the residual
     differences to the last residual, clipped to [1e-12, upper].  A row
-    whose residual differences all vanish keeps its last image.  Each row
-    of a stack is bit-equal to its own call.
+    whose residual differences all vanish keeps its last image, and so
+    does every row on the first push.  Each row of a stack is bit-equal
+    to its own call.
+
+    One row is fitted by _lstsq2_row on Python floats, a stack by
+    _lstsq2: with m = 12 a moving one-row step took 31-35 us against
+    58-72 us with _lstsq2 and np.clip (best of 7 over 1393 online
+    histories, one thread, 2-vCPU host).
     """
     f = gs - xs
     d = f[..., 1:, :] - f[..., :-1, :]
-    g0, g1 = _lstsq2(d, f[..., -1, :])
+    moving = np.any(d, axis=(-2, -1))
+    if not moving.any():
+        return gs[..., -1, :].copy()
+    if d.ndim == 2:
+        g0, g1 = _lstsq2_row(d, f[-1])
+    else:
+        g0, g1 = (g[..., None] for g in _lstsq2(d, f[..., -1, :]))
     mixed = (
         gs[..., -1, :]
-        - g0[..., None] * (gs[..., 1, :] - gs[..., 0, :])
-        - g1[..., None] * (gs[..., 2, :] - gs[..., 1, :])
+        - g0 * (gs[..., 1, :] - gs[..., 0, :])
+        - g1 * (gs[..., 2, :] - gs[..., 1, :])
     )
-    moving = np.any(d, axis=(-2, -1))
-    return np.where(moving[..., None], np.clip(mixed, 1e-12, upper), gs[..., -1, :])
+    clipped = np.minimum(np.maximum(mixed, 1e-12), upper)  # np.clip's bits, at half its cost
+    return clipped if d.ndim == 2 else np.where(moving[..., None], clipped, gs[..., -1, :])
 
 
 class _AndersonMixer:
@@ -303,19 +350,28 @@ def _forward(model: StateSpaceModel, n_steps: int, step, x, p) -> list:
     covariance, then anything else the caller keeps; the next prior is the
     time update of their leading n_x block (for the smoother's [x; u], the
     x block: u has a zero transition).  Returns each output of `step`
-    stacked over a step axis after the leading shape.  A
-    NumericalFailureError of step k is raised again with step=k.
+    stacked over a step axis after the leading shape, in stacks allocated
+    from the first step's outputs.  A NumericalFailureError of step k is
+    raised again with step=k.
     """
     n_x = model.n_x
-    outs = []
+    lead = x.shape[:-1]
+    at = (slice(None),) * len(lead)  # step k of a stack is whole[at + (k,)]
+    stacks = []
     for k in range(n_steps):
         try:
             out = step(k, x, p)
         except NumericalFailureError as err:
             raise NumericalFailureError(f"measurement update failed: {err}", step=k) from err
-        outs.append(out)
+        if not k:
+            stacks = [
+                np.empty(lead + (n_steps,) + np.shape(o)[len(lead):], np.result_type(o))
+                for o in out
+            ]
+        for whole, o in zip(stacks, out):
+            whole[at + (k,)] = o
         x, p = _time_update(model, out[0][..., :n_x], out[1][..., :n_x, :n_x])
-    return [np.stack(o, axis=x.ndim - 1) for o in zip(*outs)]
+    return stacks
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray:
@@ -355,8 +411,9 @@ def _augmented_update(x_pred, p_pred, y, c_mat, cz, delta, r, lam, policy=OPTIMA
     One row is truncated by rec_trunc in the order `policy` picks, a stack
     by _rec_trunc_rows in greedy order, so row b of a stack is bit-equal
     to its own call; a stack of one row runs as that row, where rec_trunc
-    costs about half as much (12 dims, 8 constraints; with lone rows
-    stacked the track_sweep benchmark ran 5% slower).  The gain solve runs
+    costs under a third as much (12 dims, 8 constraints: 79-91 against
+    284-304 us; with lone rows stacked the track_sweep benchmark ran 5%
+    slower at the old half).  The gain solve runs
     solve_spd once per row: for 8x8 systems with 12 right-hand sides, a
     stacked np.linalg.cholesky check plus np.linalg.solve took 20/30/42 us
     at 1/3/6 rows and scipy's batched positive-definite solve 42/56/63 us,

@@ -13,6 +13,7 @@ A seeded sampling oracle (rejection with a Gibbs fallback) provides
 independent reference moments for testing and benchmarking.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -37,7 +38,7 @@ __all__ = [
     "tmnd_oracle",
 ]
 
-_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+_LOG_SQRT_2PI = float(0.5 * np.log(2.0 * np.pi))
 
 # Below this value the normal CDF is treated as underflowed and the
 # asymptotic limits of the update coefficients are used instead.
@@ -120,47 +121,67 @@ OPTIMAL = Optimal()
 
 def _coefficients(xi: float) -> tuple:
     """(mean_coeff, cov_coeff, underflowed) at boundary distance xi; see hazard."""
-    if not np.isfinite(xi):
+    if not math.isfinite(xi):
         raise NumericalFailureError(f"truncation distance is not finite, got {xi!r}")
     if xi < UNDERFLOW_XI:
         return -xi, 1.0, True
+    # np.exp, not math.exp: only numpy's bits are those of the stacked kernel.
     eps = float(np.exp(-0.5 * xi * xi - _LOG_SQRT_2PI - log_ndtr(xi)))
     return eps, min(max(xi * eps + eps * eps, 0.0), 1.0), False
 
 
-def _truncate_step(mean: np.ndarray, cov: np.ndarray, k: int) -> None:
-    """Apply the constraint z_k >= 0 to (mean, cov) in place."""
-    var_k = cov[k, k]
-    tol = 1e-14 * float(cov.trace())
-    if var_k <= tol:
-        raise DegenerateDirectionError(
-            f"direction {k} has variance {var_k:.3e} <= tolerance {tol:.3e}"
-        )
-    sd = np.sqrt(var_k)
-    mean_coeff, cov_coeff, _ = _coefficients(float(mean[k] / sd))
+def _truncate_step(mean: np.ndarray, cov: np.ndarray, k: int, var_k: float, mu_k: float,
+                   tol0: float) -> None:
+    """Apply the constraint z_k >= 0 to (mean, cov) in place.
+
+    var_k and mu_k are cov[k, k] and mean[k] as Python floats, and tol0
+    is 1e-14 times the trace of cov before the first step of the call.
+    """
+    if var_k <= tol0:
+        # Above tol0 the check against the current trace cannot fail: each
+        # downdate subtracts fl(c * col_i**2) >= 0 (c in [0, 1]) from a
+        # diagonal entry, rounded subtraction of a non-negative number
+        # never increases a value, and a rounded sum is monotone in each
+        # term, so no later trace exceeds the first (a NaN one never raises).
+        tol = 1e-14 * float(cov.trace())
+        if var_k <= tol:
+            raise DegenerateDirectionError(
+                f"direction {k} has variance {var_k:.3e} <= tolerance {tol:.3e}"
+            )
+    # A nonpositive variance above the tolerance (a negative trace) takes
+    # numpy's sqrt, whose NaN or zero the distance check below reports.
+    sd = math.sqrt(var_k) if var_k > 0.0 else np.sqrt(np.float64(var_k))
+    mean_coeff, cov_coeff, _ = _coefficients(float(mu_k / sd))
     col = cov[:, k]  # a view, read in full before cov is updated
     mean += (mean_coeff / sd) * col
     cov -= (cov_coeff / var_k) * (col[:, None] * col)
 
 
-def _greedy_index(mean: np.ndarray, cov: np.ndarray, active: np.ndarray) -> int:
-    """Active index with the smallest mu_i / sqrt(Sigma_ii), lowest on ties."""
-    var = cov.diagonal()[active]
-    if np.count_nonzero(var <= 0.0):
-        raise DegenerateDirectionError("nonpositive variance in remaining directions")
-    ratios = mean[active] / np.sqrt(var)
-    return int(active.nonzero()[0][ratios.argmin()])
+def _greedy_index(mu: list, var: list, left: list) -> int:
+    """Index in the ascending list `left` with the smallest
+    mu[i] / sqrt(var[i]), on Python floats: lowest on ties, and the first
+    NaN wins (np.argmin's rule)."""
+    best, k = 0.0, -1
+    for i in left:
+        v = var[i]
+        if v <= 0.0:
+            raise DegenerateDirectionError("nonpositive variance in remaining directions")
+        r = mu[i] / math.sqrt(v)
+        if k < 0 or r < best or (r != r and best == best):
+            best, k = r, i
+    return k
 
 
-def _truncate_rows(mean, cov, diag, active, base) -> None:
+def _truncate_rows(mean, cov, diag, active, base, tol0) -> None:
     """One greedy step of every row of a (B, n) / (B, n, n) stack, in place.
 
-    `diag` is the diagonal view of cov and `base` the flat offsets b * n
-    of the rows.  Per row this is _greedy_index then _truncate_step, with
-    the same operations and checks, so each row stays bit-equal to the
-    scalar kernel; the exception of the first failing row is raised.  The
-    covariances must be exactly symmetric (rec_trunc keeps them so), which
-    lets row k stand for column k.
+    `diag` is the diagonal view of cov, `base` the flat offsets b * n of
+    the rows and `tol0` 1e-14 times the traces of cov when the
+    _rec_trunc_rows call began.  Per row this is _greedy_index then
+    _truncate_step, with the same operations and checks, so each row
+    stays bit-equal to the scalar kernel; the exception of the first
+    failing row is raised.  The covariances must be exactly symmetric
+    (rec_trunc keeps them so), which lets row k stand for column k.
     """
     n = mean.shape[1]
     var = np.where(active, diag, 1.0)
@@ -176,12 +197,15 @@ def _truncate_rows(mean, cov, diag, active, base) -> None:
     active.put(flat, False)
 
     var_k = var.take(flat)
-    tol = 1e-14 * cov.trace(axis1=1, axis2=2)
-    if np.count_nonzero(var_k <= tol):
-        b = (var_k <= tol).argmax()
-        raise DegenerateDirectionError(
-            f"direction {k[b]} has variance {var_k[b]:.3e} <= tolerance {tol[b]:.3e}"
-        )
+    if np.count_nonzero(var_k <= tol0):
+        # The traces only fall (see _truncate_step), so only these rows
+        # can fail against their current trace.
+        tol = 1e-14 * cov.trace(axis1=1, axis2=2)
+        if np.count_nonzero(var_k <= tol):
+            b = (var_k <= tol).argmax()
+            raise DegenerateDirectionError(
+                f"direction {k[b]} has variance {var_k[b]:.3e} <= tolerance {tol[b]:.3e}"
+            )
     sd = np.sqrt(var_k)
     xi = mean.take(flat) / sd
     if np.count_nonzero(np.isfinite(xi)) < len(base):
@@ -217,8 +241,9 @@ def _rec_trunc_rows(mean: np.ndarray, cov: np.ndarray, truncated) -> tuple:
     active[:, todo] = True
     diag = cov.diagonal(axis1=1, axis2=2)
     base = np.arange(mean.shape[0]) * mean.shape[1]
+    tol0 = 1e-14 * cov.trace(axis1=1, axis2=2)
     for _ in todo:
-        _truncate_rows(mean, cov, diag, active, base)
+        _truncate_rows(mean, cov, diag, active, base, tol0)
     return mean, cov
 
 
@@ -244,7 +269,7 @@ def truncate_once(m: MomentPair, k: int) -> MomentPair:
     when cov[k, k] is not usably positive (<= 1e-14 * trace).
     """
     mean, cov = m.mean.copy(), symmetrize(m.cov)
-    _truncate_step(mean, cov, k)
+    _truncate_step(mean, cov, k, float(cov[k, k]), float(mean[k]), 1e-14 * float(cov.trace()))
     return MomentPair(mean, cov)
 
 
@@ -256,9 +281,10 @@ def select_next(m: MomentPair, remaining: Iterable[int]) -> int:
     """
     active = np.zeros(m.dim, dtype=bool)
     active[[int(i) for i in remaining]] = True
-    if not active.any():
+    left = active.nonzero()[0].tolist()
+    if not left:
         raise ValueError("remaining index set is empty")
-    return _greedy_index(m.mean, m.cov, active)
+    return _greedy_index(m.mean.tolist(), m.cov.diagonal().tolist(), left)
 
 
 def rec_trunc(
@@ -271,7 +297,9 @@ def rec_trunc(
     Symmetrizes the covariance once (each rank-one downdate by
     outer(col, col) keeps it exactly symmetric), then applies one
     truncation step per index in `truncated`, in the order `policy` picks.
-    With the default Optimal policy the result is bit-reproducible.
+    With the default Optimal policy the result is bit-reproducible.  The
+    order and the step coefficients are worked out on Python floats; only
+    the downdates run in numpy.
     """
     todo = sorted({int(i) for i in truncated})
     if todo and (todo[0] < 0 or todo[-1] >= m.dim):
@@ -285,18 +313,20 @@ def rec_trunc(
     rng = np.random.default_rng(policy.seed) if random else None
 
     mean, cov = m.mean.copy(), symmetrize(m.cov)
-    active = np.zeros(m.dim, dtype=bool)
-    active[todo] = True
+    diag = cov.diagonal()
+    tol0 = 1e-14 * float(cov.trace())
+    left = todo
     for step in range(len(todo)):
+        mu, var = mean.tolist(), diag.tolist()
         if fixed:
             k = policy.order[step]
         else:
-            k = _greedy_index(mean, cov, active)
-            if random and step < len(todo) - 1:
-                others = [i for i in active.nonzero()[0] if i != k]
-                k = int(others[rng.integers(len(others))])
-        _truncate_step(mean, cov, k)
-        active[k] = False
+            k = _greedy_index(mu, var, left)
+            if random and len(left) > 1:
+                others = [i for i in left if i != k]
+                k = others[rng.integers(len(others))]
+        _truncate_step(mean, cov, k, var[k], mu[k], tol0)
+        left = [i for i in left if i != k]
     return MomentPair(mean, cov)
 
 

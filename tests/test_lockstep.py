@@ -48,6 +48,7 @@ from skewt_estim.filtering import (
     _anderson_step,
     _augmented_update,
     _lstsq2,
+    _lstsq2_row,
     _psi_diagonal,
     _stack_cz,
     _stf_update_rows,
@@ -226,6 +227,9 @@ def mixer_reference(xs, gs, upper):
     return np.clip(gs[-1] - lstsq_reference(d, f[-1]) @ np.diff(gs, axis=0), 1e-12, upper)
 
 
+TWO_COLUMN_KINDS = ["random", "nearly collinear", "exactly collinear", "one zero column", "zero"]
+
+
 def two_columns(rng, m, kind):
     d = rng.standard_normal((2, m))
     if kind == "nearly collinear":
@@ -240,9 +244,7 @@ def two_columns(rng, m, kind):
 
 
 class TestAndersonStep:
-    @pytest.mark.parametrize(
-        "kind", ["random", "nearly collinear", "exactly collinear", "one zero column", "zero"]
-    )
+    @pytest.mark.parametrize("kind", TWO_COLUMN_KINDS)
     @pytest.mark.parametrize("m", [1, 2, 8, 800])
     def test_lstsq2_matches_lstsq(self, kind, m):
         rng = np.random.default_rng(m)
@@ -293,6 +295,76 @@ class TestAndersonStep:
         xs = np.array([0.25, 0.5, 1.0]) + np.array([[0.0], [0.125], [0.25]])
         gs = xs + np.array([0.25, 0.25, -0.5])
         assert_array_equal(_anderson_step(xs, gs, np.full(3, 0.1)), gs[-1])
+
+
+def stacked_step_reference(xs, gs, upper):
+    """The Anderson step of one (3, m) history, as _lstsq2 of a stack of
+    one row followed by np.clip."""
+    f = gs - xs
+    d = f[1:] - f[:-1]
+    if not np.any(d):
+        return gs[-1]
+    g0, g1 = _lstsq2(d[None], f[-1][None])
+    return np.clip(gs[-1] - g0 * (gs[1] - gs[0]) - g1 * (gs[2] - gs[1]), 1e-12, upper)
+
+
+def assert_row_step_bit_equal(xs, gs, upper):
+    f = gs - xs
+    d = f[1:] - f[:-1]
+    assert_array_equal(
+        np.array(_lstsq2_row(d, f[-1])), np.concatenate(_lstsq2(d[None], f[-1][None]))
+    )
+    want = stacked_step_reference(xs, gs, upper)
+    assert_array_equal(_anderson_step(xs, gs, upper), want)
+    assert_array_equal(_anderson_step(xs[None], gs[None], upper)[0], want)
+
+
+class TestAndersonRow:
+    """The one-row Anderson step, whose least-squares fit runs on Python
+    floats, against the same history as a stack of one row, bit for bit."""
+
+    @pytest.mark.parametrize("special", [None, "nan", "inf", "-inf", "huge"])
+    @pytest.mark.parametrize("kind", TWO_COLUMN_KINDS)
+    @pytest.mark.parametrize("m", [1, 2, 8, 800])
+    def test_row_bit_equal_to_stack_of_one(self, m, kind, special):
+        rng = np.random.default_rng(m)
+        # Bounds below the 1e-12 floor pin np.clip's order: the bound wins.
+        upper = np.where(rng.random(m) < 0.2, 1e-13, 1.5)
+        for _ in range(20):
+            xs = rng.uniform(0.1, 2.0, (3, m))
+            d = two_columns(rng, m, kind)
+            gs = xs + np.cumsum(np.vstack([rng.standard_normal(m), d]), axis=0)
+            if special == "huge":
+                # Squares overflow, so the rank test meets inf - inf.
+                gs *= 10.0 ** rng.uniform(76.0, 80.0)
+            elif special is not None:
+                (xs, gs)[rng.integers(2)][rng.integers(3), rng.integers(m)] = float(special)
+            with np.errstate(all="ignore"):
+                assert_row_step_bit_equal(xs, gs, upper)
+
+    @pytest.mark.parametrize("scale", [1e-3, 0.5, 1.0, 2.0, 1e5])
+    def test_row_bit_equal_across_rank_cutoff(self, scale):
+        """Singular-value ratios on both sides of eps * max(m, 2)."""
+        rng = np.random.default_rng(5)
+        m = 8
+        cutoff = np.finfo(float).eps * m
+        upper = np.full(m, 1.5)
+        for _ in range(20):
+            u, _ = np.linalg.qr(rng.standard_normal((m, 2)))
+            v, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+            d = ((u * [1.0, scale * cutoff]) @ v.T).T
+            xs = rng.uniform(0.1, 2.0, (3, m))
+            gs = xs + np.cumsum(np.vstack([rng.standard_normal(m), d]), axis=0)
+            assert_row_step_bit_equal(xs, gs, upper)
+
+    def test_first_push_returns_a_copy_of_the_image(self):
+        x = np.array([0.3, 0.9, 1.1])
+        g = np.array([0.5, 0.8, 2e-13])
+        for xs, gs in ((np.tile(x, (3, 1)), np.tile(g, (3, 1))),
+                       (np.tile(x, (2, 3, 1)), np.tile(g, (2, 3, 1)))):
+            out = _anderson_step(xs, gs, np.ones(3))
+            assert_array_equal(out, gs[..., -1, :])
+            assert not np.shares_memory(out, gs)
 
 
 @st.composite

@@ -1,16 +1,19 @@
 """Tests for the recursive truncated-normal moment approximation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
-from skewt_estim.exceptions import DegenerateDirectionError
+from skewt_estim.exceptions import DegenerateDirectionError, NumericalFailureError
 from skewt_estim.truncnorm import (
     OPTIMAL,
     FixedOrder,
     MomentPair,
     RandomOrder,
+    _rec_trunc_rows,
     hazard,
     rec_trunc,
     select_next,
@@ -213,6 +216,67 @@ class TestRecTrunc:
         r1 = rec_trunc(m, range(4), RandomOrder(seed=5))
         r2 = rec_trunc(m, range(4), RandomOrder(seed=5))
         assert np.array_equal(r1.mean, r2.mean)
+
+
+class TestScalarLoop:
+    """rec_trunc's order and coefficients run on Python floats, with the
+    degeneracy tolerance of the first step's trace checked against the
+    current trace only when a variance falls below it."""
+
+    # Step one truncates z_0 deep in the tail, which zeroes its variance
+    # and drops the trace from 1e6 + 1e-9 to 1e-9: then 1e-14 * trace <
+    # var_1 = 1e-9 <= 1e-14 times the first trace.
+    SHRINKING = MomentPair([-4e4, 0.0], np.diag([1e6, 1e-9]))
+
+    @pytest.mark.parametrize("policy, order", [(OPTIMAL, "greedy"), (FixedOrder((0, 1)), (0, 1))])
+    def test_variance_under_first_tolerance_only_is_truncated(self, policy, order):
+        m = self.SHRINKING
+        out = rec_trunc(m, [0, 1], policy)
+        ref_mean, ref_cov = rec_trunc_stepwise(m.mean, m.cov, [0, 1], order)
+        np.testing.assert_array_equal(out.mean, ref_mean)
+        np.testing.assert_array_equal(out.cov, ref_cov)
+        assert out.cov[1, 1] < m.cov[1, 1]
+        rows_mean, rows_cov = _rec_trunc_rows(m.mean[None], m.cov[None], [0, 1])
+        np.testing.assert_array_equal(rows_mean[0], ref_mean)
+        np.testing.assert_array_equal(rows_cov[0], ref_cov)
+
+    @pytest.mark.parametrize(
+        "m, msg",
+        [
+            (MomentPair([0.0, -1.0], np.diag([1.0, 1e-16])), "direction 1 has variance 1.000e-16 <= tolerance 1.000e-14"),
+            # Fails at step two, against the trace after step one.
+            (MomentPair([-40.0, 0.0, 0.0], np.diag([1.0, 1.0, 1e-15])), "direction 2 has variance 1.000e-15 <= tolerance 1.000e-14"),
+        ],
+    )
+    def test_variance_under_current_tolerance_raises(self, m, msg):
+        truncated = [0, m.dim - 1]
+        with pytest.raises(DegenerateDirectionError, match=re.escape(msg)):
+            rec_trunc(m, truncated)
+        regular = MomentPair(np.zeros(m.dim), np.eye(m.dim))
+        with pytest.raises(DegenerateDirectionError, match=re.escape(msg)):
+            _rec_trunc_rows(np.stack([regular.mean, m.mean]), np.stack([regular.cov, m.cov]), truncated)
+
+    def test_greedy_pick_is_numpy_argmin_with_non_finite_means(self):
+        rng = np.random.default_rng(29)
+        specials = [np.nan, np.inf, -np.inf, 0.0, -0.0]
+        for _ in range(500):
+            dim = int(rng.integers(1, 9))
+            mean = rng.choice([-1.0, 0.0, 1.0], dim) * rng.integers(1, 3, dim)
+            hit = rng.random(dim) < 0.3
+            mean[hit] = rng.choice(specials, hit.sum())
+            var = rng.choice([1.0, 4.0, np.inf], dim, p=[0.45, 0.45, 0.1])
+            remaining = sorted({int(i) for i in rng.integers(0, dim, dim)})
+            with np.errstate(invalid="ignore"):
+                ratios = mean[remaining] / np.sqrt(var[remaining])
+            assert select_next(MomentPair(mean, np.diag(var)), remaining) == remaining[int(np.argmin(ratios))]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_fails_typed(self, value):
+        mean = np.array([0.5, value, -0.2])
+        msg = f"truncation distance is not finite, got {value!r}"
+        for policy in (OPTIMAL, RandomOrder(3), FixedOrder((1, 0, 2))):
+            with pytest.raises(NumericalFailureError, match=re.escape(msg)):
+                rec_trunc(MomentPair(mean, np.eye(3)), range(3), policy)
 
 
 @st.composite
