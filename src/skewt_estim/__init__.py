@@ -28,7 +28,6 @@ from .smoothing import backward_pass, forward_pass, sts_run, update_lambda
 from .truncnorm import (
     OPTIMAL,
     FixedOrder,
-    HazardResult,
     MomentPair,
     Optimal,
     RandomOrder,
@@ -58,7 +57,6 @@ __all__ = [
     "update_lambda",
     "sts_run",
     "MomentPair",
-    "HazardResult",
     "Optimal",
     "RandomOrder",
     "FixedOrder",

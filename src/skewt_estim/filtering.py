@@ -11,9 +11,11 @@ as an independent Gamma block, alternating two closed-form updates:
     precisions (nu_i + 2) / (nu_i + psi_i) from the per-component residual
     statistic psi.
 
-The loop stops when the state mean moves less than the configured
-tolerance between successive updates.  A normal approximation of the x
-marginal is carried to the next time step.
+The precisions are Anderson-mixed, and the loop stops when the state
+mean moves less than the configured tolerance between successive
+updates.  _vb_loop is that loop, and the smoother runs it as well, over
+whole trajectories.  A normal approximation of the x marginal is carried
+to the next time step.
 """
 
 import math
@@ -145,10 +147,12 @@ class StateSpaceModel:
 
 @dataclass(frozen=True)
 class VBConfig:
-    """Iteration control for the VB measurement update.
+    """Iteration control of the VB loop of the filter and the smoother.
 
-    Convergence is declared when the Euclidean norm of the change in the
-    state mean between successive updates falls below `tol`.
+    A row stops, converged, when the largest Euclidean change of its x
+    means between successive iterations falls below `tol`: over its one
+    step in the filter, over every step of the trajectory in the
+    smoother.  Otherwise it stops after `max_iterations`.
     """
 
     max_iterations: int = 30
@@ -467,51 +471,77 @@ def _psi_diagonal(y, cz, z_mean, z_cov, r, n_x):
     return (resid**2 + quad) / r + z_mean[..., n_x:] ** 2 + u_var
 
 
+def _vb_loop(update, args, lam, upper, cfg) -> tuple:
+    """The VB fixed-point loop of the filter and of the smoother, for one
+    row (lam of leading shape ()) or a lockstep stack of rows ((B,)).
+
+    `update(*args, lam)` runs one iteration of the rows of args at the
+    mixing precisions lam (..., m).  It returns the outputs to keep, the
+    plain image of lam and the x means, (..., n_x) for one step or
+    (..., K, n_x) for the K steps of a trajectory.  The next lam is the
+    Anderson-mixed image, clipped to [1e-12, upper].  From the second
+    iteration on, a row stops when the largest Euclidean change of its x
+    means over its steps is below cfg.tol; it then leaves the stack with
+    its args, so row b is bit-equal to the loop run on it alone.  Returns
+    the kept outputs, the next lam, the iteration counts and the
+    convergence flags of every row.
+    """
+    batch = lam.shape[:-1]
+    rows = np.arange(batch[0]) if batch else ...  # the output rows still in the loop
+    iterations = np.zeros(batch, dtype=int)
+    converged = np.zeros(batch, dtype=bool)
+    next_lam = np.empty(lam.shape)
+    mixer = _AndersonMixer(upper)
+    for it in range(cfg.max_iterations):
+        kept, image, x = update(*args, lam)
+        if not it:
+            out = [np.empty(batch + np.shape(o)[len(batch):]) for o in kept]
+        for whole, part in zip(out, kept):
+            whole[rows] = part
+        iterations[rows] += 1
+        lam = mixer.push(lam, image)
+        next_lam[rows] = lam
+        if it:
+            change = _step_norm(x - x_prev)
+            if change.ndim == lam.ndim:  # the smoother's step axis: its largest change
+                change = change.max(-1)
+            done = change < cfg.tol
+            converged[rows] = done
+            if done.all():
+                break
+            if done.any():
+                left = ~done
+                rows, lam, x, *args = (a[left] for a in (rows, lam, x, *args))
+                mixer.keep(left)
+        x_prev = x
+    return out, next_lam, iterations, converged
+
+
 def _stf_update_rows(model, x_prior, p_prior, y, c_mat, cfg=VBConfig(), policy=OPTIMAL) -> tuple:
-    """The VB loop of stf_update, for one row or a lockstep stack of rows,
-    each with its own measurement matrix.
+    """The VB loop of stf_update (_vb_loop), for one row or a lockstep
+    stack of rows, each with its own measurement matrix.
 
     x_prior (..., n_x), p_prior (..., n_x, n_x), y (..., n_y) and c_mat
     (..., n_y, n_x) hold the rows, with a leading shape () for one row or
-    (B,) for a stack; model supplies Delta, R and nu.  A row of a stack
-    leaves the loop when it converges, and every kernel runs on the rows
-    left, so row b is bit-equal to the call on that row alone.  Returns
-    the posterior augmented means (..., n) and covariances (..., n, n),
-    the mixing precisions (..., n_y) the last update ran with, the psi
+    (B,) for a stack; model supplies Delta, R and nu.  Returns the
+    posterior augmented means (..., n) and covariances (..., n, n), the
+    mixing precisions (..., n_y) the last update ran with, the psi
     statistic (..., n_y) of the last posterior, the VB iteration counts
     and the convergence flags.
     """
-    batch = y.shape[:-1]
     n_x = x_prior.shape[-1]
-    n = n_x + y.shape[-1]
-    cz = _stack_cz(c_mat, model.Delta)
-    rows = np.arange(batch[0]) if batch else ...  # the output rows still in the loop
-    out = [np.empty(batch + shape) for shape in ((n,), (n, n), y.shape[-1:], y.shape[-1:])]
-    iterations = np.zeros(batch, dtype=int)
-    converged = np.zeros(batch, dtype=bool)
-    lam = np.ones(y.shape)
-    mixer = _AndersonMixer(upper=(model.nu + 2.0) / model.nu)
-    for it in range(cfg.max_iterations):
+
+    def update(x_prior, p_prior, y, c_mat, cz, lam):
         mean, cov, _, _ = _augmented_update(
             x_prior, p_prior, y, c_mat, cz, model.Delta, model.R, lam, policy
         )
         psi = _psi_diagonal(y, cz, mean, cov, model.R, n_x)
-        for whole, part in zip(out, (mean, cov, lam, psi)):
-            whole[rows] = part
-        iterations[rows] += 1
-        lam = mixer.push(lam, expected_mixing_precision(model.nu, psi))
-        x_new = mean[..., :n_x]
-        done = _step_norm(x_new - x_prev) < cfg.tol if it else np.zeros(x_new.shape[:-1], bool)
-        converged[rows] = done
-        if done.all():
-            break
-        if done.any():
-            left = ~done
-            rows, x_prior, p_prior, y, c_mat, cz, lam, x_new = (
-                a[left] for a in (rows, x_prior, p_prior, y, c_mat, cz, lam, x_new)
-            )
-            mixer.keep(left)
-        x_prev = x_new
+        return (mean, cov, lam, psi), expected_mixing_precision(model.nu, psi), mean[..., :n_x]
+
+    args = (x_prior, p_prior, y, c_mat, _stack_cz(c_mat, model.Delta))
+    out, _, iterations, converged = _vb_loop(
+        update, args, np.ones(y.shape), (model.nu + 2.0) / model.nu, cfg
+    )
     return (*out, iterations, converged)
 
 

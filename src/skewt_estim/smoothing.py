@@ -9,10 +9,12 @@ augmented dynamics propagate x with the model transition and reset u each
 step (its transition block is zero), so the one-step augmented prediction
 covariance is blockdiag(A P A^T + Q, diag(1/lam)).
 
-The passes and the outer loop are written for B trajectories in lockstep
-(a leading batch axis; a row leaves the outer loop when it converges), and
-the public functions are their one-trajectory calls.  Every row is
-bit-equal to the same trajectory smoothed alone.
+The outer loop is the filter's VB loop (filtering._vb_loop), with one
+Anderson-mixed precision vector over the whole trajectory.  The passes and
+the loop are written for B trajectories in lockstep (a leading batch axis;
+a row leaves the loop when it converges), and the public functions are
+their one-trajectory calls.  Every row is bit-equal to the same trajectory
+smoothed alone.
 """
 
 from dataclasses import dataclass
@@ -25,12 +27,11 @@ from .filtering import (
     GaussianBelief,
     StateSpaceModel,
     VBConfig,
-    _AndersonMixer,
     _augmented_update,
     _forward,
     _psi_diagonal,
     _stack_cz,
-    _step_norm,
+    _vb_loop,
     expected_mixing_precision,
 )
 
@@ -117,7 +118,8 @@ def _forward_rows(model, ys, lambdas, c_seq) -> list:
 def forward_pass(model: StateSpaceModel, ys, lambdas) -> tuple:
     """Truncated forward filtering with fixed mixing precisions.
 
-    `lambdas` holds one positive precision diagonal per step.  Returns
+    `ys` holds one measurement and `lambdas` one positive precision
+    diagonal per step, each of length n_y.  Returns
     (filtered, predicted): the truncated augmented posteriors and the
     augmented one-step priors they were updated from, as GaussianBeliefs
     over [x; u].
@@ -127,7 +129,10 @@ def forward_pass(model: StateSpaceModel, ys, lambdas) -> tuple:
     if len(lambdas) != n_steps:
         raise ValueError(f"got {len(lambdas)} lambdas for {n_steps} steps")
     lams = [np.atleast_1d(np.asarray(lam, dtype=float)) for lam in lambdas]
-    for k, lam in enumerate(lams):
+    for k, (y, lam) in enumerate(zip(ys, lams)):
+        for name, a in (("ys", y), ("lambdas", lam)):
+            if a.shape != (model.n_y,):
+                raise ValueError(f"{name}[{k}] must have shape ({model.n_y},), got {a.shape}")
         if np.any(lam <= 0.0):
             raise ValueError(f"lambdas[{k}] must be positive")
     if n_steps == 0:
@@ -237,67 +242,44 @@ def sts_run(model: StateSpaceModel, ys, cfg: VBConfig = VBConfig()) -> SmoothedT
     )
 
 
-def _run_vb(model, ys, cfg, measurement_matrices=None, n_iterations=None):
-    """Full outer VB loop of one trajectory: the SmootherIterate of
-    _run_vb_rows for that row alone.  `measurement_matrices`, one per
-    step, default to model.C."""
+def _run_vb(model, ys, cfg):
+    """Full outer VB loop of one trajectory at measurement matrix model.C:
+    the SmootherIterate of _run_vb_rows for that row alone."""
     ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
     n_steps = len(ys)
     if n_steps == 0:
         n = model.n_x + model.n_y
         empty = (np.empty((0, n)), np.empty((0, n, n)))
         return SmootherIterate(empty, empty, empty, np.empty((0, model.n_y)), 0, True)
-    c_seq = [model.C] * n_steps if measurement_matrices is None else measurement_matrices
-    return _run_vb_rows(
-        model, np.stack(ys)[None], np.stack(c_seq)[None], cfg, n_iterations
-    ).row(0)
+    # Stacked, not broadcast: a broadcast C gives [C, diag(Delta)] another
+    # memory layout, and its matmuls other bits.
+    c_seq = np.stack([model.C] * n_steps)[None]
+    return _run_vb_rows(model, np.stack(ys)[None], c_seq, cfg).row(0)
 
 
-def _run_vb_rows(model, ys, c_seq, cfg, n_iterations=None) -> SmootherIterate:
-    """Outer VB loop of B trajectories in lockstep.
+def _run_vb_rows(model, ys, c_seq, cfg) -> SmootherIterate:
+    """Outer VB loop of B trajectories in lockstep (filtering._vb_loop).
 
-    ys is (B, K, n_y) and c_seq (B, K, n_y, n_x).  A row runs until the
-    largest per-step change of its smoothed state means drops below
-    cfg.tol, then leaves the batch, or until cfg.max_iterations;
-    `n_iterations` forces an exact iteration count instead.  The mixing
-    precisions of each row are one Anderson-mixed vector over the whole
-    trajectory, and every kernel runs on the stack, so each row is
-    bit-equal to the loop run on it alone.
+    ys is (B, K, n_y) and c_seq (B, K, n_y, n_x).  The mixing precisions
+    of each row are one Anderson-mixed vector over the whole trajectory,
+    and a row stops on the largest per-step change of its smoothed state
+    means; each row is bit-equal to the loop run on it alone.
     """
     n_rows, n_steps, n_y = ys.shape
-    n_x = model.n_x
-    cz = _stack_cz(c_seq, model.Delta)
-    lambdas = np.ones((n_rows, n_steps * n_y))
-    mixer = _AndersonMixer(upper=np.tile((model.nu + 2.0) / model.nu, n_steps))
-    max_iter = cfg.max_iterations if n_iterations is None else n_iterations
-    x_prev = np.empty((n_rows, n_steps, n_x))
-    iterations = np.zeros(n_rows, dtype=int)
-    converged = np.zeros(n_rows, dtype=bool)
-    n = n_x + n_y
-    out = [np.empty((n_rows, n_steps) + shape) for shape in ((n,), (n, n)) * 3]
-    active = np.arange(n_rows)
-    for it in range(max_iter):
-        stacks = _forward_rows(
-            model, ys[active], lambdas[active].reshape(-1, n_steps, n_y), c_seq[active]
-        )
+
+    def update(ys, c_seq, cz, lam):
+        stacks = _forward_rows(model, ys, lam.reshape(-1, n_steps, n_y), c_seq)
         stacks += _backward_rows(*stacks, model)
-        plain = _lambda_rows(*stacks[4:], ys[active], cz[active], model)
-        for whole, part in zip(out, stacks):
-            whole[active] = part
-        iterations[active] += 1
-        lambdas[active] = mixer.push(lambdas[active], plain.reshape(len(active), -1))
-        xs = stacks[4][..., :n_x]
-        if n_iterations is None and it:
-            done = _step_norm(xs - x_prev[active]).max(-1) < cfg.tol
-        else:
-            done = np.zeros(len(active), dtype=bool)
-        converged[active[done]] = True
-        x_prev[active] = xs
-        active = active[~done]
-        if not active.size:
-            break
-        if done.any():
-            mixer.keep(~done)
+        plain = _lambda_rows(*stacks[4:], ys, cz, model)
+        return stacks, plain.reshape(len(ys), -1), stacks[4][..., : model.n_x]
+
+    out, lambdas, iterations, converged = _vb_loop(
+        update,
+        (ys, c_seq, _stack_cz(c_seq, model.Delta)),
+        np.ones((n_rows, n_steps * n_y)),
+        np.tile((model.nu + 2.0) / model.nu, n_steps),
+        cfg,
+    )
     return SmootherIterate(
         (out[0], out[1]), (out[2], out[3]), (out[4], out[5]),
         lambdas.reshape(n_rows, n_steps, n_y), iterations, converged,

@@ -25,7 +25,6 @@ from .exceptions import DegenerateDirectionError, NumericalFailureError, OracleI
 
 __all__ = [
     "MomentPair",
-    "HazardResult",
     "TruncationOrderPolicy",
     "Optimal",
     "RandomOrder",
@@ -65,22 +64,6 @@ class MomentPair:
     @property
     def dim(self) -> int:
         return self.mean.size
-
-
-@dataclass(frozen=True)
-class HazardResult:
-    """Coefficients of a single positive-orthant truncation update.
-
-    ``epsilon`` is phi(xi)/Phi(xi) (or its asymptotic surrogate -xi when
-    Phi(xi) underflows), ``mean_coeff`` scales the mean shift along the
-    truncated column and ``cov_coeff`` scales the rank-one covariance
-    downdate.  ``cov_coeff`` always lies in [0, 1].
-    """
-
-    epsilon: float
-    mean_coeff: float
-    cov_coeff: float
-    underflowed: bool
 
 
 class TruncationOrderPolicy:
@@ -247,19 +230,21 @@ def _rec_trunc_rows(mean: np.ndarray, cov: np.ndarray, truncated) -> tuple:
     return mean, cov
 
 
-def hazard(xi: float) -> HazardResult:
-    """Truncation-update coefficients for standardized boundary distance xi.
+def hazard(xi: float) -> tuple:
+    """Truncation-update coefficients (mean_coeff, cov_coeff, underflowed)
+    for standardized boundary distance xi.
 
-    For representable Phi(xi) this returns epsilon = phi(xi)/Phi(xi),
-    mean_coeff = epsilon and cov_coeff = xi*epsilon + epsilon**2.  For
-    xi < -37 (where Phi underflows in double precision) the limits
-    epsilon + xi -> 0 and xi*epsilon + epsilon**2 -> 1 are substituted.
+    For representable Phi(xi), mean_coeff is the inverse Mills ratio
+    epsilon = phi(xi)/Phi(xi), which scales the mean shift along the
+    truncated column, and cov_coeff = xi*epsilon + epsilon**2, in [0, 1],
+    scales the rank-one covariance downdate.  For xi < -37 (where Phi
+    underflows in double precision) the limits epsilon + xi -> 0 and
+    xi*epsilon + epsilon**2 -> 1 are substituted, and underflowed is True.
     """
     xi = float(xi)
     if not np.isfinite(xi):
         raise ValueError(f"xi must be finite, got {xi!r}")
-    eps, cov_coeff, underflowed = _coefficients(xi)
-    return HazardResult(eps, eps, cov_coeff, underflowed)
+    return _coefficients(xi)
 
 
 def truncate_once(m: MomentPair, k: int) -> MomentPair:

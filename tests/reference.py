@@ -223,7 +223,7 @@ def backward_pass_augmented(filtered, predicted, a):
     return sm
 
 
-def sts_run_scalar(model, ys, cfg, measurement_matrices, n_iterations=None):
+def sts_run_scalar(model, ys, cfg, measurement_matrices):
     """The outer VB smoother loop on one trajectory, step by step.
 
     Returns (smoothed means (K, n), smoothed covariances (K, n, n),
@@ -238,8 +238,7 @@ def sts_run_scalar(model, ys, cfg, measurement_matrices, n_iterations=None):
     x_prev = None
     converged = False
     iterations = 0
-    max_iter = cfg.max_iterations if n_iterations is None else n_iterations
-    for _ in range(max_iter):
+    for _ in range(cfg.max_iterations):
         # Forward pass with the mixing precisions held fixed.
         filtered, predicted = [], []
         x_pred, p_pred = model.prior_mean, model.prior_cov
@@ -276,7 +275,7 @@ def sts_run_scalar(model, ys, cfg, measurement_matrices, n_iterations=None):
         lambdas = list(mixed.reshape(n_steps, n_y))
         iterations += 1
         xs = np.stack([m[:n_x] for m, _ in smoothed])
-        if n_iterations is None and x_prev is not None:
+        if x_prev is not None:
             if np.linalg.norm(xs - x_prev, axis=1).max() < cfg.tol:
                 converged = True
                 break

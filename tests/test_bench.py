@@ -33,7 +33,7 @@ from skewt_estim.exceptions import (
 )
 from skewt_estim.filtering import VBConfig
 from skewt_estim.skewt import SkewTComponent, moments
-from skewt_estim.smoothing import _run_vb
+from skewt_estim.smoothing import _run_vb_rows
 
 
 def small_config(**overrides):
@@ -435,15 +435,12 @@ class TestSmootherIterations:
         for rep in range(3):
             traj = simulate(cfg, rep)
             _, c_rows, y_rows = _stf_rows(model, sats, [traj], VBConfig())
-            c_seq, y_adj = c_rows[0], y_rows[0]
-            res5 = _run_vb(
-                model, y_adj, VBConfig(), measurement_matrices=c_seq,
-                n_iterations=5,
+            # A tolerance no change meets: the cap ends both runs.
+            res5, res30 = (
+                _run_vb_rows(model, y_rows, c_rows, VBConfig(max_iterations=n, tol=1e-300)).row(0)
+                for n in (5, 30)
             )
-            res30 = _run_vb(
-                model, y_adj, VBConfig(), measurement_matrices=c_seq,
-                n_iterations=30,
-            )
+            assert (res5.iterations, res30.iterations) == (5, 30)
             pos5 = res5.smoothed[0][:, :3]
             pos30 = res30.smoothed[0][:, :3]
             r5 = rmse(pos5, traj.states)

@@ -57,7 +57,7 @@ from skewt_estim.filtering import (
     stf_update,
 )
 from skewt_estim.skewt import SkewTComponent, moments
-from skewt_estim.smoothing import _forward_rows, _run_vb, backward_pass
+from skewt_estim.smoothing import _forward_rows, _run_vb, _run_vb_rows, backward_pass
 from skewt_estim.truncnorm import (
     OPTIMAL,
     UNDERFLOW_XI,
@@ -200,6 +200,36 @@ class TestUpdateRows:
             assert_array_equal(psi[b], diag.psi_diag)
             assert iterations[b] == diag.iterations
             assert converged[b] == diag.converged
+
+
+    # The default loop, where rows converge at different iterations, and
+    # caps under which some rows converge and leave the stack while others
+    # are cut off with the mixing precisions of their last iteration.
+    @pytest.mark.parametrize("cfg", [VBConfig(), VBConfig(10, 1e-2), VBConfig(17, 1e-4)])
+    @pytest.mark.parametrize("nu", [1.2, 4.0])
+    def test_run_vb_rows_bit_equal(self, nu, cfg):
+        rng = np.random.default_rng(int(10 * nu))
+        n_x, n_y, n_steps, n_rows = 3, 4, 10, 6
+        model = StateSpaceModel(
+            A=np.eye(n_x), Q=0.1 * np.eye(n_x), C=np.ones((n_y, n_x)), R=np.ones(n_y),
+            Delta=np.full(n_y, 5.0), nu=np.full(n_y, nu),
+            prior_mean=np.zeros(n_x), prior_cov=np.eye(n_x),
+        )
+        c_seq = rng.standard_normal((n_rows, n_steps, n_y, n_x))
+        ys = 5.0 * rng.standard_normal((n_rows, n_steps, n_y))
+        stacked = _run_vb_rows(model, ys, c_seq, cfg)
+        assert len(set(stacked.iterations)) > 1
+        if cfg.max_iterations < 30:
+            assert stacked.converged.any() and not stacked.converged.all()
+        for b in range(n_rows):
+            row = stacked.row(b)
+            alone = _run_vb_rows(model, ys[b : b + 1], c_seq[b : b + 1], cfg).row(0)
+            for got, want in zip(
+                (*row.filtered, *row.predicted, *row.smoothed, row.lambdas),
+                (*alone.filtered, *alone.predicted, *alone.smoothed, alone.lambdas),
+            ):
+                assert_array_equal(got, want)
+            assert (row.iterations, row.converged) == (alone.iterations, alone.converged)
 
 
 class TestAndersonMixer:

@@ -73,9 +73,15 @@ class TestForwardPass:
 
     def test_lambda_length_validated(self):
         rng = np.random.default_rng(34)
-        model = random_model(rng, 2, 2)
-        with pytest.raises(ValueError):
-            forward_pass(model, [np.zeros(2)], [np.ones(2)] * 2)
+        model = random_model(rng, 2, 3)
+        for ys, lambdas, match in (
+            ([np.zeros(3)], [np.ones(3)] * 2, "got 2 lambdas for 1 steps"),
+            ([np.zeros(3)] * 4, [2.0] * 4, r"lambdas\[0\] must have shape \(3,\)"),
+            ([np.zeros(3), np.zeros(2)], [np.ones(3)] * 2, r"ys\[1\] must have shape \(3,\)"),
+            ([np.zeros(3)] * 2, [np.ones(3), np.ones(4)], r"lambdas\[1\] must have shape"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                forward_pass(model, ys, lambdas)
 
 
 class TestBackwardPass:

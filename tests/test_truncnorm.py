@@ -29,27 +29,26 @@ HALF_NORMAL_VAR = 1.0 - 2.0 / np.pi
 
 class TestHazard:
     def test_at_zero(self):
-        h = hazard(0.0)
-        assert h.epsilon == pytest.approx(2.0 * norm.pdf(0.0), abs=1e-12)
-        assert h.mean_coeff == h.epsilon
-        assert h.cov_coeff == pytest.approx(2.0 / np.pi, abs=1e-12)
-        assert not h.underflowed
+        mean_coeff, cov_coeff, underflowed = hazard(0.0)
+        assert mean_coeff == pytest.approx(2.0 * norm.pdf(0.0), abs=1e-12)
+        assert cov_coeff == pytest.approx(2.0 / np.pi, abs=1e-12)
+        assert not underflowed
 
     def test_deep_underflow_limits(self):
-        h = hazard(-50.0)
-        assert h.underflowed
-        assert h.mean_coeff == 50.0
-        assert h.cov_coeff == 1.0
+        mean_coeff, cov_coeff, underflowed = hazard(-50.0)
+        assert underflowed
+        assert mean_coeff == 50.0
+        assert cov_coeff == 1.0
 
     def test_inactive_constraint(self):
-        h = hazard(8.0)
-        assert h.epsilon < 1e-12
-        assert abs(h.cov_coeff) < 1e-12
+        mean_coeff, cov_coeff, _ = hazard(8.0)
+        assert mean_coeff < 1e-12
+        assert abs(cov_coeff) < 1e-12
 
     def test_cov_coeff_bounds(self):
         for xi in np.linspace(-36.9, 30.0, 200):
-            h = hazard(xi)
-            assert 0.0 <= h.cov_coeff <= 1.0
+            _, cov_coeff, _ = hazard(xi)
+            assert 0.0 <= cov_coeff <= 1.0
 
     @pytest.mark.parametrize("xi", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, xi):
