@@ -19,8 +19,8 @@ import numpy as np
 from scipy.special import gammaincinv
 
 from ._linalg import psd_sqrt, symmetrize
-from .exceptions import DegeneracyError
-from .filtering import GaussianBelief, StateSpaceModel, _forward
+from .exceptions import DegeneracyError, NumericalFailureError
+from .filtering import GaussianBelief, StateSpaceModel, _forward, _vectors
 from .skewt import SkewTComponent, log_pdf, moments
 from .smoothing import backward_pass
 
@@ -68,11 +68,14 @@ def kf_gated_update(
     a component is discarded when its normalized innovation squared
     exceeds the gate threshold.  `r_matched` holds the matched normal
     variances (diagonal); the caller removes any noise mean offset from y
-    beforehand.  This is the one-row call of _kf_gated_update_rows.
+    beforehand.  This is the one-row call of _kf_gated_update_rows.  A
+    non-finite y raises NumericalFailureError.
     """
     c_mat = np.atleast_2d(np.asarray(c_mat, dtype=float))
     r_matched = np.atleast_1d(np.asarray(r_matched, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
+    if not np.isfinite(y).all():
+        raise NumericalFailureError("measurement is not finite")
     x, p, _ = _kf_gated_update_rows(
         c_mat[None], r_matched, prior.mean[None], prior.cov[None], y[None], g
     )
@@ -111,7 +114,7 @@ def kf_gated_run(model: StateSpaceModel, ys, g: GatingConfig = GatingConfig()):
     variances and Delta is ignored.  Returns (filtered beliefs, predicted
     beliefs) with predicted[k] the one-step prior of step k.
     """
-    ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
+    ys = _vectors("ys", ys, model.n_y)
     filtered = []
     predicted = []
 

@@ -11,11 +11,11 @@ as an independent Gamma block, alternating two closed-form updates:
     precisions (nu_i + 2) / (nu_i + psi_i) from the per-component residual
     statistic psi.
 
-The precisions are Anderson-mixed, and the loop stops when the state
-mean moves less than the configured tolerance between successive
-updates.  _vb_loop is that loop, and the smoother runs it as well, over
-whole trajectories.  A normal approximation of the x marginal is carried
-to the next time step.
+The precisions are Anderson-mixed over the last three iterates, and the
+loop stops when the state mean moves less than the configured tolerance
+between successive updates.  _vb_loop is that loop, and the smoother
+runs it as well, over whole trajectories.  A normal approximation of the
+x marginal is carried to the next time step.
 """
 
 import math
@@ -270,7 +270,8 @@ def _anderson_step(xs: np.ndarray, gs: np.ndarray, upper) -> np.ndarray:
     differences to the last residual, clipped to [1e-12, upper].  A row
     whose residual differences all vanish keeps its last image, and so
     does every row on the first push.  Each row of a stack is bit-equal
-    to its own call.
+    to its own call.  The result is a fresh array, never a view of gs,
+    which _vb_loop shifts in place.
 
     One row is fitted by _lstsq2_row on Python floats, a stack by
     _lstsq2: with m = 12 a moving one-row step took 31-35 us against
@@ -295,44 +296,14 @@ def _anderson_step(xs: np.ndarray, gs: np.ndarray, upper) -> np.ndarray:
     return clipped if d.ndim == 2 else np.where(moving[..., None], clipped, gs[..., -1, :])
 
 
-class _AndersonMixer:
-    """Small-window Anderson extrapolation of a fixed-point sequence.
-
-    Accelerates the mixing-precision iteration toward its (unchanged)
-    stationary point using the secant information of the last few
-    (iterate, map image) pairs.  Falls back to the plain image when the
-    residual differences are degenerate, so converged sequences are left
-    untouched.  The window holds the last three pairs, so the weights
-    solve a two-column least-squares problem (_lstsq2).  The history is a
-    (..., 3, m) array: one mixer serves a single sequence or a stack of
-    rows in lockstep.
-    """
-
-    depth = 3
-
-    def __init__(self, upper: np.ndarray):
-        self.upper = upper
-        self._xs = None
-        self._gs = None
-
-    def push(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Record the image g of iterate x and return the next iterate."""
-        x = np.asarray(x, dtype=float)
-        g = np.asarray(g, dtype=float)
-        if self._xs is None:
-            # The first pair fills the window, so the differences to the
-            # slots not yet pushed are exactly zero.
-            self._xs = np.repeat(x[..., None, :], self.depth, axis=-2)
-            self._gs = np.repeat(g[..., None, :], self.depth, axis=-2)
-        else:
-            self._xs = np.concatenate([self._xs[..., 1:, :], x[..., None, :]], axis=-2)
-            self._gs = np.concatenate([self._gs[..., 1:, :], g[..., None, :]], axis=-2)
-        return _anderson_step(self._xs, self._gs, self.upper)
-
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop the history rows of a stack where `mask` is False."""
-        self._xs = self._xs[mask]
-        self._gs = self._gs[mask]
+def _vectors(name: str, seq, n: int) -> list:
+    """The items of seq as float vectors, each checked to have shape (n,);
+    the ValueError names the first that has not, as name[k]."""
+    out = [np.atleast_1d(np.asarray(v, dtype=float)) for v in seq]
+    for k, v in enumerate(out):
+        if v.shape != (n,):
+            raise ValueError(f"{name}[{k}] must have shape ({n},), got {v.shape}")
+    return out
 
 
 def _time_update(model, x, p) -> tuple:
@@ -394,9 +365,10 @@ def _diag_rows(v: np.ndarray) -> np.ndarray:
 
 
 def _stack_cz(c_mat, delta):
-    """[C, diag(delta)] for a measurement matrix or each one of a stack."""
+    """[C, diag(delta)] for a measurement matrix or each one of a stack,
+    C-contiguous for any layout of C, so a broadcast C gives the same bits."""
     d = np.broadcast_to(np.diag(delta), c_mat.shape[:-1] + (delta.size,))
-    return np.concatenate([c_mat, d], axis=-1)
+    return np.ascontiguousarray(np.concatenate([c_mat, d], axis=-1))
 
 
 def _augmented_update(x_pred, p_pred, y, c_mat, cz, delta, r, lam, policy=OPTIMAL):
@@ -479,27 +451,33 @@ def _vb_loop(update, args, lam, upper, cfg) -> tuple:
     mixing precisions lam (..., m).  It returns the outputs to keep, the
     plain image of lam and the x means, (..., n_x) for one step or
     (..., K, n_x) for the K steps of a trajectory.  The next lam is the
-    Anderson-mixed image, clipped to [1e-12, upper].  From the second
-    iteration on, a row stops when the largest Euclidean change of its x
-    means over its steps is below cfg.tol; it then leaves the stack with
-    its args, so row b is bit-equal to the loop run on it alone.  Returns
-    the kept outputs, the next lam, the iteration counts and the
-    convergence flags of every row.
+    _anderson_step of the window xs, gs (..., 3, m) of the last three lam
+    and their images, which the first pair fills and later pairs shift in
+    place; lam is stored before update runs, which may then overwrite it.
+    From the second iteration on, a row stops when the largest Euclidean
+    change of its x means over its steps is below cfg.tol; it then leaves
+    the stack with its window and args, so row b is bit-equal to the loop
+    run on it alone.  Returns the kept outputs, the next lam, the
+    iteration counts and the convergence flags of every row.
     """
     batch = lam.shape[:-1]
     rows = np.arange(batch[0]) if batch else ...  # the output rows still in the loop
     iterations = np.zeros(batch, dtype=int)
     converged = np.zeros(batch, dtype=bool)
     next_lam = np.empty(lam.shape)
-    mixer = _AndersonMixer(upper)
+    xs, gs = np.empty((2,) + batch + (3,) + lam.shape[-1:])
     for it in range(cfg.max_iterations):
+        xs[..., :-1, :] = xs[..., 1:, :] if it else lam[..., None, :]
+        xs[..., -1, :] = lam
         kept, image, x = update(*args, lam)
+        gs[..., :-1, :] = gs[..., 1:, :] if it else image[..., None, :]
+        gs[..., -1, :] = image
         if not it:
             out = [np.empty(batch + np.shape(o)[len(batch):]) for o in kept]
         for whole, part in zip(out, kept):
             whole[rows] = part
         iterations[rows] += 1
-        lam = mixer.push(lam, image)
+        lam = _anderson_step(xs, gs, upper)
         next_lam[rows] = lam
         if it:
             change = _step_norm(x - x_prev)
@@ -511,8 +489,7 @@ def _vb_loop(update, args, lam, upper, cfg) -> tuple:
                 break
             if done.any():
                 left = ~done
-                rows, lam, x, *args = (a[left] for a in (rows, lam, x, *args))
-                mixer.keep(left)
+                rows, lam, x, xs, gs, *args = (a[left] for a in (rows, lam, x, xs, gs, *args))
         x_prev = x
     return out, next_lam, iterations, converged
 
@@ -587,7 +564,7 @@ def stf_run(model: StateSpaceModel, ys, cfg: VBConfig = VBConfig()) -> list:
 
     Returns one (GaussianBelief, VBStepDiagnostics) pair per measurement.
     """
-    ys = list(ys)
+    ys = _vectors("ys", ys, model.n_y)
     out = []
 
     def step(k, x, p):

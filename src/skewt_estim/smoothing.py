@@ -32,6 +32,7 @@ from .filtering import (
     _psi_diagonal,
     _stack_cz,
     _vb_loop,
+    _vectors,
     expected_mixing_precision,
 )
 
@@ -124,15 +125,12 @@ def forward_pass(model: StateSpaceModel, ys, lambdas) -> tuple:
     augmented one-step priors they were updated from, as GaussianBeliefs
     over [x; u].
     """
-    ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
+    ys = _vectors("ys", ys, model.n_y)
     n_steps = len(ys)
     if len(lambdas) != n_steps:
         raise ValueError(f"got {len(lambdas)} lambdas for {n_steps} steps")
-    lams = [np.atleast_1d(np.asarray(lam, dtype=float)) for lam in lambdas]
-    for k, (y, lam) in enumerate(zip(ys, lams)):
-        for name, a in (("ys", y), ("lambdas", lam)):
-            if a.shape != (model.n_y,):
-                raise ValueError(f"{name}[{k}] must have shape ({model.n_y},), got {a.shape}")
+    lams = _vectors("lambdas", lambdas, model.n_y)
+    for k, lam in enumerate(lams):
         if np.any(lam <= 0.0):
             raise ValueError(f"lambdas[{k}] must be positive")
     if n_steps == 0:
@@ -245,15 +243,13 @@ def sts_run(model: StateSpaceModel, ys, cfg: VBConfig = VBConfig()) -> SmoothedT
 def _run_vb(model, ys, cfg):
     """Full outer VB loop of one trajectory at measurement matrix model.C:
     the SmootherIterate of _run_vb_rows for that row alone."""
-    ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
+    ys = _vectors("ys", ys, model.n_y)
     n_steps = len(ys)
     if n_steps == 0:
         n = model.n_x + model.n_y
         empty = (np.empty((0, n)), np.empty((0, n, n)))
         return SmootherIterate(empty, empty, empty, np.empty((0, model.n_y)), 0, True)
-    # Stacked, not broadcast: a broadcast C gives [C, diag(Delta)] another
-    # memory layout, and its matmuls other bits.
-    c_seq = np.stack([model.C] * n_steps)[None]
+    c_seq = np.broadcast_to(model.C, (1, n_steps) + model.C.shape)
     return _run_vb_rows(model, np.stack(ys)[None], c_seq, cfg).row(0)
 
 

@@ -210,6 +210,14 @@ def _truncate_rows(mean, cov, diag, active, base, tol0) -> None:
     cov -= downdate
 
 
+def _indices(indices: Iterable[int], dim: int) -> list:
+    """The distinct indices in ascending order, checked to lie in [0, dim)."""
+    todo = sorted({int(i) for i in indices})
+    if todo and (todo[0] < 0 or todo[-1] >= dim):
+        raise ValueError(f"truncated indices {todo} out of range for dim {dim}")
+    return todo
+
+
 def _rec_trunc_rows(mean: np.ndarray, cov: np.ndarray, truncated) -> tuple:
     """rec_trunc(..., OPTIMAL) of B rows in lockstep: (B, n) means and
     (B, n, n) covariances, one truncated index set for all rows.
@@ -218,7 +226,7 @@ def _rec_trunc_rows(mean: np.ndarray, cov: np.ndarray, truncated) -> tuple:
     rec_trunc(MomentPair(mean[b], cov[b]), truncated).  For a single row
     rec_trunc itself is faster.
     """
-    todo = sorted({int(i) for i in truncated})
+    todo = _indices(truncated, mean.shape[1])
     mean, cov = mean.copy(), symmetrize(cov)
     active = np.zeros(mean.shape, dtype=bool)
     active[:, todo] = True
@@ -253,6 +261,7 @@ def truncate_once(m: MomentPair, k: int) -> MomentPair:
     The covariance is symmetrized first.  Raises DegenerateDirectionError
     when cov[k, k] is not usably positive (<= 1e-14 * trace).
     """
+    (k,) = _indices([k], m.dim)
     mean, cov = m.mean.copy(), symmetrize(m.cov)
     _truncate_step(mean, cov, k, float(cov[k, k]), float(mean[k]), 1e-14 * float(cov.trace()))
     return MomentPair(mean, cov)
@@ -264,9 +273,7 @@ def select_next(m: MomentPair, remaining: Iterable[int]) -> int:
     This is the constraint that truncates the most probability mass, the
     per-step optimal choice.  Ties break to the lowest index.
     """
-    active = np.zeros(m.dim, dtype=bool)
-    active[[int(i) for i in remaining]] = True
-    left = active.nonzero()[0].tolist()
+    left = _indices(remaining, m.dim)
     if not left:
         raise ValueError("remaining index set is empty")
     return _greedy_index(m.mean.tolist(), m.cov.diagonal().tolist(), left)
@@ -286,9 +293,7 @@ def rec_trunc(
     order and the step coefficients are worked out on Python floats; only
     the downdates run in numpy.
     """
-    todo = sorted({int(i) for i in truncated})
-    if todo and (todo[0] < 0 or todo[-1] >= m.dim):
-        raise ValueError(f"truncated indices {todo} out of range for dim {m.dim}")
+    todo = _indices(truncated, m.dim)
     if not todo:
         return m
     fixed = isinstance(policy, FixedOrder)
@@ -425,9 +430,7 @@ def tmnd_oracle(
     n_samples = int(n_samples)
     if n_samples < 1000:
         raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
-    todo = sorted({int(i) for i in truncated})
-    if todo and (todo[0] < 0 or todo[-1] >= m.dim):
-        raise ValueError(f"truncated indices {todo} out of range for dim {m.dim}")
+    todo = _indices(truncated, m.dim)
     rng = np.random.default_rng(seed)
 
     w, v = np.linalg.eigh(symmetrize(m.cov))

@@ -6,8 +6,8 @@ package under test.  The exceptions are sts_run_scalar, the smoother of
 one trajectory at a time that the lockstep smoother replaced, and
 component_log_likelihoods_interp, the per-component np.interp lookup
 that the one-pass lookup replaced.  They are built on the package's
-scalar update kernel and density tables, so the code that replaced them
-can be held to them bit for bit.
+scalar update kernel, Anderson step and density tables, so the code that
+replaced them can be held to them bit for bit.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from scipy.stats import truncnorm as scipy_truncnorm
 
 from skewt_estim._linalg import solve_spd, symmetrize
 from skewt_estim.baselines import _density_table
-from skewt_estim.filtering import _AndersonMixer, _augmented_update
+from skewt_estim.filtering import _anderson_step, _augmented_update
 from skewt_estim.skewt import log_pdf
 
 
@@ -234,7 +234,8 @@ def sts_run_scalar(model, ys, cfg, measurement_matrices):
     n_steps, n_x, n_y = len(ys), model.n_x, model.n_y
     cz_seq = [np.hstack([c, np.diag(model.Delta)]) for c in c_seq]
     lambdas = [np.ones(n_y) for _ in range(n_steps)]
-    mixer = _AndersonMixer(upper=np.tile((model.nu + 2.0) / model.nu, n_steps))
+    upper = np.tile((model.nu + 2.0) / model.nu, n_steps)
+    window = []  # the last three (precisions, image) pairs, oldest first
     x_prev = None
     converged = False
     iterations = 0
@@ -271,7 +272,9 @@ def sts_run_scalar(model, ys, cfg, measurement_matrices):
             psi = (resid**2 + quad) / model.R + s_mean[n_x:] ** 2
             psi = psi + np.diag(s_cov[n_x:, n_x:])
             plain.append((model.nu + 2.0) / (model.nu + psi))
-        mixed = mixer.push(np.concatenate(lambdas), np.concatenate(plain))
+        pair = (np.concatenate(lambdas), np.concatenate(plain))
+        window = (window or [pair] * 3)[1:] + [pair]  # the first pair fills it
+        mixed = _anderson_step(*(np.stack(h) for h in zip(*window)), upper)
         lambdas = list(mixed.reshape(n_steps, n_y))
         iterations += 1
         xs = np.stack([m[:n_x] for m, _ in smoothed])

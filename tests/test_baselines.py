@@ -21,7 +21,7 @@ from skewt_estim.baselines import (
 )
 from skewt_estim.bench import ScenarioConfig, make_constellation, scenario_model, simulate
 from skewt_estim.bench.gnss import pseudoranges
-from skewt_estim.exceptions import DegeneracyError
+from skewt_estim.exceptions import DegeneracyError, NumericalFailureError
 from skewt_estim.filtering import GaussianBelief, StateSpaceModel
 from skewt_estim.skewt import SkewTComponent, log_pdf
 
@@ -130,6 +130,23 @@ class TestGatedSmoother:
             c_rows, variances, model.prior_mean, model.prior_cov, ys.ravel()
         )
         np.testing.assert_allclose(smoothed[0].mean, mean_ref, atol=1e-8)
+
+    @pytest.mark.parametrize("run", [kf_gated_run, rtss_gated_run])
+    def test_measurement_length_validated(self, run):
+        model = random_model(np.random.default_rng(55), 3, 2)
+        with pytest.raises(ValueError, match=r"ys\[1\] must have shape \(2,\), got \(3,\)"):
+            run(model, [np.zeros(2), np.zeros(3)])
+
+    @pytest.mark.parametrize("run", [kf_gated_run, rtss_gated_run])
+    def test_nonfinite_measurement_fails_with_step(self, run):
+        model = random_model(np.random.default_rng(56), 3, 2)
+        ys = np.zeros((4, 2))
+        ys[2, 1] = np.nan
+        with pytest.raises(NumericalFailureError, match="measurement is not finite") as info:
+            run(model, ys)
+        assert info.value.step == 2
+        with pytest.raises(NumericalFailureError, match="measurement is not finite"):
+            kf_gated_update(model.C, model.R, model.prior_belief(), ys[2])
 
     def test_zero_dynamics_keeps_filtered_beliefs(self):
         # A = 0, Q = 0 makes every prediction covariance exactly zero, so

@@ -232,6 +232,11 @@ class TestFilterRun:
         with pytest.raises(NumericalFailureError, match="time step 1"):
             stf_run(model, [[0.0], [0.0]])
 
+    def test_measurement_length_validated(self):
+        model = random_model(np.random.default_rng(8), 3, 2)
+        with pytest.raises(ValueError, match=r"ys\[1\] must have shape \(2,\), got \(3,\)"):
+            stf_run(model, [np.zeros(2), np.zeros(3)])
+
 
 class TestBeliefValidation:
     def test_asymmetric_covariance_rejected(self):

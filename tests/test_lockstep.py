@@ -8,7 +8,7 @@ filter and smoother are checked row by row with np.array_equal, and a
 failing batch must give the records of one-at-a-time runs.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -44,7 +44,6 @@ from skewt_estim.filtering import (
     GaussianBelief,
     StateSpaceModel,
     VBConfig,
-    _AndersonMixer,
     _anderson_step,
     _augmented_update,
     _lstsq2,
@@ -52,12 +51,19 @@ from skewt_estim.filtering import (
     _psi_diagonal,
     _stack_cz,
     _stf_update_rows,
+    expected_mixing_precision,
     predict,
     stf_run,
     stf_update,
 )
 from skewt_estim.skewt import SkewTComponent, moments
-from skewt_estim.smoothing import _forward_rows, _run_vb, _run_vb_rows, backward_pass
+from skewt_estim.smoothing import (
+    SmootherIterate,
+    _forward_rows,
+    _run_vb,
+    _run_vb_rows,
+    backward_pass,
+)
 from skewt_estim.truncnorm import (
     OPTIMAL,
     UNDERFLOW_XI,
@@ -68,6 +74,7 @@ from skewt_estim.truncnorm import (
 )
 
 from reference import sts_run_scalar
+from test_filtering import random_model, simulate_linear
 
 
 @st.composite
@@ -232,16 +239,57 @@ class TestUpdateRows:
             assert (row.iterations, row.converged) == (alone.iterations, alone.converged)
 
 
-class TestAndersonMixer:
-    def test_push_keeps_history_when_caller_updates_in_place(self):
-        upper = np.full(3, 10.0)
-        mixer, reference = _AndersonMixer(upper), _AndersonMixer(upper)
-        lam = np.ones(3)
-        images = ([0.5, 0.8, 1.2], [0.6, 0.7, 1.1], [0.62, 0.74, 1.05])
-        for g in map(np.array, images):
-            want = reference.push(lam.copy(), g.copy())
-            lam[:] = mixer.push(lam, g)  # in place, as a per-row loop does
-            assert_array_equal(lam, want)
+    def test_run_vb_broadcast_c_bit_equal_to_stacked(self):
+        """A measurement matrix broadcast over the steps gives the bits of
+        the same matrix stacked, in every SmootherIterate field; _run_vb
+        broadcasts it."""
+        rng = np.random.default_rng(3)
+        model = random_model(rng, 4, 8, delta=2.0, nu=4.0)
+        ys = simulate_linear(model, rng, 20)
+        c_seq = np.broadcast_to(model.C, (1, 20) + model.C.shape)
+        broadcast = _run_vb_rows(model, ys[None], c_seq, VBConfig())
+        stacked = _run_vb_rows(model, ys[None], c_seq.copy(), VBConfig())
+        alone = _run_vb(model, ys, VBConfig())
+        for got, want in ((broadcast, stacked), (alone, stacked.row(0))):
+            for f in fields(SmootherIterate):
+                g, w = getattr(got, f.name), getattr(want, f.name)
+                for a, b in zip(g, w) if isinstance(w, tuple) else [(g, w)]:
+                    assert_array_equal(a, b)
+
+
+class TestVBLoop:
+    @pytest.mark.parametrize("n_rows", [None, 6])
+    def test_update_may_overwrite_lam_after_use(self, n_rows):
+        """The window holds its own copies of lam and of the images: an
+        update that overwrites its lam argument after use gives the
+        outputs of one that does not, for one row and for a stack whose
+        rows leave the loop at different iterations."""
+        rng = np.random.default_rng(12)
+        n_x, n_y = 4, 8
+        x, p, y, c = random_rows(rng, n_rows or 1, n_x, n_y)
+        if n_rows is None:
+            x, p, y, c = x[0], p[0], y[0], c[0]
+        delta, r, nu = np.full(n_y, 5.0), np.ones(n_y), np.full(n_y, 1.2)
+
+        def update(x, p, y, c, cz, lam):
+            mean, cov, _, _ = _augmented_update(x, p, y, c, cz, delta, r, lam)
+            psi = _psi_diagonal(y, cz, mean, cov, r, n_x)
+            return (mean, cov, psi), expected_mixing_precision(nu, psi), mean[..., :n_x]
+
+        def overwriting(*args):
+            out = update(*args)
+            args[-1][...] = np.nan
+            return out
+
+        args = (x, p, y, c, _stack_cz(c, delta))
+        want = filtering._vb_loop(update, args, np.ones(y.shape), (nu + 2.0) / nu, VBConfig())
+        got = filtering._vb_loop(overwriting, args, np.ones(y.shape), (nu + 2.0) / nu, VBConfig())
+        iterations = np.atleast_1d(want[2])
+        assert iterations.min() > 3  # the window moves past its first fill
+        if n_rows:
+            assert len(set(iterations)) > 1
+        for g, w in zip((*got[0], *got[1:]), (*want[0], *want[1:])):
+            assert_array_equal(g, w)
 
 
 def lstsq_reference(d, f):
@@ -441,26 +489,6 @@ class TestStackedKernels:
         out = _anderson_step(xs, gs, upper)
         for b in range(n_rows):
             assert_array_equal(out[b], _anderson_step(xs[b], gs[b], upper))
-
-    @settings(deadline=None, max_examples=50)
-    @given(kernel_rows())
-    def test_mixer_rows_bit_equal_as_rows_leave(self, case):
-        n_rows, _, m, rng = case
-        upper = np.full(m, 1.5)
-        stacked = _AndersonMixer(upper)
-        alone = [_AndersonMixer(upper) for _ in range(n_rows)]
-        lam = np.ones((n_rows, m))
-        active = np.arange(n_rows)
-        for _ in range(6):
-            g = rng.uniform(0.1, 1.5, (len(active), m))
-            want = [alone[b].push(lam[b], g[j]) for j, b in enumerate(active)]
-            lam[active] = stacked.push(lam[active], g)
-            assert_array_equal(lam[active], np.array(want).reshape(len(active), m))
-            left = rng.random(len(active)) < 0.8
-            active = active[left]
-            if not active.size:
-                break
-            stacked.keep(left)
 
     @settings(deadline=None, max_examples=150)
     @given(kernel_rows())

@@ -208,6 +208,11 @@ class TestSmootherRun:
         np.testing.assert_allclose(smoothed[0].mean, post.mean, atol=1e-12)
         np.testing.assert_allclose(smoothed[0].cov, post.cov, atol=1e-12)
 
+    def test_measurement_length_validated(self):
+        model = random_model(np.random.default_rng(39), 3, 2)
+        with pytest.raises(ValueError, match=r"ys\[1\] must have shape \(2,\), got \(3,\)"):
+            sts_run(model, [np.zeros(2), np.zeros(3)])
+
     def test_empty_sequence(self):
         rng = np.random.default_rng(40)
         model = random_model(rng, 2, 2)

@@ -86,6 +86,11 @@ class TestTruncateOnce:
             assert out.mean[0] == pytest.approx(ref_mean, abs=1e-10)
             assert out.cov[0, 0] == pytest.approx(ref_var, abs=1e-10)
 
+    @pytest.mark.parametrize("k", [-1, 2])
+    def test_out_of_range_index_rejected(self, k):
+        with pytest.raises(ValueError, match="out of range for dim 2"):
+            truncate_once(MomentPair(np.zeros(2), np.eye(2)), k)
+
     def test_degenerate_direction_rejected(self):
         m = MomentPair([0.0, 0.0], np.diag([1.0, 1e-16]))
         with pytest.raises(DegenerateDirectionError):
@@ -104,6 +109,11 @@ class TestSelectNext:
     def test_tie_breaks_to_lowest_index(self):
         m = MomentPair([0.0, 0.0], np.eye(2))
         assert select_next(m, {0, 1}) == 0
+
+    @pytest.mark.parametrize("remaining", [[-1], [5]], ids=["negative", "past_end"])
+    def test_out_of_range_index_rejected(self, remaining):
+        with pytest.raises(ValueError, match="out of range for dim 2"):
+            select_next(MomentPair(np.zeros(2), np.eye(2)), remaining)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
@@ -158,8 +168,11 @@ class TestRecTrunc:
             rec_trunc(m, {0, 1}, FixedOrder((0, 2)))
 
     def test_out_of_range_indices_rejected(self):
-        with pytest.raises(ValueError):
-            rec_trunc(MomentPair([0.0], [[1.0]]), {1})
+        for indices in ({1}, {-1}):
+            with pytest.raises(ValueError, match="out of range for dim 1"):
+                rec_trunc(MomentPair([0.0], [[1.0]]), indices)
+            with pytest.raises(ValueError, match="out of range for dim 1"):
+                _rec_trunc_rows(np.zeros((2, 1)), np.ones((2, 1, 1)), indices)
 
     def test_diagonal_matches_univariate_closed_form(self):
         # On diagonal covariances the recursion is exact per coordinate.
