@@ -28,7 +28,6 @@ from .smoothing import backward_pass, forward_pass, sts_run, update_lambda
 from .truncnorm import (
     OPTIMAL,
     FixedOrder,
-    MomentPair,
     Optimal,
     RandomOrder,
     rec_trunc,
@@ -56,7 +55,6 @@ __all__ = [
     "backward_pass",
     "update_lambda",
     "sts_run",
-    "MomentPair",
     "Optimal",
     "RandomOrder",
     "FixedOrder",

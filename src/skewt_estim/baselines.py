@@ -20,7 +20,7 @@ from scipy.special import gammaincinv
 
 from ._linalg import psd_sqrt, symmetrize
 from .exceptions import DegeneracyError, NumericalFailureError
-from .filtering import GaussianBelief, StateSpaceModel, _forward, _vectors
+from .filtering import GaussianBelief, StateSpaceModel, _forward, _vector, _vectors
 from .skewt import SkewTComponent, log_pdf, moments
 from .smoothing import backward_pass
 
@@ -73,7 +73,7 @@ def kf_gated_update(
     """
     c_mat = np.atleast_2d(np.asarray(c_mat, dtype=float))
     r_matched = np.atleast_1d(np.asarray(r_matched, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = _vector("y", y, c_mat.shape[0])
     if not np.isfinite(y).all():
         raise NumericalFailureError("measurement is not finite")
     x, p, _ = _kf_gated_update_rows(
@@ -262,7 +262,7 @@ def pf_run(
     if n_particles < 100:
         raise ValueError(f"n_particles must be >= 100, got {n_particles}")
     ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
-    comps = model.noise_model().components
+    comps = model.noise_model()
     rng = np.random.default_rng(seed)
 
     prior_factor = psd_sqrt(model.prior_cov)

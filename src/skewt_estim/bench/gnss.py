@@ -55,6 +55,11 @@ class ScenarioConfig:
     seed : base seed; replication r uses seed XOR r.
     estimators : estimator names to run (subset of KNOWN_ESTIMATORS).
     name : scenario identifier used in result records.
+    pf_particles : particle count of the bootstrap PF ("pf").  The default
+        1000 is no reference at the 0.1 m level: changing only the PF's
+        density interpolation (log densities by up to 7e-2) moved the
+        per-trajectory RMSE with a paired SD of 0.07-0.21 m (nu=1.2, q=5,
+        K=100).
     """
 
     q: float

@@ -25,14 +25,8 @@ import numpy as np
 
 from ._linalg import solve_spd, symmetrize
 from .exceptions import NumericalFailureError
-from .skewt import NoiseModel, SkewTComponent
-from .truncnorm import (
-    OPTIMAL,
-    MomentPair,
-    TruncationOrderPolicy,
-    _rec_trunc_rows,
-    rec_trunc,
-)
+from .skewt import SkewTComponent
+from .truncnorm import OPTIMAL, TruncationOrderPolicy, _rec_trunc_rows, rec_trunc
 
 __all__ = [
     "StateSpaceModel",
@@ -114,6 +108,8 @@ class StateSpaceModel:
             raise ValueError("A and Q must be square and equally sized")
         if self.C.shape != (n_y, n_x):
             raise ValueError(f"C shape {self.C.shape} inconsistent with A")
+        if n_y < 1:
+            raise ValueError("the model needs at least one measurement component")
         for name in ("R", "Delta", "nu"):
             if conv[name].shape != (n_y,):
                 raise ValueError(f"{name} must have length {n_y}")
@@ -135,13 +131,11 @@ class StateSpaceModel:
     def prior_belief(self) -> GaussianBelief:
         return GaussianBelief(self.prior_mean, self.prior_cov)
 
-    def noise_model(self) -> NoiseModel:
-        """The measurement noise as independent skew-t components."""
-        return NoiseModel(
-            tuple(
-                SkewTComponent(spread_sq=r, shape=d, dof=v)
-                for r, d, v in zip(self.R, self.Delta, self.nu)
-            )
+    def noise_model(self) -> tuple:
+        """The measurement noise as a tuple of independent skew-t components."""
+        return tuple(
+            SkewTComponent(spread_sq=r, shape=d, dof=v)
+            for r, d, v in zip(self.R, self.Delta, self.nu)
         )
 
 
@@ -296,14 +290,18 @@ def _anderson_step(xs: np.ndarray, gs: np.ndarray, upper) -> np.ndarray:
     return clipped if d.ndim == 2 else np.where(moving[..., None], clipped, gs[..., -1, :])
 
 
+def _vector(name: str, v, n: int) -> np.ndarray:
+    """v as a float vector, checked to have shape (n,); the ValueError
+    names it as `name`."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
+    return v
+
+
 def _vectors(name: str, seq, n: int) -> list:
-    """The items of seq as float vectors, each checked to have shape (n,);
-    the ValueError names the first that has not, as name[k]."""
-    out = [np.atleast_1d(np.asarray(v, dtype=float)) for v in seq]
-    for k, v in enumerate(out):
-        if v.shape != (n,):
-            raise ValueError(f"{name}[{k}] must have shape ({n},), got {v.shape}")
-    return out
+    """_vector of each item of seq, the k-th named name[k]."""
+    return [_vector(f"{name}[{k}]", v, n) for k, v in enumerate(seq)]
 
 
 def _time_update(model, x, p) -> tuple:
@@ -381,20 +379,20 @@ def _augmented_update(x_pred, p_pred, y, c_mat, cz, delta, r, lam, policy=OPTIMA
     [C, diag(delta)] of each row; delta and r are shared.  The augmented
     prior stacks the state prediction with the zero-mean u prior of
     covariance diag(1/lam); the gain is computed against the full
-    augmented prior covariance.  Returns the posterior and augmented
-    prior means and covariances.
+    augmented prior covariance.  Returns the posterior mean and
+    covariance, then the augmented prior mean and covariance.
 
-    One row is truncated by rec_trunc in the order `policy` picks, a stack
-    by _rec_trunc_rows in greedy order, so row b of a stack is bit-equal
-    to its own call; a stack of one row runs as that row, where rec_trunc
-    costs under a third as much (12 dims, 8 constraints: 79-91 against
-    284-304 us; with lone rows stacked the track_sweep benchmark ran 5%
-    slower at the old half).  The gain solve runs
-    solve_spd once per row: for 8x8 systems with 12 right-hand sides, a
-    stacked np.linalg.cholesky check plus np.linalg.solve took 20/30/42 us
-    at 1/3/6 rows and scipy's batched positive-definite solve 42/56/63 us,
-    against 12/25/43 us for the per-row LAPACK calls (one thread, 2-vCPU
-    host).
+    The posterior is the truncated (mean, cov) that rec_trunc returns for
+    one row, in the order `policy` picks, and _rec_trunc_rows for a stack,
+    in greedy order, so row b of a stack is bit-equal to its own call.  A
+    stack of one row runs as that row, where rec_trunc costs under a third
+    as much (12 dims, 8 constraints: 79-91 against 284-304 us; with lone
+    rows stacked the track_sweep benchmark ran 5% slower at the old half).
+    The gain solve runs solve_spd once per row: for 8x8 systems with 12
+    right-hand sides, a stacked np.linalg.cholesky check plus
+    np.linalg.solve took 20/30/42 us at 1/3/6 rows and scipy's batched
+    positive-definite solve 42/56/63 us, against 12/25/43 us for the
+    per-row LAPACK calls (one thread, 2-vCPU host).
     """
     batch = y.shape[:-1]
     if batch and policy != OPTIMAL:
@@ -426,10 +424,10 @@ def _augmented_update(x_pred, p_pred, y, c_mat, cz, delta, r, lam, policy=OPTIMA
     z_cov = z_prior_cov - gain @ (cz @ z_prior_cov)  # truncation symmetrizes it
     truncated = range(n_x, n_x + n_y)
     if batch:
-        out = (*_rec_trunc_rows(z_mean, z_cov, truncated), z_prior_mean, z_prior_cov)
+        post = _rec_trunc_rows(z_mean, z_cov, truncated)
     else:
-        post = rec_trunc(MomentPair(z_mean, z_cov), truncated, policy)
-        out = (post.mean, post.cov, z_prior_mean, z_prior_cov)
+        post = rec_trunc(z_mean, z_cov, truncated, policy)
+    out = (*post, z_prior_mean, z_prior_cov)
     return tuple(a[None] for a in out) if lone else out
 
 
@@ -538,10 +536,8 @@ def stf_update(
     same stationary point without changing it.  Returns the normal
     approximation of the x marginal and the loop diagnostics.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
     n_x, n_y = model.n_x, model.n_y
-    if y.shape != (n_y,):
-        raise ValueError(f"y must have length {n_y}, got shape {y.shape}")
+    y = _vector("y", y, n_y)
     if prior.dim != n_x:
         raise ValueError(f"prior dimension {prior.dim} != n_x {n_x}")
     mean, cov, lam, psi, iterations, converged = _stf_update_rows(

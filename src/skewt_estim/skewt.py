@@ -21,7 +21,6 @@ from scipy.special import gammaln, poch, stdtr
 
 __all__ = [
     "SkewTComponent",
-    "NoiseModel",
     "sample",
     "sample_rng",
     "log_pdf",
@@ -51,22 +50,6 @@ class SkewTComponent:
             raise ValueError(f"spread_sq must be positive, got {self.spread_sq}")
         if not self.dof > 0.0:
             raise ValueError(f"dof must be positive, got {self.dof}")
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Ordered collection of independent skew-t components."""
-
-    components: tuple
-
-    def __post_init__(self):
-        comps = tuple(self.components)
-        if not comps:
-            raise ValueError("NoiseModel needs at least one component")
-        object.__setattr__(self, "components", comps)
-
-    def __len__(self) -> int:
-        return len(self.components)
 
 
 def sample_rng(c: SkewTComponent, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -32,6 +32,7 @@ from .filtering import (
     _psi_diagonal,
     _stack_cz,
     _vb_loop,
+    _vector,
     _vectors,
     expected_mixing_precision,
 )
@@ -210,8 +211,8 @@ def update_lambda(
     model: StateSpaceModel,
 ) -> np.ndarray:
     """Refreshed mixing-precision diagonal from one smoothed augmented belief."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
     n_x, n_y = model.n_x, model.n_y
+    y = _vector("y", y, n_y)
     if smoothed.dim != n_x + n_y:
         raise ValueError(
             f"smoothed belief has dim {smoothed.dim}, expected {n_x + n_y}"

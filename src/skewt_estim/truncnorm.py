@@ -9,8 +9,11 @@ that removes the most probability mass at each step (equivalently, picks
 the smallest standardized mean mu_i / sqrt(Sigma_ii)) is the per-step
 optimum in Kullback-Leibler divergence.
 
-A seeded sampling oracle (rejection with a Gibbs fallback) provides
-independent reference moments for testing and benchmarking.
+The moments go in as a mean vector and a covariance matrix, and the
+functions that return moments return a (mean, cov) tuple of arrays, one
+row as rec_trunc or a stack of rows as _rec_trunc_rows.  A seeded
+sampling oracle (rejection with a Gibbs fallback) provides independent
+reference moments for testing and benchmarking.
 """
 
 import math
@@ -24,7 +27,6 @@ from ._linalg import symmetrize
 from .exceptions import DegenerateDirectionError, NumericalFailureError, OracleInfeasibleError
 
 __all__ = [
-    "MomentPair",
     "TruncationOrderPolicy",
     "Optimal",
     "RandomOrder",
@@ -42,28 +44,6 @@ _LOG_SQRT_2PI = float(0.5 * np.log(2.0 * np.pi))
 # Below this value the normal CDF is treated as underflowed and the
 # asymptotic limits of the update coefficients are used instead.
 UNDERFLOW_XI = -37.0
-
-
-@dataclass(frozen=True)
-class MomentPair:
-    """Mean vector and covariance matrix of a (possibly truncated) normal."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
-            raise ValueError(
-                f"inconsistent shapes: mean {mean.shape}, cov {cov.shape}"
-            )
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
 
 
 class TruncationOrderPolicy:
@@ -102,8 +82,18 @@ class FixedOrder(TruncationOrderPolicy):
 OPTIMAL = Optimal()
 
 
-def _coefficients(xi: float) -> tuple:
-    """(mean_coeff, cov_coeff, underflowed) at boundary distance xi; see hazard."""
+def hazard(xi: float) -> tuple:
+    """Truncation-update coefficients (mean_coeff, cov_coeff, underflowed)
+    for standardized boundary distance xi.
+
+    For representable Phi(xi), mean_coeff is the inverse Mills ratio
+    epsilon = phi(xi)/Phi(xi), which scales the mean shift along the
+    truncated column, and cov_coeff = xi*epsilon + epsilon**2, in [0, 1],
+    scales the rank-one covariance downdate.  For xi < -37 (where Phi
+    underflows in double precision) the limits epsilon + xi -> 0 and
+    xi*epsilon + epsilon**2 -> 1 are substituted, and underflowed is True.
+    A non-finite xi raises NumericalFailureError.
+    """
     if not math.isfinite(xi):
         raise NumericalFailureError(f"truncation distance is not finite, got {xi!r}")
     if xi < UNDERFLOW_XI:
@@ -134,7 +124,7 @@ def _truncate_step(mean: np.ndarray, cov: np.ndarray, k: int, var_k: float, mu_k
     # A nonpositive variance above the tolerance (a negative trace) takes
     # numpy's sqrt, whose NaN or zero the distance check below reports.
     sd = math.sqrt(var_k) if var_k > 0.0 else np.sqrt(np.float64(var_k))
-    mean_coeff, cov_coeff, _ = _coefficients(float(mu_k / sd))
+    mean_coeff, cov_coeff, _ = hazard(float(mu_k / sd))
     col = cov[:, k]  # a view, read in full before cov is updated
     mean += (mean_coeff / sd) * col
     cov -= (cov_coeff / var_k) * (col[:, None] * col)
@@ -218,13 +208,23 @@ def _indices(indices: Iterable[int], dim: int) -> list:
     return todo
 
 
+def _moments(mean, cov) -> tuple:
+    """mean and cov as float arrays, checked to be an (n,) vector and an
+    (n, n) matrix."""
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
+        raise ValueError(f"inconsistent shapes: mean {mean.shape}, cov {cov.shape}")
+    return mean, cov
+
+
 def _rec_trunc_rows(mean: np.ndarray, cov: np.ndarray, truncated) -> tuple:
     """rec_trunc(..., OPTIMAL) of B rows in lockstep: (B, n) means and
     (B, n, n) covariances, one truncated index set for all rows.
 
     Row b of the returned (mean, cov) is bit-equal to
-    rec_trunc(MomentPair(mean[b], cov[b]), truncated).  For a single row
-    rec_trunc itself is faster.
+    rec_trunc(mean[b], cov[b], truncated).  For a single row rec_trunc
+    itself is faster.
     """
     todo = _indices(truncated, mean.shape[1])
     mean, cov = mean.copy(), symmetrize(cov)
@@ -238,71 +238,59 @@ def _rec_trunc_rows(mean: np.ndarray, cov: np.ndarray, truncated) -> tuple:
     return mean, cov
 
 
-def hazard(xi: float) -> tuple:
-    """Truncation-update coefficients (mean_coeff, cov_coeff, underflowed)
-    for standardized boundary distance xi.
-
-    For representable Phi(xi), mean_coeff is the inverse Mills ratio
-    epsilon = phi(xi)/Phi(xi), which scales the mean shift along the
-    truncated column, and cov_coeff = xi*epsilon + epsilon**2, in [0, 1],
-    scales the rank-one covariance downdate.  For xi < -37 (where Phi
-    underflows in double precision) the limits epsilon + xi -> 0 and
-    xi*epsilon + epsilon**2 -> 1 are substituted, and underflowed is True.
-    """
-    xi = float(xi)
-    if not np.isfinite(xi):
-        raise ValueError(f"xi must be finite, got {xi!r}")
-    return _coefficients(xi)
-
-
-def truncate_once(m: MomentPair, k: int) -> MomentPair:
-    """Moments of N(mean, cov) truncated by the single constraint z_k >= 0.
+def truncate_once(mean, cov, k: int) -> tuple:
+    """(mean, cov) of N(mean, cov) truncated by the single constraint z_k >= 0.
 
     The covariance is symmetrized first.  Raises DegenerateDirectionError
     when cov[k, k] is not usably positive (<= 1e-14 * trace).
     """
-    (k,) = _indices([k], m.dim)
-    mean, cov = m.mean.copy(), symmetrize(m.cov)
+    mean, cov = _moments(mean, cov)
+    (k,) = _indices([k], mean.size)
+    mean, cov = mean.copy(), symmetrize(cov)
     _truncate_step(mean, cov, k, float(cov[k, k]), float(mean[k]), 1e-14 * float(cov.trace()))
-    return MomentPair(mean, cov)
+    return mean, cov
 
 
-def select_next(m: MomentPair, remaining: Iterable[int]) -> int:
+def select_next(mean, cov, remaining: Iterable[int]) -> int:
     """Index in `remaining` with the smallest mu_i / sqrt(Sigma_ii).
 
     This is the constraint that truncates the most probability mass, the
     per-step optimal choice.  Ties break to the lowest index.
     """
-    left = _indices(remaining, m.dim)
+    mean, cov = _moments(mean, cov)
+    left = _indices(remaining, mean.size)
     if not left:
         raise ValueError("remaining index set is empty")
-    return _greedy_index(m.mean.tolist(), m.cov.diagonal().tolist(), left)
+    return _greedy_index(mean.tolist(), cov.diagonal().tolist(), left)
 
 
 def rec_trunc(
-    m: MomentPair,
+    mean,
+    cov,
     truncated: Iterable[int],
     policy: TruncationOrderPolicy = OPTIMAL,
-) -> MomentPair:
+) -> tuple:
     """Recursive truncation of N(mean, cov) to {z_i >= 0 for i in truncated}.
 
     Symmetrizes the covariance once (each rank-one downdate by
     outer(col, col) keeps it exactly symmetric), then applies one
-    truncation step per index in `truncated`, in the order `policy` picks.
-    With the default Optimal policy the result is bit-reproducible.  The
-    order and the step coefficients are worked out on Python floats; only
-    the downdates run in numpy.
+    truncation step per index in `truncated`, in the order `policy` picks,
+    and returns the truncated (mean, cov); with no index it returns the
+    float arrays of its input.  With the default Optimal policy the result
+    is bit-reproducible.  The order and the step coefficients are worked
+    out on Python floats; only the downdates run in numpy.
     """
-    todo = _indices(truncated, m.dim)
+    mean, cov = _moments(mean, cov)
+    todo = _indices(truncated, mean.size)
     if not todo:
-        return m
+        return mean, cov
     fixed = isinstance(policy, FixedOrder)
     if fixed and sorted(policy.order) != todo:
         raise ValueError(f"fixed order {policy.order} is not a permutation of {todo}")
     random = isinstance(policy, RandomOrder)
     rng = np.random.default_rng(policy.seed) if random else None
 
-    mean, cov = m.mean.copy(), symmetrize(m.cov)
+    mean, cov = mean.copy(), symmetrize(cov)
     diag = cov.diagonal()
     tol0 = 1e-14 * float(cov.trace())
     left = todo
@@ -317,7 +305,7 @@ def rec_trunc(
                 k = others[rng.integers(len(others))]
         _truncate_step(mean, cov, k, var[k], mu[k], tol0)
         left = [i for i in left if i != k]
-    return MomentPair(mean, cov)
+    return mean, cov
 
 
 def _sample_truncnorm_positive(rng, mean, sd):
@@ -355,16 +343,14 @@ def _sample_truncnorm_positive(rng, mean, sd):
     return np.maximum(mean + sd * z, 0.0)
 
 
-def _gibbs_oracle(m, todo, n_samples, rng, n_chains=100, burn_in=200, thin=10):
+def _gibbs_oracle(mean, cov, todo, n_samples, rng, n_chains=100, burn_in=200, thin=10):
     """Coordinate-wise Gibbs sampling of the truncated normal.
 
     Runs `n_chains` independent chains in parallel (vectorized across
     chains), discarding `burn_in` sweeps and keeping every `thin`-th sweep
     afterwards until n_samples draws are collected in total.
     """
-    dim = m.dim
-    mean = m.mean
-    cov = m.cov
+    dim = mean.size
     truncated = np.zeros(dim, dtype=bool)
     truncated[todo] = True
 
@@ -414,12 +400,13 @@ def _gibbs_oracle(m, todo, n_samples, rng, n_chains=100, burn_in=200, thin=10):
 
 
 def tmnd_oracle(
-    m: MomentPair,
+    mean,
+    cov,
     truncated: Iterable[int],
     n_samples: int,
     seed: int,
-) -> MomentPair:
-    """Sampling-based reference moments of the truncated normal.
+) -> tuple:
+    """Sampling-based reference (mean, cov) of the truncated normal.
 
     Draws from N(mean, cov) by rejection, keeping proposals whose truncated
     coordinates are all nonnegative, until `n_samples` draws are accepted.
@@ -427,17 +414,18 @@ def tmnd_oracle(
     the method switches to coordinate-wise Gibbs sampling.  Deterministic
     for a given seed.
     """
+    mean, cov = _moments(mean, cov)
     n_samples = int(n_samples)
     if n_samples < 1000:
         raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
-    todo = _indices(truncated, m.dim)
+    todo = _indices(truncated, mean.size)
     rng = np.random.default_rng(seed)
 
-    w, v = np.linalg.eigh(symmetrize(m.cov))
+    w, v = np.linalg.eigh(symmetrize(cov))
     factor = v * np.sqrt(np.clip(w, 0.0, None))
 
     def draw(n):
-        return m.mean + rng.standard_normal((n, m.dim)) @ factor.T
+        return mean + rng.standard_normal((n, mean.size)) @ factor.T
 
     if not todo:
         samples = draw(n_samples)
@@ -456,7 +444,7 @@ def tmnd_oracle(
             accepted.append(keep)
         rate = n_acc / n_prop
         if n_prop >= 100_000 and rate < 1e-3:
-            samples = _gibbs_oracle(m, todo, n_samples, rng)
+            samples = _gibbs_oracle(mean, cov, todo, n_samples, rng)
             return _empirical_moments(samples)
         if n_acc < n_samples:
             remaining = n_samples - n_acc
@@ -465,7 +453,6 @@ def tmnd_oracle(
     return _empirical_moments(samples)
 
 
-def _empirical_moments(samples: np.ndarray) -> MomentPair:
-    mean = samples.mean(axis=0)
+def _empirical_moments(samples: np.ndarray) -> tuple:
     cov = np.atleast_2d(np.cov(samples, rowvar=False))
-    return MomentPair(mean, symmetrize(cov))
+    return samples.mean(axis=0), symmetrize(cov)

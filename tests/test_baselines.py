@@ -1,5 +1,6 @@
 """Tests for the gated Kalman baselines and the bootstrap particle filter."""
 
+import re
 import warnings
 from functools import partial
 
@@ -85,6 +86,13 @@ class TestGatedUpdate:
             )
             diff = prior.cov - out.cov
             np.linalg.cholesky(diff + 1e-9 * np.eye(n_x))
+
+    @pytest.mark.parametrize("y, shape", [(np.zeros(3), "(3,)"), (np.zeros(1), "(1,)"), (0.0, "(1,)")])
+    def test_measurement_length_validated(self, y, shape):
+        # A short y would be gated on its first components only.
+        model = random_model(np.random.default_rng(1), 3, 2)
+        with pytest.raises(ValueError, match=re.escape(f"y must have shape (2,), got {shape}")):
+            kf_gated_update(model.C, model.R, model.prior_belief(), y)
 
 
 class TestGatedSmoother:

@@ -14,7 +14,7 @@ from skewt_estim.filtering import (
     stf_run,
     stf_update,
 )
-from skewt_estim.skewt import log_pdf
+from skewt_estim.skewt import SkewTComponent, log_pdf
 
 from reference import kalman_filter
 
@@ -110,7 +110,7 @@ class TestMeasurementUpdate:
 
         rng = np.random.default_rng(29)
         xs = 3.0 * rng.standard_normal(100_000)
-        logw = log_pdf(model.noise_model().components[0], y - xs)
+        logw = log_pdf(model.noise_model()[0], y - xs)
         w = np.exp(logw - logw.max())
         w /= w.sum()
         oracle_mean = float(w @ xs)
@@ -129,7 +129,7 @@ class TestMeasurementUpdate:
     def test_dimension_checks(self):
         rng = np.random.default_rng(2)
         model = random_model(rng, 3, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"y must have shape \(2,\), got \(3,\)"):
             stf_update(model, model.prior_belief(), [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             stf_update(model, GaussianBelief([0.0], [[1.0]]), [1.0, 2.0])
@@ -260,6 +260,24 @@ class TestBeliefValidation:
                 Delta=[0.0, 0.0], nu=[4.0, 4.0],
                 prior_mean=np.zeros(2), prior_cov=np.eye(2),
             )
+
+    def test_model_needs_a_measurement_component(self):
+        with pytest.raises(ValueError, match="at least one measurement component"):
+            StateSpaceModel(
+                A=np.eye(1), Q=np.eye(1), C=np.zeros((0, 1)), R=np.zeros(0),
+                Delta=np.zeros(0), nu=np.zeros(0), prior_mean=[0.0], prior_cov=[[1.0]],
+            )
+
+    def test_noise_model_is_component_tuple(self):
+        model = StateSpaceModel(
+            A=np.eye(2), Q=np.eye(2), C=np.eye(2), R=[1.0, 2.0],
+            Delta=[0.5, -1.0], nu=[4.0, 1.2],
+            prior_mean=np.zeros(2), prior_cov=np.eye(2),
+        )
+        assert model.noise_model() == (
+            SkewTComponent(spread_sq=1.0, shape=0.5, dof=4.0),
+            SkewTComponent(spread_sq=2.0, shape=-1.0, dof=1.2),
+        )
 
     def test_vb_config_validation(self):
         with pytest.raises(ValueError):

@@ -67,7 +67,6 @@ from skewt_estim.smoothing import (
 from skewt_estim.truncnorm import (
     OPTIMAL,
     UNDERFLOW_XI,
-    MomentPair,
     RandomOrder,
     _rec_trunc_rows,
     rec_trunc,
@@ -110,15 +109,15 @@ class TestTruncationRows:
         mean, cov, truncated, degenerate = case
         if degenerate is not None:
             with pytest.raises(DegenerateDirectionError):
-                rec_trunc(MomentPair(mean[degenerate], cov[degenerate]), truncated)
+                rec_trunc(mean[degenerate], cov[degenerate], truncated)
             with pytest.raises(DegenerateDirectionError):
                 _rec_trunc_rows(mean, cov, truncated)
             return
         out_mean, out_cov = _rec_trunc_rows(mean, cov, truncated)
         for b in range(len(mean)):
-            ref = rec_trunc(MomentPair(mean[b], cov[b]), truncated, OPTIMAL)
-            assert_array_equal(out_mean[b], ref.mean)
-            assert_array_equal(out_cov[b], ref.cov)
+            ref_mean, ref_cov = rec_trunc(mean[b], cov[b], truncated, OPTIMAL)
+            assert_array_equal(out_mean[b], ref_mean)
+            assert_array_equal(out_cov[b], ref_cov)
 
     def test_underflow_branch_row_next_to_regular_rows(self):
         rng = np.random.default_rng(5)
@@ -129,9 +128,9 @@ class TestTruncationRows:
         mean[1, 2] = 1.5 * UNDERFLOW_XI * sd[1, 2]
         out_mean, out_cov = _rec_trunc_rows(mean, cov, range(5))
         for b in range(4):
-            ref = rec_trunc(MomentPair(mean[b], cov[b]), range(5))
-            assert_array_equal(out_mean[b], ref.mean)
-            assert_array_equal(out_cov[b], ref.cov)
+            ref_mean, ref_cov = rec_trunc(mean[b], cov[b], range(5))
+            assert_array_equal(out_mean[b], ref_mean)
+            assert_array_equal(out_cov[b], ref_cov)
         # The deep row's first step takes the limits: its variance goes to 0.
         assert out_cov[1, 2, 2] < 1e-12 * cov[1, 2, 2]
 

@@ -9,7 +9,6 @@ from scipy.special import gammaln, stdtr
 from scipy.stats import kstest, norm, t as t_dist
 
 from skewt_estim.skewt import (
-    NoiseModel,
     SkewTComponent,
     _log_t_cdf,
     log_pdf,
@@ -219,7 +218,3 @@ class TestValidation:
             SkewTComponent(spread_sq=0.0, shape=1.0, dof=4.0)
         with pytest.raises(ValueError):
             SkewTComponent(spread_sq=1.0, shape=1.0, dof=0.0)
-
-    def test_noise_model_nonempty(self):
-        with pytest.raises(ValueError):
-            NoiseModel(())

@@ -1,5 +1,7 @@
 """Tests for the iterated VB smoother."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,14 @@ class TestLambdaUpdate:
         smoothed = GaussianBelief([0.0, 0.0], np.zeros((2, 2)))
         lam = update_lambda(smoothed, np.array([1000.0]), model)  # psi = 1e6
         assert lam[0] == pytest.approx(6e-6, rel=1e-4)
+
+    @pytest.mark.parametrize("y, shape", [(np.zeros(3), "(3,)"), (np.zeros(1), "(1,)"), (0.0, "(1,)")])
+    def test_measurement_length_validated(self, y, shape):
+        # A length-1 y would be broadcast over every component.
+        model = random_model(np.random.default_rng(1), 3, 2)
+        smoothed = GaussianBelief(np.zeros(5), np.eye(5))
+        with pytest.raises(ValueError, match=re.escape(f"y must have shape (2,), got {shape}")):
+            update_lambda(smoothed, y, model)
 
 
 class TestSmootherRun:

@@ -11,7 +11,6 @@ from skewt_estim.exceptions import DegenerateDirectionError, NumericalFailureErr
 from skewt_estim.truncnorm import (
     OPTIMAL,
     FixedOrder,
-    MomentPair,
     RandomOrder,
     _rec_trunc_rows,
     hazard,
@@ -52,72 +51,68 @@ class TestHazard:
 
     @pytest.mark.parametrize("xi", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, xi):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalFailureError):
             hazard(xi)
 
 
 class TestTruncateOnce:
     def test_standard_half_normal(self):
-        out = truncate_once(MomentPair([0.0], [[1.0]]), 0)
-        assert out.mean[0] == pytest.approx(HALF_NORMAL_MEAN, abs=1e-12)
-        assert out.cov[0, 0] == pytest.approx(HALF_NORMAL_VAR, abs=1e-12)
+        mean, cov = truncate_once([0.0], [[1.0]], 0)
+        assert mean[0] == pytest.approx(HALF_NORMAL_MEAN, abs=1e-12)
+        assert cov[0, 0] == pytest.approx(HALF_NORMAL_VAR, abs=1e-12)
 
     def test_independent_coordinate_untouched(self):
-        out = truncate_once(MomentPair([0.0, 0.0], np.eye(2)), 0)
+        mean, cov = truncate_once([0.0, 0.0], np.eye(2), 0)
         np.testing.assert_allclose(
-            out.mean, [HALF_NORMAL_MEAN, 0.0], atol=1e-12
+            mean, [HALF_NORMAL_MEAN, 0.0], atol=1e-12
         )
         np.testing.assert_allclose(
-            out.cov, np.diag([HALF_NORMAL_VAR, 1.0]), atol=1e-12
+            cov, np.diag([HALF_NORMAL_VAR, 1.0]), atol=1e-12
         )
 
     def test_inactive_constraint(self):
-        out = truncate_once(MomentPair([10.0], [[1.0]]), 0)
-        assert out.mean[0] == pytest.approx(10.0, abs=1e-8)
-        assert out.cov[0, 0] == pytest.approx(1.0, abs=1e-8)
+        mean, cov = truncate_once([10.0], [[1.0]], 0)
+        assert mean[0] == pytest.approx(10.0, abs=1e-8)
+        assert cov[0, 0] == pytest.approx(1.0, abs=1e-8)
 
     def test_matches_closed_form_off_zero(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             mu = rng.uniform(-3.0, 3.0)
             var = rng.uniform(0.1, 4.0)
-            out = truncate_once(MomentPair([mu], [[var]]), 0)
+            mean, cov = truncate_once([mu], [[var]], 0)
             ref_mean, ref_var = truncated_univariate_moments(mu, var)
-            assert out.mean[0] == pytest.approx(ref_mean, abs=1e-10)
-            assert out.cov[0, 0] == pytest.approx(ref_var, abs=1e-10)
+            assert mean[0] == pytest.approx(ref_mean, abs=1e-10)
+            assert cov[0, 0] == pytest.approx(ref_var, abs=1e-10)
 
     @pytest.mark.parametrize("k", [-1, 2])
     def test_out_of_range_index_rejected(self, k):
         with pytest.raises(ValueError, match="out of range for dim 2"):
-            truncate_once(MomentPair(np.zeros(2), np.eye(2)), k)
+            truncate_once(np.zeros(2), np.eye(2), k)
 
     def test_degenerate_direction_rejected(self):
-        m = MomentPair([0.0, 0.0], np.diag([1.0, 1e-16]))
         with pytest.raises(DegenerateDirectionError):
-            truncate_once(m, 1)
+            truncate_once([0.0, 0.0], np.diag([1.0, 1e-16]), 1)
 
 
 class TestSelectNext:
     def test_unit_variance_argmin(self):
-        m = MomentPair([1.0, -2.0, 0.5], np.eye(3))
-        assert select_next(m, {0, 1, 2}) == 1
+        assert select_next([1.0, -2.0, 0.5], np.eye(3), {0, 1, 2}) == 1
 
     def test_ratio_comparison(self):
-        m = MomentPair([1.0, 1.0], np.diag([1.0, 100.0]))
-        assert select_next(m, {0, 1}) == 1
+        assert select_next([1.0, 1.0], np.diag([1.0, 100.0]), {0, 1}) == 1
 
     def test_tie_breaks_to_lowest_index(self):
-        m = MomentPair([0.0, 0.0], np.eye(2))
-        assert select_next(m, {0, 1}) == 0
+        assert select_next([0.0, 0.0], np.eye(2), {0, 1}) == 0
 
     @pytest.mark.parametrize("remaining", [[-1], [5]], ids=["negative", "past_end"])
     def test_out_of_range_index_rejected(self, remaining):
         with pytest.raises(ValueError, match="out of range for dim 2"):
-            select_next(MomentPair(np.zeros(2), np.eye(2)), remaining)
+            select_next(np.zeros(2), np.eye(2), remaining)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            select_next(MomentPair([0.0], [[1.0]]), set())
+            select_next([0.0], [[1.0]], set())
 
     def test_minimizes_truncated_probability(self):
         # The greedy pick maximizes removed mass: smallest Phi(ratio).
@@ -126,51 +121,49 @@ class TestSelectNext:
             dim = int(rng.integers(2, 7))
             mean = rng.normal(0.0, 2.0, dim)
             var = rng.uniform(0.2, 3.0, dim)
-            m = MomentPair(mean, np.diag(var))
-            k = select_next(m, range(dim))
+            k = select_next(mean, np.diag(var), range(dim))
             cdfs = norm.cdf(mean / np.sqrt(var))
             assert cdfs[k] == cdfs.min()
 
 
 class TestRecTrunc:
     def test_independent_product_of_half_normals(self):
-        out = rec_trunc(MomentPair([0.0, 0.0], np.eye(2)), {0, 1})
+        mean, cov = rec_trunc([0.0, 0.0], np.eye(2), {0, 1})
         np.testing.assert_allclose(
-            out.mean, [HALF_NORMAL_MEAN] * 2, atol=1e-12
+            mean, [HALF_NORMAL_MEAN] * 2, atol=1e-12
         )
         np.testing.assert_allclose(
-            out.cov, np.eye(2) * HALF_NORMAL_VAR, atol=1e-12
+            cov, np.eye(2) * HALF_NORMAL_VAR, atol=1e-12
         )
 
     def test_empty_truncation_is_identity(self):
-        m = MomentPair([1.0, 2.0], [[2.0, 0.3], [0.3, 1.0]])
-        out = rec_trunc(m, set())
-        assert out is m
+        mean, cov = np.array([1.0, 2.0]), np.array([[2.0, 0.3], [0.3, 1.0]])
+        out_mean, out_cov = rec_trunc(mean, cov, set())
+        assert out_mean is mean and out_cov is cov
 
     def test_correlated_close_to_oracle(self):
-        m = MomentPair([0.0, 0.0], [[1.0, 0.9], [0.9, 1.0]])
-        approx = rec_trunc(m, {0, 1})
-        oracle = tmnd_oracle(m, {0, 1}, 1_000_000, seed=7)
-        np.testing.assert_allclose(approx.mean, oracle.mean, atol=0.05)
+        mean, cov = [0.0, 0.0], [[1.0, 0.9], [0.9, 1.0]]
+        approx, _ = rec_trunc(mean, cov, {0, 1})
+        oracle, _ = tmnd_oracle(mean, cov, {0, 1}, 1_000_000, seed=7)
+        np.testing.assert_allclose(approx, oracle, atol=0.05)
 
     def test_optimal_policy_bit_reproducible(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((5, 5))
-        m = MomentPair(rng.normal(size=5), a @ a.T + np.eye(5))
-        r1 = rec_trunc(m, {0, 2, 4})
-        r2 = rec_trunc(m, {0, 2, 4})
-        assert np.array_equal(r1.mean, r2.mean)
-        assert np.array_equal(r1.cov, r2.cov)
+        mean, cov = rng.normal(size=5), a @ a.T + np.eye(5)
+        r1 = rec_trunc(mean, cov, {0, 2, 4})
+        r2 = rec_trunc(mean, cov, {0, 2, 4})
+        assert np.array_equal(r1[0], r2[0])
+        assert np.array_equal(r1[1], r2[1])
 
     def test_fixed_order_must_be_permutation(self):
-        m = MomentPair(np.zeros(3), np.eye(3))
         with pytest.raises(ValueError):
-            rec_trunc(m, {0, 1}, FixedOrder((0, 2)))
+            rec_trunc(np.zeros(3), np.eye(3), {0, 1}, FixedOrder((0, 2)))
 
     def test_out_of_range_indices_rejected(self):
         for indices in ({1}, {-1}):
             with pytest.raises(ValueError, match="out of range for dim 1"):
-                rec_trunc(MomentPair([0.0], [[1.0]]), indices)
+                rec_trunc([0.0], [[1.0]], indices)
             with pytest.raises(ValueError, match="out of range for dim 1"):
                 _rec_trunc_rows(np.zeros((2, 1)), np.ones((2, 1, 1)), indices)
 
@@ -182,27 +175,27 @@ class TestRecTrunc:
             mean = rng.uniform(-3.0, 3.0, dim)
             var = rng.uniform(0.1, 5.0, dim)
             subset = [i for i in range(dim) if rng.random() < 0.7]
-            out = rec_trunc(MomentPair(mean, np.diag(var)), subset)
+            out_mean, out_cov = rec_trunc(mean, np.diag(var), subset)
             exp_mean = mean.copy()
             exp_var = var.copy()
             for i in subset:
                 exp_mean[i], exp_var[i] = truncated_univariate_moments(
                     mean[i], var[i]
                 )
-            np.testing.assert_allclose(out.mean, exp_mean, atol=1e-10)
-            np.testing.assert_allclose(out.cov, np.diag(exp_var), atol=1e-10)
+            np.testing.assert_allclose(out_mean, exp_mean, atol=1e-10)
+            np.testing.assert_allclose(out_cov, np.diag(exp_var), atol=1e-10)
 
     def test_order_irrelevant_on_diagonal(self):
         rng = np.random.default_rng(13)
         mean = rng.uniform(-2.0, 2.0, 5)
         var = rng.uniform(0.2, 3.0, 5)
-        m = MomentPair(mean, np.diag(var))
-        ref = rec_trunc(m, range(5), OPTIMAL)
+        cov = np.diag(var)
+        ref_mean, ref_cov = rec_trunc(mean, cov, range(5), OPTIMAL)
         for _ in range(5):
             order = tuple(rng.permutation(5))
-            out = rec_trunc(m, range(5), FixedOrder(order))
-            np.testing.assert_allclose(out.mean, ref.mean, atol=1e-10)
-            np.testing.assert_allclose(out.cov, ref.cov, atol=1e-10)
+            out_mean, out_cov = rec_trunc(mean, cov, range(5), FixedOrder(order))
+            np.testing.assert_allclose(out_mean, ref_mean, atol=1e-10)
+            np.testing.assert_allclose(out_cov, ref_cov, atol=1e-10)
 
     def test_truncated_variance_never_increases(self):
         rng = np.random.default_rng(17)
@@ -210,24 +203,24 @@ class TestRecTrunc:
             dim = int(rng.integers(2, 7))
             a = rng.standard_normal((dim, dim))
             cov = a @ a.T + 0.1 * np.eye(dim)
-            m = MomentPair(rng.normal(0.0, 2.0, dim), cov)
+            mean = rng.normal(0.0, 2.0, dim)
             k = int(rng.integers(dim))
-            out = truncate_once(m, k)
-            assert out.cov[k, k] <= m.cov[k, k] + 1e-12
+            _, out_cov = truncate_once(mean, cov, k)
+            assert out_cov[k, k] <= cov[k, k] + 1e-12
 
     def test_inactive_limit_leaves_moments(self):
-        m = MomentPair([9.0, 0.5], [[1.0, 0.4], [0.4, 2.0]])
-        out = truncate_once(m, 0)  # ratio 9 > 8
-        np.testing.assert_allclose(out.mean, m.mean, rtol=1e-10)
-        np.testing.assert_allclose(out.cov, m.cov, rtol=1e-10)
+        mean, cov = [9.0, 0.5], [[1.0, 0.4], [0.4, 2.0]]
+        out_mean, out_cov = truncate_once(mean, cov, 0)  # ratio 9 > 8
+        np.testing.assert_allclose(out_mean, mean, rtol=1e-10)
+        np.testing.assert_allclose(out_cov, cov, rtol=1e-10)
 
     def test_random_order_deterministic_per_seed(self):
         rng = np.random.default_rng(23)
         a = rng.standard_normal((4, 4))
-        m = MomentPair(rng.normal(size=4), a @ a.T + np.eye(4))
-        r1 = rec_trunc(m, range(4), RandomOrder(seed=5))
-        r2 = rec_trunc(m, range(4), RandomOrder(seed=5))
-        assert np.array_equal(r1.mean, r2.mean)
+        mean, cov = rng.normal(size=4), a @ a.T + np.eye(4)
+        r1, _ = rec_trunc(mean, cov, range(4), RandomOrder(seed=5))
+        r2, _ = rec_trunc(mean, cov, range(4), RandomOrder(seed=5))
+        assert np.array_equal(r1, r2)
 
 
 class TestScalarLoop:
@@ -238,35 +231,35 @@ class TestScalarLoop:
     # Step one truncates z_0 deep in the tail, which zeroes its variance
     # and drops the trace from 1e6 + 1e-9 to 1e-9: then 1e-14 * trace <
     # var_1 = 1e-9 <= 1e-14 times the first trace.
-    SHRINKING = MomentPair([-4e4, 0.0], np.diag([1e6, 1e-9]))
+    SHRINKING = (np.array([-4e4, 0.0]), np.diag([1e6, 1e-9]))
 
     @pytest.mark.parametrize("policy, order", [(OPTIMAL, "greedy"), (FixedOrder((0, 1)), (0, 1))])
     def test_variance_under_first_tolerance_only_is_truncated(self, policy, order):
-        m = self.SHRINKING
-        out = rec_trunc(m, [0, 1], policy)
-        ref_mean, ref_cov = rec_trunc_stepwise(m.mean, m.cov, [0, 1], order)
-        np.testing.assert_array_equal(out.mean, ref_mean)
-        np.testing.assert_array_equal(out.cov, ref_cov)
-        assert out.cov[1, 1] < m.cov[1, 1]
-        rows_mean, rows_cov = _rec_trunc_rows(m.mean[None], m.cov[None], [0, 1])
+        mean, cov = self.SHRINKING
+        out_mean, out_cov = rec_trunc(mean, cov, [0, 1], policy)
+        ref_mean, ref_cov = rec_trunc_stepwise(mean, cov, [0, 1], order)
+        np.testing.assert_array_equal(out_mean, ref_mean)
+        np.testing.assert_array_equal(out_cov, ref_cov)
+        assert out_cov[1, 1] < cov[1, 1]
+        rows_mean, rows_cov = _rec_trunc_rows(mean[None], cov[None], [0, 1])
         np.testing.assert_array_equal(rows_mean[0], ref_mean)
         np.testing.assert_array_equal(rows_cov[0], ref_cov)
 
     @pytest.mark.parametrize(
-        "m, msg",
+        "mean, cov, msg",
         [
-            (MomentPair([0.0, -1.0], np.diag([1.0, 1e-16])), "direction 1 has variance 1.000e-16 <= tolerance 1.000e-14"),
+            (np.array([0.0, -1.0]), np.diag([1.0, 1e-16]), "direction 1 has variance 1.000e-16 <= tolerance 1.000e-14"),
             # Fails at step two, against the trace after step one.
-            (MomentPair([-40.0, 0.0, 0.0], np.diag([1.0, 1.0, 1e-15])), "direction 2 has variance 1.000e-15 <= tolerance 1.000e-14"),
+            (np.array([-40.0, 0.0, 0.0]), np.diag([1.0, 1.0, 1e-15]), "direction 2 has variance 1.000e-15 <= tolerance 1.000e-14"),
         ],
     )
-    def test_variance_under_current_tolerance_raises(self, m, msg):
-        truncated = [0, m.dim - 1]
+    def test_variance_under_current_tolerance_raises(self, mean, cov, msg):
+        dim = mean.size
+        truncated = [0, dim - 1]
         with pytest.raises(DegenerateDirectionError, match=re.escape(msg)):
-            rec_trunc(m, truncated)
-        regular = MomentPair(np.zeros(m.dim), np.eye(m.dim))
+            rec_trunc(mean, cov, truncated)
         with pytest.raises(DegenerateDirectionError, match=re.escape(msg)):
-            _rec_trunc_rows(np.stack([regular.mean, m.mean]), np.stack([regular.cov, m.cov]), truncated)
+            _rec_trunc_rows(np.stack([np.zeros(dim), mean]), np.stack([np.eye(dim), cov]), truncated)
 
     def test_greedy_pick_is_numpy_argmin_with_non_finite_means(self):
         rng = np.random.default_rng(29)
@@ -280,7 +273,7 @@ class TestScalarLoop:
             remaining = sorted({int(i) for i in rng.integers(0, dim, dim)})
             with np.errstate(invalid="ignore"):
                 ratios = mean[remaining] / np.sqrt(var[remaining])
-            assert select_next(MomentPair(mean, np.diag(var)), remaining) == remaining[int(np.argmin(ratios))]
+            assert select_next(mean, np.diag(var), remaining) == remaining[int(np.argmin(ratios))]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_mean_fails_typed(self, value):
@@ -288,7 +281,7 @@ class TestScalarLoop:
         msg = f"truncation distance is not finite, got {value!r}"
         for policy in (OPTIMAL, RandomOrder(3), FixedOrder((1, 0, 2))):
             with pytest.raises(NumericalFailureError, match=re.escape(msg)):
-                rec_trunc(MomentPair(mean, np.eye(3)), range(3), policy)
+                rec_trunc(mean, np.eye(3), range(3), policy)
 
 
 @st.composite
@@ -313,62 +306,75 @@ def truncation_cases(draw):
     else:
         order = draw(st.permutations(truncated))
         policy = FixedOrder(order)
-    m = MomentPair(ratios * np.sqrt(np.diag(cov)), cov)
-    return m, truncated, policy, order
+    return ratios * np.sqrt(np.diag(cov)), cov, truncated, policy, order
 
 
 class TestRecTruncProperties:
     @settings(deadline=None, max_examples=300)
     @given(truncation_cases())
     def test_bit_identical_to_stepwise_reference(self, case):
-        m, truncated, policy, order = case
+        mean, cov, truncated, policy, order = case
         seed = policy.seed if isinstance(policy, RandomOrder) else None
         ref_mean, ref_cov = rec_trunc_stepwise(
-            m.mean, m.cov, truncated, order, seed
+            mean, cov, truncated, order, seed
         )
-        out = rec_trunc(m, truncated, policy)
-        np.testing.assert_array_equal(out.mean, ref_mean)
-        np.testing.assert_array_equal(out.cov, ref_cov)
+        out_mean, out_cov = rec_trunc(mean, cov, truncated, policy)
+        np.testing.assert_array_equal(out_mean, ref_mean)
+        np.testing.assert_array_equal(out_cov, ref_cov)
 
     @settings(deadline=None, max_examples=300)
     @given(truncation_cases())
     def test_psd_and_variances_never_increase(self, case):
-        m, truncated, policy, _ = case
-        out = rec_trunc(m, truncated, policy)
-        np.testing.assert_array_equal(out.cov, out.cov.T)
-        assert np.linalg.eigvalsh(out.cov).min() >= -1e-12 * np.trace(m.cov)
-        assert np.all(out.cov.diagonal() <= m.cov.diagonal())
+        mean, cov, truncated, policy, _ = case
+        _, out_cov = rec_trunc(mean, cov, truncated, policy)
+        np.testing.assert_array_equal(out_cov, out_cov.T)
+        assert np.linalg.eigvalsh(out_cov).min() >= -1e-12 * np.trace(cov)
+        assert np.all(out_cov.diagonal() <= cov.diagonal())
 
 
 class TestOracle:
     def test_half_normal_high_precision(self):
-        out = tmnd_oracle(MomentPair([0.0], [[1.0]]), {0}, 10_000_000, seed=2)
-        assert out.mean[0] == pytest.approx(HALF_NORMAL_MEAN, abs=3e-4)
+        mean, _ = tmnd_oracle([0.0], [[1.0]], {0}, 10_000_000, seed=2)
+        assert mean[0] == pytest.approx(HALF_NORMAL_MEAN, abs=3e-4)
 
     def test_no_truncation_gives_plain_moments(self):
-        m = MomentPair([1.0, -2.0], [[2.0, 0.5], [0.5, 1.0]])
-        out = tmnd_oracle(m, set(), 200_000, seed=4)
-        np.testing.assert_allclose(out.mean, m.mean, atol=0.02)
-        np.testing.assert_allclose(out.cov, m.cov, atol=0.05)
+        mean, cov = [1.0, -2.0], [[2.0, 0.5], [0.5, 1.0]]
+        out_mean, out_cov = tmnd_oracle(mean, cov, set(), 200_000, seed=4)
+        np.testing.assert_allclose(out_mean, mean, atol=0.02)
+        np.testing.assert_allclose(out_cov, cov, atol=0.05)
 
     def test_deep_tail_uses_gibbs(self):
         # Acceptance is ~1e-198; the inverse-hazard asymptote gives the mean.
-        out = tmnd_oracle(MomentPair([-30.0], [[1.0]]), {0}, 10_000, seed=3)
-        assert out.mean[0] == pytest.approx(1.0 / 30.0, rel=0.10)
+        mean, _ = tmnd_oracle([-30.0], [[1.0]], {0}, 10_000, seed=3)
+        assert mean[0] == pytest.approx(1.0 / 30.0, rel=0.10)
 
     def test_deterministic_given_seed(self):
-        m = MomentPair([0.0, -0.5], [[1.0, 0.3], [0.3, 1.0]])
-        a = tmnd_oracle(m, {0, 1}, 50_000, seed=9)
-        b = tmnd_oracle(m, {0, 1}, 50_000, seed=9)
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.cov, b.cov)
+        mean, cov = [0.0, -0.5], [[1.0, 0.3], [0.3, 1.0]]
+        a = tmnd_oracle(mean, cov, {0, 1}, 50_000, seed=9)
+        b = tmnd_oracle(mean, cov, {0, 1}, 50_000, seed=9)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_sample_floor_enforced(self):
         with pytest.raises(ValueError):
-            tmnd_oracle(MomentPair([0.0], [[1.0]]), {0}, 999, seed=0)
+            tmnd_oracle([0.0], [[1.0]], {0}, 999, seed=0)
 
 
-class TestMomentPair:
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            MomentPair([0.0, 1.0], np.eye(3))
+class TestShapeCheck:
+    """Every entry point of the truncation API takes a mean vector and a
+    covariance matrix, and rejects them when their shapes disagree."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda mean, cov: rec_trunc(mean, cov, {0}),
+            lambda mean, cov: rec_trunc(mean, cov, set()),
+            lambda mean, cov: truncate_once(mean, cov, 0),
+            lambda mean, cov: select_next(mean, cov, {0}),
+            lambda mean, cov: tmnd_oracle(mean, cov, {0}, 1000, seed=0),
+        ],
+        ids=["rec_trunc", "rec_trunc_empty", "truncate_once", "select_next", "tmnd_oracle"],
+    )
+    def test_shape_mismatch_rejected(self, call):
+        with pytest.raises(ValueError, match=re.escape("inconsistent shapes: mean (2,), cov (3, 3)")):
+            call([0.0, 1.0], np.eye(3))
