@@ -72,7 +72,7 @@ def kf_gated_update(
     non-finite y raises NumericalFailureError.
     """
     c_mat = np.atleast_2d(np.asarray(c_mat, dtype=float))
-    r_matched = np.atleast_1d(np.asarray(r_matched, dtype=float))
+    r_matched = _vector("r_matched", r_matched, c_mat.shape[0])
     y = _vector("y", y, c_mat.shape[0])
     if not np.isfinite(y).all():
         raise NumericalFailureError("measurement is not finite")

@@ -53,10 +53,6 @@ CSV_HEADER = "scenario,estimator,replication,rmse_m,mean_nees,mean_vb_iters,wall
 STATIC_VERTICAL_PRIOR_STD_M = 0.22
 STATIC_BIAS_PRIOR_STD_M = 0.1
 
-# Replications run_experiment filters and smooths in one lockstep batch;
-# peak memory grows as rows * K * (4 + n_sats)^2.
-LOCKSTEP_ROWS = 32
-
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -231,7 +227,7 @@ def run_estimator(
     Measurements are relinearized per step at the running predicted mean;
     smoothers reuse the linearization points of their forward filter.
     "stf", "sts", "kf" and "rtss" are the one-trajectory calls of the
-    lockstep batches run_experiment runs.
+    lockstep batch run_experiment runs.
     """
     model = scenario_model(cfg, sats)
     if name in ("stf", "sts"):
@@ -311,52 +307,46 @@ def _record(cfg, est, rep, traj, run, elapsed):
 def run_experiment(cfg: ScenarioConfig, out_path=None, timing: bool = False) -> list:
     """Run all configured estimators over n_mc simulated replications.
 
-    "stf", "sts", "kf" and "rtss" run the replications in lockstep
-    batches of up to LOCKSTEP_ROWS rows; "sts" smooths the "stf" pass of
-    its batch and "rtss" the "kf" pass.  The PF runs one replication at a
-    time.  If a batch raises an EstimationError, its replications rerun
-    one at a time, so each record is the one a single-replication run
-    gives.
+    "stf", "sts", "kf" and "rtss" run all n_mc replications as one
+    lockstep batch; "sts" smooths the "stf" pass and "rtss" the "kf"
+    pass.  The batch holds about 1.5 MB per replication at K=100 and 8
+    satellites, and peak memory grows as n_mc * K * (4 + n_sats)^2.  The
+    PF runs one replication at a time.  If a batch raises an
+    EstimationError, each replication of the failed family (stf/sts or
+    kf/rtss) reruns alone, so each record is the one a single-replication
+    run gives; that fallback costs one one-row run per replication.
 
     Returns the sorted RunRecord list and, when `out_path` is given, writes
     the CSV there.  By default the wall_time_s column is written as 0 so
     that identical configurations produce byte-identical files; pass
     timing=True to emit measured (non-reproducible) times, where a
-    lockstep row's time is its batch time divided by the batch rows.
+    lockstep row's time is its batch time divided by n_mc.
     Only an EstimationError makes a "failed" record; other exceptions
     propagate.
     """
     sats = make_constellation(cfg.n_sats, cfg.seed)
-    records = []
-    for first in range(0, cfg.n_mc, LOCKSTEP_ROWS):
-        reps = range(first, min(first + LOCKSTEP_ROWS, cfg.n_mc))
-        trajs = [simulate(cfg, rep) for rep in reps]
-        if not cfg.estimators:
-            records += [
-                RunRecord(cfg.name, "", rep, float("nan"), float("nan"),
-                          float("nan"), 0.0, "simulated")
-                for rep in reps
-            ]
-            continue
-        batch = _lockstep_runs(cfg, sats, trajs)
-        for est in cfg.estimators:
-            for i, (rep, traj) in enumerate(zip(reps, trajs)):
-                if est in batch:
-                    runs, elapsed = batch[est]
-                    records.append(_record(cfg, est, rep, traj, runs[i], elapsed))
-                    continue
-                start = time.perf_counter()
-                try:
-                    run = run_estimator(est, cfg, sats, traj, replication=rep)
-                    records.append(
-                        _record(cfg, est, rep, traj, run, time.perf_counter() - start)
-                    )
-                except EstimationError as err:
-                    elapsed = time.perf_counter() - start
-                    records.append(
-                        RunRecord(cfg.name, est, rep, float("nan"), float("nan"),
-                                  float("nan"), elapsed, "failed", str(err))
-                    )
+    trajs = [simulate(cfg, rep) for rep in range(cfg.n_mc)]
+    records = [] if cfg.estimators else [
+        RunRecord(cfg.name, "", rep, float("nan"), float("nan"), float("nan"), 0.0, "simulated")
+        for rep in range(cfg.n_mc)
+    ]
+    batch = _lockstep_runs(cfg, sats, trajs) if trajs else {}
+    for est in cfg.estimators:
+        for rep, traj in enumerate(trajs):
+            if est in batch:
+                runs, elapsed = batch[est]
+                records.append(_record(cfg, est, rep, traj, runs[rep], elapsed))
+                continue
+            start = time.perf_counter()
+            try:
+                run = run_estimator(est, cfg, sats, traj, replication=rep)
+                records.append(_record(cfg, est, rep, traj, run, time.perf_counter() - start))
+            except EstimationError as err:
+                elapsed = time.perf_counter() - start
+                records.append(
+                    RunRecord(cfg.name, est, rep, float("nan"), float("nan"),
+                              float("nan"), elapsed, "failed", str(err))
+                )
     records.sort(key=lambda r: (r.scenario, r.estimator, r.replication))
     if out_path is not None:
         write_records_csv(records, out_path, timing=timing)

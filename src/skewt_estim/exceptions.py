@@ -2,7 +2,17 @@
 
 
 class EstimationError(Exception):
-    """Base class for errors raised by this package."""
+    """Base class for errors raised by this package.
+
+    `step` is the time step the error arose at, when known; the message
+    then ends in "(time step k)".
+    """
+
+    def __init__(self, message, step=None):
+        if step is not None:
+            message = f"{message} (time step {step})"
+        super().__init__(message)
+        self.step = step
 
 
 class DegenerateDirectionError(EstimationError):
@@ -18,13 +28,10 @@ class NumericalFailureError(EstimationError):
     not, even after jitter escalation, or an input is not finite."""
 
     def __init__(self, message, smallest_eigenvalue=None, step=None):
-        if step is not None:
-            message = f"{message} (time step {step})"
         if smallest_eigenvalue is not None:
             message = f"{message}; smallest eigenvalue {smallest_eigenvalue:.3e}"
-        super().__init__(message)
+        super().__init__(message, step)
         self.smallest_eigenvalue = smallest_eigenvalue
-        self.step = step
 
 
 class OracleInfeasibleError(EstimationError):
@@ -33,12 +40,6 @@ class OracleInfeasibleError(EstimationError):
 
 class DegeneracyError(EstimationError):
     """All particle weights underflowed to zero."""
-
-    def __init__(self, message, step=None):
-        if step is not None:
-            message = f"{message} (time step {step})"
-        super().__init__(message)
-        self.step = step
 
 
 class GeometryError(EstimationError):

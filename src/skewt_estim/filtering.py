@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import solve_spd, symmetrize
-from .exceptions import NumericalFailureError
+from .exceptions import EstimationError
 from .skewt import SkewTComponent
 from .truncnorm import OPTIMAL, TruncationOrderPolicy, _rec_trunc_rows, rec_trunc
 
@@ -324,8 +324,8 @@ def _forward(model: StateSpaceModel, n_steps: int, step, x, p) -> list:
     time update of their leading n_x block (for the smoother's [x; u], the
     x block: u has a zero transition).  Returns each output of `step`
     stacked over a step axis after the leading shape, in stacks allocated
-    from the first step's outputs.  A NumericalFailureError of step k is
-    raised again with step=k.
+    from the first step's outputs.  An EstimationError of step k is raised
+    again as the same type with step=k.
     """
     n_x = model.n_x
     lead = x.shape[:-1]
@@ -334,8 +334,8 @@ def _forward(model: StateSpaceModel, n_steps: int, step, x, p) -> list:
     for k in range(n_steps):
         try:
             out = step(k, x, p)
-        except NumericalFailureError as err:
-            raise NumericalFailureError(f"measurement update failed: {err}", step=k) from err
+        except EstimationError as err:
+            raise type(err)(f"measurement update failed: {err}", step=k) from err
         if not k:
             stacks = [
                 np.empty(lead + (n_steps,) + np.shape(o)[len(lead):], np.result_type(o))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import solve_spd, symmetrize
-from .exceptions import NumericalFailureError
+from .exceptions import EstimationError
 from .filtering import (
     GaussianBelief,
     StateSpaceModel,
@@ -160,10 +160,8 @@ def _backward_rows(f_mean, f_cov, p_mean, p_cov, model) -> tuple:
         try:
             for b, (p_b, f_b) in enumerate(zip(p_pred, f_cov[:, k])):
                 gain[b] = solve_spd(p_b, model.A @ f_b[:n_x], what="prediction covariance").T
-        except NumericalFailureError as err:
-            raise NumericalFailureError(
-                f"backward gain failed: {err}", step=k
-            ) from err
+        except EstimationError as err:
+            raise type(err)(f"backward gain failed: {err}", step=k) from err
         step = s_mean[:, k + 1, :n_x] - p_mean[:, k + 1, :n_x]
         s_mean[:, k] += (gain @ step[..., None])[..., 0]
         s_cov[:, k] = symmetrize(

@@ -14,7 +14,6 @@ import pytest
 from scipy.stats import norm
 from scipy.stats import truncnorm as scipy_truncnorm
 
-from skewt_estim.baselines import GatingConfig
 from skewt_estim.bench import (
     ScenarioConfig,
     make_constellation,
@@ -22,18 +21,11 @@ from skewt_estim.bench import (
     rmse,
     run_experiment,
     run_static_experiment,
-    scenario_model,
     simulate,
     truncnorm_comparison,
 )
-from skewt_estim.bench.experiments import (
-    LOCKSTEP_ROWS,
-    _kf_rows,
-    _rtss_rows,
-    _stf_rows,
-    _sts_rows,
-)
-from skewt_estim.filtering import VBConfig, expected_mixing_precision, stf_run
+from skewt_estim.bench.experiments import _lockstep_runs
+from skewt_estim.filtering import expected_mixing_precision, stf_run
 from skewt_estim.smoothing import sts_run
 from skewt_estim.truncnorm import rec_trunc, select_next
 
@@ -56,6 +48,7 @@ class ScenarioStats:
     sts_rmse: np.ndarray
     kf_rmse: np.ndarray
     rtss_rmse: np.ndarray
+    cpu_s: float  # process CPU seconds of the scenario's lockstep batch
 
 
 N_MC = 100
@@ -65,32 +58,24 @@ N_MC = 100
 def scenario_suite():
     """STF/STS/gated-KF/gated-RTSS on (q=0.5, d=5) and (q=5, d=5).
 
-    All four run the replications in lockstep batches, as
-    run_experiment does.
+    Each scenario runs its replications as the one lockstep batch of
+    run_experiment.
     """
     out = {}
-    vb_cfg = VBConfig()
     for q in (0.5, 5.0):
         cfg = ScenarioConfig(
             q=q, delta=5.0, rho=100.0, nu=4.0, K=100, n_mc=N_MC, seed=1,
-            estimators=(), name=f"q{q}",
+            estimators=("stf", "sts", "kf", "rtss"), name=f"q{q}",
         )
         sats = make_constellation(cfg.n_sats, cfg.seed)
-        model = scenario_model(cfg, sats)
+        trajs = [simulate(cfg, rep) for rep in range(cfg.n_mc)]
+        start = time.process_time()
+        batch = _lockstep_runs(cfg, sats, trajs)
+        cpu_s = time.process_time() - start
         iters, stf_nees, stf_rmse, sts_rmse, kf_rmse, rtss_rmse = (
             [], [], [], [], [], []
         )
-        trajs = [simulate(cfg, rep) for rep in range(cfg.n_mc)]
-        stf_runs, sts_runs, kf_runs, rtss_runs = [], [], [], []
-        for first in range(0, cfg.n_mc, LOCKSTEP_ROWS):
-            batch = trajs[first:first + LOCKSTEP_ROWS]
-            runs, c_seq, y_adj = _stf_rows(model, sats, batch, vb_cfg)
-            stf_runs += runs
-            sts_runs += _sts_rows(model, c_seq, y_adj, vb_cfg)
-            runs, kf_pass, _ = _kf_rows(model, cfg, sats, batch, GatingConfig())
-            kf_runs += runs
-            rtss_runs += _rtss_rows(kf_pass)
-        for traj, stf, sts, kf, rtss in zip(trajs, stf_runs, sts_runs, kf_runs, rtss_runs):
+        for traj, stf, sts, kf, rtss in zip(trajs, *(batch[est][0] for est in cfg.estimators)):
             iters.extend(stf.vb_iterations.tolist())
             stf_nees.append(nees(stf.positions, stf.position_covs, traj.states).mean())
             stf_rmse.append(rmse(stf.positions, traj.states))
@@ -104,6 +89,7 @@ def scenario_suite():
             sts_rmse=np.array(sts_rmse),
             kf_rmse=np.array(kf_rmse),
             rtss_rmse=np.array(rtss_rmse),
+            cpu_s=cpu_s,
         )
     return out
 
@@ -226,7 +212,10 @@ def test_criterion_7_rmse_ordering(scenario_suite):
     for q, stats in scenario_suite.items():
         med_gap = float(np.median(stats.kf_rmse - stats.stf_rmse))
         frac = float(np.mean(stats.sts_rmse <= stats.stf_rmse))
-        details.append(f"q={q}: med(KF-STF) {med_gap:.3f} m, STS<=STF {frac * 100:.0f}%")
+        details.append(
+            f"q={q}: med(KF-STF) {med_gap:.3f} m, STS<=STF {frac * 100:.0f}%, "
+            f"{stats.cpu_s:.1f} CPU s"
+        )
         ok = ok and med_gap > 0.0 and frac >= 0.90
     report(7, "filter beats gated KF; smoother at least as good", ok, "; ".join(details))
 

@@ -94,6 +94,14 @@ class TestGatedUpdate:
         with pytest.raises(ValueError, match=re.escape(f"y must have shape (2,), got {shape}")):
             kf_gated_update(model.C, model.R, model.prior_belief(), y)
 
+    @pytest.mark.parametrize("r, shape", [(np.ones(3), "(3,)"), (np.ones(1), "(1,)"), (1.0, "(1,)")])
+    def test_matched_variance_length_validated(self, r, shape):
+        # A long r_matched would be used without its last entries.
+        with pytest.raises(
+            ValueError, match=re.escape(f"r_matched must have shape (2,), got {shape}")
+        ):
+            kf_gated_update(np.eye(2), r, GaussianBelief(np.zeros(2), np.eye(2)), np.zeros(2))
+
 
 class TestGatedSmoother:
     def test_matches_classical_smoother_without_gating(self):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest, norm
 
+from skewt_estim import filtering
+from skewt_estim.baselines import GatingConfig
 from skewt_estim.bench import (
     CSV_HEADER,
     ScenarioConfig,
@@ -28,6 +30,7 @@ from skewt_estim.cli import main
 from skewt_estim.exceptions import (
     ConfigError,
     DegeneracyError,
+    DegenerateDirectionError,
     GeometryError,
     NumericalFailureError,
 )
@@ -415,6 +418,60 @@ class TestRunExperiment:
         sats = make_constellation(cfg.n_sats, cfg.seed)
         with pytest.raises(NumericalFailureError) as info:
             run_estimator("stf", cfg, sats, simulate(cfg, 0))
+        assert info.value.step == 3
+
+    def test_truncation_failure_carries_time_step(self, monkeypatch):
+        """A DegenerateDirectionError at the first truncation of step 3
+        keeps its type, gains the step, and the record's reason names it."""
+        cfg = small_config(n_mc=1, estimators=("stf",))
+        sats = make_constellation(cfg.n_sats, cfg.seed)
+        traj = simulate(cfg, 0)
+        real = filtering.rec_trunc
+        seen = []
+
+        def spy(mean, *args):
+            seen.append(mean.copy())
+            return real(mean, *args)
+
+        monkeypatch.setattr(filtering, "rec_trunc", spy)
+        marker = seen[int(run_estimator("stf", cfg, sats, traj).vb_iterations[:3].sum())]
+
+        def fail_at_marker(mean, *args):
+            if np.array_equal(mean, marker):
+                raise DegenerateDirectionError("injected")
+            return real(mean, *args)
+
+        monkeypatch.setattr(filtering, "rec_trunc", fail_at_marker)
+        with pytest.raises(DegenerateDirectionError) as info:
+            run_estimator("stf", cfg, sats, traj)
+        assert info.value.step == 3
+        (record,) = run_experiment(cfg)
+        assert record.status == "failed"
+        assert record.reason == str(info.value)
+        assert record.reason.endswith("(time step 3)")
+
+    @pytest.mark.parametrize("family", ["stf", "kf"])
+    def test_geometry_failure_carries_time_step(self, monkeypatch, family):
+        """A GeometryError of the relinearization at step 3 gains the step."""
+        cfg = small_config(n_mc=1)
+        sats = make_constellation(cfg.n_sats, cfg.seed)
+        model = scenario_model(cfg, sats)
+        trajs = [simulate(cfg, 0)]
+        real = experiments.linearize
+        calls = []
+
+        def fail_on_fourth(*args):
+            calls.append(None)
+            if len(calls) == 4:
+                raise GeometryError("injected")
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "linearize", fail_on_fourth)
+        with pytest.raises(GeometryError, match=r"injected \(time step 3\)$") as info:
+            if family == "stf":
+                _stf_rows(model, sats, trajs, VBConfig())
+            else:
+                experiments._kf_rows(model, cfg, sats, trajs, GatingConfig())
         assert info.value.step == 3
 
     def test_programming_error_propagates(self, monkeypatch):

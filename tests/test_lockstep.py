@@ -1,7 +1,7 @@
 """Lockstep kernels against the scalar kernels they batch, bit for bit.
 
-run_experiment filters and smooths the replications of a scenario in
-lockstep batches.  Every row of a batch must equal the same replication
+run_experiment filters and smooths the replications of a scenario in one
+lockstep batch.  Every row of a batch must equal the same replication
 run alone: the truncation, the augmented update, the psi statistic, the
 Anderson step, the VB filter update, the smoother and the gated Kalman
 filter and smoother are checked row by row with np.array_equal, and a
@@ -31,7 +31,6 @@ from skewt_estim.bench import (
 )
 from skewt_estim.bench import experiments
 from skewt_estim.bench.experiments import (
-    LOCKSTEP_ROWS,
     _kf_rows,
     _rtss_rows,
     _stf_rows,
@@ -687,7 +686,7 @@ def timeless(records):
 
 
 class TestRunExperimentLockstep:
-    def test_stf_and_sts_share_one_filter_pass_per_chunk(self, monkeypatch):
+    def test_stf_and_sts_share_one_filter_pass(self, monkeypatch):
         batches = []
         real = experiments._stf_rows
 
@@ -696,9 +695,9 @@ class TestRunExperimentLockstep:
             return real(model, sats, trajs, vb_cfg)
 
         monkeypatch.setattr(experiments, "_stf_rows", counting)
-        cfg = sweep_config(K=5, n_mc=LOCKSTEP_ROWS + 2)
+        cfg = sweep_config(K=5, n_mc=34)
         both = run_experiment(cfg)
-        assert batches == [LOCKSTEP_ROWS, 2]
+        assert batches == [cfg.n_mc]
         separate = sorted(
             run_experiment(replace(cfg, estimators=("stf",)))
             + run_experiment(replace(cfg, estimators=("sts",))),
@@ -759,11 +758,12 @@ class TestRunExperimentLockstep:
         for record in run_experiment(cfg):
             assert not record.converged and record.mean_vb_iterations == 1.0
 
-    def test_failed_replication_falls_back_to_scalar_runs(self, monkeypatch):
+    @pytest.mark.parametrize("n_mc", [4, 34])
+    def test_failed_replication_falls_back_to_scalar_runs(self, monkeypatch, n_mc):
         """Replication 2 fails at time step 3 inside the batch: that batch
         reruns one replication at a time, so only replication 2 fails, with
         the scalar path's reason and step."""
-        cfg = sweep_config(n_mc=4)
+        cfg = sweep_config(n_mc=n_mc)
         sats = make_constellation(cfg.n_sats, cfg.seed)
         clean = timeless(run_experiment(cfg))
 
