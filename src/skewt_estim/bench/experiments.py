@@ -122,12 +122,15 @@ def _filter_rows(model, sats, trajs, update, noise_offset=0.0):
     stacked over steps (B, K, ...), and the (B, K, n_y, n_x)
     linearizations and (B, K, n_y) measurements that smoothers rerun on.
     A non-finite pseudorange raises NumericalFailureError with the first
-    step that has one.
+    step that has one and the first row with one at that step.
     """
     meas = np.stack([t.measurements for t in trajs])
-    finite = np.isfinite(meas).all(axis=(0, 2))
+    finite = np.isfinite(meas).all(axis=2)
     if not finite.all():
-        raise NumericalFailureError("pseudorange is not finite", step=int(finite.argmin()))
+        k = int(finite.all(axis=0).argmin())
+        raise NumericalFailureError(
+            "pseudorange is not finite", step=k, row=int(finite[:, k].argmin())
+        )
 
     def step(k, x, p):
         c_k, y0 = linearize(sats, x)
@@ -251,44 +254,79 @@ def run_estimator(
     raise ValueError(f"unknown estimator {name!r}")
 
 
-def _lockstep_runs(cfg, sats, trajs):
-    """The lockstep runs of run_experiment, with per-row seconds: "sts"
-    smooths the "stf" pass and "rtss" the "kf" pass.
+def _drop_failed_rows(run, rows, results):
+    """Run the lockstep batch run(rows) until it succeeds, and store the
+    outcome of each row b in results[b].
 
-    Returns {estimator: (runs, seconds)}; an estimator whose batch raised
-    an EstimationError is absent, and so is a smoother whose filter
-    failed.  run_experiment reruns those replications one at a time.
+    run returns one EstimatorRun per row and one more value, which is
+    returned with the rows that succeeded (None when none did).  An
+    EstimationError that names a row (its position in rows) is that row's
+    outcome, and the batch reruns without it; one that names no row is
+    the outcome of every row left.
+    """
+    rows = list(rows)
+    while rows:
+        try:
+            runs, rest = run(rows)
+        except EstimationError as err:
+            failed = rows if err.row is None else [rows[err.row]]
+            for b in failed:
+                results[b] = err
+            rows = [b for b in rows if b not in failed]
+        else:
+            for b, one in zip(rows, runs):
+                results[b] = one
+            return rows, rest
+    return rows, None
+
+
+def _lockstep_runs(cfg, sats, trajs):
+    """The lockstep runs of run_experiment: "sts" smooths the "stf" pass
+    and "rtss" the "kf" pass, each family as one batch of all trajs.
+
+    A row that fails leaves its batch (_drop_failed_rows).  A row that
+    fails in a filter fails in its smoother with the same error, as its
+    one-row run does; a row that fails only in a smoother keeps its
+    filter's run.  Returns {estimator: (outcomes, seconds)}: outcomes[b]
+    is the EstimatorRun of trajs[b] or the EstimationError that failed
+    it, and seconds the family's time per replication up to that
+    estimator's end (a smoother's includes its filter's).
     """
     model = scenario_model(cfg, sats)
     vb_cfg = VBConfig()
-    wanted = set(cfg.estimators)
+
+    def stf(rows):
+        runs, c_seq, y_seq = _stf_rows(model, sats, [trajs[b] for b in rows], vb_cfg)
+        return runs, lambda at: _sts_rows(model, c_seq[at], y_seq[at], vb_cfg)
+
+    def kf(rows):
+        runs, (*stacks, gauss), _ = _kf_rows(
+            model, cfg, sats, [trajs[b] for b in rows], GatingConfig()
+        )
+        return runs, lambda at: _rtss_rows((*(a[at] for a in stacks), gauss))
+
     out = {}
-
-    def timed(runs, start):
-        return runs, (time.perf_counter() - start) / len(trajs)
-
-    if wanted & {"stf", "sts"}:
+    for filt, smooth, run in (("stf", "sts", stf), ("kf", "rtss", kf)):
+        if not {filt, smooth} & set(cfg.estimators):
+            continue
         start = time.perf_counter()
-        try:
-            runs, c_seq, y_seq = _stf_rows(model, sats, trajs, vb_cfg)
-            out["stf"] = timed(runs, start)
-            if "sts" in wanted:
-                out["sts"] = timed(_sts_rows(model, c_seq, y_seq, vb_cfg), start)
-        except EstimationError:
-            pass
-    if wanted & {"kf", "rtss"}:
-        start = time.perf_counter()
-        try:
-            runs, kf_pass, _ = _kf_rows(model, cfg, sats, trajs, GatingConfig())
-            out["kf"] = timed(runs, start)
-            if "rtss" in wanted:
-                out["rtss"] = timed(_rtss_rows(kf_pass), start)
-        except EstimationError:
-            pass
+        filtered = [None] * len(trajs)
+        rows, smoother = _drop_failed_rows(run, range(len(trajs)), filtered)
+        out[filt] = filtered, (time.perf_counter() - start) / len(trajs)
+        if smooth in cfg.estimators:
+            smoothed = list(filtered)
+            at = {b: i for i, b in enumerate(rows)}
+            _drop_failed_rows(lambda left: (smoother([at[b] for b in left]), None), rows, smoothed)
+            out[smooth] = smoothed, (time.perf_counter() - start) / len(trajs)
     return out
 
 
 def _record(cfg, est, rep, traj, run, elapsed):
+    """The RunRecord of an EstimatorRun, or the "failed" one of the
+    EstimationError that failed the run."""
+    if isinstance(run, EstimationError):
+        nan = float("nan")
+        return RunRecord(cfg.name, est, rep, nan, nan, nan, elapsed, "failed", str(run))
     step_nees = nees(run.positions, run.position_covs, traj.states)
     return RunRecord(
         cfg.name,
@@ -308,19 +346,19 @@ def run_experiment(cfg: ScenarioConfig, out_path=None, timing: bool = False) -> 
     """Run all configured estimators over n_mc simulated replications.
 
     "stf", "sts", "kf" and "rtss" run all n_mc replications as one
-    lockstep batch; "sts" smooths the "stf" pass and "rtss" the "kf"
-    pass.  The batch holds about 1.5 MB per replication at K=100 and 8
-    satellites, and peak memory grows as n_mc * K * (4 + n_sats)^2.  The
-    PF runs one replication at a time.  If a batch raises an
-    EstimationError, each replication of the failed family (stf/sts or
-    kf/rtss) reruns alone, so each record is the one a single-replication
-    run gives; that fallback costs one one-row run per replication.
+    lockstep batch (_lockstep_runs); "sts" smooths the "stf" pass and
+    "rtss" the "kf" pass.  A replication whose run raises an
+    EstimationError leaves the batch, which reruns without it, so each
+    record is the one a single-replication run gives.  The batch holds
+    about 1.5 MB per replication at K=100 and 8 satellites, and peak
+    memory grows as n_mc * K * (4 + n_sats)^2.  The PF runs one
+    replication at a time.
 
     Returns the sorted RunRecord list and, when `out_path` is given, writes
     the CSV there.  By default the wall_time_s column is written as 0 so
     that identical configurations produce byte-identical files; pass
     timing=True to emit measured (non-reproducible) times, where a
-    lockstep row's time is its batch time divided by n_mc.
+    lockstep row's time is its family's batch time divided by n_mc.
     Only an EstimationError makes a "failed" record; other exceptions
     propagate.
     """
@@ -333,20 +371,17 @@ def run_experiment(cfg: ScenarioConfig, out_path=None, timing: bool = False) -> 
     batch = _lockstep_runs(cfg, sats, trajs) if trajs else {}
     for est in cfg.estimators:
         for rep, traj in enumerate(trajs):
-            if est in batch:
-                runs, elapsed = batch[est]
-                records.append(_record(cfg, est, rep, traj, runs[rep], elapsed))
-                continue
-            start = time.perf_counter()
-            try:
-                run = run_estimator(est, cfg, sats, traj, replication=rep)
-                records.append(_record(cfg, est, rep, traj, run, time.perf_counter() - start))
-            except EstimationError as err:
+            if est == "pf":
+                start = time.perf_counter()
+                try:
+                    run = run_estimator(est, cfg, sats, traj, replication=rep)
+                except EstimationError as err:
+                    run = err
                 elapsed = time.perf_counter() - start
-                records.append(
-                    RunRecord(cfg.name, est, rep, float("nan"), float("nan"),
-                              float("nan"), elapsed, "failed", str(err))
-                )
+            else:
+                runs, elapsed = batch[est]
+                run = runs[rep]
+            records.append(_record(cfg, est, rep, traj, run, elapsed))
     records.sort(key=lambda r: (r.scenario, r.estimator, r.replication))
     if out_path is not None:
         write_records_csv(records, out_path, timing=timing)

@@ -208,7 +208,9 @@ def linearize(sats: np.ndarray, nominal: np.ndarray) -> tuple:
     y0 holds the predicted pseudoranges at the nominal state, so that
     y ~= y0 + C (x - nominal).  `nominal` has shape (..., 4); C has shape
     (..., n_sats, 4) and y0 (..., n_sats), and each nominal state of a
-    stack gets exactly its own linearization.
+    stack gets exactly its own linearization.  A nominal position within
+    1 m of a satellite raises GeometryError; for a (B, 4) stack its `row`
+    is the first such state.
     """
     sats = np.atleast_2d(np.asarray(sats, dtype=float))
     nominal = np.atleast_1d(np.asarray(nominal, dtype=float))
@@ -216,9 +218,8 @@ def linearize(sats: np.ndarray, nominal: np.ndarray) -> tuple:
     ranges = _range(diff[..., 0], diff[..., 1], diff[..., 2])
     close = ranges < 1.0
     if np.any(close):
-        row = np.argwhere(close.any(-1))[0] if nominal.ndim > 1 else ()
-        where = f" of row {', '.join(str(i) for i in row)}" if len(row) else ""
-        raise GeometryError(f"nominal position{where} coincides with a satellite")
+        row = int(close.any(-1).argmax()) if nominal.ndim == 2 else None
+        raise GeometryError("nominal position coincides with a satellite", row=row)
     c_mat = np.concatenate([-diff / ranges[..., None], np.ones(ranges.shape + (1,))], axis=-1)
     y0 = ranges + nominal[..., 3:4]
     return c_mat, y0

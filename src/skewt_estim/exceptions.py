@@ -4,15 +4,21 @@
 class EstimationError(Exception):
     """Base class for errors raised by this package.
 
-    `step` is the time step the error arose at, when known; the message
-    then ends in "(time step k)".
+    `step` is the time step the error arose at and `row` its row of a
+    lockstep stack, when known.  The layer that knows one sets it on the
+    caught error and raises that same error again.  str() ends in
+    "(time step k)" once the step is known; the row never shows, so a
+    row's error reads the same at any position of its batch.
     """
 
-    def __init__(self, message, step=None):
-        if step is not None:
-            message = f"{message} (time step {step})"
+    def __init__(self, message, step=None, row=None):
         super().__init__(message)
         self.step = step
+        self.row = row
+
+    def __str__(self):
+        text = super().__str__()
+        return text if self.step is None else f"{text} (time step {self.step})"
 
 
 class DegenerateDirectionError(EstimationError):
@@ -27,10 +33,10 @@ class NumericalFailureError(EstimationError):
     """A numerical step failed: a matrix that must be positive definite is
     not, even after jitter escalation, or an input is not finite."""
 
-    def __init__(self, message, smallest_eigenvalue=None, step=None):
+    def __init__(self, message, smallest_eigenvalue=None, step=None, row=None):
         if smallest_eigenvalue is not None:
             message = f"{message}; smallest eigenvalue {smallest_eigenvalue:.3e}"
-        super().__init__(message, step)
+        super().__init__(message, step, row)
         self.smallest_eigenvalue = smallest_eigenvalue
 
 

@@ -325,7 +325,7 @@ def _forward(model: StateSpaceModel, n_steps: int, step, x, p) -> list:
     x block: u has a zero transition).  Returns each output of `step`
     stacked over a step axis after the leading shape, in stacks allocated
     from the first step's outputs.  An EstimationError of step k is raised
-    again as the same type with step=k.
+    again with its step set to k.
     """
     n_x = model.n_x
     lead = x.shape[:-1]
@@ -335,7 +335,8 @@ def _forward(model: StateSpaceModel, n_steps: int, step, x, p) -> list:
         try:
             out = step(k, x, p)
         except EstimationError as err:
-            raise type(err)(f"measurement update failed: {err}", step=k) from err
+            err.step = k
+            raise
         if not k:
             stacks = [
                 np.empty(lead + (n_steps,) + np.shape(o)[len(lead):], np.result_type(o))
@@ -392,17 +393,21 @@ def _augmented_update(x_pred, p_pred, y, c_mat, cz, delta, r, lam, policy=OPTIMA
     right-hand sides, a stacked np.linalg.cholesky check plus
     np.linalg.solve took 20/30/42 us at 1/3/6 rows and scipy's batched
     positive-definite solve 42/56/63 us, against 12/25/43 us for the
-    per-row LAPACK calls (one thread, 2-vCPU host).
+    per-row LAPACK calls (one thread, 2-vCPU host).  An EstimationError
+    of a stack names its row.
     """
     batch = y.shape[:-1]
     if batch and policy != OPTIMAL:
         raise ValueError(f"a stack of rows is truncated in greedy order, not {policy!r}")
-    lone = batch == (1,)
-    if lone:
-        x_pred, p_pred, y, c_mat, cz, lam = (
-            a[0] for a in (x_pred, p_pred, y, c_mat, cz, lam)
-        )
-        batch = ()
+    if batch == (1,):
+        try:
+            out = _augmented_update(
+                *(a[0] for a in (x_pred, p_pred, y, c_mat, cz)), delta, r, lam[0]
+            )
+        except EstimationError as err:
+            err.row = 0
+            raise
+        return tuple(a[None] for a in out)
     n_x = x_pred.shape[-1]
     n_y = y.shape[-1]
     lam_inv = 1.0 / lam
@@ -412,7 +417,11 @@ def _augmented_update(x_pred, p_pred, y, c_mat, cz, delta, r, lam, policy=OPTIMA
     zct = np.concatenate([pct, _diag_rows(delta * lam_inv)], axis=-2)
     gain = np.empty_like(zct)
     for i in np.ndindex(batch):
-        gain[i] = solve_spd(s[i], zct[i].T, what="innovation covariance").T
+        try:
+            gain[i] = solve_spd(s[i], zct[i].T, what="innovation covariance").T
+        except EstimationError as err:
+            err.row = i[0] if i else None
+            raise
 
     z_prior_mean = np.concatenate([x_pred, np.zeros_like(y)], axis=-1)
     z_prior_cov = np.zeros(batch + (n_x + n_y, n_x + n_y))
@@ -427,8 +436,7 @@ def _augmented_update(x_pred, p_pred, y, c_mat, cz, delta, r, lam, policy=OPTIMA
         post = _rec_trunc_rows(z_mean, z_cov, truncated)
     else:
         post = rec_trunc(z_mean, z_cov, truncated, policy)
-    out = (*post, z_prior_mean, z_prior_cov)
-    return tuple(a[None] for a in out) if lone else out
+    return (*post, z_prior_mean, z_prior_cov)
 
 
 def _psi_diagonal(y, cz, z_mean, z_cov, r, n_x):
@@ -455,8 +463,9 @@ def _vb_loop(update, args, lam, upper, cfg) -> tuple:
     From the second iteration on, a row stops when the largest Euclidean
     change of its x means over its steps is below cfg.tol; it then leaves
     the stack with its window and args, so row b is bit-equal to the loop
-    run on it alone.  Returns the kept outputs, the next lam, the
-    iteration counts and the convergence flags of every row.
+    run on it alone.  An EstimationError that names a row of the rows
+    left names that row of the input.  Returns the kept outputs, the next
+    lam, the iteration counts and the convergence flags of every row.
     """
     batch = lam.shape[:-1]
     rows = np.arange(batch[0]) if batch else ...  # the output rows still in the loop
@@ -467,7 +476,12 @@ def _vb_loop(update, args, lam, upper, cfg) -> tuple:
     for it in range(cfg.max_iterations):
         xs[..., :-1, :] = xs[..., 1:, :] if it else lam[..., None, :]
         xs[..., -1, :] = lam
-        kept, image, x = update(*args, lam)
+        try:
+            kept, image, x = update(*args, lam)
+        except EstimationError as err:
+            if err.row is not None:
+                err.row = int(rows[err.row])
+            raise
         gs[..., :-1, :] = gs[..., 1:, :] if it else image[..., None, :]
         gs[..., -1, :] = image
         if not it:

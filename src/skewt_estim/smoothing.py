@@ -149,7 +149,8 @@ def _backward_rows(f_mean, f_cov, p_mean, p_cov, model) -> tuple:
 
     Each row gets its own gain solve (see _augmented_update for why
     the solve is not stacked), so row b is bit-equal to a backward pass of
-    that row alone and fails the same way.
+    that row alone and fails the same way; the EstimationError of a
+    failed solve names its step and row.
     """
     n_x = model.n_x
     s_mean = f_mean.copy()
@@ -161,7 +162,8 @@ def _backward_rows(f_mean, f_cov, p_mean, p_cov, model) -> tuple:
             for b, (p_b, f_b) in enumerate(zip(p_pred, f_cov[:, k])):
                 gain[b] = solve_spd(p_b, model.A @ f_b[:n_x], what="prediction covariance").T
         except EstimationError as err:
-            raise type(err)(f"backward gain failed: {err}", step=k) from err
+            err.step, err.row = k, b
+            raise
         step = s_mean[:, k + 1, :n_x] - p_mean[:, k + 1, :n_x]
         s_mean[:, k] += (gain @ step[..., None])[..., 0]
         s_cov[:, k] = symmetrize(

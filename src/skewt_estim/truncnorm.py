@@ -153,13 +153,16 @@ def _truncate_rows(mean, cov, diag, active, base, tol0) -> None:
     _rec_trunc_rows call began.  Per row this is _greedy_index then
     _truncate_step, with the same operations and checks, so each row
     stays bit-equal to the scalar kernel; the exception of the first
-    failing row is raised.  The covariances must be exactly symmetric
-    (rec_trunc keeps them so), which lets row k stand for column k.
+    failing row is raised, with the same message, and names that row.
+    The covariances must be exactly symmetric (rec_trunc keeps them so),
+    which lets row k stand for column k.
     """
     n = mean.shape[1]
     var = np.where(active, diag, 1.0)
     if np.count_nonzero(var <= 0.0):
-        raise DegenerateDirectionError("nonpositive variance in remaining directions")
+        raise DegenerateDirectionError(
+            "nonpositive variance in remaining directions", row=int((var <= 0.0).any(1).argmax())
+        )
     k = np.where(active, mean / np.sqrt(var), np.inf).argmin(axis=1)
     flat = base + k
     if np.count_nonzero(active.take(flat)) < len(base):
@@ -175,15 +178,16 @@ def _truncate_rows(mean, cov, diag, active, base, tol0) -> None:
         # can fail against their current trace.
         tol = 1e-14 * cov.trace(axis1=1, axis2=2)
         if np.count_nonzero(var_k <= tol):
-            b = (var_k <= tol).argmax()
+            b = int((var_k <= tol).argmax())
             raise DegenerateDirectionError(
-                f"direction {k[b]} has variance {var_k[b]:.3e} <= tolerance {tol[b]:.3e}"
+                f"direction {k[b]} has variance {var_k[b]:.3e} <= tolerance {tol[b]:.3e}", row=b
             )
     sd = np.sqrt(var_k)
     xi = mean.take(flat) / sd
     if np.count_nonzero(np.isfinite(xi)) < len(base):
-        bad = float(xi[~np.isfinite(xi)][0])
-        raise NumericalFailureError(f"truncation distance is not finite, got {bad!r}")
+        b = int(np.isfinite(xi).argmin())
+        bad = float(xi[b])
+        raise NumericalFailureError(f"truncation distance is not finite, got {bad!r}", row=b)
     # Rows below UNDERFLOW_XI take the limits; clipping keeps their unused
     # closed-form values finite.
     xc = np.maximum(xi, UNDERFLOW_XI)

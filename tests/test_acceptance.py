@@ -25,6 +25,7 @@ from skewt_estim.bench import (
     truncnorm_comparison,
 )
 from skewt_estim.bench.experiments import _lockstep_runs
+from skewt_estim.exceptions import EstimationError
 from skewt_estim.filtering import expected_mixing_precision, stf_run
 from skewt_estim.smoothing import sts_run
 from skewt_estim.truncnorm import rec_trunc, select_next
@@ -59,7 +60,7 @@ def scenario_suite():
     """STF/STS/gated-KF/gated-RTSS on (q=0.5, d=5) and (q=5, d=5).
 
     Each scenario runs its replications as the one lockstep batch of
-    run_experiment.
+    run_experiment, in which every replication must succeed.
     """
     out = {}
     for q in (0.5, 5.0):
@@ -72,10 +73,13 @@ def scenario_suite():
         start = time.process_time()
         batch = _lockstep_runs(cfg, sats, trajs)
         cpu_s = time.process_time() - start
+        runs = [batch[est][0] for est in cfg.estimators]
+        failed = [str(r) for rows in runs for r in rows if isinstance(r, EstimationError)]
+        assert not failed, failed
         iters, stf_nees, stf_rmse, sts_rmse, kf_rmse, rtss_rmse = (
             [], [], [], [], [], []
         )
-        for traj, stf, sts, kf, rtss in zip(trajs, *(batch[est][0] for est in cfg.estimators)):
+        for traj, stf, sts, kf, rtss in zip(trajs, *runs):
             iters.extend(stf.vb_iterations.tolist())
             stf_nees.append(nees(stf.positions, stf.position_covs, traj.states).mean())
             stf_rmse.append(rmse(stf.positions, traj.states))

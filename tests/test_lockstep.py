@@ -5,7 +5,7 @@ lockstep batch.  Every row of a batch must equal the same replication
 run alone: the truncation, the augmented update, the psi statistic, the
 Anderson step, the VB filter update, the smoother and the gated Kalman
 filter and smoother are checked row by row with np.array_equal, and a
-failing batch must give the records of one-at-a-time runs.
+failing row must leave its batch with the record of its one-row run.
 """
 
 from dataclasses import fields, replace
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
-from skewt_estim import filtering
+from skewt_estim import filtering, smoothing
 from skewt_estim.baselines import (
     GatingConfig,
     _kf_gated_update_rows,
@@ -50,6 +50,7 @@ from skewt_estim.filtering import (
     _psi_diagonal,
     _stack_cz,
     _stf_update_rows,
+    _vb_loop,
     expected_mixing_precision,
     predict,
     stf_run,
@@ -107,10 +108,11 @@ class TestTruncationRows:
     def test_rows_bit_equal_to_rec_trunc(self, case):
         mean, cov, truncated, degenerate = case
         if degenerate is not None:
-            with pytest.raises(DegenerateDirectionError):
+            with pytest.raises(DegenerateDirectionError) as one:
                 rec_trunc(mean[degenerate], cov[degenerate], truncated)
-            with pytest.raises(DegenerateDirectionError):
+            with pytest.raises(DegenerateDirectionError) as rows:
                 _rec_trunc_rows(mean, cov, truncated)
+            assert (rows.value.row, str(rows.value)) == (degenerate, str(one.value))
             return
         out_mean, out_cov = _rec_trunc_rows(mean, cov, truncated)
         for b in range(len(mean)):
@@ -527,6 +529,29 @@ class TestStackedKernels:
         ) as info:
             _forward_rows(model, ys, lambdas, c_seq)
         assert info.value.step == 3
+        assert info.value.row == 2
+        assert info.value.smallest_eigenvalue < 0
+        # The row alone is a stack of one row, which runs as one row.
+        with pytest.raises(NumericalFailureError) as lone:
+            _forward_rows(model, ys[2:3], lambdas[2:3], c_seq[2:3])
+        assert (lone.value.row, str(lone.value)) == (0, str(info.value))
+
+    def test_vb_loop_names_the_input_row_of_a_failure(self):
+        """Rows 0 and 2 converge at the second iteration; at the third the
+        update fails in row 1 of the two rows left, which is input row 3."""
+        calls = []
+
+        def update(ids, lam):
+            calls.append(ids.tolist())
+            if len(calls) == 3:
+                raise NumericalFailureError("injected", row=1)
+            x = np.where(ids % 2 == 1, float(len(calls)), 0.0)[:, None]
+            return (lam,), lam, x
+
+        with pytest.raises(NumericalFailureError) as info:
+            _vb_loop(update, (np.arange(4.0),), np.ones((4, 2)), 10.0, VBConfig())
+        assert calls[2] == [1.0, 3.0]
+        assert info.value.row == 3
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -685,6 +710,10 @@ def timeless(records):
     return [replace(r, wall_time=0.0) for r in records]
 
 
+def ran_alone(*args, **kwargs):
+    raise AssertionError("a replication ran alone")
+
+
 class TestRunExperimentLockstep:
     def test_stf_and_sts_share_one_filter_pass(self, monkeypatch):
         batches = []
@@ -759,10 +788,10 @@ class TestRunExperimentLockstep:
             assert not record.converged and record.mean_vb_iterations == 1.0
 
     @pytest.mark.parametrize("n_mc", [4, 34])
-    def test_failed_replication_falls_back_to_scalar_runs(self, monkeypatch, n_mc):
-        """Replication 2 fails at time step 3 inside the batch: that batch
-        reruns one replication at a time, so only replication 2 fails, with
-        the scalar path's reason and step."""
+    def test_failed_replication_leaves_its_batch(self, monkeypatch, n_mc):
+        """Replication 2 fails at time step 3 inside the batch: its error
+        names its row, and the batch reruns without it, so only
+        replication 2 fails, with its one-row run's reason and step."""
         cfg = sweep_config(n_mc=n_mc)
         sats = make_constellation(cfg.n_sats, cfg.seed)
         clean = timeless(run_experiment(cfg))
@@ -794,4 +823,90 @@ class TestRunExperimentLockstep:
         assert all(r.reason == str(info.value) for r in failed)
         assert [r for r in records if r.status == "ok"] == [
             r for r in clean if r.replication != 2
+        ]
+
+    def test_rows_failing_in_filter_and_smoother_leave_their_batches(self, monkeypatch):
+        """Replication 1 fails in the STF at time step 3 and replication 4
+        only in the STS backward gain at time step 5.  Replication 1 fails
+        in both, replication 4 keeps its STF record, each reason is that of
+        the row's one-row run, and every other record is the clean run's;
+        no replication runs alone."""
+        cfg = sweep_config(n_mc=6, estimators=("stf", "sts", "kf", "rtss"))
+        sats = make_constellation(cfg.n_sats, cfg.seed)
+        clean = timeless(run_experiment(cfg))
+        real_filter, real_smoother = filtering.solve_spd, smoothing.solve_spd
+
+        def markers(module, real, est, rep):
+            seen = []
+
+            def spy(s, b, what="matrix"):
+                seen.append(s.copy())
+                return real(s, b, what)
+
+            monkeypatch.setattr(module, "solve_spd", spy)
+            run = run_estimator(est, cfg, sats, simulate(cfg, rep))
+            monkeypatch.setattr(module, "solve_spd", real)
+            return seen, run
+
+        # The innovation covariance of the first VB iteration at step 3 of
+        # replication 1, and the prediction covariance of the first backward
+        # gain at step 5 of replication 4 (the pass runs from step K - 2 down).
+        seen, run = markers(filtering, real_filter, "stf", 1)
+        stf_marker = seen[int(run.vb_iterations[:3].sum())]
+        seen, _ = markers(smoothing, real_smoother, "sts", 4)
+        sts_marker = seen[cfg.K - 2 - 5]
+
+        def failing(real, marker, message):
+            def solve(s, b, what="matrix"):
+                if np.array_equal(s, marker):
+                    raise NumericalFailureError(message)
+                return real(s, b, what)
+            return solve
+
+        monkeypatch.setattr(filtering, "solve_spd", failing(real_filter, stf_marker, "stf"))
+        monkeypatch.setattr(smoothing, "solve_spd", failing(real_smoother, sts_marker, "sts"))
+        reasons = {}
+        for est, rep in (("stf", 1), ("sts", 1), ("sts", 4)):
+            with pytest.raises(NumericalFailureError) as info:
+                run_estimator(est, cfg, sats, simulate(cfg, rep))
+            reasons[est, rep] = str(info.value)
+        assert reasons == {
+            ("stf", 1): "stf (time step 3)",
+            ("sts", 1): "stf (time step 3)",
+            ("sts", 4): "sts (time step 5)",
+        }
+
+        monkeypatch.setattr(experiments, "run_estimator", ran_alone)
+        records = timeless(run_experiment(cfg))
+        failed = {(r.estimator, r.replication): r.reason for r in records if r.status == "failed"}
+        assert failed == reasons
+        assert [r for r in records if r.status == "ok"] == [
+            r for r in clean if (r.estimator, r.replication) not in reasons
+        ]
+
+    def test_sweep_never_runs_a_replication_alone(self, monkeypatch):
+        """A non-finite pseudorange at time step 2 of replication 1 fails
+        it in all four estimators while run_estimator raises: each family's
+        batch reruns without it, and every other record is the clean run's."""
+        cfg = sweep_config(n_mc=3, estimators=("stf", "sts", "kf", "rtss"))
+        clean = timeless(run_experiment(cfg))
+        real_simulate = experiments.simulate
+
+        def corrupted(cfg, rep):
+            traj = real_simulate(cfg, rep)
+            if rep != 1:
+                return traj
+            meas = traj.measurements.copy()
+            meas[2, 0] = np.nan
+            return replace(traj, measurements=meas)
+
+        monkeypatch.setattr(experiments, "simulate", corrupted)
+        monkeypatch.setattr(experiments, "run_estimator", ran_alone)
+        records = timeless(run_experiment(cfg))
+        assert [(r.estimator, r.status, r.reason) for r in records if r.replication == 1] == [
+            (est, "failed", "pseudorange is not finite (time step 2)")
+            for est in sorted(cfg.estimators)
+        ]
+        assert [r for r in records if r.replication != 1] == [
+            r for r in clean if r.replication != 1
         ]

@@ -258,8 +258,9 @@ class TestScalarLoop:
         truncated = [0, dim - 1]
         with pytest.raises(DegenerateDirectionError, match=re.escape(msg)):
             rec_trunc(mean, cov, truncated)
-        with pytest.raises(DegenerateDirectionError, match=re.escape(msg)):
+        with pytest.raises(DegenerateDirectionError, match=re.escape(msg)) as info:
             _rec_trunc_rows(np.stack([np.zeros(dim), mean]), np.stack([np.eye(dim), cov]), truncated)
+        assert info.value.row == 1
 
     def test_greedy_pick_is_numpy_argmin_with_non_finite_means(self):
         rng = np.random.default_rng(29)
@@ -282,6 +283,9 @@ class TestScalarLoop:
         for policy in (OPTIMAL, RandomOrder(3), FixedOrder((1, 0, 2))):
             with pytest.raises(NumericalFailureError, match=re.escape(msg)):
                 rec_trunc(mean, np.eye(3), range(3), policy)
+        with pytest.raises(NumericalFailureError, match=re.escape(msg)) as info:
+            _rec_trunc_rows(np.stack([np.zeros(3), mean]), np.stack([np.eye(3)] * 2), range(3))
+        assert info.value.row == 1
 
 
 @st.composite
