@@ -118,7 +118,7 @@ def kf_gated_run(model: StateSpaceModel, ys, g: GatingConfig = GatingConfig()):
     filtered = []
     predicted = []
 
-    def step(k, x, p):
+    def step(k, rows, x, p):
         predicted.append(GaussianBelief(x, p))
         filtered.append(kf_gated_update(model.C, model.R, predicted[-1], ys[k], g))
         return filtered[-1].mean, filtered[-1].cov

@@ -66,9 +66,10 @@ class RunRecord:
     mean_vb_iterations: float
     wall_time: float
     status: str
-    # Not in the CSV: str() of the error of a "failed" run; for "sts" the
-    # outer VB iterations; for "stf" and "sts" whether every VB loop
-    # converged.
+    # Not in the CSV: str() of the error of a "failed" run, the same as
+    # its replication's one-row run raises (the row left its lockstep loop
+    # at that error while the other rows went on); for "sts" the outer VB
+    # iterations; for "stf" and "sts" whether every VB loop converged.
     reason: str = ""
     outer_iterations: int = 0
     converged: bool = True
@@ -119,40 +120,39 @@ def _filter_rows(model, sats, trajs, update, noise_offset=0.0):
     diagnostics.  y_k is the pseudoranges less `noise_offset`, shifted so
     that y_k ~= C_k x + noise.  Returns the prior and the posterior
     (mean, cov) stacks (B, K, n_x) and (B, K, n_x, n_x), the diagnostics
-    stacked over steps (B, K, ...), and the (B, K, n_y, n_x)
-    linearizations and (B, K, n_y) measurements that smoothers rerun on.
-    A non-finite pseudorange raises NumericalFailureError with the first
-    step that has one and the first row with one at that step.
+    stacked over steps (B, K, ...), the (B, K, n_y, n_x) linearizations
+    and (B, K, n_y) measurements that smoothers rerun on, and the outcome
+    of each row (filtering._forward): None, or the EstimationError that
+    failed it, such as the NumericalFailureError of a non-finite
+    pseudorange at the row's first step that has one.
     """
     meas = np.stack([t.measurements for t in trajs])
     finite = np.isfinite(meas).all(axis=2)
-    if not finite.all():
-        k = int(finite.all(axis=0).argmin())
-        raise NumericalFailureError(
-            "pseudorange is not finite", step=k, row=int(finite[:, k].argmin())
-        )
 
-    def step(k, x, p):
+    def step(k, rows, x, p):
+        bad = ~finite[rows, k]
+        if bad.any():
+            raise NumericalFailureError("pseudorange is not finite", row=int(bad.argmax()))
         c_k, y0 = linearize(sats, x)
-        y_k = meas[:, k] - y0 + (c_k @ x[..., None])[..., 0] - noise_offset
+        y_k = meas[rows, k] - y0 + (c_k @ x[..., None])[..., 0] - noise_offset
         post_x, post_p, *diag = update(x, p, y_k, c_k)
         return post_x, post_p, x, p, c_k, y_k, *diag
 
-    posts_x, posts_p, priors_x, priors_p, c_seq, y_seq, *diag = _forward(
+    posts_x, posts_p, priors_x, priors_p, c_seq, y_seq, *diag, failed = _forward(
         model, meas.shape[1], step,
         np.tile(model.prior_mean, (len(trajs), 1)), np.tile(model.prior_cov, (len(trajs), 1, 1)),
     )
-    return (priors_x, priors_p), (posts_x, posts_p), diag, c_seq, y_seq
+    return (priors_x, priors_p), (posts_x, posts_p), diag, c_seq, y_seq, failed
 
 
 def _stf_rows(model, sats, trajs, vb_cfg):
     """Skew-t filter of B trajectories in lockstep; run_estimator("stf")
     is its one-row call.
 
-    Returns the "stf" EstimatorRun of each trajectory, and the (B, K,
-    n_sats, 4) linearizations and (B, K, n_sats) measurements the smoother
-    reruns on.  Each row is bit-equal to the same trajectory filtered
-    alone.
+    Returns the outcome of each trajectory, its "stf" EstimatorRun or the
+    EstimationError that failed it, and the (B, K, n_sats, 4)
+    linearizations and (B, K, n_sats) measurements the smoother reruns
+    on.  Each row is bit-equal to the same trajectory filtered alone.
     """
     n_x = model.n_x
 
@@ -160,25 +160,24 @@ def _stf_rows(model, sats, trajs, vb_cfg):
         mean, cov, _, _, *diag = _stf_update_rows(model, x, p, y, c_mat, vb_cfg)
         return mean[:, :n_x], symmetrize(cov[:, :n_x, :n_x]), *diag
 
-    _, (means, covs), (iterations, converged), c_seq, y_seq = _filter_rows(
+    _, (means, covs), (iters, conv), c_seq, y_seq, failed = _filter_rows(
         model, sats, trajs, update
     )
     runs = [
-        EstimatorRun("stf", m[:, :3], c[:, :3, :3], it.astype(float), converged=bool(ok.all()))
-        for m, c, it, ok in zip(means, covs, iterations, converged)
+        err or EstimatorRun("stf", m, c, it.astype(float), converged=bool(ok.all()))
+        for m, c, it, ok, err in zip(means[..., :3], covs[..., :3, :3], iters, conv, failed)
     ]
     return runs, c_seq, y_seq
 
 
 def _sts_rows(model, c_seq, y_seq, vb_cfg):
-    """The "sts" EstimatorRuns of B filtered trajectories (the c_seq and
-    y_seq of _stf_rows), smoothed in lockstep."""
+    """The outcomes ("sts" EstimatorRun or EstimationError) of B filtered
+    trajectories (the c_seq and y_seq of _stf_rows), smoothed in lockstep."""
     rows = _run_vb_rows(model, y_seq, c_seq, vb_cfg)
-    s_mean, s_cov = rows.smoothed
-    covs = symmetrize(s_cov[..., : model.n_x, : model.n_x])
+    means, covs = rows.smoothed[0][..., :3], rows.smoothed[1][..., :3, :3]
     return [
-        EstimatorRun("sts", m[:, :3], c[:, :3, :3], np.zeros(0), int(n), bool(ok))
-        for m, c, n, ok in zip(s_mean, covs, rows.iterations, rows.converged)
+        err or EstimatorRun("sts", m, symmetrize(c), np.zeros(0), int(n), bool(ok))
+        for m, c, n, ok, err in zip(means, covs, rows.iterations, rows.converged, rows.failed)
     ]
 
 
@@ -186,10 +185,11 @@ def _kf_rows(model, cfg, sats, trajs, gate):
     """Gated Kalman filter of B trajectories in lockstep, against the
     moment-matched normal noise of the scenario less its mean.
 
-    Returns the "kf" EstimatorRun of each trajectory, the smoothing input
-    of _rtss_rows and the gating decisions (B, K, n_sats), True where a
-    component was used.  Each row is bit-equal to the same trajectory
-    filtered alone, with the same decisions.
+    Returns the outcome of each trajectory ("kf" EstimatorRun or
+    EstimationError), the smoothing input of _rtss_rows and the gating
+    decisions (B, K, n_sats), True where a component was used.  Each row
+    is bit-equal to the same trajectory filtered alone, with the same
+    decisions.
     """
     comp = SkewTComponent(spread_sq=1.0, shape=cfg.delta, dof=cfg.nu)
     mean_off, _ = moments(comp)
@@ -199,21 +199,20 @@ def _kf_rows(model, cfg, sats, trajs, gate):
     def update(x, p, y, c_mat):
         return _kf_gated_update_rows(c_mat, gauss.R, x, p, y, gate)
 
-    priors, posts, (used,), _, _ = _filter_rows(gauss, sats, trajs, update, mean_off)
+    priors, posts, (used,), _, _, failed = _filter_rows(gauss, sats, trajs, update, mean_off)
     runs = [
-        EstimatorRun("kf", m[:, :3], c[:, :3, :3], np.zeros(0))
-        for m, c in zip(*posts)
+        err or EstimatorRun("kf", m[:, :3], c[:, :3, :3], np.zeros(0))
+        for m, c, err in zip(*posts, failed)
     ]
     return runs, (*posts, *priors, gauss), used
 
 
 def _rtss_rows(pass_rows):
-    """The "rtss" EstimatorRuns: the forward pass of _kf_rows smoothed by
-    the RTS recursion, for all rows at once."""
-    s_mean, s_cov = _backward_rows(*pass_rows)
+    """The "rtss" outcomes (EstimatorRun or EstimationError): the forward
+    pass of _kf_rows smoothed by the RTS recursion, for all rows at once."""
     return [
-        EstimatorRun("rtss", m[:, :3], c[:, :3, :3], np.zeros(0))
-        for m, c in zip(s_mean, s_cov)
+        err or EstimatorRun("rtss", m[:, :3], c[:, :3, :3], np.zeros(0))
+        for m, c, err in zip(*_backward_rows(*pass_rows))
     ]
 
 
@@ -230,18 +229,12 @@ def run_estimator(
     Measurements are relinearized per step at the running predicted mean;
     smoothers reuse the linearization points of their forward filter.
     "stf", "sts", "kf" and "rtss" are the one-trajectory calls of the
-    lockstep batch run_experiment runs.
+    lockstep batch run_experiment runs, and raise the EstimationError that
+    fails the trajectory.
     """
-    model = scenario_model(cfg, sats)
-    if name in ("stf", "sts"):
-        runs, c_seq, y_seq = _stf_rows(model, sats, [traj], vb_cfg)
-        return runs[0] if name == "stf" else _sts_rows(model, c_seq, y_seq, vb_cfg)[0]
-    if name in ("kf", "rtss"):
-        runs, kf_pass, _ = _kf_rows(model, cfg, sats, [traj], GatingConfig())
-        return runs[0] if name == "kf" else _rtss_rows(kf_pass)[0]
     if name == "pf":
         beliefs = pf_run(
-            model, traj.measurements, cfg.pf_particles,
+            scenario_model(cfg, sats), traj.measurements, cfg.pf_particles,
             seed=_tagged_seed(cfg.seed, replication, 0x5054),
             measurement_fn=partial(pseudoranges, sats),
         )
@@ -251,74 +244,62 @@ def run_estimator(
             np.stack([b.cov[:3, :3] for b in beliefs]),
             np.zeros(0),
         )
-    raise ValueError(f"unknown estimator {name!r}")
+    if name not in ("stf", "sts", "kf", "rtss"):
+        raise ValueError(f"unknown estimator {name!r}")
+    (run,), _ = _lockstep_rows({name}, cfg, sats, [traj], vb_cfg)[name]
+    if isinstance(run, EstimationError):
+        raise run
+    return run
 
 
-def _drop_failed_rows(run, rows, results):
-    """Run the lockstep batch run(rows) until it succeeds, and store the
-    outcome of each row b in results[b].
+def _lockstep_rows(names, cfg, sats, trajs, vb_cfg) -> dict:
+    """The lockstep runs of the estimators `names` on all trajs at once:
+    each family, the filter "stf" with its smoother "sts" or "kf" with
+    "rtss", runs once as one batch, and the smoother smooths its filter's
+    pass.
 
-    run returns one EstimatorRun per row and one more value, which is
-    returned with the rows that succeeded (None when none did).  An
-    EstimationError that names a row (its position in rows) is that row's
-    outcome, and the batch reruns without it; one that names no row is
-    the outcome of every row left.
-    """
-    rows = list(rows)
-    while rows:
-        try:
-            runs, rest = run(rows)
-        except EstimationError as err:
-            failed = rows if err.row is None else [rows[err.row]]
-            for b in failed:
-                results[b] = err
-            rows = [b for b in rows if b not in failed]
-        else:
-            for b, one in zip(rows, runs):
-                results[b] = one
-            return rows, rest
-    return rows, None
-
-
-def _lockstep_runs(cfg, sats, trajs):
-    """The lockstep runs of run_experiment: "sts" smooths the "stf" pass
-    and "rtss" the "kf" pass, each family as one batch of all trajs.
-
-    A row that fails leaves its batch (_drop_failed_rows).  A row that
-    fails in a filter fails in its smoother with the same error, as its
-    one-row run does; a row that fails only in a smoother keeps its
-    filter's run.  Returns {estimator: (outcomes, seconds)}: outcomes[b]
-    is the EstimatorRun of trajs[b] or the EstimationError that failed
-    it, and seconds the family's time per replication up to that
+    A row leaves the loop it fails in while the other rows go on
+    (filtering._forward, filtering._vb_loop, smoothing._backward_rows), so
+    each row's outcome is that of its one-row run.  A row that fails in a
+    filter fails in its smoother with the same error, and the smoother
+    runs on the other rows; a row that fails only in a smoother keeps its
+    filter's run.  An EstimationError that escapes a family's batch fails
+    every row of it.  Returns {estimator: (outcomes, seconds)}:
+    outcomes[b] is the EstimatorRun of trajs[b] or the EstimationError
+    that failed it, and seconds the family's time per row up to that
     estimator's end (a smoother's includes its filter's).
     """
     model = scenario_model(cfg, sats)
-    vb_cfg = VBConfig()
-
-    def stf(rows):
-        runs, c_seq, y_seq = _stf_rows(model, sats, [trajs[b] for b in rows], vb_cfg)
-        return runs, lambda at: _sts_rows(model, c_seq[at], y_seq[at], vb_cfg)
-
-    def kf(rows):
-        runs, (*stacks, gauss), _ = _kf_rows(
-            model, cfg, sats, [trajs[b] for b in rows], GatingConfig()
-        )
-        return runs, lambda at: _rtss_rows((*(a[at] for a in stacks), gauss))
-
     out = {}
-    for filt, smooth, run in (("stf", "sts", stf), ("kf", "rtss", kf)):
-        if not {filt, smooth} & set(cfg.estimators):
+    for filt, smooth in (("stf", "sts"), ("kf", "rtss")):
+        if not {filt, smooth} & names:
             continue
         start = time.perf_counter()
-        filtered = [None] * len(trajs)
-        rows, smoother = _drop_failed_rows(run, range(len(trajs)), filtered)
-        out[filt] = filtered, (time.perf_counter() - start) / len(trajs)
-        if smooth in cfg.estimators:
-            smoothed = list(filtered)
-            at = {b: i for i, b in enumerate(rows)}
-            _drop_failed_rows(lambda left: (smoother([at[b] for b in left]), None), rows, smoothed)
-            out[smooth] = smoothed, (time.perf_counter() - start) / len(trajs)
+        try:
+            if filt == "stf":
+                runs, c_seq, y_seq = _stf_rows(model, sats, trajs, vb_cfg)
+            else:
+                runs, (*stacks, gauss), _ = _kf_rows(model, cfg, sats, trajs, GatingConfig())
+            out[filt] = runs, (time.perf_counter() - start) / len(trajs)
+            if smooth in names:
+                ok = [b for b, run in enumerate(runs) if isinstance(run, EstimatorRun)]
+                smoothed = dict(zip(ok, (
+                    _sts_rows(model, c_seq[ok], y_seq[ok], vb_cfg) if smooth == "sts"
+                    else _rtss_rows((*(a[ok] for a in stacks), gauss))
+                )))
+                runs = [smoothed.get(b, run) for b, run in enumerate(runs)]
+                out[smooth] = runs, (time.perf_counter() - start) / len(trajs)
+        except EstimationError as err:
+            out.update({name: ([err] * len(trajs), 0.0) for name in {filt, smooth} & names})
     return out
+
+
+def _lockstep_runs(cfg, sats, trajs):
+    """The lockstep runs of run_experiment: _lockstep_rows of cfg's
+    estimators at VBConfig().  Each family runs once as one batch; a row
+    that fails leaves the loop it fails in while the other rows go on, and
+    no batch runs again."""
+    return _lockstep_rows(set(cfg.estimators), cfg, sats, trajs, VBConfig())
 
 
 def _record(cfg, est, rep, traj, run, elapsed):
@@ -346,10 +327,10 @@ def run_experiment(cfg: ScenarioConfig, out_path=None, timing: bool = False) -> 
     """Run all configured estimators over n_mc simulated replications.
 
     "stf", "sts", "kf" and "rtss" run all n_mc replications as one
-    lockstep batch (_lockstep_runs); "sts" smooths the "stf" pass and
-    "rtss" the "kf" pass.  A replication whose run raises an
-    EstimationError leaves the batch, which reruns without it, so each
-    record is the one a single-replication run gives.  The batch holds
+    lockstep batch (_lockstep_runs), which runs once; "sts" smooths the
+    "stf" pass and "rtss" the "kf" pass.  A replication whose run meets an
+    EstimationError leaves the loop it fails in, and the other rows go on,
+    so each record is the one a single-replication run gives.  The batch holds
     about 1.5 MB per replication at K=100 and 8 satellites, and peak
     memory grows as n_mc * K * (4 + n_sats)^2.  The PF runs one
     replication at a time.

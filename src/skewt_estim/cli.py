@@ -13,6 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .bench.config import load_config
 from .bench.contours import likelihood_contour_grid, write_contour_csv
 from .bench.experiments import run_experiment, truncnorm_comparison
@@ -93,8 +95,6 @@ def _cmd_truncnorm_bench(args):
     for i, c in enumerate(cases):
         lines.append(f"{i},{c.dim},{c.dist_optimal:.9g},{c.dist_random:.9g}")
     out_path.write_text("\n".join(lines) + "\n")
-    import numpy as np
-
     med_opt = float(np.median([c.dist_optimal for c in cases]))
     med_rand = float(np.median([c.dist_random for c in cases]))
     print(f"wrote {out_path}")

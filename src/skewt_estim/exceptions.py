@@ -6,9 +6,11 @@ class EstimationError(Exception):
 
     `step` is the time step the error arose at and `row` its row of a
     lockstep stack, when known.  The layer that knows one sets it on the
-    caught error and raises that same error again.  str() ends in
-    "(time step k)" once the step is known; the row never shows, so a
-    row's error reads the same at any position of its batch.
+    caught error.  A lockstep loop that catches an error of a row records
+    it as that row's outcome and goes on with the other rows; one row's
+    loop raises it again.  str() ends in "(time step k)" once the step is
+    known; the row never shows, so a row's error reads the same at any
+    position of its batch.
     """
 
     def __init__(self, message, step=None, row=None):

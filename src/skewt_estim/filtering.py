@@ -316,7 +316,8 @@ def predict(model: StateSpaceModel, b: GaussianBelief) -> GaussianBelief:
 
 def _forward(model: StateSpaceModel, n_steps: int, step, x, p) -> list:
     """The forward recursion of every filter, from the prior (x, p): at
-    each step k the measurement update `step(k, x, p)`, then the time update.
+    each step k the measurement update `step(k, rows, x, p)`, then the time
+    update.
 
     x (..., n_x) and p (..., n_x, n_x) are one row (leading shape ()) or a
     lockstep stack ((B,)).  `step` returns the posterior mean and
@@ -324,28 +325,66 @@ def _forward(model: StateSpaceModel, n_steps: int, step, x, p) -> list:
     time update of their leading n_x block (for the smoother's [x; u], the
     x block: u has a zero transition).  Returns each output of `step`
     stacked over a step axis after the leading shape, in stacks allocated
-    from the first step's outputs.  An EstimationError of step k is raised
-    again with its step set to k.
+    from the first step's outputs, then the list of the outcomes of the
+    input rows: None, or the EstimationError that failed the row.
+
+    An EstimationError of step k gets its step set to k.  One row raises
+    it again.  In a stack it fails the row it names, or every row when it
+    names none (_fail_rows); those rows leave the recursion and step k
+    runs again for the rows left, so each row is bit-equal to its own run.
+    `rows` indexes the input rows left: a slice of all of them until one
+    fails, then an index array.  With no row left the steps run on empty
+    stacks.
     """
     n_x = model.n_x
     lead = x.shape[:-1]
-    at = (slice(None),) * len(lead)  # step k of a stack is whole[at + (k,)]
+    rows = slice(None) if lead else None  # the live input rows: all, until one fails
+    failed = [None] * lead[0] if lead else []
     stacks = []
     for k in range(n_steps):
-        try:
-            out = step(k, x, p)
-        except EstimationError as err:
-            err.step = k
-            raise
+        while True:
+            try:
+                out = step(k, rows, x, p)
+                break
+            except EstimationError as err:
+                err.step = k
+                if not lead:
+                    raise
+                rows, x, p = _fail_rows(failed, err, rows, x, p)
         if not k:
             stacks = [
                 np.empty(lead + (n_steps,) + np.shape(o)[len(lead):], np.result_type(o))
                 for o in out
             ]
         for whole, o in zip(stacks, out):
-            whole[at + (k,)] = o
+            whole[(rows, k) if lead else k] = o
         x, p = _time_update(model, out[0][..., :n_x], out[1][..., :n_x, :n_x])
-    return stacks
+    return [*stacks, failed]
+
+
+def _fail_rows(failed: list, err: EstimationError, rows, *arrays) -> list:
+    """Record err as the outcome failed[b] of the input row b of the live
+    row it names (its position among the rows that rows indexes), or of
+    every live row when it names none; returns the index array of the live
+    rows and arrays without those rows."""
+    rows = np.arange(len(failed))[rows]
+    left = rows != rows[err.row] if err.row is not None else np.zeros(len(rows), bool)
+    for b in rows[~left]:
+        failed[b] = err
+    return [a[left] for a in (rows, *arrays)]
+
+
+def _raise_failed(*out) -> tuple:
+    """out without its last item, the outcomes of a lockstep loop's rows;
+    if a row failed, the error of the lowest failed row is raised again
+    instead, naming that row.  A loop nested in another hands its failures
+    on this way, so that the loop it runs in owns them; a one-row call
+    raises its row's error this way."""
+    for b, err in enumerate(out[-1]):
+        if err is not None:
+            err.row = b
+            raise err
+    return out[:-1]
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray:
@@ -389,24 +428,24 @@ def _augmented_update(x_pred, p_pred, y, c_mat, cz, delta, r, lam, policy=OPTIMA
     stack of one row runs as that row, where rec_trunc costs under a third
     as much (12 dims, 8 constraints: 79-91 against 284-304 us; with lone
     rows stacked the track_sweep benchmark ran 5% slower at the old half).
-    The gain solve runs solve_spd once per row: for 8x8 systems with 12
-    right-hand sides, a stacked np.linalg.cholesky check plus
-    np.linalg.solve took 20/30/42 us at 1/3/6 rows and scipy's batched
-    positive-definite solve 42/56/63 us, against 12/25/43 us for the
-    per-row LAPACK calls (one thread, 2-vCPU host).  An EstimationError
-    of a stack names its row.
+    The gain solve runs solve_spd once per row.  That choice was measured
+    at 1-6 rows only: for 8x8 systems with 12 right-hand sides, a stacked
+    np.linalg.cholesky check plus np.linalg.solve took 20/30/42 us at
+    1/3/6 rows and scipy's batched positive-definite solve 42/56/63 us,
+    against 12/25/43 us for the per-row LAPACK calls (one thread, 2-vCPU
+    host).  It does not hold for wider stacks: at 32 and 100 rows
+    np.linalg.solve on the stack took 52 and 170 us against 86 and 278 us
+    for solve_spd per row.  An EstimationError of a stack of two or more
+    rows names its row; that of a stack of one row names none, which
+    fails the one row all the same (_fail_rows).
     """
     batch = y.shape[:-1]
     if batch and policy != OPTIMAL:
         raise ValueError(f"a stack of rows is truncated in greedy order, not {policy!r}")
     if batch == (1,):
-        try:
-            out = _augmented_update(
-                *(a[0] for a in (x_pred, p_pred, y, c_mat, cz)), delta, r, lam[0]
-            )
-        except EstimationError as err:
-            err.row = 0
-            raise
+        out = _augmented_update(
+            *(a[0] for a in (x_pred, p_pred, y, c_mat, cz)), delta, r, lam[0]
+        )
         return tuple(a[None] for a in out)
     n_x = x_pred.shape[-1]
     n_y = y.shape[-1]
@@ -460,15 +499,20 @@ def _vb_loop(update, args, lam, upper, cfg) -> tuple:
     _anderson_step of the window xs, gs (..., 3, m) of the last three lam
     and their images, which the first pair fills and later pairs shift in
     place; lam is stored before update runs, which may then overwrite it.
-    From the second iteration on, a row stops when the largest Euclidean
-    change of its x means over its steps is below cfg.tol; it then leaves
-    the stack with its window and args, so row b is bit-equal to the loop
-    run on it alone.  An EstimationError that names a row of the rows
-    left names that row of the input.  Returns the kept outputs, the next
-    lam, the iteration counts and the convergence flags of every row.
+
+    A row leaves the stack, with its window and args, in one of two ways,
+    so row b is bit-equal to the loop run on it alone.  It converges: from
+    the second iteration on, the largest Euclidean change of its x means
+    over its steps is below cfg.tol.  Or it fails: update raises an
+    EstimationError, which one row raises again and a stack records as
+    the outcome of the row it names, or of every row when it names none
+    (_fail_rows); the iteration then runs again for the rows left.
+    Returns the kept outputs, the next lam, the iteration counts, the
+    convergence flags and the outcomes (None or the error) of every row.
     """
     batch = lam.shape[:-1]
-    rows = np.arange(batch[0]) if batch else ...  # the output rows still in the loop
+    rows = np.arange(batch[0]) if batch else ...  # the input rows still in the loop
+    failed = [None] * batch[0] if batch else []
     iterations = np.zeros(batch, dtype=int)
     converged = np.zeros(batch, dtype=bool)
     next_lam = np.empty(lam.shape)
@@ -476,34 +520,35 @@ def _vb_loop(update, args, lam, upper, cfg) -> tuple:
     for it in range(cfg.max_iterations):
         xs[..., :-1, :] = xs[..., 1:, :] if it else lam[..., None, :]
         xs[..., -1, :] = lam
-        try:
-            kept, image, x = update(*args, lam)
-        except EstimationError as err:
-            if err.row is not None:
-                err.row = int(rows[err.row])
-            raise
+        while True:
+            try:
+                kept, image, x = update(*args, lam)
+                break
+            except EstimationError as err:
+                if not batch:
+                    raise
+                rows, xs, gs, *args = _fail_rows(failed, err, rows, xs, gs, *args)
+                lam = xs[:, -1].copy()  # update may have overwritten lam
         gs[..., :-1, :] = gs[..., 1:, :] if it else image[..., None, :]
         gs[..., -1, :] = image
-        if not it:
-            out = [np.empty(batch + np.shape(o)[len(batch):]) for o in kept]
-        for whole, part in zip(out, kept):
+        if it:  # out[-1] holds each row's x means of the iteration before
+            change = _step_norm(x - out[-1][rows])
+            if change.ndim == lam.ndim:  # the smoother's step axis: its largest change
+                change = change.max(-1)
+            converged[rows] = change < cfg.tol
+        else:
+            out = [np.empty(batch + np.shape(o)[len(batch):]) for o in (*kept, x)]
+        for whole, part in zip(out, (*kept, x)):
             whole[rows] = part
         iterations[rows] += 1
         lam = _anderson_step(xs, gs, upper)
         next_lam[rows] = lam
-        if it:
-            change = _step_norm(x - x_prev)
-            if change.ndim == lam.ndim:  # the smoother's step axis: its largest change
-                change = change.max(-1)
-            done = change < cfg.tol
-            converged[rows] = done
-            if done.all():
-                break
-            if done.any():
-                left = ~done
-                rows, lam, x, xs, gs, *args = (a[left] for a in (rows, lam, x, xs, gs, *args))
-        x_prev = x
-    return out, next_lam, iterations, converged
+        done = converged[rows]
+        if done.all():
+            break
+        if done.any():
+            rows, lam, xs, gs, *args = (a[~done] for a in (rows, lam, xs, gs, *args))
+    return out[:-1], next_lam, iterations, converged, failed
 
 
 def _stf_update_rows(model, x_prior, p_prior, y, c_mat, cfg=VBConfig(), policy=OPTIMAL) -> tuple:
@@ -516,7 +561,9 @@ def _stf_update_rows(model, x_prior, p_prior, y, c_mat, cfg=VBConfig(), policy=O
     posterior augmented means (..., n) and covariances (..., n, n), the
     mixing precisions (..., n_y) the last update ran with, the psi
     statistic (..., n_y) of the last posterior, the VB iteration counts
-    and the convergence flags.
+    and the convergence flags.  A row of a stack that fails raises its
+    error again once the other rows are done, naming the row
+    (_raise_failed), so that the recursion this update runs in owns it.
     """
     n_x = x_prior.shape[-1]
 
@@ -528,8 +575,8 @@ def _stf_update_rows(model, x_prior, p_prior, y, c_mat, cfg=VBConfig(), policy=O
         return (mean, cov, lam, psi), expected_mixing_precision(model.nu, psi), mean[..., :n_x]
 
     args = (x_prior, p_prior, y, c_mat, _stack_cz(c_mat, model.Delta))
-    out, _, iterations, converged = _vb_loop(
-        update, args, np.ones(y.shape), (model.nu + 2.0) / model.nu, cfg
+    out, _, iterations, converged = _raise_failed(
+        *_vb_loop(update, args, np.ones(y.shape), (model.nu + 2.0) / model.nu, cfg)
     )
     return (*out, iterations, converged)
 
@@ -577,7 +624,7 @@ def stf_run(model: StateSpaceModel, ys, cfg: VBConfig = VBConfig()) -> list:
     ys = _vectors("ys", ys, model.n_y)
     out = []
 
-    def step(k, x, p):
+    def step(k, rows, x, p):
         post, diag = stf_update(model, GaussianBelief(x, p), ys[k], cfg)
         out.append((post, diag))
         return post.mean, post.cov

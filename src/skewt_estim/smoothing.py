@@ -30,6 +30,7 @@ from .filtering import (
     _augmented_update,
     _forward,
     _psi_diagonal,
+    _raise_failed,
     _stack_cz,
     _vb_loop,
     _vector,
@@ -55,8 +56,10 @@ class SmootherIterate:
     one-step prior filtering step k started from (for k = 0 the initial
     augmented prior).  `lambdas` (B, K, n_y) are the next mixing
     precisions; `iterations` and `converged` count the outer iterations
-    of each row and say whether it stopped at its tolerance.  `row(b)`
-    is the iterate of row b alone, without the leading axis.
+    of each row and say whether it stopped at its tolerance, and
+    `failed[b]` is the EstimationError that failed row b, or None (its
+    other fields then hold no result).  `row(b)` is the iterate of row b
+    alone, without the leading axis.
     """
 
     filtered: tuple
@@ -65,6 +68,7 @@ class SmootherIterate:
     lambdas: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
+    failed: list
 
     def row(self, b: int) -> "SmootherIterate":
         return SmootherIterate(
@@ -72,6 +76,7 @@ class SmootherIterate:
             self.lambdas[b],
             int(self.iterations[b]),
             bool(self.converged[b]),
+            self.failed[b],
         )
 
 
@@ -99,22 +104,23 @@ def _forward_rows(model, ys, lambdas, c_seq) -> list:
     ys and lambdas are (B, K, n_y), c_seq is (B, K, n_y, n_x).  Returns the
     (mean, cov) stacks of the filtered and of the predicted augmented
     beliefs, (B, K, n) and (B, K, n, n).  Row b is bit-equal to a
-    forward pass of that row alone.
+    forward pass of that row alone.  A failed row raises its error again,
+    naming the row, once the other rows are done (filtering._raise_failed).
     """
     n_rows, n_steps, _ = ys.shape
     n_x = model.n_x
     cz = _stack_cz(c_seq, model.Delta)
 
-    def step(k, x, p):
+    def step(k, rows, x, p):
         return _augmented_update(
-            x, p, ys[:, k], c_seq[:, k], cz[:, k], model.Delta, model.R, lambdas[:, k]
+            x, p, ys[rows, k], c_seq[rows, k], cz[rows, k], model.Delta, model.R, lambdas[rows, k]
         )
 
-    return _forward(
+    return _raise_failed(*_forward(
         model, n_steps, step,
         np.broadcast_to(model.prior_mean, (n_rows, n_x)),
         np.broadcast_to(model.prior_cov, (n_rows, n_x, n_x)),
-    )
+    ))
 
 
 def forward_pass(model: StateSpaceModel, ys, lambdas) -> tuple:
@@ -145,32 +151,42 @@ def forward_pass(model: StateSpaceModel, ys, lambdas) -> tuple:
 
 def _backward_rows(f_mean, f_cov, p_mean, p_cov, model) -> tuple:
     """The backward recursion of backward_pass on (B, K, ...) stacks of
-    filtered and predicted (mean, cov); returns the smoothed stacks.
+    filtered and predicted (mean, cov); returns the smoothed stacks and
+    the outcome of each row: None, or the EstimationError that failed it.
 
-    Each row gets its own gain solve (see _augmented_update for why
-    the solve is not stacked), so row b is bit-equal to a backward pass of
-    that row alone and fails the same way; the EstimationError of a
-    failed solve names its step and row.
+    Each row gets its own gain solve, so row b is bit-equal to a backward
+    pass of that row alone and fails the same way.  The per-row solve was
+    chosen on timings at 1-6 rows (see _augmented_update).  At 32 and 100
+    rows a stacked solve measured faster: for these 4x4 systems with 12
+    right-hand sides, np.linalg.solve on the stack took 32 and 89 us
+    against 65 and 214 us for solve_spd per row (one thread, 2-vCPU host).
+    The error of a failed solve gets its step and is the row's outcome;
+    the other rows' solves of that step stand.  The failed row makes no
+    more solves and runs on with a zero gain, so its smoothed moments keep
+    the filtered ones and hold no result.  It is not thinned out of the
+    stacks: the fancy indexing that needs cost 12% of the pass at 100 rows
+    and 33% at 6 rows without any failure (K=100, q=5, one thread).
     """
     n_x = model.n_x
     s_mean = f_mean.copy()
     s_cov = f_cov.copy()
     gain = np.empty(f_cov.shape[:1] + f_cov.shape[-1:] + (n_x,))
+    failed = [None] * len(f_mean)
     for k in range(f_mean.shape[1] - 2, -1, -1):
         p_pred = p_cov[:, k + 1, :n_x, :n_x]
-        try:
-            for b, (p_b, f_b) in enumerate(zip(p_pred, f_cov[:, k])):
-                gain[b] = solve_spd(p_b, model.A @ f_b[:n_x], what="prediction covariance").T
-        except EstimationError as err:
-            err.step, err.row = k, b
-            raise
+        for b, (p_b, f_b) in enumerate(zip(p_pred, f_cov[:, k])):
+            if failed[b] is None:
+                try:
+                    gain[b] = solve_spd(p_b, model.A @ f_b[:n_x], what="prediction covariance").T
+                except EstimationError as err:
+                    err.step, failed[b], gain[b] = k, err, 0.0
         step = s_mean[:, k + 1, :n_x] - p_mean[:, k + 1, :n_x]
         s_mean[:, k] += (gain @ step[..., None])[..., 0]
         s_cov[:, k] = symmetrize(
             f_cov[:, k]
             + gain @ (s_cov[:, k + 1, :n_x, :n_x] - p_pred) @ gain.swapaxes(1, 2)
         )
-    return s_mean, s_cov
+    return s_mean, s_cov, failed
 
 
 def backward_pass(filtered, predicted, model: StateSpaceModel) -> list:
@@ -188,13 +204,13 @@ def backward_pass(filtered, predicted, model: StateSpaceModel) -> list:
         raise ValueError("filtered and predicted sequences must align")
     if n_steps == 0:
         return []
-    s_mean, s_cov = _backward_rows(
+    s_mean, s_cov = _raise_failed(*_backward_rows(
         np.stack([b.mean for b in filtered])[None],
         np.stack([b.cov for b in filtered])[None],
         np.stack([b.mean for b in predicted])[None],
         np.stack([b.cov for b in predicted])[None],
         model,
-    )
+    ))
     return _beliefs(s_mean[0, :-1], s_cov[0, :-1]) + [filtered[-1]]
 
 
@@ -249,9 +265,10 @@ def _run_vb(model, ys, cfg):
     if n_steps == 0:
         n = model.n_x + model.n_y
         empty = (np.empty((0, n)), np.empty((0, n, n)))
-        return SmootherIterate(empty, empty, empty, np.empty((0, model.n_y)), 0, True)
+        return SmootherIterate(empty, empty, empty, np.empty((0, model.n_y)), 0, True, None)
     c_seq = np.broadcast_to(model.C, (1, n_steps) + model.C.shape)
-    return _run_vb_rows(model, np.stack(ys)[None], c_seq, cfg).row(0)
+    rows = _run_vb_rows(model, np.stack(ys)[None], c_seq, cfg)
+    return _raise_failed(rows, rows.failed)[0].row(0)
 
 
 def _run_vb_rows(model, ys, c_seq, cfg) -> SmootherIterate:
@@ -260,17 +277,19 @@ def _run_vb_rows(model, ys, c_seq, cfg) -> SmootherIterate:
     ys is (B, K, n_y) and c_seq (B, K, n_y, n_x).  The mixing precisions
     of each row are one Anderson-mixed vector over the whole trajectory,
     and a row stops on the largest per-step change of its smoothed state
-    means; each row is bit-equal to the loop run on it alone.
+    means; each row is bit-equal to the loop run on it alone.  A row
+    whose forward or backward pass fails leaves the loop, and only that
+    iteration runs again for the rows left (filtering._vb_loop).
     """
     n_rows, n_steps, n_y = ys.shape
 
     def update(ys, c_seq, cz, lam):
         stacks = _forward_rows(model, ys, lam.reshape(-1, n_steps, n_y), c_seq)
-        stacks += _backward_rows(*stacks, model)
+        stacks += _raise_failed(*_backward_rows(*stacks, model))
         plain = _lambda_rows(*stacks[4:], ys, cz, model)
-        return stacks, plain.reshape(len(ys), -1), stacks[4][..., : model.n_x]
+        return stacks, plain.reshape(lam.shape), stacks[4][..., : model.n_x]
 
-    out, lambdas, iterations, converged = _vb_loop(
+    out, lambdas, iterations, converged, failed = _vb_loop(
         update,
         (ys, c_seq, _stack_cz(c_seq, model.Delta)),
         np.ones((n_rows, n_steps * n_y)),
@@ -279,5 +298,5 @@ def _run_vb_rows(model, ys, c_seq, cfg) -> SmootherIterate:
     )
     return SmootherIterate(
         (out[0], out[1]), (out[2], out[3]), (out[4], out[5]),
-        lambdas.reshape(n_rows, n_steps, n_y), iterations, converged,
+        lambdas.reshape(n_rows, n_steps, n_y), iterations, converged, failed,
     )

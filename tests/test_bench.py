@@ -470,9 +470,10 @@ class TestRunExperiment:
         monkeypatch.setattr(experiments, "linearize", fail_on_fourth)
         with pytest.raises(GeometryError, match=r"injected \(time step 3\)$") as info:
             if family == "stf":
-                _stf_rows(model, sats, trajs, VBConfig())
+                runs = _stf_rows(model, sats, trajs, VBConfig())[0]
             else:
-                experiments._kf_rows(model, cfg, sats, trajs, GatingConfig())
+                runs = experiments._kf_rows(model, cfg, sats, trajs, GatingConfig())[0]
+            raise runs[0]  # the row's outcome
         assert info.value.step == 3
 
     def test_programming_error_propagates(self, monkeypatch):
@@ -586,6 +587,26 @@ class TestCli:
         assert main(
             ["run", "--config", str(cfg_file), "--out", str(out_dir), "--strict"]
         ) == 2
+
+    def test_strict_run_exits_2_on_failed_replications(self, tmp_path):
+        """The nu=0.02 sweep fails every replication: exit code 2 with
+        --strict and 0 without, and the CSV holds the failed rows."""
+        cfg_file = tmp_path / "heavy.cfg"
+        cfg_file.write_text(
+            "name = heavy\nq = 0.5\ndelta = 5.0\nrho = 100.0\nnu = 0.02\n"
+            "K = 10\nn_mc = 4\nseed = 1\nestimators = stf, sts\n"
+        )
+        out_dir = tmp_path / "out"
+        args = ["run", "--config", str(cfg_file), "--out", str(out_dir)]
+        with np.errstate(all="ignore"):
+            assert main(args) == 0
+            assert main(args + ["--strict"]) == 2
+        lines = (out_dir / "heavy.csv").read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert [line.split(",")[1:3] for line in lines[1:]] == [
+            [est, str(rep)] for est in ("stf", "sts") for rep in range(4)
+        ]
+        assert all(line.endswith(",failed") for line in lines[1:])
 
     def test_truncnorm_bench_command(self, tmp_path):
         code = main(

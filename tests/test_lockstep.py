@@ -538,20 +538,29 @@ class TestStackedKernels:
 
     def test_vb_loop_names_the_input_row_of_a_failure(self):
         """Rows 0 and 2 converge at the second iteration; at the third the
-        update fails in row 1 of the two rows left, which is input row 3."""
+        update fails in row 1 of the two rows left, which is input row 3.
+        The error is the outcome of input row 3, and the third iteration
+        runs again for input row 1 alone.  One row raises it."""
         calls = []
 
         def update(ids, lam):
             calls.append(ids.tolist())
             if len(calls) == 3:
-                raise NumericalFailureError("injected", row=1)
-            x = np.where(ids % 2 == 1, float(len(calls)), 0.0)[:, None]
+                raise NumericalFailureError("injected", row=None if ids.ndim == 0 else 1)
+            x = np.where(ids % 2 == 1, float(len(calls)), 0.0)[..., None]
             return (lam,), lam, x
 
+        _, _, iterations, _, failed = _vb_loop(
+            update, (np.arange(4.0),), np.ones((4, 2)), 10.0, VBConfig()
+        )
+        assert calls[2:4] == [[1.0, 3.0], [1.0]]
+        assert failed[:3] == [None] * 3
+        assert isinstance(failed[3], NumericalFailureError) and str(failed[3]) == "injected"
+        assert iterations.tolist() == [2, VBConfig().max_iterations, 2, 2]
+        calls.clear()
         with pytest.raises(NumericalFailureError) as info:
-            _vb_loop(update, (np.arange(4.0),), np.ones((4, 2)), 10.0, VBConfig())
-        assert calls[2] == [1.0, 3.0]
-        assert info.value.row == 3
+            _vb_loop(update, (np.array(1.0),), np.ones(2), 10.0, VBConfig())
+        assert info.value.row is None
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -790,7 +799,7 @@ class TestRunExperimentLockstep:
     @pytest.mark.parametrize("n_mc", [4, 34])
     def test_failed_replication_leaves_its_batch(self, monkeypatch, n_mc):
         """Replication 2 fails at time step 3 inside the batch: its error
-        names its row, and the batch reruns without it, so only
+        names its row, and the row leaves the batch at that step, so only
         replication 2 fails, with its one-row run's reason and step."""
         cfg = sweep_config(n_mc=n_mc)
         sats = make_constellation(cfg.n_sats, cfg.seed)
@@ -886,8 +895,9 @@ class TestRunExperimentLockstep:
 
     def test_sweep_never_runs_a_replication_alone(self, monkeypatch):
         """A non-finite pseudorange at time step 2 of replication 1 fails
-        it in all four estimators while run_estimator raises: each family's
-        batch reruns without it, and every other record is the clean run's."""
+        it in all four estimators while run_estimator raises: it leaves
+        each family's batch at that step, and every other record is the
+        clean run's."""
         cfg = sweep_config(n_mc=3, estimators=("stf", "sts", "kf", "rtss"))
         clean = timeless(run_experiment(cfg))
         real_simulate = experiments.simulate
@@ -910,3 +920,125 @@ class TestRunExperimentLockstep:
         assert [r for r in records if r.replication != 1] == [
             r for r in clean if r.replication != 1
         ]
+
+    def test_late_smoother_failure_runs_each_batch_once(self, monkeypatch):
+        """Replication 2 fails in the STS backward gain at time step 5 of
+        its last outer iteration.  The STF and the STS batch each run once,
+        the smoother's forward work grows by at most one outer iteration of
+        every row, only replication 2's STS record fails, with its one-row
+        run's reason, and every other record is the clean run's."""
+        cfg = sweep_config(n_mc=6)
+        sats = make_constellation(cfg.n_sats, cfg.seed)
+        real_solve, real_update = smoothing.solve_spd, smoothing._augmented_update
+        seen = []
+
+        def spy(s, b, what="matrix"):
+            seen.append(s.copy())
+            return real_solve(s, b, what)
+
+        monkeypatch.setattr(smoothing, "solve_spd", spy)
+        run = run_estimator("sts", cfg, sats, simulate(cfg, 2))
+        # The last backward pass runs from step K - 2 down to step 0.
+        marker = seen[len(seen) - (cfg.K - 1) + (cfg.K - 2 - 5)]
+        assert run.outer_iterations > 2
+        assert sum(np.array_equal(s, marker) for s in seen) == 1
+
+        def failing(s, b, what="matrix"):
+            if np.array_equal(s, marker):
+                raise NumericalFailureError("injected")
+            return real_solve(s, b, what)
+
+        monkeypatch.setattr(smoothing, "solve_spd", failing)
+        with pytest.raises(NumericalFailureError) as info:
+            run_estimator("sts", cfg, sats, simulate(cfg, 2))
+        assert str(info.value) == "injected (time step 5)"
+
+        row_steps, batches = [], []
+
+        def counting_update(x, p, y, *args):
+            row_steps.append(len(y))
+            return real_update(x, p, y, *args)
+
+        def counting(name):
+            real = getattr(experiments, name)
+
+            def run(*args):
+                batches.append(name)
+                return real(*args)
+            return run
+
+        monkeypatch.setattr(smoothing, "_augmented_update", counting_update)
+        monkeypatch.setattr(experiments, "_stf_rows", counting("_stf_rows"))
+        monkeypatch.setattr(experiments, "_sts_rows", counting("_sts_rows"))
+        monkeypatch.setattr(smoothing, "solve_spd", real_solve)
+        clean = timeless(run_experiment(cfg))
+        clean_steps = sum(row_steps)
+        monkeypatch.setattr(smoothing, "solve_spd", failing)
+        row_steps.clear()
+        batches.clear()
+        records = timeless(run_experiment(cfg))
+        assert batches == ["_stf_rows", "_sts_rows"]
+        assert sum(row_steps) <= clean_steps + cfg.n_mc * cfg.K
+        failed = [(r.estimator, r.replication, r.reason) for r in records if r.status == "failed"]
+        assert failed == [("sts", 2, str(info.value))]
+        assert [r for r in records if r.status == "ok"] == [
+            r for r in clean if (r.estimator, r.replication) != ("sts", 2)
+        ]
+
+    def test_non_finite_pseudoranges_fail_each_row_at_its_step(self, monkeypatch):
+        """Replications 0 and 2 have a non-finite pseudorange at time steps
+        2 and 5.  In one pass per family each fails at its own step in all
+        four estimators, and every other record is the clean run's."""
+        cfg = sweep_config(n_mc=4, estimators=("stf", "sts", "kf", "rtss"))
+        clean = timeless(run_experiment(cfg))
+        bad_step = {0: 2, 2: 5}
+        real_simulate, real_filter = experiments.simulate, experiments._filter_rows
+        passes = []
+
+        def corrupted(cfg, rep):
+            traj = real_simulate(cfg, rep)
+            if rep not in bad_step:
+                return traj
+            meas = traj.measurements.copy()
+            meas[bad_step[rep], 3] = np.inf
+            return replace(traj, measurements=meas)
+
+        def counting(*args):
+            passes.append(None)
+            return real_filter(*args)
+
+        monkeypatch.setattr(experiments, "simulate", corrupted)
+        monkeypatch.setattr(experiments, "_filter_rows", counting)
+        records = timeless(run_experiment(cfg))
+        assert len(passes) == 2
+        assert {(r.estimator, r.replication): r.reason for r in records if r.status == "failed"} == {
+            (est, rep): f"pseudorange is not finite (time step {k})"
+            for est in cfg.estimators for rep, k in bad_step.items()
+        }
+        assert [r for r in records if r.replication not in bad_step] == [
+            r for r in clean if r.replication not in bad_step
+        ]
+
+    def test_error_naming_no_row_fails_every_live_row(self, monkeypatch):
+        """An error with no row at time step 3 of the STF batch fails every
+        STF and STS record with its reason; the Kalman family stays ok."""
+        cfg = sweep_config(n_mc=3, estimators=("stf", "sts", "kf", "rtss"))
+        clean = timeless(run_experiment(cfg))
+        real = experiments._stf_update_rows
+        calls = []
+
+        def fail_at_step_3(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 4:
+                raise NumericalFailureError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_stf_update_rows", fail_at_step_3)
+        records = timeless(run_experiment(cfg))
+        vb = [(r.estimator, r.status, r.reason) for r in records if r.estimator in ("stf", "sts")]
+        assert vb == [
+            (est, "failed", "injected (time step 3)") for est in ("stf", "sts") for _ in range(3)
+        ]
+        kalman = [r for r in records if r.estimator in ("kf", "rtss")]
+        assert kalman == [r for r in clean if r.estimator in ("kf", "rtss")]
+        assert all(r.status == "ok" for r in kalman)
