@@ -16,7 +16,15 @@ import numpy as np
 from ..baselines import GatingConfig, _kf_gated_update_rows, pf_run
 from ..exceptions import EstimationError, NumericalFailureError
 from .._linalg import symmetrize
-from ..filtering import StateSpaceModel, VBConfig, _forward, _stf_update_rows, stf_update
+from ..filtering import (
+    StateSpaceModel,
+    VBConfig,
+    _augmented_update,
+    _forward,
+    _stack_cz,
+    _stf_update_rows,
+    stf_update,
+)
 from ..skewt import SkewTComponent, moment_match, moments, sample_rng
 from ..smoothing import _backward_rows, _run_vb_rows
 from ..truncnorm import OPTIMAL, RandomOrder, rec_trunc, tmnd_oracle
@@ -68,8 +76,10 @@ class RunRecord:
     status: str
     # Not in the CSV: str() of the error of a "failed" run, the same as
     # its replication's one-row run raises (the row left its lockstep loop
-    # at that error while the other rows went on); for "sts" the outer VB
-    # iterations; for "stf" and "sts" whether every VB loop converged.
+    # at that error while the other rows went on; "sts" linearizes on its
+    # own first forward pass at lambda = 1, so a row failing in the STF no
+    # longer fails its STS); for "sts" the outer VB iterations; for "stf"
+    # and "sts" whether every VB loop converged.
     reason: str = ""
     outer_iterations: int = 0
     converged: bool = True
@@ -112,7 +122,8 @@ def scenario_model(cfg: ScenarioConfig, sats: np.ndarray) -> StateSpaceModel:
 def _filter_rows(model, sats, trajs, update, noise_offset=0.0):
     """Forward filter of B trajectories in lockstep: filtering._forward
     with a step that relinearizes at each row's predicted mean, then
-    updates.  The skew-t filter and the Kalman baselines run through it.
+    updates.  The skew-t filter, the smoother's first forward pass and
+    the Kalman baselines run through it.
 
     `update(x, p, y_k, c_k)` maps the (B, n_x) prior means, (B, n_x, n_x)
     covariances, (B, n_y) measurements and (B, n_y, n_x) linearizations
@@ -151,8 +162,8 @@ def _stf_rows(model, sats, trajs, vb_cfg):
 
     Returns the outcome of each trajectory, its "stf" EstimatorRun or the
     EstimationError that failed it, and the (B, K, n_sats, 4)
-    linearizations and (B, K, n_sats) measurements the smoother reruns
-    on.  Each row is bit-equal to the same trajectory filtered alone.
+    linearizations and (B, K, n_sats) measurements it ran on.  Each row is
+    bit-equal to the same trajectory filtered alone.
     """
     n_x = model.n_x
 
@@ -170,15 +181,36 @@ def _stf_rows(model, sats, trajs, vb_cfg):
     return runs, c_seq, y_seq
 
 
-def _sts_rows(model, c_seq, y_seq, vb_cfg):
-    """The outcomes ("sts" EstimatorRun or EstimationError) of B filtered
-    trajectories (the c_seq and y_seq of _stf_rows), smoothed in lockstep."""
-    rows = _run_vb_rows(model, y_seq, c_seq, vb_cfg)
+def _sts_rows(model, sats, trajs, vb_cfg):
+    """Skew-t smoother of B trajectories in lockstep; run_estimator("sts")
+    is its one-row call.  It never runs the skew-t filter.
+
+    The forward pass of the first outer iteration runs through
+    _filter_rows, with the augmented update at unit mixing precisions
+    (lambda = 1, where the outer loop starts): it linearizes each row at
+    its own predicted means.  The outer loop (smoothing._run_vb_rows)
+    starts from that pass, and its later forward passes reuse its
+    linearizations and measurements, so no forward pass runs twice.
+    Returns the outcome of each trajectory, its "sts" EstimatorRun or the
+    EstimationError that failed it, in the first pass or in the loop.
+    """
+
+    def update(x, p, y, c_mat):
+        cz = _stack_cz(c_mat, model.Delta)
+        return _augmented_update(x, p, y, c_mat, cz, model.Delta, model.R, np.ones(y.shape))
+
+    # first: the augmented posteriors and the priors they came from.  Only
+    # the outer loop keeps the rows it runs on, and frees them once used.
+    _, *first, c_seq, y_seq, failed = _filter_rows(model, sats, trajs, update)
+    ok = [b for b, err in enumerate(failed) if err is None]
+    first = [a[ok] for stacks in first for a in stacks]
+    rows = _run_vb_rows(model, y_seq[ok], c_seq[ok], vb_cfg, first)
     means, covs = rows.smoothed[0][..., :3], rows.smoothed[1][..., :3, :3]
-    return [
-        err or EstimatorRun("sts", m, symmetrize(c), np.zeros(0), int(n), bool(ok))
-        for m, c, n, ok, err in zip(means, covs, rows.iterations, rows.converged, rows.failed)
-    ]
+    smoothed = iter([
+        err or EstimatorRun("sts", m, symmetrize(c), np.zeros(0), int(n), bool(conv))
+        for m, c, n, conv, err in zip(means, covs, rows.iterations, rows.converged, rows.failed)
+    ])
+    return [err or next(smoothed) for err in failed]
 
 
 def _kf_rows(model, cfg, sats, trajs, gate):
@@ -226,11 +258,13 @@ def run_estimator(
 ) -> EstimatorRun:
     """Run one named estimator on a simulated trajectory.
 
-    Measurements are relinearized per step at the running predicted mean;
-    smoothers reuse the linearization points of their forward filter.
-    "stf", "sts", "kf" and "rtss" are the one-trajectory calls of the
-    lockstep batch run_experiment runs, and raise the EstimationError that
-    fails the trajectory.
+    Measurements are relinearized per step at the running predicted mean.
+    "sts" linearizes on its own first forward pass, at lambda = 1, and
+    reuses those points in its later passes, so it never runs the STF;
+    "rtss" smooths the "kf" pass on the KF's linearization points.  "stf",
+    "sts", "kf" and "rtss" are the one-trajectory calls of the lockstep
+    batch run_experiment runs, and raise the EstimationError that fails
+    the trajectory.
     """
     if name == "pf":
         beliefs = pf_run(
@@ -253,52 +287,55 @@ def run_estimator(
 
 
 def _lockstep_rows(names, cfg, sats, trajs, vb_cfg) -> dict:
-    """The lockstep runs of the estimators `names` on all trajs at once:
-    each family, the filter "stf" with its smoother "sts" or "kf" with
-    "rtss", runs once as one batch, and the smoother smooths its filter's
-    pass.
+    """The lockstep runs of the estimators `names` on all trajs at once.
+
+    Each family runs once as one batch: the filter "stf"; the smoother
+    "sts", which linearizes on its own first forward pass at lambda = 1
+    (_sts_rows) and never runs the filter; and "kf" with "rtss", which
+    smooths the "kf" pass.  So an "sts" outcome is the same whatever else
+    `names` holds.
 
     A row leaves the loop it fails in while the other rows go on
     (filtering._forward, filtering._vb_loop, smoothing._backward_rows), so
-    each row's outcome is that of its one-row run.  A row that fails in a
-    filter fails in its smoother with the same error, and the smoother
-    runs on the other rows; a row that fails only in a smoother keeps its
-    filter's run.  An EstimationError that escapes a family's batch fails
-    every row of it.  Returns {estimator: (outcomes, seconds)}:
-    outcomes[b] is the EstimatorRun of trajs[b] or the EstimationError
-    that failed it, and seconds the family's time per row up to that
-    estimator's end (a smoother's includes its filter's).
+    each row's outcome is that of its one-row run.  A row that fails in
+    "kf" fails in "rtss" with the same error, and "rtss" runs on the other
+    rows; a row that fails only in "rtss" keeps its "kf" run.  A row that
+    fails in "stf" no longer fails its "sts".  An EstimationError that
+    escapes a family's batch fails every row of it.  Returns {estimator:
+    (outcomes, seconds)}: outcomes[b] is the EstimatorRun of trajs[b] or
+    the EstimationError that failed it, and seconds the family's time per
+    row up to that estimator's end ("rtss"'s includes its filter's).
     """
     model = scenario_model(cfg, sats)
     out = {}
-    for filt, smooth in (("stf", "sts"), ("kf", "rtss")):
-        if not {filt, smooth} & names:
+    for family in (("stf",), ("sts",), ("kf", "rtss")):
+        wanted = names & set(family)
+        if not wanted:
             continue
         start = time.perf_counter()
         try:
-            if filt == "stf":
-                runs, c_seq, y_seq = _stf_rows(model, sats, trajs, vb_cfg)
+            if family == ("stf",):
+                runs, _, _ = _stf_rows(model, sats, trajs, vb_cfg)
+            elif family == ("sts",):
+                runs = _sts_rows(model, sats, trajs, vb_cfg)
             else:
                 runs, (*stacks, gauss), _ = _kf_rows(model, cfg, sats, trajs, GatingConfig())
-            out[filt] = runs, (time.perf_counter() - start) / len(trajs)
-            if smooth in names:
+            out[family[0]] = runs, (time.perf_counter() - start) / len(trajs)
+            if "rtss" in wanted:
                 ok = [b for b, run in enumerate(runs) if isinstance(run, EstimatorRun)]
-                smoothed = dict(zip(ok, (
-                    _sts_rows(model, c_seq[ok], y_seq[ok], vb_cfg) if smooth == "sts"
-                    else _rtss_rows((*(a[ok] for a in stacks), gauss))
-                )))
+                smoothed = dict(zip(ok, _rtss_rows((*(a[ok] for a in stacks), gauss))))
                 runs = [smoothed.get(b, run) for b, run in enumerate(runs)]
-                out[smooth] = runs, (time.perf_counter() - start) / len(trajs)
+                out["rtss"] = runs, (time.perf_counter() - start) / len(trajs)
         except EstimationError as err:
-            out.update({name: ([err] * len(trajs), 0.0) for name in {filt, smooth} & names})
+            out.update({name: ([err] * len(trajs), 0.0) for name in wanted})
     return out
 
 
 def _lockstep_runs(cfg, sats, trajs):
     """The lockstep runs of run_experiment: _lockstep_rows of cfg's
-    estimators at VBConfig().  Each family runs once as one batch; a row
-    that fails leaves the loop it fails in while the other rows go on, and
-    no batch runs again."""
+    estimators at VBConfig().  Each family ("stf", "sts", "kf" with
+    "rtss") runs once as one batch; a row that fails leaves the loop it
+    fails in while the other rows go on, and no batch runs again."""
     return _lockstep_rows(set(cfg.estimators), cfg, sats, trajs, VBConfig())
 
 
@@ -327,10 +364,14 @@ def run_experiment(cfg: ScenarioConfig, out_path=None, timing: bool = False) -> 
     """Run all configured estimators over n_mc simulated replications.
 
     "stf", "sts", "kf" and "rtss" run all n_mc replications as one
-    lockstep batch (_lockstep_runs), which runs once; "sts" smooths the
-    "stf" pass and "rtss" the "kf" pass.  A replication whose run meets an
-    EstimationError leaves the loop it fails in, and the other rows go on,
-    so each record is the one a single-replication run gives.  The batch holds
+    lockstep batch per family (_lockstep_runs), which runs once: "stf",
+    "sts" and "kf" with "rtss".  "sts" linearizes on its own first forward
+    pass at lambda = 1 and never runs the STF, so its records do not
+    depend on whether "stf" is configured, and a replication failing in
+    the STF no longer fails its STS; "rtss" smooths the "kf" pass.  A
+    replication whose run meets an EstimationError leaves the loop it
+    fails in, and the other rows go on, so each record is the one a
+    single-replication run gives.  The batch holds
     about 1.5 MB per replication at K=100 and 8 satellites, and peak
     memory grows as n_mc * K * (4 + n_sats)^2.  The PF runs one
     replication at a time.

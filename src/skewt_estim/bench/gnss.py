@@ -78,6 +78,10 @@ class ScenarioConfig:
         object.__setattr__(
             self, "estimators", tuple(str(e) for e in self.estimators)
         )
+        for name in ("K", "n_mc", "n_sats", "seed", "pf_particles"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("q", "delta", "rho", "nu"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")

@@ -153,7 +153,10 @@ class VBConfig:
     tol: float = 1e-4
 
     def __post_init__(self):
-        if self.max_iterations < 1:
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"max_iterations must be an integer, got {n!r}")
+        if n < 1:
             raise ValueError("max_iterations must be >= 1")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
@@ -333,8 +336,10 @@ def _forward(model: StateSpaceModel, n_steps: int, step, x, p) -> list:
     names none (_fail_rows); those rows leave the recursion and step k
     runs again for the rows left, so each row is bit-equal to its own run.
     `rows` indexes the input rows left: a slice of all of them until one
-    fails, then an index array.  With no row left the steps run on empty
-    stacks.
+    fails, then an index array.  Once no row is left the recursion stops,
+    and the entries it has not written belong to failed rows, which hold
+    no result; only when no row is left at step 0 does that step run, on
+    no rows, to size the stacks.
     """
     n_x = model.n_x
     lead = x.shape[:-1]
@@ -343,6 +348,8 @@ def _forward(model: StateSpaceModel, n_steps: int, step, x, p) -> list:
     stacks = []
     for k in range(n_steps):
         while True:
+            if stacks and not x.size:
+                return [*stacks, failed]
             try:
                 out = step(k, rows, x, p)
                 break

@@ -10,7 +10,12 @@ step (its transition block is zero), so the one-step augmented prediction
 covariance is blockdiag(A P A^T + Q, diag(1/lam)).
 
 The outer loop is the filter's VB loop (filtering._vb_loop), with one
-Anderson-mixed precision vector over the whole trajectory.  The passes and
+Anderson-mixed precision vector over the whole trajectory, starting from
+unit precisions (lambda = 1).  The caller may run the first forward pass
+itself and hand it in (_run_vb_rows): the GNSS smoother
+(bench.experiments._sts_rows) linearizes on its own first forward pass at
+lambda = 1, and the later passes reuse those linearizations, so it never
+runs the skew-t filter and no forward pass runs twice.  The passes and
 the loop are written for B trajectories in lockstep (a leading batch axis;
 a row leaves the loop when it converges), and the public functions are
 their one-trajectory calls.  Every row is bit-equal to the same trajectory
@@ -271,27 +276,38 @@ def _run_vb(model, ys, cfg):
     return _raise_failed(rows, rows.failed)[0].row(0)
 
 
-def _run_vb_rows(model, ys, c_seq, cfg) -> SmootherIterate:
+def _run_vb_rows(model, ys, c_seq, cfg, first=None) -> SmootherIterate:
     """Outer VB loop of B trajectories in lockstep (filtering._vb_loop).
 
     ys is (B, K, n_y) and c_seq (B, K, n_y, n_x).  The mixing precisions
     of each row are one Anderson-mixed vector over the whole trajectory,
-    and a row stops on the largest per-step change of its smoothed state
-    means; each row is bit-equal to the loop run on it alone.  A row
-    whose forward or backward pass fails leaves the loop, and only that
-    iteration runs again for the rows left (filtering._vb_loop).
+    starting from 1, and a row stops on the largest per-step change of its
+    smoothed state means; each row is bit-equal to the loop run on it
+    alone.  `first`, when given, is the forward pass of the first
+    iteration, already run at unit precisions on ys and c_seq: a list of
+    the filtered and predicted (mean, cov) stacks _forward_rows would
+    return.  The loop then starts from it and runs no forward pass twice;
+    it empties the list once the first iteration is done, which frees the
+    pass for the rest of the loop.  A row whose forward or backward pass
+    fails leaves the loop, and only that iteration runs again for the rows
+    left (filtering._vb_loop).
     """
     n_rows, n_steps, n_y = ys.shape
 
-    def update(ys, c_seq, cz, lam):
-        stacks = _forward_rows(model, ys, lam.reshape(-1, n_steps, n_y), c_seq)
+    def update(rows, ys, c_seq, cz, lam):
+        if first:
+            stacks = tuple(s[rows] for s in first)
+        else:
+            stacks = _forward_rows(model, ys, lam.reshape(-1, n_steps, n_y), c_seq)
         stacks += _raise_failed(*_backward_rows(*stacks, model))
+        if first:
+            first.clear()  # the later iterations run their own forward passes
         plain = _lambda_rows(*stacks[4:], ys, cz, model)
         return stacks, plain.reshape(lam.shape), stacks[4][..., : model.n_x]
 
     out, lambdas, iterations, converged, failed = _vb_loop(
         update,
-        (ys, c_seq, _stack_cz(c_seq, model.Delta)),
+        (np.arange(n_rows), ys, c_seq, _stack_cz(c_seq, model.Delta)),
         np.ones((n_rows, n_steps * n_y)),
         np.tile((model.nu + 2.0) / model.nu, n_steps),
         cfg,

@@ -557,6 +557,25 @@ class TestCli:
         text = (out_dir / "clidemo.csv").read_text()
         assert text.splitlines()[0] == CSV_HEADER
 
+    def test_run_sts_only_writes_the_sts_lines_of_a_full_run(self, tmp_path):
+        """estimators = sts writes only sts lines, equal to the sts lines
+        that the same scenario writes with stf, sts, kf and rtss."""
+        lines = {}
+        for run, estimators in (("sts", "sts"), ("all", "stf, sts, kf, rtss")):
+            cfg_file = tmp_path / f"{run}.cfg"
+            cfg_file.write_text(
+                "name = stsdemo\nq = 5.0\ndelta = 5.0\nrho = 100.0\nnu = 4.0\n"
+                f"K = 8\nn_mc = 3\nseed = 1\nestimators = {estimators}\n"
+            )
+            out_dir = tmp_path / run
+            assert main(["run", "--config", str(cfg_file), "--out", str(out_dir)]) == 0
+            lines[run] = (out_dir / "stsdemo.csv").read_text().splitlines()
+        assert lines["sts"][0] == CSV_HEADER
+        assert [line.split(",")[1] for line in lines["sts"][1:]] == ["sts"] * 3
+        assert lines["sts"][1:] == [
+            line for line in lines["all"][1:] if line.split(",")[1] == "sts"
+        ]
+
     def test_run_rejects_bad_config(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("nonsense = 1\n")
@@ -638,6 +657,16 @@ class TestCli:
 
 
 class TestScenarioValidation:
+    @pytest.mark.parametrize("field", ["K", "n_mc", "n_sats", "seed", "pf_particles"])
+    def test_counts_must_be_integers(self, field):
+        """A count or seed that is not a Python or numpy integer is
+        rejected at construction; a numpy integer is accepted."""
+        valid = getattr(small_config(), field)
+        for value in (valid + 0.5, float(valid), str(valid), True, None):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                small_config(**{field: value})
+        assert small_config(**{field: np.int64(valid)}) == small_config()
+
     def test_field_bounds(self):
         with pytest.raises(ValueError):
             small_config(K=0)

@@ -284,3 +284,9 @@ class TestBeliefValidation:
             VBConfig(max_iterations=0)
         with pytest.raises(ValueError):
             VBConfig(tol=0.0)
+
+    @pytest.mark.parametrize("value", [2.5, 30.0, "30", True, None])
+    def test_vb_config_max_iterations_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="max_iterations must be an integer"):
+            VBConfig(max_iterations=value)
+        assert VBConfig(max_iterations=np.int32(30)) == VBConfig()

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
 from skewt_estim import filtering, smoothing
+from skewt_estim._linalg import symmetrize
 from skewt_estim.baselines import (
     GatingConfig,
     _kf_gated_update_rows,
@@ -38,7 +39,11 @@ from skewt_estim.bench.experiments import (
     run_estimator,
 )
 from skewt_estim.bench.gnss import linearize
-from skewt_estim.exceptions import DegenerateDirectionError, NumericalFailureError
+from skewt_estim.exceptions import (
+    DegenerateDirectionError,
+    EstimationError,
+    NumericalFailureError,
+)
 from skewt_estim.filtering import (
     GaussianBelief,
     StateSpaceModel,
@@ -562,6 +567,40 @@ class TestStackedKernels:
             _vb_loop(update, (np.array(1.0),), np.ones(2), 10.0, VBConfig())
         assert info.value.row is None
 
+    @pytest.mark.parametrize("last", [3, 0])
+    def test_forward_stops_once_no_row_is_left(self, last):
+        """Row 1 of three fails at step 1 (last = 3), and every row left
+        fails at step `last` with an error that names none: the recursion
+        stops there, runs no step on zero rows, and each row's outcome is
+        its error.  When no row is left at step 0, step 0 runs once on no
+        rows, to size the stacks."""
+        model = StateSpaceModel(
+            A=np.eye(2), Q=np.eye(2), C=np.eye(2), R=np.ones(2), Delta=np.ones(2),
+            nu=np.full(2, 4.0), prior_mean=np.zeros(2), prior_cov=np.eye(2),
+        )
+        calls = []
+
+        def step(k, rows, x, p):
+            calls.append((k, len(x)))
+            if (k, len(x)) == (1, 3):
+                raise NumericalFailureError("one", row=1)
+            if k == last and len(x):
+                raise NumericalFailureError("all")
+            return x + 1.0, p
+
+        x0, p0 = np.zeros((3, 2)), np.tile(np.eye(2), (3, 1, 1))
+        means, covs, failed = filtering._forward(model, 6, step, x0, p0)
+        assert (means.shape, covs.shape) == ((3, 6, 2), (3, 6, 2, 2))
+        if last:
+            assert calls == [(0, 3), (1, 3), (1, 2), (2, 2), (3, 2)]
+            assert [str(e) for e in failed] == [
+                "all (time step 3)", "one (time step 1)", "all (time step 3)"
+            ]
+            assert_array_equal(means[[0, 2], :3], np.broadcast_to([[1.0], [2.0], [3.0]], (2, 3, 2)))
+        else:
+            assert calls == [(0, 3), (0, 0)]
+            assert [str(e) for e in failed] == ["all (time step 0)"] * 3
+
 
 @pytest.mark.parametrize("seed", range(20))
 def test_forward_recursion_bit_equal_under_non_identity_dynamics(seed):
@@ -631,18 +670,40 @@ def stf_reference(model, sats, traj, vb_cfg):
     return filtered, np.array(iterations, dtype=float), c_seq, y_seq
 
 
+def sts_linearization(model, sats, traj):
+    """The [C_k] and [y_k] of the smoother's first forward pass on one
+    trajectory, step by step: linearize at the predicted mean, the
+    augmented update at lambda = 1, predict."""
+    n_x = model.n_x
+    x_pred, p_pred = model.prior_mean, model.prior_cov
+    c_seq, y_seq = [], []
+    for y in traj.measurements:
+        c_mat, y0 = linearize(sats, x_pred)
+        y_k = y - y0 + c_mat @ x_pred
+        cz = np.hstack([c_mat, np.diag(model.Delta)])
+        mean, cov, _, _ = _augmented_update(
+            x_pred, p_pred, y_k, c_mat, cz, model.Delta, model.R, np.ones(model.n_y)
+        )
+        c_seq.append(c_mat)
+        y_seq.append(y_k)
+        x_pred = model.A @ mean[:n_x]
+        p_pred = symmetrize(model.A @ cov[:n_x, :n_x] @ model.A.T + model.Q)
+    return c_seq, y_seq
+
+
 @pytest.mark.parametrize("seed", [1, 7340033])
 @pytest.mark.parametrize("q", [0.5, 5.0])
 def test_sweep_rows_equal_scalar_reference(q, seed):
     """Every lockstep row of both sweep scenarios equals the step-by-step
-    reference filter and smoother on the same linearization."""
+    reference filter, and the reference smoother on the linearization of
+    its own first forward pass at lambda = 1."""
     cfg = ScenarioConfig(q=q, seed=seed, **SWEEP)
     sats = make_constellation(cfg.n_sats, cfg.seed)
     model = scenario_model(cfg, sats)
     vb_cfg = VBConfig()
     trajs = [simulate(cfg, rep) for rep in range(cfg.n_mc)]
     stf, c_seq, y_seq = _stf_rows(model, sats, trajs, vb_cfg)
-    sts = _sts_rows(model, c_seq, y_seq, vb_cfg)
+    sts = _sts_rows(model, sats, trajs, vb_cfg)
     for b, traj in enumerate(trajs):
         filtered, iters, c_ref, y_ref = stf_reference(model, sats, traj, vb_cfg)
         assert_array_equal(stf[b].positions, np.stack([f.mean[:3] for f in filtered]))
@@ -652,15 +713,16 @@ def test_sweep_rows_equal_scalar_reference(q, seed):
         assert_array_equal(stf[b].vb_iterations, iters)
         assert_array_equal(c_seq[b], np.stack(c_ref))
         assert_array_equal(y_seq[b], np.stack(y_ref))
-        means, covs, n_outer, converged = sts_run_scalar(model, y_ref, vb_cfg, c_ref)
+        c_sts, y_sts = sts_linearization(model, sats, traj)
+        means, covs, n_outer, converged = sts_run_scalar(model, y_sts, vb_cfg, c_sts)
         assert_array_equal(sts[b].positions, means[:, :3])
         assert_array_equal(sts[b].position_covs, covs[:, :3, :3])
         assert sts[b].outer_iterations == n_outer
         assert sts[b].converged == converged
     # Batch invariance: a row run alone equals its row of the batch.
-    alone, c_one, y_one = _stf_rows(model, sats, trajs[2:3], vb_cfg)
+    alone, _, _ = _stf_rows(model, sats, trajs[2:3], vb_cfg)
     assert_array_equal(alone[0].positions, stf[2].positions)
-    alone_sts = _sts_rows(model, c_one, y_one, vb_cfg)
+    alone_sts = _sts_rows(model, sats, trajs[2:3], vb_cfg)
     assert_array_equal(alone_sts[0].positions, sts[2].positions)
 
 
@@ -724,24 +786,89 @@ def ran_alone(*args, **kwargs):
 
 
 class TestRunExperimentLockstep:
-    def test_stf_and_sts_share_one_filter_pass(self, monkeypatch):
+    def test_stf_and_sts_run_as_independent_batches(self, monkeypatch):
+        """"stf" and "sts" each run once as one batch of all replications,
+        an "sts"-only run does not run the STF, and the records of both
+        together equal those of each run alone."""
         batches = []
-        real = experiments._stf_rows
 
-        def counting(model, sats, trajs, vb_cfg):
-            batches.append(len(trajs))
-            return real(model, sats, trajs, vb_cfg)
+        def counting(name):
+            real = getattr(experiments, name)
 
-        monkeypatch.setattr(experiments, "_stf_rows", counting)
+            def run(model, sats, trajs, vb_cfg):
+                batches.append((name, len(trajs)))
+                return real(model, sats, trajs, vb_cfg)
+            return run
+
+        for name in ("_stf_rows", "_sts_rows"):
+            monkeypatch.setattr(experiments, name, counting(name))
         cfg = sweep_config(K=5, n_mc=34)
         both = run_experiment(cfg)
-        assert batches == [cfg.n_mc]
+        assert batches == [("_stf_rows", cfg.n_mc), ("_sts_rows", cfg.n_mc)]
+        batches.clear()
+        run_experiment(replace(cfg, estimators=("sts",)))
+        assert batches == [("_sts_rows", cfg.n_mc)]
         separate = sorted(
             run_experiment(replace(cfg, estimators=("stf",)))
             + run_experiment(replace(cfg, estimators=("sts",))),
             key=lambda r: (r.estimator, r.replication),
         )
         assert timeless(both) == timeless(separate)
+
+    def test_sts_runs_no_filter_and_no_forward_pass_twice(self, monkeypatch):
+        """An "sts"-only sweep makes no STF update and one _filter_rows
+        pass, the smoother's first forward pass.  Its augmented updates and
+        those of the outer loop's later passes add up to one forward pass
+        per outer iteration of each row."""
+        cfg = sweep_config(n_mc=6, estimators=("sts",))
+        calls, row_steps = [], []
+        for name in ("_stf_update_rows", "_filter_rows"):
+            real = getattr(experiments, name)
+
+            def counting(*args, name=name, real=real, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(experiments, name, counting)
+        for module in (experiments, smoothing):
+            real = module._augmented_update
+
+            def spy(x, p, y, *args, real=real):
+                row_steps.append(len(y))
+                return real(x, p, y, *args)
+            monkeypatch.setattr(module, "_augmented_update", spy)
+        records = run_experiment(cfg)
+        assert calls == ["_filter_rows"]
+        assert all(r.status == "ok" for r in records)
+        assert sum(row_steps) == sum(r.outer_iterations for r in records) * cfg.K
+
+    def test_failing_sweep_makes_no_update_on_zero_rows(self, monkeypatch):
+        """In the nu=0.02 sweep every replication fails.  Once its last
+        row has failed, neither the filter nor the smoother's first forward
+        pass runs another step, and each failed record is the one its
+        replication's one-row run raises."""
+        cfg = sweep_config(q=0.5, nu=0.02, K=100, n_mc=4)
+        sats = make_constellation(cfg.n_sats, cfg.seed)
+        sizes = []
+        real_stf, real_update = experiments._stf_update_rows, experiments._augmented_update
+
+        def stf_spy(model, x, *args, **kwargs):
+            sizes.append(len(x))
+            return real_stf(model, x, *args, **kwargs)
+
+        def update_spy(x, *args):
+            sizes.append(len(x))
+            return real_update(x, *args)
+
+        monkeypatch.setattr(experiments, "_stf_update_rows", stf_spy)
+        monkeypatch.setattr(experiments, "_augmented_update", update_spy)
+        with np.errstate(all="ignore"):
+            records = run_experiment(cfg)
+            assert sizes and 0 not in sizes
+            assert [r.status for r in records] == ["failed"] * 8
+            for r in records:
+                with pytest.raises(EstimationError) as info:
+                    run_estimator(r.estimator, cfg, sats, simulate(cfg, r.replication))
+                assert r.reason == str(info.value)
 
     def test_records_equal_scalar_runs(self):
         cfg = sweep_config(n_mc=5)
@@ -762,8 +889,7 @@ class TestRunExperimentLockstep:
         capped = VBConfig(max_iterations=2)
         run = run_estimator("sts", cfg, sats, trajs[0], vb_cfg=capped)
         assert (run.outer_iterations, run.converged) == (2, False)
-        _, c_seq, y_seq = _stf_rows(model, sats, trajs, VBConfig())
-        rows = _sts_rows(model, c_seq, y_seq, capped)
+        rows = _sts_rows(model, sats, trajs, capped)
         assert [(r.outer_iterations, r.converged) for r in rows] == [(2, False)] * 3
         for record in run_experiment(replace(cfg, estimators=("sts",))):
             assert record.converged and 2 <= record.outer_iterations < 30
@@ -798,9 +924,10 @@ class TestRunExperimentLockstep:
 
     @pytest.mark.parametrize("n_mc", [4, 34])
     def test_failed_replication_leaves_its_batch(self, monkeypatch, n_mc):
-        """Replication 2 fails at time step 3 inside the batch: its error
-        names its row, and the row leaves the batch at that step, so only
-        replication 2 fails, with its one-row run's reason and step."""
+        """Replication 2 fails in the STF at time step 3 inside the batch:
+        its error names its row, and the row leaves the batch at that step,
+        so only replication 2's STF record fails, with its one-row run's
+        reason and step; its STS, which never runs the STF, stays ok."""
         cfg = sweep_config(n_mc=n_mc)
         sats = make_constellation(cfg.n_sats, cfg.seed)
         clean = timeless(run_experiment(cfg))
@@ -828,16 +955,17 @@ class TestRunExperimentLockstep:
         assert info.value.step == 3
         records = timeless(run_experiment(cfg))
         failed = [r for r in records if r.status == "failed"]
-        assert [(r.estimator, r.replication) for r in failed] == [("stf", 2), ("sts", 2)]
+        assert [(r.estimator, r.replication) for r in failed] == [("stf", 2)]
         assert all(r.reason == str(info.value) for r in failed)
         assert [r for r in records if r.status == "ok"] == [
-            r for r in clean if r.replication != 2
+            r for r in clean if (r.estimator, r.replication) != ("stf", 2)
         ]
 
     def test_rows_failing_in_filter_and_smoother_leave_their_batches(self, monkeypatch):
         """Replication 1 fails in the STF at time step 3 and replication 4
-        only in the STS backward gain at time step 5.  Replication 1 fails
-        in both, replication 4 keeps its STF record, each reason is that of
+        in the STS backward gain at time step 5.  Each fails only in that
+        estimator: replication 1 keeps its STS record (the STS never runs
+        the STF) and replication 4 its STF record.  Each reason is that of
         the row's one-row run, and every other record is the clean run's;
         no replication runs alone."""
         cfg = sweep_config(n_mc=6, estimators=("stf", "sts", "kf", "rtss"))
@@ -875,15 +1003,15 @@ class TestRunExperimentLockstep:
         monkeypatch.setattr(filtering, "solve_spd", failing(real_filter, stf_marker, "stf"))
         monkeypatch.setattr(smoothing, "solve_spd", failing(real_smoother, sts_marker, "sts"))
         reasons = {}
-        for est, rep in (("stf", 1), ("sts", 1), ("sts", 4)):
+        for est, rep in (("stf", 1), ("sts", 4)):
             with pytest.raises(NumericalFailureError) as info:
                 run_estimator(est, cfg, sats, simulate(cfg, rep))
             reasons[est, rep] = str(info.value)
         assert reasons == {
             ("stf", 1): "stf (time step 3)",
-            ("sts", 1): "stf (time step 3)",
             ("sts", 4): "sts (time step 5)",
         }
+        assert run_estimator("sts", cfg, sats, simulate(cfg, 1)).converged
 
         monkeypatch.setattr(experiments, "run_estimator", ran_alone)
         records = timeless(run_experiment(cfg))
@@ -987,8 +1115,9 @@ class TestRunExperimentLockstep:
 
     def test_non_finite_pseudoranges_fail_each_row_at_its_step(self, monkeypatch):
         """Replications 0 and 2 have a non-finite pseudorange at time steps
-        2 and 5.  In one pass per family each fails at its own step in all
-        four estimators, and every other record is the clean run's."""
+        2 and 5.  In one pass per family ("stf", "sts" and "kf" with
+        "rtss") each fails at its own step in all four estimators, and
+        every other record is the clean run's."""
         cfg = sweep_config(n_mc=4, estimators=("stf", "sts", "kf", "rtss"))
         clean = timeless(run_experiment(cfg))
         bad_step = {0: 2, 2: 5}
@@ -1010,7 +1139,7 @@ class TestRunExperimentLockstep:
         monkeypatch.setattr(experiments, "simulate", corrupted)
         monkeypatch.setattr(experiments, "_filter_rows", counting)
         records = timeless(run_experiment(cfg))
-        assert len(passes) == 2
+        assert len(passes) == 3
         assert {(r.estimator, r.replication): r.reason for r in records if r.status == "failed"} == {
             (est, rep): f"pseudorange is not finite (time step {k})"
             for est in cfg.estimators for rep, k in bad_step.items()
@@ -1021,7 +1150,8 @@ class TestRunExperimentLockstep:
 
     def test_error_naming_no_row_fails_every_live_row(self, monkeypatch):
         """An error with no row at time step 3 of the STF batch fails every
-        STF and STS record with its reason; the Kalman family stays ok."""
+        STF record with its reason; the STS, which never runs the STF, and
+        the Kalman family stay ok."""
         cfg = sweep_config(n_mc=3, estimators=("stf", "sts", "kf", "rtss"))
         clean = timeless(run_experiment(cfg))
         real = experiments._stf_update_rows
@@ -1035,10 +1165,8 @@ class TestRunExperimentLockstep:
 
         monkeypatch.setattr(experiments, "_stf_update_rows", fail_at_step_3)
         records = timeless(run_experiment(cfg))
-        vb = [(r.estimator, r.status, r.reason) for r in records if r.estimator in ("stf", "sts")]
-        assert vb == [
-            (est, "failed", "injected (time step 3)") for est in ("stf", "sts") for _ in range(3)
-        ]
-        kalman = [r for r in records if r.estimator in ("kf", "rtss")]
-        assert kalman == [r for r in clean if r.estimator in ("kf", "rtss")]
-        assert all(r.status == "ok" for r in kalman)
+        stf = [(r.status, r.reason) for r in records if r.estimator == "stf"]
+        assert stf == [("failed", "injected (time step 3)")] * 3
+        others = [r for r in records if r.estimator != "stf"]
+        assert others == [r for r in clean if r.estimator != "stf"]
+        assert all(r.status == "ok" for r in others)
