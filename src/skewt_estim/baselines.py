@@ -9,11 +9,15 @@ posterior in the benchmark experiments.  The densities are interpolated
 in a cached table of each component's log density on a uniform grid,
 looked up by direct indexing; the grid step of at most 0.05 spreads bounds
 the interpolation error (see _component_log_likelihoods), and residuals
-outside the grid take the exact density.
+outside the grid take the exact density.  A PF run resolves the tables of
+its components once (_stacked_tables) and writes each step's weighted mean
+and covariance into preallocated arrays (_pf_moments); pf_run returns their
+rows as GaussianBeliefs, and the benchmark reads the arrays.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -166,16 +170,33 @@ def _density_table(spread_sq, shape, dof):
     return grid, log_pdf(comp, grid)
 
 
+class _Tables(NamedTuple):
+    """The density tables of the skew-t components `comps` laid end to end
+    for one lookup over all of them (_stacked_tables).
+
+    Per component: the grid ends lo and hi, the step, and the offset of
+    its table in the flat arrays; lo_max and hi_min bound the interval
+    that lies inside every grid.  Then the flat grids, tables and slopes.
+    Each table has one slope per point; the last point's is 0, a
+    placeholder, since a lookup there sits on the grid point itself.
+    """
+
+    comps: tuple
+    lo: np.ndarray
+    hi: np.ndarray
+    step: np.ndarray
+    offset: np.ndarray
+    lo_max: float
+    hi_min: float
+    grid: np.ndarray
+    table: np.ndarray
+    slope: np.ndarray
+
+
 @lru_cache(maxsize=64)
 def _stacked_tables(comps):
-    """The density tables of the skew-t components `comps` (a tuple) laid
-    end to end for one lookup over all components.
-
-    Returns per component the grid ends and step, the offset of its table
-    in the flat arrays, and the flat grids, tables and slopes.  Each table
-    has one slope per point; the last point's is 0, a placeholder, since a
-    lookup there sits on the grid point itself.
-    """
+    """The _Tables of the skew-t components `comps` (a tuple of
+    SkewTComponent), built from their cached _density_table."""
     grids, tables = map(
         np.stack, zip(*(_density_table(c.spread_sq, c.shape, c.dof) for c in comps))
     )
@@ -184,12 +205,15 @@ def _stacked_tables(comps):
     lo, hi = grids[:, 0], grids[:, -1]
     offset = np.arange(len(comps)) * _GRID_POINTS
     step = (hi - lo) / (_GRID_POINTS - 1)
-    return lo, hi, step, offset, grids.ravel(), tables.ravel(), slopes.ravel()
+    return _Tables(
+        comps, lo, hi, step, offset, lo.max(), hi.min(),
+        grids.ravel(), tables.ravel(), slopes.ravel(),
+    )
 
 
-def _component_log_likelihoods(comps, residuals):
+def _component_log_likelihoods(tables, residuals):
     """Skew-t log densities of a residual matrix (n_p, n_y), column i
-    under component comps[i] (a tuple of SkewTComponent).
+    under component tables.comps[i], from the _Tables of those components.
 
     Interpolates linearly in each component's cached density table, in
     one pass over the whole matrix.  The grid is uniform, so a residual's
@@ -200,13 +224,16 @@ def _component_log_likelihoods(comps, residuals):
     spreads it measured at most 3.3e-4 on components with dof from 1.2 to
     1e8 and shapes up to 200 spreads, and 9.3e-4 at dof 0.5.  Residuals
     outside the grid are evaluated exactly with log_pdf; NaN and infinite
-    residuals give NaN.
+    residuals give NaN.  `residuals` is left as it is.
     """
-    lo, hi, step, offset, grid, table, slope = _stacked_tables(comps)
-    outside = (residuals < lo) | (residuals > hi)
-    # Most calls have no residual outside the grid: test that first, as the
-    # column-wise any() costs more than a lookup step.
-    far = outside.any()
+    comps, lo, hi, step, offset, lo_max, hi_min, grid, table, slope = tables
+    # Most calls have every residual inside every grid, which the extremes
+    # of the whole matrix show for less than a mask over it (a NaN fails
+    # the test, and the mask then decides).
+    far = not (residuals.min() >= lo_max and residuals.max() <= hi_min)
+    if far:
+        outside = (residuals < lo) | (residuals > hi)
+        far = outside.any()
     if far:
         # Infinite residuals become NaN before the lookup, which would warn
         # on 0 * inf, and stay out of log_pdf, which takes finite ones only.
@@ -215,12 +242,15 @@ def _component_log_likelihoods(comps, residuals):
         outside &= ~infinite
     # Clamped as floats before the cast: fmax maps NaN to 0, so NaN and
     # far-off residuals get a valid index (their values are NaN or exact).
-    q = (residuals - lo) / step
+    q = residuals - lo
+    q /= step
     j = np.fmin(np.fmax(q, 0.0, out=q), _GRID_POINTS - 2.0, out=q).astype(np.intp)
     j += offset
     j -= grid[j] > residuals
     j += grid[j + 1] <= residuals
-    out = slope[j] * (residuals - grid[j]) + table[j]
+    out = residuals - grid[j]
+    out *= slope[j]
+    out += table[j]
     if far:
         for i in np.flatnonzero(outside.any(axis=0)):
             rows = outside[:, i]
@@ -254,15 +284,29 @@ def pf_run(
     effective sample size drops below n_particles / 2.  An optional
     `measurement_fn(states) -> (n_p, n_y)` replaces the linear map C x,
     letting the same filter run on nonlinear measurement models.
-    Deterministic for a given seed; returns one GaussianBelief per step.
-    A NaN or infinite measurement leaves no weight finite and raises
-    DegeneracyError at its step.
+    Deterministic for a given seed; returns one GaussianBelief per step,
+    the weighted particle mean and covariance, row k of the arrays that
+    _pf_moments returns.  A NaN or infinite measurement leaves no weight
+    finite and raises DegeneracyError at its step.
+    """
+    return [
+        GaussianBelief(m, c)
+        for m, c in zip(*_pf_moments(model, ys, n_particles, seed, measurement_fn))
+    ]
+
+
+def _pf_moments(model, ys, n_particles, seed, measurement_fn=None) -> tuple:
+    """The filter of pf_run, returning its weighted means (K, n_x) and
+    covariances (K, n_x, n_x) as arrays; run_estimator("pf") calls it.
+
+    The density tables are looked up once per run, and each step writes
+    its moments into the preallocated arrays.
     """
     n_particles = int(n_particles)
     if n_particles < 100:
         raise ValueError(f"n_particles must be >= 100, got {n_particles}")
     ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
-    comps = model.noise_model()
+    tables = _stacked_tables(model.noise_model())
     rng = np.random.default_rng(seed)
 
     prior_factor = psd_sqrt(model.prior_cov)
@@ -272,7 +316,8 @@ def pf_run(
     ) @ prior_factor.T
     log_w = np.zeros(n_particles)
 
-    out = []
+    means = np.empty((len(ys), model.n_x))
+    covs = np.empty((len(ys), model.n_x, model.n_x))
     for k, y in enumerate(ys):
         if k > 0:
             states = states @ model.A.T + rng.standard_normal(
@@ -281,23 +326,23 @@ def pf_run(
         predicted = (
             measurement_fn(states) if measurement_fn is not None else states @ model.C.T
         )
-        log_w = log_w + _component_log_likelihoods(comps, y - predicted).sum(axis=1)
+        log_w += _component_log_likelihoods(tables, y - predicted).sum(axis=1)
         shift = log_w.max()
         if not np.isfinite(shift):
             raise DegeneracyError("all particle weights vanished", step=k)
-        w = np.exp(log_w - shift)
+        w = log_w - shift
+        np.exp(w, out=w)
         w_sum = w.sum()
         if w_sum <= 0.0 or not np.isfinite(w_sum):
             raise DegeneracyError("all particle weights vanished", step=k)
         w /= w_sum
-        mean = w @ states
-        centered = states - mean
-        cov = symmetrize((w[:, None] * centered).T @ centered)
-        out.append(GaussianBelief(mean, cov))
+        means[k] = w @ states
+        centered = states - means[k]
+        covs[k] = symmetrize((w[:, None] * centered).T @ centered)
         if 1.0 / np.sum(w**2) < 0.5 * n_particles:
             idx = _systematic_resample(w, rng)
             states = states[idx]
             log_w = np.zeros(n_particles)
         else:
-            log_w = np.log(w)
-    return out
+            log_w = np.log(w, out=w)
+    return means, covs

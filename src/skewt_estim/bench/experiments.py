@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from ..baselines import GatingConfig, _kf_gated_update_rows, pf_run
+from ..baselines import GatingConfig, _kf_gated_update_rows, _pf_moments, pf_run
 from ..exceptions import EstimationError, NumericalFailureError
 from .._linalg import symmetrize
 from ..filtering import (
@@ -267,17 +267,12 @@ def run_estimator(
     the trajectory.
     """
     if name == "pf":
-        beliefs = pf_run(
+        means, covs = _pf_moments(
             scenario_model(cfg, sats), traj.measurements, cfg.pf_particles,
             seed=_tagged_seed(cfg.seed, replication, 0x5054),
             measurement_fn=partial(pseudoranges, sats),
         )
-        return EstimatorRun(
-            name,
-            np.stack([b.mean[:3] for b in beliefs]),
-            np.stack([b.cov[:3, :3] for b in beliefs]),
-            np.zeros(0),
-        )
+        return EstimatorRun(name, means[:, :3], covs[:, :3, :3], np.zeros(0))
     if name not in ("stf", "sts", "kf", "rtss"):
         raise ValueError(f"unknown estimator {name!r}")
     (run,), _ = _lockstep_rows({name}, cfg, sats, [traj], vb_cfg)[name]
@@ -493,8 +488,7 @@ def run_static_experiment(
         dist_stf[rep] = np.linalg.norm(post.mean[:3] - pf.mean[:3])
         dist_rand[rep] = np.linalg.norm(post_rand.mean[:3] - pf.mean[:3])
         dist_prior[rep] = np.linalg.norm(prior_mean[:3] - pf.mean[:3])
-        err = post.mean[:3] - x[:3]
-        nees_stf[rep] = float(err @ np.linalg.solve(post.cov[:3, :3], err))
+        nees_stf[rep] = nees(post.mean[None], post.cov[None], x[None])[0]
     return StaticResult(dist_stf, dist_rand, dist_prior, nees_stf)
 
 

@@ -166,17 +166,19 @@ def simulate(cfg: ScenarioConfig, replication: int) -> Trajectory:
     """Simulate one truth trajectory and its pseudorange measurements.
 
     Deterministic for a given (cfg.seed, replication); the constellation
-    depends only on cfg.seed so all replications share the geometry.
+    depends only on cfg.seed so all replications share the geometry.  The
+    K - 1 random-walk increments come from one draw, the same stream as
+    one draw of 4 per step, and one cumsum over [x0; increments] adds
+    them in the order of the per-step recursion, so the bits are its own.
     """
     rng = np.random.default_rng(cfg.seed ^ int(replication))
     sats = make_constellation(cfg.n_sats, cfg.seed)
 
     mean, cov = trajectory_prior(cfg)
-    states = np.zeros((cfg.K, 4))
-    states[0] = mean + np.sqrt(np.diag(cov)) * rng.standard_normal(4)
+    start = mean + np.sqrt(np.diag(cov)) * rng.standard_normal(4)
     walk_std = np.array([cfg.q, cfg.q, VERTICAL_WALK_STD_M, 0.0])
-    for k in range(1, cfg.K):
-        states[k] = states[k - 1] + walk_std * rng.standard_normal(4)
+    steps = walk_std * rng.standard_normal((cfg.K - 1, 4))
+    states = np.cumsum(np.concatenate([start[None], steps]), axis=0)
 
     meas = pseudoranges(sats, states)
     comp = SkewTComponent(spread_sq=1.0, shape=cfg.delta, dof=cfg.nu)
@@ -193,7 +195,9 @@ def pseudoranges(sats: np.ndarray, states: np.ndarray) -> np.ndarray:
     # One contiguous (..., n_sats) array per coordinate: on a particle
     # stack this is twice as fast as strided views of a (..., n_sats, 3) one.
     dx, dy, dz = (s - states[..., i, None] for i, s in enumerate(sats.T))
-    return _range(dx, dy, dz) + states[..., 3:4]
+    out = _range(dx, dy, dz)
+    out += states[..., 3:4]
+    return out
 
 
 def _range(dx, dy, dz):
@@ -201,8 +205,13 @@ def _range(dx, dy, dz):
 
     The explicit sum sqrt(dx*dx + dy*dy + dz*dz) adds in the order of
     np.linalg.norm over a last axis of length 3, so it has the same bits.
+    It runs in place in a new array and never writes into its arguments,
+    which may be views (linearize passes them).
     """
-    return np.sqrt(dx * dx + dy * dy + dz * dz)
+    out = dx * dx
+    out += dy * dy
+    out += dz * dz
+    return np.sqrt(out, out=out)
 
 
 def linearize(sats: np.ndarray, nominal: np.ndarray) -> tuple:

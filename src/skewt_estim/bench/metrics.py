@@ -22,15 +22,15 @@ def nees(estimates: np.ndarray, covs: np.ndarray, truth: np.ndarray) -> np.ndarr
     """Per-step normalized estimation error squared of the position block.
 
     e_k^T P_k^{-1} e_k with e_k the position error and P_k the 3x3
-    position covariance; a consistent estimator averages 3.
+    position covariance; a consistent estimator averages 3.  One stacked
+    np.linalg.solve serves all K steps, and each product e_k^T x_k is a
+    (1, 3) @ (3, 1) matmul: both give the bits of the per-step
+    e_k @ np.linalg.solve(P_k, e_k).
     """
     est = np.atleast_2d(np.asarray(estimates, dtype=float))[:, :3]
     tru = np.atleast_2d(np.asarray(truth, dtype=float))[:, :3]
     covs = np.asarray(covs, dtype=float)
     if covs.ndim != 3 or covs.shape[0] != est.shape[0]:
         raise ValueError("covs must be (K, n, n) aligned with estimates")
-    out = np.empty(est.shape[0])
-    for k in range(est.shape[0]):
-        e = est[k] - tru[k]
-        out[k] = float(e @ np.linalg.solve(covs[k, :3, :3], e))
-    return out
+    err = est - tru
+    return (err[:, None, :] @ np.linalg.solve(covs[:, :3, :3], err[..., None]))[:, 0, 0]

@@ -331,10 +331,11 @@ def _forward(model: StateSpaceModel, n_steps: int, step, x, p) -> list:
     from the first step's outputs, then the list of the outcomes of the
     input rows: None, or the EstimationError that failed the row.
 
-    An EstimationError of step k gets its step set to k.  One row raises
-    it again.  In a stack it fails the row it names, or every row when it
-    names none (_fail_rows); those rows leave the recursion and step k
-    runs again for the rows left, so each row is bit-equal to its own run.
+    An EstimationError of step k gets its step set to k (each error of a
+    _RowErrors does).  One row raises it again.  In a stack it fails the
+    row it names, or every row when it names none, or each row a
+    _RowErrors names (_fail_rows); those rows leave the recursion and step
+    k runs again for the rows left, so each row is bit-equal to its own run.
     `rows` indexes the input rows left: a slice of all of them until one
     fails, then an index array.  Once no row is left the recursion stops,
     and the entries it has not written belong to failed rows, which hold
@@ -354,7 +355,8 @@ def _forward(model: StateSpaceModel, n_steps: int, step, x, p) -> list:
                 out = step(k, rows, x, p)
                 break
             except EstimationError as err:
-                err.step = k
+                for one in _row_errors(err):
+                    one.step = k
                 if not lead:
                     raise
                 rows, x, p = _fail_rows(failed, err, rows, x, p)
@@ -369,28 +371,52 @@ def _forward(model: StateSpaceModel, n_steps: int, step, x, p) -> list:
     return [*stacks, failed]
 
 
+class _RowErrors(EstimationError):
+    """The errors of two or more failed rows of a nested lockstep loop,
+    each naming its row, raised at once (_raise_failed), so that the loop
+    around records them all in one _fail_rows call."""
+
+    def __init__(self, errors):
+        super().__init__("; ".join(map(str, errors)))
+        self.errors = errors
+
+
+def _row_errors(err: EstimationError) -> list:
+    """The errors err stands for: those of a _RowErrors, else err alone."""
+    return err.errors if isinstance(err, _RowErrors) else [err]
+
+
 def _fail_rows(failed: list, err: EstimationError, rows, *arrays) -> list:
-    """Record err as the outcome failed[b] of the input row b of the live
-    row it names (its position among the rows that rows indexes), or of
-    every live row when it names none; returns the index array of the live
-    rows and arrays without those rows."""
+    """Record each error of err (_row_errors) as the outcome failed[b] of
+    the input row b of the live row it names (its position among the rows
+    that rows indexes), or of every live row when it names none; returns
+    the index array of the live rows and arrays without those rows."""
     rows = np.arange(len(failed))[rows]
-    left = rows != rows[err.row] if err.row is not None else np.zeros(len(rows), bool)
-    for b in rows[~left]:
-        failed[b] = err
+    left = np.ones(len(rows), bool)
+    for one in _row_errors(err):
+        gone = slice(None) if one.row is None else [one.row]
+        left[gone] = False
+        for b in rows[gone]:
+            failed[b] = one
     return [a[left] for a in (rows, *arrays)]
 
 
 def _raise_failed(*out) -> tuple:
     """out without its last item, the outcomes of a lockstep loop's rows;
-    if a row failed, the error of the lowest failed row is raised again
-    instead, naming that row.  A loop nested in another hands its failures
-    on this way, so that the loop it runs in owns them; a one-row call
-    raises its row's error this way."""
+    if rows failed, their errors are raised again instead, each naming its
+    row: one row's error itself, two or more at once as a _RowErrors.  A
+    loop nested in another hands its failures on this way, so that the
+    loop it runs in owns them all after one rerun; a one-row call raises
+    its row's error this way."""
+    errors = []
     for b, err in enumerate(out[-1]):
         if err is not None:
             err.row = b
-            raise err
+            errors.append(err)
+    if len(errors) > 1:
+        raise _RowErrors(errors)
+    if errors:
+        raise errors[0]
     return out[:-1]
 
 
@@ -512,8 +538,11 @@ def _vb_loop(update, args, lam, upper, cfg) -> tuple:
     the second iteration on, the largest Euclidean change of its x means
     over its steps is below cfg.tol.  Or it fails: update raises an
     EstimationError, which one row raises again and a stack records as
-    the outcome of the row it names, or of every row when it names none
-    (_fail_rows); the iteration then runs again for the rows left.
+    the outcome of the row it names, or of every row when it names none,
+    or of each row a _RowErrors names (_fail_rows); the iteration then
+    runs again for the rows left.  Once no row is left the loop stops; only
+    when no row is left at the first iteration does update run, on no
+    rows, to size the outputs.
     Returns the kept outputs, the next lam, the iteration counts, the
     convergence flags and the outcomes (None or the error) of every row.
     """
@@ -535,6 +564,8 @@ def _vb_loop(update, args, lam, upper, cfg) -> tuple:
                 if not batch:
                     raise
                 rows, xs, gs, *args = _fail_rows(failed, err, rows, xs, gs, *args)
+                if it and not rows.size:
+                    return out[:-1], next_lam, iterations, converged, failed
                 lam = xs[:, -1].copy()  # update may have overwritten lam
         gs[..., :-1, :] = gs[..., 1:, :] if it else image[..., None, :]
         gs[..., -1, :] = image

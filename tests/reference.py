@@ -3,11 +3,13 @@
 Everything here is deliberately written in the plainest possible form
 (batch matrix updates, explicit inverses) and shares no code with the
 package under test.  The exceptions are sts_run_scalar, the smoother of
-one trajectory at a time that the lockstep smoother replaced, and
+one trajectory at a time that the lockstep smoother replaced,
 component_log_likelihoods_interp, the per-component np.interp lookup
-that the one-pass lookup replaced.  They are built on the package's
-scalar update kernel, Anderson step and density tables, so the code that
-replaced them can be held to them bit for bit.
+that the one-pass lookup replaced, and simulate_loop, the per-step random
+walk that one draw and one cumsum replaced.  They are built on the
+package's scalar update kernel, Anderson step, density tables, geometry
+and noise sampler, so the code that replaced them can be held to them bit
+for bit.
 """
 
 import numpy as np
@@ -18,8 +20,14 @@ from scipy.stats import truncnorm as scipy_truncnorm
 
 from skewt_estim._linalg import solve_spd, symmetrize
 from skewt_estim.baselines import _density_table
+from skewt_estim.bench.gnss import (
+    VERTICAL_WALK_STD_M,
+    make_constellation,
+    pseudoranges,
+    trajectory_prior,
+)
 from skewt_estim.filtering import _anderson_step, _augmented_update
-from skewt_estim.skewt import log_pdf
+from skewt_estim.skewt import SkewTComponent, log_pdf, sample_rng
 
 
 def kalman_filter(a, q, c, r_diag, m0, p0, ys):
@@ -302,3 +310,22 @@ def component_log_likelihoods_interp(comps, residuals):
             vals[outside] = log_pdf(comp, r[outside])
         out[:, i] = vals
     return out
+
+
+def simulate_loop(cfg, replication):
+    """The truth states (K, 4) and pseudoranges (K, n_sats) of
+    gnss.simulate, with the random walk drawn and added one step at a
+    time."""
+    rng = np.random.default_rng(cfg.seed ^ int(replication))
+    sats = make_constellation(cfg.n_sats, cfg.seed)
+    mean, cov = trajectory_prior(cfg)
+    states = np.zeros((cfg.K, 4))
+    states[0] = mean + np.sqrt(np.diag(cov)) * rng.standard_normal(4)
+    walk_std = np.array([cfg.q, cfg.q, VERTICAL_WALK_STD_M, 0.0])
+    for k in range(1, cfg.K):
+        states[k] = states[k - 1] + walk_std * rng.standard_normal(4)
+    meas = pseudoranges(sats, states)
+    comp = SkewTComponent(spread_sq=1.0, shape=cfg.delta, dof=cfg.nu)
+    for i in range(cfg.n_sats):
+        meas[:, i] += sample_rng(comp, cfg.K, rng)
+    return states, meas

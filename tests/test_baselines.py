@@ -14,6 +14,8 @@ from skewt_estim.baselines import (
     GatingConfig,
     _component_log_likelihoods,
     _density_table,
+    _pf_moments,
+    _stacked_tables,
     _systematic_resample,
     kf_gated_run,
     kf_gated_update,
@@ -261,6 +263,48 @@ class TestParticleFilter:
             with pytest.raises(DegeneracyError, match="time step 1"):
                 pf_run(model, [np.zeros(2), y], 1000, seed=0)
 
+    @staticmethod
+    def sweep_run():
+        """The arguments of a PF run on six steps of a sweep scenario."""
+        cfg = ScenarioConfig(q=5.0, delta=5.0, nu=4.0, rho=100.0, K=6, n_mc=1, seed=1)
+        sats = make_constellation(cfg.n_sats, cfg.seed)
+        ys = simulate(cfg, 0).measurements
+        return (scenario_model(cfg, sats), ys, 1000, 7), partial(pseudoranges, sats)
+
+    def test_beliefs_are_the_rows_of_the_moment_arrays(self):
+        args, h = self.sweep_run()
+        means, covs = _pf_moments(*args, measurement_fn=h)
+        beliefs = pf_run(*args, measurement_fn=h)
+        assert (means.shape, covs.shape) == ((6, 4), (6, 4, 4))
+        for b, m, c in zip(beliefs, means, covs, strict=True):
+            assert np.array_equal(b.mean, m)
+            assert np.array_equal(b.cov, c)
+
+    def test_density_tables_resolved_once_per_run(self, monkeypatch):
+        args, h = self.sweep_run()
+        real = baselines._stacked_tables
+        calls = []
+
+        def spy(comps):
+            calls.append(comps)
+            return real(comps)
+
+        monkeypatch.setattr(baselines, "_stacked_tables", spy)
+        pf_run(*args, measurement_fn=h)
+        assert calls == [args[0].noise_model()]
+        _pf_moments(*args, measurement_fn=h)
+        assert len(calls) == 2
+
+    def test_linear_measurement_fn_bit_equal_to_linear_map(self):
+        rng = np.random.default_rng(64)
+        model = random_model(rng, 2, 3, delta=2.0, nu=4.0)
+        ys = simulate_linear(model, rng, 8)
+        plain = pf_run(model, ys, 1000, seed=65)
+        mapped = pf_run(model, ys, 1000, seed=65, measurement_fn=lambda s: s @ model.C.T)
+        for a, b in zip(plain, mapped, strict=True):
+            assert np.array_equal(a.mean, b.mean)
+            assert np.array_equal(a.cov, b.cov)
+
 
 class _AlmostOneRng:
     """Stub generator whose uniform draw is the largest double below 1."""
@@ -353,7 +397,7 @@ class TestLikelihoodLookup:
     def test_bit_equal_to_interp_per_component(self, case):
         comps, residuals = case
         np.testing.assert_array_equal(
-            _component_log_likelihoods(comps, residuals),
+            _component_log_likelihoods(_stacked_tables(comps), residuals),
             component_log_likelihoods_interp(comps, residuals),
         )
 
@@ -365,7 +409,7 @@ class TestLikelihoodLookup:
         )[:, None]
         comps = components_of([comp])
         np.testing.assert_array_equal(
-            _component_log_likelihoods(comps, residuals),
+            _component_log_likelihoods(_stacked_tables(comps), residuals),
             component_log_likelihoods_interp(comps, residuals),
         )
 
@@ -374,7 +418,8 @@ class TestLikelihoodLookup:
         grid, _ = _density_table(*comp)
         assert grid[1] - grid[0] <= 0.05 * np.sqrt(comp[0]) * (1 + 1e-12)
         mid = 0.5 * (grid[:-1] + grid[1:])
-        got = _component_log_likelihoods(components_of([comp]), mid[:, None])[:, 0]
+        tables = _stacked_tables(components_of([comp]))
+        got = _component_log_likelihoods(tables, mid[:, None])[:, 0]
         assert np.abs(got - log_pdf(SkewTComponent(*comp), mid)).max() <= 1e-3
 
     @pytest.mark.parametrize("n_particles", [1000, 100_000])
@@ -390,7 +435,8 @@ class TestLikelihoodLookup:
                       measurement_fn=partial(pseudoranges, sats))
         fast = run()
         monkeypatch.setattr(
-            baselines, "_component_log_likelihoods", component_log_likelihoods_interp
+            baselines, "_component_log_likelihoods",
+            lambda tables, residuals: component_log_likelihoods_interp(tables.comps, residuals),
         )
         for a, b in zip(fast, run(), strict=True):
             assert np.array_equal(a.mean, b.mean)

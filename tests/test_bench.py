@@ -38,6 +38,8 @@ from skewt_estim.filtering import VBConfig
 from skewt_estim.skewt import SkewTComponent, moments
 from skewt_estim.smoothing import _run_vb_rows
 
+from reference import simulate_loop
+
 
 def small_config(**overrides):
     base = dict(
@@ -122,6 +124,15 @@ class TestSimulate:
         assert np.array_equal(a.measurements, b.measurements)
         c = simulate(cfg, 4)
         assert not np.array_equal(a.measurements, c.measurements)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 100])
+    def test_bit_equal_to_per_step_walk(self, n_steps):
+        cfg = replace(small_config(), K=n_steps)
+        for rep in (0, 5):
+            traj = simulate(cfg, rep)
+            states, meas = simulate_loop(cfg, rep)
+            assert np.array_equal(traj.states, states)
+            assert np.array_equal(traj.measurements, meas)
 
 
 class TestLinearize:
@@ -229,6 +240,24 @@ class TestMetrics:
     def test_nees_unit_example(self):
         covs = np.stack([np.eye(3)])
         assert nees(np.ones((1, 3)), covs, np.zeros((1, 3)))[0] == pytest.approx(3.0)
+
+    def test_nees_bit_equal_to_per_step_solve(self):
+        # Random SPD 4x4 covariances, of which nees reads the position
+        # block, one of them with a position block of condition ~1e12.
+        rng = np.random.default_rng(8)
+        n = 200
+        a = rng.standard_normal((n, 4, 4))
+        covs = a @ a.swapaxes(1, 2) + 0.1 * np.eye(4)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        covs[7, :3, :3] = (q * [1e6, 1.0, 1e-6]) @ q.T
+        est = rng.standard_normal((n, 4)) * 10.0
+        truth = rng.standard_normal((n, 4))
+        expected = np.array([
+            (e - t) @ np.linalg.solve(p[:3, :3], e - t)
+            for e, t, p in zip(est[:, :3], truth[:, :3], covs)
+        ])
+        assert np.linalg.cond(covs[7, :3, :3]) > 1e11
+        np.testing.assert_array_equal(nees(est, covs, truth), expected)
 
     def test_nees_calibrated_estimator(self):
         rng = np.random.default_rng(7)

@@ -567,6 +567,31 @@ class TestStackedKernels:
             _vb_loop(update, (np.array(1.0),), np.ones(2), 10.0, VBConfig())
         assert info.value.row is None
 
+    def test_vb_loop_fails_the_rows_of_a_nested_loop_at_once(self):
+        """At the second iteration a nested loop hands on the failures of
+        its rows 0 and 2 of three (_raise_failed): both leave at once, each
+        with its own error, and the iteration runs again once, for row 1.
+        Once row 1 fails at the third iteration the loop stops, with no
+        update on zero rows."""
+        calls = []
+
+        def update(ids, lam):
+            calls.append(ids.tolist())
+            if len(calls) == 2:
+                filtering._raise_failed(
+                    [NumericalFailureError("a"), None, NumericalFailureError("b")]
+                )
+            if len(calls) == 4:
+                raise NumericalFailureError("c", row=0)
+            return (lam,), lam, np.full((len(ids), 1), float(len(calls)))
+
+        _, _, iterations, _, failed = _vb_loop(
+            update, (np.arange(3.0),), np.ones((3, 2)), 10.0, VBConfig()
+        )
+        assert calls == [[0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [1.0], [1.0]]
+        assert [str(e) for e in failed] == ["a", "c", "b"]
+        assert iterations.tolist() == [1, 2, 1]
+
     @pytest.mark.parametrize("last", [3, 0])
     def test_forward_stops_once_no_row_is_left(self, last):
         """Row 1 of three fails at step 1 (last = 3), and every row left
@@ -1111,6 +1136,64 @@ class TestRunExperimentLockstep:
         assert failed == [("sts", 2, str(info.value))]
         assert [r for r in records if r.status == "ok"] == [
             r for r in clean if (r.estimator, r.replication) != ("sts", 2)
+        ]
+
+    def test_rows_failing_in_one_smoother_pass_cost_one_rerun(self, monkeypatch):
+        """Replications 1, 3 and 4 fail in the innovation covariance solve
+        at time step 3 of the second outer iteration's forward pass, the
+        first that smoothing._forward_rows runs.  The pass hands all three
+        failures on at once, so the iteration runs again once, on the three
+        rows left; each failed record keeps its one-row run's reason, and
+        every other record is the clean run's."""
+        cfg = sweep_config(n_mc=6, estimators=("sts",))
+        sats = make_constellation(cfg.n_sats, cfg.seed)
+        failing_reps, step = (1, 3, 4), 3
+        real_solve, real_forward = filtering.solve_spd, smoothing._forward_rows
+        seen = []
+
+        def spy(s, b, what="matrix"):
+            seen.append(s.copy())
+            return real_solve(s, b, what)
+
+        monkeypatch.setattr(filtering, "solve_spd", spy)
+        markers = []
+        for rep in failing_reps:
+            seen.clear()
+            run_estimator("sts", cfg, sats, simulate(cfg, rep))
+            # One solve per step: the first pass (through _filter_rows),
+            # then the second iteration's forward pass.
+            markers.append(seen[cfg.K + step])
+            assert sum(np.array_equal(s, markers[-1]) for s in seen) == 1
+
+        def failing(s, b, what="matrix"):
+            if any(np.array_equal(s, m) for m in markers):
+                raise NumericalFailureError("injected")
+            return real_solve(s, b, what)
+
+        monkeypatch.setattr(filtering, "solve_spd", failing)
+        reasons = {}
+        for rep in failing_reps:
+            with pytest.raises(NumericalFailureError) as info:
+                run_estimator("sts", cfg, sats, simulate(cfg, rep))
+            reasons["sts", rep] = str(info.value)
+        assert set(reasons.values()) == {f"injected (time step {step})"}
+
+        sizes = []
+
+        def counting(model, ys, *args):
+            sizes.append(len(ys))
+            return real_forward(model, ys, *args)
+
+        monkeypatch.setattr(filtering, "solve_spd", real_solve)
+        clean = timeless(run_experiment(cfg))
+        monkeypatch.setattr(filtering, "solve_spd", failing)
+        monkeypatch.setattr(smoothing, "_forward_rows", counting)
+        records = timeless(run_experiment(cfg))
+        assert sizes[:2] == [cfg.n_mc, cfg.n_mc - len(failing_reps)]
+        failed = {(r.estimator, r.replication): r.reason for r in records if r.status == "failed"}
+        assert failed == reasons
+        assert [r for r in records if r.status == "ok"] == [
+            r for r in clean if (r.estimator, r.replication) not in reasons
         ]
 
     def test_non_finite_pseudoranges_fail_each_row_at_its_step(self, monkeypatch):
