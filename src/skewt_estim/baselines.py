@@ -297,7 +297,8 @@ def pf_run(
 
 def _pf_moments(model, ys, n_particles, seed, measurement_fn=None) -> tuple:
     """The filter of pf_run, returning its weighted means (K, n_x) and
-    covariances (K, n_x, n_x) as arrays; run_estimator("pf") calls it.
+    covariances (K, n_x, n_x) as arrays; the "pf" family of
+    bench.experiments._lockstep_rows calls it, one row at a time.
 
     The density tables are looked up once per run, and each step writes
     its moments into the preallocated arrays.

@@ -6,28 +6,24 @@ lines are ignored.  Keys mirror the ScenarioConfig fields; the
 rejected.
 """
 
+from dataclasses import MISSING, fields
+
 from ..exceptions import ConfigError
 from .gnss import ScenarioConfig
 
 __all__ = ["parse_config", "load_config"]
 
-_FIELD_PARSERS = {
-    "name": str,
-    "q": float,
-    "delta": float,
-    "rho": float,
-    "nu": float,
-    "K": int,
-    "n_sats": int,
-    "n_mc": int,
-    "seed": int,
-    "pf_particles": int,
-    "estimators": lambda v: tuple(
-        s.strip() for s in v.split(",") if s.strip()
-    ),
-}
 
-_REQUIRED = ("q", "delta", "rho", "nu", "K", "n_mc", "seed")
+def _comma_list(value: str) -> tuple:
+    return tuple(s.strip() for s in value.split(",") if s.strip())
+
+
+# Each field's type parses its value; the tuple-typed estimators field is
+# a comma-separated list.  A field without a default is required.
+_FIELD_PARSERS = {
+    f.name: _comma_list if f.type is tuple else f.type for f in fields(ScenarioConfig)
+}
+_REQUIRED = tuple(f.name for f in fields(ScenarioConfig) if f.default is MISSING)
 
 
 def parse_config(text: str) -> ScenarioConfig:

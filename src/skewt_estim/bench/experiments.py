@@ -29,6 +29,7 @@ from ..skewt import SkewTComponent, moment_match, moments, sample_rng
 from ..smoothing import _backward_rows, _run_vb_rows
 from ..truncnorm import OPTIMAL, RandomOrder, rec_trunc, tmnd_oracle
 from .gnss import (
+    KNOWN_ESTIMATORS,
     ScenarioConfig,
     Trajectory,
     VERTICAL_WALK_STD_M,
@@ -60,6 +61,8 @@ CSV_HEADER = "scenario,estimator,replication,rmse_m,mean_nees,mean_vb_iters,wall
 # tight vertical and clock channels.
 STATIC_VERTICAL_PRIOR_STD_M = 0.22
 STATIC_BIAS_PRIOR_STD_M = 0.1
+STATIC_N_SATS = 8
+STATIC_PF_PARTICLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -75,8 +78,8 @@ class RunRecord:
     wall_time: float
     status: str
     # Not in the CSV: str() of the error of a "failed" run, the same as
-    # its replication's one-row run raises (the row left its lockstep loop
-    # at that error while the other rows went on; "sts" linearizes on its
+    # its replication's one-row run raises (the row left its loop at that
+    # error while the other rows went on; "sts" linearizes on its
     # own first forward pass at lambda = 1, so a row failing in the STF no
     # longer fails its STS); for "sts" the outer VB iterations; for "stf"
     # and "sts" whether every VB loop converged.
@@ -248,6 +251,23 @@ def _rtss_rows(pass_rows):
     ]
 
 
+def _pf_rows(model, cfg, sats, trajs, reps):
+    """Bootstrap PF of B trajectories, one row at a time through
+    _pf_moments: the outcome of each trajectory, its "pf" EstimatorRun or
+    the EstimationError that failed it.  Replication rep's particles are
+    seeded by _tagged_seed(cfg.seed, rep, 0x5054)."""
+    measure = partial(pseudoranges, sats)
+    runs = []
+    for traj, rep in zip(trajs, reps):
+        seed = _tagged_seed(cfg.seed, rep, 0x5054)
+        try:
+            means, covs = _pf_moments(model, traj.measurements, cfg.pf_particles, seed, measure)
+            runs.append(EstimatorRun("pf", means[:, :3], covs[:, :3, :3], np.zeros(0)))
+        except EstimationError as err:
+            runs.append(err)
+    return runs
+
+
 def run_estimator(
     name: str,
     cfg: ScenarioConfig,
@@ -261,34 +281,28 @@ def run_estimator(
     Measurements are relinearized per step at the running predicted mean.
     "sts" linearizes on its own first forward pass, at lambda = 1, and
     reuses those points in its later passes, so it never runs the STF;
-    "rtss" smooths the "kf" pass on the KF's linearization points.  "stf",
-    "sts", "kf" and "rtss" are the one-trajectory calls of the lockstep
-    batch run_experiment runs, and raise the EstimationError that fails
-    the trajectory.
+    "rtss" smooths the "kf" pass on the KF's linearization points; "pf"
+    seeds its particles from cfg.seed and `replication`.  Each name is
+    the one-row call of the batch run_experiment runs (_lockstep_rows),
+    and raises the EstimationError that fails the trajectory.
     """
-    if name == "pf":
-        means, covs = _pf_moments(
-            scenario_model(cfg, sats), traj.measurements, cfg.pf_particles,
-            seed=_tagged_seed(cfg.seed, replication, 0x5054),
-            measurement_fn=partial(pseudoranges, sats),
-        )
-        return EstimatorRun(name, means[:, :3], covs[:, :3, :3], np.zeros(0))
-    if name not in ("stf", "sts", "kf", "rtss"):
+    if name not in KNOWN_ESTIMATORS:
         raise ValueError(f"unknown estimator {name!r}")
-    (run,), _ = _lockstep_rows({name}, cfg, sats, [traj], vb_cfg)[name]
+    (run,), _ = _lockstep_rows({name}, cfg, sats, [traj], vb_cfg, [replication])[name]
     if isinstance(run, EstimationError):
         raise run
     return run
 
 
-def _lockstep_rows(names, cfg, sats, trajs, vb_cfg) -> dict:
-    """The lockstep runs of the estimators `names` on all trajs at once.
+def _lockstep_rows(names, cfg, sats, trajs, vb_cfg, reps) -> dict:
+    """The runs of the estimators `names` on all trajs at once; reps[b]
+    is the replication number of trajs[b], which seeds its PF.
 
     Each family runs once as one batch: the filter "stf"; the smoother
     "sts", which linearizes on its own first forward pass at lambda = 1
-    (_sts_rows) and never runs the filter; and "kf" with "rtss", which
-    smooths the "kf" pass.  So an "sts" outcome is the same whatever else
-    `names` holds.
+    (_sts_rows) and never runs the filter; "kf" with "rtss", which
+    smooths the "kf" pass; and "pf", whose rows run one at a time
+    (_pf_rows).  So an outcome is the same whatever else `names` holds.
 
     A row leaves the loop it fails in while the other rows go on
     (filtering._forward, filtering._vb_loop, smoothing._backward_rows), so
@@ -303,7 +317,7 @@ def _lockstep_rows(names, cfg, sats, trajs, vb_cfg) -> dict:
     """
     model = scenario_model(cfg, sats)
     out = {}
-    for family in (("stf",), ("sts",), ("kf", "rtss")):
+    for family in (("stf",), ("sts",), ("kf", "rtss"), ("pf",)):
         wanted = names & set(family)
         if not wanted:
             continue
@@ -313,6 +327,8 @@ def _lockstep_rows(names, cfg, sats, trajs, vb_cfg) -> dict:
                 runs, _, _ = _stf_rows(model, sats, trajs, vb_cfg)
             elif family == ("sts",):
                 runs = _sts_rows(model, sats, trajs, vb_cfg)
+            elif family == ("pf",):
+                runs = _pf_rows(model, cfg, sats, trajs, reps)
             else:
                 runs, (*stacks, gauss), _ = _kf_rows(model, cfg, sats, trajs, GatingConfig())
             out[family[0]] = runs, (time.perf_counter() - start) / len(trajs)
@@ -324,14 +340,6 @@ def _lockstep_rows(names, cfg, sats, trajs, vb_cfg) -> dict:
         except EstimationError as err:
             out.update({name: ([err] * len(trajs), 0.0) for name in wanted})
     return out
-
-
-def _lockstep_runs(cfg, sats, trajs):
-    """The lockstep runs of run_experiment: _lockstep_rows of cfg's
-    estimators at VBConfig().  Each family ("stf", "sts", "kf" with
-    "rtss") runs once as one batch; a row that fails leaves the loop it
-    fails in while the other rows go on, and no batch runs again."""
-    return _lockstep_rows(set(cfg.estimators), cfg, sats, trajs, VBConfig())
 
 
 def _record(cfg, est, rep, traj, run, elapsed):
@@ -358,24 +366,23 @@ def _record(cfg, est, rep, traj, run, elapsed):
 def run_experiment(cfg: ScenarioConfig, out_path=None, timing: bool = False) -> list:
     """Run all configured estimators over n_mc simulated replications.
 
-    "stf", "sts", "kf" and "rtss" run all n_mc replications as one
-    lockstep batch per family (_lockstep_runs), which runs once: "stf",
-    "sts" and "kf" with "rtss".  "sts" linearizes on its own first forward
+    All n_mc replications run as one batch per family (_lockstep_rows),
+    which runs once: "stf", "sts" and "kf" with "rtss" in lockstep, and
+    "pf" one row at a time.  "sts" linearizes on its own first forward
     pass at lambda = 1 and never runs the STF, so its records do not
     depend on whether "stf" is configured, and a replication failing in
     the STF no longer fails its STS; "rtss" smooths the "kf" pass.  A
     replication whose run meets an EstimationError leaves the loop it
     fails in, and the other rows go on, so each record is the one a
-    single-replication run gives.  The batch holds
-    about 1.5 MB per replication at K=100 and 8 satellites, and peak
-    memory grows as n_mc * K * (4 + n_sats)^2.  The PF runs one
-    replication at a time.
+    single-replication run gives.  A lockstep batch holds about 1.5 MB
+    per replication at K=100 and 8 satellites, and peak memory grows as
+    n_mc * K * (4 + n_sats)^2.
 
     Returns the sorted RunRecord list and, when `out_path` is given, writes
     the CSV there.  By default the wall_time_s column is written as 0 so
     that identical configurations produce byte-identical files; pass
-    timing=True to emit measured (non-reproducible) times, where a
-    lockstep row's time is its family's batch time divided by n_mc.
+    timing=True to emit measured (non-reproducible) times, where every
+    record's time is its family's batch time divided by n_mc.
     Only an EstimationError makes a "failed" record; other exceptions
     propagate.
     """
@@ -385,20 +392,12 @@ def run_experiment(cfg: ScenarioConfig, out_path=None, timing: bool = False) -> 
         RunRecord(cfg.name, "", rep, float("nan"), float("nan"), float("nan"), 0.0, "simulated")
         for rep in range(cfg.n_mc)
     ]
-    batch = _lockstep_runs(cfg, sats, trajs) if trajs else {}
-    for est in cfg.estimators:
-        for rep, traj in enumerate(trajs):
-            if est == "pf":
-                start = time.perf_counter()
-                try:
-                    run = run_estimator(est, cfg, sats, traj, replication=rep)
-                except EstimationError as err:
-                    run = err
-                elapsed = time.perf_counter() - start
-            else:
-                runs, elapsed = batch[est]
-                run = runs[rep]
-            records.append(_record(cfg, est, rep, traj, run, elapsed))
+    if trajs:  # _lockstep_rows takes one row or more
+        batch = _lockstep_rows(set(cfg.estimators), cfg, sats, trajs, VBConfig(), range(cfg.n_mc))
+        for est in cfg.estimators:
+            runs, elapsed = batch[est]
+            for rep, (traj, run) in enumerate(zip(trajs, runs)):
+                records.append(_record(cfg, est, rep, traj, run, elapsed))
     records.sort(key=lambda r: (r.scenario, r.estimator, r.replication))
     if out_path is not None:
         write_records_csv(records, out_path, timing=timing)
@@ -435,18 +434,16 @@ def run_static_experiment(
     rho: float,
     n_replications: int,
     seed: int,
-    n_sats: int = 8,
-    pf_particles: int = 100_000,
-    vb_cfg: VBConfig = VBConfig(),
 ) -> StaticResult:
     """Single-epoch positioning: posterior means versus a large-sample PF.
 
     Each replication draws one state from the static prior and one
-    pseudorange vector, then compares the position estimates of the
-    truncation-based update (greedy and random ordering) and of the prior
-    against the particle filter reference.
+    pseudorange vector from STATIC_N_SATS satellites, then compares the
+    position estimates of the truncation-based update (greedy and random
+    ordering, VBConfig()) and of the prior against the particle filter
+    reference of STATIC_PF_PARTICLES particles.
     """
-    sats = make_constellation(n_sats, seed)
+    sats = make_constellation(STATIC_N_SATS, seed)
     prior_mean = np.zeros(4)
     prior_cov = np.diag(
         [rho, rho, STATIC_VERTICAL_PRIOR_STD_M**2, STATIC_BIAS_PRIOR_STD_M**2]
@@ -456,9 +453,9 @@ def run_static_experiment(
         A=np.eye(4),
         Q=np.zeros((4, 4)),
         C=c_mat,
-        R=np.ones(n_sats),
-        Delta=np.full(n_sats, delta),
-        nu=np.full(n_sats, nu),
+        R=np.ones(STATIC_N_SATS),
+        Delta=np.full(STATIC_N_SATS, delta),
+        nu=np.full(STATIC_N_SATS, nu),
         prior_mean=prior_mean,
         prior_cov=prior_cov,
     )
@@ -471,16 +468,16 @@ def run_static_experiment(
         rng = np.random.default_rng(seed ^ rep)
         x = prior_mean + np.sqrt(np.diag(prior_cov)) * rng.standard_normal(4)
         noise_comp = SkewTComponent(spread_sq=1.0, shape=delta, dof=nu)
-        y = pseudoranges(sats, x) + sample_rng(noise_comp, n_sats, rng)
+        y = pseudoranges(sats, x) + sample_rng(noise_comp, STATIC_N_SATS, rng)
 
         y_adj = y - y0
-        post, _ = stf_update(model, prior_belief, y_adj, vb_cfg)
+        post, _ = stf_update(model, prior_belief, y_adj)
         post_rand, _ = stf_update(
-            model, prior_belief, y_adj, vb_cfg,
+            model, prior_belief, y_adj,
             order_policy=RandomOrder(_tagged_seed(seed, rep, 0x52)),
         )
         pf = pf_run(
-            model, [y], pf_particles,
+            model, [y], STATIC_PF_PARTICLES,
             seed=_tagged_seed(seed, rep, 0x5054),
             measurement_fn=partial(pseudoranges, sats),
         )[0]

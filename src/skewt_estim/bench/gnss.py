@@ -53,7 +53,8 @@ class ScenarioConfig:
     n_sats : number of satellites (>= 4).
     n_mc : number of Monte Carlo replications.
     seed : base seed; replication r uses seed XOR r.
-    estimators : estimator names to run (subset of KNOWN_ESTIMATORS).
+    estimators : estimator names to run (subset of KNOWN_ESTIMATORS), each
+        named once.
     name : scenario identifier used in result records.
     pf_particles : particle count of the bootstrap PF ("pf").  The default
         1000 is no reference at the 0.1 m level: changing only the PF's
@@ -102,6 +103,9 @@ class ScenarioConfig:
             raise ValueError(
                 f"unknown estimators {unknown}; known: {KNOWN_ESTIMATORS}"
             )
+        repeated = sorted({e for e in self.estimators if self.estimators.count(e) > 1})
+        if repeated:
+            raise ValueError(f"repeated estimators {repeated}")
         if {"kf", "rtss"} & set(self.estimators) and self.nu <= 2.0:
             raise ConfigError(f"kf and rtss need nu > 2, got {self.nu}")
         if "pf" in self.estimators and self.pf_particles < 100:

@@ -347,12 +347,20 @@ def _sample_truncnorm_positive(rng, mean, sd):
     return np.maximum(mean + sd * z, 0.0)
 
 
-def _gibbs_oracle(mean, cov, todo, n_samples, rng, n_chains=100, burn_in=200, thin=10):
+# The Gibbs fallback of tmnd_oracle: parallel chains, discarded sweeps,
+# and the spacing of the kept sweeps.
+GIBBS_CHAINS = 100
+GIBBS_BURN_IN = 200
+GIBBS_THIN = 10
+
+
+def _gibbs_oracle(mean, cov, todo, n_samples, rng):
     """Coordinate-wise Gibbs sampling of the truncated normal.
 
-    Runs `n_chains` independent chains in parallel (vectorized across
-    chains), discarding `burn_in` sweeps and keeping every `thin`-th sweep
-    afterwards until n_samples draws are collected in total.
+    Runs GIBBS_CHAINS independent chains in parallel (vectorized across
+    chains), discarding GIBBS_BURN_IN sweeps and keeping every
+    GIBBS_THIN-th sweep afterwards until n_samples draws are collected in
+    total.
     """
     dim = mean.size
     truncated = np.zeros(dim, dtype=bool)
@@ -377,15 +385,15 @@ def _gibbs_oracle(mean, cov, todo, n_samples, rng, n_chains=100, burn_in=200, th
         weights[i] = w
         cond_sd[i] = np.sqrt(cond_var)
 
-    z = np.tile(mean, (n_chains, 1))
+    z = np.tile(mean, (GIBBS_CHAINS, 1))
     z[:, truncated] = np.abs(z[:, truncated]) + 0.1 * np.sqrt(
         np.diag(cov)[truncated]
     )
 
-    per_chain = -(-n_samples // n_chains)  # ceil
-    kept = np.empty((per_chain * n_chains, dim))
+    per_chain = -(-n_samples // GIBBS_CHAINS)  # ceil
+    kept = np.empty((per_chain * GIBBS_CHAINS, dim))
     n_kept = 0
-    sweeps = burn_in + thin * per_chain
+    sweeps = GIBBS_BURN_IN + GIBBS_THIN * per_chain
     rest_idx = [[j for j in range(dim) if j != i] for i in range(dim)]
     for sweep in range(sweeps):
         for i in range(dim):
@@ -393,10 +401,10 @@ def _gibbs_oracle(mean, cov, todo, n_samples, rng, n_chains=100, burn_in=200, th
             if truncated[i]:
                 z[:, i] = _sample_truncnorm_positive(rng, cm, cond_sd[i])
             else:
-                z[:, i] = cm + cond_sd[i] * rng.standard_normal(n_chains)
-        if sweep >= burn_in and (sweep - burn_in) % thin == thin - 1:
-            kept[n_kept : n_kept + n_chains] = z
-            n_kept += n_chains
+                z[:, i] = cm + cond_sd[i] * rng.standard_normal(GIBBS_CHAINS)
+        if sweep >= GIBBS_BURN_IN and (sweep - GIBBS_BURN_IN) % GIBBS_THIN == GIBBS_THIN - 1:
+            kept[n_kept : n_kept + GIBBS_CHAINS] = z
+            n_kept += GIBBS_CHAINS
     samples = kept[:n_kept][:n_samples]
     if samples.shape[0] < n_samples:
         raise OracleInfeasibleError("Gibbs sampler produced too few samples")

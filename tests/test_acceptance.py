@@ -24,9 +24,9 @@ from skewt_estim.bench import (
     simulate,
     truncnorm_comparison,
 )
-from skewt_estim.bench.experiments import _lockstep_runs
+from skewt_estim.bench.experiments import _lockstep_rows
 from skewt_estim.exceptions import EstimationError
-from skewt_estim.filtering import expected_mixing_precision, stf_run
+from skewt_estim.filtering import VBConfig, expected_mixing_precision, stf_run
 from skewt_estim.smoothing import sts_run
 from skewt_estim.truncnorm import rec_trunc, select_next
 
@@ -71,7 +71,7 @@ def scenario_suite():
         sats = make_constellation(cfg.n_sats, cfg.seed)
         trajs = [simulate(cfg, rep) for rep in range(cfg.n_mc)]
         start = time.process_time()
-        batch = _lockstep_runs(cfg, sats, trajs)
+        batch = _lockstep_rows(set(cfg.estimators), cfg, sats, trajs, VBConfig(), range(N_MC))
         cpu_s = time.process_time() - start
         runs = [batch[est][0] for est in cfg.estimators]
         failed = [str(r) for rows in runs for r in rows if isinstance(r, EstimationError)]
@@ -103,7 +103,6 @@ def static_suite():
     """Static single-epoch experiment at delta=5, nu=4, rho=1."""
     return run_static_experiment(
         delta=5.0, nu=4.0, rho=1.0, n_replications=200, seed=11,
-        pf_particles=100_000,
     )
 
 

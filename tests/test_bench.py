@@ -309,6 +309,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(self.GOOD.replace("stf, kf", "stf, bogus"))
 
+    def test_repeated_estimator_rejected(self):
+        with pytest.raises(ConfigError, match=r"repeated estimators \['kf'\]"):
+            parse_config(self.GOOD.replace("stf, kf", "kf, stf, kf"))
+
     @pytest.mark.parametrize("key, value", [("q", "5.0"), ("delta", "5.0"), ("rho", "100.0"),
                                             ("nu", "4.0")])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -549,7 +553,6 @@ class TestStaticOrdering:
         for delta in (0.0, 5.0):
             res = run_static_experiment(
                 delta=delta, nu=1e8, rho=1.0, n_replications=500, seed=11,
-                pf_particles=100_000,
             )
             med_opt = np.median(res.dist_stf)
             med_rand = np.median(res.dist_rand)
@@ -622,7 +625,7 @@ class TestCli:
         def fail(*args, **kwargs):
             raise DegeneracyError("all particle weights vanished", step=0)
 
-        monkeypatch.setattr(experiments, "run_estimator", fail)
+        monkeypatch.setattr(experiments, "_pf_moments", fail)
         cfg_file = tmp_path / "strict.cfg"
         cfg_file.write_text(
             "name = strictdemo\nq = 1.0\ndelta = 1.0\nrho = 10.0\nnu = 4.0\n"
@@ -705,6 +708,8 @@ class TestScenarioValidation:
             small_config(rho=0.0)
         with pytest.raises(ValueError):
             small_config(estimators=("bogus",))
+        with pytest.raises(ValueError, match=r"repeated estimators \['kf', 'stf'\]"):
+            small_config(estimators=("stf", "kf", "stf", "kf"))
 
     def test_estimator_applicability(self):
         small_config(nu=2.5, estimators=("kf", "rtss"))

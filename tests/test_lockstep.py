@@ -906,6 +906,38 @@ class TestRunExperimentLockstep:
                 want = experiments._record(cfg, est, rep, traj, run, 0.0)
                 assert replace(records[est, rep], wall_time=0.0) == want
 
+    def test_sweep_runs_the_pf_as_a_family(self, monkeypatch):
+        """All five estimators come from one batch: run_estimator never
+        runs, and the PF family runs _pf_moments once per replication."""
+        cfg = sweep_config(n_mc=3, estimators=("stf", "sts", "kf", "rtss", "pf"))
+        real_pf = experiments._pf_moments
+        calls = []
+
+        def pf_spy(*args, **kwargs):
+            calls.append(len(args[1]))  # one trajectory's K measurements
+            return real_pf(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_estimator", ran_alone)
+        monkeypatch.setattr(experiments, "_pf_moments", pf_spy)
+        records = run_experiment(cfg)
+        assert calls == [cfg.K] * cfg.n_mc
+        assert [r.status for r in records] == ["ok"] * 5 * cfg.n_mc
+
+    def test_pf_records_equal_scalar_runs(self):
+        cfg = sweep_config(n_mc=3, estimators=("pf",))
+        sats = make_constellation(cfg.n_sats, cfg.seed)
+        records = run_experiment(cfg)
+        assert [r.replication for r in records] == list(range(cfg.n_mc))
+        for record in records:
+            traj = simulate(cfg, record.replication)
+            run = run_estimator("pf", cfg, sats, traj, replication=record.replication)
+            want = experiments._record(cfg, "pf", record.replication, traj, run, 0.0)
+            assert replace(record, wall_time=0.0) == want
+
+    def test_no_replications_give_no_records(self):
+        cfg = sweep_config(n_mc=0, estimators=("stf", "sts", "kf", "rtss", "pf"))
+        assert run_experiment(cfg) == []
+
     def test_sts_reports_outer_iterations_and_convergence(self):
         cfg = sweep_config(K=30, n_mc=3)
         sats = make_constellation(cfg.n_sats, cfg.seed)
