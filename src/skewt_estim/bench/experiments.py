@@ -20,7 +20,9 @@ from ..filtering import (
     StateSpaceModel,
     VBConfig,
     _augmented_update,
+    _RowErrors,
     _forward,
+    _row_errors,
     _stack_cz,
     _stf_update_rows,
     stf_update,
@@ -206,8 +208,15 @@ def _sts_rows(model, sats, trajs, vb_cfg):
     # the outer loop keeps the rows it runs on, and frees them once used.
     _, *first, c_seq, y_seq, failed = _filter_rows(model, sats, trajs, update)
     ok = [b for b, err in enumerate(failed) if err is None]
+    if not ok:
+        return failed
     first = [a[ok] for stacks in first for a in stacks]
-    rows = _run_vb_rows(model, y_seq[ok], c_seq[ok], vb_cfg, first)
+    try:
+        rows = _run_vb_rows(model, y_seq[ok], c_seq[ok], vb_cfg, first)
+    except EstimationError as err:  # every row failed at the loop's first iteration
+        for one in _row_errors(err):
+            failed[ok[one.row]] = one
+        return failed
     means, covs = rows.smoothed[0][..., :3], rows.smoothed[1][..., :3, :3]
     smoothed = iter([
         err or EstimatorRun("sts", m, symmetrize(c), np.zeros(0), int(n), bool(conv))
@@ -309,8 +318,10 @@ def _lockstep_rows(names, cfg, sats, trajs, vb_cfg, reps) -> dict:
     each row's outcome is that of its one-row run.  A row that fails in
     "kf" fails in "rtss" with the same error, and "rtss" runs on the other
     rows; a row that fails only in "rtss" keeps its "kf" run.  A row that
-    fails in "stf" no longer fails its "sts".  An EstimationError that
-    escapes a family's batch fails every row of it.  Returns {estimator:
+    fails in "stf" no longer fails its "sts".  When every row of a batch
+    fails before it has outputs, their errors escape it at once (a
+    _RowErrors), and each row takes its own; any other EstimationError
+    that escapes a family's batch fails every row of it.  Returns {estimator:
     (outcomes, seconds)}: outcomes[b] is the EstimatorRun of trajs[b] or
     the EstimationError that failed it, and seconds the family's time per
     row up to that estimator's end ("rtss"'s includes its filter's).
@@ -338,7 +349,13 @@ def _lockstep_rows(names, cfg, sats, trajs, vb_cfg, reps) -> dict:
                 runs = [smoothed.get(b, run) for b, run in enumerate(runs)]
                 out["rtss"] = runs, (time.perf_counter() - start) / len(trajs)
         except EstimationError as err:
-            out.update({name: ([err] * len(trajs), 0.0) for name in wanted})
+            # A _RowErrors: every row failed before the batch had outputs
+            # (filtering._forward), each with its own error.
+            runs = [err] * len(trajs)
+            if isinstance(err, _RowErrors):
+                for one in err.errors:
+                    runs[one.row] = one
+            out.update({name: (runs, 0.0) for name in wanted})
     return out
 
 

@@ -16,6 +16,13 @@ loop stops when the state mean moves less than the configured tolerance
 between successive updates.  _vb_loop is that loop, and the smoother
 runs it as well, over whole trajectories.  A normal approximation of the
 x marginal is carried to the next time step.
+
+Only the mixing precisions change between the filter's iterations, so an
+iteration pays only for what depends on them: the augmented update is
+split into _prior_terms, computed once per measurement update, and
+_lambda_update, run once per iteration, which truncates one row through
+truncnorm's private kernel without rec_trunc's input checks; _vb_loop
+writes a row's outputs once, when the row leaves the loop.
 """
 
 import math
@@ -26,7 +33,7 @@ import numpy as np
 from ._linalg import solve_spd, symmetrize
 from .exceptions import EstimationError
 from .skewt import SkewTComponent
-from .truncnorm import OPTIMAL, TruncationOrderPolicy, _rec_trunc_rows, rec_trunc
+from .truncnorm import OPTIMAL, TruncationOrderPolicy, _rec_trunc_row, _rec_trunc_rows, rec_trunc
 
 __all__ = [
     "StateSpaceModel",
@@ -339,8 +346,9 @@ def _forward(model: StateSpaceModel, n_steps: int, step, x, p) -> list:
     `rows` indexes the input rows left: a slice of all of them until one
     fails, then an index array.  Once no row is left the recursion stops,
     and the entries it has not written belong to failed rows, which hold
-    no result; only when no row is left at step 0 does that step run, on
-    no rows, to size the stacks.
+    no result.  It never steps on no rows: when no row is left at step 0
+    there are no stacks to return, and it raises the rows' errors at
+    once instead (_raise_failed), as a nested caller would.
     """
     n_x = model.n_x
     lead = x.shape[:-1]
@@ -349,8 +357,6 @@ def _forward(model: StateSpaceModel, n_steps: int, step, x, p) -> list:
     stacks = []
     for k in range(n_steps):
         while True:
-            if stacks and not x.size:
-                return [*stacks, failed]
             try:
                 out = step(k, rows, x, p)
                 break
@@ -360,6 +366,10 @@ def _forward(model: StateSpaceModel, n_steps: int, step, x, p) -> list:
                 if not lead:
                     raise
                 rows, x, p = _fail_rows(failed, err, rows, x, p)
+                if not len(x):
+                    if not k:  # no stacks exist: only the errors are left
+                        _raise_failed(failed)
+                    return [*stacks, failed]
         if not k:
             stacks = [
                 np.empty(lead + (n_steps,) + np.shape(o)[len(lead):], np.result_type(o))
@@ -421,18 +431,12 @@ def _raise_failed(*out) -> tuple:
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray:
-    """Writable view of the diagonal of each matrix of a C-contiguous
-    (..., n, n) stack (of any other layout, reshape makes a copy, and
-    writes to it would be lost)."""
-    n = a.shape[-1]
-    return a.reshape(a.shape[:-2] + (n * n,))[..., :: n + 1]
-
-
-def _diag_rows(v: np.ndarray) -> np.ndarray:
-    """np.diag of the last axis: (..., n) -> (..., n, n)."""
-    out = np.zeros(v.shape + v.shape[-1:])
-    _diagonal(out)[...] = v
-    return out
+    """Writable view of the diagonal of the trailing square block of each
+    matrix of a C-contiguous (..., m, n) stack, m >= n: of the whole
+    matrix when it is square, else of its last n rows (of any other
+    layout, reshape makes a copy, and writes to it would be lost)."""
+    m, n = a.shape[-2:]
+    return a.reshape(a.shape[:-2] + (m * n,))[..., (m - n) * n :: n + 1]
 
 
 def _stack_cz(c_mat, delta):
@@ -442,9 +446,74 @@ def _stack_cz(c_mat, delta):
     return np.ascontiguousarray(np.concatenate([c_mat, d], axis=-1))
 
 
+def _prior_terms(x_pred, p_pred, y, c_mat, cz) -> tuple:
+    """The half of _augmented_update that the mixing precisions do not
+    change: C P C^T, [P C^T; 0], cz, the augmented prior mean [x; 0], the
+    augmented prior covariance blockdiag(P, 0) and the innovation
+    y - C x, of one row or of a stack.  The filter's VB loop computes them
+    once per update and thins them with the rows (_stf_update_rows)."""
+    batch, n_x, n_y = y.shape[:-1], x_pred.shape[-1], y.shape[-1]
+    pct = p_pred @ c_mat.swapaxes(-1, -2)
+    zct = np.concatenate([pct, np.zeros(batch + (n_y, n_y))], axis=-2)
+    z_prior_cov = np.zeros(batch + (n_x + n_y, n_x + n_y))
+    z_prior_cov[..., :n_x, :n_x] = p_pred
+    return (
+        c_mat @ pct,
+        zct,
+        cz,
+        np.concatenate([x_pred, np.zeros_like(y)], axis=-1),
+        z_prior_cov,
+        y - (c_mat @ x_pred[..., None])[..., 0],
+    )
+
+
+def _lambda_update(cpc, zct, cz, z_prior_mean, z_prior_cov, innovation, delta, r, lam,
+                   policy=OPTIMAL) -> tuple:
+    """The half of _augmented_update that depends on the mixing
+    precisions lam: the diagonal fills of the innovation covariance, of
+    [P C^T; diag(delta / lam)] and of the augmented prior covariance, the
+    gain solve, the posterior and its truncation.  The first six
+    arguments are _prior_terms, which it does not modify; returns what
+    _augmented_update returns."""
+    batch = lam.shape[:-1]
+    if batch and policy != OPTIMAL:
+        raise ValueError(f"a stack of rows is truncated in greedy order, not {policy!r}")
+    n_y = lam.shape[-1]
+    n_x = z_prior_mean.shape[-1] - n_y
+    lam_inv = 1.0 / lam
+    s = cpc.copy()
+    _diagonal(s)[...] += delta**2 * lam_inv + r * lam_inv
+    zct = zct.copy()
+    _diagonal(zct)[...] = delta * lam_inv
+    z_prior_cov = z_prior_cov.copy()
+    _diagonal(z_prior_cov)[..., n_x:] = lam_inv
+
+    gain = np.empty_like(zct)
+    flat = (-1,) + zct.shape[-2:]
+    rows = zip(s.reshape((-1, n_y, n_y)), zct.reshape(flat), gain.reshape(flat))
+    for b, (s_b, zct_b, gain_b) in enumerate(rows):
+        try:
+            gain_b[...] = solve_spd(s_b, zct_b.T, what="innovation covariance").T
+        except EstimationError as err:
+            err.row = b if batch else None
+            raise
+
+    z_mean = z_prior_mean + (gain @ innovation[..., None])[..., 0]
+    z_cov = z_prior_cov - gain @ (cz @ z_prior_cov)  # truncation symmetrizes it
+    truncated = range(n_x, n_x + n_y)
+    if batch and batch[0] != 1:
+        post = _rec_trunc_rows(z_mean, z_cov, truncated)
+    elif policy == OPTIMAL:  # one row, or the row of a stack of one, in place
+        post = z_mean, symmetrize(z_cov)
+        _rec_trunc_row(post[0].reshape(-1), post[1].reshape(z_cov.shape[-2:]), truncated)
+    else:
+        post = rec_trunc(z_mean, z_cov, truncated, policy)
+    return (*post, z_prior_mean, z_prior_cov)
+
+
 def _augmented_update(x_pred, p_pred, y, c_mat, cz, delta, r, lam, policy=OPTIMAL):
     """One truncated Kalman update of the joint [x; u] belief, of one row
-    or of a lockstep stack of rows.
+    or of a lockstep stack of rows: _lambda_update of _prior_terms.
 
     x_pred (..., n_x), p_pred (..., n_x, n_x), y (..., n_y), c_mat
     (..., n_y, n_x) and lam (..., n_y) hold the rows, with a leading shape
@@ -455,12 +524,26 @@ def _augmented_update(x_pred, p_pred, y, c_mat, cz, delta, r, lam, policy=OPTIMA
     augmented prior covariance.  Returns the posterior mean and
     covariance, then the augmented prior mean and covariance.
 
-    The posterior is the truncated (mean, cov) that rec_trunc returns for
-    one row, in the order `policy` picks, and _rec_trunc_rows for a stack,
-    in greedy order, so row b of a stack is bit-equal to its own call.  A
-    stack of one row runs as that row, where rec_trunc costs under a third
-    as much (12 dims, 8 constraints: 79-91 against 284-304 us; with lone
-    rows stacked the track_sweep benchmark ran 5% slower at the old half).
+    The update is split where the mixing precisions enter.  _prior_terms
+    (P C^T, C P C^T, the zero-padded templates, [x; 0] and the innovation)
+    does not depend on lam, so the filter's VB loop computes it once per
+    update; _lambda_update fills the lam diagonals into copies of the
+    templates, solves for the gain and truncates.  On online updates of
+    the benchmark (12 satellites, one BLAS thread, timeit, 2-vCPU host)
+    one VB iteration inside stf_update took about 135 us before the
+    split, of which 64 us were truncation through rec_trunc and 14 us
+    lam-invariant work; after it, 116 us (median of 12 updates), with
+    _lambda_update at 72 us per iteration and _prior_terms at 6 us per
+    update.
+
+    The posterior is truncated in the order `policy` picks: one row, or a
+    stack of one, in greedy order by _rec_trunc_row in place on the fresh
+    posterior moments (rec_trunc's steps without its input checks), in
+    another order by rec_trunc, and a stack in greedy order by
+    _rec_trunc_rows, so row b of a stack is bit-equal to its own call.
+    A stack of one row runs as that row, where the one-row kernel costs
+    under a third as much (12 dims, 8 constraints: 79-91 against
+    284-304 us for rec_trunc against _rec_trunc_rows).
     The gain solve runs solve_spd once per row.  That choice was measured
     at 1-6 rows only: for 8x8 systems with 12 right-hand sides, a stacked
     np.linalg.cholesky check plus np.linalg.solve took 20/30/42 us at
@@ -468,47 +551,11 @@ def _augmented_update(x_pred, p_pred, y, c_mat, cz, delta, r, lam, policy=OPTIMA
     against 12/25/43 us for the per-row LAPACK calls (one thread, 2-vCPU
     host).  It does not hold for wider stacks: at 32 and 100 rows
     np.linalg.solve on the stack took 52 and 170 us against 86 and 278 us
-    for solve_spd per row.  An EstimationError of a stack of two or more
-    rows names its row; that of a stack of one row names none, which
-    fails the one row all the same (_fail_rows).
+    for solve_spd per row.  An EstimationError of the gain solve of a
+    stack names its row, that of one row none.
     """
-    batch = y.shape[:-1]
-    if batch and policy != OPTIMAL:
-        raise ValueError(f"a stack of rows is truncated in greedy order, not {policy!r}")
-    if batch == (1,):
-        out = _augmented_update(
-            *(a[0] for a in (x_pred, p_pred, y, c_mat, cz)), delta, r, lam[0]
-        )
-        return tuple(a[None] for a in out)
-    n_x = x_pred.shape[-1]
-    n_y = y.shape[-1]
-    lam_inv = 1.0 / lam
-
-    pct = p_pred @ c_mat.swapaxes(-1, -2)
-    s = c_mat @ pct + _diag_rows(delta**2 * lam_inv + r * lam_inv)
-    zct = np.concatenate([pct, _diag_rows(delta * lam_inv)], axis=-2)
-    gain = np.empty_like(zct)
-    for i in np.ndindex(batch):
-        try:
-            gain[i] = solve_spd(s[i], zct[i].T, what="innovation covariance").T
-        except EstimationError as err:
-            err.row = i[0] if i else None
-            raise
-
-    z_prior_mean = np.concatenate([x_pred, np.zeros_like(y)], axis=-1)
-    z_prior_cov = np.zeros(batch + (n_x + n_y, n_x + n_y))
-    z_prior_cov[..., :n_x, :n_x] = p_pred
-    _diagonal(z_prior_cov)[..., n_x:] = lam_inv
-
-    innovation = y - (c_mat @ x_pred[..., None])[..., 0]
-    z_mean = z_prior_mean + (gain @ innovation[..., None])[..., 0]
-    z_cov = z_prior_cov - gain @ (cz @ z_prior_cov)  # truncation symmetrizes it
-    truncated = range(n_x, n_x + n_y)
-    if batch:
-        post = _rec_trunc_rows(z_mean, z_cov, truncated)
-    else:
-        post = rec_trunc(z_mean, z_cov, truncated, policy)
-    return (*post, z_prior_mean, z_prior_cov)
+    terms = _prior_terms(x_pred, p_pred, y, c_mat, cz)
+    return _lambda_update(*terms, delta, r, lam, policy)
 
 
 def _psi_diagonal(y, cz, z_mean, z_cov, r, n_x):
@@ -528,21 +575,26 @@ def _vb_loop(update, args, lam, upper, cfg) -> tuple:
     `update(*args, lam)` runs one iteration of the rows of args at the
     mixing precisions lam (..., m).  It returns the outputs to keep, the
     plain image of lam and the x means, (..., n_x) for one step or
-    (..., K, n_x) for the K steps of a trajectory.  The next lam is the
-    _anderson_step of the window xs, gs (..., 3, m) of the last three lam
-    and their images, which the first pair fills and later pairs shift in
-    place; lam is stored before update runs, which may then overwrite it.
+    (..., K, n_x) for the K steps of a trajectory, each a fresh array.
+    The next lam is the _anderson_step of the window xs, gs (..., 3, m)
+    of the last three lam and their images, which the first pair fills
+    and later pairs shift in place; lam is stored before update runs,
+    which may then overwrite it.
 
-    A row leaves the stack, with its window and args, in one of two ways,
-    so row b is bit-equal to the loop run on it alone.  It converges: from
-    the second iteration on, the largest Euclidean change of its x means
-    over its steps is below cfg.tol.  Or it fails: update raises an
+    A row leaves the stack, with its window, its last x means and args,
+    in one of three ways, so row b is bit-equal to the loop run on it
+    alone.  It converges: from the second iteration on, the largest
+    Euclidean change of its x means over its steps is below cfg.tol.  It
+    reaches cfg.max_iterations.  Or it fails: update raises an
     EstimationError, which one row raises again and a stack records as
     the outcome of the row it names, or of every row when it names none,
     or of each row a _RowErrors names (_fail_rows); the iteration then
-    runs again for the rows left.  Once no row is left the loop stops; only
-    when no row is left at the first iteration does update run, on no
-    rows, to size the outputs.
+    runs again for the rows left.  A row's outputs and next lam are
+    written once, when it converges or reaches the cap; a failed row's
+    hold no result.  Once no row is left the loop stops.  It never runs
+    update on no rows: when every row fails at the first iteration there
+    are no outputs to return, and it raises the rows' errors at once
+    instead (_raise_failed), as a nested caller would.
     Returns the kept outputs, the next lam, the iteration counts, the
     convergence flags and the outcomes (None or the error) of every row.
     """
@@ -553,6 +605,7 @@ def _vb_loop(update, args, lam, upper, cfg) -> tuple:
     converged = np.zeros(batch, dtype=bool)
     next_lam = np.empty(lam.shape)
     xs, gs = np.empty((2,) + batch + (3,) + lam.shape[-1:])
+    last = np.empty(batch)  # the x means of the iteration before, none yet
     for it in range(cfg.max_iterations):
         xs[..., :-1, :] = xs[..., 1:, :] if it else lam[..., None, :]
         xs[..., -1, :] = lam
@@ -563,30 +616,35 @@ def _vb_loop(update, args, lam, upper, cfg) -> tuple:
             except EstimationError as err:
                 if not batch:
                     raise
-                rows, xs, gs, *args = _fail_rows(failed, err, rows, xs, gs, *args)
-                if it and not rows.size:
-                    return out[:-1], next_lam, iterations, converged, failed
+                rows, xs, gs, last, *args = _fail_rows(failed, err, rows, xs, gs, last, *args)
+                if not rows.size:
+                    if not it:  # no outputs exist: only the errors are left
+                        _raise_failed(failed)
+                    return out, next_lam, iterations, converged, failed
                 lam = xs[:, -1].copy()  # update may have overwritten lam
         gs[..., :-1, :] = gs[..., 1:, :] if it else image[..., None, :]
         gs[..., -1, :] = image
-        if it:  # out[-1] holds each row's x means of the iteration before
-            change = _step_norm(x - out[-1][rows])
+        if it:
+            change = _step_norm(x - last)
             if change.ndim == lam.ndim:  # the smoother's step axis: its largest change
                 change = change.max(-1)
-            converged[rows] = change < cfg.tol
+            done = change < cfg.tol
         else:
-            out = [np.empty(batch + np.shape(o)[len(batch):]) for o in (*kept, x)]
-        for whole, part in zip(out, (*kept, x)):
-            whole[rows] = part
+            out = [np.empty(batch + np.shape(o)[len(batch):]) for o in kept]
+            done = np.zeros(lam.shape[:-1], dtype=bool)
         iterations[rows] += 1
         lam = _anderson_step(xs, gs, upper)
-        next_lam[rows] = lam
-        done = converged[rows]
-        if done.all():
-            break
-        if done.any():
-            rows, lam, xs, gs, *args = (a[~done] for a in (rows, lam, xs, gs, *args))
-    return out[:-1], next_lam, iterations, converged, failed
+        leaving = done | (it + 1 == cfg.max_iterations)
+        if leaving.any():
+            # one row leaves once, at the end; a stack writes the rows leaving
+            at, part = (rows[leaving], leaving) if batch else (..., ...)
+            for whole, o in zip((*out, next_lam, converged), (*kept, lam, done)):
+                whole[at] = o[part]
+            if leaving.all():
+                break
+            rows, lam, x, xs, gs, *args = (a[~leaving] for a in (rows, lam, x, xs, gs, *args))
+        last = x
+    return out, next_lam, iterations, converged, failed
 
 
 def _stf_update_rows(model, x_prior, p_prior, y, c_mat, cfg=VBConfig(), policy=OPTIMAL) -> tuple:
@@ -595,24 +653,28 @@ def _stf_update_rows(model, x_prior, p_prior, y, c_mat, cfg=VBConfig(), policy=O
 
     x_prior (..., n_x), p_prior (..., n_x, n_x), y (..., n_y) and c_mat
     (..., n_y, n_x) hold the rows, with a leading shape () for one row or
-    (B,) for a stack; model supplies Delta, R and nu.  Returns the
-    posterior augmented means (..., n) and covariances (..., n, n), the
-    mixing precisions (..., n_y) the last update ran with, the psi
-    statistic (..., n_y) of the last posterior, the VB iteration counts
-    and the convergence flags.  A row of a stack that fails raises its
-    error again once the other rows are done, naming the row
-    (_raise_failed), so that the recursion this update runs in owns it.
+    (B,) for a stack; model supplies Delta, R and nu.  Only the mixing
+    precisions change between iterations, so the half of the augmented
+    update that does not depend on them (_prior_terms) runs once, and the
+    loop carries its arrays as args, which it thins with the rows; each
+    iteration runs _lambda_update.  Returns the posterior augmented means
+    (..., n) and covariances (..., n, n), the mixing precisions (..., n_y)
+    the last update ran with, the psi statistic (..., n_y) of the last
+    posterior, the VB iteration counts and the convergence flags.  A row
+    of a stack that fails raises its error again once the other rows are
+    done, naming the row (_raise_failed), so that the recursion this
+    update runs in owns it.
     """
     n_x = x_prior.shape[-1]
 
-    def update(x_prior, p_prior, y, c_mat, cz, lam):
-        mean, cov, _, _ = _augmented_update(
-            x_prior, p_prior, y, c_mat, cz, model.Delta, model.R, lam, policy
+    def update(y, cpc, zct, cz, z_prior_mean, z_prior_cov, innovation, lam):
+        mean, cov, _, _ = _lambda_update(
+            cpc, zct, cz, z_prior_mean, z_prior_cov, innovation, model.Delta, model.R, lam, policy
         )
         psi = _psi_diagonal(y, cz, mean, cov, model.R, n_x)
         return (mean, cov, lam, psi), expected_mixing_precision(model.nu, psi), mean[..., :n_x]
 
-    args = (x_prior, p_prior, y, c_mat, _stack_cz(c_mat, model.Delta))
+    args = (y, *_prior_terms(x_prior, p_prior, y, c_mat, _stack_cz(c_mat, model.Delta)))
     out, _, iterations, converged = _raise_failed(
         *_vb_loop(update, args, np.ones(y.shape), (model.nu + 2.0) / model.nu, cfg)
     )

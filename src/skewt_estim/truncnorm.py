@@ -11,7 +11,9 @@ optimum in Kullback-Leibler divergence.
 
 The moments go in as a mean vector and a covariance matrix, and the
 functions that return moments return a (mean, cov) tuple of arrays, one
-row as rec_trunc or a stack of rows as _rec_trunc_rows.  A seeded
+row as rec_trunc or a stack of rows as _rec_trunc_rows; rec_trunc checks
+its input, then runs the private one-row kernel _rec_trunc_row, which the
+filter's update calls directly on moments it owns.  A seeded
 sampling oracle (rejection with a Gibbs fallback) provides independent
 reference moments for testing and benchmarking.
 """
@@ -103,33 +105,6 @@ def hazard(xi: float) -> tuple:
     return eps, min(max(xi * eps + eps * eps, 0.0), 1.0), False
 
 
-def _truncate_step(mean: np.ndarray, cov: np.ndarray, k: int, var_k: float, mu_k: float,
-                   tol0: float) -> None:
-    """Apply the constraint z_k >= 0 to (mean, cov) in place.
-
-    var_k and mu_k are cov[k, k] and mean[k] as Python floats, and tol0
-    is 1e-14 times the trace of cov before the first step of the call.
-    """
-    if var_k <= tol0:
-        # Above tol0 the check against the current trace cannot fail: each
-        # downdate subtracts fl(c * col_i**2) >= 0 (c in [0, 1]) from a
-        # diagonal entry, rounded subtraction of a non-negative number
-        # never increases a value, and a rounded sum is monotone in each
-        # term, so no later trace exceeds the first (a NaN one never raises).
-        tol = 1e-14 * float(cov.trace())
-        if var_k <= tol:
-            raise DegenerateDirectionError(
-                f"direction {k} has variance {var_k:.3e} <= tolerance {tol:.3e}"
-            )
-    # A nonpositive variance above the tolerance (a negative trace) takes
-    # numpy's sqrt, whose NaN or zero the distance check below reports.
-    sd = math.sqrt(var_k) if var_k > 0.0 else np.sqrt(np.float64(var_k))
-    mean_coeff, cov_coeff, _ = hazard(float(mu_k / sd))
-    col = cov[:, k]  # a view, read in full before cov is updated
-    mean += (mean_coeff / sd) * col
-    cov -= (cov_coeff / var_k) * (col[:, None] * col)
-
-
 def _greedy_index(mu: list, var: list, left: list) -> int:
     """Index in the ascending list `left` with the smallest
     mu[i] / sqrt(var[i]), on Python floats: lowest on ties, and the first
@@ -150,9 +125,9 @@ def _truncate_rows(mean, cov, diag, active, base, tol0) -> None:
 
     `diag` is the diagonal view of cov, `base` the flat offsets b * n of
     the rows and `tol0` 1e-14 times the traces of cov when the
-    _rec_trunc_rows call began.  Per row this is _greedy_index then
-    _truncate_step, with the same operations and checks, so each row
-    stays bit-equal to the scalar kernel; the exception of the first
+    _rec_trunc_rows call began.  Per row this is a step of _rec_trunc_row,
+    with the same operations and checks, so each row stays bit-equal to
+    the scalar kernel; the exception of the first
     failing row is raised, with the same message, and names that row.
     The covariances must be exactly symmetric (rec_trunc keeps them so),
     which lets row k stand for column k.
@@ -174,7 +149,7 @@ def _truncate_rows(mean, cov, diag, active, base, tol0) -> None:
 
     var_k = var.take(flat)
     if np.count_nonzero(var_k <= tol0):
-        # The traces only fall (see _truncate_step), so only these rows
+        # The traces only fall (see _rec_trunc_row), so only these rows
         # can fail against their current trace.
         tol = 1e-14 * cov.trace(axis1=1, axis2=2)
         if np.count_nonzero(var_k <= tol):
@@ -249,10 +224,8 @@ def truncate_once(mean, cov, k: int) -> tuple:
     when cov[k, k] is not usably positive (<= 1e-14 * trace).
     """
     mean, cov = _moments(mean, cov)
-    (k,) = _indices([k], mean.size)
-    mean, cov = mean.copy(), symmetrize(cov)
-    _truncate_step(mean, cov, k, float(cov[k, k]), float(mean[k]), 1e-14 * float(cov.trace()))
-    return mean, cov
+    todo = _indices([k], mean.size)
+    return _rec_trunc_row(mean.copy(), symmetrize(cov), todo, FixedOrder(todo))
 
 
 def select_next(mean, cov, remaining: Iterable[int]) -> int:
@@ -283,32 +256,70 @@ def rec_trunc(
     float arrays of its input.  With the default Optimal policy the result
     is bit-reproducible.  The order and the step coefficients are worked
     out on Python floats; only the downdates run in numpy.
+
+    This checks the input and copies it; the steps are _rec_trunc_row's,
+    which the filter's one-row update calls on its own fresh moments.
     """
     mean, cov = _moments(mean, cov)
     todo = _indices(truncated, mean.size)
     if not todo:
         return mean, cov
-    fixed = isinstance(policy, FixedOrder)
-    if fixed and sorted(policy.order) != todo:
+    if isinstance(policy, FixedOrder) and sorted(policy.order) != todo:
         raise ValueError(f"fixed order {policy.order} is not a permutation of {todo}")
-    random = isinstance(policy, RandomOrder)
-    rng = np.random.default_rng(policy.seed) if random else None
+    return _rec_trunc_row(mean.copy(), symmetrize(cov), todo, policy)
 
-    mean, cov = mean.copy(), symmetrize(cov)
+
+def _rec_trunc_row(mean: np.ndarray, cov: np.ndarray, todo, policy=OPTIMAL) -> tuple:
+    """The steps of rec_trunc, in place on a float (n,) mean and an exactly
+    symmetric (n, n) cov, which it returns.
+
+    todo holds the truncated indices, distinct, ascending and in range,
+    and a FixedOrder policy is a permutation of them: rec_trunc checks
+    both, and the filter's update passes range(n_x, n).  Each step picks
+    k by _greedy_index (unless the policy picks otherwise) on Python
+    floats, then applies z_k >= 0: the mean moves along row k, which is
+    column k, and cov takes the rank-one downdate (c / var) (col col^T)
+    through one (n, n) buffer, which keeps it exactly symmetric.  An
+    error is rec_trunc's, with its message.
+    """
+    fixed = isinstance(policy, FixedOrder)
+    rng = np.random.default_rng(policy.seed) if isinstance(policy, RandomOrder) else None
     diag = cov.diagonal()
     tol0 = 1e-14 * float(cov.trace())
-    left = todo
-    for step in range(len(todo)):
+    buf = np.empty(cov.shape)
+    left = list(todo)
+    for step in range(len(left)):
         mu, var = mean.tolist(), diag.tolist()
         if fixed:
             k = policy.order[step]
         else:
             k = _greedy_index(mu, var, left)
-            if random and len(left) > 1:
+            if rng is not None and len(left) > 1:
                 others = [i for i in left if i != k]
                 k = others[rng.integers(len(others))]
-        _truncate_step(mean, cov, k, var[k], mu[k], tol0)
-        left = [i for i in left if i != k]
+        left.remove(k)
+        var_k = var[k]
+        if var_k <= tol0:
+            # Above tol0 the check against the current trace cannot fail:
+            # each downdate subtracts fl(c * col_i**2) >= 0 (c in [0, 1])
+            # from a diagonal entry, rounded subtraction of a non-negative
+            # number never increases a value, and a rounded sum is monotone
+            # in each term, so no later trace exceeds the first (a NaN one
+            # never raises).
+            tol = 1e-14 * float(cov.trace())
+            if var_k <= tol:
+                raise DegenerateDirectionError(
+                    f"direction {k} has variance {var_k:.3e} <= tolerance {tol:.3e}"
+                )
+        # A nonpositive variance above the tolerance (a negative trace)
+        # takes numpy's sqrt, whose NaN or zero hazard reports.
+        sd = math.sqrt(var_k) if var_k > 0.0 else np.sqrt(np.float64(var_k))
+        mean_coeff, cov_coeff, _ = hazard(float(mu[k] / sd))
+        col = cov[k]  # a view, read in full before cov is updated
+        mean += (mean_coeff / sd) * col
+        np.multiply(col[:, None], col, out=buf)
+        buf *= cov_coeff / var_k
+        cov -= buf
     return mean, cov
 
 

@@ -460,14 +460,14 @@ class TestRunExperiment:
         cfg = small_config(n_mc=1, estimators=("stf",))
         sats = make_constellation(cfg.n_sats, cfg.seed)
         traj = simulate(cfg, 0)
-        real = filtering.rec_trunc
+        real = filtering._rec_trunc_row
         seen = []
 
         def spy(mean, *args):
             seen.append(mean.copy())
             return real(mean, *args)
 
-        monkeypatch.setattr(filtering, "rec_trunc", spy)
+        monkeypatch.setattr(filtering, "_rec_trunc_row", spy)
         marker = seen[int(run_estimator("stf", cfg, sats, traj).vb_iterations[:3].sum())]
 
         def fail_at_marker(mean, *args):
@@ -475,7 +475,7 @@ class TestRunExperiment:
                 raise DegenerateDirectionError("injected")
             return real(mean, *args)
 
-        monkeypatch.setattr(filtering, "rec_trunc", fail_at_marker)
+        monkeypatch.setattr(filtering, "_rec_trunc_row", fail_at_marker)
         with pytest.raises(DegenerateDirectionError) as info:
             run_estimator("stf", cfg, sats, traj)
         assert info.value.step == 3

@@ -214,6 +214,37 @@ class TestUpdateRows:
             assert converged[b] == diag.converged
 
 
+    @pytest.mark.parametrize("n_rows", [None, 1, 6])
+    def test_prior_terms_once_per_update(self, monkeypatch, n_rows):
+        """_stf_update_rows computes the half of the augmented update that
+        the mixing precisions do not change once per call, for one row and
+        for a stack, and the other half once per VB iteration."""
+        rng = np.random.default_rng(5)
+        n_x, n_y = 4, 8
+        x, p, y, c = random_rows(rng, n_rows or 1, n_x, n_y)
+        if n_rows is None:
+            x, p, y, c = x[0], p[0], y[0], c[0]
+        model = StateSpaceModel(
+            A=np.eye(n_x), Q=np.eye(n_x), C=np.reshape(c, (-1, n_y, n_x))[0], R=np.ones(n_y),
+            Delta=np.full(n_y, 5.0), nu=np.full(n_y, 1.2),
+            prior_mean=np.zeros(n_x), prior_cov=np.eye(n_x),
+        )
+        calls = {"_prior_terms": 0, "_lambda_update": 0}
+
+        def counting(name):
+            real = getattr(filtering, name)
+
+            def run(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return run
+
+        for name in calls:
+            monkeypatch.setattr(filtering, name, counting(name))
+        *_, iterations, _ = _stf_update_rows(model, x, p, y, c)
+        assert iterations.max() > 3
+        assert calls == {"_prior_terms": 1, "_lambda_update": iterations.max()}
+
     # The default loop, where rows converge at different iterations, and
     # caps under which some rows converge and leave the stack while others
     # are cut off with the mixing precisions of their last iteration.
@@ -597,8 +628,8 @@ class TestStackedKernels:
         """Row 1 of three fails at step 1 (last = 3), and every row left
         fails at step `last` with an error that names none: the recursion
         stops there, runs no step on zero rows, and each row's outcome is
-        its error.  When no row is left at step 0, step 0 runs once on no
-        rows, to size the stacks."""
+        its error.  When no row is left at step 0 there are no stacks, and
+        the rows' errors are raised at once, each naming its row."""
         model = StateSpaceModel(
             A=np.eye(2), Q=np.eye(2), C=np.eye(2), R=np.ones(2), Delta=np.ones(2),
             nu=np.full(2, 4.0), prior_mean=np.zeros(2), prior_cov=np.eye(2),
@@ -614,17 +645,19 @@ class TestStackedKernels:
             return x + 1.0, p
 
         x0, p0 = np.zeros((3, 2)), np.tile(np.eye(2), (3, 1, 1))
+        if not last:
+            with pytest.raises(filtering._RowErrors) as info:
+                filtering._forward(model, 6, step, x0, p0)
+            assert calls == [(0, 3)]
+            assert [str(e) for e in info.value.errors] == ["all (time step 0)"] * 3
+            return
         means, covs, failed = filtering._forward(model, 6, step, x0, p0)
         assert (means.shape, covs.shape) == ((3, 6, 2), (3, 6, 2, 2))
-        if last:
-            assert calls == [(0, 3), (1, 3), (1, 2), (2, 2), (3, 2)]
-            assert [str(e) for e in failed] == [
-                "all (time step 3)", "one (time step 1)", "all (time step 3)"
-            ]
-            assert_array_equal(means[[0, 2], :3], np.broadcast_to([[1.0], [2.0], [3.0]], (2, 3, 2)))
-        else:
-            assert calls == [(0, 3), (0, 0)]
-            assert [str(e) for e in failed] == ["all (time step 0)"] * 3
+        assert calls == [(0, 3), (1, 3), (1, 2), (2, 2), (3, 2)]
+        assert [str(e) for e in failed] == [
+            "all (time step 3)", "one (time step 1)", "all (time step 3)"
+        ]
+        assert_array_equal(means[[0, 2], :3], np.broadcast_to([[1.0], [2.0], [3.0]], (2, 3, 2)))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -868,13 +901,15 @@ class TestRunExperimentLockstep:
 
     def test_failing_sweep_makes_no_update_on_zero_rows(self, monkeypatch):
         """In the nu=0.02 sweep every replication fails.  Once its last
-        row has failed, neither the filter nor the smoother's first forward
-        pass runs another step, and each failed record is the one its
-        replication's one-row run raises."""
+        row has failed, neither the filter, nor the smoother's first
+        forward pass, nor a forward pass of its outer loop (where every
+        row fails at step 0) runs another step, and each failed record is
+        the one its replication's one-row run raises."""
         cfg = sweep_config(q=0.5, nu=0.02, K=100, n_mc=4)
         sats = make_constellation(cfg.n_sats, cfg.seed)
-        sizes = []
+        sizes, loop_sizes = [], []
         real_stf, real_update = experiments._stf_update_rows, experiments._augmented_update
+        real_loop_update = smoothing._augmented_update
 
         def stf_spy(model, x, *args, **kwargs):
             sizes.append(len(x))
@@ -884,16 +919,70 @@ class TestRunExperimentLockstep:
             sizes.append(len(x))
             return real_update(x, *args)
 
+        def loop_update_spy(x, *args):
+            loop_sizes.append(len(x))
+            return real_loop_update(x, *args)
+
         monkeypatch.setattr(experiments, "_stf_update_rows", stf_spy)
         monkeypatch.setattr(experiments, "_augmented_update", update_spy)
+        monkeypatch.setattr(smoothing, "_augmented_update", loop_update_spy)
         with np.errstate(all="ignore"):
             records = run_experiment(cfg)
             assert sizes and 0 not in sizes
+            assert loop_sizes and 0 not in loop_sizes
             assert [r.status for r in records] == ["failed"] * 8
             for r in records:
                 with pytest.raises(EstimationError) as info:
                     run_estimator(r.estimator, cfg, sats, simulate(cfg, r.replication))
                 assert r.reason == str(info.value)
+
+    def test_rows_failing_at_step_0_keep_their_own_errors(self, monkeypatch):
+        """Every row of the filter's and of the smoother's first pass fails
+        at step 0, each with its own error: no family has outputs, the
+        errors escape each batch at once, and each record keeps its row's
+        error, as in its one-row run."""
+        cfg = sweep_config(n_mc=3)
+        real_stf, real_update = experiments._stf_update_rows, experiments._augmented_update
+
+        def failing(real):
+            def run(*args, **kwargs):
+                x = args[1] if real is real_stf else args[0]
+                if (x == x[0]).all():  # step 0: every row at the prior
+                    filtering._raise_failed([NumericalFailureError(f"row {b}") for b in range(len(x))])
+                return real(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(experiments, "_stf_update_rows", failing(real_stf))
+        monkeypatch.setattr(experiments, "_augmented_update", failing(real_update))
+        records = run_experiment(cfg)
+        assert len(records) == 6
+        for r in records:
+            assert (r.status, r.reason) == ("failed", f"row {r.replication} (time step 0)")
+
+    def test_rows_failing_at_the_smoother_loop_start_keep_their_own_errors(self, monkeypatch):
+        """Replication 0 fails in the smoother's first pass, and the other
+        two in the backward pass of the outer loop's first iteration: no
+        row gets through it, and each record keeps its own error."""
+        cfg = sweep_config(n_mc=3, estimators=("sts",))
+        real_update, real_backward = experiments._augmented_update, smoothing._backward_rows
+        steps = []
+
+        def first_pass(x, *args):
+            steps.append(len(x))
+            if len(steps) == 4:
+                raise NumericalFailureError("first pass", row=0)
+            return real_update(x, *args)
+
+        def backward(*args):
+            s_mean, s_cov, _ = real_backward(*args)
+            return s_mean, s_cov, [NumericalFailureError(f"gain {b}") for b in range(len(s_mean))]
+
+        monkeypatch.setattr(experiments, "_augmented_update", first_pass)
+        monkeypatch.setattr(smoothing, "_backward_rows", backward)
+        records = run_experiment(cfg)
+        assert [(r.replication, r.reason) for r in records] == [
+            (0, "first pass (time step 3)"), (1, "gain 0"), (2, "gain 1")
+        ]
 
     def test_records_equal_scalar_runs(self):
         cfg = sweep_config(n_mc=5)

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
-from skewt_estim.exceptions import DegenerateDirectionError, NumericalFailureError
+from skewt_estim._linalg import symmetrize
+from skewt_estim.exceptions import DegenerateDirectionError, EstimationError, NumericalFailureError
 from skewt_estim.truncnorm import (
     OPTIMAL,
     FixedOrder,
     RandomOrder,
+    _rec_trunc_row,
     _rec_trunc_rows,
     hazard,
     rec_trunc,
@@ -334,6 +336,73 @@ class TestRecTruncProperties:
         np.testing.assert_array_equal(out_cov, out_cov.T)
         assert np.linalg.eigvalsh(out_cov).min() >= -1e-12 * np.trace(cov)
         assert np.all(out_cov.diagonal() <= cov.diagonal())
+
+
+@st.composite
+def kernel_cases(draw):
+    """Symmetric SPD moments of dim 1-12 with standardized means down to
+    -45 (Phi underflows below -37), a truncated index set, and at most
+    one anomaly in a truncated direction: a degenerate variance (zero,
+    or tiny with its row and column zeroed) or a NaN mean, whose
+    truncation distance is NaN."""
+    dim = draw(st.integers(1, 12))
+    entries = draw(st.lists(st.floats(-3.0, 3.0), min_size=dim * dim, max_size=dim * dim))
+    a = np.array(entries).reshape(dim, dim)
+    cov = a @ a.T + draw(st.floats(0.1, 2.0)) * np.eye(dim)
+    cov = 0.5 * (cov + cov.T)
+    ratios = np.array(draw(st.lists(st.floats(-45.0, 10.0), min_size=dim, max_size=dim)))
+    mean = ratios * np.sqrt(np.diag(cov))
+    truncated = sorted(draw(st.sets(st.integers(0, dim - 1), min_size=1)))
+    k = draw(st.sampled_from(truncated))
+    anomaly = draw(st.sampled_from(["none", "zero variance", "tiny variance", "nan mean"]))
+    if anomaly == "nan mean":
+        mean[k] = np.nan
+    elif anomaly != "none":
+        cov[k, :] = cov[:, k] = 0.0
+        cov[k, k] = 0.0 if anomaly == "zero variance" else 1e-20
+    return mean, cov, truncated
+
+
+def outcome(call):
+    """The (mean, cov) a call returns, or the type and message of the
+    EstimationError it raises."""
+    try:
+        return call()
+    except EstimationError as err:
+        return type(err), str(err)
+
+
+class TestOneRowKernel:
+    """_rec_trunc_row, which the filter's one-row update calls without
+    rec_trunc's input checks, is rec_trunc's greedy steps bit for bit."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(kernel_cases())
+    def test_bit_equal_to_rec_trunc_and_to_each_stacked_row(self, case):
+        mean, cov, truncated = case
+        with np.errstate(all="ignore"):
+            got = outcome(lambda: _rec_trunc_row(mean.copy(), symmetrize(cov), truncated))
+            want = outcome(lambda: rec_trunc(mean, cov, truncated, OPTIMAL))
+            benign = np.zeros(mean.size), np.eye(mean.size)
+            rows = outcome(lambda: _rec_trunc_rows(
+                np.stack([benign[0], mean]), np.stack([benign[1], cov]), truncated
+            ))
+        if isinstance(want[0], type):
+            assert got == want
+            assert rows == want
+            return
+        for g, w, r in zip(got, want, rows):
+            np.testing.assert_array_equal(g, w)
+            np.testing.assert_array_equal(r[1], w)
+
+    def test_works_in_place(self):
+        mean = np.array([-1.0, 0.5, 2.0])
+        cov = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 1.5]])
+        want_mean, want_cov = rec_trunc(mean, cov, range(3))
+        out_mean, out_cov = _rec_trunc_row(mean, cov, range(3))
+        assert out_mean is mean and out_cov is cov
+        np.testing.assert_array_equal(mean, want_mean)
+        np.testing.assert_array_equal(cov, want_cov)
 
 
 class TestOracle:

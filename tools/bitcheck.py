@@ -1,0 +1,117 @@
+"""Print the SHA-256 digests that a bit-for-bit claim compares.
+
+Run from the root of a checkout, once on each tree to compare:
+
+    PYTHONPATH=src python3 tools/bitcheck.py
+
+Each line is a name and the first 16 hex digits of the SHA-256 of:
+
+  * records-q0.5-seed1 ... records-q5-seed7340033: repr of the RunRecords
+    of run_experiment, wall time zeroed, on the two acceptance scenarios
+    (q=0.5 and q=5; delta=5, rho=100, nu=4, K=100) at seeds 1 and
+    7340033, 20 replications of all five estimators;
+  * records-34-replications: the same of q=5, K=8, seed 1, 34 replications;
+  * criterion-10-csv: the bytes of the CSV that criterion 10 writes;
+  * criterion-9-arrays: the four arrays of run_static_experiment at
+    delta=5, nu=4, rho=1, 200 replications, seed 11 (criterion 9);
+  * online-epochs: the positions, position covariances, VB iterations and
+    convergence flags of the online receiver loop (nu=1.2, 12 satellites;
+    linearize, stf_update and predict per epoch) at seed 0, 600 epochs.
+
+Two trees that print the same lines give the same bits on all of these.
+It takes about a minute of CPU time on one core.
+"""
+
+import hashlib
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+from skewt_estim import bench, filtering
+from skewt_estim.exceptions import EstimationError
+
+ALL = ("stf", "sts", "kf", "rtss", "pf")
+SCENARIO = dict(delta=5.0, rho=100.0, nu=4.0, estimators=ALL)
+ONLINE = dict(name="online", q=0.5, delta=5.0, nu=1.2, rho=100.0, n_sats=12)
+
+
+def digest(data: bytes) -> str:
+    """The first 16 hex digits of the SHA-256 of data."""
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def records_digest(cfg) -> str:
+    """Of repr of the records of run_experiment(cfg), wall time zeroed."""
+    records = [replace(r, wall_time=0.0) for r in bench.run_experiment(cfg)]
+    return digest(repr(records).encode())
+
+
+def csv_digest(cfg) -> str:
+    """Of the bytes of the default CSV of run_experiment(cfg)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.csv"
+        bench.run_experiment(cfg, out_path=path)
+        return digest(path.read_bytes())
+
+
+def arrays_digest(*arrays) -> str:
+    """Of the shapes, dtypes and bytes of the arrays, in order."""
+    h = hashlib.sha256()
+    for a in map(np.ascontiguousarray, arrays):
+        h.update(f"{a.shape}{a.dtype}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+def online_epochs(seed: int, epochs: int) -> tuple:
+    """The online receiver loop: linearize at the belief, stf_update, then
+    predict, epoch by epoch; a failed epoch keeps its prediction.  Returns
+    the positions, position covariances, VB iterations and flags."""
+    cfg = bench.ScenarioConfig(K=epochs, n_mc=1, seed=seed, **ONLINE)
+    sats = bench.make_constellation(cfg.n_sats, cfg.seed)
+    traj = bench.simulate(cfg, 0)
+    model = bench.scenario_model(cfg, sats)
+    belief = model.prior_belief()
+    positions, covs = np.zeros((epochs, 3)), np.zeros((epochs, 3, 3))
+    iterations, converged = np.zeros(epochs, dtype=int), np.zeros(epochs, dtype=bool)
+    for k in range(epochs):
+        c_mat, y0 = bench.linearize(sats, belief.mean)
+        y = traj.measurements[k] - y0 + c_mat @ belief.mean
+        try:
+            belief, diag = filtering.stf_update(replace(model, C=c_mat), belief, y)
+            iterations[k], converged[k] = diag.iterations, diag.converged
+        except EstimationError:
+            pass
+        positions[k], covs[k] = belief.mean[:3], belief.cov[:3, :3]
+        belief = filtering.predict(model, belief)
+    return positions, covs, iterations, converged
+
+
+def criterion_10_config():
+    return bench.ScenarioConfig(
+        q=5.0, delta=5.0, rho=100.0, nu=4.0, K=10, n_mc=2, seed=3,
+        estimators=ALL, name="det", pf_particles=500,
+    )
+
+
+def main(argv) -> int:
+    for seed in (1, 7340033):
+        for q in (0.5, 5.0):
+            cfg = bench.ScenarioConfig(q=q, K=100, n_mc=20, seed=seed, name=f"q{q}", **SCENARIO)
+            print(f"records-q{q:g}-seed{seed} {records_digest(cfg)}", flush=True)
+    cfg = bench.ScenarioConfig(q=5.0, K=8, n_mc=34, seed=1, name="q5", **SCENARIO)
+    print(f"records-34-replications {records_digest(cfg)}", flush=True)
+    print(f"criterion-10-csv {csv_digest(criterion_10_config())}", flush=True)
+    static = bench.run_static_experiment(
+        delta=5.0, nu=4.0, rho=1.0, n_replications=200, seed=11
+    )
+    print(f"criterion-9-arrays {arrays_digest(*vars(static).values())}", flush=True)
+    print(f"online-epochs {arrays_digest(*online_epochs(0, 600))}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
