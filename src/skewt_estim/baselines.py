@@ -2,10 +2,11 @@
 
 The Kalman baselines run against moment-matched normal noise (see
 skewt.moment_match) with per-component validation gating: a measurement
-component whose normalized innovation squared exceeds a chi-square(1)
-quantile is discarded.  The bootstrap particle filter weights particles
-with the skew-t component densities and serves as the reference
-posterior in the benchmark experiments.  The densities are interpolated
+component whose normalized innovation squared exceeds GATE_THRESHOLD,
+the chi-square(1) quantile of probability 0.99, is discarded.  The
+bootstrap particle filter weights particles with the skew-t component
+densities and serves as the reference posterior in the benchmark
+experiments.  The densities are interpolated
 in a cached table of each component's log density on a uniform grid,
 looked up by direct indexing; the grid step of at most 0.05 spreads bounds
 the interpolation error (see _component_log_likelihoods), and residuals
@@ -15,7 +16,6 @@ and covariance into preallocated arrays (_pf_moments); pf_run returns their
 rows as GaussianBeliefs, and the benchmark reads the arrays.
 """
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -29,7 +29,7 @@ from .skewt import SkewTComponent, log_pdf, moments
 from .smoothing import backward_pass
 
 __all__ = [
-    "GatingConfig",
+    "GATE_THRESHOLD",
     "kf_gated_update",
     "kf_gated_run",
     "rtss_gated_run",
@@ -37,26 +37,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GatingConfig:
-    """Validation gate on the per-component normalized innovation squared.
-
-    The threshold is the chi-square(1) quantile of gate_probability,
-    2 * gammaincinv(1/2, p): chi2(1) is Gamma(1/2, scale=2), and this is
-    the expression scipy.stats.chi2.ppf(p, df=1) evaluates, bit for bit.
-    It is written out so that importing the package does not load
-    scipy.stats.
-    """
-
-    gate_probability: float = 0.99
-    threshold: float = field(init=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.gate_probability < 1.0:
-            raise ValueError("gate_probability must lie in (0, 1)")
-        object.__setattr__(
-            self, "threshold", 2.0 * float(gammaincinv(0.5, self.gate_probability))
-        )
+# The validation gate: the chi-square(1) quantile of probability 0.99,
+# 2 * gammaincinv(1/2, 0.99).  chi2(1) is Gamma(1/2, scale=2), and this is
+# the expression scipy.stats.chi2.ppf(0.99, df=1) evaluates, bit for bit;
+# it is written out so that importing the package does not load scipy.stats.
+GATE_THRESHOLD = 2.0 * float(gammaincinv(0.5, 0.99))
 
 
 def kf_gated_update(
@@ -64,13 +49,12 @@ def kf_gated_update(
     r_matched: np.ndarray,
     prior: GaussianBelief,
     y: np.ndarray,
-    g: GatingConfig = GatingConfig(),
 ) -> GaussianBelief:
     """Sequential per-component Kalman update with validation gating.
 
     Components are processed in index order against the current belief;
     a component is discarded when its normalized innovation squared
-    exceeds the gate threshold.  `r_matched` holds the matched normal
+    exceeds GATE_THRESHOLD.  `r_matched` holds the matched normal
     variances (diagonal); the caller removes any noise mean offset from y
     beforehand.  This is the one-row call of _kf_gated_update_rows.  A
     non-finite y raises NumericalFailureError.
@@ -81,12 +65,12 @@ def kf_gated_update(
     if not np.isfinite(y).all():
         raise NumericalFailureError("measurement is not finite")
     x, p, _ = _kf_gated_update_rows(
-        c_mat[None], r_matched, prior.mean[None], prior.cov[None], y[None], g
+        c_mat[None], r_matched, prior.mean[None], prior.cov[None], y[None]
     )
     return GaussianBelief(x[0], p[0])
 
 
-def _kf_gated_update_rows(c_mat, r_matched, x, p, y, g):
+def _kf_gated_update_rows(c_mat, r_matched, x, p, y):
     """kf_gated_update of B rows: c_mat (B, n_y, n_x), prior means x
     (B, n_x) and covariances p (B, n_x, n_x), measurements y (B, n_y).
 
@@ -100,7 +84,7 @@ def _kf_gated_update_rows(c_mat, r_matched, x, p, y, g):
         pc = (p @ ci.swapaxes(1, 2))[..., 0]
         s = (ci @ pc[..., None])[:, 0, 0] + r_matched[i]
         innov = y[:, i] - (ci @ x[..., None])[:, 0, 0]
-        used[:, i] = ~(innov * innov / s > g.threshold)
+        used[:, i] = ~(innov * innov / s > GATE_THRESHOLD)
         gain = pc / s[:, None]
         x = np.where(used[:, i, None], x + gain * innov[:, None], x)
         p = np.where(
@@ -111,7 +95,7 @@ def _kf_gated_update_rows(c_mat, r_matched, x, p, y, g):
     return x, symmetrize(p), used
 
 
-def kf_gated_run(model: StateSpaceModel, ys, g: GatingConfig = GatingConfig()):
+def kf_gated_run(model: StateSpaceModel, ys):
     """Gated Kalman forward pass over a measurement sequence.
 
     The model is interpreted as Gaussian: R holds the matched normal
@@ -124,21 +108,21 @@ def kf_gated_run(model: StateSpaceModel, ys, g: GatingConfig = GatingConfig()):
 
     def step(k, rows, x, p):
         predicted.append(GaussianBelief(x, p))
-        filtered.append(kf_gated_update(model.C, model.R, predicted[-1], ys[k], g))
+        filtered.append(kf_gated_update(model.C, model.R, predicted[-1], ys[k]))
         return filtered[-1].mean, filtered[-1].cov
 
     _forward(model, len(ys), step, model.prior_mean, model.prior_cov)
     return filtered, predicted
 
 
-def rtss_gated_run(model: StateSpaceModel, ys, g: GatingConfig = GatingConfig()) -> list:
+def rtss_gated_run(model: StateSpaceModel, ys) -> list:
     """Gated Kalman forward pass plus classical fixed-interval smoothing.
 
     The backward recursion is smoothing.backward_pass, the one the skew-t
     smoother runs on its [x; u] beliefs: with no u-block the beliefs are
     the plain state beliefs and that recursion is the classical RTS one.
     """
-    return backward_pass(*kf_gated_run(model, ys, g), model)
+    return backward_pass(*kf_gated_run(model, ys), model)
 
 
 # Density tables: points per grid, and the largest grid step in units of

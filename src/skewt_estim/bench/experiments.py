@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from ..baselines import GatingConfig, _kf_gated_update_rows, _pf_moments, pf_run
+from ..baselines import _kf_gated_update_rows, _pf_moments, pf_run
 from ..exceptions import EstimationError, NumericalFailureError
 from .._linalg import symmetrize
 from ..filtering import (
@@ -134,9 +134,9 @@ def _filter_rows(model, sats, trajs, update, noise_offset=0.0):
     covariances, (B, n_y) measurements and (B, n_y, n_x) linearizations
     of one step to the posterior means, covariances and any per-row
     diagnostics.  y_k is the pseudoranges less `noise_offset`, shifted so
-    that y_k ~= C_k x + noise.  Returns the prior and the posterior
-    (mean, cov) stacks (B, K, n_x) and (B, K, n_x, n_x), the diagnostics
-    stacked over steps (B, K, ...), the (B, K, n_y, n_x) linearizations
+    that y_k ~= C_k x + noise.  Returns the posterior (mean, cov) stacks
+    (B, K, n_x) and (B, K, n_x, n_x), the diagnostics stacked over steps
+    (B, K, ...), the (B, K, n_y, n_x) linearizations
     and (B, K, n_y) measurements that smoothers rerun on, and the outcome
     of each row (filtering._forward): None, or the EstimationError that
     failed it, such as the NumericalFailureError of a non-finite
@@ -152,13 +152,13 @@ def _filter_rows(model, sats, trajs, update, noise_offset=0.0):
         c_k, y0 = linearize(sats, x)
         y_k = meas[rows, k] - y0 + (c_k @ x[..., None])[..., 0] - noise_offset
         post_x, post_p, *diag = update(x, p, y_k, c_k)
-        return post_x, post_p, x, p, c_k, y_k, *diag
+        return post_x, post_p, c_k, y_k, *diag
 
-    posts_x, posts_p, priors_x, priors_p, c_seq, y_seq, *diag, failed = _forward(
+    posts_x, posts_p, c_seq, y_seq, *diag, failed = _forward(
         model, meas.shape[1], step,
         np.tile(model.prior_mean, (len(trajs), 1)), np.tile(model.prior_cov, (len(trajs), 1, 1)),
     )
-    return (priors_x, priors_p), (posts_x, posts_p), diag, c_seq, y_seq, failed
+    return (posts_x, posts_p), diag, c_seq, y_seq, failed
 
 
 def _stf_rows(model, sats, trajs, vb_cfg):
@@ -166,9 +166,8 @@ def _stf_rows(model, sats, trajs, vb_cfg):
     is its one-row call.
 
     Returns the outcome of each trajectory, its "stf" EstimatorRun or the
-    EstimationError that failed it, and the (B, K, n_sats, 4)
-    linearizations and (B, K, n_sats) measurements it ran on.  Each row is
-    bit-equal to the same trajectory filtered alone.
+    EstimationError that failed it.  Each row is bit-equal to the same
+    trajectory filtered alone.
     """
     n_x = model.n_x
 
@@ -176,14 +175,11 @@ def _stf_rows(model, sats, trajs, vb_cfg):
         mean, cov, _, _, *diag = _stf_update_rows(model, x, p, y, c_mat, vb_cfg)
         return mean[:, :n_x], symmetrize(cov[:, :n_x, :n_x]), *diag
 
-    _, (means, covs), (iters, conv), c_seq, y_seq, failed = _filter_rows(
-        model, sats, trajs, update
-    )
-    runs = [
+    (means, covs), (iters, conv), _, _, failed = _filter_rows(model, sats, trajs, update)
+    return [
         err or EstimatorRun("stf", m, c, it.astype(float), converged=bool(ok.all()))
         for m, c, it, ok, err in zip(means[..., :3], covs[..., :3, :3], iters, conv, failed)
     ]
-    return runs, c_seq, y_seq
 
 
 def _sts_rows(model, sats, trajs, vb_cfg):
@@ -206,7 +202,7 @@ def _sts_rows(model, sats, trajs, vb_cfg):
 
     # first: the augmented posteriors and the priors they came from.  Only
     # the outer loop keeps the rows it runs on, and frees them once used.
-    _, *first, c_seq, y_seq, failed = _filter_rows(model, sats, trajs, update)
+    *first, c_seq, y_seq, failed = _filter_rows(model, sats, trajs, update)
     ok = [b for b, err in enumerate(failed) if err is None]
     if not ok:
         return failed
@@ -225,7 +221,7 @@ def _sts_rows(model, sats, trajs, vb_cfg):
     return [err or next(smoothed) for err in failed]
 
 
-def _kf_rows(model, cfg, sats, trajs, gate):
+def _kf_rows(model, cfg, sats, trajs):
     """Gated Kalman filter of B trajectories in lockstep, against the
     moment-matched normal noise of the scenario less its mean.
 
@@ -241,9 +237,9 @@ def _kf_rows(model, cfg, sats, trajs, gate):
     gauss = replace(model, R=np.full(cfg.n_sats, var))
 
     def update(x, p, y, c_mat):
-        return _kf_gated_update_rows(c_mat, gauss.R, x, p, y, gate)
+        return *_kf_gated_update_rows(c_mat, gauss.R, x, p, y), x, p
 
-    priors, posts, (used,), _, _, failed = _filter_rows(gauss, sats, trajs, update, mean_off)
+    posts, (used, *priors), _, _, failed = _filter_rows(gauss, sats, trajs, update, mean_off)
     runs = [
         err or EstimatorRun("kf", m[:, :3], c[:, :3, :3], np.zeros(0))
         for m, c, err in zip(*posts, failed)
@@ -335,13 +331,13 @@ def _lockstep_rows(names, cfg, sats, trajs, vb_cfg, reps) -> dict:
         start = time.perf_counter()
         try:
             if family == ("stf",):
-                runs, _, _ = _stf_rows(model, sats, trajs, vb_cfg)
+                runs = _stf_rows(model, sats, trajs, vb_cfg)
             elif family == ("sts",):
                 runs = _sts_rows(model, sats, trajs, vb_cfg)
             elif family == ("pf",):
                 runs = _pf_rows(model, cfg, sats, trajs, reps)
             else:
-                runs, (*stacks, gauss), _ = _kf_rows(model, cfg, sats, trajs, GatingConfig())
+                runs, (*stacks, gauss), _ = _kf_rows(model, cfg, sats, trajs)
             out[family[0]] = runs, (time.perf_counter() - start) / len(trajs)
             if "rtss" in wanted:
                 ok = [b for b, run in enumerate(runs) if isinstance(run, EstimatorRun)]

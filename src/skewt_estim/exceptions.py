@@ -43,7 +43,8 @@ class NumericalFailureError(EstimationError):
 
 
 class OracleInfeasibleError(EstimationError):
-    """The sampling oracle could not produce any usable samples."""
+    """The sampling oracle cannot draw exact samples: the covariance is
+    not positive definite, or the minimax tilt equations were not solved."""
 
 
 class DegeneracyError(EstimationError):

@@ -56,10 +56,8 @@ __all__ = [
 class SmootherIterate:
     """Final iterate of the outer VB loop over B trajectories of K steps.
 
-    `filtered`, `predicted` and `smoothed` are (mean, cov) stacks of
-    augmented beliefs, (B, K, n) and (B, K, n, n); `predicted[k]` is the
-    one-step prior filtering step k started from (for k = 0 the initial
-    augmented prior).  `lambdas` (B, K, n_y) are the next mixing
+    `smoothed` is the (mean, cov) stack of the smoothed augmented beliefs,
+    (B, K, n) and (B, K, n, n).  `lambdas` (B, K, n_y) are the next mixing
     precisions; `iterations` and `converged` count the outer iterations
     of each row and say whether it stopped at its tolerance, and
     `failed[b]` is the EstimationError that failed row b, or None (its
@@ -67,8 +65,6 @@ class SmootherIterate:
     alone, without the leading axis.
     """
 
-    filtered: tuple
-    predicted: tuple
     smoothed: tuple
     lambdas: np.ndarray
     iterations: np.ndarray
@@ -77,7 +73,7 @@ class SmootherIterate:
 
     def row(self, b: int) -> "SmootherIterate":
         return SmootherIterate(
-            *((m[b], c[b]) for m, c in (self.filtered, self.predicted, self.smoothed)),
+            (self.smoothed[0][b], self.smoothed[1][b]),
             self.lambdas[b],
             int(self.iterations[b]),
             bool(self.converged[b]),
@@ -270,7 +266,7 @@ def _run_vb(model, ys, cfg):
     if n_steps == 0:
         n = model.n_x + model.n_y
         empty = (np.empty((0, n)), np.empty((0, n, n)))
-        return SmootherIterate(empty, empty, empty, np.empty((0, model.n_y)), 0, True, None)
+        return SmootherIterate(empty, np.empty((0, model.n_y)), 0, True, None)
     c_seq = np.broadcast_to(model.C, (1, n_steps) + model.C.shape)
     rows = _run_vb_rows(model, np.stack(ys)[None], c_seq, cfg)
     return _raise_failed(rows, rows.failed)[0].row(0)
@@ -299,11 +295,11 @@ def _run_vb_rows(model, ys, c_seq, cfg, first=None) -> SmootherIterate:
             stacks = tuple(s[rows] for s in first)
         else:
             stacks = _forward_rows(model, ys, lam.reshape(-1, n_steps, n_y), c_seq)
-        stacks += _raise_failed(*_backward_rows(*stacks, model))
+        smoothed = _raise_failed(*_backward_rows(*stacks, model))
         if first:
             first.clear()  # the later iterations run their own forward passes
-        plain = _lambda_rows(*stacks[4:], ys, cz, model)
-        return stacks, plain.reshape(lam.shape), stacks[4][..., : model.n_x]
+        plain = _lambda_rows(*smoothed, ys, cz, model)
+        return smoothed, plain.reshape(lam.shape), smoothed[0][..., : model.n_x]
 
     out, lambdas, iterations, converged, failed = _vb_loop(
         update,
@@ -313,6 +309,5 @@ def _run_vb_rows(model, ys, c_seq, cfg, first=None) -> SmootherIterate:
         cfg,
     )
     return SmootherIterate(
-        (out[0], out[1]), (out[2], out[3]), (out[4], out[5]),
-        lambdas.reshape(n_rows, n_steps, n_y), iterations, converged, failed,
+        tuple(out), lambdas.reshape(n_rows, n_steps, n_y), iterations, converged, failed
     )

@@ -11,7 +11,7 @@ from scipy.stats import chi2
 
 import skewt_estim.baselines as baselines
 from skewt_estim.baselines import (
-    GatingConfig,
+    GATE_THRESHOLD,
     _component_log_likelihoods,
     _density_table,
     _pf_moments,
@@ -37,17 +37,12 @@ from reference import (
 from test_filtering import random_model, simulate_linear
 
 
-class TestGatingConfig:
-    @pytest.mark.parametrize("p", [1e-3, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0 - 1e-7])
-    def test_threshold_is_chi2_quantile(self, p):
-        assert GatingConfig(gate_probability=p).threshold == chi2.ppf(p, df=1)
+class TestGateThreshold:
+    def test_is_chi2_quantile_bit_for_bit(self):
+        assert GATE_THRESHOLD == chi2.ppf(0.99, df=1)
 
-    def test_default_threshold(self):
-        assert GatingConfig().threshold == pytest.approx(6.635, abs=1e-3)
-
-    def test_probability_bounds(self):
-        with pytest.raises(ValueError):
-            GatingConfig(gate_probability=1.0)
+    def test_value(self):
+        assert GATE_THRESHOLD == pytest.approx(6.635, abs=1e-3)
 
 
 class TestGatedUpdate:

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest, norm
 
 from skewt_estim import filtering
-from skewt_estim.baselines import GatingConfig
 from skewt_estim.bench import (
     CSV_HEADER,
     ScenarioConfig,
@@ -24,7 +23,7 @@ from skewt_estim.bench import (
 )
 from skewt_estim.bench import experiments
 from skewt_estim.bench.contours import CONTOUR_HEADER
-from skewt_estim.bench.experiments import _stf_rows, run_estimator
+from skewt_estim.bench.experiments import _stf_rows, _sts_rows, run_estimator
 from skewt_estim.bench.gnss import ORBIT_RADIUS_M, RECEIVER_NOMINAL_M, pseudoranges
 from skewt_estim.cli import main
 from skewt_estim.exceptions import (
@@ -36,7 +35,6 @@ from skewt_estim.exceptions import (
 )
 from skewt_estim.filtering import VBConfig
 from skewt_estim.skewt import SkewTComponent, moments
-from skewt_estim.smoothing import _run_vb_rows
 
 from reference import simulate_loop
 
@@ -503,9 +501,9 @@ class TestRunExperiment:
         monkeypatch.setattr(experiments, "linearize", fail_on_fourth)
         with pytest.raises(GeometryError, match=r"injected \(time step 3\)$") as info:
             if family == "stf":
-                runs = _stf_rows(model, sats, trajs, VBConfig())[0]
+                runs = _stf_rows(model, sats, trajs, VBConfig())
             else:
-                runs = experiments._kf_rows(model, cfg, sats, trajs, GatingConfig())[0]
+                runs = experiments._kf_rows(model, cfg, sats, trajs)[0]
             raise runs[0]  # the row's outcome
         assert info.value.step == 3
 
@@ -526,17 +524,15 @@ class TestSmootherIterations:
         model = scenario_model(cfg, sats)
         for rep in range(3):
             traj = simulate(cfg, rep)
-            _, c_rows, y_rows = _stf_rows(model, sats, [traj], VBConfig())
-            # A tolerance no change meets: the cap ends both runs.
-            res5, res30 = (
-                _run_vb_rows(model, y_rows, c_rows, VBConfig(max_iterations=n, tol=1e-300)).row(0)
+            # The smoother linearizes on its own first forward pass; a
+            # tolerance no change meets makes the cap end both runs.
+            run5, run30 = (
+                _sts_rows(model, sats, [traj], VBConfig(max_iterations=n, tol=1e-300))[0]
                 for n in (5, 30)
             )
-            assert (res5.iterations, res30.iterations) == (5, 30)
-            pos5 = res5.smoothed[0][:, :3]
-            pos30 = res30.smoothed[0][:, :3]
-            r5 = rmse(pos5, traj.states)
-            r30 = rmse(pos30, traj.states)
+            assert (run5.outer_iterations, run30.outer_iterations) == (5, 30)
+            r5 = rmse(run5.positions, traj.states)
+            r30 = rmse(run30.positions, traj.states)
             assert abs(r5 - r30) <= 0.01 * r30
 
 

@@ -68,3 +68,15 @@ def test_online_epochs_is_the_filter_of_run_estimator(tool):
     np.testing.assert_allclose(covs, run.position_covs, rtol=1e-9, atol=0)
     np.testing.assert_array_equal(iterations, run.vb_iterations)
     assert converged.all() == run.converged
+
+
+def test_truncnorm_cases_digest_is_of_the_case_arrays(tool):
+    kwargs = dict(dims=(2, 3), n_cases=3, seed=5, oracle_samples=1000)
+    cases = bench.truncnorm_comparison(**kwargs)
+    want = tool.arrays_digest(
+        np.array([c.dim for c in cases]),
+        np.array([c.dist_optimal for c in cases]),
+        np.array([c.dist_random for c in cases]),
+    )
+    assert tool.truncnorm_cases_digest(**kwargs) == want
+    assert tool.truncnorm_cases_digest(**dict(kwargs, seed=6)) != want

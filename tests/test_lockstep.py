@@ -18,7 +18,6 @@ from numpy.testing import assert_array_equal
 from skewt_estim import filtering, smoothing
 from skewt_estim._linalg import symmetrize
 from skewt_estim.baselines import (
-    GatingConfig,
     _kf_gated_update_rows,
     kf_gated_run,
     kf_gated_update,
@@ -267,10 +266,7 @@ class TestUpdateRows:
         for b in range(n_rows):
             row = stacked.row(b)
             alone = _run_vb_rows(model, ys[b : b + 1], c_seq[b : b + 1], cfg).row(0)
-            for got, want in zip(
-                (*row.filtered, *row.predicted, *row.smoothed, row.lambdas),
-                (*alone.filtered, *alone.predicted, *alone.smoothed, alone.lambdas),
-            ):
+            for got, want in zip((*row.smoothed, row.lambdas), (*alone.smoothed, alone.lambdas)):
                 assert_array_equal(got, want)
             assert (row.iterations, row.converged) == (alone.iterations, alone.converged)
 
@@ -537,13 +533,12 @@ class TestStackedKernels:
         y = (c @ x[..., None])[..., 0] + rng.standard_normal((n_rows, n_y))
         y += 30.0 * (rng.random((n_rows, n_y)) < 0.3)
         r = rng.uniform(0.5, 2.0, n_y)
-        gate = GatingConfig()
-        x_post, p_post, used = _kf_gated_update_rows(c, r, x, p, y, gate)
+        x_post, p_post, used = _kf_gated_update_rows(c, r, x, p, y)
         for b in range(n_rows):
-            post = kf_gated_update(c[b], r, GaussianBelief(x[b], p[b]), y[b], gate)
+            post = kf_gated_update(c[b], r, GaussianBelief(x[b], p[b]), y[b])
             assert_array_equal(x_post[b], post.mean)
             assert_array_equal(p_post[b], post.cov)
-            one = _kf_gated_update_rows(c[b:b + 1], r, x[b:b + 1], p[b:b + 1], y[b:b + 1], gate)
+            one = _kf_gated_update_rows(c[b:b + 1], r, x[b:b + 1], p[b:b + 1], y[b:b + 1])
             assert_array_equal(used[b], one[2][0])
 
     def test_non_spd_row_raises_with_solve_spd_message_and_step(self):
@@ -713,19 +708,17 @@ SWEEP = dict(delta=5.0, nu=4.0, rho=100.0, K=100, n_sats=8, n_mc=6)
 
 def stf_reference(model, sats, traj, vb_cfg):
     """The skew-t filter of one trajectory, step by step on stf_update:
-    the posteriors, VB iterations, [C_k] and [y_k]."""
+    the posteriors and VB iterations."""
     belief = model.prior_belief()
-    filtered, iterations, c_seq, y_seq = [], [], [], []
+    filtered, iterations = [], []
     for y in traj.measurements:
         c_mat, y0 = linearize(sats, belief.mean)
         y_k = y - y0 + c_mat @ belief.mean
         post, diag = stf_update(replace(model, C=c_mat), belief, y_k, vb_cfg)
         filtered.append(post)
         iterations.append(diag.iterations)
-        c_seq.append(c_mat)
-        y_seq.append(y_k)
         belief = predict(model, post)
-    return filtered, np.array(iterations, dtype=float), c_seq, y_seq
+    return filtered, np.array(iterations, dtype=float)
 
 
 def sts_linearization(model, sats, traj):
@@ -760,17 +753,15 @@ def test_sweep_rows_equal_scalar_reference(q, seed):
     model = scenario_model(cfg, sats)
     vb_cfg = VBConfig()
     trajs = [simulate(cfg, rep) for rep in range(cfg.n_mc)]
-    stf, c_seq, y_seq = _stf_rows(model, sats, trajs, vb_cfg)
+    stf = _stf_rows(model, sats, trajs, vb_cfg)
     sts = _sts_rows(model, sats, trajs, vb_cfg)
     for b, traj in enumerate(trajs):
-        filtered, iters, c_ref, y_ref = stf_reference(model, sats, traj, vb_cfg)
+        filtered, iters = stf_reference(model, sats, traj, vb_cfg)
         assert_array_equal(stf[b].positions, np.stack([f.mean[:3] for f in filtered]))
         assert_array_equal(
             stf[b].position_covs, np.stack([f.cov[:3, :3] for f in filtered])
         )
         assert_array_equal(stf[b].vb_iterations, iters)
-        assert_array_equal(c_seq[b], np.stack(c_ref))
-        assert_array_equal(y_seq[b], np.stack(y_ref))
         c_sts, y_sts = sts_linearization(model, sats, traj)
         means, covs, n_outer, converged = sts_run_scalar(model, y_sts, vb_cfg, c_sts)
         assert_array_equal(sts[b].positions, means[:, :3])
@@ -778,13 +769,13 @@ def test_sweep_rows_equal_scalar_reference(q, seed):
         assert sts[b].outer_iterations == n_outer
         assert sts[b].converged == converged
     # Batch invariance: a row run alone equals its row of the batch.
-    alone, _, _ = _stf_rows(model, sats, trajs[2:3], vb_cfg)
+    alone = _stf_rows(model, sats, trajs[2:3], vb_cfg)
     assert_array_equal(alone[0].positions, stf[2].positions)
     alone_sts = _sts_rows(model, sats, trajs[2:3], vb_cfg)
     assert_array_equal(alone_sts[0].positions, sts[2].positions)
 
 
-def kf_reference(gauss, sats, traj, noise_mean, gate):
+def kf_reference(gauss, sats, traj, noise_mean):
     """The gated Kalman filter of one trajectory, step by step on
     kf_gated_update: the posteriors and the priors they started from."""
     belief = gauss.prior_belief()
@@ -793,7 +784,7 @@ def kf_reference(gauss, sats, traj, noise_mean, gate):
         c_mat, y0 = linearize(sats, belief.mean)
         y_k = y - y0 + c_mat @ belief.mean - noise_mean
         predicted.append(belief)
-        belief = kf_gated_update(c_mat, gauss.R, belief, y_k, gate)
+        belief = kf_gated_update(c_mat, gauss.R, belief, y_k)
         filtered.append(belief)
         belief = predict(gauss, belief)
     return filtered, predicted
@@ -806,20 +797,19 @@ def test_kf_and_rtss_rows_equal_one_trajectory_runs(q):
     cfg = ScenarioConfig(q=q, seed=1, **SWEEP)
     sats = make_constellation(cfg.n_sats, cfg.seed)
     model = scenario_model(cfg, sats)
-    gate = GatingConfig()
     trajs = [simulate(cfg, rep) for rep in range(cfg.n_mc)]
-    kf, kf_pass, used = _kf_rows(model, cfg, sats, trajs, gate)
+    kf, kf_pass, used = _kf_rows(model, cfg, sats, trajs)
     rtss = _rtss_rows(kf_pass)
     gauss = kf_pass[-1]
     noise_mean, _ = moments(SkewTComponent(spread_sq=1.0, shape=cfg.delta, dof=cfg.nu))
     assert used.shape == (cfg.n_mc, cfg.K, cfg.n_sats) and 0 < used.mean() < 1
     for b, traj in enumerate(trajs):
-        alone, alone_pass, alone_used = _kf_rows(model, cfg, sats, [traj], gate)
+        alone, alone_pass, alone_used = _kf_rows(model, cfg, sats, [traj])
         assert_array_equal(alone[0].positions, kf[b].positions)
         assert_array_equal(alone[0].position_covs, kf[b].position_covs)
         assert_array_equal(alone_used[0], used[b])
         assert_array_equal(_rtss_rows(alone_pass)[0].positions, rtss[b].positions)
-        filtered, predicted = kf_reference(gauss, sats, traj, noise_mean, gate)
+        filtered, predicted = kf_reference(gauss, sats, traj, noise_mean)
         assert_array_equal(kf[b].positions, np.stack([f.mean[:3] for f in filtered]))
         smoothed = backward_pass(filtered, predicted, gauss)
         assert_array_equal(rtss[b].positions, np.stack([s.mean[:3] for s in smoothed]))
@@ -1060,7 +1050,7 @@ class TestRunExperimentLockstep:
         capped = VBConfig(max_iterations=1)
         assert not run_estimator("stf", cfg, sats, trajs[0], vb_cfg=capped).converged
         assert run_estimator("stf", cfg, sats, trajs[0]).converged
-        runs, _, _ = _stf_rows(model, sats, trajs, capped)
+        runs = _stf_rows(model, sats, trajs, capped)
         assert [r.converged for r in runs] == [False] * 3
         assert all(r.converged for r in run_experiment(cfg))
         # run_experiment runs its batches with VBConfig(); cap that.

@@ -4,17 +4,26 @@ import re
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from skewt_estim._linalg import symmetrize
-from skewt_estim.exceptions import DegenerateDirectionError, EstimationError, NumericalFailureError
+from skewt_estim.bench.experiments import _random_case
+from skewt_estim.exceptions import (
+    DegenerateDirectionError,
+    EstimationError,
+    NumericalFailureError,
+    OracleInfeasibleError,
+)
 from skewt_estim.truncnorm import (
     OPTIMAL,
     FixedOrder,
     RandomOrder,
+    _minimax_tilt,
     _rec_trunc_row,
     _rec_trunc_rows,
+    _tilted_draws,
     hazard,
     rec_trunc,
     select_next,
@@ -405,6 +414,25 @@ class TestOneRowKernel:
         np.testing.assert_array_equal(cov, want_cov)
 
 
+def criterion_3_case(i):
+    """The (mean, cov) of case i of truncnorm_comparison(dims=(3, 8),
+    seed=5), criterion 3's cases."""
+    rng = np.random.default_rng(5)
+    for _ in range(i + 1):
+        mean, cov = _random_case(rng, int(rng.integers(3, 9)))
+    return mean, cov
+
+
+THIN = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])  # THIN @ THIN.T has rank 2
+
+
+def assert_mean_within(mean, cov, n_samples, want, n_se=4.0):
+    """Each oracle mean within n_se standard errors of want."""
+    se = np.sqrt(np.diagonal(cov) / n_samples)
+    assert np.all(np.abs(mean - want) <= n_se * se), (mean, want, se)
+
+
+@pytest.mark.filterwarnings("error")
 class TestOracle:
     def test_half_normal_high_precision(self):
         mean, _ = tmnd_oracle([0.0], [[1.0]], {0}, 10_000_000, seed=2)
@@ -416,8 +444,9 @@ class TestOracle:
         np.testing.assert_allclose(out_mean, mean, atol=0.02)
         np.testing.assert_allclose(out_cov, cov, atol=0.05)
 
-    def test_deep_tail_uses_gibbs(self):
-        # Acceptance is ~1e-198; the inverse-hazard asymptote gives the mean.
+    def test_deep_tail_mean(self):
+        # Plain rejection would accept ~1e-198; the inverse-hazard asymptote
+        # gives the mean.
         mean, _ = tmnd_oracle([-30.0], [[1.0]], {0}, 10_000, seed=3)
         assert mean[0] == pytest.approx(1.0 / 30.0, rel=0.10)
 
@@ -431,6 +460,70 @@ class TestOracle:
     def test_sample_floor_enforced(self):
         with pytest.raises(ValueError):
             tmnd_oracle([0.0], [[1.0]], {0}, 999, seed=0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_rejected(self, value):
+        with pytest.raises(ValueError, match="mean must be finite"):
+            tmnd_oracle([0.0, value], np.eye(2), {1}, 1000, seed=0)
+
+    def test_bivariate_orthant_mean_is_exact(self):
+        # E[z_i | z >= 0] of N(0, [[1, rho], [rho, 1]]) is
+        # (1 + rho) / sqrt(2 pi) / 2 over the orthant mass
+        # 1/4 + arcsin(rho) / (2 pi).
+        rho, n = 0.9, 1_000_000
+        want = (1.0 + rho) / np.sqrt(2.0 * np.pi) / 2.0 / (0.25 + np.arcsin(rho) / (2.0 * np.pi))
+        assert want == pytest.approx(0.885054, abs=1e-6)
+        mean, cov = tmnd_oracle([0.0, 0.0], [[1.0, rho], [rho, 1.0]], {0, 1}, n, seed=7)
+        assert_mean_within(mean, cov, n, want)
+
+    def test_far_tail_one_dimension(self):
+        # N(-1e3, 1) above 0 is nearly exponential of rate 1e3: the mean is
+        # 1/a - 2/a**3 + ... at a = 1e3, and the sd equals it to 1e-6.
+        n = 100_000
+        mean, cov = tmnd_oracle([-1e3], [[1.0]], {0}, n, seed=3)
+        assert_mean_within(mean, cov, n, 1e-3 - 2e-9)
+        assert np.sqrt(cov[0, 0]) == pytest.approx(1e-3, rel=0.02)
+
+    def test_far_tail_correlated(self):
+        # At mean -m (1, 1) the density on the orthant is exp(-m 1^T P z)
+        # to relative order 1/m**2 (P the precision): independent
+        # exponentials of rate m / (1 + rho), whose mean is (1 + rho) / m.
+        rho, m, n = 0.5, 1e3, 100_000
+        mean, cov = tmnd_oracle([-m, -m], [[1.0, rho], [rho, 1.0]], {0, 1}, n, seed=3)
+        assert_mean_within(mean, cov, n, (1.0 + rho) / m)
+        assert abs(cov[0, 1]) <= 4.0 * cov[0, 0] / np.sqrt(n)
+
+    # The criterion-3 cases of least acceptance.
+    @pytest.mark.parametrize("case", [34, 86, 91])
+    def test_log_weights_never_exceed_psi_star(self, case):
+        """The accept step is exact: at the solved tilt no draw's
+        log-weight exceeds psi*."""
+        mean, cov = criterion_3_case(case)
+        *_, ls, lo, mu, psi_star = _minimax_tilt(symmetrize(cov), -mean)
+        _, logw = _tilted_draws(np.random.default_rng(case), ls, lo, mu, 20_000)
+        assert logw.max() <= psi_star + 1e-9 * abs(psi_star)
+        assert np.mean(np.exp(logw - psi_star)) > 0.05
+
+    @pytest.mark.parametrize(
+        "cov",
+        [np.ones((2, 2)), np.diag([1.0, 0.0]), THIN @ THIN.T],
+        ids=["rank_one", "zero_variance", "rank_two_of_three"],
+    )
+    @pytest.mark.parametrize("truncated", [set(), {0, 1}])
+    def test_singular_covariance_raises(self, cov, truncated):
+        with pytest.raises(OracleInfeasibleError, match="not positive definite"):
+            tmnd_oracle(np.zeros(len(cov)), cov, truncated, 1000, seed=0)
+
+    def test_unsolved_tilt_raises(self, monkeypatch):
+        real_root = scipy.optimize.root
+
+        def stopped_early(*args, **kwargs):
+            return real_root(*args, **kwargs, options={"maxfev": 2})
+
+        monkeypatch.setattr(scipy.optimize, "root", stopped_early)
+        mean, cov = criterion_3_case(86)
+        with pytest.raises(OracleInfeasibleError, match="minimax tilt not solved"):
+            tmnd_oracle(mean, cov, range(len(mean)), 1000, seed=0)
 
 
 class TestShapeCheck:

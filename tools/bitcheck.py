@@ -16,7 +16,10 @@ Each line is a name and the first 16 hex digits of the SHA-256 of:
     delta=5, nu=4, rho=1, 200 replications, seed 11 (criterion 9);
   * online-epochs: the positions, position covariances, VB iterations and
     convergence flags of the online receiver loop (nu=1.2, 12 satellites;
-    linearize, stf_update and predict per epoch) at seed 0, 600 epochs.
+    linearize, stf_update and predict per epoch) at seed 0, 600 epochs;
+  * criterion-3-cases: the dims, greedy distances and random distances of
+    the cases of truncnorm_comparison(dims=(3, 8), n_cases=200, seed=5,
+    oracle_samples=10_000) (criterion 3), three arrays.
 
 Two trees that print the same lines give the same bits on all of these.
 It takes about a minute of CPU time on one core.
@@ -66,6 +69,15 @@ def arrays_digest(*arrays) -> str:
     return h.hexdigest()[:16]
 
 
+def truncnorm_cases_digest(**kwargs) -> str:
+    """Of the dims, dist_optimal and dist_random of the cases of
+    truncnorm_comparison(**kwargs), as three arrays."""
+    cases = bench.truncnorm_comparison(**kwargs)
+    return arrays_digest(
+        *(np.array([getattr(c, f) for c in cases]) for f in ("dim", "dist_optimal", "dist_random"))
+    )
+
+
 def online_epochs(seed: int, epochs: int) -> tuple:
     """The online receiver loop: linearize at the belief, stf_update, then
     predict, epoch by epoch; a failed epoch keeps its prediction.  Returns
@@ -110,6 +122,8 @@ def main(argv) -> int:
     )
     print(f"criterion-9-arrays {arrays_digest(*vars(static).values())}", flush=True)
     print(f"online-epochs {arrays_digest(*online_epochs(0, 600))}", flush=True)
+    cases = truncnorm_cases_digest(dims=(3, 8), n_cases=200, seed=5, oracle_samples=10_000)
+    print(f"criterion-3-cases {cases}", flush=True)
     return 0
 
 
