@@ -317,10 +317,7 @@ def _pf_moments(model, ys, n_particles, seed, measurement_fn=None) -> tuple:
             raise DegeneracyError("all particle weights vanished", step=k)
         w = log_w - shift
         np.exp(w, out=w)
-        w_sum = w.sum()
-        if w_sum <= 0.0 or not np.isfinite(w_sum):
-            raise DegeneracyError("all particle weights vanished", step=k)
-        w /= w_sum
+        w /= w.sum()  # in [1, n]: shift is finite, so no weight is NaN and the largest is 1
         means[k] = w @ states
         centered = states - means[k]
         covs[k] = symmetrize((w[:, None] * centered).T @ centered)

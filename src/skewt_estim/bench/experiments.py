@@ -4,7 +4,10 @@ Besides the Monte Carlo trajectory benchmark this module hosts the two
 single-shot studies used for validation: a static single-epoch positioning
 experiment comparing posterior means against a large-sample particle
 filter, and a moment-accuracy comparison of the greedy versus random
-truncation orderings against the sampling oracle.
+truncation orderings against the sampling oracle.  The draws of the
+static experiment (_static_replications) also feed the static ordering
+study of the tests, which compares the orderings on the single-epoch
+posterior against its exact mean.
 """
 
 import time
@@ -433,28 +436,24 @@ def write_records_csv(records, path, timing: bool = False) -> None:
 
 @dataclass(frozen=True)
 class StaticResult:
-    """Per-replication outputs of the static single-epoch experiment."""
+    """Per-replication outputs of the static single-epoch experiment: the
+    position distances of the skew-t update and of the prior mean from the
+    particle filter reference, and the NEES of the update."""
 
     dist_stf: np.ndarray
-    dist_rand: np.ndarray
     dist_prior: np.ndarray
     nees_stf: np.ndarray
 
 
-def run_static_experiment(
-    delta: float,
-    nu: float,
-    rho: float,
-    n_replications: int,
-    seed: int,
-) -> StaticResult:
-    """Single-epoch positioning: posterior means versus a large-sample PF.
+def _static_replications(delta, nu, rho, n_replications, seed):
+    """The single-epoch positioning setup and its draws.
 
-    Each replication draws one state from the static prior and one
-    pseudorange vector from STATIC_N_SATS satellites, then compares the
-    position estimates of the truncation-based update (greedy and random
-    ordering, VBConfig()) and of the prior against the particle filter
-    reference of STATIC_PF_PARTICLES particles.
+    The model has STATIC_N_SATS satellites of make_constellation(seed),
+    the static prior and the pseudorange map linearized at the prior mean,
+    where it gives y0.  Replication rep draws one state x from the prior
+    and its pseudoranges y with skew-t noise, both from
+    default_rng(seed ^ rep).  Yields (sats, model, x, y, y - y0) per
+    replication, y - y0 being the measurement of the linearized model.
     """
     sats = make_constellation(STATIC_N_SATS, seed)
     prior_mean = np.zeros(4)
@@ -472,34 +471,43 @@ def run_static_experiment(
         prior_mean=prior_mean,
         prior_cov=prior_cov,
     )
-    dist_stf = np.zeros(n_replications)
-    dist_rand = np.zeros(n_replications)
-    dist_prior = np.zeros(n_replications)
-    nees_stf = np.zeros(n_replications)
-    prior_belief = model.prior_belief()
+    noise_comp = SkewTComponent(spread_sq=1.0, shape=delta, dof=nu)
     for rep in range(n_replications):
         rng = np.random.default_rng(seed ^ rep)
         x = prior_mean + np.sqrt(np.diag(prior_cov)) * rng.standard_normal(4)
-        noise_comp = SkewTComponent(spread_sq=1.0, shape=delta, dof=nu)
         y = pseudoranges(sats, x) + sample_rng(noise_comp, STATIC_N_SATS, rng)
+        yield sats, model, x, y, y - y0
 
-        y_adj = y - y0
-        post, _ = stf_update(model, prior_belief, y_adj)
-        post_rand, _ = stf_update(
-            model, prior_belief, y_adj,
-            order_policy=RandomOrder(_tagged_seed(seed, rep, 0x52)),
-        )
+
+def run_static_experiment(
+    delta: float,
+    nu: float,
+    rho: float,
+    n_replications: int,
+    seed: int,
+) -> StaticResult:
+    """Single-epoch positioning: posterior means versus a large-sample PF.
+
+    Each replication of _static_replications compares the position
+    estimates of the skew-t update (stf_update, VBConfig()) and of the
+    prior against the particle filter reference of STATIC_PF_PARTICLES
+    particles on the pseudorange model itself.  The filter truncates in
+    greedy order only; the orders are compared in the truncation layer,
+    against the exact truncated-normal posterior of the linearized model.
+    """
+    dist_stf, dist_prior, nees_stf = np.zeros((3, n_replications))
+    replications = _static_replications(delta, nu, rho, n_replications, seed)
+    for rep, (sats, model, x, y, y_lin) in enumerate(replications):
+        post, _ = stf_update(model, model.prior_belief(), y_lin)
         pf = pf_run(
             model, [y], STATIC_PF_PARTICLES,
             seed=_tagged_seed(seed, rep, 0x5054),
             measurement_fn=partial(pseudoranges, sats),
         )[0]
-
         dist_stf[rep] = np.linalg.norm(post.mean[:3] - pf.mean[:3])
-        dist_rand[rep] = np.linalg.norm(post_rand.mean[:3] - pf.mean[:3])
-        dist_prior[rep] = np.linalg.norm(prior_mean[:3] - pf.mean[:3])
+        dist_prior[rep] = np.linalg.norm(model.prior_mean[:3] - pf.mean[:3])
         nees_stf[rep] = nees(post.mean[None], post.cov[None], x[None])[0]
-    return StaticResult(dist_stf, dist_rand, dist_prior, nees_stf)
+    return StaticResult(dist_stf, dist_prior, nees_stf)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ as an independent Gamma block, alternating two closed-form updates:
 
   * given the expected mixing precisions, a Kalman update of the augmented
     [x; u] belief followed by recursive truncation of the u block to the
-    positive orthant;
+    positive orthant, always in the paper's greedy order (other orders
+    are a study of the truncation layer, not a choice of the filter);
   * given the truncated moments, a refresh of the expected mixing
     precisions (nu_i + 2) / (nu_i + psi_i) from the per-component residual
     statistic psi.
@@ -33,7 +34,7 @@ import numpy as np
 from ._linalg import solve_spd, symmetrize
 from .exceptions import EstimationError
 from .skewt import SkewTComponent
-from .truncnorm import OPTIMAL, TruncationOrderPolicy, _rec_trunc_row, _rec_trunc_rows, rec_trunc
+from .truncnorm import _rec_trunc_row, _rec_trunc_rows
 
 __all__ = [
     "StateSpaceModel",
@@ -467,8 +468,7 @@ def _prior_terms(x_pred, p_pred, y, c_mat, cz) -> tuple:
     )
 
 
-def _lambda_update(cpc, zct, cz, z_prior_mean, z_prior_cov, innovation, delta, r, lam,
-                   policy=OPTIMAL) -> tuple:
+def _lambda_update(cpc, zct, cz, z_prior_mean, z_prior_cov, innovation, delta, r, lam) -> tuple:
     """The half of _augmented_update that depends on the mixing
     precisions lam: the diagonal fills of the innovation covariance, of
     [P C^T; diag(delta / lam)] and of the augmented prior covariance, the
@@ -476,8 +476,6 @@ def _lambda_update(cpc, zct, cz, z_prior_mean, z_prior_cov, innovation, delta, r
     arguments are _prior_terms, which it does not modify; returns what
     _augmented_update returns."""
     batch = lam.shape[:-1]
-    if batch and policy != OPTIMAL:
-        raise ValueError(f"a stack of rows is truncated in greedy order, not {policy!r}")
     n_y = lam.shape[-1]
     n_x = z_prior_mean.shape[-1] - n_y
     lam_inv = 1.0 / lam
@@ -503,15 +501,13 @@ def _lambda_update(cpc, zct, cz, z_prior_mean, z_prior_cov, innovation, delta, r
     truncated = range(n_x, n_x + n_y)
     if batch and batch[0] != 1:
         post = _rec_trunc_rows(z_mean, z_cov, truncated)
-    elif policy == OPTIMAL:  # one row, or the row of a stack of one, in place
+    else:  # one row, or the row of a stack of one, in place
         post = z_mean, symmetrize(z_cov)
         _rec_trunc_row(post[0].reshape(-1), post[1].reshape(z_cov.shape[-2:]), truncated)
-    else:
-        post = rec_trunc(z_mean, z_cov, truncated, policy)
     return (*post, z_prior_mean, z_prior_cov)
 
 
-def _augmented_update(x_pred, p_pred, y, c_mat, cz, delta, r, lam, policy=OPTIMAL):
+def _augmented_update(x_pred, p_pred, y, c_mat, cz, delta, r, lam):
     """One truncated Kalman update of the joint [x; u] belief, of one row
     or of a lockstep stack of rows: _lambda_update of _prior_terms.
 
@@ -536,14 +532,15 @@ def _augmented_update(x_pred, p_pred, y, c_mat, cz, delta, r, lam, policy=OPTIMA
     _lambda_update at 72 us per iteration and _prior_terms at 6 us per
     update.
 
-    The posterior is truncated in the order `policy` picks: one row, or a
-    stack of one, in greedy order by _rec_trunc_row in place on the fresh
-    posterior moments (rec_trunc's steps without its input checks), in
-    another order by rec_trunc, and a stack in greedy order by
-    _rec_trunc_rows, so row b of a stack is bit-equal to its own call.
-    A stack of one row runs as that row, where the one-row kernel costs
-    under a third as much (12 dims, 8 constraints: 79-91 against
-    284-304 us for rec_trunc against _rec_trunc_rows).
+    The posterior is truncated in the paper's greedy order: one row, or a
+    stack of one, by _rec_trunc_row in place on the fresh posterior
+    moments (rec_trunc's greedy steps without its input checks), and a
+    wider stack by _rec_trunc_rows, so row b of a stack is bit-equal to
+    its own call.  A stack of one row runs as that row, where the one-row
+    kernel costs under a third as much (12 dims, 8 constraints: 79-91
+    against 284-304 us for rec_trunc against _rec_trunc_rows).  Other
+    orders are a study of the truncation layer (rec_trunc and its order
+    policies), against the exact truncated-normal reference.
     The gain solve runs solve_spd once per row.  That choice was measured
     at 1-6 rows only: for 8x8 systems with 12 right-hand sides, a stacked
     np.linalg.cholesky check plus np.linalg.solve took 20/30/42 us at
@@ -555,7 +552,7 @@ def _augmented_update(x_pred, p_pred, y, c_mat, cz, delta, r, lam, policy=OPTIMA
     stack names its row, that of one row none.
     """
     terms = _prior_terms(x_pred, p_pred, y, c_mat, cz)
-    return _lambda_update(*terms, delta, r, lam, policy)
+    return _lambda_update(*terms, delta, r, lam)
 
 
 def _psi_diagonal(y, cz, z_mean, z_cov, r, n_x):
@@ -647,7 +644,7 @@ def _vb_loop(update, args, lam, upper, cfg) -> tuple:
     return out, next_lam, iterations, converged, failed
 
 
-def _stf_update_rows(model, x_prior, p_prior, y, c_mat, cfg=VBConfig(), policy=OPTIMAL) -> tuple:
+def _stf_update_rows(model, x_prior, p_prior, y, c_mat, cfg=VBConfig()) -> tuple:
     """The VB loop of stf_update (_vb_loop), for one row or a lockstep
     stack of rows, each with its own measurement matrix.
 
@@ -669,7 +666,7 @@ def _stf_update_rows(model, x_prior, p_prior, y, c_mat, cfg=VBConfig(), policy=O
 
     def update(y, cpc, zct, cz, z_prior_mean, z_prior_cov, innovation, lam):
         mean, cov, _, _ = _lambda_update(
-            cpc, zct, cz, z_prior_mean, z_prior_cov, innovation, model.Delta, model.R, lam, policy
+            cpc, zct, cz, z_prior_mean, z_prior_cov, innovation, model.Delta, model.R, lam
         )
         psi = _psi_diagonal(y, cz, mean, cov, model.R, n_x)
         return (mean, cov, lam, psi), expected_mixing_precision(model.nu, psi), mean[..., :n_x]
@@ -686,12 +683,12 @@ def stf_update(
     prior: GaussianBelief,
     y: np.ndarray,
     cfg: VBConfig = VBConfig(),
-    order_policy: TruncationOrderPolicy = OPTIMAL,
 ) -> tuple:
     """VB measurement update of a state belief against one measurement.
 
-    Alternates the truncated joint update of [x; u] (with the current
-    expected mixing precisions) and the mixing-precision refresh, starting
+    Alternates the joint update of [x; u] (with the current expected
+    mixing precisions), truncated in the paper's greedy order
+    (_augmented_update), and the mixing-precision refresh, starting
     from unit precisions, until the state mean stabilizes.  The precision
     sequence is Anderson-extrapolated, which speeds up the approach to the
     same stationary point without changing it.  Returns the normal
@@ -702,7 +699,7 @@ def stf_update(
     if prior.dim != n_x:
         raise ValueError(f"prior dimension {prior.dim} != n_x {n_x}")
     mean, cov, lam, psi, iterations, converged = _stf_update_rows(
-        model, prior.mean, prior.cov, y, model.C, cfg, order_policy
+        model, prior.mean, prior.cov, y, model.C, cfg
     )
     belief = GaussianBelief(mean[:n_x], symmetrize(cov[:n_x, :n_x]))
     diag = VBStepDiagnostics(

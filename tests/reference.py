@@ -9,7 +9,9 @@ that the one-pass lookup replaced, and simulate_loop, the per-step random
 walk that one draw and one cumsum replaced.  They are built on the
 package's scalar update kernel, Anderson step, density tables, geometry
 and noise sampler, so the code that replaced them can be held to them bit
-for bit.
+for bit.  static_ordering_study compares the package's truncation
+orders on the static experiment's draws; only its posterior and its
+exact mean are written here.
 """
 
 import numpy as np
@@ -20,14 +22,16 @@ from scipy.stats import truncnorm as scipy_truncnorm
 
 from skewt_estim._linalg import solve_spd, symmetrize
 from skewt_estim.baselines import _density_table
+from skewt_estim.bench.experiments import _static_replications, _tagged_seed
 from skewt_estim.bench.gnss import (
     VERTICAL_WALK_STD_M,
     make_constellation,
     pseudoranges,
     trajectory_prior,
 )
-from skewt_estim.filtering import _anderson_step, _augmented_update
+from skewt_estim.filtering import _anderson_step, _augmented_update, stf_update
 from skewt_estim.skewt import SkewTComponent, log_pdf, sample_rng
+from skewt_estim.truncnorm import OPTIMAL, RandomOrder, rec_trunc, tmnd_oracle
 
 
 def kalman_filter(a, q, c, r_diag, m0, p0, ys):
@@ -329,3 +333,58 @@ def simulate_loop(cfg, replication):
     for i in range(cfg.n_sats):
         meas[:, i] += sample_rng(comp, cfg.K, rng)
     return states, meas
+
+
+def augmented_posterior(model, y):
+    """The untruncated posterior (z, Z) of [x; u] given one measurement y
+    of the linear model at unit mixing precisions: the Kalman update of
+    the prior [x; u] ~ N([m; 0], blockdiag(P, I)) against
+    y = C x + diag(Delta) u + e, e ~ N(0, diag(R))."""
+    n_x, n_y = model.n_x, model.n_y
+    cz = np.hstack([model.C, np.diag(model.Delta)])
+    z_prior = np.zeros((n_x + n_y, n_x + n_y))
+    z_prior[:n_x, :n_x] = model.prior_cov
+    z_prior[n_x:, n_x:] = np.eye(n_y)
+    gain = z_prior @ cz.T @ np.linalg.inv(cz @ z_prior @ cz.T + np.diag(model.R))
+    z = np.concatenate([model.prior_mean, np.zeros(n_y)])
+    return z + gain @ (y - cz @ z), symmetrize(z_prior - gain @ cz @ z_prior)
+
+
+def static_ordering_study(delta, n_replications, seed, oracle_samples):
+    """Greedy against random truncation order on the single-epoch
+    posterior of the static experiment's draws (_static_replications at
+    nu = 1e8 and rho = 1), against its exact mean.
+
+    At that dof the skew-t noise is skew-normal, so the posterior of
+    [x; u] under the linearized model is the augmented_posterior (z, Z)
+    truncated to u >= 0.  Each replication truncates (z, Z) with
+    rec_trunc in OPTIMAL order and in RandomOrder(_tagged_seed(seed, rep,
+    0x52)).  The exact x mean is
+
+        E[x | u >= 0] = z_x + Z_xu Z_uu^-1 (E[u | u >= 0] - z_u),
+
+    as x given u is normal with a mean linear in u; E[u | u >= 0] comes
+    from tmnd_oracle (oracle_samples exact draws, seed
+    _tagged_seed(seed, rep, 0x6F)) on the u block alone.  Where Z_xu is
+    zero (delta = 0) x and u are independent, and the exact mean is z_x.
+
+    Returns the (n_replications, 3) position means: greedy, random, exact,
+    and that of stf_update on the same measurement.
+    """
+    greedy, random, exact, filtered = np.zeros((4, n_replications, 3))
+    draws = _static_replications(delta, 1e8, 1.0, n_replications, seed)
+    for rep, (_, model, _, _, y_lin) in enumerate(draws):
+        z, cov = augmented_posterior(model, y_lin)
+        n_x = model.n_x
+        u = range(n_x, z.size)
+        greedy[rep] = rec_trunc(z, cov, u, OPTIMAL)[0][:3]
+        random[rep] = rec_trunc(z, cov, u, RandomOrder(_tagged_seed(seed, rep, 0x52)))[0][:3]
+        z_xu, z_uu = cov[:n_x, n_x:], cov[n_x:, n_x:]
+        x_mean = z[:n_x]
+        if np.any(z_xu):
+            oracle_seed = _tagged_seed(seed, rep, 0x6F)
+            u_mean, _ = tmnd_oracle(z[n_x:], z_uu, range(model.n_y), oracle_samples, oracle_seed)
+            x_mean = x_mean + z_xu @ np.linalg.solve(z_uu, u_mean - z[n_x:])
+        exact[rep] = x_mean[:3]
+        filtered[rep] = stf_update(model, model.prior_belief(), y_lin)[0].mean[:3]
+    return greedy, random, exact, filtered

@@ -1,16 +1,21 @@
 """Tests for the GNSS benchmark harness and CLI."""
 
+import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest, norm
 
-from skewt_estim import filtering
+from skewt_estim import cli, filtering
+from skewt_estim._linalg import psd_sqrt
+from skewt_estim.baselines import _component_log_likelihoods, _stacked_tables, pf_run
 from skewt_estim.bench import (
     CSV_HEADER,
     ScenarioConfig,
+    Trajectory,
     linearize,
     likelihood_contour_grid,
     make_constellation,
@@ -23,7 +28,7 @@ from skewt_estim.bench import (
 )
 from skewt_estim.bench import experiments
 from skewt_estim.bench.contours import CONTOUR_HEADER
-from skewt_estim.bench.experiments import _stf_rows, _sts_rows, run_estimator
+from skewt_estim.bench.experiments import STATIC_PF_PARTICLES, _stf_rows, _sts_rows, run_estimator
 from skewt_estim.bench.gnss import ORBIT_RADIUS_M, RECEIVER_NOMINAL_M, pseudoranges
 from skewt_estim.cli import main
 from skewt_estim.exceptions import (
@@ -36,7 +41,7 @@ from skewt_estim.exceptions import (
 from skewt_estim.filtering import VBConfig
 from skewt_estim.skewt import SkewTComponent, moments
 
-from reference import simulate_loop
+from reference import augmented_posterior, simulate_loop, static_ordering_study
 
 
 def small_config(**overrides):
@@ -257,6 +262,22 @@ class TestMetrics:
         assert np.linalg.cond(covs[7, :3, :3]) > 1e11
         np.testing.assert_array_equal(nees(est, covs, truth), expected)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: rmse(np.zeros((5, 3)), np.zeros((4, 3))), "shape mismatch: (5, 3) vs (4, 3)"),
+            (lambda: rmse(np.zeros((5, 2)), np.zeros((5, 3))), "shape mismatch: (5, 2) vs (5, 3)"),
+            (lambda: nees(np.zeros((5, 3)), np.zeros((4, 3, 3)), np.zeros((5, 3))),
+             "covs must be (K, n, n) aligned with estimates"),
+            (lambda: nees(np.zeros((1, 3)), np.eye(3), np.zeros((1, 3))),
+             "covs must be (K, n, n) aligned with estimates"),
+        ],
+        ids=["rmse-steps", "rmse-columns", "nees-steps", "nees-unstacked-covs"],
+    )
+    def test_metrics_input_checks(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
     def test_nees_calibrated_estimator(self):
         rng = np.random.default_rng(7)
         n = 10_000
@@ -310,6 +331,20 @@ class TestConfigParsing:
     def test_repeated_estimator_rejected(self):
         with pytest.raises(ConfigError, match=r"repeated estimators \['kf'\]"):
             parse_config(self.GOOD.replace("stf, kf", "kf, stf, kf"))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("q 5.0", "line 1: expected 'key = value', got 'q 5.0'"),
+            ("# comment\n\nname: demo", "line 3: expected 'key = value', got 'name: demo'"),
+            ("q = 5.0\n  K  # = 10", "line 2: expected 'key = value', got '  K  # = 10'"),
+        ],
+    )
+    def test_line_without_equals_rejected(self, text, message):
+        """A line that is not a comment and holds no '=' (before any '#')
+        is rejected, naming its line number and its text."""
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
 
     @pytest.mark.parametrize("key, value", [("q", "5.0"), ("delta", "5.0"), ("rho", "100.0"),
                                             ("nu", "4.0")])
@@ -507,6 +542,13 @@ class TestRunExperiment:
             raise runs[0]  # the row's outcome
         assert info.value.step == 3
 
+    @pytest.mark.parametrize("name", ["ekf", "STF", "", "stf "])
+    def test_run_estimator_unknown_name(self, name):
+        """run_estimator rejects a name outside KNOWN_ESTIMATORS before it
+        looks at its other arguments."""
+        with pytest.raises(ValueError, match=re.escape(f"unknown estimator {name!r}")):
+            run_estimator(name, small_config(), None, None)
+
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("bad argument")
@@ -537,24 +579,81 @@ class TestSmootherIterations:
 
 
 class TestStaticOrdering:
-    def test_greedy_truncation_no_worse_than_random_ordering(self):
-        """Single-epoch study in the skew-normal regime (huge dof, one
-        effective update, so the truncation ordering is the only moving
-        part): the greedy-order posterior mean is, in median over 500
-        replications, at least as close to the particle reference as the
-        random-order variant.  At delta=0 the offset block decouples and
-        the two variants coincide exactly."""
-        from skewt_estim.bench import run_static_experiment
+    """The truncation order on the single-epoch posterior of the static
+    experiment's draws (reference.static_ordering_study): at nu = 1e8 the
+    skew-t noise is skew-normal, so one update is the whole filter and the
+    truncation order is its only moving part.  The posterior of [x; u]
+    under the linearized model is a normal truncated to u >= 0, whose x
+    mean tmnd_oracle gives exactly, up to its Monte Carlo error."""
 
+    def test_greedy_truncation_no_worse_than_random_ordering(self):
+        """In median over 500 replications, the greedy-order posterior
+        mean is at least as close to the exact mean as the random-order
+        one (oracle of 10,000 draws; at delta=5 the medians are 0.0085 and
+        0.0110 m, most of both the oracle's error).  At delta=0 the offset
+        block decouples and both are the exact mean.  The filter truncates
+        in greedy order: its VB update lands within 1e-6 m of the greedy
+        truncation (its mixing precisions differ from 1 by about 1e-8)."""
         for delta in (0.0, 5.0):
-            res = run_static_experiment(
-                delta=delta, nu=1e8, rho=1.0, n_replications=500, seed=11,
+            greedy, random, exact, filtered = static_ordering_study(
+                delta, n_replications=500, seed=11, oracle_samples=10_000,
             )
-            med_opt = np.median(res.dist_stf)
-            med_rand = np.median(res.dist_rand)
+            dist_opt = np.linalg.norm(greedy - exact, axis=1)
+            dist_rand = np.linalg.norm(random - exact, axis=1)
+            med_opt, med_rand = np.median(dist_opt), np.median(dist_rand)
             assert med_opt <= med_rand + 1e-12, (delta, med_opt, med_rand)
             if delta == 0.0:
-                np.testing.assert_allclose(res.dist_stf, res.dist_rand, atol=1e-9)
+                np.testing.assert_allclose(dist_opt, dist_rand, atol=1e-9)
+            assert np.linalg.norm(filtered - greedy, axis=1).max() <= 1e-6
+
+    def test_particle_filter_agrees_with_exact_mean(self):
+        """The 100,000-particle PF of run_static_experiment, on the
+        pseudorange model itself, agrees with the exact x mean of the
+        linearized model within a bound derived from its effective sample
+        size.
+
+        The PF mean is a self-normalized importance sampling estimate
+        from prior draws: its error has covariance about Sigma / ESS
+        (Kong 1992), Sigma the posterior covariance (the PF's own) and
+        ESS = 1 / sum(w_i^2) of its normalized weights, which the test
+        recomputes from the PF's particles and likelihood.  The exact mean
+        z_x + G (mean of n_o oracle draws of u - z_u), G = Z_xu Z_uu^-1,
+        has error covariance G Cov(u | u >= 0) G^T / n_o, at most
+        Z_xu Z_uu^-1 Z_ux / n_o: a normal restricted to a convex set has
+        no larger covariance (Brascamp-Lieb).  Linearizing the pseudoranges
+        over metre offsets at 2e7 m ranges moves the mean by under 1e-6 m.
+        The two errors are independent, so their sum has a covariance of
+        trace at most s^2 = tr(Sigma) / ESS + tr(Z_xu Z_uu^-1 Z_ux) / n_o
+        on the position block, and its norm exceeds 4 s with probability
+        under 1e-4 (for normal errors; the worst case puts all of s on one
+        axis).  Here ESS is 5e4-7e4 and s about 0.006 m.
+        """
+        n_rep, seed, n_oracle = 5, 11, 100_000
+        _, _, exact, _ = static_ordering_study(5.0, n_rep, seed, n_oracle)
+        draws = experiments._static_replications(5.0, 1e8, 1.0, n_rep, seed)
+        for rep, (sats, model, _, y, y_lin) in enumerate(draws):
+            pf_seed = experiments._tagged_seed(seed, rep, 0x5054)
+            pf = pf_run(
+                model, [y], STATIC_PF_PARTICLES, seed=pf_seed,
+                measurement_fn=partial(pseudoranges, sats),
+            )[0]
+            # The PF's particles and normalized weights, as _pf_moments draws them.
+            rng = np.random.default_rng(pf_seed)
+            states = model.prior_mean + rng.standard_normal(
+                (STATIC_PF_PARTICLES, model.n_x)
+            ) @ psd_sqrt(model.prior_cov).T
+            log_w = _component_log_likelihoods(
+                _stacked_tables(model.noise_model()), y - pseudoranges(sats, states)
+            ).sum(axis=1)
+            w = np.exp(log_w - log_w.max())
+            w /= w.sum()
+            np.testing.assert_allclose(w @ states, pf.mean, rtol=0, atol=1e-9)
+            ess = 1.0 / np.sum(w**2)
+            _, cov = augmented_posterior(model, y_lin)
+            z_xu, z_uu = cov[:model.n_x, model.n_x:], cov[model.n_x:, model.n_x:]
+            oracle_var = np.trace((z_xu @ np.linalg.solve(z_uu, z_xu.T))[:3, :3])
+            s = np.sqrt(np.trace(pf.cov[:3, :3]) / ess + oracle_var / n_oracle)
+            assert np.linalg.norm(pf.mean[:3] - exact[rep]) <= 4.0 * s, (rep, ess, s)
 
 
 class TestContours:
@@ -672,6 +771,16 @@ class TestCli:
             ["truncnorm-bench", "--dims", "8..3", "--out", str(tmp_path)]
         ) == 1
 
+    @pytest.mark.parametrize("dims", ["a..8", "3..x", "3-8", "3.5..8"])
+    def test_truncnorm_bench_non_numeric_dims(self, dims, tmp_path, capsys):
+        """A --dims value that is not two integers around '..' is a
+        ConfigError, which the command reports as its error, exit code 1."""
+        message = f"bad --dims value {dims!r}, expected e.g. 3..8"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            cli._parse_dims(dims)
+        assert main(["truncnorm-bench", "--dims", dims, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_contours_command(self, tmp_path):
         out = tmp_path / "contours.csv"
         code = main(
@@ -706,6 +815,27 @@ class TestScenarioValidation:
             small_config(estimators=("bogus",))
         with pytest.raises(ValueError, match=r"repeated estimators \['kf', 'stf'\]"):
             small_config(estimators=("stf", "kf", "stf", "kf"))
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: small_config(q=-1.0), "q and delta must be nonnegative"),
+            (lambda: small_config(delta=-0.5), "q and delta must be nonnegative"),
+            (lambda: small_config(n_mc=-1), "n_mc must be nonnegative"),
+            (lambda: small_config(seed=-1), "seed must be an unsigned integer"),
+            (lambda: Trajectory(np.zeros((5, 3)), np.zeros((5, 8))),
+             "states must be (K, 4) with aligned measurements"),
+            (lambda: Trajectory(np.zeros((5, 4)), np.zeros((4, 8))),
+             "states must be (K, 4) with aligned measurements"),
+        ],
+        ids=["negative-q", "negative-delta", "negative-n_mc", "negative-seed",
+             "three-state-columns", "misaligned-measurements"],
+    )
+    def test_gnss_input_checks(self, make, message):
+        """ScenarioConfig and Trajectory reject out-of-range fields and
+        misshapen arrays with their own message."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
 
     def test_estimator_applicability(self):
         small_config(nu=2.5, estimators=("kf", "rtss"))

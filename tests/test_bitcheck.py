@@ -11,6 +11,8 @@ import pytest
 
 from skewt_estim import bench
 
+from reference import static_ordering_study
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bitcheck.py"
 
 
@@ -80,3 +82,15 @@ def test_truncnorm_cases_digest_is_of_the_case_arrays(tool):
     )
     assert tool.truncnorm_cases_digest(**kwargs) == want
     assert tool.truncnorm_cases_digest(**dict(kwargs, seed=6)) != want
+
+
+def test_static_ordering_digest_is_of_the_two_distance_arrays(tool):
+    """The digest covers the greedy and random distances from the exact
+    mean of the tests' static ordering study, in that order."""
+    args = (5.0, 4, 11, 1000)
+    greedy, random, exact, _ = static_ordering_study(*args)
+    want = tool.arrays_digest(
+        np.linalg.norm(greedy - exact, axis=1), np.linalg.norm(random - exact, axis=1)
+    )
+    assert tool.static_ordering_digest(*args) == want
+    assert tool.static_ordering_digest(5.0, 4, 12, 1000) != want

@@ -1,5 +1,8 @@
 """Tests for the VB filter."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -267,6 +270,26 @@ class TestBeliefValidation:
                 A=np.eye(1), Q=np.eye(1), C=np.zeros((0, 1)), R=np.zeros(0),
                 Delta=np.zeros(0), nu=np.zeros(0), prior_mean=[0.0], prior_cov=[[1.0]],
             )
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(C=np.ones((3, 3))), "C shape (3, 3) inconsistent with A"),
+            (dict(R=np.ones(2)), "R must have length 3"),
+            (dict(Delta=np.zeros(4)), "Delta must have length 3"),
+            (dict(nu=np.full(2, 4.0)), "nu must have length 3"),
+            (dict(prior_mean=np.zeros(3)), "prior dimensions inconsistent with A"),
+            (dict(prior_cov=np.eye(3)), "prior dimensions inconsistent with A"),
+            (dict(nu=[4.0, 0.0, 4.0]), "nu entries must be positive"),
+            (dict(nu=[4.0, 4.0, -1.0]), "nu entries must be positive"),
+        ],
+    )
+    def test_model_input_checks(self, change, message):
+        """Each inconsistent field of a 2-state, 3-component model is
+        rejected with its own message."""
+        model = random_model(np.random.default_rng(0), 2, 3, nu=4.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(model, **change)
 
     def test_noise_model_is_component_tuple(self):
         model = StateSpaceModel(

@@ -71,7 +71,6 @@ from skewt_estim.smoothing import (
 from skewt_estim.truncnorm import (
     OPTIMAL,
     UNDERFLOW_XI,
-    RandomOrder,
     _rec_trunc_rows,
     rec_trunc,
 )
@@ -174,8 +173,6 @@ class TestUpdateRows:
                 wanted = _augmented_update(x[b], p[b], y[b], c[b], cz[b], delta, r, lam[b])
                 for got, want in zip(stacks, wanted):
                     assert_array_equal(got[b], want)
-            with pytest.raises(ValueError, match="greedy"):
-                _augmented_update(x, p, y, c, cz, delta, r, lam, RandomOrder(0))
 
     # The default loop, and caps of 1-3 iterations at a loose tolerance:
     # there some rows converge and leave the stack while others are cut

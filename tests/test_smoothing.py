@@ -23,6 +23,31 @@ from reference import backward_pass_augmented, kalman_filter, rts_smooth
 from test_filtering import random_model, simulate_linear
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m, ys: forward_pass(m, ys, [np.ones(2), np.zeros(2)]), "lambdas[1] must be positive"),
+        (lambda m, ys: forward_pass(m, ys, [np.ones(2), [1.0, -0.5]]), "lambdas[1] must be positive"),
+        (
+            lambda m, ys: backward_pass(forward_pass(m, ys, [np.ones(2)] * 2)[0], [], m),
+            "filtered and predicted sequences must align",
+        ),
+        (
+            lambda m, ys: update_lambda(GaussianBelief(np.zeros(3), np.eye(3)), ys[0], m),
+            "smoothed belief has dim 3, expected 5",
+        ),
+    ],
+    ids=["zero-lambda", "negative-lambda", "misaligned-sequences", "belief-dimension"],
+)
+def test_smoothing_input_checks(call, message):
+    """forward_pass, backward_pass and update_lambda reject inputs that do
+    not fit the model (3 states, 2 components) with their own message."""
+    rng = np.random.default_rng(3)
+    model = random_model(rng, 3, 2, delta=1.0, nu=4.0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(model, simulate_linear(model, rng, 2))
+
+
 class TestForwardPass:
     def test_single_step_matches_first_filter_iterate(self):
         rng = np.random.default_rng(31)

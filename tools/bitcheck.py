@@ -12,17 +12,24 @@ Each line is a name and the first 16 hex digits of the SHA-256 of:
     7340033, 20 replications of all five estimators;
   * records-34-replications: the same of q=5, K=8, seed 1, 34 replications;
   * criterion-10-csv: the bytes of the CSV that criterion 10 writes;
-  * criterion-9-arrays: the four arrays of run_static_experiment at
-    delta=5, nu=4, rho=1, 200 replications, seed 11 (criterion 9);
+  * criterion-9-arrays: the three arrays of run_static_experiment
+    (dist_stf, dist_prior, nees_stf) at delta=5, nu=4, rho=1, 200
+    replications, seed 11 (criterion 9);
   * online-epochs: the positions, position covariances, VB iterations and
     convergence flags of the online receiver loop (nu=1.2, 12 satellites;
     linearize, stf_update and predict per epoch) at seed 0, 600 epochs;
   * criterion-3-cases: the dims, greedy distances and random distances of
     the cases of truncnorm_comparison(dims=(3, 8), n_cases=200, seed=5,
-    oracle_samples=10_000) (criterion 3), three arrays.
+    oracle_samples=10_000) (criterion 3), three arrays;
+  * static-ordering: the distances of the greedy and of the random
+    truncation order from the exact mean, two arrays, of the static
+    ordering study of the tests (reference.static_ordering_study) at
+    delta=5, 500 replications, seed 11, 10,000 oracle draws (the test's
+    case at delta=5).
 
 Two trees that print the same lines give the same bits on all of these.
-It takes about a minute of CPU time on one core.
+It reads the static ordering study from tests/reference.py, so it runs
+in a full checkout, and takes about 20 s of CPU time on one core.
 """
 
 import hashlib
@@ -35,6 +42,9 @@ import numpy as np
 
 from skewt_estim import bench, filtering
 from skewt_estim.exceptions import EstimationError
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from reference import static_ordering_study  # noqa: E402  (the tests' study)
 
 ALL = ("stf", "sts", "kf", "rtss", "pf")
 SCENARIO = dict(delta=5.0, rho=100.0, nu=4.0, estimators=ALL)
@@ -75,6 +85,15 @@ def truncnorm_cases_digest(**kwargs) -> str:
     cases = bench.truncnorm_comparison(**kwargs)
     return arrays_digest(
         *(np.array([getattr(c, f) for c in cases]) for f in ("dim", "dist_optimal", "dist_random"))
+    )
+
+
+def static_ordering_digest(delta, n_replications, seed, oracle_samples) -> str:
+    """Of the distances of the greedy and of the random order's position
+    means from the exact mean, of static_ordering_study, as two arrays."""
+    greedy, random, exact, _ = static_ordering_study(delta, n_replications, seed, oracle_samples)
+    return arrays_digest(
+        np.linalg.norm(greedy - exact, axis=1), np.linalg.norm(random - exact, axis=1)
     )
 
 
@@ -124,6 +143,8 @@ def main(argv) -> int:
     print(f"online-epochs {arrays_digest(*online_epochs(0, 600))}", flush=True)
     cases = truncnorm_cases_digest(dims=(3, 8), n_cases=200, seed=5, oracle_samples=10_000)
     print(f"criterion-3-cases {cases}", flush=True)
+    ordering = static_ordering_digest(5.0, 500, 11, 10_000)
+    print(f"static-ordering {ordering}", flush=True)
     return 0
 
 
