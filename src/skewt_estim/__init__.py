@@ -25,14 +25,7 @@ from .filtering import (
     stf_update,
 )
 from .smoothing import backward_pass, forward_pass, sts_run, update_lambda
-from .truncnorm import (
-    OPTIMAL,
-    FixedOrder,
-    Optimal,
-    RandomOrder,
-    rec_trunc,
-    tmnd_oracle,
-)
+from .truncnorm import rec_trunc, tmnd_oracle
 
 __version__ = "0.1.0"
 
@@ -55,10 +48,6 @@ __all__ = [
     "backward_pass",
     "update_lambda",
     "sts_run",
-    "Optimal",
-    "RandomOrder",
-    "FixedOrder",
-    "OPTIMAL",
     "rec_trunc",
     "tmnd_oracle",
     "__version__",

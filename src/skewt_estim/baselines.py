@@ -270,9 +270,11 @@ def pf_run(
     letting the same filter run on nonlinear measurement models.
     Deterministic for a given seed; returns one GaussianBelief per step,
     the weighted particle mean and covariance, row k of the arrays that
-    _pf_moments returns.  A NaN or infinite measurement leaves no weight
-    finite and raises DegeneracyError at its step.
+    _pf_moments returns.  Each measurement must have shape (n_y,), as in
+    every other run; a NaN or infinite one leaves no weight finite and
+    raises DegeneracyError at its step.
     """
+    ys = _vectors("ys", ys, model.n_y)
     return [
         GaussianBelief(m, c)
         for m, c in zip(*_pf_moments(model, ys, n_particles, seed, measurement_fn))

@@ -539,8 +539,8 @@ def _augmented_update(x_pred, p_pred, y, c_mat, cz, delta, r, lam):
     its own call.  A stack of one row runs as that row, where the one-row
     kernel costs under a third as much (12 dims, 8 constraints: 79-91
     against 284-304 us for rec_trunc against _rec_trunc_rows).  Other
-    orders are a study of the truncation layer (rec_trunc and its order
-    policies), against the exact truncated-normal reference.
+    orders belong to the ordering studies (bench.experiments), which
+    compare them against the exact truncated-normal reference.
     The gain solve runs solve_spd once per row.  That choice was measured
     at 1-6 rows only: for 8x8 systems with 12 right-hand sides, a stacked
     np.linalg.cholesky check plus np.linalg.solve took 20/30/42 us at

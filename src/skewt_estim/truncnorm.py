@@ -4,10 +4,12 @@ The truncation is applied one coordinate constraint {z_k >= 0} at a time:
 the once-truncated distribution has closed-form mean and covariance (a
 rank-one update of the input moments), and is re-approximated by a normal
 with those moments before the next constraint is applied.  The result
-depends on the order in which constraints are processed; the greedy order
-that removes the most probability mass at each step (equivalently, picks
-the smallest standardized mean mu_i / sqrt(Sigma_ii)) is the per-step
-optimum in Kullback-Leibler divergence.
+depends on the order in which constraints are processed; this layer takes
+the greedy order, which removes the most probability mass at each step
+(equivalently, picks the smallest standardized mean mu_i / sqrt(Sigma_ii))
+and is the per-step optimum in Kullback-Leibler divergence.  Another
+order is composed of one-index rec_trunc calls; bench.experiments builds
+the random-order baseline of its ordering studies that way.
 
 The moments go in as a mean vector and a covariance matrix, and the
 functions that return moments return a (mean, cov) tuple of arrays, one
@@ -25,7 +27,7 @@ of or raises OracleInfeasibleError.  On criterion 3's cases it accepts
 """
 
 import math
-from dataclasses import dataclass
+import operator
 from typing import Iterable
 
 import numpy as np
@@ -34,60 +36,13 @@ from scipy.special import log_ndtr, ndtri_exp
 from ._linalg import symmetrize
 from .exceptions import DegenerateDirectionError, NumericalFailureError, OracleInfeasibleError
 
-__all__ = [
-    "TruncationOrderPolicy",
-    "Optimal",
-    "RandomOrder",
-    "FixedOrder",
-    "OPTIMAL",
-    "hazard",
-    "truncate_once",
-    "select_next",
-    "rec_trunc",
-    "tmnd_oracle",
-]
+__all__ = ["hazard", "select_next", "rec_trunc", "tmnd_oracle"]
 
 _LOG_SQRT_2PI = float(0.5 * np.log(2.0 * np.pi))
 
 # Below this value the normal CDF is treated as underflowed and the
 # asymptotic limits of the update coefficients are used instead.
 UNDERFLOW_XI = -37.0
-
-
-class TruncationOrderPolicy:
-    """Base class for constraint-ordering policies of rec_trunc."""
-
-
-@dataclass(frozen=True)
-class Optimal(TruncationOrderPolicy):
-    """Greedy mass-removing order: at each step truncate the coordinate
-    with the smallest standardized mean."""
-
-
-@dataclass(frozen=True)
-class RandomOrder(TruncationOrderPolicy):
-    """Deliberately non-optimal order used as a comparison baseline: at
-    each step one of the remaining constraints *other than* the greedy
-    choice is picked uniformly at random (the greedy one is taken only
-    when it is the sole constraint left)."""
-
-    seed: int
-
-
-@dataclass(frozen=True)
-class FixedOrder(TruncationOrderPolicy):
-    """Apply the constraints in a caller-supplied order.
-
-    The order must be a permutation of the truncated index set.
-    """
-
-    order: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "order", tuple(int(i) for i in self.order))
-
-
-OPTIMAL = Optimal()
 
 
 def hazard(xi: float) -> tuple:
@@ -126,68 +81,13 @@ def _greedy_index(mu: list, var: list, left: list) -> int:
     return k
 
 
-def _truncate_rows(mean, cov, diag, active, base, tol0) -> None:
-    """One greedy step of every row of a (B, n) / (B, n, n) stack, in place.
-
-    `diag` is the diagonal view of cov, `base` the flat offsets b * n of
-    the rows and `tol0` 1e-14 times the traces of cov when the
-    _rec_trunc_rows call began.  Per row this is a step of _rec_trunc_row,
-    with the same operations and checks, so each row stays bit-equal to
-    the scalar kernel; the exception of the first
-    failing row is raised, with the same message, and names that row.
-    The covariances must be exactly symmetric (rec_trunc keeps them so),
-    which lets row k stand for column k.
-    """
-    n = mean.shape[1]
-    var = np.where(active, diag, 1.0)
-    if np.count_nonzero(var <= 0.0):
-        raise DegenerateDirectionError(
-            "nonpositive variance in remaining directions", row=int((var <= 0.0).any(1).argmax())
-        )
-    k = np.where(active, mean / np.sqrt(var), np.inf).argmin(axis=1)
-    flat = base + k
-    if np.count_nonzero(active.take(flat)) < len(base):
-        # Every active ratio of such a row is +inf; the scalar argmin over
-        # the active set takes the lowest active index.
-        k = np.where(active.take(flat), k, active.argmax(axis=1))
-        flat = base + k
-    active.put(flat, False)
-
-    var_k = var.take(flat)
-    if np.count_nonzero(var_k <= tol0):
-        # The traces only fall (see _rec_trunc_row), so only these rows
-        # can fail against their current trace.
-        tol = 1e-14 * cov.trace(axis1=1, axis2=2)
-        if np.count_nonzero(var_k <= tol):
-            b = int((var_k <= tol).argmax())
-            raise DegenerateDirectionError(
-                f"direction {k[b]} has variance {var_k[b]:.3e} <= tolerance {tol[b]:.3e}", row=b
-            )
-    sd = np.sqrt(var_k)
-    xi = mean.take(flat) / sd
-    if np.count_nonzero(np.isfinite(xi)) < len(base):
-        b = int(np.isfinite(xi).argmin())
-        bad = float(xi[b])
-        raise NumericalFailureError(f"truncation distance is not finite, got {bad!r}", row=b)
-    # Rows below UNDERFLOW_XI take the limits; clipping keeps their unused
-    # closed-form values finite.
-    xc = np.maximum(xi, UNDERFLOW_XI)
-    eps = np.exp(-0.5 * xc * xc - _LOG_SQRT_2PI - log_ndtr(xc))
-    cov_coeff = np.minimum(np.maximum(xc * eps + eps * eps, 0.0), 1.0)
-    under = xi < UNDERFLOW_XI
-    if np.count_nonzero(under):
-        eps = np.where(under, -xi, eps)
-        cov_coeff = np.where(under, 1.0, cov_coeff)
-    col = cov.reshape(-1, n).take(flat, axis=0)
-    mean += (eps / sd)[:, None] * col
-    downdate = col[:, :, None] * col[:, None, :]
-    downdate *= (cov_coeff / var_k)[:, None, None]
-    cov -= downdate
-
-
 def _indices(indices: Iterable[int], dim: int) -> list:
-    """The distinct indices in ascending order, checked to lie in [0, dim)."""
-    todo = sorted({int(i) for i in indices})
+    """The distinct indices in ascending order, checked to be integers
+    (operator.index: Python or numpy ints, not floats) in [0, dim)."""
+    try:
+        todo = sorted({operator.index(i) for i in indices})
+    except TypeError as err:
+        raise ValueError(f"truncated indices must be integers: {err}") from None
     if todo and (todo[0] < 0 or todo[-1] >= dim):
         raise ValueError(f"truncated indices {todo} out of range for dim {dim}")
     return todo
@@ -203,37 +103,6 @@ def _moments(mean, cov) -> tuple:
     return mean, cov
 
 
-def _rec_trunc_rows(mean: np.ndarray, cov: np.ndarray, truncated) -> tuple:
-    """rec_trunc(..., OPTIMAL) of B rows in lockstep: (B, n) means and
-    (B, n, n) covariances, one truncated index set for all rows.
-
-    Row b of the returned (mean, cov) is bit-equal to
-    rec_trunc(mean[b], cov[b], truncated).  For a single row rec_trunc
-    itself is faster.
-    """
-    todo = _indices(truncated, mean.shape[1])
-    mean, cov = mean.copy(), symmetrize(cov)
-    active = np.zeros(mean.shape, dtype=bool)
-    active[:, todo] = True
-    diag = cov.diagonal(axis1=1, axis2=2)
-    base = np.arange(mean.shape[0]) * mean.shape[1]
-    tol0 = 1e-14 * cov.trace(axis1=1, axis2=2)
-    for _ in todo:
-        _truncate_rows(mean, cov, diag, active, base, tol0)
-    return mean, cov
-
-
-def truncate_once(mean, cov, k: int) -> tuple:
-    """(mean, cov) of N(mean, cov) truncated by the single constraint z_k >= 0.
-
-    The covariance is symmetrized first.  Raises DegenerateDirectionError
-    when cov[k, k] is not usably positive (<= 1e-14 * trace).
-    """
-    mean, cov = _moments(mean, cov)
-    todo = _indices([k], mean.size)
-    return _rec_trunc_row(mean.copy(), symmetrize(cov), todo, FixedOrder(todo))
-
-
 def select_next(mean, cov, remaining: Iterable[int]) -> int:
     """Index in `remaining` with the smallest mu_i / sqrt(Sigma_ii).
 
@@ -247,21 +116,16 @@ def select_next(mean, cov, remaining: Iterable[int]) -> int:
     return _greedy_index(mean.tolist(), cov.diagonal().tolist(), left)
 
 
-def rec_trunc(
-    mean,
-    cov,
-    truncated: Iterable[int],
-    policy: TruncationOrderPolicy = OPTIMAL,
-) -> tuple:
+def rec_trunc(mean, cov, truncated: Iterable[int]) -> tuple:
     """Recursive truncation of N(mean, cov) to {z_i >= 0 for i in truncated}.
 
     Symmetrizes the covariance once (each rank-one downdate by
     outer(col, col) keeps it exactly symmetric), then applies one
-    truncation step per index in `truncated`, in the order `policy` picks,
-    and returns the truncated (mean, cov); with no index it returns the
-    float arrays of its input.  With the default Optimal policy the result
-    is bit-reproducible.  The order and the step coefficients are worked
-    out on Python floats; only the downdates run in numpy.
+    truncation step per index in `truncated`, in greedy order, and returns
+    the truncated (mean, cov), bit-reproducibly; with no index it returns
+    the float arrays of its input.  The order and the step coefficients
+    are worked out on Python floats; only the downdates run in numpy.  A
+    single index, rec_trunc(mean, cov, [k]), is the one step z_k >= 0.
 
     This checks the input and copies it; the steps are _rec_trunc_row's,
     which the filter's one-row update calls on its own fresh moments.
@@ -270,39 +134,28 @@ def rec_trunc(
     todo = _indices(truncated, mean.size)
     if not todo:
         return mean, cov
-    if isinstance(policy, FixedOrder) and sorted(policy.order) != todo:
-        raise ValueError(f"fixed order {policy.order} is not a permutation of {todo}")
-    return _rec_trunc_row(mean.copy(), symmetrize(cov), todo, policy)
+    return _rec_trunc_row(mean.copy(), symmetrize(cov), todo)
 
 
-def _rec_trunc_row(mean: np.ndarray, cov: np.ndarray, todo, policy=OPTIMAL) -> tuple:
+def _rec_trunc_row(mean: np.ndarray, cov: np.ndarray, todo) -> tuple:
     """The steps of rec_trunc, in place on a float (n,) mean and an exactly
     symmetric (n, n) cov, which it returns.
 
-    todo holds the truncated indices, distinct, ascending and in range,
-    and a FixedOrder policy is a permutation of them: rec_trunc checks
-    both, and the filter's update passes range(n_x, n).  Each step picks
-    k by _greedy_index (unless the policy picks otherwise) on Python
-    floats, then applies z_k >= 0: the mean moves along row k, which is
-    column k, and cov takes the rank-one downdate (c / var) (col col^T)
-    through one (n, n) buffer, which keeps it exactly symmetric.  An
-    error is rec_trunc's, with its message.
+    todo holds the truncated indices, distinct, ascending and in range:
+    rec_trunc checks them, and the filter's update passes range(n_x, n).
+    Each step picks k by _greedy_index on Python floats, then applies
+    z_k >= 0: the mean moves along row k, which is column k, and cov takes
+    the rank-one downdate (c / var) (col col^T) through one (n, n) buffer,
+    which keeps it exactly symmetric.  An error is rec_trunc's, with its
+    message.
     """
-    fixed = isinstance(policy, FixedOrder)
-    rng = np.random.default_rng(policy.seed) if isinstance(policy, RandomOrder) else None
     diag = cov.diagonal()
     tol0 = 1e-14 * float(cov.trace())
     buf = np.empty(cov.shape)
     left = list(todo)
-    for step in range(len(left)):
+    for _ in todo:
         mu, var = mean.tolist(), diag.tolist()
-        if fixed:
-            k = policy.order[step]
-        else:
-            k = _greedy_index(mu, var, left)
-            if rng is not None and len(left) > 1:
-                others = [i for i in left if i != k]
-                k = others[rng.integers(len(others))]
+        k = _greedy_index(mu, var, left)
         left.remove(k)
         var_k = var[k]
         if var_k <= tol0:
@@ -317,15 +170,83 @@ def _rec_trunc_row(mean: np.ndarray, cov: np.ndarray, todo, policy=OPTIMAL) -> t
                 raise DegenerateDirectionError(
                     f"direction {k} has variance {var_k:.3e} <= tolerance {tol:.3e}"
                 )
-        # A nonpositive variance above the tolerance (a negative trace)
-        # takes numpy's sqrt, whose NaN or zero hazard reports.
-        sd = math.sqrt(var_k) if var_k > 0.0 else np.sqrt(np.float64(var_k))
+        # _greedy_index let only a positive or NaN variance through; a NaN
+        # one gives a NaN distance, which hazard reports.
+        sd = math.sqrt(var_k)
         mean_coeff, cov_coeff, _ = hazard(float(mu[k] / sd))
         col = cov[k]  # a view, read in full before cov is updated
         mean += (mean_coeff / sd) * col
         np.multiply(col[:, None], col, out=buf)
         buf *= cov_coeff / var_k
         cov -= buf
+    return mean, cov
+
+
+def _rec_trunc_rows(mean: np.ndarray, cov: np.ndarray, truncated) -> tuple:
+    """rec_trunc of B rows in lockstep: (B, n) means and (B, n, n)
+    covariances, one truncated index set for all rows.
+
+    Each step is a greedy step of _rec_trunc_row on every row at once,
+    with the same operations and checks, so row b of the returned
+    (mean, cov) is bit-equal to rec_trunc(mean[b], cov[b], truncated); the
+    exception of the first failing row is raised, with the same message,
+    and names that row.  The covariances are exactly symmetric, which lets
+    row k stand for column k.  For a single row rec_trunc itself is faster.
+    """
+    n = mean.shape[1]
+    todo = _indices(truncated, n)
+    mean, cov = mean.copy(), symmetrize(cov)
+    active = np.zeros(mean.shape, dtype=bool)
+    active[:, todo] = True
+    diag = cov.diagonal(axis1=1, axis2=2)
+    base = np.arange(mean.shape[0]) * n
+    tol0 = 1e-14 * cov.trace(axis1=1, axis2=2)
+    for _ in todo:
+        var = np.where(active, diag, 1.0)
+        if np.count_nonzero(var <= 0.0):
+            raise DegenerateDirectionError(
+                "nonpositive variance in remaining directions", row=int((var <= 0.0).any(1).argmax())
+            )
+        k = np.where(active, mean / np.sqrt(var), np.inf).argmin(axis=1)
+        flat = base + k
+        if np.count_nonzero(active.take(flat)) < len(base):
+            # Every active ratio of such a row is +inf; the scalar argmin
+            # over the active set takes the lowest active index.
+            k = np.where(active.take(flat), k, active.argmax(axis=1))
+            flat = base + k
+        active.put(flat, False)
+
+        var_k = var.take(flat)
+        if np.count_nonzero(var_k <= tol0):
+            # The traces only fall (see _rec_trunc_row), so only these rows
+            # can fail against their current trace.
+            tol = 1e-14 * cov.trace(axis1=1, axis2=2)
+            if np.count_nonzero(var_k <= tol):
+                b = int((var_k <= tol).argmax())
+                raise DegenerateDirectionError(
+                    f"direction {k[b]} has variance {var_k[b]:.3e} <= tolerance {tol[b]:.3e}",
+                    row=b,
+                )
+        sd = np.sqrt(var_k)
+        xi = mean.take(flat) / sd
+        if np.count_nonzero(np.isfinite(xi)) < len(base):
+            b = int(np.isfinite(xi).argmin())
+            bad = float(xi[b])
+            raise NumericalFailureError(f"truncation distance is not finite, got {bad!r}", row=b)
+        # Rows below UNDERFLOW_XI take the limits; clipping keeps their
+        # unused closed-form values finite.
+        xc = np.maximum(xi, UNDERFLOW_XI)
+        eps = np.exp(-0.5 * xc * xc - _LOG_SQRT_2PI - log_ndtr(xc))
+        cov_coeff = np.minimum(np.maximum(xc * eps + eps * eps, 0.0), 1.0)
+        under = xi < UNDERFLOW_XI
+        if np.count_nonzero(under):
+            eps = np.where(under, -xi, eps)
+            cov_coeff = np.where(under, 1.0, cov_coeff)
+        col = cov.reshape(-1, n).take(flat, axis=0)
+        mean += (eps / sd)[:, None] * col
+        downdate = col[:, :, None] * col[:, None, :]
+        downdate *= (cov_coeff / var_k)[:, None, None]
+        cov -= downdate
     return mean, cov
 
 

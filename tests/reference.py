@@ -22,7 +22,7 @@ from scipy.stats import truncnorm as scipy_truncnorm
 
 from skewt_estim._linalg import solve_spd, symmetrize
 from skewt_estim.baselines import _density_table
-from skewt_estim.bench.experiments import _static_replications, _tagged_seed
+from skewt_estim.bench.experiments import _random_order_trunc, _static_replications, _tagged_seed
 from skewt_estim.bench.gnss import (
     VERTICAL_WALK_STD_M,
     make_constellation,
@@ -31,7 +31,7 @@ from skewt_estim.bench.gnss import (
 )
 from skewt_estim.filtering import _anderson_step, _augmented_update, stf_update
 from skewt_estim.skewt import SkewTComponent, log_pdf, sample_rng
-from skewt_estim.truncnorm import OPTIMAL, RandomOrder, rec_trunc, tmnd_oracle
+from skewt_estim.truncnorm import rec_trunc, tmnd_oracle
 
 
 def kalman_filter(a, q, c, r_diag, m0, p0, ys):
@@ -358,8 +358,8 @@ def static_ordering_study(delta, n_replications, seed, oracle_samples):
     At that dof the skew-t noise is skew-normal, so the posterior of
     [x; u] under the linearized model is the augmented_posterior (z, Z)
     truncated to u >= 0.  Each replication truncates (z, Z) with
-    rec_trunc in OPTIMAL order and in RandomOrder(_tagged_seed(seed, rep,
-    0x52)).  The exact x mean is
+    rec_trunc (greedy order) and with _random_order_trunc at seed
+    _tagged_seed(seed, rep, 0x52).  The exact x mean is
 
         E[x | u >= 0] = z_x + Z_xu Z_uu^-1 (E[u | u >= 0] - z_u),
 
@@ -377,8 +377,8 @@ def static_ordering_study(delta, n_replications, seed, oracle_samples):
         z, cov = augmented_posterior(model, y_lin)
         n_x = model.n_x
         u = range(n_x, z.size)
-        greedy[rep] = rec_trunc(z, cov, u, OPTIMAL)[0][:3]
-        random[rep] = rec_trunc(z, cov, u, RandomOrder(_tagged_seed(seed, rep, 0x52)))[0][:3]
+        greedy[rep] = rec_trunc(z, cov, u)[0][:3]
+        random[rep] = _random_order_trunc(z, cov, u, _tagged_seed(seed, rep, 0x52))[0][:3]
         z_xu, z_uu = cov[:n_x, n_x:], cov[n_x:, n_x:]
         x_mean = z[:n_x]
         if np.any(z_xu):

@@ -208,6 +208,13 @@ class TestParticleFilter:
             assert np.array_equal(ba.mean, bb.mean)
             assert np.array_equal(ba.cov, bb.cov)
 
+    @pytest.mark.parametrize("y, shape", [(np.zeros(1), "(1,)"), (np.zeros(2), "(2,)"), (0.0, "(1,)"), (np.zeros(4), "(4,)")])
+    def test_measurement_length_validated(self, y, shape):
+        # A length-1 y would broadcast over all three components.
+        model = random_model(np.random.default_rng(63), 2, 3)
+        with pytest.raises(ValueError, match=re.escape(f"ys[1] must have shape (3,), got {shape}")):
+            pf_run(model, [np.zeros(3), y], 200, seed=1)
+
     def test_particle_floor(self):
         rng = np.random.default_rng(60)
         model = random_model(rng, 2, 2)

@@ -271,8 +271,13 @@ class TestMetrics:
              "covs must be (K, n, n) aligned with estimates"),
             (lambda: nees(np.zeros((1, 3)), np.eye(3), np.zeros((1, 3))),
              "covs must be (K, n, n) aligned with estimates"),
+            (lambda: nees(np.zeros((1, 3)), np.eye(3)[None], np.zeros((4, 3))),
+             "shape mismatch: (1, 3) vs (4, 3)"),
+            (lambda: nees(np.zeros((4, 3)), np.stack([np.eye(3)] * 4), np.zeros((4, 2))),
+             "shape mismatch: (4, 3) vs (4, 2)"),
         ],
-        ids=["rmse-steps", "rmse-columns", "nees-steps", "nees-unstacked-covs"],
+        ids=["rmse-steps", "rmse-columns", "nees-steps", "nees-unstacked-covs", "nees-truth-steps",
+             "nees-truth-columns"],
     )
     def test_metrics_input_checks(self, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -68,12 +68,7 @@ from skewt_estim.smoothing import (
     _run_vb_rows,
     backward_pass,
 )
-from skewt_estim.truncnorm import (
-    OPTIMAL,
-    UNDERFLOW_XI,
-    _rec_trunc_rows,
-    rec_trunc,
-)
+from skewt_estim.truncnorm import UNDERFLOW_XI, _rec_trunc_rows, rec_trunc
 
 from reference import sts_run_scalar
 from test_filtering import random_model, simulate_linear
@@ -119,7 +114,7 @@ class TestTruncationRows:
             return
         out_mean, out_cov = _rec_trunc_rows(mean, cov, truncated)
         for b in range(len(mean)):
-            ref_mean, ref_cov = rec_trunc(mean[b], cov[b], truncated, OPTIMAL)
+            ref_mean, ref_cov = rec_trunc(mean[b], cov[b], truncated)
             assert_array_equal(out_mean[b], ref_mean)
             assert_array_equal(out_cov[b], ref_cov)
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from skewt_estim._linalg import symmetrize
-from skewt_estim.bench.experiments import _random_case
+from skewt_estim.bench.experiments import _random_case, _random_order_trunc
 from skewt_estim.exceptions import (
     DegenerateDirectionError,
     EstimationError,
@@ -17,9 +17,6 @@ from skewt_estim.exceptions import (
     OracleInfeasibleError,
 )
 from skewt_estim.truncnorm import (
-    OPTIMAL,
-    FixedOrder,
-    RandomOrder,
     _minimax_tilt,
     _rec_trunc_row,
     _rec_trunc_rows,
@@ -28,13 +25,26 @@ from skewt_estim.truncnorm import (
     rec_trunc,
     select_next,
     tmnd_oracle,
-    truncate_once,
 )
 
 from reference import rec_trunc_stepwise, truncated_univariate_moments
 
 HALF_NORMAL_MEAN = np.sqrt(2.0 / np.pi)
 HALF_NORMAL_VAR = 1.0 - 2.0 / np.pi
+
+
+def truncate_in(order, mean, cov, truncated, seed=None):
+    """rec_trunc's steps in an order as rec_trunc_stepwise names it:
+    "greedy" is rec_trunc, "random" the ordering studies'
+    _random_order_trunc at seed, and an index sequence one one-index
+    rec_trunc call per index, in that order."""
+    if order == "greedy":
+        return rec_trunc(mean, cov, truncated)
+    if order == "random":
+        return _random_order_trunc(mean, cov, truncated, seed)
+    for k in order:
+        mean, cov = rec_trunc(mean, cov, [k])
+    return mean, cov
 
 
 class TestHazard:
@@ -67,13 +77,15 @@ class TestHazard:
 
 
 class TestTruncateOnce:
+    """rec_trunc with one index is the single step z_k >= 0."""
+
     def test_standard_half_normal(self):
-        mean, cov = truncate_once([0.0], [[1.0]], 0)
+        mean, cov = rec_trunc([0.0], [[1.0]], [0])
         assert mean[0] == pytest.approx(HALF_NORMAL_MEAN, abs=1e-12)
         assert cov[0, 0] == pytest.approx(HALF_NORMAL_VAR, abs=1e-12)
 
     def test_independent_coordinate_untouched(self):
-        mean, cov = truncate_once([0.0, 0.0], np.eye(2), 0)
+        mean, cov = rec_trunc([0.0, 0.0], np.eye(2), [0])
         np.testing.assert_allclose(
             mean, [HALF_NORMAL_MEAN, 0.0], atol=1e-12
         )
@@ -82,7 +94,7 @@ class TestTruncateOnce:
         )
 
     def test_inactive_constraint(self):
-        mean, cov = truncate_once([10.0], [[1.0]], 0)
+        mean, cov = rec_trunc([10.0], [[1.0]], [0])
         assert mean[0] == pytest.approx(10.0, abs=1e-8)
         assert cov[0, 0] == pytest.approx(1.0, abs=1e-8)
 
@@ -91,7 +103,7 @@ class TestTruncateOnce:
         for _ in range(50):
             mu = rng.uniform(-3.0, 3.0)
             var = rng.uniform(0.1, 4.0)
-            mean, cov = truncate_once([mu], [[var]], 0)
+            mean, cov = rec_trunc([mu], [[var]], [0])
             ref_mean, ref_var = truncated_univariate_moments(mu, var)
             assert mean[0] == pytest.approx(ref_mean, abs=1e-10)
             assert cov[0, 0] == pytest.approx(ref_var, abs=1e-10)
@@ -99,11 +111,11 @@ class TestTruncateOnce:
     @pytest.mark.parametrize("k", [-1, 2])
     def test_out_of_range_index_rejected(self, k):
         with pytest.raises(ValueError, match="out of range for dim 2"):
-            truncate_once(np.zeros(2), np.eye(2), k)
+            rec_trunc(np.zeros(2), np.eye(2), [k])
 
     def test_degenerate_direction_rejected(self):
         with pytest.raises(DegenerateDirectionError):
-            truncate_once([0.0, 0.0], np.diag([1.0, 1e-16]), 1)
+            rec_trunc([0.0, 0.0], np.diag([1.0, 1e-16]), [1])
 
 
 class TestSelectNext:
@@ -167,16 +179,26 @@ class TestRecTrunc:
         assert np.array_equal(r1[0], r2[0])
         assert np.array_equal(r1[1], r2[1])
 
-    def test_fixed_order_must_be_permutation(self):
-        with pytest.raises(ValueError):
-            rec_trunc(np.zeros(3), np.eye(3), {0, 1}, FixedOrder((0, 2)))
-
     def test_out_of_range_indices_rejected(self):
         for indices in ({1}, {-1}):
             with pytest.raises(ValueError, match="out of range for dim 1"):
                 rec_trunc([0.0], [[1.0]], indices)
             with pytest.raises(ValueError, match="out of range for dim 1"):
                 _rec_trunc_rows(np.zeros((2, 1)), np.ones((2, 1, 1)), indices)
+
+    @pytest.mark.parametrize("indices", [[0.7], [np.float64(0.0)], [0, 1.0]], ids=["float", "numpy_float", "mixed"])
+    def test_non_integer_indices_rejected(self, indices):
+        with pytest.raises(ValueError, match="truncated indices must be integers"):
+            rec_trunc([-1.0, 2.0], np.eye(2), indices)
+        with pytest.raises(ValueError, match="truncated indices must be integers"):
+            _rec_trunc_rows(np.zeros((2, 2)), np.stack([np.eye(2)] * 2), indices)
+
+    def test_numpy_integer_indices_accepted(self):
+        mean, cov = [-1.0, 2.0], [[2.0, 0.3], [0.3, 1.0]]
+        want = rec_trunc(mean, cov, [0, 1])
+        for got in (rec_trunc(mean, cov, np.array([0, 1])), rec_trunc(mean, cov, [np.int32(0), np.int64(1)])):
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
 
     def test_diagonal_matches_univariate_closed_form(self):
         # On diagonal covariances the recursion is exact per coordinate.
@@ -201,10 +223,10 @@ class TestRecTrunc:
         mean = rng.uniform(-2.0, 2.0, 5)
         var = rng.uniform(0.2, 3.0, 5)
         cov = np.diag(var)
-        ref_mean, ref_cov = rec_trunc(mean, cov, range(5), OPTIMAL)
+        ref_mean, ref_cov = rec_trunc(mean, cov, range(5))
         for _ in range(5):
             order = tuple(rng.permutation(5))
-            out_mean, out_cov = rec_trunc(mean, cov, range(5), FixedOrder(order))
+            out_mean, out_cov = truncate_in(order, mean, cov, range(5))
             np.testing.assert_allclose(out_mean, ref_mean, atol=1e-10)
             np.testing.assert_allclose(out_cov, ref_cov, atol=1e-10)
 
@@ -216,12 +238,12 @@ class TestRecTrunc:
             cov = a @ a.T + 0.1 * np.eye(dim)
             mean = rng.normal(0.0, 2.0, dim)
             k = int(rng.integers(dim))
-            _, out_cov = truncate_once(mean, cov, k)
+            _, out_cov = rec_trunc(mean, cov, [k])
             assert out_cov[k, k] <= cov[k, k] + 1e-12
 
     def test_inactive_limit_leaves_moments(self):
         mean, cov = [9.0, 0.5], [[1.0, 0.4], [0.4, 2.0]]
-        out_mean, out_cov = truncate_once(mean, cov, 0)  # ratio 9 > 8
+        out_mean, out_cov = rec_trunc(mean, cov, [0])  # ratio 9 > 8
         np.testing.assert_allclose(out_mean, mean, rtol=1e-10)
         np.testing.assert_allclose(out_cov, cov, rtol=1e-10)
 
@@ -229,8 +251,8 @@ class TestRecTrunc:
         rng = np.random.default_rng(23)
         a = rng.standard_normal((4, 4))
         mean, cov = rng.normal(size=4), a @ a.T + np.eye(4)
-        r1, _ = rec_trunc(mean, cov, range(4), RandomOrder(seed=5))
-        r2, _ = rec_trunc(mean, cov, range(4), RandomOrder(seed=5))
+        r1, _ = _random_order_trunc(mean, cov, range(4), seed=5)
+        r2, _ = _random_order_trunc(mean, cov, range(4), seed=5)
         assert np.array_equal(r1, r2)
 
 
@@ -244,10 +266,10 @@ class TestScalarLoop:
     # var_1 = 1e-9 <= 1e-14 times the first trace.
     SHRINKING = (np.array([-4e4, 0.0]), np.diag([1e6, 1e-9]))
 
-    @pytest.mark.parametrize("policy, order", [(OPTIMAL, "greedy"), (FixedOrder((0, 1)), (0, 1))])
-    def test_variance_under_first_tolerance_only_is_truncated(self, policy, order):
+    @pytest.mark.parametrize("order", ["greedy", (0, 1)])
+    def test_variance_under_first_tolerance_only_is_truncated(self, order):
         mean, cov = self.SHRINKING
-        out_mean, out_cov = rec_trunc(mean, cov, [0, 1], policy)
+        out_mean, out_cov = truncate_in(order, mean, cov, [0, 1])
         ref_mean, ref_cov = rec_trunc_stepwise(mean, cov, [0, 1], order)
         np.testing.assert_array_equal(out_mean, ref_mean)
         np.testing.assert_array_equal(out_cov, ref_cov)
@@ -291,9 +313,9 @@ class TestScalarLoop:
     def test_non_finite_mean_fails_typed(self, value):
         mean = np.array([0.5, value, -0.2])
         msg = f"truncation distance is not finite, got {value!r}"
-        for policy in (OPTIMAL, RandomOrder(3), FixedOrder((1, 0, 2))):
+        for order, seed in (("greedy", None), ("random", 3), ((1, 0, 2), None)):
             with pytest.raises(NumericalFailureError, match=re.escape(msg)):
-                rec_trunc(mean, np.eye(3), range(3), policy)
+                truncate_in(order, mean, np.eye(3), range(3), seed)
         with pytest.raises(NumericalFailureError, match=re.escape(msg)) as info:
             _rec_trunc_rows(np.stack([np.zeros(3), mean]), np.stack([np.eye(3)] * 2), range(3))
         assert info.value.row == 1
@@ -302,7 +324,8 @@ class TestScalarLoop:
 @st.composite
 def truncation_cases(draw):
     """Symmetric SPD moments of dim 1-16 (standardized means down into the
-    Phi-underflow range), a truncated index set and an ordering policy."""
+    Phi-underflow range), a truncated index set, an order as
+    rec_trunc_stepwise names it and the random order's seed."""
     dim = draw(st.integers(1, 16))
     entries = draw(st.lists(st.floats(-3.0, 3.0), min_size=dim * dim,
                             max_size=dim * dim))
@@ -313,35 +336,34 @@ def truncation_cases(draw):
                                     max_size=dim)))
     truncated = sorted(draw(st.sets(st.integers(0, dim - 1), min_size=1)))
     kind = draw(st.sampled_from(["greedy", "random", "fixed"]))
+    seed = None
     if kind == "greedy":
-        policy, order = OPTIMAL, "greedy"
+        order = "greedy"
     elif kind == "random":
         seed = draw(st.integers(0, 2**32 - 1))
-        policy, order = RandomOrder(seed), "random"
+        order = "random"
     else:
         order = draw(st.permutations(truncated))
-        policy = FixedOrder(order)
-    return ratios * np.sqrt(np.diag(cov)), cov, truncated, policy, order
+    return ratios * np.sqrt(np.diag(cov)), cov, truncated, order, seed
 
 
 class TestRecTruncProperties:
     @settings(deadline=None, max_examples=300)
     @given(truncation_cases())
     def test_bit_identical_to_stepwise_reference(self, case):
-        mean, cov, truncated, policy, order = case
-        seed = policy.seed if isinstance(policy, RandomOrder) else None
+        mean, cov, truncated, order, seed = case
         ref_mean, ref_cov = rec_trunc_stepwise(
             mean, cov, truncated, order, seed
         )
-        out_mean, out_cov = rec_trunc(mean, cov, truncated, policy)
+        out_mean, out_cov = truncate_in(order, mean, cov, truncated, seed)
         np.testing.assert_array_equal(out_mean, ref_mean)
         np.testing.assert_array_equal(out_cov, ref_cov)
 
     @settings(deadline=None, max_examples=300)
     @given(truncation_cases())
     def test_psd_and_variances_never_increase(self, case):
-        mean, cov, truncated, policy, _ = case
-        _, out_cov = rec_trunc(mean, cov, truncated, policy)
+        mean, cov, truncated, order, seed = case
+        _, out_cov = truncate_in(order, mean, cov, truncated, seed)
         np.testing.assert_array_equal(out_cov, out_cov.T)
         assert np.linalg.eigvalsh(out_cov).min() >= -1e-12 * np.trace(cov)
         assert np.all(out_cov.diagonal() <= cov.diagonal())
@@ -391,7 +413,7 @@ class TestOneRowKernel:
         mean, cov, truncated = case
         with np.errstate(all="ignore"):
             got = outcome(lambda: _rec_trunc_row(mean.copy(), symmetrize(cov), truncated))
-            want = outcome(lambda: rec_trunc(mean, cov, truncated, OPTIMAL))
+            want = outcome(lambda: rec_trunc(mean, cov, truncated))
             benign = np.zeros(mean.size), np.eye(mean.size)
             rows = outcome(lambda: _rec_trunc_rows(
                 np.stack([benign[0], mean]), np.stack([benign[1], cov]), truncated
@@ -535,11 +557,11 @@ class TestShapeCheck:
         [
             lambda mean, cov: rec_trunc(mean, cov, {0}),
             lambda mean, cov: rec_trunc(mean, cov, set()),
-            lambda mean, cov: truncate_once(mean, cov, 0),
+            lambda mean, cov: rec_trunc(mean, cov, [0]),
             lambda mean, cov: select_next(mean, cov, {0}),
             lambda mean, cov: tmnd_oracle(mean, cov, {0}, 1000, seed=0),
         ],
-        ids=["rec_trunc", "rec_trunc_empty", "truncate_once", "select_next", "tmnd_oracle"],
+        ids=["rec_trunc", "rec_trunc_empty", "rec_trunc_list", "select_next", "tmnd_oracle"],
     )
     def test_shape_mismatch_rejected(self, call):
         with pytest.raises(ValueError, match=re.escape("inconsistent shapes: mean (2,), cov (3, 3)")):
