@@ -24,7 +24,16 @@ from scipy.special import gammaincinv
 
 from ._linalg import psd_sqrt, symmetrize
 from .exceptions import DegeneracyError, NumericalFailureError
-from .filtering import GaussianBelief, StateSpaceModel, _forward, _vector, _vectors
+from .filtering import (
+    GaussianBelief,
+    StateSpaceModel,
+    _beliefs,
+    _filter_rows,
+    _linear_source,
+    _raise_failed,
+    _vector,
+    _vectors,
+)
 from .skewt import SkewTComponent, log_pdf, moments
 from .smoothing import backward_pass
 
@@ -95,24 +104,46 @@ def _kf_gated_update_rows(c_mat, r_matched, x, p, y):
     return x, symmetrize(p), used
 
 
+def _kf_gated_run_rows(model: StateSpaceModel, n_rows: int, n_steps: int, measure) -> list:
+    """The gated Kalman filter of n_rows trajectories in lockstep:
+    filtering._filter_rows with the update _kf_gated_update_rows, against
+    the normal variances model.R.  kf_gated_run is its one-row call.
+
+    Returns the stacks (n_rows, n_steps, ...) of the posterior means and
+    covariances, the gating decisions (True where a component was used)
+    and the prior means and covariances, then those of C_k and y_k, then
+    the outcome of each row.  Each row is bit-equal to the same trajectory
+    filtered alone, with the same decisions.
+    """
+
+    def update(x, p, y, c_mat):
+        return *_kf_gated_update_rows(c_mat, model.R, x, p, y), x, p
+
+    return _filter_rows(model, n_rows, n_steps, measure, update)
+
+
 def kf_gated_run(model: StateSpaceModel, ys):
     """Gated Kalman forward pass over a measurement sequence.
 
     The model is interpreted as Gaussian: R holds the matched normal
     variances and Delta is ignored.  Returns (filtered beliefs, predicted
-    beliefs) with predicted[k] the one-step prior of step k.
+    beliefs) with predicted[k] the one-step prior of step k.  A non-finite
+    measurement raises NumericalFailureError at its step.
     """
     ys = _vectors("ys", ys, model.n_y)
-    filtered = []
-    predicted = []
+    if not ys:
+        return [], []
+    linear = _linear_source(model, np.stack(ys)[None])
 
-    def step(k, rows, x, p):
-        predicted.append(GaussianBelief(x, p))
-        filtered.append(kf_gated_update(model.C, model.R, predicted[-1], ys[k]))
-        return filtered[-1].mean, filtered[-1].cov
+    def measure(k, rows, x):
+        if not np.isfinite(ys[k]).all():
+            raise NumericalFailureError("measurement is not finite")
+        return linear(k, rows, x)
 
-    _forward(model, len(ys), step, model.prior_mean, model.prior_cov)
-    return filtered, predicted
+    mean, cov, _, p_mean, p_cov, _, _ = _raise_failed(
+        *_kf_gated_run_rows(model, 1, len(ys), measure)
+    )
+    return _beliefs(mean[0], cov[0]), _beliefs(p_mean[0], p_cov[0])
 
 
 def rtss_gated_run(model: StateSpaceModel, ys) -> list:

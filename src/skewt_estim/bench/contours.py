@@ -31,8 +31,11 @@ def likelihood_contour_grid(
     """Log-likelihood surfaces of the three moment-matched noise models.
 
     Returns a dict with the grid axes ('x', 'y') and one (n_grid, n_grid)
-    array per model ('normal', 'student_t', 'skew_t').
+    array per model ('normal', 'student_t', 'skew_t').  n_grid must be at
+    least 2.
     """
+    if n_grid < 2:
+        raise ValueError(f"n_grid must be >= 2, got {n_grid}")
     # Imported here: scipy.stats costs more to import than the rest of the
     # package, and nothing else in it needs scipy.stats.
     from scipy.stats import norm, t as t_dist

@@ -1,5 +1,12 @@
 """Benchmark orchestration: estimator runners, experiments, CSV records.
 
+The trajectory benchmark runs each estimator as the library's lockstep
+family over all replications of a scenario (filtering._stf_run_rows,
+smoothing._sts_run_rows, baselines._kf_gated_run_rows), the code behind
+stf_run, sts_run and kf_gated_run.  It only supplies their measurement
+source, _pseudorange_source, which relinearizes the pseudoranges at each
+row's predicted mean, and smooths the gated filter's pass for "rtss".
+
 Besides the Monte Carlo trajectory benchmark this module hosts the two
 single-shot studies used for validation: a static single-epoch positioning
 experiment comparing posterior means against a large-sample particle
@@ -17,22 +24,12 @@ from functools import partial
 
 import numpy as np
 
-from ..baselines import _kf_gated_update_rows, _pf_moments, pf_run
+from ..baselines import _kf_gated_run_rows, _pf_moments, pf_run
 from ..exceptions import EstimationError, NumericalFailureError
 from .._linalg import symmetrize
-from ..filtering import (
-    StateSpaceModel,
-    VBConfig,
-    _augmented_update,
-    _RowErrors,
-    _forward,
-    _row_errors,
-    _stack_cz,
-    _stf_update_rows,
-    stf_update,
-)
+from ..filtering import StateSpaceModel, VBConfig, _RowErrors, _stf_run_rows, stf_update
 from ..skewt import SkewTComponent, moment_match, moments, sample_rng
-from ..smoothing import _backward_rows, _run_vb_rows
+from ..smoothing import _backward_rows, _sts_run_rows
 from ..truncnorm import rec_trunc, select_next, tmnd_oracle
 from .gnss import (
     KNOWN_ESTIMATORS,
@@ -128,58 +125,40 @@ def scenario_model(cfg: ScenarioConfig, sats: np.ndarray) -> StateSpaceModel:
     )
 
 
-def _filter_rows(model, sats, trajs, update, noise_offset=0.0):
-    """Forward filter of B trajectories in lockstep: filtering._forward
-    with a step that relinearizes at each row's predicted mean, then
-    updates.  The skew-t filter, the smoother's first forward pass and
-    the Kalman baselines run through it.
+def _pseudorange_source(sats, trajs, noise_offset=0.0) -> tuple:
+    """The measurement source of the trajectories trajs for a lockstep
+    family (filtering._filter_rows), with their row and step counts.
 
-    `update(x, p, y_k, c_k)` maps the (B, n_x) prior means, (B, n_x, n_x)
-    covariances, (B, n_y) measurements and (B, n_y, n_x) linearizations
-    of one step to the posterior means, covariances and any per-row
-    diagnostics.  y_k is the pseudoranges less `noise_offset`, shifted so
-    that y_k ~= C_k x + noise.  Returns the posterior (mean, cov) stacks
-    (B, K, n_x) and (B, K, n_x, n_x), the diagnostics stacked over steps
-    (B, K, ...), the (B, K, n_y, n_x) linearizations
-    and (B, K, n_y) measurements that smoothers rerun on, and the outcome
-    of each row (filtering._forward): None, or the EstimationError that
-    failed it, such as the NumericalFailureError of a non-finite
-    pseudorange at the row's first step that has one.
+    At step k it linearizes the pseudorange map at each live row's
+    predicted mean x, giving C_k and y0, and returns C_k and the row's
+    pseudoranges less y0, plus C_k x, less `noise_offset`, so that
+    y_k ~= C_k x + noise.  A non-finite pseudorange fails its row at its
+    first step that has one, with a NumericalFailureError.
     """
     meas = np.stack([t.measurements for t in trajs])
     finite = np.isfinite(meas).all(axis=2)
 
-    def step(k, rows, x, p):
+    def measure(k, rows, x):
         bad = ~finite[rows, k]
         if bad.any():
             raise NumericalFailureError("pseudorange is not finite", row=int(bad.argmax()))
         c_k, y0 = linearize(sats, x)
-        y_k = meas[rows, k] - y0 + (c_k @ x[..., None])[..., 0] - noise_offset
-        post_x, post_p, *diag = update(x, p, y_k, c_k)
-        return post_x, post_p, c_k, y_k, *diag
+        return c_k, meas[rows, k] - y0 + (c_k @ x[..., None])[..., 0] - noise_offset
 
-    posts_x, posts_p, c_seq, y_seq, *diag, failed = _forward(
-        model, meas.shape[1], step,
-        np.tile(model.prior_mean, (len(trajs), 1)), np.tile(model.prior_cov, (len(trajs), 1, 1)),
-    )
-    return (posts_x, posts_p), diag, c_seq, y_seq, failed
+    return len(trajs), meas.shape[1], measure
 
 
 def _stf_rows(model, sats, trajs, vb_cfg):
-    """Skew-t filter of B trajectories in lockstep; run_estimator("stf")
-    is its one-row call.
+    """Skew-t filter of B trajectories in lockstep (filtering._stf_run_rows
+    on their pseudoranges); run_estimator("stf") is its one-row call.
 
     Returns the outcome of each trajectory, its "stf" EstimatorRun or the
     EstimationError that failed it.  Each row is bit-equal to the same
     trajectory filtered alone.
     """
-    n_x = model.n_x
-
-    def update(x, p, y, c_mat):
-        mean, cov, _, _, *diag = _stf_update_rows(model, x, p, y, c_mat, vb_cfg)
-        return mean[:, :n_x], symmetrize(cov[:, :n_x, :n_x]), *diag
-
-    (means, covs), (iters, conv), _, _, failed = _filter_rows(model, sats, trajs, update)
+    means, covs, _, _, iters, conv, *_, failed = _stf_run_rows(
+        model, *_pseudorange_source(sats, trajs), vb_cfg
+    )
     return [
         err or EstimatorRun("stf", m, c, it.astype(float), converged=bool(ok.all()))
         for m, c, it, ok, err in zip(means[..., :3], covs[..., :3, :3], iters, conv, failed)
@@ -187,46 +166,26 @@ def _stf_rows(model, sats, trajs, vb_cfg):
 
 
 def _sts_rows(model, sats, trajs, vb_cfg):
-    """Skew-t smoother of B trajectories in lockstep; run_estimator("sts")
-    is its one-row call.  It never runs the skew-t filter.
+    """Skew-t smoother of B trajectories in lockstep
+    (smoothing._sts_run_rows on their pseudoranges, linearized at each
+    row's own predicted means in its first forward pass, at lambda = 1);
+    run_estimator("sts") is its one-row call.  It never runs the skew-t
+    filter.
 
-    The forward pass of the first outer iteration runs through
-    _filter_rows, with the augmented update at unit mixing precisions
-    (lambda = 1, where the outer loop starts): it linearizes each row at
-    its own predicted means.  The outer loop (smoothing._run_vb_rows)
-    starts from that pass, and its later forward passes reuse its
-    linearizations and measurements, so no forward pass runs twice.
     Returns the outcome of each trajectory, its "sts" EstimatorRun or the
     EstimationError that failed it, in the first pass or in the loop.
     """
-
-    def update(x, p, y, c_mat):
-        cz = _stack_cz(c_mat, model.Delta)
-        return _augmented_update(x, p, y, c_mat, cz, model.Delta, model.R, np.ones(y.shape))
-
-    # first: the augmented posteriors and the priors they came from.  Only
-    # the outer loop keeps the rows it runs on, and frees them once used.
-    *first, c_seq, y_seq, failed = _filter_rows(model, sats, trajs, update)
-    ok = [b for b, err in enumerate(failed) if err is None]
-    if not ok:
-        return failed
-    first = [a[ok] for stacks in first for a in stacks]
-    try:
-        rows = _run_vb_rows(model, y_seq[ok], c_seq[ok], vb_cfg, first)
-    except EstimationError as err:  # every row failed at the loop's first iteration
-        for one in _row_errors(err):
-            failed[ok[one.row]] = one
-        return failed
+    rows = _sts_run_rows(model, *_pseudorange_source(sats, trajs), vb_cfg)
     means, covs = rows.smoothed[0][..., :3], rows.smoothed[1][..., :3, :3]
-    smoothed = iter([
+    return [
         err or EstimatorRun("sts", m, symmetrize(c), np.zeros(0), int(n), bool(conv))
         for m, c, n, conv, err in zip(means, covs, rows.iterations, rows.converged, rows.failed)
-    ])
-    return [err or next(smoothed) for err in failed]
+    ]
 
 
 def _kf_rows(model, cfg, sats, trajs):
-    """Gated Kalman filter of B trajectories in lockstep, against the
+    """Gated Kalman filter of B trajectories in lockstep
+    (baselines._kf_gated_run_rows on their pseudoranges), against the
     moment-matched normal noise of the scenario less its mean.
 
     Returns the outcome of each trajectory ("kf" EstimatorRun or
@@ -239,16 +198,14 @@ def _kf_rows(model, cfg, sats, trajs):
     mean_off, _ = moments(comp)
     var, _, _ = moment_match(comp)
     gauss = replace(model, R=np.full(cfg.n_sats, var))
-
-    def update(x, p, y, c_mat):
-        return *_kf_gated_update_rows(c_mat, gauss.R, x, p, y), x, p
-
-    posts, (used, *priors), _, _, failed = _filter_rows(gauss, sats, trajs, update, mean_off)
+    means, covs, used, *priors, _, _, failed = _kf_gated_run_rows(
+        gauss, *_pseudorange_source(sats, trajs, mean_off)
+    )
     runs = [
         err or EstimatorRun("kf", m[:, :3], c[:, :3, :3], np.zeros(0))
-        for m, c, err in zip(*posts, failed)
+        for m, c, err in zip(means, covs, failed)
     ]
-    return runs, (*posts, *priors, gauss), used
+    return runs, (means, covs, *priors, gauss), used
 
 
 def _rtss_rows(pass_rows):
@@ -571,8 +528,10 @@ def truncnorm_comparison(
     Each case truncates all coordinates of a random correlated normal to
     the positive orthant and records the Euclidean distances from the
     sampling-oracle mean of the rec_trunc mean and of the
-    _random_order_trunc mean.
+    _random_order_trunc mean.  n_cases must be at least 1.
     """
+    if n_cases < 1:
+        raise ValueError(f"n_cases must be >= 1, got {n_cases}")
     rng = np.random.default_rng(seed)
     cases = []
     for i in range(n_cases):

@@ -7,6 +7,7 @@ walk with configurable step size, the vertical channel walks with a fixed
 0.2 m step, and the clock bias stays constant within a trajectory.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,9 @@ class ScenarioConfig:
     seed : base seed; replication r uses seed XOR r.
     estimators : estimator names to run (subset of KNOWN_ESTIMATORS), each
         named once.
-    name : scenario identifier used in result records.
+    name : scenario identifier used in result records and as the CSV file
+        name of `skewt-estim run`: letters, digits, ".", "_" and "-", not
+        starting with "." (so it holds no CSV separator or path part).
     pf_particles : particle count of the bootstrap PF ("pf").  The default
         1000 is no reference at the 0.1 m level: changing only the PF's
         density interpolation (log densities by up to 7e-2) moved the
@@ -98,6 +101,11 @@ class ScenarioConfig:
             raise ValueError("n_mc must be nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be an unsigned integer")
+        if not re.fullmatch(r"[A-Za-z0-9_-][A-Za-z0-9._-]*", str(self.name)):
+            raise ValueError(
+                f"name must be letters, digits, '.', '_' or '-', not starting with '.',"
+                f" got {self.name!r}"
+            )
         unknown = [e for e in self.estimators if e not in KNOWN_ESTIMATORS]
         if unknown:
             raise ValueError(

@@ -7,10 +7,12 @@ class EstimationError(Exception):
     `step` is the time step the error arose at and `row` its row of a
     lockstep stack, when known.  The layer that knows one sets it on the
     caught error.  A lockstep loop that catches an error of a row records
-    it as that row's outcome and goes on with the other rows; one row's
-    loop raises it again.  str() ends in "(time step k)" once the step is
-    known; the row never shows, so a row's error reads the same at any
-    position of its batch.
+    it as that row's outcome and goes on with the other rows.  The
+    sequence functions (stf_run, sts_run, kf_gated_run and the benchmark's
+    run_estimator) are one-row calls of lockstep families and raise their
+    row's error again, naming row 0.  str() ends in "(time step k)" once
+    the step is known; the row never shows, so a row's error reads the
+    same at any position of its batch.
     """
 
     def __init__(self, message, step=None, row=None):

@@ -24,6 +24,18 @@ split into _prior_terms, computed once per measurement update, and
 _lambda_update, run once per iteration, which truncates one row through
 truncnorm's private kernel without rec_trunc's input checks; _vb_loop
 writes a row's outputs once, when the row leaves the loop.
+
+Each estimator has one sequence driver, a lockstep family over B
+trajectories: _filter_rows runs the forward recursion _forward and takes
+each step's measurement matrices and measurements from a source
+measure(k, rows, x).  A linear model's source is model.C and the rows'
+own measurements (_linear_source); the GNSS benchmark's relinearizes at
+each row's predicted mean (bench.experiments._pseudorange_source).  The
+skew-t filter's family is _stf_run_rows, the smoother's and the gated
+Kalman filter's are smoothing._sts_run_rows and
+baselines._kf_gated_run_rows, and the public sequence functions stf_run,
+sts_run and kf_gated_run are their one-row calls, so the code the
+benchmark runs is the code the library exports.
 """
 
 import math
@@ -325,36 +337,37 @@ def predict(model: StateSpaceModel, b: GaussianBelief) -> GaussianBelief:
     return GaussianBelief(*_time_update(model, b.mean, b.cov))
 
 
-def _forward(model: StateSpaceModel, n_steps: int, step, x, p) -> list:
-    """The forward recursion of every filter, from the prior (x, p): at
-    each step k the measurement update `step(k, rows, x, p)`, then the time
-    update.
+def _forward(model: StateSpaceModel, n_rows: int, n_steps: int, step) -> list:
+    """The forward recursion of every filter, over a lockstep stack of
+    n_rows rows from the model prior: at each step k the measurement
+    update `step(k, rows, x, p)` of the live rows' predicted means x
+    (B, n_x) and covariances p (B, n_x, n_x), then the time update.
 
-    x (..., n_x) and p (..., n_x, n_x) are one row (leading shape ()) or a
-    lockstep stack ((B,)).  `step` returns the posterior mean and
-    covariance, then anything else the caller keeps; the next prior is the
-    time update of their leading n_x block (for the smoother's [x; u], the
-    x block: u has a zero transition).  Returns each output of `step`
-    stacked over a step axis after the leading shape, in stacks allocated
-    from the first step's outputs, then the list of the outcomes of the
-    input rows: None, or the EstimationError that failed the row.
+    `step` returns the posterior mean and covariance, then anything else
+    the caller keeps; the next prior is the time update of their leading
+    n_x block (for the smoother's [x; u], the x block: u has a zero
+    transition).  Returns each output of `step` stacked over a step axis
+    after the row axis, (n_rows, n_steps, ...), in stacks allocated from
+    the first step's outputs, then the list of the outcomes of the rows:
+    None, or the EstimationError that failed the row.
 
     An EstimationError of step k gets its step set to k (each error of a
-    _RowErrors does).  One row raises it again.  In a stack it fails the
-    row it names, or every row when it names none, or each row a
-    _RowErrors names (_fail_rows); those rows leave the recursion and step
-    k runs again for the rows left, so each row is bit-equal to its own run.
-    `rows` indexes the input rows left: a slice of all of them until one
-    fails, then an index array.  Once no row is left the recursion stops,
-    and the entries it has not written belong to failed rows, which hold
-    no result.  It never steps on no rows: when no row is left at step 0
-    there are no stacks to return, and it raises the rows' errors at
-    once instead (_raise_failed), as a nested caller would.
+    _RowErrors does).  It fails the row it names, or every row when it
+    names none, or each row a _RowErrors names (_fail_rows); those rows
+    leave the recursion and step k runs again for the rows left, so each
+    row is bit-equal to its own run.  `rows` indexes the rows left: a
+    slice of all of them until one fails, then an index array.  Once no
+    row is left the recursion stops, and the entries it has not written
+    belong to failed rows, which hold no result.  It never steps on no
+    rows: when no row is left at step 0 there are no stacks to return, and
+    it raises the rows' errors at once instead (_raise_failed), as a
+    nested caller would.
     """
     n_x = model.n_x
-    lead = x.shape[:-1]
-    rows = slice(None) if lead else None  # the live input rows: all, until one fails
-    failed = [None] * lead[0] if lead else []
+    x = np.broadcast_to(model.prior_mean, (n_rows, n_x))
+    p = np.broadcast_to(model.prior_cov, (n_rows, n_x, n_x))
+    rows = slice(None)  # the live rows: all, until one fails
+    failed = [None] * n_rows
     stacks = []
     for k in range(n_steps):
         while True:
@@ -364,8 +377,6 @@ def _forward(model: StateSpaceModel, n_steps: int, step, x, p) -> list:
             except EstimationError as err:
                 for one in _row_errors(err):
                     one.step = k
-                if not lead:
-                    raise
                 rows, x, p = _fail_rows(failed, err, rows, x, p)
                 if not len(x):
                     if not k:  # no stacks exist: only the errors are left
@@ -373,13 +384,44 @@ def _forward(model: StateSpaceModel, n_steps: int, step, x, p) -> list:
                     return [*stacks, failed]
         if not k:
             stacks = [
-                np.empty(lead + (n_steps,) + np.shape(o)[len(lead):], np.result_type(o))
-                for o in out
+                np.empty((n_rows, n_steps) + np.shape(o)[1:], np.result_type(o)) for o in out
             ]
         for whole, o in zip(stacks, out):
-            whole[(rows, k) if lead else k] = o
+            whole[rows, k] = o
         x, p = _time_update(model, out[0][..., :n_x], out[1][..., :n_x, :n_x])
     return [*stacks, failed]
+
+
+def _filter_rows(model: StateSpaceModel, n_rows: int, n_steps: int, measure, update) -> list:
+    """The forward filter of n_rows trajectories in lockstep (_forward),
+    fed by a measurement source.
+
+    At step k, `measure(k, rows, x)` gives the measurement matrices C_k
+    (B, n_y, n_x) and measurements y_k (B, n_y) of the live rows at their
+    predicted means x, and `update(x, p, y_k, C_k)` maps the priors to the
+    posterior means, covariances and any per-row diagnostics.  A source
+    may relinearize at x; _linear_source is that of a linear model.
+    Returns update's outputs stacked over the steps, then the C_k and y_k
+    stacks, which a smoother reruns on, then the outcome of each row.  The
+    skew-t filter, the smoother's first forward pass and the gated Kalman
+    filter run through it.
+    """
+
+    def step(k, rows, x, p):
+        c_k, y_k = measure(k, rows, x)
+        return (*update(x, p, y_k, c_k), c_k, y_k)
+
+    return _forward(model, n_rows, n_steps, step)
+
+
+def _linear_source(model: StateSpaceModel, ys: np.ndarray):
+    """The measurement source of the linear model: model.C for each live
+    row, and the rows' own measurements of ys (B, K, n_y)."""
+    return lambda k, rows, x: (np.broadcast_to(model.C, (len(x),) + model.C.shape), ys[rows, k])
+
+
+def _beliefs(mean, cov) -> list:
+    return [GaussianBelief(m, c) for m, c in zip(mean, cov)]
 
 
 class _RowErrors(EstimationError):
@@ -678,6 +720,23 @@ def _stf_update_rows(model, x_prior, p_prior, y, c_mat, cfg=VBConfig()) -> tuple
     return (*out, iterations, converged)
 
 
+def _stf_pair(model, mean, cov, lam, psi, iterations, converged) -> tuple:
+    """The (GaussianBelief, VBStepDiagnostics) of one row's outputs of
+    _stf_update_rows: the x marginal of the augmented posterior and the
+    loop diagnostics."""
+    n_x = model.n_x
+    belief = GaussianBelief(mean[:n_x], symmetrize(cov[:n_x, :n_x]))
+    diag = VBStepDiagnostics(
+        iterations=int(iterations),
+        lambda_diag=lam,
+        psi_diag=psi,
+        u_mean=mean[n_x:],
+        u_cov=cov[n_x:, n_x:],
+        converged=bool(converged),
+    )
+    return belief, diag
+
+
 def stf_update(
     model: StateSpaceModel,
     prior: GaussianBelief,
@@ -694,23 +753,29 @@ def stf_update(
     same stationary point without changing it.  Returns the normal
     approximation of the x marginal and the loop diagnostics.
     """
-    n_x, n_y = model.n_x, model.n_y
-    y = _vector("y", y, n_y)
-    if prior.dim != n_x:
-        raise ValueError(f"prior dimension {prior.dim} != n_x {n_x}")
-    mean, cov, lam, psi, iterations, converged = _stf_update_rows(
-        model, prior.mean, prior.cov, y, model.C, cfg
-    )
-    belief = GaussianBelief(mean[:n_x], symmetrize(cov[:n_x, :n_x]))
-    diag = VBStepDiagnostics(
-        iterations=int(iterations),
-        lambda_diag=lam,
-        psi_diag=psi,
-        u_mean=mean[n_x:],
-        u_cov=cov[n_x:, n_x:],
-        converged=bool(converged),
-    )
-    return belief, diag
+    y = _vector("y", y, model.n_y)
+    if prior.dim != model.n_x:
+        raise ValueError(f"prior dimension {prior.dim} != n_x {model.n_x}")
+    return _stf_pair(model, *_stf_update_rows(model, prior.mean, prior.cov, y, model.C, cfg))
+
+
+def _stf_run_rows(model: StateSpaceModel, n_rows: int, n_steps: int, measure, cfg) -> list:
+    """The skew-t filter of n_rows trajectories in lockstep: _filter_rows
+    with the update _stf_update_rows; stf_run is its one-row call.
+
+    Returns the stacks (n_rows, n_steps, ...) of _stf_update_rows'
+    outputs (the augmented posterior means and covariances, the mixing
+    precisions, psi, the VB iteration counts and the convergence flags),
+    then those of C_k and y_k, then the outcome of each row.  Each row is
+    bit-equal to the same trajectory filtered alone.  The augmented
+    covariances come out of the truncation exactly symmetric, so the time
+    update reads their x block as the symmetrized one stf_update returns.
+    """
+
+    def update(x, p, y, c_mat):
+        return _stf_update_rows(model, x, p, y, c_mat, cfg)
+
+    return _filter_rows(model, n_rows, n_steps, measure, update)
 
 
 def stf_run(model: StateSpaceModel, ys, cfg: VBConfig = VBConfig()) -> list:
@@ -719,12 +784,8 @@ def stf_run(model: StateSpaceModel, ys, cfg: VBConfig = VBConfig()) -> list:
     Returns one (GaussianBelief, VBStepDiagnostics) pair per measurement.
     """
     ys = _vectors("ys", ys, model.n_y)
-    out = []
-
-    def step(k, rows, x, p):
-        post, diag = stf_update(model, GaussianBelief(x, p), ys[k], cfg)
-        out.append((post, diag))
-        return post.mean, post.cov
-
-    _forward(model, len(ys), step, model.prior_mean, model.prior_cov)
-    return out
+    if not ys:
+        return []
+    source = _linear_source(model, np.stack(ys)[None])
+    *rows, _, _ = _raise_failed(*_stf_run_rows(model, 1, len(ys), source, cfg))
+    return [_stf_pair(model, *step) for step in zip(*(a[0] for a in rows))]

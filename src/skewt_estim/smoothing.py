@@ -11,15 +11,17 @@ covariance is blockdiag(A P A^T + Q, diag(1/lam)).
 
 The outer loop is the filter's VB loop (filtering._vb_loop), with one
 Anderson-mixed precision vector over the whole trajectory, starting from
-unit precisions (lambda = 1).  The caller may run the first forward pass
-itself and hand it in (_run_vb_rows): the GNSS smoother
-(bench.experiments._sts_rows) linearizes on its own first forward pass at
-lambda = 1, and the later passes reuse those linearizations, so it never
-runs the skew-t filter and no forward pass runs twice.  The passes and
-the loop are written for B trajectories in lockstep (a leading batch axis;
-a row leaves the loop when it converges), and the public functions are
-their one-trajectory calls.  Every row is bit-equal to the same trajectory
-smoothed alone.
+unit precisions (lambda = 1).  The smoother's family, _sts_run_rows, runs
+B trajectories in lockstep (a leading batch axis; a row leaves the loop
+when it converges) and takes their measurements from a source, as the
+filter's does (filtering._filter_rows).  Its first forward pass, at
+lambda = 1, is _filter_rows itself, which takes each row's measurement
+matrix at that row's predicted means (the GNSS benchmark relinearizes
+there); the later passes rerun on those matrices, so the smoother never
+runs the skew-t filter and no forward pass runs twice.  sts_run is the
+family's one-row call, and the other public functions are one-trajectory
+calls of the lockstep passes.  Every row is bit-equal to the same
+trajectory smoothed alone.
 """
 
 from dataclasses import dataclass
@@ -33,7 +35,10 @@ from .filtering import (
     StateSpaceModel,
     VBConfig,
     _augmented_update,
+    _beliefs,
+    _filter_rows,
     _forward,
+    _linear_source,
     _psi_diagonal,
     _raise_failed,
     _stack_cz,
@@ -60,9 +65,9 @@ class SmootherIterate:
     (B, K, n) and (B, K, n, n).  `lambdas` (B, K, n_y) are the next mixing
     precisions; `iterations` and `converged` count the outer iterations
     of each row and say whether it stopped at its tolerance, and
-    `failed[b]` is the EstimationError that failed row b, or None (its
-    other fields then hold no result).  `row(b)` is the iterate of row b
-    alone, without the leading axis.
+    `failed[b]` is the EstimationError that failed row b, in the first
+    forward pass or in the loop, or None (its other fields then hold no
+    result).
     """
 
     smoothed: tuple
@@ -70,15 +75,6 @@ class SmootherIterate:
     iterations: np.ndarray
     converged: np.ndarray
     failed: list
-
-    def row(self, b: int) -> "SmootherIterate":
-        return SmootherIterate(
-            (self.smoothed[0][b], self.smoothed[1][b]),
-            self.lambdas[b],
-            int(self.iterations[b]),
-            bool(self.converged[b]),
-            self.failed[b],
-        )
 
 
 class SmoothedTrack(list):
@@ -94,10 +90,6 @@ class SmoothedTrack(list):
         self.converged = converged
 
 
-def _beliefs(mean, cov) -> list:
-    return [GaussianBelief(m, c) for m, c in zip(mean, cov)]
-
-
 def _forward_rows(model, ys, lambdas, c_seq) -> list:
     """Truncated forward filtering of B trajectories in lockstep, one
     augmented update per step at the fixed mixing precisions.
@@ -109,7 +101,6 @@ def _forward_rows(model, ys, lambdas, c_seq) -> list:
     naming the row, once the other rows are done (filtering._raise_failed).
     """
     n_rows, n_steps, _ = ys.shape
-    n_x = model.n_x
     cz = _stack_cz(c_seq, model.Delta)
 
     def step(k, rows, x, p):
@@ -117,11 +108,7 @@ def _forward_rows(model, ys, lambdas, c_seq) -> list:
             x, p, ys[rows, k], c_seq[rows, k], cz[rows, k], model.Delta, model.R, lambdas[rows, k]
         )
 
-    return _raise_failed(*_forward(
-        model, n_steps, step,
-        np.broadcast_to(model.prior_mean, (n_rows, n_x)),
-        np.broadcast_to(model.prior_cov, (n_rows, n_x, n_x)),
-    ))
+    return _raise_failed(*_forward(model, n_rows, n_steps, step))
 
 
 def forward_pass(model: StateSpaceModel, ys, lambdas) -> tuple:
@@ -245,59 +232,60 @@ def sts_run(model: StateSpaceModel, ys, cfg: VBConfig = VBConfig()) -> SmoothedT
     GaussianBelief per step, with the outer-loop iteration count and
     convergence flag.
     """
-    result = _run_vb(model, ys, cfg)
+    ys = _vectors("ys", ys, model.n_y)
+    if not ys:
+        return SmoothedTrack([], 0, True)
+    source = _linear_source(model, np.stack(ys)[None])
+    result = _sts_run_rows(model, 1, len(ys), source, cfg)
+    (s_mean, s_cov), iterations, converged = _raise_failed(
+        result.smoothed, result.iterations, result.converged, result.failed
+    )
     n_x = model.n_x
-    s_mean, s_cov = result.smoothed
     return SmoothedTrack(
         [
             GaussianBelief(m[:n_x], symmetrize(c[:n_x, :n_x]))
-            for m, c in zip(s_mean, s_cov)
+            for m, c in zip(s_mean[0], s_cov[0])
         ],
-        result.iterations,
-        result.converged,
+        int(iterations[0]),
+        bool(converged[0]),
     )
 
 
-def _run_vb(model, ys, cfg):
-    """Full outer VB loop of one trajectory at measurement matrix model.C:
-    the SmootherIterate of _run_vb_rows for that row alone."""
-    ys = _vectors("ys", ys, model.n_y)
-    n_steps = len(ys)
-    if n_steps == 0:
-        n = model.n_x + model.n_y
-        empty = (np.empty((0, n)), np.empty((0, n, n)))
-        return SmootherIterate(empty, np.empty((0, model.n_y)), 0, True, None)
-    c_seq = np.broadcast_to(model.C, (1, n_steps) + model.C.shape)
-    rows = _run_vb_rows(model, np.stack(ys)[None], c_seq, cfg)
-    return _raise_failed(rows, rows.failed)[0].row(0)
+def _sts_run_rows(model, n_rows, n_steps, measure, cfg) -> SmootherIterate:
+    """The skew-t smoother of n_rows trajectories in lockstep, fed by the
+    measurement source `measure` (filtering._filter_rows); sts_run is its
+    one-row call.  It never runs the skew-t filter.
 
-
-def _run_vb_rows(model, ys, c_seq, cfg, first=None) -> SmootherIterate:
-    """Outer VB loop of B trajectories in lockstep (filtering._vb_loop).
-
-    ys is (B, K, n_y) and c_seq (B, K, n_y, n_x).  The mixing precisions
-    of each row are one Anderson-mixed vector over the whole trajectory,
-    starting from 1, and a row stops on the largest per-step change of its
-    smoothed state means; each row is bit-equal to the loop run on it
-    alone.  `first`, when given, is the forward pass of the first
-    iteration, already run at unit precisions on ys and c_seq: a list of
-    the filtered and predicted (mean, cov) stacks _forward_rows would
-    return.  The loop then starts from it and runs no forward pass twice;
-    it empties the list once the first iteration is done, which frees the
-    pass for the rest of the loop.  A row whose forward or backward pass
-    fails leaves the loop, and only that iteration runs again for the rows
-    left (filtering._vb_loop).
+    The outer loop is filtering._vb_loop.  The mixing precisions of each
+    row are one Anderson-mixed vector over the whole trajectory, starting
+    from 1, and a row stops on the largest per-step change of its smoothed
+    state means; each row is bit-equal to the loop run on it alone.  The
+    forward pass of the first iteration is _filter_rows with the augmented
+    update at those unit precisions, which takes each row's C_k and y_k
+    at its own predicted means; the later passes (_forward_rows) rerun on
+    them, so no forward pass runs twice, and the first pass is freed once
+    the first iteration is done.  A row that failed in the first pass
+    fails at the first iteration with its error, and a row whose forward
+    or backward pass fails leaves the loop; only that iteration runs again
+    for the rows left (filtering._vb_loop).
     """
-    n_rows, n_steps, n_y = ys.shape
+    n_y = model.n_y
+
+    def first_update(x, p, y, c_mat):
+        cz = _stack_cz(c_mat, model.Delta)
+        return _augmented_update(x, p, y, c_mat, cz, model.Delta, model.R, np.ones(y.shape))
+
+    # first: the augmented posteriors and the priors they came from.
+    *first, c_seq, ys, first_failed = _filter_rows(model, n_rows, n_steps, measure, first_update)
 
     def update(rows, ys, c_seq, cz, lam):
         if first:
+            _raise_failed([first_failed[b] for b in rows])
             stacks = tuple(s[rows] for s in first)
         else:
             stacks = _forward_rows(model, ys, lam.reshape(-1, n_steps, n_y), c_seq)
         smoothed = _raise_failed(*_backward_rows(*stacks, model))
-        if first:
-            first.clear()  # the later iterations run their own forward passes
+        first.clear()  # the later iterations run their own forward passes
         plain = _lambda_rows(*smoothed, ys, cz, model)
         return smoothed, plain.reshape(lam.shape), smoothed[0][..., : model.n_x]
 

@@ -329,6 +329,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(self.GOOD + "\nq = 2.0")
 
+    @pytest.mark.parametrize("name", ["a,b", "../x", "x/y", ".hidden", "a b", "a\tb"])
+    def test_name_outside_file_name_characters_rejected(self, name):
+        """A name is one CSV field and one file name: a comma, a path
+        separator, a space or a leading "." is a ConfigError."""
+        with pytest.raises(ConfigError, match="name must be letters, digits"):
+            parse_config(self.GOOD.replace("name = demo", f"name = {name}"))
+
+    @pytest.mark.parametrize("name", ["q0.5", "q5.0", "run-1", "a_b", "7"])
+    def test_name_of_file_name_characters_accepted(self, name):
+        assert parse_config(self.GOOD.replace("name = demo", f"name = {name}")).name == name
+
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(self.GOOD.replace("stf, kf", "stf, bogus"))
@@ -476,7 +487,7 @@ class TestRunExperiment:
             assert "(time step " in r.reason
 
     def test_update_failure_carries_time_step(self, monkeypatch):
-        real_update = experiments._stf_update_rows
+        real_update = filtering._stf_update_rows
         calls = []
 
         def fail_on_fourth(*args, **kwargs):
@@ -485,7 +496,7 @@ class TestRunExperiment:
                 raise NumericalFailureError("not positive definite")
             return real_update(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "_stf_update_rows", fail_on_fourth)
+        monkeypatch.setattr(filtering, "_stf_update_rows", fail_on_fourth)
         cfg = small_config(estimators=("stf",))
         sats = make_constellation(cfg.n_sats, cfg.seed)
         with pytest.raises(NumericalFailureError) as info:
@@ -715,6 +726,20 @@ class TestCli:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["a,b", "../escaped"])
+    def test_run_rejects_name_that_breaks_csv_or_out_dir(self, tmp_path, capsys, name):
+        """A name with a comma would add a CSV field, and one with "../"
+        would write outside --out: exit code 1, and no CSV is written."""
+        cfg_file = tmp_path / "scenario.cfg"
+        cfg_file.write_text(
+            f"name = {name}\nq = 5.0\ndelta = 5.0\nrho = 100.0\nnu = 4.0\n"
+            "K = 2\nn_mc = 1\nseed = 1\nestimators = kf\n"
+        )
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out_dir)]) == 1
+        assert "name must be letters, digits" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+
     def test_run_missing_file_is_config_error(self, tmp_path):
         code = main(
             ["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]
@@ -785,6 +810,24 @@ class TestCli:
             cli._parse_dims(dims)
         assert main(["truncnorm-bench", "--dims", dims, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["truncnorm-bench", "--cases", "0"], "n_cases must be >= 1, got 0"),
+            (["truncnorm-bench", "--cases", "-3"], "n_cases must be >= 1, got -3"),
+            (["contours", "--delta", "3", "--nu", "4", "--grid", "0"], "n_grid must be >= 2, got 0"),
+            (["contours", "--delta", "3", "--nu", "4", "--grid", "1"], "n_grid must be >= 2, got 1"),
+        ],
+        ids=["cases-0", "cases-negative", "grid-0", "grid-1"],
+    )
+    def test_study_rejects_empty_size(self, tmp_path, capsys, args, message):
+        """A study of no case or of a grid with fewer than two points per
+        axis exits 1 with the reason, and writes no CSV."""
+        out = tmp_path / ("out.csv" if args[0] == "contours" else "out")
+        assert main(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.rglob("*.csv")) == []
 
     def test_contours_command(self, tmp_path):
         out = tmp_path / "contours.csv"

@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 
 from skewt_estim import bench
+from skewt_estim.baselines import kf_gated_run, rtss_gated_run
+from skewt_estim.filtering import stf_run
+from skewt_estim.smoothing import sts_run
 
 from reference import static_ordering_study
 
@@ -94,3 +97,27 @@ def test_static_ordering_digest_is_of_the_two_distance_arrays(tool):
     )
     assert tool.static_ordering_digest(*args) == want
     assert tool.static_ordering_digest(5.0, 4, 12, 1000) != want
+
+
+def test_library_runs_digest_is_of_the_sequence_functions(tool):
+    """The digest covers, per random linear model, every field of
+    stf_run's pairs, sts_run's beliefs, iteration count and flag, and the
+    beliefs of kf_gated_run and rtss_gated_run, in that order; the models
+    take nu 1.5, 4 and 30 in turn."""
+    args = (3, 4, 6)
+    models = list(tool.linear_models(*args))
+    assert [float(model.nu[0]) for model, _ in models] == [1.5, 4.0, 30.0, 1.5]
+    assert all(2 <= model.n_x <= 4 and 1 <= model.n_y <= 4 for model, _ in models)
+    want = []
+    for model, ys in models:
+        for post, diag in stf_run(model, ys):
+            want += [post.mean, post.cov, diag.iterations, diag.lambda_diag, diag.psi_diag,
+                     diag.u_mean, diag.u_cov, diag.converged]
+        track = sts_run(model, ys)
+        want += [a for b in track for a in (b.mean, b.cov)]
+        want.append([track.iterations, track.converged])
+        beliefs = sum(kf_gated_run(model, ys), []) + rtss_gated_run(model, ys)
+        want += [a for b in beliefs for a in (b.mean, b.cov)]
+    digest = tool.arrays_digest(*tool.library_runs(*args))
+    assert digest == tool.arrays_digest(*map(np.asarray, want))
+    assert tool.arrays_digest(*tool.library_runs(4, 4, 6)) != digest

@@ -1,11 +1,14 @@
-"""Importing the package and its CLI loads no heavy scipy subpackage, and
-every name a module exports exists."""
+"""Importing the package and its CLI loads no heavy scipy subpackage,
+every name a module exports exists, and the benchmark's span tracer finds
+the functions it binds."""
 
 import importlib
+import importlib.util
 import json
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +44,33 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", ())
     assert [n for n in exported if not hasattr(module, n)] == []
     assert len(set(exported)) == len(exported)
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+# The tracer's bindings to names the package no longer has, which its
+# per-layer view reports as absent (ROADMAP item 1).  Mending them may
+# only shrink this set.
+KNOWN_STALE = {
+    "skewt_estim.bench.experiments.predict",
+    "skewt_estim.bench.experiments.sts_run",
+    "skewt_estim.bench.experiments.kf_gated_update",
+    "skewt_estim.bench.experiments.rtss_gated_run",
+    "skewt_estim.filtering.rec_trunc",
+}
+
+
+def test_tracer_bindings_resolve_except_known_stale_ones():
+    """Every (module, attribute) that perfbench/tracer.py's WRAPPED table
+    rebinds names a function of the package, but for the known stale
+    ones: moving a bound function out of the module that calls it leaves
+    its span empty, and fails here."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    absent = set()
+    for module_name, attr, _ in tracer.WRAPPED:
+        module = importlib.import_module(module_name)
+        if not callable(getattr(module, attr, None)):
+            absent.add(f"{module_name}.{attr}")
+    assert absent <= KNOWN_STALE

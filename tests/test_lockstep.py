@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
-from skewt_estim import filtering, smoothing
+from skewt_estim import baselines, filtering, smoothing
 from skewt_estim._linalg import symmetrize
 from skewt_estim.baselines import (
     _kf_gated_update_rows,
@@ -49,6 +49,7 @@ from skewt_estim.filtering import (
     VBConfig,
     _anderson_step,
     _augmented_update,
+    _linear_source,
     _lstsq2,
     _lstsq2_row,
     _psi_diagonal,
@@ -64,9 +65,9 @@ from skewt_estim.skewt import SkewTComponent, moments
 from skewt_estim.smoothing import (
     SmootherIterate,
     _forward_rows,
-    _run_vb,
-    _run_vb_rows,
+    _sts_run_rows,
     backward_pass,
+    sts_run,
 )
 from skewt_estim.truncnorm import UNDERFLOW_XI, _rec_trunc_rows, rec_trunc
 
@@ -142,6 +143,12 @@ class TestTruncationRows:
         _rec_trunc_rows(mean, cov, [1, 3])
         assert_array_equal(mean, saved[0])
         assert_array_equal(cov, saved[1])
+
+
+def sequence_source(c_seq, ys):
+    """The measurement source of rows with their own measurement matrices
+    c_seq (B, K, n_y, n_x) and measurements ys (B, K, n_y)."""
+    return lambda k, rows, x: (c_seq[rows, k], ys[rows, k])
 
 
 def random_rows(rng, n_rows, n_x, n_y):
@@ -241,7 +248,7 @@ class TestUpdateRows:
     # are cut off with the mixing precisions of their last iteration.
     @pytest.mark.parametrize("cfg", [VBConfig(), VBConfig(10, 1e-2), VBConfig(17, 1e-4)])
     @pytest.mark.parametrize("nu", [1.2, 4.0])
-    def test_run_vb_rows_bit_equal(self, nu, cfg):
+    def test_sts_run_rows_bit_equal(self, nu, cfg):
         rng = np.random.default_rng(int(10 * nu))
         n_x, n_y, n_steps, n_rows = 3, 4, 10, 6
         model = StateSpaceModel(
@@ -251,34 +258,42 @@ class TestUpdateRows:
         )
         c_seq = rng.standard_normal((n_rows, n_steps, n_y, n_x))
         ys = 5.0 * rng.standard_normal((n_rows, n_steps, n_y))
-        stacked = _run_vb_rows(model, ys, c_seq, cfg)
+        stacked = _sts_run_rows(model, n_rows, n_steps, sequence_source(c_seq, ys), cfg)
         assert len(set(stacked.iterations)) > 1
         if cfg.max_iterations < 30:
             assert stacked.converged.any() and not stacked.converged.all()
         for b in range(n_rows):
-            row = stacked.row(b)
-            alone = _run_vb_rows(model, ys[b : b + 1], c_seq[b : b + 1], cfg).row(0)
-            for got, want in zip((*row.smoothed, row.lambdas), (*alone.smoothed, alone.lambdas)):
-                assert_array_equal(got, want)
-            assert (row.iterations, row.converged) == (alone.iterations, alone.converged)
+            alone = _sts_run_rows(
+                model, 1, n_steps, sequence_source(c_seq[b : b + 1], ys[b : b + 1]), cfg
+            )
+            got = (*stacked.smoothed, stacked.lambdas, stacked.iterations, stacked.converged)
+            want = (*alone.smoothed, alone.lambdas, alone.iterations, alone.converged)
+            for g, w in zip(got, want):
+                assert_array_equal(g[b], w[0])
+            assert stacked.failed[b] is alone.failed[0] is None
 
 
-    def test_run_vb_broadcast_c_bit_equal_to_stacked(self):
+    def test_sts_run_rows_broadcast_c_bit_equal_to_stacked(self):
         """A measurement matrix broadcast over the steps gives the bits of
-        the same matrix stacked, in every SmootherIterate field; _run_vb
-        broadcasts it."""
+        the same matrix stacked, in every SmootherIterate field; sts_run
+        broadcasts it (filtering._linear_source) and returns those bits."""
         rng = np.random.default_rng(3)
         model = random_model(rng, 4, 8, delta=2.0, nu=4.0)
         ys = simulate_linear(model, rng, 20)
         c_seq = np.broadcast_to(model.C, (1, 20) + model.C.shape)
-        broadcast = _run_vb_rows(model, ys[None], c_seq, VBConfig())
-        stacked = _run_vb_rows(model, ys[None], c_seq.copy(), VBConfig())
-        alone = _run_vb(model, ys, VBConfig())
-        for got, want in ((broadcast, stacked), (alone, stacked.row(0))):
-            for f in fields(SmootherIterate):
-                g, w = getattr(got, f.name), getattr(want, f.name)
-                for a, b in zip(g, w) if isinstance(w, tuple) else [(g, w)]:
-                    assert_array_equal(a, b)
+        broadcast = _sts_run_rows(model, 1, 20, _linear_source(model, ys[None]), VBConfig())
+        stacked = _sts_run_rows(model, 1, 20, sequence_source(c_seq.copy(), ys[None]), VBConfig())
+        for f in fields(SmootherIterate):
+            g, w = getattr(broadcast, f.name), getattr(stacked, f.name)
+            for a, b in zip(g, w) if isinstance(w, tuple) else [(g, w)]:
+                assert_array_equal(a, b)
+        alone = sts_run(model, ys, VBConfig())
+        n_x = model.n_x
+        assert_array_equal([s.mean for s in alone], stacked.smoothed[0][0, :, :n_x])
+        assert_array_equal(
+            [s.cov for s in alone], symmetrize(stacked.smoothed[1][0, :, :n_x, :n_x])
+        )
+        assert (alone.iterations, alone.converged) == (stacked.iterations[0], stacked.converged[0])
 
 
 class TestVBLoop:
@@ -631,20 +646,42 @@ class TestStackedKernels:
                 raise NumericalFailureError("all")
             return x + 1.0, p
 
-        x0, p0 = np.zeros((3, 2)), np.tile(np.eye(2), (3, 1, 1))
         if not last:
             with pytest.raises(filtering._RowErrors) as info:
-                filtering._forward(model, 6, step, x0, p0)
+                filtering._forward(model, 3, 6, step)
             assert calls == [(0, 3)]
             assert [str(e) for e in info.value.errors] == ["all (time step 0)"] * 3
             return
-        means, covs, failed = filtering._forward(model, 6, step, x0, p0)
+        means, covs, failed = filtering._forward(model, 3, 6, step)
         assert (means.shape, covs.shape) == ((3, 6, 2), (3, 6, 2, 2))
         assert calls == [(0, 3), (1, 3), (1, 2), (2, 2), (3, 2)]
         assert [str(e) for e in failed] == [
             "all (time step 3)", "one (time step 1)", "all (time step 3)"
         ]
         assert_array_equal(means[[0, 2], :3], np.broadcast_to([[1.0], [2.0], [3.0]], (2, 3, 2)))
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (stf_run, "truncation distance is not finite, got nan"),
+        (sts_run, "truncation distance is not finite, got nan"),
+        (kf_gated_run, "measurement is not finite"),
+    ],
+    ids=["stf_run", "sts_run", "kf_gated_run"],
+)
+def test_sequence_function_error_names_row_0(run, message):
+    """The sequence functions are one-row calls of their lockstep family:
+    the error of a non-finite measurement at step 2 names step 2 and row
+    0, and str() shows only the step."""
+    rng = np.random.default_rng(0)
+    model = random_model(rng, 3, 2, delta=2.0, nu=4.0)
+    ys = simulate_linear(model, rng, 5)
+    ys[2, 0] = np.nan
+    with pytest.raises(NumericalFailureError) as info:
+        run(model, ys)
+    assert (info.value.step, info.value.row) == (2, 0)
+    assert str(info.value) == f"{message} (time step 2)"
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -686,13 +723,14 @@ def test_forward_recursion_bit_equal_under_non_identity_dynamics(seed):
         assert_array_equal(f.cov, belief.cov)
         belief = predict(model, belief)
 
-    result = _run_vb(model, ys, VBConfig())
+    source = _linear_source(model, np.stack(ys)[None])
+    result = _sts_run_rows(model, 1, n_steps, source, VBConfig())
     means, covs, n_outer, converged = sts_run_scalar(
         model, ys, VBConfig(), [model.C] * n_steps
     )
-    assert_array_equal(result.smoothed[0], means)
-    assert_array_equal(result.smoothed[1], covs)
-    assert (result.iterations, result.converged) == (n_outer, converged)
+    assert_array_equal(result.smoothed[0][0], means)
+    assert_array_equal(result.smoothed[1][0], covs)
+    assert (result.iterations[0], result.converged[0]) == (n_outer, converged)
 
 
 SWEEP = dict(delta=5.0, nu=4.0, rho=100.0, K=100, n_sats=8, n_mc=6)
@@ -862,20 +900,22 @@ class TestRunExperimentLockstep:
         per outer iteration of each row."""
         cfg = sweep_config(n_mc=6, estimators=("sts",))
         calls, row_steps = [], []
-        for name in ("_stf_update_rows", "_filter_rows"):
-            real = getattr(experiments, name)
+        bindings = [(filtering, "_stf_update_rows")] + [
+            (module, "_filter_rows") for module in (filtering, smoothing, baselines)
+        ]
+        for module, name in bindings:
+            real = getattr(module, name)
 
             def counting(*args, name=name, real=real, **kwargs):
                 calls.append(name)
                 return real(*args, **kwargs)
-            monkeypatch.setattr(experiments, name, counting)
-        for module in (experiments, smoothing):
-            real = module._augmented_update
+            monkeypatch.setattr(module, name, counting)
+        real_update = smoothing._augmented_update
 
-            def spy(x, p, y, *args, real=real):
-                row_steps.append(len(y))
-                return real(x, p, y, *args)
-            monkeypatch.setattr(module, "_augmented_update", spy)
+        def spy(x, p, y, *args):
+            row_steps.append(len(y))
+            return real_update(x, p, y, *args)
+        monkeypatch.setattr(smoothing, "_augmented_update", spy)
         records = run_experiment(cfg)
         assert calls == ["_filter_rows"]
         assert all(r.status == "ok" for r in records)
@@ -890,24 +930,28 @@ class TestRunExperimentLockstep:
         cfg = sweep_config(q=0.5, nu=0.02, K=100, n_mc=4)
         sats = make_constellation(cfg.n_sats, cfg.seed)
         sizes, loop_sizes = [], []
-        real_stf, real_update = experiments._stf_update_rows, experiments._augmented_update
-        real_loop_update = smoothing._augmented_update
+        real_stf, real_update = filtering._stf_update_rows, smoothing._augmented_update
+        real_forward = smoothing._forward_rows
+        in_loop = []  # set while a forward pass of the outer loop runs
 
         def stf_spy(model, x, *args, **kwargs):
             sizes.append(len(x))
             return real_stf(model, x, *args, **kwargs)
 
         def update_spy(x, *args):
-            sizes.append(len(x))
+            (loop_sizes if in_loop else sizes).append(len(x))
             return real_update(x, *args)
 
-        def loop_update_spy(x, *args):
-            loop_sizes.append(len(x))
-            return real_loop_update(x, *args)
+        def forward_spy(*args):
+            in_loop.append(True)
+            try:
+                return real_forward(*args)
+            finally:
+                in_loop.pop()
 
-        monkeypatch.setattr(experiments, "_stf_update_rows", stf_spy)
-        monkeypatch.setattr(experiments, "_augmented_update", update_spy)
-        monkeypatch.setattr(smoothing, "_augmented_update", loop_update_spy)
+        monkeypatch.setattr(filtering, "_stf_update_rows", stf_spy)
+        monkeypatch.setattr(smoothing, "_augmented_update", update_spy)
+        monkeypatch.setattr(smoothing, "_forward_rows", forward_spy)
         with np.errstate(all="ignore"):
             records = run_experiment(cfg)
             assert sizes and 0 not in sizes
@@ -924,7 +968,7 @@ class TestRunExperimentLockstep:
         errors escape each batch at once, and each record keeps its row's
         error, as in its one-row run."""
         cfg = sweep_config(n_mc=3)
-        real_stf, real_update = experiments._stf_update_rows, experiments._augmented_update
+        real_stf, real_update = filtering._stf_update_rows, smoothing._augmented_update
 
         def failing(real):
             def run(*args, **kwargs):
@@ -934,8 +978,8 @@ class TestRunExperimentLockstep:
                 return real(*args, **kwargs)
             return run
 
-        monkeypatch.setattr(experiments, "_stf_update_rows", failing(real_stf))
-        monkeypatch.setattr(experiments, "_augmented_update", failing(real_update))
+        monkeypatch.setattr(filtering, "_stf_update_rows", failing(real_stf))
+        monkeypatch.setattr(smoothing, "_augmented_update", failing(real_update))
         records = run_experiment(cfg)
         assert len(records) == 6
         for r in records:
@@ -946,7 +990,7 @@ class TestRunExperimentLockstep:
         two in the backward pass of the outer loop's first iteration: no
         row gets through it, and each record keeps its own error."""
         cfg = sweep_config(n_mc=3, estimators=("sts",))
-        real_update, real_backward = experiments._augmented_update, smoothing._backward_rows
+        real_update, real_backward = smoothing._augmented_update, smoothing._backward_rows
         steps = []
 
         def first_pass(x, *args):
@@ -959,7 +1003,7 @@ class TestRunExperimentLockstep:
             s_mean, s_cov, _ = real_backward(*args)
             return s_mean, s_cov, [NumericalFailureError(f"gain {b}") for b in range(len(s_mean))]
 
-        monkeypatch.setattr(experiments, "_augmented_update", first_pass)
+        monkeypatch.setattr(smoothing, "_augmented_update", first_pass)
         monkeypatch.setattr(smoothing, "_backward_rows", backward)
         records = run_experiment(cfg)
         assert [(r.replication, r.reason) for r in records] == [
@@ -1307,7 +1351,7 @@ class TestRunExperimentLockstep:
         cfg = sweep_config(n_mc=4, estimators=("stf", "sts", "kf", "rtss"))
         clean = timeless(run_experiment(cfg))
         bad_step = {0: 2, 2: 5}
-        real_simulate, real_filter = experiments.simulate, experiments._filter_rows
+        real_simulate = experiments.simulate
         passes = []
 
         def corrupted(cfg, rep):
@@ -1318,12 +1362,15 @@ class TestRunExperimentLockstep:
             meas[bad_step[rep], 3] = np.inf
             return replace(traj, measurements=meas)
 
-        def counting(*args):
-            passes.append(None)
-            return real_filter(*args)
+        def counting(real):
+            def run(*args):
+                passes.append(None)
+                return real(*args)
+            return run
 
         monkeypatch.setattr(experiments, "simulate", corrupted)
-        monkeypatch.setattr(experiments, "_filter_rows", counting)
+        for module in (filtering, smoothing, baselines):  # the families' bindings
+            monkeypatch.setattr(module, "_filter_rows", counting(module._filter_rows))
         records = timeless(run_experiment(cfg))
         assert len(passes) == 3
         assert {(r.estimator, r.replication): r.reason for r in records if r.status == "failed"} == {
@@ -1340,7 +1387,7 @@ class TestRunExperimentLockstep:
         the Kalman family stay ok."""
         cfg = sweep_config(n_mc=3, estimators=("stf", "sts", "kf", "rtss"))
         clean = timeless(run_experiment(cfg))
-        real = experiments._stf_update_rows
+        real = filtering._stf_update_rows
         calls = []
 
         def fail_at_step_3(*args, **kwargs):
@@ -1349,7 +1396,7 @@ class TestRunExperimentLockstep:
                 raise NumericalFailureError("injected")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "_stf_update_rows", fail_at_step_3)
+        monkeypatch.setattr(filtering, "_stf_update_rows", fail_at_step_3)
         records = timeless(run_experiment(cfg))
         stf = [(r.status, r.reason) for r in records if r.estimator == "stf"]
         assert stf == [("failed", "injected (time step 3)")] * 3

@@ -9,10 +9,11 @@ from skewt_estim.filtering import (
     GaussianBelief,
     StateSpaceModel,
     VBConfig,
+    _linear_source,
     stf_update,
 )
 from skewt_estim.smoothing import (
-    _run_vb,
+    _sts_run_rows,
     backward_pass,
     forward_pass,
     sts_run,
@@ -21,6 +22,12 @@ from skewt_estim.smoothing import (
 
 from reference import backward_pass_augmented, kalman_filter, rts_smooth
 from test_filtering import random_model, simulate_linear
+
+
+def run_vb(model, ys, cfg):
+    """The SmootherIterate of sts_run's one-row call of the smoother."""
+    source = _linear_source(model, np.stack(ys)[None])
+    return _sts_run_rows(model, 1, len(ys), source, cfg)
 
 
 @pytest.mark.parametrize(
@@ -258,7 +265,7 @@ class TestSmootherRun:
         model = random_model(rng, 3, 3, delta=3.0, nu=4.0)
         ys = simulate_linear(model, rng, 20)
         # One pass at the smoother's final mixing precisions.
-        filtered, predicted = forward_pass(model, ys, _run_vb(model, ys, VBConfig()).lambdas)
+        filtered, predicted = forward_pass(model, ys, run_vb(model, ys, VBConfig()).lambdas[0])
         smoothed = backward_pass(filtered, predicted, model)
         for filt, smth in zip(filtered, smoothed):
             assert np.trace(smth.cov[:3, :3]) <= np.trace(filt.cov[:3, :3]) + 1e-10
@@ -268,15 +275,15 @@ class TestSmootherRun:
         model = random_model(rng, 2, 2, delta=4.0, nu=4.0)
         ys = simulate_linear(model, rng, 10)
         cfg = VBConfig(max_iterations=300, tol=1e-10)
-        result = _run_vb(model, ys, cfg)
-        assert result.converged
+        result = run_vb(model, ys, cfg)
+        assert result.converged[0]
         # One extra plain outer iteration leaves the mixing weights put.
-        filtered, predicted = forward_pass(model, ys, result.lambdas)
+        filtered, predicted = forward_pass(model, ys, result.lambdas[0])
         smoothed = backward_pass(filtered, predicted, model)
         for k in range(len(ys)):
             fresh = update_lambda(smoothed[k], ys[k], model)
             np.testing.assert_allclose(
-                fresh, result.lambdas[k], rtol=1e-6
+                fresh, result.lambdas[0, k], rtol=1e-6
             )
 
     # The five-iteration RMSE saturation property runs on the benchmark

@@ -25,26 +25,32 @@ Each line is a name and the first 16 hex digits of the SHA-256 of:
     truncation order from the exact mean, two arrays, of the static
     ordering study of the tests (reference.static_ordering_study) at
     delta=5, 500 replications, seed 11, 10,000 oracle draws (the test's
-    case at delta=5).
+    case at delta=5);
+  * library-runs: the outputs of the library's sequence functions on 12
+    random linear models of 30 steps at seed 0 (library_runs): every
+    field of stf_run's pairs, sts_run's beliefs, iteration count and
+    flag, and the beliefs of kf_gated_run and rtss_gated_run.
 
 Two trees that print the same lines give the same bits on all of these.
-It reads the static ordering study from tests/reference.py, so it runs
-in a full checkout, and takes about 20 s of CPU time on one core.
+It reads the static ordering study from tests/reference.py and the
+random linear models from tests/test_filtering.py, so it runs in a full
+checkout, and takes about 20 s of CPU time on one core.
 """
 
 import hashlib
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
 
-from skewt_estim import bench, filtering
+from skewt_estim import baselines, bench, filtering, smoothing
 from skewt_estim.exceptions import EstimationError
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from reference import static_ordering_study  # noqa: E402  (the tests' study)
+from test_filtering import random_model, simulate_linear  # noqa: E402
 
 ALL = ("stf", "sts", "kf", "rtss", "pf")
 SCENARIO = dict(delta=5.0, rho=100.0, nu=4.0, estimators=ALL)
@@ -97,6 +103,39 @@ def static_ordering_digest(delta, n_replications, seed, oracle_samples) -> str:
     )
 
 
+def linear_models(seed: int, n_models: int, n_steps: int):
+    """Yields (model, ys) for n_models random linear models of the tests
+    (random_model: n_x 2-4, n_y 1-4, delta in [-3, 3], nu 1.5, 4 and 30
+    in turn), each with n_steps measurements of its own simulate_linear,
+    all drawn from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    for i in range(n_models):
+        n_x, n_y = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+        delta, nu = float(rng.uniform(-3.0, 3.0)), (1.5, 4.0, 30.0)[i % 3]
+        model = random_model(rng, n_x, n_y, delta=delta, nu=nu)
+        yield model, simulate_linear(model, rng, n_steps)
+
+
+def library_runs(seed: int, n_models: int, n_steps: int) -> list:
+    """The arrays of stf_run, sts_run, kf_gated_run and rtss_gated_run on
+    the linear_models(seed, n_models, n_steps).  Per model, in order: each
+    step's posterior mean and covariance and every VBStepDiagnostics
+    field of stf_run; each smoothed mean and covariance of sts_run, then
+    its iterations and flag; the filtered and predicted means and
+    covariances of kf_gated_run; the smoothed ones of rtss_gated_run."""
+    arrays = []
+    for model, ys in linear_models(seed, n_models, n_steps):
+        for post, diag in filtering.stf_run(model, ys):
+            arrays += [post.mean, post.cov, *map(np.asarray, astuple(diag))]
+        track = smoothing.sts_run(model, ys)
+        arrays += [a for b in track for a in (b.mean, b.cov)]
+        arrays.append(np.array([track.iterations, track.converged]))
+        filtered, predicted = baselines.kf_gated_run(model, ys)
+        smoothed = baselines.rtss_gated_run(model, ys)
+        arrays += [a for b in filtered + predicted + smoothed for a in (b.mean, b.cov)]
+    return arrays
+
+
 def online_epochs(seed: int, epochs: int) -> tuple:
     """The online receiver loop: linearize at the belief, stf_update, then
     predict, epoch by epoch; a failed epoch keeps its prediction.  Returns
@@ -145,6 +184,7 @@ def main(argv) -> int:
     print(f"criterion-3-cases {cases}", flush=True)
     ordering = static_ordering_digest(5.0, 500, 11, 10_000)
     print(f"static-ordering {ordering}", flush=True)
+    print(f"library-runs {arrays_digest(*library_runs(0, 12, 30))}", flush=True)
     return 0
 
 
