@@ -23,12 +23,13 @@ import numpy as np
 from scipy.special import gammaincinv
 
 from ._linalg import psd_sqrt, symmetrize
-from .exceptions import DegeneracyError, NumericalFailureError
+from .exceptions import DegeneracyError
 from .filtering import (
     GaussianBelief,
     StateSpaceModel,
     _beliefs,
     _filter_rows,
+    _finite,
     _linear_source,
     _raise_failed,
     _vector,
@@ -70,9 +71,7 @@ def kf_gated_update(
     """
     c_mat = np.atleast_2d(np.asarray(c_mat, dtype=float))
     r_matched = _vector("r_matched", r_matched, c_mat.shape[0])
-    y = _vector("y", y, c_mat.shape[0])
-    if not np.isfinite(y).all():
-        raise NumericalFailureError("measurement is not finite")
+    y = _finite(_vector("y", y, c_mat.shape[0]))
     x, p, _ = _kf_gated_update_rows(
         c_mat[None], r_matched, prior.mean[None], prior.cov[None], y[None]
     )
@@ -111,12 +110,12 @@ def _kf_gated_run_rows(model: StateSpaceModel, n_rows: int, n_steps: int, measur
 
     Returns the stacks (n_rows, n_steps, ...) of the posterior means and
     covariances, the gating decisions (True where a component was used)
-    and the prior means and covariances, then those of C_k and y_k, then
-    the outcome of each row.  Each row is bit-equal to the same trajectory
-    filtered alone, with the same decisions.
+    and the prior means and covariances, then the outcome of each row.
+    Each row is bit-equal to the same trajectory filtered alone, with the
+    same decisions.
     """
 
-    def update(x, p, y, c_mat):
+    def update(x, p, c_mat, y):
         return *_kf_gated_update_rows(c_mat, model.R, x, p, y), x, p
 
     return _filter_rows(model, n_rows, n_steps, measure, update)
@@ -127,22 +126,16 @@ def kf_gated_run(model: StateSpaceModel, ys):
 
     The model is interpreted as Gaussian: R holds the matched normal
     variances and Delta is ignored.  Returns (filtered beliefs, predicted
-    beliefs) with predicted[k] the one-step prior of step k.  A non-finite
-    measurement raises NumericalFailureError at its step.
+    beliefs) with predicted[k] the one-step prior of step k.  It is the
+    one-row call of _kf_gated_run_rows on the linear model's source
+    (filtering._linear_source), which fails a non-finite measurement with
+    a NumericalFailureError at its step.
     """
     ys = _vectors("ys", ys, model.n_y)
     if not ys:
         return [], []
-    linear = _linear_source(model, np.stack(ys)[None])
-
-    def measure(k, rows, x):
-        if not np.isfinite(ys[k]).all():
-            raise NumericalFailureError("measurement is not finite")
-        return linear(k, rows, x)
-
-    mean, cov, _, p_mean, p_cov, _, _ = _raise_failed(
-        *_kf_gated_run_rows(model, 1, len(ys), measure)
-    )
+    source = _linear_source(model, np.stack(ys)[None])
+    mean, cov, _, p_mean, p_cov = _raise_failed(*_kf_gated_run_rows(model, 1, len(ys), source))
     return _beliefs(mean[0], cov[0]), _beliefs(p_mean[0], p_cov[0])
 
 

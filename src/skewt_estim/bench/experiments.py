@@ -3,9 +3,13 @@
 The trajectory benchmark runs each estimator as the library's lockstep
 family over all replications of a scenario (filtering._stf_run_rows,
 smoothing._sts_run_rows, baselines._kf_gated_run_rows), the code behind
-stf_run, sts_run and kf_gated_run.  It only supplies their measurement
-source, _pseudorange_source, which relinearizes the pseudoranges at each
-row's predicted mean, and smooths the gated filter's pass for "rtss".
+stf_run, sts_run and kf_gated_run, all on the one forward recursion
+filtering._filter_rows.  It only supplies their measurement source,
+_pseudorange_source, which relinearizes the pseudoranges at each row's
+predicted mean and fails a row at its first non-finite pseudorange, and
+smooths the gated filter's pass for "rtss".  The smoother asks the source
+only in its first forward pass and replays what it was handed in the
+later ones.
 
 Besides the Monte Carlo trajectory benchmark this module hosts the two
 single-shot studies used for validation: a static single-epoch positioning
@@ -25,9 +29,9 @@ from functools import partial
 import numpy as np
 
 from ..baselines import _kf_gated_run_rows, _pf_moments, pf_run
-from ..exceptions import EstimationError, NumericalFailureError
+from ..exceptions import EstimationError
 from .._linalg import symmetrize
-from ..filtering import StateSpaceModel, VBConfig, _RowErrors, _stf_run_rows, stf_update
+from ..filtering import StateSpaceModel, VBConfig, _RowErrors, _finite, _stf_run_rows, stf_update
 from ..skewt import SkewTComponent, moment_match, moments, sample_rng
 from ..smoothing import _backward_rows, _sts_run_rows
 from ..truncnorm import rec_trunc, select_next, tmnd_oracle
@@ -133,17 +137,15 @@ def _pseudorange_source(sats, trajs, noise_offset=0.0) -> tuple:
     predicted mean x, giving C_k and y0, and returns C_k and the row's
     pseudoranges less y0, plus C_k x, less `noise_offset`, so that
     y_k ~= C_k x + noise.  A non-finite pseudorange fails its row at its
-    first step that has one, with a NumericalFailureError.
+    first step that has one, with a NumericalFailureError
+    (filtering._finite).
     """
     meas = np.stack([t.measurements for t in trajs])
-    finite = np.isfinite(meas).all(axis=2)
 
     def measure(k, rows, x):
-        bad = ~finite[rows, k]
-        if bad.any():
-            raise NumericalFailureError("pseudorange is not finite", row=int(bad.argmax()))
+        y = _finite(meas[rows, k], "pseudorange")
         c_k, y0 = linearize(sats, x)
-        return c_k, meas[rows, k] - y0 + (c_k @ x[..., None])[..., 0] - noise_offset
+        return c_k, y - y0 + (c_k @ x[..., None])[..., 0] - noise_offset
 
     return len(trajs), meas.shape[1], measure
 
@@ -156,7 +158,7 @@ def _stf_rows(model, sats, trajs, vb_cfg):
     EstimationError that failed it.  Each row is bit-equal to the same
     trajectory filtered alone.
     """
-    means, covs, _, _, iters, conv, *_, failed = _stf_run_rows(
+    means, covs, _, _, iters, conv, failed = _stf_run_rows(
         model, *_pseudorange_source(sats, trajs), vb_cfg
     )
     return [
@@ -175,11 +177,12 @@ def _sts_rows(model, sats, trajs, vb_cfg):
     Returns the outcome of each trajectory, its "sts" EstimatorRun or the
     EstimationError that failed it, in the first pass or in the loop.
     """
-    rows = _sts_run_rows(model, *_pseudorange_source(sats, trajs), vb_cfg)
-    means, covs = rows.smoothed[0][..., :3], rows.smoothed[1][..., :3, :3]
+    means, covs, _, iters, conv, failed = _sts_run_rows(
+        model, *_pseudorange_source(sats, trajs), vb_cfg
+    )
     return [
-        err or EstimatorRun("sts", m, symmetrize(c), np.zeros(0), int(n), bool(conv))
-        for m, c, n, conv, err in zip(means, covs, rows.iterations, rows.converged, rows.failed)
+        err or EstimatorRun("sts", m, symmetrize(c), np.zeros(0), int(n), bool(ok))
+        for m, c, n, ok, err in zip(means[..., :3], covs[..., :3, :3], iters, conv, failed)
     ]
 
 
@@ -198,7 +201,7 @@ def _kf_rows(model, cfg, sats, trajs):
     mean_off, _ = moments(comp)
     var, _, _ = moment_match(comp)
     gauss = replace(model, R=np.full(cfg.n_sats, var))
-    means, covs, used, *priors, _, _, failed = _kf_gated_run_rows(
+    means, covs, used, *priors, failed = _kf_gated_run_rows(
         gauss, *_pseudorange_source(sats, trajs, mean_off)
     )
     runs = [
@@ -271,7 +274,7 @@ def _lockstep_rows(names, cfg, sats, trajs, vb_cfg, reps) -> dict:
     (_pf_rows).  So an outcome is the same whatever else `names` holds.
 
     A row leaves the loop it fails in while the other rows go on
-    (filtering._forward, filtering._vb_loop, smoothing._backward_rows), so
+    (filtering._filter_rows, filtering._vb_loop, smoothing._backward_rows), so
     each row's outcome is that of its one-row run.  A row that fails in
     "kf" fails in "rtss" with the same error, and "rtss" runs on the other
     rows; a row that fails only in "rtss" keeps its "kf" run.  A row that
@@ -307,7 +310,7 @@ def _lockstep_rows(names, cfg, sats, trajs, vb_cfg, reps) -> dict:
                 out["rtss"] = runs, (time.perf_counter() - start) / len(trajs)
         except EstimationError as err:
             # A _RowErrors: every row failed before the batch had outputs
-            # (filtering._forward), each with its own error.
+            # (filtering._filter_rows), each with its own error.
             runs = [err] * len(trajs)
             if isinstance(err, _RowErrors):
                 for one in err.errors:

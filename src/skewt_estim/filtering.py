@@ -26,16 +26,20 @@ truncnorm's private kernel without rec_trunc's input checks; _vb_loop
 writes a row's outputs once, when the row leaves the loop.
 
 Each estimator has one sequence driver, a lockstep family over B
-trajectories: _filter_rows runs the forward recursion _forward and takes
-each step's measurement matrices and measurements from a source
-measure(k, rows, x).  A linear model's source is model.C and the rows'
-own measurements (_linear_source); the GNSS benchmark's relinearizes at
-each row's predicted mean (bench.experiments._pseudorange_source).  The
-skew-t filter's family is _stf_run_rows, the smoother's and the gated
-Kalman filter's are smoothing._sts_run_rows and
-baselines._kf_gated_run_rows, and the public sequence functions stf_run,
-sts_run and kf_gated_run are their one-row calls, so the code the
-benchmark runs is the code the library exports.
+trajectories, and every family runs on one forward recursion,
+_filter_rows: at each step it takes the measurement terms of the live
+rows from a source measure(k, rows, x), updates, stacks what the update
+returns and predicts.  A source owns its measurements: it hands out the
+measurement matrices and measurements of the rows at their predicted
+means x, and fails a row whose measurement is not finite.  A linear
+model's source is model.C and the rows' own measurements
+(_linear_source); the GNSS benchmark's relinearizes at each row's
+predicted mean (bench.experiments._pseudorange_source).  The skew-t
+filter's family is _stf_run_rows, the smoother's and the gated Kalman
+filter's are smoothing._sts_run_rows and baselines._kf_gated_run_rows,
+and the public sequence functions stf_run, sts_run and kf_gated_run are
+their one-row calls, so the code the benchmark runs is the code the
+library exports.
 """
 
 import math
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import solve_spd, symmetrize
-from .exceptions import EstimationError
+from .exceptions import EstimationError, NumericalFailureError
 from .skewt import SkewTComponent
 from .truncnorm import _rec_trunc_row, _rec_trunc_rows
 
@@ -327,6 +331,17 @@ def _vectors(name: str, seq, n: int) -> list:
     return [_vector(f"{name}[{k}]", v, n) for k, v in enumerate(seq)]
 
 
+def _finite(y: np.ndarray, what: str = "measurement") -> np.ndarray:
+    """y, one measurement or a (B, n_y) stack of them, if it is finite;
+    else NumericalFailureError(f"{what} is not finite"), naming the first
+    row of a stack that has a non-finite entry."""
+    bad = ~np.isfinite(y).all(-1)
+    if bad.any():
+        row = int(bad.argmax()) if bad.ndim else None
+        raise NumericalFailureError(f"{what} is not finite", row=row)
+    return y
+
+
 def _time_update(model, x, p) -> tuple:
     """A x and A p A^T + Q (re-symmetrized), of one row or a stack of rows."""
     return (model.A @ x[..., None])[..., 0], symmetrize(model.A @ p @ model.A.T + model.Q)
@@ -337,19 +352,25 @@ def predict(model: StateSpaceModel, b: GaussianBelief) -> GaussianBelief:
     return GaussianBelief(*_time_update(model, b.mean, b.cov))
 
 
-def _forward(model: StateSpaceModel, n_rows: int, n_steps: int, step) -> list:
+def _filter_rows(model: StateSpaceModel, n_rows: int, n_steps: int, measure, update) -> list:
     """The forward recursion of every filter, over a lockstep stack of
-    n_rows rows from the model prior: at each step k the measurement
-    update `step(k, rows, x, p)` of the live rows' predicted means x
-    (B, n_x) and covariances p (B, n_x, n_x), then the time update.
+    n_rows trajectories from the model prior, fed by a measurement source.
 
-    `step` returns the posterior mean and covariance, then anything else
-    the caller keeps; the next prior is the time update of their leading
-    n_x block (for the smoother's [x; u], the x block: u has a zero
-    transition).  Returns each output of `step` stacked over a step axis
-    after the row axis, (n_rows, n_steps, ...), in stacks allocated from
-    the first step's outputs, then the list of the outcomes of the rows:
-    None, or the EstimationError that failed the row.
+    At step k, `measure(k, rows, x)` hands out the measurement terms of
+    the live rows at their predicted means x (B, n_x): the measurement
+    matrices C_k (B, n_y, n_x) and measurements y_k (B, n_y), then
+    anything else the update takes.  A source may relinearize at x, and
+    it checks its measurements; _linear_source is that of a linear model.
+    `update(x, p, *measure(k, rows, x))`, with the predicted covariances p
+    (B, n_x, n_x), returns the posterior means and covariances, then
+    anything else the caller keeps; the next prior is the time update of
+    their leading n_x block (for the smoother's [x; u], the x block: u has
+    a zero transition).  Returns each output of update stacked over a step
+    axis after the row axis, (n_rows, n_steps, ...), in stacks allocated
+    from the first step's outputs, then the list of the outcomes of the
+    rows: None, or the EstimationError that failed the row.  The skew-t
+    filter, every forward pass of the smoother and the gated Kalman filter
+    run through it.
 
     An EstimationError of step k gets its step set to k (each error of a
     _RowErrors does).  It fails the row it names, or every row when it
@@ -372,7 +393,7 @@ def _forward(model: StateSpaceModel, n_rows: int, n_steps: int, step) -> list:
     for k in range(n_steps):
         while True:
             try:
-                out = step(k, rows, x, p)
+                out = update(x, p, *measure(k, rows, x))
                 break
             except EstimationError as err:
                 for one in _row_errors(err):
@@ -392,32 +413,12 @@ def _forward(model: StateSpaceModel, n_rows: int, n_steps: int, step) -> list:
     return [*stacks, failed]
 
 
-def _filter_rows(model: StateSpaceModel, n_rows: int, n_steps: int, measure, update) -> list:
-    """The forward filter of n_rows trajectories in lockstep (_forward),
-    fed by a measurement source.
-
-    At step k, `measure(k, rows, x)` gives the measurement matrices C_k
-    (B, n_y, n_x) and measurements y_k (B, n_y) of the live rows at their
-    predicted means x, and `update(x, p, y_k, C_k)` maps the priors to the
-    posterior means, covariances and any per-row diagnostics.  A source
-    may relinearize at x; _linear_source is that of a linear model.
-    Returns update's outputs stacked over the steps, then the C_k and y_k
-    stacks, which a smoother reruns on, then the outcome of each row.  The
-    skew-t filter, the smoother's first forward pass and the gated Kalman
-    filter run through it.
-    """
-
-    def step(k, rows, x, p):
-        c_k, y_k = measure(k, rows, x)
-        return (*update(x, p, y_k, c_k), c_k, y_k)
-
-    return _forward(model, n_rows, n_steps, step)
-
-
 def _linear_source(model: StateSpaceModel, ys: np.ndarray):
     """The measurement source of the linear model: model.C for each live
-    row, and the rows' own measurements of ys (B, K, n_y)."""
-    return lambda k, rows, x: (np.broadcast_to(model.C, (len(x),) + model.C.shape), ys[rows, k])
+    row, and the rows' own measurements of ys (B, K, n_y), which fail a
+    row with a non-finite one at its step (_finite)."""
+    shape = model.C.shape
+    return lambda k, rows, x: (np.broadcast_to(model.C, (len(x),) + shape), _finite(ys[rows, k]))
 
 
 def _beliefs(mean, cov) -> list:
@@ -751,9 +752,10 @@ def stf_update(
     from unit precisions, until the state mean stabilizes.  The precision
     sequence is Anderson-extrapolated, which speeds up the approach to the
     same stationary point without changing it.  Returns the normal
-    approximation of the x marginal and the loop diagnostics.
+    approximation of the x marginal and the loop diagnostics.  A
+    non-finite y raises NumericalFailureError.
     """
-    y = _vector("y", y, model.n_y)
+    y = _finite(_vector("y", y, model.n_y))
     if prior.dim != model.n_x:
         raise ValueError(f"prior dimension {prior.dim} != n_x {model.n_x}")
     return _stf_pair(model, *_stf_update_rows(model, prior.mean, prior.cov, y, model.C, cfg))
@@ -766,13 +768,13 @@ def _stf_run_rows(model: StateSpaceModel, n_rows: int, n_steps: int, measure, cf
     Returns the stacks (n_rows, n_steps, ...) of _stf_update_rows'
     outputs (the augmented posterior means and covariances, the mixing
     precisions, psi, the VB iteration counts and the convergence flags),
-    then those of C_k and y_k, then the outcome of each row.  Each row is
+    then the outcome of each row.  Each row is
     bit-equal to the same trajectory filtered alone.  The augmented
     covariances come out of the truncation exactly symmetric, so the time
     update reads their x block as the symmetrized one stf_update returns.
     """
 
-    def update(x, p, y, c_mat):
+    def update(x, p, c_mat, y):
         return _stf_update_rows(model, x, p, y, c_mat, cfg)
 
     return _filter_rows(model, n_rows, n_steps, measure, update)
@@ -787,5 +789,5 @@ def stf_run(model: StateSpaceModel, ys, cfg: VBConfig = VBConfig()) -> list:
     if not ys:
         return []
     source = _linear_source(model, np.stack(ys)[None])
-    *rows, _, _ = _raise_failed(*_stf_run_rows(model, 1, len(ys), source, cfg))
+    rows = _raise_failed(*_stf_run_rows(model, 1, len(ys), source, cfg))
     return [_stf_pair(model, *step) for step in zip(*(a[0] for a in rows))]

@@ -1,7 +1,7 @@
 """Variational-Bayes smoother for linear models with skew-t measurement noise.
 
-The outer loop alternates, over the whole trajectory: the filter's
-forward recursion (filtering._forward) with the expected mixing
+The outer loop alternates, over the whole trajectory: a forward pass of
+the filter's recursion (filtering._filter_rows) with the expected mixing
 precisions held fixed, one truncated augmented update per step; a
 fixed-interval backward recursion on the augmented [x; u] state; and the
 per-step refresh of the mixing precisions from the smoothed moments.  The
@@ -14,17 +14,17 @@ Anderson-mixed precision vector over the whole trajectory, starting from
 unit precisions (lambda = 1).  The smoother's family, _sts_run_rows, runs
 B trajectories in lockstep (a leading batch axis; a row leaves the loop
 when it converges) and takes their measurements from a source, as the
-filter's does (filtering._filter_rows).  Its first forward pass, at
-lambda = 1, is _filter_rows itself, which takes each row's measurement
+filter's does.  Every forward pass is _filter_rows with one update,
+_pass_update, whose source hands out C_k, y_k, cz_k = [C_k, diag(Delta)]
+and the mixing precisions of the step.  Only the first pass, at
+lambda = 1, asks the family's source, which takes each row's measurement
 matrix at that row's predicted means (the GNSS benchmark relinearizes
-there); the later passes rerun on those matrices, so the smoother never
-runs the skew-t filter and no forward pass runs twice.  sts_run is the
-family's one-row call, and the other public functions are one-trajectory
-calls of the lockstep passes.  Every row is bit-equal to the same
-trajectory smoothed alone.
+there); it keeps what it is handed, and the later passes replay that
+(_forward_rows), so the smoother never runs the skew-t filter and no
+forward pass runs twice.  sts_run is the family's one-row call, and the
+other public functions are one-trajectory calls of the lockstep passes.
+Every row is bit-equal to the same trajectory smoothed alone.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .filtering import (
     _augmented_update,
     _beliefs,
     _filter_rows,
-    _forward,
+    _finite,
     _linear_source,
     _psi_diagonal,
     _raise_failed,
@@ -49,33 +49,12 @@ from .filtering import (
 )
 
 __all__ = [
-    "SmootherIterate",
     "SmoothedTrack",
     "forward_pass",
     "backward_pass",
     "update_lambda",
     "sts_run",
 ]
-
-@dataclass(frozen=True)
-class SmootherIterate:
-    """Final iterate of the outer VB loop over B trajectories of K steps.
-
-    `smoothed` is the (mean, cov) stack of the smoothed augmented beliefs,
-    (B, K, n) and (B, K, n, n).  `lambdas` (B, K, n_y) are the next mixing
-    precisions; `iterations` and `converged` count the outer iterations
-    of each row and say whether it stopped at its tolerance, and
-    `failed[b]` is the EstimationError that failed row b, in the first
-    forward pass or in the loop, or None (its other fields then hold no
-    result).
-    """
-
-    smoothed: tuple
-    lambdas: np.ndarray
-    iterations: np.ndarray
-    converged: np.ndarray
-    failed: list
-
 
 class SmoothedTrack(list):
     """The smoothed x marginals of sts_run, one GaussianBelief per step.
@@ -90,25 +69,44 @@ class SmoothedTrack(list):
         self.converged = converged
 
 
-def _forward_rows(model, ys, lambdas, c_seq) -> list:
-    """Truncated forward filtering of B trajectories in lockstep, one
-    augmented update per step at the fixed mixing precisions.
+def _pass_update(model: StateSpaceModel):
+    """The update of every forward pass of the smoother: one truncated
+    augmented update (_augmented_update) of the live rows at the mixing
+    precisions lam that its source hands out with C_k, y_k and cz_k.  It
+    returns the filtered and the predicted augmented (mean, cov)."""
+    return lambda x, p, c_mat, y, cz, lam: _augmented_update(
+        x, p, y, c_mat, cz, model.Delta, model.R, lam
+    )
 
-    ys and lambdas are (B, K, n_y), c_seq is (B, K, n_y, n_x).  Returns the
-    (mean, cov) stacks of the filtered and of the predicted augmented
-    beliefs, (B, K, n) and (B, K, n, n).  Row b is bit-equal to a
-    forward pass of that row alone.  A failed row raises its error again,
-    naming the row, once the other rows are done (filtering._raise_failed).
+
+def _at_precisions(model: StateSpaceModel, measure, lambdas):
+    """The source of a forward pass over measure (filtering._filter_rows)
+    at the mixing precisions lambdas (B, K, n_y): C_k and y_k of measure,
+    then cz_k = [C_k, diag(Delta)] and the live rows' lambdas of step k."""
+
+    def source(k, rows, x):
+        c_k, y_k = measure(k, rows, x)
+        return c_k, y_k, _stack_cz(c_k, model.Delta), lambdas[rows, k]
+
+    return source
+
+
+def _forward_rows(model, ys, lambdas, c_seq, cz) -> list:
+    """A later forward pass of the smoother over B trajectories in
+    lockstep: filtering._filter_rows replaying the measurements ys
+    (B, K, n_y), matrices c_seq (B, K, n_y, n_x) and cz = [C_k, diag(Delta)]
+    (B, K, n_y, n_x + n_y) of the first pass, at the mixing precisions
+    lambdas (B, K, n_y).  Returns the (mean, cov) stacks of the filtered
+    and of the predicted augmented beliefs, (B, K, n) and (B, K, n, n).
+    Row b is bit-equal to a forward pass of that row alone.  A failed row
+    raises its error again, naming the row, once the other rows are done
+    (filtering._raise_failed).
     """
-    n_rows, n_steps, _ = ys.shape
-    cz = _stack_cz(c_seq, model.Delta)
 
-    def step(k, rows, x, p):
-        return _augmented_update(
-            x, p, ys[rows, k], c_seq[rows, k], cz[rows, k], model.Delta, model.R, lambdas[rows, k]
-        )
+    def replay(k, rows, x):
+        return c_seq[rows, k], ys[rows, k], cz[rows, k], lambdas[rows, k]
 
-    return _raise_failed(*_forward(model, n_rows, n_steps, step))
+    return _raise_failed(*_filter_rows(model, *ys.shape[:2], replay, _pass_update(model)))
 
 
 def forward_pass(model: StateSpaceModel, ys, lambdas) -> tuple:
@@ -118,7 +116,8 @@ def forward_pass(model: StateSpaceModel, ys, lambdas) -> tuple:
     diagonal per step, each of length n_y.  Returns
     (filtered, predicted): the truncated augmented posteriors and the
     augmented one-step priors they were updated from, as GaussianBeliefs
-    over [x; u].
+    over [x; u].  A non-finite measurement raises NumericalFailureError
+    at its step (filtering._linear_source).
     """
     ys = _vectors("ys", ys, model.n_y)
     n_steps = len(ys)
@@ -130,10 +129,9 @@ def forward_pass(model: StateSpaceModel, ys, lambdas) -> tuple:
             raise ValueError(f"lambdas[{k}] must be positive")
     if n_steps == 0:
         return [], []
-    c_seq = np.broadcast_to(model.C, (1, n_steps) + model.C.shape)
-    f_mean, f_cov, p_mean, p_cov = _forward_rows(
-        model, np.stack(ys)[None], np.stack(lams)[None], c_seq
-    )
+    source = _at_precisions(model, _linear_source(model, np.stack(ys)[None]), np.stack(lams)[None])
+    passed = _filter_rows(model, 1, n_steps, source, _pass_update(model))
+    f_mean, f_cov, p_mean, p_cov = _raise_failed(*passed)
     return _beliefs(f_mean[0], f_cov[0]), _beliefs(p_mean[0], p_cov[0])
 
 
@@ -214,9 +212,10 @@ def update_lambda(
     y: np.ndarray,
     model: StateSpaceModel,
 ) -> np.ndarray:
-    """Refreshed mixing-precision diagonal from one smoothed augmented belief."""
+    """Refreshed mixing-precision diagonal from one smoothed augmented
+    belief.  A non-finite y raises NumericalFailureError."""
     n_x, n_y = model.n_x, model.n_y
-    y = _vector("y", y, n_y)
+    y = _finite(_vector("y", y, n_y))
     if smoothed.dim != n_x + n_y:
         raise ValueError(
             f"smoothed belief has dim {smoothed.dim}, expected {n_x + n_y}"
@@ -235,11 +234,8 @@ def sts_run(model: StateSpaceModel, ys, cfg: VBConfig = VBConfig()) -> SmoothedT
     ys = _vectors("ys", ys, model.n_y)
     if not ys:
         return SmoothedTrack([], 0, True)
-    source = _linear_source(model, np.stack(ys)[None])
-    result = _sts_run_rows(model, 1, len(ys), source, cfg)
-    (s_mean, s_cov), iterations, converged = _raise_failed(
-        result.smoothed, result.iterations, result.converged, result.failed
-    )
+    result = _sts_run_rows(model, 1, len(ys), _linear_source(model, np.stack(ys)[None]), cfg)
+    s_mean, s_cov, _, iterations, converged = _raise_failed(*result)
     n_x = model.n_x
     return SmoothedTrack(
         [
@@ -251,7 +247,7 @@ def sts_run(model: StateSpaceModel, ys, cfg: VBConfig = VBConfig()) -> SmoothedT
     )
 
 
-def _sts_run_rows(model, n_rows, n_steps, measure, cfg) -> SmootherIterate:
+def _sts_run_rows(model, n_rows, n_steps, measure, cfg) -> tuple:
     """The skew-t smoother of n_rows trajectories in lockstep, fed by the
     measurement source `measure` (filtering._filter_rows); sts_run is its
     one-row call.  It never runs the skew-t filter.
@@ -259,35 +255,46 @@ def _sts_run_rows(model, n_rows, n_steps, measure, cfg) -> SmootherIterate:
     The outer loop is filtering._vb_loop.  The mixing precisions of each
     row are one Anderson-mixed vector over the whole trajectory, starting
     from 1, and a row stops on the largest per-step change of its smoothed
-    state means; each row is bit-equal to the loop run on it alone.  The
-    forward pass of the first iteration is _filter_rows with the augmented
-    update at those unit precisions, which takes each row's C_k and y_k
-    at its own predicted means; the later passes (_forward_rows) rerun on
-    them, so no forward pass runs twice, and the first pass is freed once
-    the first iteration is done.  A row that failed in the first pass
-    fails at the first iteration with its error, and a row whose forward
-    or backward pass fails leaves the loop; only that iteration runs again
+    state means; each row is bit-equal to the loop run on it alone.  Every
+    forward pass is _filter_rows with _pass_update.  The first, at those
+    unit precisions, takes each row's C_k and y_k from `measure` at its
+    own predicted means and writes them into (B, K) stacks, which the loop
+    carries with their cz = [C_k, diag(Delta)]; the later passes
+    (_forward_rows) replay those stacks, so only the first pass asks
+    `measure`, no forward pass runs twice, and the first pass is freed
+    once the first iteration is done.  A row that failed in the first pass fails at
+    the first iteration with its error, and a row whose forward or
+    backward pass fails leaves the loop; only that iteration runs again
     for the rows left (filtering._vb_loop).
-    """
-    n_y = model.n_y
 
-    def first_update(x, p, y, c_mat):
-        cz = _stack_cz(c_mat, model.Delta)
-        return _augmented_update(x, p, y, c_mat, cz, model.Delta, model.R, np.ones(y.shape))
+    Returns the smoothed augmented (mean, cov) stacks, (B, K, n) and
+    (B, K, n, n), the next mixing precisions (B, K, n_y), the outer
+    iteration counts and convergence flags of the rows, then the outcome
+    of each row: None, or the EstimationError that failed it, in the first
+    pass or in the loop (its other outputs then hold no result).
+    """
+    n_x, n_y = model.n_x, model.n_y
+    ys = np.empty((n_rows, n_steps, n_y))
+    c_seq = np.empty((n_rows, n_steps, n_y, n_x))
+
+    def kept(k, rows, x):
+        c_seq[rows, k], ys[rows, k] = out = measure(k, rows, x)
+        return out
 
     # first: the augmented posteriors and the priors they came from.
-    *first, c_seq, ys, first_failed = _filter_rows(model, n_rows, n_steps, measure, first_update)
+    source = _at_precisions(model, kept, np.ones((n_rows, n_steps, n_y)))
+    *first, first_failed = _filter_rows(model, n_rows, n_steps, source, _pass_update(model))
 
     def update(rows, ys, c_seq, cz, lam):
         if first:
             _raise_failed([first_failed[b] for b in rows])
             stacks = tuple(s[rows] for s in first)
         else:
-            stacks = _forward_rows(model, ys, lam.reshape(-1, n_steps, n_y), c_seq)
+            stacks = _forward_rows(model, ys, lam.reshape(-1, n_steps, n_y), c_seq, cz)
         smoothed = _raise_failed(*_backward_rows(*stacks, model))
         first.clear()  # the later iterations run their own forward passes
         plain = _lambda_rows(*smoothed, ys, cz, model)
-        return smoothed, plain.reshape(lam.shape), smoothed[0][..., : model.n_x]
+        return smoothed, plain.reshape(lam.shape), smoothed[0][..., :n_x]
 
     out, lambdas, iterations, converged, failed = _vb_loop(
         update,
@@ -296,6 +303,4 @@ def _sts_run_rows(model, n_rows, n_steps, measure, cfg) -> SmootherIterate:
         np.tile((model.nu + 2.0) / model.nu, n_steps),
         cfg,
     )
-    return SmootherIterate(
-        tuple(out), lambdas.reshape(n_rows, n_steps, n_y), iterations, converged, failed
-    )
+    return (*out, lambdas.reshape(n_rows, n_steps, n_y), iterations, converged, failed)

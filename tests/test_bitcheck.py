@@ -12,7 +12,7 @@ import pytest
 from skewt_estim import bench
 from skewt_estim.baselines import kf_gated_run, rtss_gated_run
 from skewt_estim.filtering import stf_run
-from skewt_estim.smoothing import sts_run
+from skewt_estim.smoothing import backward_pass, forward_pass, sts_run
 
 from reference import static_ordering_study
 
@@ -121,3 +121,21 @@ def test_library_runs_digest_is_of_the_sequence_functions(tool):
     digest = tool.arrays_digest(*tool.library_runs(*args))
     assert digest == tool.arrays_digest(*map(np.asarray, want))
     assert tool.arrays_digest(*tool.library_runs(4, 4, 6)) != digest
+
+
+def test_library_passes_digest_is_of_the_smoother_passes(tool):
+    """The digest covers, per random linear model, the filtered and
+    predicted beliefs of forward_pass at mixing precisions drawn from
+    [0.1, 2] by default_rng(seed + 1), then the beliefs of backward_pass
+    of them, in that order."""
+    args = (3, 4, 6)
+    rng = np.random.default_rng(args[0] + 1)
+    want = []
+    for model, ys in tool.linear_models(*args):
+        lambdas = rng.uniform(0.1, 2.0, (len(ys), model.n_y))
+        filtered, predicted = forward_pass(model, ys, lambdas)
+        beliefs = filtered + predicted + backward_pass(filtered, predicted, model)
+        want += [a for b in beliefs for a in (b.mean, b.cov)]
+    digest = tool.arrays_digest(*tool.library_passes(*args))
+    assert digest == tool.arrays_digest(*want)
+    assert tool.arrays_digest(*tool.library_passes(4, 4, 6)) != digest

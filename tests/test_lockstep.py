@@ -8,19 +8,20 @@ filter and smoother are checked row by row with np.array_equal, and a
 failing row must leave its batch with the record of its one-row run.
 """
 
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
-from skewt_estim import baselines, filtering, smoothing
+from skewt_estim import filtering, smoothing
 from skewt_estim._linalg import symmetrize
 from skewt_estim.baselines import (
     _kf_gated_update_rows,
     kf_gated_run,
     kf_gated_update,
+    rtss_gated_run,
 )
 from skewt_estim.bench import (
     ScenarioConfig,
@@ -63,11 +64,12 @@ from skewt_estim.filtering import (
 )
 from skewt_estim.skewt import SkewTComponent, moments
 from skewt_estim.smoothing import (
-    SmootherIterate,
     _forward_rows,
     _sts_run_rows,
     backward_pass,
+    forward_pass,
     sts_run,
+    update_lambda,
 )
 from skewt_estim.truncnorm import UNDERFLOW_XI, _rec_trunc_rows, rec_trunc
 
@@ -258,24 +260,23 @@ class TestUpdateRows:
         )
         c_seq = rng.standard_normal((n_rows, n_steps, n_y, n_x))
         ys = 5.0 * rng.standard_normal((n_rows, n_steps, n_y))
-        stacked = _sts_run_rows(model, n_rows, n_steps, sequence_source(c_seq, ys), cfg)
-        assert len(set(stacked.iterations)) > 1
+        *got, failed = _sts_run_rows(model, n_rows, n_steps, sequence_source(c_seq, ys), cfg)
+        _, _, _, iterations, converged = got
+        assert len(set(iterations)) > 1
         if cfg.max_iterations < 30:
-            assert stacked.converged.any() and not stacked.converged.all()
+            assert converged.any() and not converged.all()
         for b in range(n_rows):
-            alone = _sts_run_rows(
+            *want, alone_failed = _sts_run_rows(
                 model, 1, n_steps, sequence_source(c_seq[b : b + 1], ys[b : b + 1]), cfg
             )
-            got = (*stacked.smoothed, stacked.lambdas, stacked.iterations, stacked.converged)
-            want = (*alone.smoothed, alone.lambdas, alone.iterations, alone.converged)
             for g, w in zip(got, want):
                 assert_array_equal(g[b], w[0])
-            assert stacked.failed[b] is alone.failed[0] is None
+            assert failed[b] is alone_failed[0] is None
 
 
     def test_sts_run_rows_broadcast_c_bit_equal_to_stacked(self):
         """A measurement matrix broadcast over the steps gives the bits of
-        the same matrix stacked, in every SmootherIterate field; sts_run
+        the same matrix stacked, in every output of _sts_run_rows; sts_run
         broadcasts it (filtering._linear_source) and returns those bits."""
         rng = np.random.default_rng(3)
         model = random_model(rng, 4, 8, delta=2.0, nu=4.0)
@@ -283,17 +284,15 @@ class TestUpdateRows:
         c_seq = np.broadcast_to(model.C, (1, 20) + model.C.shape)
         broadcast = _sts_run_rows(model, 1, 20, _linear_source(model, ys[None]), VBConfig())
         stacked = _sts_run_rows(model, 1, 20, sequence_source(c_seq.copy(), ys[None]), VBConfig())
-        for f in fields(SmootherIterate):
-            g, w = getattr(broadcast, f.name), getattr(stacked, f.name)
-            for a, b in zip(g, w) if isinstance(w, tuple) else [(g, w)]:
-                assert_array_equal(a, b)
+        assert len(broadcast) == len(stacked) == 6
+        for g, w in zip(broadcast, stacked):
+            assert_array_equal(g, w)
+        s_mean, s_cov, _, iterations, converged, _ = stacked
         alone = sts_run(model, ys, VBConfig())
         n_x = model.n_x
-        assert_array_equal([s.mean for s in alone], stacked.smoothed[0][0, :, :n_x])
-        assert_array_equal(
-            [s.cov for s in alone], symmetrize(stacked.smoothed[1][0, :, :n_x, :n_x])
-        )
-        assert (alone.iterations, alone.converged) == (stacked.iterations[0], stacked.converged[0])
+        assert_array_equal([s.mean for s in alone], s_mean[0, :, :n_x])
+        assert_array_equal([s.cov for s in alone], symmetrize(s_cov[0, :, :n_x, :n_x]))
+        assert (alone.iterations, alone.converged) == (iterations[0], converged[0])
 
 
 class TestVBLoop:
@@ -562,16 +561,17 @@ class TestStackedKernels:
         c_seq = np.broadcast_to(model.C, (n_rows, n_steps, n_y, n_x)).copy()
         lambdas = np.ones((n_rows, n_steps, n_y))
         lambdas[2, 3, 1] = -1e-3
+        cz = _stack_cz(c_seq, model.Delta)
         with pytest.raises(
             NumericalFailureError, match="innovation covariance is not positive definite"
         ) as info:
-            _forward_rows(model, ys, lambdas, c_seq)
+            _forward_rows(model, ys, lambdas, c_seq, cz)
         assert info.value.step == 3
         assert info.value.row == 2
         assert info.value.smallest_eigenvalue < 0
         # The row alone is a stack of one row, which runs as one row.
         with pytest.raises(NumericalFailureError) as lone:
-            _forward_rows(model, ys[2:3], lambdas[2:3], c_seq[2:3])
+            _forward_rows(model, ys[2:3], lambdas[2:3], c_seq[2:3], cz[2:3])
         assert (lone.value.row, str(lone.value)) == (0, str(info.value))
 
     def test_vb_loop_names_the_input_row_of_a_failure(self):
@@ -629,30 +629,34 @@ class TestStackedKernels:
     def test_forward_stops_once_no_row_is_left(self, last):
         """Row 1 of three fails at step 1 (last = 3), and every row left
         fails at step `last` with an error that names none: the recursion
-        stops there, runs no step on zero rows, and each row's outcome is
-        its error.  When no row is left at step 0 there are no stacks, and
-        the rows' errors are raised at once, each naming its row."""
+        (filtering._filter_rows) stops there, runs no step on zero rows,
+        and each row's outcome is its error.  When no row is left at step
+        0 there are no stacks, and the rows' errors are raised at once,
+        each naming its row.  The update takes what the source hands out."""
         model = StateSpaceModel(
             A=np.eye(2), Q=np.eye(2), C=np.eye(2), R=np.ones(2), Delta=np.ones(2),
             nu=np.full(2, 4.0), prior_mean=np.zeros(2), prior_cov=np.eye(2),
         )
         calls = []
 
-        def step(k, rows, x, p):
+        def measure(k, rows, x):
             calls.append((k, len(x)))
             if (k, len(x)) == (1, 3):
                 raise NumericalFailureError("one", row=1)
+            return k, 1.0
+
+        def update(x, p, k, shift):
             if k == last and len(x):
                 raise NumericalFailureError("all")
-            return x + 1.0, p
+            return x + shift, p
 
         if not last:
             with pytest.raises(filtering._RowErrors) as info:
-                filtering._forward(model, 3, 6, step)
+                filtering._filter_rows(model, 3, 6, measure, update)
             assert calls == [(0, 3)]
             assert [str(e) for e in info.value.errors] == ["all (time step 0)"] * 3
             return
-        means, covs, failed = filtering._forward(model, 3, 6, step)
+        means, covs, failed = filtering._filter_rows(model, 3, 6, measure, update)
         assert (means.shape, covs.shape) == ((3, 6, 2), (3, 6, 2, 2))
         assert calls == [(0, 3), (1, 3), (1, 2), (2, 2), (3, 2)]
         assert [str(e) for e in failed] == [
@@ -662,18 +666,21 @@ class TestStackedKernels:
 
 
 @pytest.mark.parametrize(
-    "run, message",
+    "run",
     [
-        (stf_run, "truncation distance is not finite, got nan"),
-        (sts_run, "truncation distance is not finite, got nan"),
-        (kf_gated_run, "measurement is not finite"),
+        stf_run,
+        sts_run,
+        kf_gated_run,
+        rtss_gated_run,
+        lambda model, ys: forward_pass(model, ys, np.ones(ys.shape)),
     ],
-    ids=["stf_run", "sts_run", "kf_gated_run"],
+    ids=["stf_run", "sts_run", "kf_gated_run", "rtss_gated_run", "forward_pass"],
 )
-def test_sequence_function_error_names_row_0(run, message):
-    """The sequence functions are one-row calls of their lockstep family:
-    the error of a non-finite measurement at step 2 names step 2 and row
-    0, and str() shows only the step."""
+def test_sequence_function_error_names_row_0(run):
+    """The linear sequence functions are one-row calls of the forward
+    recursion on the linear model's source, which owns the check of its
+    measurements: a non-finite measurement at step 2 raises one message
+    that names step 2 and row 0, and str() shows only the step."""
     rng = np.random.default_rng(0)
     model = random_model(rng, 3, 2, delta=2.0, nu=4.0)
     ys = simulate_linear(model, rng, 5)
@@ -681,7 +688,27 @@ def test_sequence_function_error_names_row_0(run, message):
     with pytest.raises(NumericalFailureError) as info:
         run(model, ys)
     assert (info.value.step, info.value.row) == (2, 0)
-    assert str(info.value) == f"{message} (time step 2)"
+    assert str(info.value) == "measurement is not finite (time step 2)"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("update", ["stf_update", "kf_gated_update", "update_lambda"])
+def test_one_step_update_rejects_non_finite_measurement(update, value):
+    """The one-step updates check their measurement as the sources do:
+    a non-finite entry raises NumericalFailureError("measurement is not
+    finite"), naming no step and no row."""
+    model = random_model(np.random.default_rng(0), 3, 2, delta=2.0, nu=4.0)
+    y = np.array([0.5, value])
+    n_z = model.n_x + model.n_y
+    calls = {
+        "stf_update": lambda: stf_update(model, model.prior_belief(), y),
+        "kf_gated_update": lambda: kf_gated_update(model.C, model.R, model.prior_belief(), y),
+        "update_lambda": lambda: update_lambda(GaussianBelief(np.zeros(n_z), np.eye(n_z)), y, model),
+    }
+    with pytest.raises(NumericalFailureError) as info:
+        calls[update]()
+    assert str(info.value) == "measurement is not finite"
+    assert (info.value.step, info.value.row) == (None, None)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -724,13 +751,13 @@ def test_forward_recursion_bit_equal_under_non_identity_dynamics(seed):
         belief = predict(model, belief)
 
     source = _linear_source(model, np.stack(ys)[None])
-    result = _sts_run_rows(model, 1, n_steps, source, VBConfig())
+    s_mean, s_cov, _, iterations, flags, _ = _sts_run_rows(model, 1, n_steps, source, VBConfig())
     means, covs, n_outer, converged = sts_run_scalar(
         model, ys, VBConfig(), [model.C] * n_steps
     )
-    assert_array_equal(result.smoothed[0][0], means)
-    assert_array_equal(result.smoothed[1][0], covs)
-    assert (result.iterations[0], result.converged[0]) == (n_outer, converged)
+    assert_array_equal(s_mean[0], means)
+    assert_array_equal(s_cov[0], covs)
+    assert (iterations[0], flags[0]) == (n_outer, converged)
 
 
 SWEEP = dict(delta=5.0, nu=4.0, rho=100.0, K=100, n_sats=8, n_mc=6)
@@ -894,20 +921,19 @@ class TestRunExperimentLockstep:
         assert timeless(both) == timeless(separate)
 
     def test_sts_runs_no_filter_and_no_forward_pass_twice(self, monkeypatch):
-        """An "sts"-only sweep makes no STF update and one _filter_rows
-        pass, the smoother's first forward pass.  Its augmented updates and
-        those of the outer loop's later passes add up to one forward pass
-        per outer iteration of each row."""
+        """An "sts"-only sweep makes no STF update and asks its source
+        (experiments.linearize at the rows' predicted means) once per step,
+        in the smoother's first forward pass; the later passes replay what
+        it handed out.  Its augmented updates and those of the later passes
+        add up to one forward pass per outer iteration of each row."""
         cfg = sweep_config(n_mc=6, estimators=("sts",))
         calls, row_steps = [], []
-        bindings = [(filtering, "_stf_update_rows")] + [
-            (module, "_filter_rows") for module in (filtering, smoothing, baselines)
-        ]
-        for module, name in bindings:
+        for module, name in [(filtering, "_stf_update_rows"), (experiments, "linearize")]:
             real = getattr(module, name)
 
             def counting(*args, name=name, real=real, **kwargs):
-                calls.append(name)
+                if name != "linearize" or np.ndim(args[1]) == 2:  # not the model's C
+                    calls.append(name)
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, counting)
         real_update = smoothing._augmented_update
@@ -917,7 +943,7 @@ class TestRunExperimentLockstep:
             return real_update(x, p, y, *args)
         monkeypatch.setattr(smoothing, "_augmented_update", spy)
         records = run_experiment(cfg)
-        assert calls == ["_filter_rows"]
+        assert calls == ["linearize"] * cfg.K
         assert all(r.status == "ok" for r in records)
         assert sum(row_steps) == sum(r.outer_iterations for r in records) * cfg.K
 
@@ -1346,8 +1372,9 @@ class TestRunExperimentLockstep:
     def test_non_finite_pseudoranges_fail_each_row_at_its_step(self, monkeypatch):
         """Replications 0 and 2 have a non-finite pseudorange at time steps
         2 and 5.  In one pass per family ("stf", "sts" and "kf" with
-        "rtss") each fails at its own step in all four estimators, and
-        every other record is the clean run's."""
+        "rtss"), which asks the source (experiments.linearize at the rows'
+        predicted means) once per step, each fails at its own step in all
+        four estimators, and every other record is the clean run's."""
         cfg = sweep_config(n_mc=4, estimators=("stf", "sts", "kf", "rtss"))
         clean = timeless(run_experiment(cfg))
         bad_step = {0: 2, 2: 5}
@@ -1362,17 +1389,18 @@ class TestRunExperimentLockstep:
             meas[bad_step[rep], 3] = np.inf
             return replace(traj, measurements=meas)
 
-        def counting(real):
-            def run(*args):
-                passes.append(None)
-                return real(*args)
-            return run
+        real_linearize = experiments.linearize
+
+        def counting(sats, x):
+            if x.ndim == 2:  # a step of a family, not the model's C
+                passes.append(len(x))
+            return real_linearize(sats, x)
 
         monkeypatch.setattr(experiments, "simulate", corrupted)
-        for module in (filtering, smoothing, baselines):  # the families' bindings
-            monkeypatch.setattr(module, "_filter_rows", counting(module._filter_rows))
+        monkeypatch.setattr(experiments, "linearize", counting)
         records = timeless(run_experiment(cfg))
-        assert len(passes) == 3
+        live = [4] * 2 + [3] * 3 + [2] * (cfg.K - 5)  # the rows left at each step
+        assert passes == live * 3
         assert {(r.estimator, r.replication): r.reason for r in records if r.status == "failed"} == {
             (est, rep): f"pseudorange is not finite (time step {k})"
             for est in cfg.estimators for rep, k in bad_step.items()

@@ -25,7 +25,9 @@ from test_filtering import random_model, simulate_linear
 
 
 def run_vb(model, ys, cfg):
-    """The SmootherIterate of sts_run's one-row call of the smoother."""
+    """The outputs of sts_run's one-row call of the smoother
+    (_sts_run_rows): the smoothed stacks, the next mixing precisions, the
+    iteration counts, the convergence flags and the row outcomes."""
     source = _linear_source(model, np.stack(ys)[None])
     return _sts_run_rows(model, 1, len(ys), source, cfg)
 
@@ -265,7 +267,8 @@ class TestSmootherRun:
         model = random_model(rng, 3, 3, delta=3.0, nu=4.0)
         ys = simulate_linear(model, rng, 20)
         # One pass at the smoother's final mixing precisions.
-        filtered, predicted = forward_pass(model, ys, run_vb(model, ys, VBConfig()).lambdas[0])
+        _, _, lambdas, _, _, _ = run_vb(model, ys, VBConfig())
+        filtered, predicted = forward_pass(model, ys, lambdas[0])
         smoothed = backward_pass(filtered, predicted, model)
         for filt, smth in zip(filtered, smoothed):
             assert np.trace(smth.cov[:3, :3]) <= np.trace(filt.cov[:3, :3]) + 1e-10
@@ -275,15 +278,15 @@ class TestSmootherRun:
         model = random_model(rng, 2, 2, delta=4.0, nu=4.0)
         ys = simulate_linear(model, rng, 10)
         cfg = VBConfig(max_iterations=300, tol=1e-10)
-        result = run_vb(model, ys, cfg)
-        assert result.converged[0]
+        _, _, lambdas, _, converged, _ = run_vb(model, ys, cfg)
+        assert converged[0]
         # One extra plain outer iteration leaves the mixing weights put.
-        filtered, predicted = forward_pass(model, ys, result.lambdas[0])
+        filtered, predicted = forward_pass(model, ys, lambdas[0])
         smoothed = backward_pass(filtered, predicted, model)
         for k in range(len(ys)):
             fresh = update_lambda(smoothed[k], ys[k], model)
             np.testing.assert_allclose(
-                fresh, result.lambdas[0, k], rtol=1e-6
+                fresh, lambdas[0, k], rtol=1e-6
             )
 
     # The five-iteration RMSE saturation property runs on the benchmark

@@ -29,7 +29,11 @@ Each line is a name and the first 16 hex digits of the SHA-256 of:
   * library-runs: the outputs of the library's sequence functions on 12
     random linear models of 30 steps at seed 0 (library_runs): every
     field of stf_run's pairs, sts_run's beliefs, iteration count and
-    flag, and the beliefs of kf_gated_run and rtss_gated_run.
+    flag, and the beliefs of kf_gated_run and rtss_gated_run;
+  * library-passes: the outputs of the smoother's public passes on the
+    same models (library_passes): forward_pass at seeded positive mixing
+    precisions, its filtered and predicted beliefs, and the beliefs of
+    backward_pass of them.
 
 Two trees that print the same lines give the same bits on all of these.
 It reads the static ordering study from tests/reference.py and the
@@ -136,6 +140,23 @@ def library_runs(seed: int, n_models: int, n_steps: int) -> list:
     return arrays
 
 
+def library_passes(seed: int, n_models: int, n_steps: int) -> list:
+    """The arrays of forward_pass and backward_pass on the
+    linear_models(seed, n_models, n_steps), at mixing precisions drawn
+    uniformly from [0.1, 2] by default_rng(seed + 1), one (n_steps, n_y)
+    draw per model.  Per model, in order: the means and covariances of
+    the filtered and predicted beliefs of forward_pass, then those of
+    backward_pass of them."""
+    rng = np.random.default_rng(seed + 1)
+    arrays = []
+    for model, ys in linear_models(seed, n_models, n_steps):
+        lambdas = rng.uniform(0.1, 2.0, (n_steps, model.n_y))
+        filtered, predicted = smoothing.forward_pass(model, ys, lambdas)
+        smoothed = smoothing.backward_pass(filtered, predicted, model)
+        arrays += [a for b in filtered + predicted + smoothed for a in (b.mean, b.cov)]
+    return arrays
+
+
 def online_epochs(seed: int, epochs: int) -> tuple:
     """The online receiver loop: linearize at the belief, stf_update, then
     predict, epoch by epoch; a failed epoch keeps its prediction.  Returns
@@ -185,6 +206,7 @@ def main(argv) -> int:
     ordering = static_ordering_digest(5.0, 500, 11, 10_000)
     print(f"static-ordering {ordering}", flush=True)
     print(f"library-runs {arrays_digest(*library_runs(0, 12, 30))}", flush=True)
+    print(f"library-passes {arrays_digest(*library_passes(0, 12, 30))}", flush=True)
     return 0
 
 
