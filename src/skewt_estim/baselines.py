@@ -31,7 +31,7 @@ from .filtering import (
     _filter_rows,
     _finite,
     _linear_source,
-    _raise_failed,
+    _one_row,
     _vector,
     _vectors,
 )
@@ -110,13 +110,13 @@ def _kf_gated_run_rows(model: StateSpaceModel, n_rows: int, n_steps: int, measur
 
     Returns the stacks (n_rows, n_steps, ...) of the posterior means and
     covariances, the gating decisions (True where a component was used)
-    and the prior means and covariances, then the outcome of each row.
-    Each row is bit-equal to the same trajectory filtered alone, with the
-    same decisions.
+    and the prior means and covariances, then the outcomes: the update
+    fails no row, its source may (_filter_rows).  Each row is bit-equal
+    to the same trajectory filtered alone, with the same decisions.
     """
 
     def update(x, p, c_mat, y):
-        return *_kf_gated_update_rows(c_mat, model.R, x, p, y), x, p
+        return *_kf_gated_update_rows(c_mat, model.R, x, p, y), x, p, {}
 
     return _filter_rows(model, n_rows, n_steps, measure, update)
 
@@ -135,7 +135,7 @@ def kf_gated_run(model: StateSpaceModel, ys):
     if not ys:
         return [], []
     source = _linear_source(model, np.stack(ys)[None])
-    mean, cov, _, p_mean, p_cov = _raise_failed(*_kf_gated_run_rows(model, 1, len(ys), source))
+    mean, cov, _, p_mean, p_cov = _one_row(*_kf_gated_run_rows(model, 1, len(ys), source))
     return _beliefs(mean[0], cov[0]), _beliefs(p_mean[0], p_cov[0])
 
 

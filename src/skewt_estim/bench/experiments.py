@@ -6,10 +6,13 @@ smoothing._sts_run_rows, baselines._kf_gated_run_rows), the code behind
 stf_run, sts_run and kf_gated_run, all on the one forward recursion
 filtering._filter_rows.  It only supplies their measurement source,
 _pseudorange_source, which relinearizes the pseudoranges at each row's
-predicted mean and fails a row at its first non-finite pseudorange, and
+predicted mean (gnss._linearize_rows) and fails a row at its first
+non-finite pseudorange or at a predicted position on a satellite, and
 smooths the gated filter's pass for "rtss".  The smoother asks the source
 only in its first forward pass and replays what it was handed in the
-later ones.
+later ones.  A family returns the outcome of each row beside its stacks,
+and a failed row's outcome is the error its one-row run raises; no
+family raises for a row, and no batch runs twice.
 
 Besides the Monte Carlo trajectory benchmark this module hosts the two
 single-shot studies used for validation: a static single-epoch positioning
@@ -31,7 +34,7 @@ import numpy as np
 from ..baselines import _kf_gated_run_rows, _pf_moments, pf_run
 from ..exceptions import EstimationError
 from .._linalg import symmetrize
-from ..filtering import StateSpaceModel, VBConfig, _RowErrors, _finite, _stf_run_rows, stf_update
+from ..filtering import StateSpaceModel, VBConfig, _finite, _stf_run_rows, stf_update
 from ..skewt import SkewTComponent, moment_match, moments, sample_rng
 from ..smoothing import _backward_rows, _sts_run_rows
 from ..truncnorm import rec_trunc, select_next, tmnd_oracle
@@ -40,6 +43,7 @@ from .gnss import (
     ScenarioConfig,
     Trajectory,
     VERTICAL_WALK_STD_M,
+    _linearize_rows,
     linearize,
     make_constellation,
     pseudoranges,
@@ -85,8 +89,8 @@ class RunRecord:
     wall_time: float
     status: str
     # Not in the CSV: str() of the error of a "failed" run, the same as
-    # its replication's one-row run raises (the row left its loop at that
-    # error while the other rows went on; "sts" linearizes on its
+    # its replication's one-row run raises (the row's outcome in its
+    # batch, which went on with the other rows; "sts" linearizes on its
     # own first forward pass at lambda = 1, so a row failing in the STF no
     # longer fails its STS); for "sts" the outer VB iterations; for "stf"
     # and "sts" whether every VB loop converged.
@@ -138,14 +142,17 @@ def _pseudorange_source(sats, trajs, noise_offset=0.0) -> tuple:
     pseudoranges less y0, plus C_k x, less `noise_offset`, so that
     y_k ~= C_k x + noise.  A non-finite pseudorange fails its row at its
     first step that has one, with a NumericalFailureError
-    (filtering._finite).
+    (filtering._finite), and a predicted position within 1 m of a
+    satellite with a GeometryError (gnss._linearize_rows); the first
+    error is the row's.
     """
     meas = np.stack([t.measurements for t in trajs])
 
     def measure(k, rows, x):
-        y = _finite(meas[rows, k], "pseudorange")
-        c_k, y0 = linearize(sats, x)
-        return c_k, y - y0 + (c_k @ x[..., None])[..., 0] - noise_offset
+        y, failed = _finite(meas[rows, k], "pseudorange")
+        c_k, y0, on_satellite = _linearize_rows(sats, x)
+        # A row's first error is its outcome: the pseudorange's.
+        return c_k, y - y0 + (c_k @ x[..., None])[..., 0] - noise_offset, {**on_satellite, **failed}
 
     return len(trajs), meas.shape[1], measure
 
@@ -162,8 +169,8 @@ def _stf_rows(model, sats, trajs, vb_cfg):
         model, *_pseudorange_source(sats, trajs), vb_cfg
     )
     return [
-        err or EstimatorRun("stf", m, c, it.astype(float), converged=bool(ok.all()))
-        for m, c, it, ok, err in zip(means[..., :3], covs[..., :3, :3], iters, conv, failed)
+        failed.get(b) or EstimatorRun("stf", m, c, it.astype(float), converged=bool(ok.all()))
+        for b, (m, c, it, ok) in enumerate(zip(means[..., :3], covs[..., :3, :3], iters, conv))
     ]
 
 
@@ -181,8 +188,8 @@ def _sts_rows(model, sats, trajs, vb_cfg):
         model, *_pseudorange_source(sats, trajs), vb_cfg
     )
     return [
-        err or EstimatorRun("sts", m, symmetrize(c), np.zeros(0), int(n), bool(ok))
-        for m, c, n, ok, err in zip(means[..., :3], covs[..., :3, :3], iters, conv, failed)
+        failed.get(b) or EstimatorRun("sts", m, symmetrize(c), np.zeros(0), int(n), bool(ok))
+        for b, (m, c, n, ok) in enumerate(zip(means[..., :3], covs[..., :3, :3], iters, conv))
     ]
 
 
@@ -192,9 +199,10 @@ def _kf_rows(model, cfg, sats, trajs):
     moment-matched normal noise of the scenario less its mean.
 
     Returns the outcome of each trajectory ("kf" EstimatorRun or
-    EstimationError), the smoothing input of _rtss_rows and the gating
-    decisions (B, K, n_sats), True where a component was used.  Each row
-    is bit-equal to the same trajectory filtered alone, with the same
+    EstimationError), the smoothing input of _rtss_rows (the pass's
+    stacks, its outcomes and the model) and the gating decisions
+    (B, K, n_sats), True where a component was used.  Each row is
+    bit-equal to the same trajectory filtered alone, with the same
     decisions.
     """
     comp = SkewTComponent(spread_sq=1.0, shape=cfg.delta, dof=cfg.nu)
@@ -205,18 +213,20 @@ def _kf_rows(model, cfg, sats, trajs):
         gauss, *_pseudorange_source(sats, trajs, mean_off)
     )
     runs = [
-        err or EstimatorRun("kf", m[:, :3], c[:, :3, :3], np.zeros(0))
-        for m, c, err in zip(means, covs, failed)
+        failed.get(b) or EstimatorRun("kf", m[:, :3], c[:, :3, :3], np.zeros(0))
+        for b, (m, c) in enumerate(zip(means, covs))
     ]
-    return runs, (means, covs, *priors, gauss), used
+    return runs, (means, covs, *priors, failed, gauss), used
 
 
 def _rtss_rows(pass_rows):
     """The "rtss" outcomes (EstimatorRun or EstimationError): the forward
-    pass of _kf_rows smoothed by the RTS recursion, for all rows at once."""
+    pass of _kf_rows smoothed by the RTS recursion, for all rows at once;
+    a row that failed in the pass fails with its error."""
+    means, covs, failed = _backward_rows(*pass_rows)
     return [
-        err or EstimatorRun("rtss", m[:, :3], c[:, :3, :3], np.zeros(0))
-        for m, c, err in zip(*_backward_rows(*pass_rows))
+        failed.get(b) or EstimatorRun("rtss", m[:, :3], c[:, :3, :3], np.zeros(0))
+        for b, (m, c) in enumerate(zip(means, covs))
     ]
 
 
@@ -259,6 +269,7 @@ def run_estimator(
         raise ValueError(f"unknown estimator {name!r}")
     (run,), _ = _lockstep_rows({name}, cfg, sats, [traj], vb_cfg, [replication])[name]
     if isinstance(run, EstimationError):
+        run.row = 0
         raise run
     return run
 
@@ -273,18 +284,18 @@ def _lockstep_rows(names, cfg, sats, trajs, vb_cfg, reps) -> dict:
     smooths the "kf" pass; and "pf", whose rows run one at a time
     (_pf_rows).  So an outcome is the same whatever else `names` holds.
 
-    A row leaves the loop it fails in while the other rows go on
-    (filtering._filter_rows, filtering._vb_loop, smoothing._backward_rows), so
-    each row's outcome is that of its one-row run.  A row that fails in
-    "kf" fails in "rtss" with the same error, and "rtss" runs on the other
-    rows; a row that fails only in "rtss" keeps its "kf" run.  A row that
-    fails in "stf" no longer fails its "sts".  When every row of a batch
-    fails before it has outputs, their errors escape it at once (a
-    _RowErrors), and each row takes its own; any other EstimationError
-    that escapes a family's batch fails every row of it.  Returns {estimator:
-    (outcomes, seconds)}: outcomes[b] is the EstimatorRun of trajs[b] or
-    the EstimationError that failed it, and seconds the family's time per
-    row up to that estimator's end ("rtss"'s includes its filter's).
+    Each family returns the outcome of every row: a row leaves the loop
+    it fails in with its error while the other rows go on
+    (filtering._filter_rows, filtering._vb_loop, smoothing._backward_rows),
+    so each row's outcome is that of its one-row run, and every batch
+    runs to its end, even when all its rows fail.  A row that fails in
+    "kf" fails in "rtss" with the same error, and the backward pass makes
+    no solve for it; a row that fails only in "rtss" keeps its "kf" run.
+    A row that fails in "stf" no longer fails its "sts".  Returns
+    {estimator: (outcomes, seconds)}: outcomes[b] is the EstimatorRun of
+    trajs[b] or the EstimationError that failed it, and seconds the
+    family's measured time per row up to that estimator's end ("rtss"'s
+    includes its filter's).
     """
     model = scenario_model(cfg, sats)
     out = {}
@@ -293,29 +304,17 @@ def _lockstep_rows(names, cfg, sats, trajs, vb_cfg, reps) -> dict:
         if not wanted:
             continue
         start = time.perf_counter()
-        try:
-            if family == ("stf",):
-                runs = _stf_rows(model, sats, trajs, vb_cfg)
-            elif family == ("sts",):
-                runs = _sts_rows(model, sats, trajs, vb_cfg)
-            elif family == ("pf",):
-                runs = _pf_rows(model, cfg, sats, trajs, reps)
-            else:
-                runs, (*stacks, gauss), _ = _kf_rows(model, cfg, sats, trajs)
-            out[family[0]] = runs, (time.perf_counter() - start) / len(trajs)
-            if "rtss" in wanted:
-                ok = [b for b, run in enumerate(runs) if isinstance(run, EstimatorRun)]
-                smoothed = dict(zip(ok, _rtss_rows((*(a[ok] for a in stacks), gauss))))
-                runs = [smoothed.get(b, run) for b, run in enumerate(runs)]
-                out["rtss"] = runs, (time.perf_counter() - start) / len(trajs)
-        except EstimationError as err:
-            # A _RowErrors: every row failed before the batch had outputs
-            # (filtering._filter_rows), each with its own error.
-            runs = [err] * len(trajs)
-            if isinstance(err, _RowErrors):
-                for one in err.errors:
-                    runs[one.row] = one
-            out.update({name: (runs, 0.0) for name in wanted})
+        if family == ("stf",):
+            runs = _stf_rows(model, sats, trajs, vb_cfg)
+        elif family == ("sts",):
+            runs = _sts_rows(model, sats, trajs, vb_cfg)
+        elif family == ("pf",):
+            runs = _pf_rows(model, cfg, sats, trajs, reps)
+        else:
+            runs, kf_pass, _ = _kf_rows(model, cfg, sats, trajs)
+        out[family[0]] = runs, (time.perf_counter() - start) / len(trajs)
+        if "rtss" in wanted:
+            out["rtss"] = _rtss_rows(kf_pass), (time.perf_counter() - start) / len(trajs)
     return out
 
 
@@ -350,18 +349,18 @@ def run_experiment(cfg: ScenarioConfig, out_path=None, timing: bool = False) -> 
     depend on whether "stf" is configured, and a replication failing in
     the STF no longer fails its STS; "rtss" smooths the "kf" pass.  A
     replication whose run meets an EstimationError leaves the loop it
-    fails in, and the other rows go on, so each record is the one a
-    single-replication run gives.  A lockstep batch holds about 1.5 MB
-    per replication at K=100 and 8 satellites, and peak memory grows as
-    n_mc * K * (4 + n_sats)^2.
+    fails in with that error as its outcome, and the other rows go on in
+    the same batch, so each record is the one a single-replication run
+    gives.  A lockstep batch holds about 1.5 MB per replication at K=100
+    and 8 satellites, and peak memory grows as n_mc * K * (4 + n_sats)^2.
 
     Returns the sorted RunRecord list and, when `out_path` is given, writes
     the CSV there.  By default the wall_time_s column is written as 0 so
     that identical configurations produce byte-identical files; pass
     timing=True to emit measured (non-reproducible) times, where every
-    record's time is its family's batch time divided by n_mc.
-    Only an EstimationError makes a "failed" record; other exceptions
-    propagate.
+    record's time is its family's batch time divided by n_mc, also when
+    every row of the batch failed.  Only an EstimationError makes a
+    "failed" record; other exceptions propagate.
     """
     sats = make_constellation(cfg.n_sats, cfg.seed)
     trajs = [simulate(cfg, rep) for rep in range(cfg.n_mc)]

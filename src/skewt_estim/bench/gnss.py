@@ -237,14 +237,30 @@ def linearize(sats: np.ndarray, nominal: np.ndarray) -> tuple:
     1 m of a satellite raises GeometryError; for a (B, 4) stack its `row`
     is the first such state.
     """
+    c_mat, y0, failed = _linearize_rows(sats, nominal)
+    if failed:
+        b = min(failed)
+        failed[b].row = b if np.ndim(nominal) == 2 else None
+        raise failed[b]
+    return c_mat, y0
+
+
+def _linearize_rows(sats, nominal) -> tuple:
+    """linearize with its failures as data: returns C, y0 and failed, a
+    dict of the flat indices of the nominal states within 1 m of a
+    satellite and their GeometryErrors, empty when there is none.  The
+    ranges of such a state are raised to 1 m, so its C and y0 are
+    finite."""
     sats = np.atleast_2d(np.asarray(sats, dtype=float))
     nominal = np.atleast_1d(np.asarray(nominal, dtype=float))
     diff = sats - nominal[..., None, :3]
     ranges = _range(diff[..., 0], diff[..., 1], diff[..., 2])
     close = ranges < 1.0
+    failed = {}
     if np.any(close):
-        row = int(close.any(-1).argmax()) if nominal.ndim == 2 else None
-        raise GeometryError("nominal position coincides with a satellite", row=row)
+        for b in np.flatnonzero(close.any(-1)):
+            failed[int(b)] = GeometryError("nominal position coincides with a satellite")
+        ranges = np.maximum(ranges, 1.0)
     c_mat = np.concatenate([-diff / ranges[..., None], np.ones(ranges.shape + (1,))], axis=-1)
     y0 = ranges + nominal[..., 3:4]
-    return c_mat, y0
+    return c_mat, y0, failed

@@ -4,15 +4,22 @@
 class EstimationError(Exception):
     """Base class for errors raised by this package.
 
-    `step` is the time step the error arose at and `row` its row of a
-    lockstep stack, when known.  The layer that knows one sets it on the
-    caught error.  A lockstep loop that catches an error of a row records
-    it as that row's outcome and goes on with the other rows.  The
-    sequence functions (stf_run, sts_run, kf_gated_run and the benchmark's
-    run_estimator) are one-row calls of lockstep families and raise their
-    row's error again, naming row 0.  str() ends in "(time step k)" once
-    the step is known; the row never shows, so a row's error reads the
-    same at any position of its batch.
+    A stacked call, on a lockstep stack of rows, does not raise a row's
+    error: it returns it as data, beside its outputs, in a dict of the
+    failed rows and their errors, and a lockstep loop records each as its
+    row's outcome and goes on with the other rows.  A one-row call raises
+    its row's error: rec_trunc, stf_update, linearize of one nominal
+    state, and the sequence functions (stf_run, sts_run, kf_gated_run,
+    forward_pass, backward_pass and the benchmark's run_estimator), which
+    are one-row calls of lockstep families.
+
+    `step` is the time step the error arose at, when known; the loop over
+    the steps sets it on the error.  `row` is set only by a one-row raise
+    of a lockstep family, which names row 0, and by linearize of a (B, 4)
+    stack of nominal states, which names its first failing state; it is
+    None otherwise.  str() ends in "(time step k)" once the step is
+    known; the row never shows, so a row's error reads the same at any
+    position of its batch.
     """
 
     def __init__(self, message, step=None, row=None):

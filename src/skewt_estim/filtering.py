@@ -40,6 +40,18 @@ filter's are smoothing._sts_run_rows and baselines._kf_gated_run_rows,
 and the public sequence functions stf_run, sts_run and kf_gated_run are
 their one-row calls, so the code the benchmark runs is the code the
 library exports.
+
+A row's failure is data, with one code path for a batch that fails and
+one that does not.  Every stacked kernel and source returns, beside its
+outputs, a dict of the rows it failed and their EstimationErrors, empty
+when none failed, and keeps a failed row's outputs finite: the gain
+solve gives it a zero gain, the truncation zeroes it, a source zeroes
+its measurement.  _filter_rows and _vb_loop record each as its row's
+outcome and drop the row from what the step or iteration computed, and
+the rows left go on; every stacked operation is row-independent, so
+each keeps the bits of its own run.  The outcomes pass up the nested
+loops in the same form, and a one-row call raises its row's error
+(_one_row).
 """
 
 import math
@@ -331,15 +343,20 @@ def _vectors(name: str, seq, n: int) -> list:
     return [_vector(f"{name}[{k}]", v, n) for k, v in enumerate(seq)]
 
 
-def _finite(y: np.ndarray, what: str = "measurement") -> np.ndarray:
-    """y, one measurement or a (B, n_y) stack of them, if it is finite;
-    else NumericalFailureError(f"{what} is not finite"), naming the first
-    row of a stack that has a non-finite entry."""
+def _finite(y: np.ndarray, what: str = "measurement"):
+    """y, one measurement or a (B, n_y) stack of them, checked to be
+    finite; a non-finite entry fails its measurement with
+    NumericalFailureError(f"{what} is not finite").  One measurement
+    raises it.  A stack returns (y, failed): failed maps each row with a
+    non-finite entry to its error, and y is a copy with those rows zeroed.
+    """
     bad = ~np.isfinite(y).all(-1)
-    if bad.any():
-        row = int(bad.argmax()) if bad.ndim else None
-        raise NumericalFailureError(f"{what} is not finite", row=row)
-    return y
+    if not bad.any():
+        return y if y.ndim == 1 else (y, {})
+    if y.ndim == 1:
+        raise NumericalFailureError(f"{what} is not finite")
+    failed = {int(b): NumericalFailureError(f"{what} is not finite") for b in np.flatnonzero(bad)}
+    return np.where(bad[:, None], 0.0, y), failed
 
 
 def _time_update(model, x, p) -> tuple:
@@ -359,58 +376,69 @@ def _filter_rows(model: StateSpaceModel, n_rows: int, n_steps: int, measure, upd
     At step k, `measure(k, rows, x)` hands out the measurement terms of
     the live rows at their predicted means x (B, n_x): the measurement
     matrices C_k (B, n_y, n_x) and measurements y_k (B, n_y), then
-    anything else the update takes.  A source may relinearize at x, and
-    it checks its measurements; _linear_source is that of a linear model.
-    `update(x, p, *measure(k, rows, x))`, with the predicted covariances p
-    (B, n_x, n_x), returns the posterior means and covariances, then
-    anything else the caller keeps; the next prior is the time update of
-    their leading n_x block (for the smoother's [x; u], the x block: u has
-    a zero transition).  Returns each output of update stacked over a step
-    axis after the row axis, (n_rows, n_steps, ...), in stacks allocated
-    from the first step's outputs, then the list of the outcomes of the
-    rows: None, or the EstimationError that failed the row.  The skew-t
-    filter, every forward pass of the smoother and the gated Kalman filter
-    run through it.
+    anything else the update takes, then the rows it failed.  A source
+    may relinearize at x, and it checks its measurements;
+    _linear_source is that of a linear model.  `update(x, p, *terms)`,
+    with the predicted covariances p (B, n_x, n_x) and the terms the
+    source handed out, returns the posterior means and covariances, then
+    anything else the caller keeps, then the rows it failed; the next
+    prior is the time update of the leading n_x block of the posterior
+    (for the smoother's [x; u], the x block: u has a zero transition).
+    The rows a source or an update failed are a dict of their positions
+    among the live rows and their EstimationErrors, empty when none
+    failed, and the failed rows' terms and outputs are finite.
 
-    An EstimationError of step k gets its step set to k (each error of a
-    _RowErrors does).  It fails the row it names, or every row when it
-    names none, or each row a _RowErrors names (_fail_rows); those rows
-    leave the recursion and step k runs again for the rows left, so each
-    row is bit-equal to its own run.  `rows` indexes the rows left: a
-    slice of all of them until one fails, then an index array.  Once no
-    row is left the recursion stops, and the entries it has not written
-    belong to failed rows, which hold no result.  It never steps on no
-    rows: when no row is left at step 0 there are no stacks to return, and
-    it raises the rows' errors at once instead (_raise_failed), as a
-    nested caller would.
+    Each step calls measure and update once.  A row that either of them
+    failed (the source's error first) takes step k as its error's step
+    and leaves the recursion, its outputs of that step dropped; every
+    stacked operation is row-independent, so each row left is bit-equal
+    to its own run.  `rows` indexes the live rows: a slice of all of them
+    until one fails, then an index array.  Returns each output of update
+    stacked over a step axis after the row axis, (n_rows, n_steps, ...),
+    in stacks allocated from the first step's outputs, then the outcomes:
+    a dict of each failed input row and its error.  A failed row's
+    entries are zeroed when it fails, so that they hold no result and
+    stay finite.  Once no row is left the recursion stops.  The skew-t
+    filter, every forward pass of the smoother and the gated Kalman
+    filter run through it.
     """
     n_x = model.n_x
     x = np.broadcast_to(model.prior_mean, (n_rows, n_x))
     p = np.broadcast_to(model.prior_cov, (n_rows, n_x, n_x))
     rows = slice(None)  # the live rows: all, until one fails
-    failed = [None] * n_rows
-    stacks = []
+    failed = {}
     for k in range(n_steps):
-        while True:
-            try:
-                out = update(x, p, *measure(k, rows, x))
-                break
-            except EstimationError as err:
-                for one in _row_errors(err):
-                    one.step = k
-                rows, x, p = _fail_rows(failed, err, rows, x, p)
-                if not len(x):
-                    if not k:  # no stacks exist: only the errors are left
-                        _raise_failed(failed)
-                    return [*stacks, failed]
+        *terms, lost = measure(k, rows, x)
+        *out, lost_here = update(x, p, *terms)
         if not k:
             stacks = [
                 np.empty((n_rows, n_steps) + np.shape(o)[1:], np.result_type(o)) for o in out
             ]
+        lost = {**lost_here, **lost}
+        if lost:
+            live = np.arange(n_rows)[rows]
+            for err in lost.values():
+                err.step = k
+            for whole in stacks:
+                whole[live[list(lost)]] = 0  # a failed row holds no result
+            rows, out = _drop_rows(failed, lost, live, out)
+            if not rows.size:
+                break
         for whole, o in zip(stacks, out):
             whole[rows, k] = o
         x, p = _time_update(model, out[0][..., :n_x], out[1][..., :n_x, :n_x])
     return [*stacks, failed]
+
+
+def _drop_rows(failed: dict, lost: dict, rows: np.ndarray, *groups) -> tuple:
+    """Record each error of lost, a dict of positions among the live input
+    rows `rows` and errors, as the outcome failed[b] of its input row b;
+    returns the rows left, then each group of arrays without the lost
+    rows, as a list."""
+    left = np.ones(len(rows), bool)
+    left[list(lost)] = False
+    failed.update((int(rows[b]), err) for b, err in lost.items())
+    return rows[left], *([a[left] for a in arrays] for arrays in groups)
 
 
 def _linear_source(model: StateSpaceModel, ys: np.ndarray):
@@ -418,59 +446,20 @@ def _linear_source(model: StateSpaceModel, ys: np.ndarray):
     row, and the rows' own measurements of ys (B, K, n_y), which fail a
     row with a non-finite one at its step (_finite)."""
     shape = model.C.shape
-    return lambda k, rows, x: (np.broadcast_to(model.C, (len(x),) + shape), _finite(ys[rows, k]))
+    return lambda k, rows, x: (np.broadcast_to(model.C, (len(x),) + shape), *_finite(ys[rows, k]))
 
 
 def _beliefs(mean, cov) -> list:
     return [GaussianBelief(m, c) for m, c in zip(mean, cov)]
 
 
-class _RowErrors(EstimationError):
-    """The errors of two or more failed rows of a nested lockstep loop,
-    each naming its row, raised at once (_raise_failed), so that the loop
-    around records them all in one _fail_rows call."""
-
-    def __init__(self, errors):
-        super().__init__("; ".join(map(str, errors)))
-        self.errors = errors
-
-
-def _row_errors(err: EstimationError) -> list:
-    """The errors err stands for: those of a _RowErrors, else err alone."""
-    return err.errors if isinstance(err, _RowErrors) else [err]
-
-
-def _fail_rows(failed: list, err: EstimationError, rows, *arrays) -> list:
-    """Record each error of err (_row_errors) as the outcome failed[b] of
-    the input row b of the live row it names (its position among the rows
-    that rows indexes), or of every live row when it names none; returns
-    the index array of the live rows and arrays without those rows."""
-    rows = np.arange(len(failed))[rows]
-    left = np.ones(len(rows), bool)
-    for one in _row_errors(err):
-        gone = slice(None) if one.row is None else [one.row]
-        left[gone] = False
-        for b in rows[gone]:
-            failed[b] = one
-    return [a[left] for a in (rows, *arrays)]
-
-
-def _raise_failed(*out) -> tuple:
-    """out without its last item, the outcomes of a lockstep loop's rows;
-    if rows failed, their errors are raised again instead, each naming its
-    row: one row's error itself, two or more at once as a _RowErrors.  A
-    loop nested in another hands its failures on this way, so that the
-    loop it runs in owns them all after one rerun; a one-row call raises
-    its row's error this way."""
-    errors = []
-    for b, err in enumerate(out[-1]):
-        if err is not None:
-            err.row = b
-            errors.append(err)
-    if len(errors) > 1:
-        raise _RowErrors(errors)
-    if errors:
-        raise errors[0]
+def _one_row(*out) -> tuple:
+    """out without its last item, the outcomes of a lockstep call on one
+    row; if the row failed, its error is raised instead, naming row 0."""
+    if out[-1]:
+        err = out[-1][0]
+        err.row = 0
+        raise err
     return out[:-1]
 
 
@@ -517,7 +506,10 @@ def _lambda_update(cpc, zct, cz, z_prior_mean, z_prior_cov, innovation, delta, r
     [P C^T; diag(delta / lam)] and of the augmented prior covariance, the
     gain solve, the posterior and its truncation.  The first six
     arguments are _prior_terms, which it does not modify; returns what
-    _augmented_update returns."""
+    _augmented_update returns.  A row whose gain solve fails takes a zero
+    gain, and a row whose truncation fails is zeroed (_rec_trunc_rows;
+    one row, or the row of a stack of one, here), so every output stays
+    finite; the rows failed, by their first error, come last."""
     batch = lam.shape[:-1]
     n_y = lam.shape[-1]
     n_x = z_prior_mean.shape[-1] - n_y
@@ -530,24 +522,28 @@ def _lambda_update(cpc, zct, cz, z_prior_mean, z_prior_cov, innovation, delta, r
     _diagonal(z_prior_cov)[..., n_x:] = lam_inv
 
     gain = np.empty_like(zct)
+    failed = {}
     flat = (-1,) + zct.shape[-2:]
     rows = zip(s.reshape((-1, n_y, n_y)), zct.reshape(flat), gain.reshape(flat))
     for b, (s_b, zct_b, gain_b) in enumerate(rows):
         try:
             gain_b[...] = solve_spd(s_b, zct_b.T, what="innovation covariance").T
         except EstimationError as err:
-            err.row = b if batch else None
-            raise
+            failed[b], gain_b[...] = err, 0.0
 
     z_mean = z_prior_mean + (gain @ innovation[..., None])[..., 0]
     z_cov = z_prior_cov - gain @ (cz @ z_prior_cov)  # truncation symmetrizes it
     truncated = range(n_x, n_x + n_y)
     if batch and batch[0] != 1:
-        post = _rec_trunc_rows(z_mean, z_cov, truncated)
+        *post, lost = _rec_trunc_rows(z_mean, z_cov, truncated)
     else:  # one row, or the row of a stack of one, in place
-        post = z_mean, symmetrize(z_cov)
-        _rec_trunc_row(post[0].reshape(-1), post[1].reshape(z_cov.shape[-2:]), truncated)
-    return (*post, z_prior_mean, z_prior_cov)
+        post, lost = (z_mean, symmetrize(z_cov)), {}
+        try:
+            _rec_trunc_row(post[0].reshape(-1), post[1].reshape(z_cov.shape[-2:]), truncated)
+        except EstimationError as err:
+            lost[0] = err
+            post = np.zeros_like(z_mean), np.zeros_like(z_cov)
+    return (*post, z_prior_mean, z_prior_cov, {**lost, **failed})
 
 
 def _augmented_update(x_pred, p_pred, y, c_mat, cz, delta, r, lam):
@@ -561,7 +557,9 @@ def _augmented_update(x_pred, p_pred, y, c_mat, cz, delta, r, lam):
     prior stacks the state prediction with the zero-mean u prior of
     covariance diag(1/lam); the gain is computed against the full
     augmented prior covariance.  Returns the posterior mean and
-    covariance, then the augmented prior mean and covariance.
+    covariance, then the augmented prior mean and covariance, then the
+    rows that failed (_lambda_update): a dict of their positions and
+    errors, with 0 for one row, empty when none failed.
 
     The update is split where the mixing precisions enter.  _prior_terms
     (P C^T, C P C^T, the zero-padded templates, [x; 0] and the innovation)
@@ -591,8 +589,7 @@ def _augmented_update(x_pred, p_pred, y, c_mat, cz, delta, r, lam):
     against 12/25/43 us for the per-row LAPACK calls (one thread, 2-vCPU
     host).  It does not hold for wider stacks: at 32 and 100 rows
     np.linalg.solve on the stack took 52 and 170 us against 86 and 278 us
-    for solve_spd per row.  An EstimationError of the gain solve of a
-    stack names its row, that of one row none.
+    for solve_spd per row.
     """
     terms = _prior_terms(x_pred, p_pred, y, c_mat, cz)
     return _lambda_update(*terms, delta, r, lam)
@@ -614,33 +611,32 @@ def _vb_loop(update, args, lam, upper, cfg) -> tuple:
 
     `update(*args, lam)` runs one iteration of the rows of args at the
     mixing precisions lam (..., m).  It returns the outputs to keep, the
-    plain image of lam and the x means, (..., n_x) for one step or
-    (..., K, n_x) for the K steps of a trajectory, each a fresh array.
-    The next lam is the _anderson_step of the window xs, gs (..., 3, m)
-    of the last three lam and their images, which the first pair fills
-    and later pairs shift in place; lam is stored before update runs,
-    which may then overwrite it.
+    plain image of lam, the x means, (..., n_x) for one step or
+    (..., K, n_x) for the K steps of a trajectory, each a fresh array,
+    and the rows it failed: a dict of their positions among the rows and
+    their EstimationErrors, empty when none failed, the failed rows'
+    outputs finite.  The next lam is the _anderson_step of the window
+    xs, gs (..., 3, m) of the last three lam and their images, which the
+    first pair fills and later pairs shift in place; lam is stored before
+    update runs, which may then overwrite it.
 
-    A row leaves the stack, with its window, its last x means and args,
-    in one of three ways, so row b is bit-equal to the loop run on it
-    alone.  It converges: from the second iteration on, the largest
-    Euclidean change of its x means over its steps is below cfg.tol.  It
-    reaches cfg.max_iterations.  Or it fails: update raises an
-    EstimationError, which one row raises again and a stack records as
-    the outcome of the row it names, or of every row when it names none,
-    or of each row a _RowErrors names (_fail_rows); the iteration then
-    runs again for the rows left.  A row's outputs and next lam are
-    written once, when it converges or reaches the cap; a failed row's
-    hold no result.  Once no row is left the loop stops.  It never runs
-    update on no rows: when every row fails at the first iteration there
-    are no outputs to return, and it raises the rows' errors at once
-    instead (_raise_failed), as a nested caller would.
-    Returns the kept outputs, the next lam, the iteration counts, the
-    convergence flags and the outcomes (None or the error) of every row.
+    Each iteration calls update once.  A row leaves the stack, with its
+    window, its last x means and args, in one of three ways, so row b is
+    bit-equal to the loop run on it alone.  It fails: update fails it,
+    one row raises the error, and a stack records it as the row's outcome
+    and drops the row from what the iteration computed (_drop_rows), so
+    the row's count holds the iterations it completed.  It converges:
+    from the second iteration on, the largest Euclidean change of its x
+    means over its steps is below cfg.tol.  Or it reaches
+    cfg.max_iterations.  A row's outputs and next lam are written once,
+    when it converges or reaches the cap; a failed row's hold no result.
+    Once no row is left the loop stops.  Returns the kept outputs, the
+    next lam, the iteration counts and the convergence flags of every
+    row, then the outcomes: a dict of each failed input row and its error.
     """
     batch = lam.shape[:-1]
     rows = np.arange(batch[0]) if batch else ...  # the input rows still in the loop
-    failed = [None] * batch[0] if batch else []
+    failed = {}
     iterations = np.zeros(batch, dtype=int)
     converged = np.zeros(batch, dtype=bool)
     next_lam = np.empty(lam.shape)
@@ -649,29 +645,26 @@ def _vb_loop(update, args, lam, upper, cfg) -> tuple:
     for it in range(cfg.max_iterations):
         xs[..., :-1, :] = xs[..., 1:, :] if it else lam[..., None, :]
         xs[..., -1, :] = lam
-        while True:
-            try:
-                kept, image, x = update(*args, lam)
+        kept, image, x, lost = update(*args, lam)
+        if not it:
+            out = [np.empty(batch + np.shape(o)[len(batch):]) for o in kept]
+        if lost:
+            if not batch:
+                raise lost[0]
+            rows, (image, x, xs, gs, last, *args), kept = _drop_rows(
+                failed, lost, rows, (image, x, xs, gs, last, *args), kept
+            )
+            if not rows.size:
                 break
-            except EstimationError as err:
-                if not batch:
-                    raise
-                rows, xs, gs, last, *args = _fail_rows(failed, err, rows, xs, gs, last, *args)
-                if not rows.size:
-                    if not it:  # no outputs exist: only the errors are left
-                        _raise_failed(failed)
-                    return out, next_lam, iterations, converged, failed
-                lam = xs[:, -1].copy()  # update may have overwritten lam
         gs[..., :-1, :] = gs[..., 1:, :] if it else image[..., None, :]
         gs[..., -1, :] = image
         if it:
             change = _step_norm(x - last)
-            if change.ndim == lam.ndim:  # the smoother's step axis: its largest change
+            if change.ndim == image.ndim:  # the smoother's step axis: its largest change
                 change = change.max(-1)
             done = change < cfg.tol
         else:
-            out = [np.empty(batch + np.shape(o)[len(batch):]) for o in kept]
-            done = np.zeros(lam.shape[:-1], dtype=bool)
+            done = np.zeros(image.shape[:-1], dtype=bool)
         iterations[rows] += 1
         lam = _anderson_step(xs, gs, upper)
         leaving = done | (it + 1 == cfg.max_iterations)
@@ -700,25 +693,26 @@ def _stf_update_rows(model, x_prior, p_prior, y, c_mat, cfg=VBConfig()) -> tuple
     iteration runs _lambda_update.  Returns the posterior augmented means
     (..., n) and covariances (..., n, n), the mixing precisions (..., n_y)
     the last update ran with, the psi statistic (..., n_y) of the last
-    posterior, the VB iteration counts and the convergence flags.  A row
-    of a stack that fails raises its error again once the other rows are
-    done, naming the row (_raise_failed), so that the recursion this
-    update runs in owns it.
+    posterior, the VB iteration counts and the convergence flags, then
+    the outcomes of the rows of a stack (_vb_loop): a dict of each failed
+    row and its error, which the recursion this update runs in owns.  One
+    row raises its error.
     """
     n_x = x_prior.shape[-1]
 
     def update(y, cpc, zct, cz, z_prior_mean, z_prior_cov, innovation, lam):
-        mean, cov, _, _ = _lambda_update(
+        mean, cov, _, _, failed = _lambda_update(
             cpc, zct, cz, z_prior_mean, z_prior_cov, innovation, model.Delta, model.R, lam
         )
         psi = _psi_diagonal(y, cz, mean, cov, model.R, n_x)
-        return (mean, cov, lam, psi), expected_mixing_precision(model.nu, psi), mean[..., :n_x]
+        image = expected_mixing_precision(model.nu, psi)
+        return (mean, cov, lam, psi), image, mean[..., :n_x], failed
 
     args = (y, *_prior_terms(x_prior, p_prior, y, c_mat, _stack_cz(c_mat, model.Delta)))
-    out, _, iterations, converged = _raise_failed(
-        *_vb_loop(update, args, np.ones(y.shape), (model.nu + 2.0) / model.nu, cfg)
+    out, _, iterations, converged, failed = _vb_loop(
+        update, args, np.ones(y.shape), (model.nu + 2.0) / model.nu, cfg
     )
-    return (*out, iterations, converged)
+    return (*out, iterations, converged, failed)
 
 
 def _stf_pair(model, mean, cov, lam, psi, iterations, converged) -> tuple:
@@ -758,7 +752,7 @@ def stf_update(
     y = _finite(_vector("y", y, model.n_y))
     if prior.dim != model.n_x:
         raise ValueError(f"prior dimension {prior.dim} != n_x {model.n_x}")
-    return _stf_pair(model, *_stf_update_rows(model, prior.mean, prior.cov, y, model.C, cfg))
+    return _stf_pair(model, *_stf_update_rows(model, prior.mean, prior.cov, y, model.C, cfg)[:-1])
 
 
 def _stf_run_rows(model: StateSpaceModel, n_rows: int, n_steps: int, measure, cfg) -> list:
@@ -768,8 +762,8 @@ def _stf_run_rows(model: StateSpaceModel, n_rows: int, n_steps: int, measure, cf
     Returns the stacks (n_rows, n_steps, ...) of _stf_update_rows'
     outputs (the augmented posterior means and covariances, the mixing
     precisions, psi, the VB iteration counts and the convergence flags),
-    then the outcome of each row.  Each row is
-    bit-equal to the same trajectory filtered alone.  The augmented
+    then the outcomes (_filter_rows).  Each row is bit-equal to the same
+    trajectory filtered alone.  The augmented
     covariances come out of the truncation exactly symmetric, so the time
     update reads their x block as the symmetrized one stf_update returns.
     """
@@ -789,5 +783,5 @@ def stf_run(model: StateSpaceModel, ys, cfg: VBConfig = VBConfig()) -> list:
     if not ys:
         return []
     source = _linear_source(model, np.stack(ys)[None])
-    rows = _raise_failed(*_stf_run_rows(model, 1, len(ys), source, cfg))
+    rows = _one_row(*_stf_run_rows(model, 1, len(ys), source, cfg))
     return [_stf_pair(model, *step) for step in zip(*(a[0] for a in rows))]

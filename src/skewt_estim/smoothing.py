@@ -24,6 +24,13 @@ there); it keeps what it is handed, and the later passes replay that
 forward pass runs twice.  sts_run is the family's one-row call, and the
 other public functions are one-trajectory calls of the lockstep passes.
 Every row is bit-equal to the same trajectory smoothed alone.
+
+A row's failure is data here as in the filter: each pass returns the
+outcomes of its rows beside its stacks, a dict of the failed rows and
+their errors.  The backward pass takes those of the forward pass it
+smooths, makes no solve for those rows and adds its own failures, and
+the VB loop records them all and goes on with the rows left in the same
+iteration.  The one-row calls raise the error of their row.
 """
 
 import numpy as np
@@ -39,8 +46,8 @@ from .filtering import (
     _filter_rows,
     _finite,
     _linear_source,
+    _one_row,
     _psi_diagonal,
-    _raise_failed,
     _stack_cz,
     _vb_loop,
     _vector,
@@ -73,7 +80,8 @@ def _pass_update(model: StateSpaceModel):
     """The update of every forward pass of the smoother: one truncated
     augmented update (_augmented_update) of the live rows at the mixing
     precisions lam that its source hands out with C_k, y_k and cz_k.  It
-    returns the filtered and the predicted augmented (mean, cov)."""
+    returns the filtered and the predicted augmented (mean, cov), then the
+    rows it failed."""
     return lambda x, p, c_mat, y, cz, lam: _augmented_update(
         x, p, y, c_mat, cz, model.Delta, model.R, lam
     )
@@ -82,11 +90,12 @@ def _pass_update(model: StateSpaceModel):
 def _at_precisions(model: StateSpaceModel, measure, lambdas):
     """The source of a forward pass over measure (filtering._filter_rows)
     at the mixing precisions lambdas (B, K, n_y): C_k and y_k of measure,
-    then cz_k = [C_k, diag(Delta)] and the live rows' lambdas of step k."""
+    then cz_k = [C_k, diag(Delta)] and the live rows' lambdas of step k,
+    then the rows measure failed."""
 
     def source(k, rows, x):
-        c_k, y_k = measure(k, rows, x)
-        return c_k, y_k, _stack_cz(c_k, model.Delta), lambdas[rows, k]
+        c_k, y_k, failed = measure(k, rows, x)
+        return c_k, y_k, _stack_cz(c_k, model.Delta), lambdas[rows, k], failed
 
     return source
 
@@ -97,16 +106,15 @@ def _forward_rows(model, ys, lambdas, c_seq, cz) -> list:
     (B, K, n_y), matrices c_seq (B, K, n_y, n_x) and cz = [C_k, diag(Delta)]
     (B, K, n_y, n_x + n_y) of the first pass, at the mixing precisions
     lambdas (B, K, n_y).  Returns the (mean, cov) stacks of the filtered
-    and of the predicted augmented beliefs, (B, K, n) and (B, K, n, n).
-    Row b is bit-equal to a forward pass of that row alone.  A failed row
-    raises its error again, naming the row, once the other rows are done
-    (filtering._raise_failed).
+    and of the predicted augmented beliefs, (B, K, n) and (B, K, n, n),
+    then the outcomes, a dict of each failed row and its error.  Row b is
+    bit-equal to a forward pass of that row alone.
     """
 
     def replay(k, rows, x):
-        return c_seq[rows, k], ys[rows, k], cz[rows, k], lambdas[rows, k]
+        return c_seq[rows, k], ys[rows, k], cz[rows, k], lambdas[rows, k], {}
 
-    return _raise_failed(*_filter_rows(model, *ys.shape[:2], replay, _pass_update(model)))
+    return _filter_rows(model, *ys.shape[:2], replay, _pass_update(model))
 
 
 def forward_pass(model: StateSpaceModel, ys, lambdas) -> tuple:
@@ -131,14 +139,16 @@ def forward_pass(model: StateSpaceModel, ys, lambdas) -> tuple:
         return [], []
     source = _at_precisions(model, _linear_source(model, np.stack(ys)[None]), np.stack(lams)[None])
     passed = _filter_rows(model, 1, n_steps, source, _pass_update(model))
-    f_mean, f_cov, p_mean, p_cov = _raise_failed(*passed)
+    f_mean, f_cov, p_mean, p_cov = _one_row(*passed)
     return _beliefs(f_mean[0], f_cov[0]), _beliefs(p_mean[0], p_cov[0])
 
 
-def _backward_rows(f_mean, f_cov, p_mean, p_cov, model) -> tuple:
+def _backward_rows(f_mean, f_cov, p_mean, p_cov, failed, model) -> tuple:
     """The backward recursion of backward_pass on (B, K, ...) stacks of
-    filtered and predicted (mean, cov); returns the smoothed stacks and
-    the outcome of each row: None, or the EstimationError that failed it.
+    filtered and predicted (mean, cov) of a forward pass whose outcomes
+    are `failed`, a dict of its failed rows and their errors; returns the
+    smoothed stacks and the outcomes, those of the forward pass and of
+    the rows failed here.
 
     Each row gets its own gain solve, so row b is bit-equal to a backward
     pass of that row alone and fails the same way.  The per-row solve was
@@ -147,21 +157,22 @@ def _backward_rows(f_mean, f_cov, p_mean, p_cov, model) -> tuple:
     right-hand sides, np.linalg.solve on the stack took 32 and 89 us
     against 65 and 214 us for solve_spd per row (one thread, 2-vCPU host).
     The error of a failed solve gets its step and is the row's outcome;
-    the other rows' solves of that step stand.  The failed row makes no
-    more solves and runs on with a zero gain, so its smoothed moments keep
-    the filtered ones and hold no result.  It is not thinned out of the
-    stacks: the fancy indexing that needs cost 12% of the pass at 100 rows
-    and 33% at 6 rows without any failure (K=100, q=5, one thread).
+    the other rows' solves of that step stand.  A failed row, of the
+    forward pass or here, makes no more solves and runs on with a zero
+    gain, so its smoothed moments keep the filtered ones and hold no
+    result.  It is not thinned out of the stacks: the fancy indexing that
+    needs cost 12% of the pass at 100 rows and 33% at 6 rows without any
+    failure (K=100, q=5, one thread).
     """
     n_x = model.n_x
     s_mean = f_mean.copy()
     s_cov = f_cov.copy()
-    gain = np.empty(f_cov.shape[:1] + f_cov.shape[-1:] + (n_x,))
-    failed = [None] * len(f_mean)
+    gain = np.zeros(f_cov.shape[:1] + f_cov.shape[-1:] + (n_x,))
+    failed = dict(failed)
     for k in range(f_mean.shape[1] - 2, -1, -1):
         p_pred = p_cov[:, k + 1, :n_x, :n_x]
         for b, (p_b, f_b) in enumerate(zip(p_pred, f_cov[:, k])):
-            if failed[b] is None:
+            if b not in failed:
                 try:
                     gain[b] = solve_spd(p_b, model.A @ f_b[:n_x], what="prediction covariance").T
                 except EstimationError as err:
@@ -190,11 +201,12 @@ def backward_pass(filtered, predicted, model: StateSpaceModel) -> list:
         raise ValueError("filtered and predicted sequences must align")
     if n_steps == 0:
         return []
-    s_mean, s_cov = _raise_failed(*_backward_rows(
+    s_mean, s_cov = _one_row(*_backward_rows(
         np.stack([b.mean for b in filtered])[None],
         np.stack([b.cov for b in filtered])[None],
         np.stack([b.mean for b in predicted])[None],
         np.stack([b.cov for b in predicted])[None],
+        {},
         model,
     ))
     return _beliefs(s_mean[0, :-1], s_cov[0, :-1]) + [filtered[-1]]
@@ -235,7 +247,7 @@ def sts_run(model: StateSpaceModel, ys, cfg: VBConfig = VBConfig()) -> SmoothedT
     if not ys:
         return SmoothedTrack([], 0, True)
     result = _sts_run_rows(model, 1, len(ys), _linear_source(model, np.stack(ys)[None]), cfg)
-    s_mean, s_cov, _, iterations, converged = _raise_failed(*result)
+    s_mean, s_cov, _, iterations, converged = _one_row(*result)
     n_x = model.n_x
     return SmoothedTrack(
         [
@@ -262,43 +274,43 @@ def _sts_run_rows(model, n_rows, n_steps, measure, cfg) -> tuple:
     carries with their cz = [C_k, diag(Delta)]; the later passes
     (_forward_rows) replay those stacks, so only the first pass asks
     `measure`, no forward pass runs twice, and the first pass is freed
-    once the first iteration is done.  A row that failed in the first pass fails at
-    the first iteration with its error, and a row whose forward or
-    backward pass fails leaves the loop; only that iteration runs again
-    for the rows left (filtering._vb_loop).
+    once the first iteration is done.  A row that failed in the first pass
+    fails at the first iteration with its error, and a row whose forward
+    or backward pass fails leaves the loop at that iteration, which goes
+    on for the rows left (filtering._vb_loop).  The (B, K) stacks start
+    zeroed, so a row that failed in the first pass holds finite terms at
+    its steps after the failure.
 
     Returns the smoothed augmented (mean, cov) stacks, (B, K, n) and
     (B, K, n, n), the next mixing precisions (B, K, n_y), the outer
-    iteration counts and convergence flags of the rows, then the outcome
-    of each row: None, or the EstimationError that failed it, in the first
-    pass or in the loop (its other outputs then hold no result).
+    iteration counts and convergence flags of the rows, then the
+    outcomes: a dict of each failed row and its EstimationError, of the
+    first pass or of the loop (its other outputs then hold no result).
     """
     n_x, n_y = model.n_x, model.n_y
-    ys = np.empty((n_rows, n_steps, n_y))
-    c_seq = np.empty((n_rows, n_steps, n_y, n_x))
+    ys = np.zeros((n_rows, n_steps, n_y))
+    c_seq = np.zeros((n_rows, n_steps, n_y, n_x))
 
     def kept(k, rows, x):
-        c_seq[rows, k], ys[rows, k] = out = measure(k, rows, x)
+        c_seq[rows, k], ys[rows, k], _ = out = measure(k, rows, x)
         return out
 
-    # first: the augmented posteriors and the priors they came from.
+    # The first pass, which the first iteration takes, on every row.
     source = _at_precisions(model, kept, np.ones((n_rows, n_steps, n_y)))
-    *first, first_failed = _filter_rows(model, n_rows, n_steps, source, _pass_update(model))
+    first = [_filter_rows(model, n_rows, n_steps, source, _pass_update(model))]
 
-    def update(rows, ys, c_seq, cz, lam):
+    def update(ys, c_seq, cz, lam):
         if first:
-            _raise_failed([first_failed[b] for b in rows])
-            stacks = tuple(s[rows] for s in first)
+            passed = first.pop()  # the later iterations run their own forward passes
         else:
-            stacks = _forward_rows(model, ys, lam.reshape(-1, n_steps, n_y), c_seq, cz)
-        smoothed = _raise_failed(*_backward_rows(*stacks, model))
-        first.clear()  # the later iterations run their own forward passes
+            passed = _forward_rows(model, ys, lam.reshape(-1, n_steps, n_y), c_seq, cz)
+        *smoothed, failed = _backward_rows(*passed, model)
         plain = _lambda_rows(*smoothed, ys, cz, model)
-        return smoothed, plain.reshape(lam.shape), smoothed[0][..., :n_x]
+        return smoothed, plain.reshape(lam.shape), smoothed[0][..., :n_x], failed
 
     out, lambdas, iterations, converged, failed = _vb_loop(
         update,
-        (np.arange(n_rows), ys, c_seq, _stack_cz(c_seq, model.Delta)),
+        (ys, c_seq, _stack_cz(c_seq, model.Delta)),
         np.ones((n_rows, n_steps * n_y)),
         np.tile((model.nu + 2.0) / model.nu, n_steps),
         cfg,

@@ -34,7 +34,8 @@ import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
 
 from ._linalg import symmetrize
-from .exceptions import DegenerateDirectionError, NumericalFailureError, OracleInfeasibleError
+from .exceptions import DegenerateDirectionError, EstimationError, NumericalFailureError
+from .exceptions import OracleInfeasibleError
 
 __all__ = ["hazard", "select_next", "rec_trunc", "tmnd_oracle"]
 
@@ -188,30 +189,44 @@ def _rec_trunc_rows(mean: np.ndarray, cov: np.ndarray, truncated) -> tuple:
 
     Each step is a greedy step of _rec_trunc_row on every row at once,
     with the same operations and checks, so row b of the returned
-    (mean, cov) is bit-equal to rec_trunc(mean[b], cov[b], truncated); the
-    exception of the first failing row is raised, with the same message,
-    and names that row.  The covariances are exactly symmetric, which lets
-    row k stand for column k.  For a single row rec_trunc itself is faster.
+    (mean, cov) is bit-equal to rec_trunc(mean[b], cov[b], truncated).
+    A row that fails a check is zeroed and takes no more steps, so the
+    steps stay finite for every row; its outcome is the error that
+    rec_trunc raises on it, which _rec_trunc_row, run on its input, gives.
+    Returns (mean, cov, failed), failed mapping each failed row to that
+    error, empty when no row fails.  The covariances are exactly
+    symmetric, which lets row k stand for column k.  For a single row
+    rec_trunc itself is faster.
     """
     n = mean.shape[1]
     todo = _indices(truncated, n)
+    given, failed = (mean, cov), {}
     mean, cov = mean.copy(), symmetrize(cov)
     active = np.zeros(mean.shape, dtype=bool)
     active[:, todo] = True
     diag = cov.diagonal(axis1=1, axis2=2)
     base = np.arange(mean.shape[0]) * n
     tol0 = 1e-14 * cov.trace(axis1=1, axis2=2)
+
+    def fail(bad):
+        for b in np.flatnonzero(bad):
+            try:
+                _rec_trunc_row(given[0][b].copy(), symmetrize(given[1][b]), todo)
+            except EstimationError as err:
+                failed[int(b)] = err
+        mean[bad], cov[bad], active[bad] = 0.0, 0.0, False
+
     for _ in todo:
         var = np.where(active, diag, 1.0)
         if np.count_nonzero(var <= 0.0):
-            raise DegenerateDirectionError(
-                "nonpositive variance in remaining directions", row=int((var <= 0.0).any(1).argmax())
-            )
+            fail((var <= 0.0).any(1))
+            var = np.where(active, diag, 1.0)
         k = np.where(active, mean / np.sqrt(var), np.inf).argmin(axis=1)
         flat = base + k
         if np.count_nonzero(active.take(flat)) < len(base):
-            # Every active ratio of such a row is +inf; the scalar argmin
-            # over the active set takes the lowest active index.
+            # Every active ratio of such a row is +inf, or it has no active
+            # one left; the scalar argmin over the active set takes the
+            # lowest active index.
             k = np.where(active.take(flat), k, active.argmax(axis=1))
             flat = base + k
         active.put(flat, False)
@@ -220,19 +235,17 @@ def _rec_trunc_rows(mean: np.ndarray, cov: np.ndarray, truncated) -> tuple:
         if np.count_nonzero(var_k <= tol0):
             # The traces only fall (see _rec_trunc_row), so only these rows
             # can fail against their current trace.
-            tol = 1e-14 * cov.trace(axis1=1, axis2=2)
-            if np.count_nonzero(var_k <= tol):
-                b = int((var_k <= tol).argmax())
-                raise DegenerateDirectionError(
-                    f"direction {k[b]} has variance {var_k[b]:.3e} <= tolerance {tol[b]:.3e}",
-                    row=b,
-                )
+            bad = var_k <= 1e-14 * cov.trace(axis1=1, axis2=2)
+            if np.count_nonzero(bad):
+                fail(bad)
+                var_k[bad] = 1.0
         sd = np.sqrt(var_k)
         xi = mean.take(flat) / sd
         if np.count_nonzero(np.isfinite(xi)) < len(base):
-            b = int(np.isfinite(xi).argmin())
-            bad = float(xi[b])
-            raise NumericalFailureError(f"truncation distance is not finite, got {bad!r}", row=b)
+            bad = ~np.isfinite(xi)
+            fail(bad)
+            var_k[bad] = sd[bad] = 1.0
+            xi[bad] = 0.0
         # Rows below UNDERFLOW_XI take the limits; clipping keeps their
         # unused closed-form values finite.
         xc = np.maximum(xi, UNDERFLOW_XI)
@@ -247,7 +260,7 @@ def _rec_trunc_rows(mean: np.ndarray, cov: np.ndarray, truncated) -> tuple:
         downdate = col[:, :, None] * col[:, None, :]
         downdate *= (cov_coeff / var_k)[:, None, None]
         cov -= downdate
-    return mean, cov
+    return mean, cov, failed
 
 
 def _mills(a):

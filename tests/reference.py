@@ -256,7 +256,7 @@ def sts_run_scalar(model, ys, cfg, measurement_matrices):
         filtered, predicted = [], []
         x_pred, p_pred = model.prior_mean, model.prior_cov
         for k in range(n_steps):
-            post_mean, post_cov, prior_mean, prior_cov = _augmented_update(
+            post_mean, post_cov, prior_mean, prior_cov, _ = _augmented_update(
                 x_pred, p_pred, ys[k], c_seq[k], cz_seq[k], model.Delta, model.R, lambdas[k]
             )
             filtered.append((post_mean, post_cov))

@@ -29,7 +29,12 @@ from skewt_estim.bench import (
 from skewt_estim.bench import experiments
 from skewt_estim.bench.contours import CONTOUR_HEADER
 from skewt_estim.bench.experiments import STATIC_PF_PARTICLES, _stf_rows, _sts_rows, run_estimator
-from skewt_estim.bench.gnss import ORBIT_RADIUS_M, RECEIVER_NOMINAL_M, pseudoranges
+from skewt_estim.bench.gnss import (
+    ORBIT_RADIUS_M,
+    RECEIVER_NOMINAL_M,
+    _linearize_rows,
+    pseudoranges,
+)
 from skewt_estim.cli import main
 from skewt_estim.exceptions import (
     ConfigError,
@@ -184,12 +189,21 @@ class TestPseudoranges:
             np.testing.assert_array_equal(y0[i // 5, i % 5], y_one)
 
     def test_stacked_degenerate_geometry_names_the_row(self):
+        """The public linearize raises, naming the row; the sweep's stacked
+        form returns the error as that row's outcome, with finite outputs,
+        and the other rows' own linearizations."""
         sats = make_constellation(6, seed=5)
         nominal = np.zeros((3, 4))
         nominal[2, :3] = sats[4]
         with pytest.raises(GeometryError, match="coincides with a satellite") as info:
             linearize(sats, nominal)
         assert info.value.row == 2
+        c_mat, y0, failed = _linearize_rows(sats, nominal)
+        assert list(failed) == [2] and str(failed[2]) == str(info.value)
+        assert np.isfinite(c_mat).all() and np.isfinite(y0).all()
+        for b in range(2):
+            np.testing.assert_array_equal(c_mat[b], linearize(sats, nominal[b])[0])
+            np.testing.assert_array_equal(y0[b], linearize(sats, nominal[b])[1])
 
     @settings(deadline=None, max_examples=100)
     @given(
@@ -437,13 +451,22 @@ class TestRunExperiment:
             assert np.all(np.isfinite(run.position_covs)), est
 
     def test_estimation_error_gives_failed_record(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise NumericalFailureError("not positive definite", step=3)
+        """The pseudorange source of the sweep fails the row at step 3: the
+        "stf" and "kf" records fail with its error and step."""
+        real_source = experiments._pseudorange_source
 
-        monkeypatch.setattr(experiments, "run_estimator", fail)
-        monkeypatch.setattr(experiments, "_stf_rows", fail)  # the lockstep "stf"
-        monkeypatch.setattr(experiments, "_kf_rows", fail)  # the lockstep "kf"
-        records = run_experiment(small_config(K=3, n_mc=1))
+        def failing_source(*args):
+            n_rows, n_steps, measure = real_source(*args)
+
+            def failing(k, rows, x):
+                *terms, failed = measure(k, rows, x)
+                if k == 3:
+                    failed = {0: NumericalFailureError("not positive definite")}
+                return (*terms, failed)
+            return n_rows, n_steps, failing
+
+        monkeypatch.setattr(experiments, "_pseudorange_source", failing_source)
+        records = run_experiment(small_config(K=4, n_mc=1))
         assert [r.status for r in records] == ["failed", "failed"]
         assert [r.reason for r in records] == [
             "not positive definite (time step 3)"
@@ -492,9 +515,10 @@ class TestRunExperiment:
 
         def fail_on_fourth(*args, **kwargs):
             calls.append(None)
+            *out, failed = real_update(*args, **kwargs)
             if len(calls) == 4:
-                raise NumericalFailureError("not positive definite")
-            return real_update(*args, **kwargs)
+                failed = {0: NumericalFailureError("not positive definite")}
+            return (*out, failed)
 
         monkeypatch.setattr(filtering, "_stf_update_rows", fail_on_fourth)
         cfg = small_config(estimators=("stf",))
@@ -540,16 +564,17 @@ class TestRunExperiment:
         sats = make_constellation(cfg.n_sats, cfg.seed)
         model = scenario_model(cfg, sats)
         trajs = [simulate(cfg, 0)]
-        real = experiments.linearize
+        real = experiments._linearize_rows
         calls = []
 
         def fail_on_fourth(*args):
             calls.append(None)
+            c_mat, y0, failed = real(*args)
             if len(calls) == 4:
-                raise GeometryError("injected")
-            return real(*args)
+                failed = {0: GeometryError("injected")}
+            return c_mat, y0, failed
 
-        monkeypatch.setattr(experiments, "linearize", fail_on_fourth)
+        monkeypatch.setattr(experiments, "_linearize_rows", fail_on_fourth)
         with pytest.raises(GeometryError, match=r"injected \(time step 3\)$") as info:
             if family == "stf":
                 runs = _stf_rows(model, sats, trajs, VBConfig())

@@ -139,3 +139,20 @@ def test_library_passes_digest_is_of_the_smoother_passes(tool):
     digest = tool.arrays_digest(*tool.library_passes(*args))
     assert digest == tool.arrays_digest(*want)
     assert tool.arrays_digest(*tool.library_passes(4, 4, 6)) != digest
+
+
+def test_records_failing_digest_is_of_the_failing_sweeps(tool):
+    """records-failing covers the records of both failing sweeps as one
+    list, in order: every record of the nu=0.02 sweep fails, and two STS
+    records of the nu=0.05 one, at steps 77 and 43, on the variance
+    tolerance of the truncation."""
+    cfgs = tool.failing_configs()
+    with np.errstate(all="ignore"):
+        runs = [[replace(r, wall_time=0.0) for r in bench.run_experiment(cfg)] for cfg in cfgs]
+        digest = tool.records_digest(*cfgs)
+    assert [r.status for r in runs[0]] == ["failed"] * 16
+    failed = [(r.estimator, r.replication, r.reason) for r in runs[1] if r.status == "failed"]
+    assert [(est, rep) for est, rep, _ in failed] == [("sts", 7), ("sts", 11)]
+    assert [reason.split(" (")[-1] for *_, reason in failed] == ["time step 77)", "time step 43)"]
+    assert all("<= tolerance" in reason for *_, reason in failed)
+    assert digest == hashlib.sha256(repr(runs[0] + runs[1]).encode()).hexdigest()[:16]

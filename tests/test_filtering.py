@@ -159,9 +159,10 @@ class TestMeasurementUpdate:
         post, diag = stf_update(model, prior, y, cfg)
         assert diag.converged == (cfg.max_iterations > 2)
         cz = np.hstack([model.C, np.diag(model.Delta)])
-        mean, cov, _, _ = _augmented_update(
+        mean, cov, _, _, failed = _augmented_update(
             prior.mean, prior.cov, y, model.C, cz, model.Delta, model.R, diag.lambda_diag
         )
+        assert failed == {}
         np.testing.assert_array_equal(mean[: model.n_x], post.mean)
         np.testing.assert_array_equal(mean[model.n_x :], diag.u_mean)
         np.testing.assert_array_equal(cov[model.n_x :, model.n_x :], diag.u_cov)

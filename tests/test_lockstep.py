@@ -39,11 +39,7 @@ from skewt_estim.bench.experiments import (
     run_estimator,
 )
 from skewt_estim.bench.gnss import linearize
-from skewt_estim.exceptions import (
-    DegenerateDirectionError,
-    EstimationError,
-    NumericalFailureError,
-)
+from skewt_estim.exceptions import EstimationError, NumericalFailureError
 from skewt_estim.filtering import (
     GaussianBelief,
     StateSpaceModel,
@@ -77,13 +73,23 @@ from reference import sts_run_scalar
 from test_filtering import random_model, simulate_linear
 
 
+# The three checks of a truncation step that fail a row.
+CHECKS = ("nonpositive variance", "variance under tolerance", "non-finite distance")
+
+
 @st.composite
 def truncation_stacks(draw):
     """1-8 rows of SPD moments of one dim 1-16 sharing a truncated set.
 
     Standardized means reach down into the xi < -37 branch; optionally
-    row 0 starts there for certain, and optionally one row has a
-    truncated direction of zero variance.
+    row 0 starts there for certain.  Some rows are made to fail one check
+    each, at a truncated direction k: "nonpositive variance" zeroes row
+    and column k; "variance under tolerance" leaves k uncorrelated with
+    variance 1e-20 and mean -1, so that it is truncated first, below
+    1e-14 times the trace; "non-finite distance" sets the mean of k to
+    NaN or -inf (truncated first) or +inf (truncated last), or its
+    variance to NaN (truncated first).  Returns the moments, the
+    truncated set and the failing rows' checks by row.
     """
     n_rows = draw(st.integers(1, 8))
     dim = draw(st.integers(1, 16))
@@ -95,31 +101,49 @@ def truncation_stacks(draw):
     ratios = rng.uniform(-40.0, 10.0, (n_rows, dim))
     if draw(st.booleans()):
         ratios[0, truncated[0]] = -39.0
-    degenerate = draw(st.none() | st.integers(0, n_rows - 1))
-    if degenerate is not None:
-        cov[degenerate, truncated[-1], :] = 0.0
-        cov[degenerate, :, truncated[-1]] = 0.0
     mean = ratios * np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
-    return mean, cov, truncated, degenerate
+    # One direction's variance is under 1e-14 times the trace only beside another.
+    checks = CHECKS if dim > 1 else CHECKS[::2]
+    failing = draw(st.dictionaries(st.integers(0, n_rows - 1), st.sampled_from(checks)))
+    for b, check in failing.items():
+        k = draw(st.sampled_from(truncated))
+        if check == "non-finite distance":
+            value = draw(st.sampled_from([np.nan, -np.inf, np.inf, None]))
+            if value is None:
+                cov[b, k, k] = np.nan
+            else:
+                mean[b, k] = value
+        else:
+            cov[b, k, :] = cov[b, :, k] = 0.0
+            if check == "variance under tolerance":
+                cov[b, k, k], mean[b, k] = 1e-20, -1.0
+    return mean, cov, truncated, failing
 
 
 class TestTruncationRows:
     @settings(deadline=None, max_examples=300)
     @given(truncation_stacks())
     def test_rows_bit_equal_to_rec_trunc(self, case):
-        mean, cov, truncated, degenerate = case
-        if degenerate is not None:
-            with pytest.raises(DegenerateDirectionError) as one:
-                rec_trunc(mean[degenerate], cov[degenerate], truncated)
-            with pytest.raises(DegenerateDirectionError) as rows:
-                _rec_trunc_rows(mean, cov, truncated)
-            assert (rows.value.row, str(rows.value)) == (degenerate, str(one.value))
-            return
-        out_mean, out_cov = _rec_trunc_rows(mean, cov, truncated)
-        for b in range(len(mean)):
-            ref_mean, ref_cov = rec_trunc(mean[b], cov[b], truncated)
-            assert_array_equal(out_mean[b], ref_mean)
-            assert_array_equal(out_cov[b], ref_cov)
+        """Each good row equals rec_trunc bit for bit, and each row made to
+        fail has rec_trunc's error, of the same type and text, as its
+        outcome, and finite outputs.  No step divides by zero, overflows
+        or makes a NaN (underflow, which numpy ignores by default, is part
+        of the clean path: eps**2 underflows from xi of about 19 on)."""
+        mean, cov, truncated, failing = case
+        with np.errstate(all="raise", under="ignore"):
+            out_mean, out_cov, failed = _rec_trunc_rows(mean, cov, truncated)
+            for b in range(len(mean)):
+                if b in failing:
+                    with pytest.raises(EstimationError) as one:
+                        rec_trunc(mean[b], cov[b], truncated)
+                    assert type(failed[b]) is type(one.value)
+                    assert str(failed[b]) == str(one.value)
+                    assert np.isfinite(out_mean[b]).all() and np.isfinite(out_cov[b]).all()
+                else:
+                    ref_mean, ref_cov = rec_trunc(mean[b], cov[b], truncated)
+                    assert_array_equal(out_mean[b], ref_mean)
+                    assert_array_equal(out_cov[b], ref_cov)
+        assert sorted(failed) == sorted(failing)
 
     def test_underflow_branch_row_next_to_regular_rows(self):
         rng = np.random.default_rng(5)
@@ -128,7 +152,8 @@ class TestTruncationRows:
         sd = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
         mean = rng.uniform(-2.0, 2.0, (4, 5)) * sd
         mean[1, 2] = 1.5 * UNDERFLOW_XI * sd[1, 2]
-        out_mean, out_cov = _rec_trunc_rows(mean, cov, range(5))
+        out_mean, out_cov, failed = _rec_trunc_rows(mean, cov, range(5))
+        assert failed == {}
         for b in range(4):
             ref_mean, ref_cov = rec_trunc(mean[b], cov[b], range(5))
             assert_array_equal(out_mean[b], ref_mean)
@@ -149,8 +174,9 @@ class TestTruncationRows:
 
 def sequence_source(c_seq, ys):
     """The measurement source of rows with their own measurement matrices
-    c_seq (B, K, n_y, n_x) and measurements ys (B, K, n_y)."""
-    return lambda k, rows, x: (c_seq[rows, k], ys[rows, k])
+    c_seq (B, K, n_y, n_x) and measurements ys (B, K, n_y), which fails
+    no row."""
+    return lambda k, rows, x: (c_seq[rows, k], ys[rows, k], {})
 
 
 def random_rows(rng, n_rows, n_x, n_y):
@@ -172,9 +198,10 @@ class TestUpdateRows:
             r = rng.uniform(0.5, 2.0, n_y)
             lam = rng.uniform(0.2, 1.5, (n_rows, n_y))
             cz = _stack_cz(c, delta)
-            stacks = _augmented_update(x, p, y, c, cz, delta, r, lam)
+            *stacks, failed = _augmented_update(x, p, y, c, cz, delta, r, lam)
+            assert failed == {}
             for b in range(n_rows):
-                wanted = _augmented_update(x[b], p[b], y[b], c[b], cz[b], delta, r, lam[b])
+                *wanted, _ = _augmented_update(x[b], p[b], y[b], c[b], cz[b], delta, r, lam[b])
                 for got, want in zip(stacks, wanted):
                     assert_array_equal(got[b], want)
 
@@ -194,14 +221,15 @@ class TestUpdateRows:
             Delta=np.full(n_y, 5.0), nu=np.full(n_y, nu),
             prior_mean=np.zeros(n_x), prior_cov=np.eye(n_x),
         )
-        stacks = _stf_update_rows(model, x, p, y, c, cfg)
+        *stacks, failed = _stf_update_rows(model, x, p, y, c, cfg)
         mean, cov, lam, psi, iterations, converged = stacks
+        assert failed == {}
         if cfg.max_iterations == 30:
             assert len(set(iterations)) > 1
         elif cfg.max_iterations > 1:
             assert converged.any() and not converged.all()
         for b in range(n_rows):
-            alone = _stf_update_rows(model, x[b], p[b], y[b], c[b], cfg)
+            *alone, _ = _stf_update_rows(model, x[b], p[b], y[b], c[b], cfg)
             for got, want in zip(stacks, alone):
                 assert_array_equal(got[b], want)
             prior = GaussianBelief(x[b], p[b])
@@ -241,7 +269,7 @@ class TestUpdateRows:
 
         for name in calls:
             monkeypatch.setattr(filtering, name, counting(name))
-        *_, iterations, _ = _stf_update_rows(model, x, p, y, c)
+        *_, iterations, _, _ = _stf_update_rows(model, x, p, y, c)
         assert iterations.max() > 3
         assert calls == {"_prior_terms": 1, "_lambda_update": iterations.max()}
 
@@ -271,7 +299,7 @@ class TestUpdateRows:
             )
             for g, w in zip(got, want):
                 assert_array_equal(g[b], w[0])
-            assert failed[b] is alone_failed[0] is None
+            assert failed == alone_failed == {}
 
 
     def test_sts_run_rows_broadcast_c_bit_equal_to_stacked(self):
@@ -310,9 +338,9 @@ class TestVBLoop:
         delta, r, nu = np.full(n_y, 5.0), np.ones(n_y), np.full(n_y, 1.2)
 
         def update(x, p, y, c, cz, lam):
-            mean, cov, _, _ = _augmented_update(x, p, y, c, cz, delta, r, lam)
+            mean, cov, _, _, failed = _augmented_update(x, p, y, c, cz, delta, r, lam)
             psi = _psi_diagonal(y, cz, mean, cov, r, n_x)
-            return (mean, cov, psi), expected_mixing_precision(nu, psi), mean[..., :n_x]
+            return (mean, cov, psi), expected_mixing_precision(nu, psi), mean[..., :n_x], failed
 
         def overwriting(*args):
             out = update(*args)
@@ -326,7 +354,8 @@ class TestVBLoop:
         assert iterations.min() > 3  # the window moves past its first fill
         if n_rows:
             assert len(set(iterations)) > 1
-        for g, w in zip((*got[0], *got[1:]), (*want[0], *want[1:])):
+        assert got[-1] == want[-1] == {}
+        for g, w in zip((*got[0], *got[1:-1]), (*want[0], *want[1:-1])):
             assert_array_equal(g, w)
 
 
@@ -549,7 +578,10 @@ class TestStackedKernels:
 
     def test_non_spd_row_raises_with_solve_spd_message_and_step(self):
         """A negative mixing precision in one row makes that row's
-        innovation covariance indefinite at step 3 of a 4-row batch."""
+        innovation covariance indefinite at step 3 of a 4-row batch: the
+        pass returns the solve's error as the outcome of row 2, with its
+        step; the stack of that row alone, a one-row call, raises it,
+        naming row 0."""
         rng = np.random.default_rng(11)
         n_rows, n_steps, n_x, n_y = 4, 5, 3, 4
         model = StateSpaceModel(
@@ -562,107 +594,112 @@ class TestStackedKernels:
         lambdas = np.ones((n_rows, n_steps, n_y))
         lambdas[2, 3, 1] = -1e-3
         cz = _stack_cz(c_seq, model.Delta)
-        with pytest.raises(
-            NumericalFailureError, match="innovation covariance is not positive definite"
-        ) as info:
-            _forward_rows(model, ys, lambdas, c_seq, cz)
-        assert info.value.step == 3
-        assert info.value.row == 2
-        assert info.value.smallest_eigenvalue < 0
+        *_, failed = _forward_rows(model, ys, lambdas, c_seq, cz)
+        assert list(failed) == [2]
+        err = failed[2]
+        assert isinstance(err, NumericalFailureError)
+        assert str(err).startswith("innovation covariance is not positive definite")
+        assert err.step == 3
+        assert err.smallest_eigenvalue < 0
         # The row alone is a stack of one row, which runs as one row.
-        with pytest.raises(NumericalFailureError) as lone:
-            _forward_rows(model, ys[2:3], lambdas[2:3], c_seq[2:3], cz[2:3])
-        assert (lone.value.row, str(lone.value)) == (0, str(info.value))
+        *_, lone = _forward_rows(model, ys[2:3], lambdas[2:3], c_seq[2:3], cz[2:3])
+        assert list(lone) == [0] and str(lone[0]) == str(err)
+        with pytest.raises(NumericalFailureError) as info:
+            filtering._one_row(*_forward_rows(model, ys[2:3], lambdas[2:3], c_seq[2:3], cz[2:3]))
+        assert (info.value.row, str(info.value)) == (0, str(err))
 
     def test_vb_loop_names_the_input_row_of_a_failure(self):
         """Rows 0 and 2 converge at the second iteration; at the third the
-        update fails in row 1 of the two rows left, which is input row 3.
-        The error is the outcome of input row 3, and the third iteration
-        runs again for input row 1 alone.  One row raises it."""
+        update fails row 1 of the two rows left, which is input row 3.  The
+        error is the outcome of input row 3, which completed two
+        iterations, and the loop goes on with input row 1 alone: each
+        iteration calls the update once.  One row raises the error."""
         calls = []
 
         def update(ids, lam):
             calls.append(ids.tolist())
-            if len(calls) == 3:
-                raise NumericalFailureError("injected", row=None if ids.ndim == 0 else 1)
             x = np.where(ids % 2 == 1, float(len(calls)), 0.0)[..., None]
-            return (lam,), lam, x
+            lost = {}
+            if len(calls) == 3:
+                lost = {0 if ids.ndim == 0 else 1: NumericalFailureError("injected")}
+            return (lam,), lam, x, lost
 
         _, _, iterations, _, failed = _vb_loop(
             update, (np.arange(4.0),), np.ones((4, 2)), 10.0, VBConfig()
         )
         assert calls[2:4] == [[1.0, 3.0], [1.0]]
-        assert failed[:3] == [None] * 3
+        assert len(calls) == VBConfig().max_iterations
+        assert list(failed) == [3]
         assert isinstance(failed[3], NumericalFailureError) and str(failed[3]) == "injected"
         assert iterations.tolist() == [2, VBConfig().max_iterations, 2, 2]
         calls.clear()
         with pytest.raises(NumericalFailureError) as info:
             _vb_loop(update, (np.array(1.0),), np.ones(2), 10.0, VBConfig())
         assert info.value.row is None
+        assert len(calls) == 3
 
     def test_vb_loop_fails_the_rows_of_a_nested_loop_at_once(self):
-        """At the second iteration a nested loop hands on the failures of
-        its rows 0 and 2 of three (_raise_failed): both leave at once, each
-        with its own error, and the iteration runs again once, for row 1.
-        Once row 1 fails at the third iteration the loop stops, with no
-        update on zero rows."""
+        """At the second iteration the update returns the failures of its
+        rows 0 and 2 of three, as a nested loop does: both leave at once,
+        each with its own error, and the iteration goes on for row 1 with
+        no rerun.  Once row 1 fails at the third iteration the loop stops,
+        with no update on zero rows."""
         calls = []
 
         def update(ids, lam):
             calls.append(ids.tolist())
+            lost = {}
             if len(calls) == 2:
-                filtering._raise_failed(
-                    [NumericalFailureError("a"), None, NumericalFailureError("b")]
-                )
-            if len(calls) == 4:
-                raise NumericalFailureError("c", row=0)
-            return (lam,), lam, np.full((len(ids), 1), float(len(calls)))
+                lost = {0: NumericalFailureError("a"), 2: NumericalFailureError("b")}
+            if len(calls) == 3:
+                lost = {0: NumericalFailureError("c")}
+            return (lam,), lam, np.full((len(ids), 1), float(len(calls))), lost
 
         _, _, iterations, _, failed = _vb_loop(
             update, (np.arange(3.0),), np.ones((3, 2)), 10.0, VBConfig()
         )
-        assert calls == [[0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [1.0], [1.0]]
-        assert [str(e) for e in failed] == ["a", "c", "b"]
+        assert calls == [[0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [1.0]]
+        assert [str(failed[b]) for b in range(3)] == ["a", "c", "b"]
         assert iterations.tolist() == [1, 2, 1]
 
     @pytest.mark.parametrize("last", [3, 0])
     def test_forward_stops_once_no_row_is_left(self, last):
-        """Row 1 of three fails at step 1 (last = 3), and every row left
-        fails at step `last` with an error that names none: the recursion
-        (filtering._filter_rows) stops there, runs no step on zero rows,
-        and each row's outcome is its error.  When no row is left at step
-        0 there are no stacks, and the rows' errors are raised at once,
-        each naming its row.  The update takes what the source hands out."""
+        """The source fails row 1 of three at step 1 (last = 3), and the
+        update fails every row left at step `last`: each step calls the
+        source and the update once, on the rows live at its start, the
+        recursion (filtering._filter_rows) stops once no row is left, and
+        each row's outcome is its error, with its step.  A failed row's
+        entries are zero: it holds no result.  When no row is left after
+        step 0 the stacks of that step are returned all the same.  The
+        update takes what the source hands out, at the predicted means."""
         model = StateSpaceModel(
             A=np.eye(2), Q=np.eye(2), C=np.eye(2), R=np.ones(2), Delta=np.ones(2),
             nu=np.full(2, 4.0), prior_mean=np.zeros(2), prior_cov=np.eye(2),
         )
-        calls = []
+        calls, updates = [], []
 
         def measure(k, rows, x):
             calls.append((k, len(x)))
-            if (k, len(x)) == (1, 3):
-                raise NumericalFailureError("one", row=1)
-            return k, 1.0
+            lost = {1: NumericalFailureError("one")} if (k, len(x)) == (1, 3) else {}
+            return k, 1.0, lost
 
         def update(x, p, k, shift):
-            if k == last and len(x):
-                raise NumericalFailureError("all")
-            return x + shift, p
+            updates.append((k, len(x), float(x[0, 0])))
+            lost = {b: NumericalFailureError("all") for b in range(len(x))} if k == last else {}
+            return x + shift, p, lost
 
-        if not last:
-            with pytest.raises(filtering._RowErrors) as info:
-                filtering._filter_rows(model, 3, 6, measure, update)
-            assert calls == [(0, 3)]
-            assert [str(e) for e in info.value.errors] == ["all (time step 0)"] * 3
-            return
         means, covs, failed = filtering._filter_rows(model, 3, 6, measure, update)
         assert (means.shape, covs.shape) == ((3, 6, 2), (3, 6, 2, 2))
-        assert calls == [(0, 3), (1, 3), (1, 2), (2, 2), (3, 2)]
-        assert [str(e) for e in failed] == [
+        assert not means.any() and not covs.any()  # every row failed
+        if not last:
+            assert calls == [(0, 3)] and updates == [(0, 3, 0.0)]
+            assert [str(failed[b]) for b in range(3)] == ["all (time step 0)"] * 3
+            return
+        assert calls == [(0, 3), (1, 3), (2, 2), (3, 2)]
+        assert updates == [(0, 3, 0.0), (1, 3, 1.0), (2, 2, 2.0), (3, 2, 3.0)]
+        assert [str(failed[b]) for b in range(3)] == [
             "all (time step 3)", "one (time step 1)", "all (time step 3)"
         ]
-        assert_array_equal(means[[0, 2], :3], np.broadcast_to([[1.0], [2.0], [3.0]], (2, 3, 2)))
 
 
 @pytest.mark.parametrize(
@@ -789,7 +826,7 @@ def sts_linearization(model, sats, traj):
         c_mat, y0 = linearize(sats, x_pred)
         y_k = y - y0 + c_mat @ x_pred
         cz = np.hstack([c_mat, np.diag(model.Delta)])
-        mean, cov, _, _ = _augmented_update(
+        mean, cov, _, _, _ = _augmented_update(
             x_pred, p_pred, y_k, c_mat, cz, model.Delta, model.R, np.ones(model.n_y)
         )
         c_seq.append(c_mat)
@@ -922,18 +959,17 @@ class TestRunExperimentLockstep:
 
     def test_sts_runs_no_filter_and_no_forward_pass_twice(self, monkeypatch):
         """An "sts"-only sweep makes no STF update and asks its source
-        (experiments.linearize at the rows' predicted means) once per step,
-        in the smoother's first forward pass; the later passes replay what
-        it handed out.  Its augmented updates and those of the later passes
-        add up to one forward pass per outer iteration of each row."""
+        (experiments._linearize_rows at the rows' predicted means) once per
+        step, in the smoother's first forward pass; the later passes replay
+        what it handed out.  Its augmented updates and those of the later
+        passes add up to one forward pass per outer iteration of each row."""
         cfg = sweep_config(n_mc=6, estimators=("sts",))
         calls, row_steps = [], []
-        for module, name in [(filtering, "_stf_update_rows"), (experiments, "linearize")]:
+        for module, name in [(filtering, "_stf_update_rows"), (experiments, "_linearize_rows")]:
             real = getattr(module, name)
 
             def counting(*args, name=name, real=real, **kwargs):
-                if name != "linearize" or np.ndim(args[1]) == 2:  # not the model's C
-                    calls.append(name)
+                calls.append(name)
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, counting)
         real_update = smoothing._augmented_update
@@ -943,7 +979,7 @@ class TestRunExperimentLockstep:
             return real_update(x, p, y, *args)
         monkeypatch.setattr(smoothing, "_augmented_update", spy)
         records = run_experiment(cfg)
-        assert calls == ["linearize"] * cfg.K
+        assert calls == ["_linearize_rows"] * cfg.K
         assert all(r.status == "ok" for r in records)
         assert sum(row_steps) == sum(r.outer_iterations for r in records) * cfg.K
 
@@ -989,45 +1025,54 @@ class TestRunExperimentLockstep:
                 assert r.reason == str(info.value)
 
     def test_rows_failing_at_step_0_keep_their_own_errors(self, monkeypatch):
-        """Every row of the filter's and of the smoother's first pass fails
-        at step 0, each with its own error: no family has outputs, the
-        errors escape each batch at once, and each record keeps its row's
-        error, as in its one-row run."""
+        """The update of the filter and of the smoother's first pass fails
+        every row at step 0, each with its own error: each family makes
+        that one update and no other, and each record keeps its row's
+        error and its family's measured time per row."""
         cfg = sweep_config(n_mc=3)
         real_stf, real_update = filtering._stf_update_rows, smoothing._augmented_update
+        calls = []
 
         def failing(real):
             def run(*args, **kwargs):
                 x = args[1] if real is real_stf else args[0]
+                calls.append(real.__name__)
+                *out, failed = real(*args, **kwargs)
                 if (x == x[0]).all():  # step 0: every row at the prior
-                    filtering._raise_failed([NumericalFailureError(f"row {b}") for b in range(len(x))])
-                return real(*args, **kwargs)
+                    failed = {b: NumericalFailureError(f"row {b}") for b in range(len(x))}
+                return (*out, failed)
             return run
 
         monkeypatch.setattr(filtering, "_stf_update_rows", failing(real_stf))
         monkeypatch.setattr(smoothing, "_augmented_update", failing(real_update))
         records = run_experiment(cfg)
+        assert calls == ["_stf_update_rows", "_augmented_update"]
         assert len(records) == 6
         for r in records:
             assert (r.status, r.reason) == ("failed", f"row {r.replication} (time step 0)")
+            assert r.wall_time > 0.0
 
     def test_rows_failing_at_the_smoother_loop_start_keep_their_own_errors(self, monkeypatch):
         """Replication 0 fails in the smoother's first pass, and the other
-        two in the backward pass of the outer loop's first iteration: no
-        row gets through it, and each record keeps its own error."""
+        two in the backward pass of the outer loop's first iteration, which
+        names them by their positions among the rows left: no row gets
+        through it, and each record keeps its own error."""
         cfg = sweep_config(n_mc=3, estimators=("sts",))
         real_update, real_backward = smoothing._augmented_update, smoothing._backward_rows
         steps = []
 
         def first_pass(x, *args):
             steps.append(len(x))
+            *out, failed = real_update(x, *args)
             if len(steps) == 4:
-                raise NumericalFailureError("first pass", row=0)
-            return real_update(x, *args)
+                failed = {0: NumericalFailureError("first pass")}
+            return (*out, failed)
 
         def backward(*args):
-            s_mean, s_cov, _ = real_backward(*args)
-            return s_mean, s_cov, [NumericalFailureError(f"gain {b}") for b in range(len(s_mean))]
+            s_mean, s_cov, failed = real_backward(*args)
+            left = [b for b in range(len(s_mean)) if b not in failed]
+            gains = {b: NumericalFailureError(f"gain {i}") for i, b in enumerate(left)}
+            return s_mean, s_cov, {**failed, **gains}
 
         monkeypatch.setattr(smoothing, "_augmented_update", first_pass)
         monkeypatch.setattr(smoothing, "_backward_rows", backward)
@@ -1250,8 +1295,8 @@ class TestRunExperimentLockstep:
     def test_late_smoother_failure_runs_each_batch_once(self, monkeypatch):
         """Replication 2 fails in the STS backward gain at time step 5 of
         its last outer iteration.  The STF and the STS batch each run once,
-        the smoother's forward work grows by at most one outer iteration of
-        every row, only replication 2's STS record fails, with its one-row
+        the smoother's forward work is the clean run's (no iteration runs
+        again), only replication 2's STS record fails, with its one-row
         run's reason, and every other record is the clean run's."""
         cfg = sweep_config(n_mc=6)
         sats = make_constellation(cfg.n_sats, cfg.seed)
@@ -1304,20 +1349,21 @@ class TestRunExperimentLockstep:
         batches.clear()
         records = timeless(run_experiment(cfg))
         assert batches == ["_stf_rows", "_sts_rows"]
-        assert sum(row_steps) <= clean_steps + cfg.n_mc * cfg.K
+        assert sum(row_steps) == clean_steps
         failed = [(r.estimator, r.replication, r.reason) for r in records if r.status == "failed"]
         assert failed == [("sts", 2, str(info.value))]
         assert [r for r in records if r.status == "ok"] == [
             r for r in clean if (r.estimator, r.replication) != ("sts", 2)
         ]
 
-    def test_rows_failing_in_one_smoother_pass_cost_one_rerun(self, monkeypatch):
+    def test_rows_failing_in_one_smoother_pass_cost_no_rerun(self, monkeypatch):
         """Replications 1, 3 and 4 fail in the innovation covariance solve
         at time step 3 of the second outer iteration's forward pass, the
-        first that smoothing._forward_rows runs.  The pass hands all three
-        failures on at once, so the iteration runs again once, on the three
-        rows left; each failed record keeps its one-row run's reason, and
-        every other record is the clean run's."""
+        first that smoothing._forward_rows runs.  The pass returns all three
+        failures at once, and the loop goes on with the three rows left:
+        no iteration runs again, so each runs one forward pass.  Each failed
+        record keeps its one-row run's reason, and every other record is
+        the clean run's."""
         cfg = sweep_config(n_mc=6, estimators=("sts",))
         sats = make_constellation(cfg.n_sats, cfg.seed)
         failing_reps, step = (1, 3, 4), 3
@@ -1363,6 +1409,7 @@ class TestRunExperimentLockstep:
         monkeypatch.setattr(smoothing, "_forward_rows", counting)
         records = timeless(run_experiment(cfg))
         assert sizes[:2] == [cfg.n_mc, cfg.n_mc - len(failing_reps)]
+        assert len(sizes) == max(r.outer_iterations for r in records) - 1
         failed = {(r.estimator, r.replication): r.reason for r in records if r.status == "failed"}
         assert failed == reasons
         assert [r for r in records if r.status == "ok"] == [
@@ -1372,9 +1419,10 @@ class TestRunExperimentLockstep:
     def test_non_finite_pseudoranges_fail_each_row_at_its_step(self, monkeypatch):
         """Replications 0 and 2 have a non-finite pseudorange at time steps
         2 and 5.  In one pass per family ("stf", "sts" and "kf" with
-        "rtss"), which asks the source (experiments.linearize at the rows'
-        predicted means) once per step, each fails at its own step in all
-        four estimators, and every other record is the clean run's."""
+        "rtss"), which asks the source (experiments._linearize_rows at the
+        rows' predicted means) once per step, each fails at its own step in
+        all four estimators, and every other record is the clean run's.  A
+        row leaves after its failing step, which linearizes it."""
         cfg = sweep_config(n_mc=4, estimators=("stf", "sts", "kf", "rtss"))
         clean = timeless(run_experiment(cfg))
         bad_step = {0: 2, 2: 5}
@@ -1389,17 +1437,16 @@ class TestRunExperimentLockstep:
             meas[bad_step[rep], 3] = np.inf
             return replace(traj, measurements=meas)
 
-        real_linearize = experiments.linearize
+        real_linearize = experiments._linearize_rows
 
         def counting(sats, x):
-            if x.ndim == 2:  # a step of a family, not the model's C
-                passes.append(len(x))
+            passes.append(len(x))
             return real_linearize(sats, x)
 
         monkeypatch.setattr(experiments, "simulate", corrupted)
-        monkeypatch.setattr(experiments, "linearize", counting)
+        monkeypatch.setattr(experiments, "_linearize_rows", counting)
         records = timeless(run_experiment(cfg))
-        live = [4] * 2 + [3] * 3 + [2] * (cfg.K - 5)  # the rows left at each step
+        live = [4] * 3 + [3] * 3 + [2] * (cfg.K - 6)  # the rows live at each step
         assert passes == live * 3
         assert {(r.estimator, r.replication): r.reason for r in records if r.status == "failed"} == {
             (est, rep): f"pseudorange is not finite (time step {k})"
@@ -1409,23 +1456,25 @@ class TestRunExperimentLockstep:
             r for r in clean if r.replication not in bad_step
         ]
 
-    def test_error_naming_no_row_fails_every_live_row(self, monkeypatch):
-        """An error with no row at time step 3 of the STF batch fails every
-        STF record with its reason; the STS, which never runs the STF, and
-        the Kalman family stay ok."""
+    def test_update_failing_every_row_fails_every_stf_record(self, monkeypatch):
+        """The STF update fails every row at time step 3: every STF record
+        fails with its reason, after no further update; the STS, which
+        never runs the STF, and the Kalman family stay ok."""
         cfg = sweep_config(n_mc=3, estimators=("stf", "sts", "kf", "rtss"))
         clean = timeless(run_experiment(cfg))
         real = filtering._stf_update_rows
         calls = []
 
-        def fail_at_step_3(*args, **kwargs):
+        def fail_at_step_3(model, x, *args, **kwargs):
             calls.append(None)
+            *out, failed = real(model, x, *args, **kwargs)
             if len(calls) == 4:
-                raise NumericalFailureError("injected")
-            return real(*args, **kwargs)
+                failed = {b: NumericalFailureError("injected") for b in range(len(x))}
+            return (*out, failed)
 
         monkeypatch.setattr(filtering, "_stf_update_rows", fail_at_step_3)
         records = timeless(run_experiment(cfg))
+        assert len(calls) == 4
         stf = [(r.status, r.reason) for r in records if r.estimator == "stf"]
         assert stf == [("failed", "injected (time step 3)")] * 3
         others = [r for r in records if r.estimator != "stf"]

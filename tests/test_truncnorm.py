@@ -274,7 +274,8 @@ class TestScalarLoop:
         np.testing.assert_array_equal(out_mean, ref_mean)
         np.testing.assert_array_equal(out_cov, ref_cov)
         assert out_cov[1, 1] < cov[1, 1]
-        rows_mean, rows_cov = _rec_trunc_rows(mean[None], cov[None], [0, 1])
+        rows_mean, rows_cov, failed = _rec_trunc_rows(mean[None], cov[None], [0, 1])
+        assert failed == {}
         np.testing.assert_array_equal(rows_mean[0], ref_mean)
         np.testing.assert_array_equal(rows_cov[0], ref_cov)
 
@@ -291,9 +292,11 @@ class TestScalarLoop:
         truncated = [0, dim - 1]
         with pytest.raises(DegenerateDirectionError, match=re.escape(msg)):
             rec_trunc(mean, cov, truncated)
-        with pytest.raises(DegenerateDirectionError, match=re.escape(msg)) as info:
-            _rec_trunc_rows(np.stack([np.zeros(dim), mean]), np.stack([np.eye(dim), cov]), truncated)
-        assert info.value.row == 1
+        *_, failed = _rec_trunc_rows(
+            np.stack([np.zeros(dim), mean]), np.stack([np.eye(dim), cov]), truncated
+        )
+        assert list(failed) == [1]  # the stacked kernel returns the row's error
+        assert isinstance(failed[1], DegenerateDirectionError) and str(failed[1]) == msg
 
     def test_greedy_pick_is_numpy_argmin_with_non_finite_means(self):
         rng = np.random.default_rng(29)
@@ -316,9 +319,11 @@ class TestScalarLoop:
         for order, seed in (("greedy", None), ("random", 3), ((1, 0, 2), None)):
             with pytest.raises(NumericalFailureError, match=re.escape(msg)):
                 truncate_in(order, mean, np.eye(3), range(3), seed)
-        with pytest.raises(NumericalFailureError, match=re.escape(msg)) as info:
-            _rec_trunc_rows(np.stack([np.zeros(3), mean]), np.stack([np.eye(3)] * 2), range(3))
-        assert info.value.row == 1
+        *_, failed = _rec_trunc_rows(
+            np.stack([np.zeros(3), mean]), np.stack([np.eye(3)] * 2), range(3)
+        )
+        assert list(failed) == [1]  # the stacked kernel returns the row's error
+        assert isinstance(failed[1], NumericalFailureError) and str(failed[1]) == msg
 
 
 @st.composite
@@ -415,13 +420,15 @@ class TestOneRowKernel:
             got = outcome(lambda: _rec_trunc_row(mean.copy(), symmetrize(cov), truncated))
             want = outcome(lambda: rec_trunc(mean, cov, truncated))
             benign = np.zeros(mean.size), np.eye(mean.size)
-            rows = outcome(lambda: _rec_trunc_rows(
+            *rows, failed = _rec_trunc_rows(
                 np.stack([benign[0], mean]), np.stack([benign[1], cov]), truncated
-            ))
+            )
         if isinstance(want[0], type):
             assert got == want
-            assert rows == want
+            assert list(failed) == [1]  # the stacked kernel returns the row's error
+            assert (type(failed[1]), str(failed[1])) == want
             return
+        assert failed == {}
         for g, w, r in zip(got, want, rows):
             np.testing.assert_array_equal(g, w)
             np.testing.assert_array_equal(r[1], w)

@@ -11,6 +11,12 @@ Each line is a name and the first 16 hex digits of the SHA-256 of:
     (q=0.5 and q=5; delta=5, rho=100, nu=4, K=100) at seeds 1 and
     7340033, 20 replications of all five estimators;
   * records-34-replications: the same of q=5, K=8, seed 1, 34 replications;
+  * records-failing: the same of two failing sweeps of "stf" and "sts"
+    (delta=5, rho=100, K=100), one list of records: nu=0.02, q=0.5,
+    seed 1, 8 replications, where all 16 records fail, then nu=0.05,
+    q=5, seed 2, 12 replications, where two STS rows fail, at steps 77
+    and 43, on the variance tolerance of the truncation; these runs may
+    print RuntimeWarnings;
   * criterion-10-csv: the bytes of the CSV that criterion 10 writes;
   * criterion-9-arrays: the three arrays of run_static_experiment
     (dist_stf, dist_prior, nees_stf) at delta=5, nu=4, rho=1, 200
@@ -58,6 +64,7 @@ from test_filtering import random_model, simulate_linear  # noqa: E402
 
 ALL = ("stf", "sts", "kf", "rtss", "pf")
 SCENARIO = dict(delta=5.0, rho=100.0, nu=4.0, estimators=ALL)
+FAILING = dict(delta=5.0, rho=100.0, K=100, estimators=("stf", "sts"))
 ONLINE = dict(name="online", q=0.5, delta=5.0, nu=1.2, rho=100.0, n_sats=12)
 
 
@@ -66,9 +73,10 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def records_digest(cfg) -> str:
-    """Of repr of the records of run_experiment(cfg), wall time zeroed."""
-    records = [replace(r, wall_time=0.0) for r in bench.run_experiment(cfg)]
+def records_digest(*cfgs) -> str:
+    """Of repr of the records of run_experiment of each of cfgs, in order,
+    as one list, wall time zeroed."""
+    records = [replace(r, wall_time=0.0) for cfg in cfgs for r in bench.run_experiment(cfg)]
     return digest(repr(records).encode())
 
 
@@ -181,6 +189,14 @@ def online_epochs(seed: int, epochs: int) -> tuple:
     return positions, covs, iterations, converged
 
 
+def failing_configs() -> tuple:
+    """The two failing sweeps of the records-failing digest."""
+    return (
+        bench.ScenarioConfig(name="s0.02", q=0.5, nu=0.02, n_mc=8, seed=1, **FAILING),
+        bench.ScenarioConfig(name="s0.05", q=5.0, nu=0.05, n_mc=12, seed=2, **FAILING),
+    )
+
+
 def criterion_10_config():
     return bench.ScenarioConfig(
         q=5.0, delta=5.0, rho=100.0, nu=4.0, K=10, n_mc=2, seed=3,
@@ -195,6 +211,8 @@ def main(argv) -> int:
             print(f"records-q{q:g}-seed{seed} {records_digest(cfg)}", flush=True)
     cfg = bench.ScenarioConfig(q=5.0, K=8, n_mc=34, seed=1, name="q5", **SCENARIO)
     print(f"records-34-replications {records_digest(cfg)}", flush=True)
+    failing = records_digest(*failing_configs())
+    print(f"records-failing {failing}", flush=True)
     print(f"criterion-10-csv {csv_digest(criterion_10_config())}", flush=True)
     static = bench.run_static_experiment(
         delta=5.0, nu=4.0, rho=1.0, n_replications=200, seed=11
