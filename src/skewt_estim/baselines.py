@@ -109,44 +109,44 @@ def _kf_gated_run_rows(model: StateSpaceModel, n_rows: int, n_steps: int, measur
     the normal variances model.R.  kf_gated_run is its one-row call.
 
     Returns the stacks (n_rows, n_steps, ...) of the posterior means and
-    covariances, the gating decisions (True where a component was used)
-    and the prior means and covariances, then the outcomes: the update
-    fails no row, its source may (_filter_rows).  Each row is bit-equal
-    to the same trajectory filtered alone, with the same decisions.
+    covariances and the gating decisions (True where a component was
+    used), then the outcomes: the update fails no row, its source may
+    (_filter_rows).  Each row is bit-equal to the same trajectory
+    filtered alone, with the same decisions.
     """
 
     def update(x, p, c_mat, y):
-        return *_kf_gated_update_rows(c_mat, model.R, x, p, y), x, p, {}
+        return *_kf_gated_update_rows(c_mat, model.R, x, p, y), {}
 
     return _filter_rows(model, n_rows, n_steps, measure, update)
 
 
-def kf_gated_run(model: StateSpaceModel, ys):
+def kf_gated_run(model: StateSpaceModel, ys) -> list:
     """Gated Kalman forward pass over a measurement sequence.
 
     The model is interpreted as Gaussian: R holds the matched normal
-    variances and Delta is ignored.  Returns (filtered beliefs, predicted
-    beliefs) with predicted[k] the one-step prior of step k.  It is the
-    one-row call of _kf_gated_run_rows on the linear model's source
-    (filtering._linear_source), which fails a non-finite measurement with
-    a NumericalFailureError at its step.
+    variances and Delta is ignored.  Returns the filtered beliefs, one
+    per step.  It is the one-row call of _kf_gated_run_rows on the linear
+    model's source (filtering._linear_source), which fails a non-finite
+    measurement with a NumericalFailureError at its step.
     """
     ys = _vectors("ys", ys, model.n_y)
     if not ys:
-        return [], []
+        return []
     source = _linear_source(model, np.stack(ys)[None])
-    mean, cov, _, p_mean, p_cov = _one_row(*_kf_gated_run_rows(model, 1, len(ys), source))
-    return _beliefs(mean[0], cov[0]), _beliefs(p_mean[0], p_cov[0])
+    mean, cov, _ = _one_row(*_kf_gated_run_rows(model, 1, len(ys), source))
+    return _beliefs(mean[0], cov[0])
 
 
 def rtss_gated_run(model: StateSpaceModel, ys) -> list:
     """Gated Kalman forward pass plus classical fixed-interval smoothing.
 
-    The backward recursion is smoothing.backward_pass, the one the skew-t
-    smoother runs on its [x; u] beliefs: with no u-block the beliefs are
-    the plain state beliefs and that recursion is the classical RTS one.
+    The backward recursion is smoothing.backward_pass of the filtered
+    beliefs of kf_gated_run, the one the skew-t smoother runs on its
+    [x; u] beliefs: with no u-block the beliefs are the plain state
+    beliefs and that recursion is the classical RTS one.
     """
-    return backward_pass(*kf_gated_run(model, ys), model)
+    return backward_pass(kf_gated_run(model, ys), model)
 
 
 # Density tables: points per grid, and the largest grid step in units of

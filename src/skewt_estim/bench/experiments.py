@@ -200,23 +200,23 @@ def _kf_rows(model, cfg, sats, trajs):
 
     Returns the outcome of each trajectory ("kf" EstimatorRun or
     EstimationError), the smoothing input of _rtss_rows (the pass's
-    stacks, its outcomes and the model) and the gating decisions
-    (B, K, n_sats), True where a component was used.  Each row is
-    bit-equal to the same trajectory filtered alone, with the same
-    decisions.
+    filtered mean and covariance stacks, its outcomes and the model) and
+    the gating decisions (B, K, n_sats), True where a component was used.
+    Each row is bit-equal to the same trajectory filtered alone, with the
+    same decisions.
     """
     comp = SkewTComponent(spread_sq=1.0, shape=cfg.delta, dof=cfg.nu)
     mean_off, _ = moments(comp)
     var, _, _ = moment_match(comp)
     gauss = replace(model, R=np.full(cfg.n_sats, var))
-    means, covs, used, *priors, failed = _kf_gated_run_rows(
+    means, covs, used, failed = _kf_gated_run_rows(
         gauss, *_pseudorange_source(sats, trajs, mean_off)
     )
     runs = [
         failed.get(b) or EstimatorRun("kf", m[:, :3], c[:, :3, :3], np.zeros(0))
         for b, (m, c) in enumerate(zip(means, covs))
     ]
-    return runs, (means, covs, *priors, failed, gauss), used
+    return runs, (means, covs, failed, gauss), used
 
 
 def _rtss_rows(pass_rows):
@@ -351,8 +351,10 @@ def run_experiment(cfg: ScenarioConfig, out_path=None, timing: bool = False) -> 
     replication whose run meets an EstimationError leaves the loop it
     fails in with that error as its outcome, and the other rows go on in
     the same batch, so each record is the one a single-replication run
-    gives.  A lockstep batch holds about 1.5 MB per replication at K=100
-    and 8 satellites, and peak memory grows as n_mc * K * (4 + n_sats)^2.
+    gives.  At K=100 and 8 satellites, "stf", "sts", "kf" and "rtss"
+    peak at about 0.9 MB per replication, 0.8 MB of it the "sts" batch
+    (tracemalloc, q=5, n_mc = 50 and 100), and peak memory grows as
+    n_mc * K * (4 + n_sats)^2.
 
     Returns the sorted RunRecord list and, when `out_path` is given, writes
     the CSV there.  By default the wall_time_s column is written as 0 so

@@ -114,6 +114,8 @@ class StateSpaceModel:
     Delta : (n_y,) diagonal skewness (shape) parameters.
     nu : (n_y,) positive degrees of freedom.
     prior_mean, prior_cov : initial state belief.
+
+    Every entry must be finite.
     """
 
     A: np.ndarray
@@ -137,6 +139,8 @@ class StateSpaceModel:
             "prior_cov": np.atleast_2d(np.asarray(self.prior_cov, dtype=float)),
         }
         for name, value in conv.items():
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, value)
         n_x = self.A.shape[0]
         n_y = self.C.shape[0]
@@ -505,8 +509,9 @@ def _lambda_update(cpc, zct, cz, z_prior_mean, z_prior_cov, innovation, delta, r
     precisions lam: the diagonal fills of the innovation covariance, of
     [P C^T; diag(delta / lam)] and of the augmented prior covariance, the
     gain solve, the posterior and its truncation.  The first six
-    arguments are _prior_terms, which it does not modify; returns what
-    _augmented_update returns.  A row whose gain solve fails takes a zero
+    arguments are _prior_terms, which it does not modify; returns the
+    truncated posterior mean and covariance, then the rows it failed, as
+    _augmented_update does.  A row whose gain solve fails takes a zero
     gain, and a row whose truncation fails is zeroed (_rec_trunc_rows;
     one row, or the row of a stack of one, here), so every output stays
     finite; the rows failed, by their first error, come last."""
@@ -543,7 +548,7 @@ def _lambda_update(cpc, zct, cz, z_prior_mean, z_prior_cov, innovation, delta, r
         except EstimationError as err:
             lost[0] = err
             post = np.zeros_like(z_mean), np.zeros_like(z_cov)
-    return (*post, z_prior_mean, z_prior_cov, {**lost, **failed})
+    return (*post, {**lost, **failed})
 
 
 def _augmented_update(x_pred, p_pred, y, c_mat, cz, delta, r, lam):
@@ -557,9 +562,9 @@ def _augmented_update(x_pred, p_pred, y, c_mat, cz, delta, r, lam):
     prior stacks the state prediction with the zero-mean u prior of
     covariance diag(1/lam); the gain is computed against the full
     augmented prior covariance.  Returns the posterior mean and
-    covariance, then the augmented prior mean and covariance, then the
-    rows that failed (_lambda_update): a dict of their positions and
-    errors, with 0 for one row, empty when none failed.
+    covariance, then the rows that failed (_lambda_update): a dict of
+    their positions and errors, with 0 for one row, empty when none
+    failed.
 
     The update is split where the mixing precisions enter.  _prior_terms
     (P C^T, C P C^T, the zero-padded templates, [x; 0] and the innovation)
@@ -701,7 +706,7 @@ def _stf_update_rows(model, x_prior, p_prior, y, c_mat, cfg=VBConfig()) -> tuple
     n_x = x_prior.shape[-1]
 
     def update(y, cpc, zct, cz, z_prior_mean, z_prior_cov, innovation, lam):
-        mean, cov, _, _, failed = _lambda_update(
+        mean, cov, failed = _lambda_update(
             cpc, zct, cz, z_prior_mean, z_prior_cov, innovation, model.Delta, model.R, lam
         )
         psi = _psi_diagonal(y, cz, mean, cov, model.R, n_x)

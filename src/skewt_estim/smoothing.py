@@ -7,7 +7,10 @@ fixed-interval backward recursion on the augmented [x; u] state; and the
 per-step refresh of the mixing precisions from the smoothed moments.  The
 augmented dynamics propagate x with the model transition and reset u each
 step (its transition block is zero), so the one-step augmented prediction
-covariance is blockdiag(A P A^T + Q, diag(1/lam)).
+covariance is blockdiag(A P A^T + Q, diag(1/lam)).  Only its x block
+enters the backward gain, and the backward pass computes it from the
+filtered moments it smooths, as the forward pass did: no pass hands out
+predicted moments.
 
 The outer loop is the filter's VB loop (filtering._vb_loop), with one
 Anderson-mixed precision vector over the whole trajectory, starting from
@@ -49,6 +52,7 @@ from .filtering import (
     _one_row,
     _psi_diagonal,
     _stack_cz,
+    _time_update,
     _vb_loop,
     _vector,
     _vectors,
@@ -80,8 +84,7 @@ def _pass_update(model: StateSpaceModel):
     """The update of every forward pass of the smoother: one truncated
     augmented update (_augmented_update) of the live rows at the mixing
     precisions lam that its source hands out with C_k, y_k and cz_k.  It
-    returns the filtered and the predicted augmented (mean, cov), then the
-    rows it failed."""
+    returns the filtered augmented (mean, cov), then the rows it failed."""
     return lambda x, p, c_mat, y, cz, lam: _augmented_update(
         x, p, y, c_mat, cz, model.Delta, model.R, lam
     )
@@ -106,9 +109,9 @@ def _forward_rows(model, ys, lambdas, c_seq, cz) -> list:
     (B, K, n_y), matrices c_seq (B, K, n_y, n_x) and cz = [C_k, diag(Delta)]
     (B, K, n_y, n_x + n_y) of the first pass, at the mixing precisions
     lambdas (B, K, n_y).  Returns the (mean, cov) stacks of the filtered
-    and of the predicted augmented beliefs, (B, K, n) and (B, K, n, n),
-    then the outcomes, a dict of each failed row and its error.  Row b is
-    bit-equal to a forward pass of that row alone.
+    augmented beliefs, (B, K, n) and (B, K, n, n), then the outcomes, a
+    dict of each failed row and its error.  Row b is bit-equal to a
+    forward pass of that row alone.
     """
 
     def replay(k, rows, x):
@@ -117,15 +120,14 @@ def _forward_rows(model, ys, lambdas, c_seq, cz) -> list:
     return _filter_rows(model, *ys.shape[:2], replay, _pass_update(model))
 
 
-def forward_pass(model: StateSpaceModel, ys, lambdas) -> tuple:
+def forward_pass(model: StateSpaceModel, ys, lambdas) -> list:
     """Truncated forward filtering with fixed mixing precisions.
 
-    `ys` holds one measurement and `lambdas` one positive precision
-    diagonal per step, each of length n_y.  Returns
-    (filtered, predicted): the truncated augmented posteriors and the
-    augmented one-step priors they were updated from, as GaussianBeliefs
-    over [x; u].  A non-finite measurement raises NumericalFailureError
-    at its step (filtering._linear_source).
+    `ys` holds one measurement and `lambdas` one finite positive precision
+    diagonal per step, each of length n_y.  Returns the truncated
+    augmented posteriors, one GaussianBelief over [x; u] per step, which
+    backward_pass smooths.  A non-finite measurement raises
+    NumericalFailureError at its step (filtering._linear_source).
     """
     ys = _vectors("ys", ys, model.n_y)
     n_steps = len(ys)
@@ -133,22 +135,29 @@ def forward_pass(model: StateSpaceModel, ys, lambdas) -> tuple:
         raise ValueError(f"got {len(lambdas)} lambdas for {n_steps} steps")
     lams = _vectors("lambdas", lambdas, model.n_y)
     for k, lam in enumerate(lams):
-        if np.any(lam <= 0.0):
-            raise ValueError(f"lambdas[{k}] must be positive")
+        if not np.all(np.isfinite(lam) & (lam > 0.0)):
+            raise ValueError(f"lambdas[{k}] must be positive and finite")
     if n_steps == 0:
-        return [], []
+        return []
     source = _at_precisions(model, _linear_source(model, np.stack(ys)[None]), np.stack(lams)[None])
-    passed = _filter_rows(model, 1, n_steps, source, _pass_update(model))
-    f_mean, f_cov, p_mean, p_cov = _one_row(*passed)
-    return _beliefs(f_mean[0], f_cov[0]), _beliefs(p_mean[0], p_cov[0])
+    f_mean, f_cov = _one_row(*_filter_rows(model, 1, n_steps, source, _pass_update(model)))
+    return _beliefs(f_mean[0], f_cov[0])
 
 
-def _backward_rows(f_mean, f_cov, p_mean, p_cov, failed, model) -> tuple:
+def _backward_rows(f_mean, f_cov, failed, model) -> tuple:
     """The backward recursion of backward_pass on (B, K, ...) stacks of
-    filtered and predicted (mean, cov) of a forward pass whose outcomes
-    are `failed`, a dict of its failed rows and their errors; returns the
+    the filtered (mean, cov) of a forward pass whose outcomes are
+    `failed`, a dict of its failed rows and their errors; returns the
     smoothed stacks and the outcomes, those of the forward pass and of
     the rows failed here.
+
+    The gain needs the x-block predictions of steps 1..K-1, which are the
+    time update of the filtered x blocks of steps 0..K-2: one stacked
+    filtering._time_update, (B, K-1, n_x) and (B, K-1, n_x, n_x), before
+    the loop.  It is the forward pass's own prediction, the same call on
+    the same filtered block, so it is bit-equal to the prior that pass
+    updated from.  A failed row's zeroed stacks predict to finite values,
+    and it makes no solve.
 
     Each row gets its own gain solve, so row b is bit-equal to a backward
     pass of that row alone and fails the same way.  The per-row solve was
@@ -165,19 +174,20 @@ def _backward_rows(f_mean, f_cov, p_mean, p_cov, failed, model) -> tuple:
     failure (K=100, q=5, one thread).
     """
     n_x = model.n_x
+    p_mean, p_cov = _time_update(model, f_mean[:, :-1, :n_x], f_cov[:, :-1, :n_x, :n_x])
     s_mean = f_mean.copy()
     s_cov = f_cov.copy()
     gain = np.zeros(f_cov.shape[:1] + f_cov.shape[-1:] + (n_x,))
     failed = dict(failed)
     for k in range(f_mean.shape[1] - 2, -1, -1):
-        p_pred = p_cov[:, k + 1, :n_x, :n_x]
+        p_pred = p_cov[:, k]  # of step k + 1
         for b, (p_b, f_b) in enumerate(zip(p_pred, f_cov[:, k])):
             if b not in failed:
                 try:
                     gain[b] = solve_spd(p_b, model.A @ f_b[:n_x], what="prediction covariance").T
                 except EstimationError as err:
                     err.step, failed[b], gain[b] = k, err, 0.0
-        step = s_mean[:, k + 1, :n_x] - p_mean[:, k + 1, :n_x]
+        step = s_mean[:, k + 1, :n_x] - p_mean[:, k]
         s_mean[:, k] += (gain @ step[..., None])[..., 0]
         s_cov[:, k] = symmetrize(
             f_cov[:, k]
@@ -186,26 +196,25 @@ def _backward_rows(f_mean, f_cov, p_mean, p_cov, failed, model) -> tuple:
     return s_mean, s_cov, failed
 
 
-def backward_pass(filtered, predicted, model: StateSpaceModel) -> list:
-    """Fixed-interval backward recursion on the augmented state.
+def backward_pass(filtered, model: StateSpaceModel) -> list:
+    """Fixed-interval backward recursion on the augmented state, over the
+    filtered beliefs of a forward pass; the one-row call of
+    _backward_rows.
 
     The gain at step k is G = Z_f A_z^T Z_p^{-1}, with Z_f the filtered
     augmented covariance and Z_p = blockdiag(P, diag(1/lam)) the augmented
     prediction covariance of step k+1.  A_z = blockdiag(A, 0) makes the
-    u-columns of G vanish, so G = Z_f[:, :n_x] A^T P^{-1} acts only on x.
-    This is the classical RTS recursion, and beliefs with no u-block get
-    exactly that: baselines.rtss_gated_run smooths through it as well.
+    u-columns of G vanish, so G = Z_f[:, :n_x] A^T P^{-1} acts only on x,
+    and P = A Z_f[:n_x, :n_x] A^T + Q is computed here from the filtered
+    beliefs.  This is the classical RTS recursion, and beliefs with no
+    u-block get exactly that: baselines.rtss_gated_run smooths through it
+    as well.
     """
-    n_steps = len(filtered)
-    if len(predicted) != n_steps:
-        raise ValueError("filtered and predicted sequences must align")
-    if n_steps == 0:
+    if not filtered:
         return []
     s_mean, s_cov = _one_row(*_backward_rows(
         np.stack([b.mean for b in filtered])[None],
         np.stack([b.cov for b in filtered])[None],
-        np.stack([b.mean for b in predicted])[None],
-        np.stack([b.cov for b in predicted])[None],
         {},
         model,
     ))

@@ -214,12 +214,29 @@ def rec_trunc_stepwise(mean, cov, truncated, order="greedy", seed=None):
     return mean, cov
 
 
+def augmented_predictions(filtered, a, q, u_var):
+    """The one-step predictions of an augmented [x; u] model from the
+    filtered (mean, cov) pairs of steps 0..K-2, in plain numpy: of step
+    k + 1, [a m_x; 0] and blockdiag(a P_xx a^T + q, diag(u_var[k])), with
+    u reset each step to N(0, diag(u_var[k])).  u_var[k] has length 0 for
+    beliefs with no u block."""
+    n_x = a.shape[0]
+    predicted = []
+    for (m, p), d in zip(filtered[:-1], u_var):
+        cov = np.zeros(p.shape)
+        cov[:n_x, :n_x] = a @ p[:n_x, :n_x] @ a.T + q
+        cov[n_x:, n_x:] = np.diag(d)
+        predicted.append((np.concatenate([a @ m[:n_x], np.zeros(len(d))]), cov))
+    return predicted
+
+
 def backward_pass_augmented(filtered, predicted, a):
     """Fixed-interval smoother on augmented [x; u] beliefs with the full
     augmented gain Z_f A_z^T Z_p^{-1}, A_z = blockdiag(a, 0).
 
-    `filtered` and `predicted` are sequences of (mean, cov) pairs; returns
-    the smoothed (mean, cov) pairs.
+    `filtered` is a sequence of K (mean, cov) pairs and `predicted` one
+    of the K - 1 predictions of steps 1..K-1 (augmented_predictions);
+    returns the smoothed (mean, cov) pairs.
     """
     n_z = filtered[0][0].size
     n_x = a.shape[0]
@@ -228,7 +245,7 @@ def backward_pass_augmented(filtered, predicted, a):
     sm = [filtered[-1]]
     for k in range(len(filtered) - 2, -1, -1):
         m_f, p_f = filtered[k]
-        m_p, p_p = predicted[k + 1]
+        m_p, p_p = predicted[k]
         g = p_f @ a_z.T @ np.linalg.inv(p_p)
         m_s, p_s = sm[0]
         sm.insert(0, (m_f + g @ (m_s - m_p), p_f + g @ (p_s - p_p) @ g.T))
@@ -256,11 +273,11 @@ def sts_run_scalar(model, ys, cfg, measurement_matrices):
         filtered, predicted = [], []
         x_pred, p_pred = model.prior_mean, model.prior_cov
         for k in range(n_steps):
-            post_mean, post_cov, prior_mean, prior_cov, _ = _augmented_update(
+            post_mean, post_cov, _ = _augmented_update(
                 x_pred, p_pred, ys[k], c_seq[k], cz_seq[k], model.Delta, model.R, lambdas[k]
             )
             filtered.append((post_mean, post_cov))
-            predicted.append((prior_mean, prior_cov))
+            predicted.append((x_pred, p_pred))
             x_pred = model.A @ post_mean[:n_x]
             p_pred = symmetrize(model.A @ post_cov[:n_x, :n_x] @ model.A.T + model.Q)
         # Backward pass with the x-only RTS gain.
@@ -268,12 +285,11 @@ def sts_run_scalar(model, ys, cfg, measurement_matrices):
         smoothed[-1] = filtered[-1]
         for k in range(n_steps - 2, -1, -1):
             f_mean, f_cov = filtered[k]
-            p_mean, p_cov = predicted[k + 1]
+            p_mean, p_x = predicted[k + 1]
             s_mean, s_cov = smoothed[k + 1]
-            p_x = p_cov[:n_x, :n_x]
             gain = solve_spd(p_x, model.A @ f_cov[:n_x]).T
             smoothed[k] = (
-                f_mean + gain @ (s_mean[:n_x] - p_mean[:n_x]),
+                f_mean + gain @ (s_mean[:n_x] - p_mean),
                 symmetrize(f_cov + gain @ (s_cov[:n_x, :n_x] - p_x) @ gain.T),
             )
         # Mixing-precision refresh, Anderson-mixed over the whole trajectory.

@@ -171,7 +171,7 @@ class TestGatedSmoother:
         )
         ys = [np.array([0.3, -0.2]), np.array([0.1, 0.4]), np.array([-0.5, 0.0])]
         smoothed = rtss_gated_run(model, ys)
-        filtered, _ = kf_gated_run(model, ys)
+        filtered = kf_gated_run(model, ys)
         for s, f in zip(smoothed, filtered):
             np.testing.assert_array_equal(s.mean, f.mean)
             np.testing.assert_array_equal(s.cov, f.cov)

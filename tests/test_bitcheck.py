@@ -102,8 +102,9 @@ def test_static_ordering_digest_is_of_the_two_distance_arrays(tool):
 def test_library_runs_digest_is_of_the_sequence_functions(tool):
     """The digest covers, per random linear model, every field of
     stf_run's pairs, sts_run's beliefs, iteration count and flag, and the
-    beliefs of kf_gated_run and rtss_gated_run, in that order; the models
-    take nu 1.5, 4 and 30 in turn."""
+    filtered beliefs of kf_gated_run and the smoothed ones of
+    rtss_gated_run, in that order; the models take nu 1.5, 4 and 30 in
+    turn."""
     args = (3, 4, 6)
     models = list(tool.linear_models(*args))
     assert [float(model.nu[0]) for model, _ in models] == [1.5, 4.0, 30.0, 1.5]
@@ -116,7 +117,7 @@ def test_library_runs_digest_is_of_the_sequence_functions(tool):
         track = sts_run(model, ys)
         want += [a for b in track for a in (b.mean, b.cov)]
         want.append([track.iterations, track.converged])
-        beliefs = sum(kf_gated_run(model, ys), []) + rtss_gated_run(model, ys)
+        beliefs = kf_gated_run(model, ys) + rtss_gated_run(model, ys)
         want += [a for b in beliefs for a in (b.mean, b.cov)]
     digest = tool.arrays_digest(*tool.library_runs(*args))
     assert digest == tool.arrays_digest(*map(np.asarray, want))
@@ -124,17 +125,17 @@ def test_library_runs_digest_is_of_the_sequence_functions(tool):
 
 
 def test_library_passes_digest_is_of_the_smoother_passes(tool):
-    """The digest covers, per random linear model, the filtered and
-    predicted beliefs of forward_pass at mixing precisions drawn from
-    [0.1, 2] by default_rng(seed + 1), then the beliefs of backward_pass
-    of them, in that order."""
+    """The digest covers, per random linear model, the filtered beliefs
+    of forward_pass at mixing precisions drawn from [0.1, 2] by
+    default_rng(seed + 1), then the beliefs of backward_pass of them, in
+    that order."""
     args = (3, 4, 6)
     rng = np.random.default_rng(args[0] + 1)
     want = []
     for model, ys in tool.linear_models(*args):
         lambdas = rng.uniform(0.1, 2.0, (len(ys), model.n_y))
-        filtered, predicted = forward_pass(model, ys, lambdas)
-        beliefs = filtered + predicted + backward_pass(filtered, predicted, model)
+        filtered = forward_pass(model, ys, lambdas)
+        beliefs = filtered + backward_pass(filtered, model)
         want += [a for b in beliefs for a in (b.mean, b.cov)]
     digest = tool.arrays_digest(*tool.library_passes(*args))
     assert digest == tool.arrays_digest(*want)

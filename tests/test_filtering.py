@@ -159,7 +159,7 @@ class TestMeasurementUpdate:
         post, diag = stf_update(model, prior, y, cfg)
         assert diag.converged == (cfg.max_iterations > 2)
         cz = np.hstack([model.C, np.diag(model.Delta)])
-        mean, cov, _, _, failed = _augmented_update(
+        mean, cov, failed = _augmented_update(
             prior.mean, prior.cov, y, model.C, cz, model.Delta, model.R, diag.lambda_diag
         )
         assert failed == {}
@@ -291,6 +291,19 @@ class TestBeliefValidation:
         model = random_model(np.random.default_rng(0), 2, 3, nu=4.0)
         with pytest.raises(ValueError, match=re.escape(message)):
             replace(model, **change)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "field", ["A", "Q", "C", "R", "Delta", "nu", "prior_mean", "prior_cov"]
+    )
+    def test_model_rejects_non_finite_entry(self, field, value):
+        """A non-finite entry of any field, even one that passes the sign
+        checks (R = inf, nu = inf), is rejected naming the field."""
+        model = random_model(np.random.default_rng(0), 2, 3, nu=4.0)
+        bad = getattr(model, field).copy()
+        bad.flat[-1] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            replace(model, **{field: bad})
 
     def test_noise_model_is_component_tuple(self):
         model = StateSpaceModel(

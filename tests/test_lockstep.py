@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 
 from skewt_estim import filtering, smoothing
 from skewt_estim._linalg import symmetrize
@@ -69,7 +69,7 @@ from skewt_estim.smoothing import (
 )
 from skewt_estim.truncnorm import UNDERFLOW_XI, _rec_trunc_rows, rec_trunc
 
-from reference import sts_run_scalar
+from reference import augmented_predictions, backward_pass_augmented, sts_run_scalar
 from test_filtering import random_model, simulate_linear
 
 
@@ -338,7 +338,7 @@ class TestVBLoop:
         delta, r, nu = np.full(n_y, 5.0), np.ones(n_y), np.full(n_y, 1.2)
 
         def update(x, p, y, c, cz, lam):
-            mean, cov, _, _, failed = _augmented_update(x, p, y, c, cz, delta, r, lam)
+            mean, cov, failed = _augmented_update(x, p, y, c, cz, delta, r, lam)
             psi = _psi_diagonal(y, cz, mean, cov, r, n_x)
             return (mean, cov, psi), expected_mixing_precision(nu, psi), mean[..., :n_x], failed
 
@@ -777,11 +777,8 @@ def test_forward_recursion_bit_equal_under_non_identity_dynamics(seed):
         assert diag.iterations == ref_diag.iterations
         belief = predict(model, ref)
 
-    filtered, predicted = kf_gated_run(model, ys)
     belief = model.prior_belief()
-    for f, p, y in zip(filtered, predicted, ys):
-        assert_array_equal(p.mean, belief.mean)
-        assert_array_equal(p.cov, belief.cov)
+    for f, y in zip(kf_gated_run(model, ys), ys):
         belief = kf_gated_update(model.C, model.R, belief, y)
         assert_array_equal(f.mean, belief.mean)
         assert_array_equal(f.cov, belief.cov)
@@ -826,7 +823,7 @@ def sts_linearization(model, sats, traj):
         c_mat, y0 = linearize(sats, x_pred)
         y_k = y - y0 + c_mat @ x_pred
         cz = np.hstack([c_mat, np.diag(model.Delta)])
-        mean, cov, _, _, _ = _augmented_update(
+        mean, cov, _ = _augmented_update(
             x_pred, p_pred, y_k, c_mat, cz, model.Delta, model.R, np.ones(model.n_y)
         )
         c_seq.append(c_mat)
@@ -871,23 +868,26 @@ def test_sweep_rows_equal_scalar_reference(q, seed):
 
 def kf_reference(gauss, sats, traj, noise_mean):
     """The gated Kalman filter of one trajectory, step by step on
-    kf_gated_update: the posteriors and the priors they started from."""
+    kf_gated_update: the posteriors, and the predictions of steps
+    1..K-1 from them built in plain numpy (augmented_predictions)."""
     belief = gauss.prior_belief()
-    filtered, predicted = [], []
+    filtered = []
     for y in traj.measurements:
         c_mat, y0 = linearize(sats, belief.mean)
         y_k = y - y0 + c_mat @ belief.mean - noise_mean
-        predicted.append(belief)
         belief = kf_gated_update(c_mat, gauss.R, belief, y_k)
         filtered.append(belief)
         belief = predict(gauss, belief)
-    return filtered, predicted
+    pairs = [(b.mean, b.cov) for b in filtered]
+    return filtered, augmented_predictions(pairs, gauss.A, gauss.Q, np.zeros((len(pairs), 0)))
 
 
 @pytest.mark.parametrize("q", [0.5, 5.0])
 def test_kf_and_rtss_rows_equal_one_trajectory_runs(q):
     """Row b of a lockstep KF/RTSS batch equals trajectory b run alone and
-    the step-by-step reference, with the same gating decisions."""
+    the step-by-step reference, with the same gating decisions: bit for
+    bit its backward_pass, and the full-gain smoother on predictions the
+    library did not compute to 1e-12."""
     cfg = ScenarioConfig(q=q, seed=1, **SWEEP)
     sats = make_constellation(cfg.n_sats, cfg.seed)
     model = scenario_model(cfg, sats)
@@ -905,11 +905,15 @@ def test_kf_and_rtss_rows_equal_one_trajectory_runs(q):
         assert_array_equal(_rtss_rows(alone_pass)[0].positions, rtss[b].positions)
         filtered, predicted = kf_reference(gauss, sats, traj, noise_mean)
         assert_array_equal(kf[b].positions, np.stack([f.mean[:3] for f in filtered]))
-        smoothed = backward_pass(filtered, predicted, gauss)
+        smoothed = backward_pass(filtered, gauss)
         assert_array_equal(rtss[b].positions, np.stack([s.mean[:3] for s in smoothed]))
         assert_array_equal(
             rtss[b].position_covs, np.stack([s.cov[:3, :3] for s in smoothed])
         )
+        ref = backward_pass_augmented([(f.mean, f.cov) for f in filtered], predicted, gauss.A)
+        for s, (mean, cov) in zip(smoothed, ref):
+            assert_allclose(s.mean, mean, rtol=0.0, atol=1e-12)
+            assert_allclose(s.cov, cov, rtol=0.0, atol=1e-12)
 
 
 def sweep_config(**overrides):

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewt_estim.filtering import (
     GaussianBelief,
@@ -20,7 +21,7 @@ from skewt_estim.smoothing import (
     update_lambda,
 )
 
-from reference import backward_pass_augmented, kalman_filter, rts_smooth
+from reference import augmented_predictions, backward_pass_augmented, kalman_filter, rts_smooth
 from test_filtering import random_model, simulate_linear
 
 
@@ -37,24 +38,37 @@ def run_vb(model, ys, cfg):
     [
         (lambda m, ys: forward_pass(m, ys, [np.ones(2), np.zeros(2)]), "lambdas[1] must be positive"),
         (lambda m, ys: forward_pass(m, ys, [np.ones(2), [1.0, -0.5]]), "lambdas[1] must be positive"),
-        (
-            lambda m, ys: backward_pass(forward_pass(m, ys, [np.ones(2)] * 2)[0], [], m),
-            "filtered and predicted sequences must align",
-        ),
+        (lambda m, ys: forward_pass(m, ys, [np.ones(2), [1.0, np.nan]]), "lambdas[1] must be positive"),
+        (lambda m, ys: forward_pass(m, ys, [np.ones(2), [np.inf, 1.0]]), "lambdas[1] must be positive"),
         (
             lambda m, ys: update_lambda(GaussianBelief(np.zeros(3), np.eye(3)), ys[0], m),
             "smoothed belief has dim 3, expected 5",
         ),
     ],
-    ids=["zero-lambda", "negative-lambda", "misaligned-sequences", "belief-dimension"],
+    ids=["zero-lambda", "negative-lambda", "nan-lambda", "inf-lambda", "belief-dimension"],
 )
 def test_smoothing_input_checks(call, message):
-    """forward_pass, backward_pass and update_lambda reject inputs that do
-    not fit the model (3 states, 2 components) with their own message."""
+    """forward_pass and update_lambda reject inputs that do not fit the
+    model (3 states, 2 components) with their own message: a mixing
+    precision must be finite and positive."""
     rng = np.random.default_rng(3)
     model = random_model(rng, 3, 2, delta=1.0, nu=4.0)
     with pytest.raises(ValueError, match=re.escape(message)):
         call(model, simulate_linear(model, rng, 2))
+
+
+def assert_matches_augmented_reference(model, filtered, u_var):
+    """backward_pass of the filtered beliefs equals the full augmented
+    gain (reference.backward_pass_augmented) fed the predictions that
+    reference.augmented_predictions builds from them, with the u
+    variances u_var[k] (K - 1, n_y) of step k + 1."""
+    pairs = [(b.mean, b.cov) for b in filtered]
+    ref = backward_pass_augmented(
+        pairs, augmented_predictions(pairs, model.A, model.Q, u_var), model.A
+    )
+    for got, (mean, cov) in zip(backward_pass(filtered, model), ref):
+        np.testing.assert_allclose(got.mean, mean, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(got.cov, cov, rtol=0.0, atol=1e-12)
 
 
 class TestForwardPass:
@@ -62,19 +76,18 @@ class TestForwardPass:
         rng = np.random.default_rng(31)
         model = random_model(rng, 3, 2, delta=3.0, nu=4.0)
         y = np.array([2.0, -0.7])
-        filtered, predicted = forward_pass(model, [y], [np.ones(2)])
+        filtered = forward_pass(model, [y], [np.ones(2)])
         post, _ = stf_update(
             model, model.prior_belief(), y, VBConfig(max_iterations=1, tol=1e-12)
         )
         np.testing.assert_array_equal(filtered[0].mean[:3], post.mean)
         np.testing.assert_array_equal(filtered[0].cov[:3, :3], post.cov)
-        np.testing.assert_array_equal(predicted[0].mean[:3], model.prior_mean)
 
     def test_reduces_to_kalman_forward(self):
         rng = np.random.default_rng(32)
         model = random_model(rng, 3, 2, delta=0.0, nu=1e8)
         ys = simulate_linear(model, rng, 20)
-        filtered, _ = forward_pass(model, ys, [np.ones(2)] * 20)
+        filtered = forward_pass(model, ys, [np.ones(2)] * 20)
         means, covs, _, _ = kalman_filter(
             model.A, model.Q, model.C, model.R,
             model.prior_mean, model.prior_cov, ys,
@@ -94,13 +107,13 @@ class TestForwardPass:
         rng = np.random.default_rng(33)
         model = random_model(rng, 3, 2, delta=2.0, nu=4.0)
         ys = simulate_linear(model, rng, 5)
-        f_scaled, _ = forward_pass(model, ys, [np.full(2, 4.0)] * 5)
+        f_scaled = forward_pass(model, ys, [np.full(2, 4.0)] * 5)
         rescaled = StateSpaceModel(
             A=model.A, Q=model.Q, C=model.C,
             R=model.R / 4.0, Delta=model.Delta / 2.0, nu=model.nu,
             prior_mean=model.prior_mean, prior_cov=model.prior_cov,
         )
-        f_unit, _ = forward_pass(rescaled, ys, [np.ones(2)] * 5)
+        f_unit = forward_pass(rescaled, ys, [np.ones(2)] * 5)
         for fs, fu in zip(f_scaled, f_unit):
             np.testing.assert_allclose(fs.mean[:3], fu.mean[:3], atol=1e-12)
             np.testing.assert_allclose(
@@ -124,18 +137,16 @@ class TestBackwardPass:
     def test_single_step_is_identity(self):
         rng = np.random.default_rng(35)
         model = random_model(rng, 3, 2, delta=1.0, nu=4.0)
-        filtered, predicted = forward_pass(
-            model, [np.array([0.5, 0.1])], [np.ones(2)]
-        )
-        smoothed = backward_pass(filtered, predicted, model)
+        filtered = forward_pass(model, [np.array([0.5, 0.1])], [np.ones(2)])
+        smoothed = backward_pass(filtered, model)
         assert smoothed[0] is filtered[0]
 
     def test_reduces_to_classical_smoother(self):
         rng = np.random.default_rng(36)
         model = random_model(rng, 3, 2, delta=0.0, nu=1e8)
         ys = simulate_linear(model, rng, 25)
-        filtered, predicted = forward_pass(model, ys, [np.ones(2)] * 25)
-        smoothed = backward_pass(filtered, predicted, model)
+        filtered = forward_pass(model, ys, [np.ones(2)] * 25)
+        smoothed = backward_pass(filtered, model)
         means, covs, pred_means, pred_covs = kalman_filter(
             model.A, model.Q, model.C, model.R,
             model.prior_mean, model.prior_cov, ys,
@@ -154,17 +165,39 @@ class TestBackwardPass:
         rng = np.random.default_rng(38 + n_x)
         model = random_model(rng, n_x, n_y, delta=2.0, nu=4.0)
         ys = simulate_linear(model, rng, 20)
-        lambdas = list(rng.uniform(0.2, 1.5, (20, n_y)))
-        filtered, predicted = forward_pass(model, ys, lambdas)
-        smoothed = backward_pass(filtered, predicted, model)
-        ref = backward_pass_augmented(
-            [(b.mean, b.cov) for b in filtered],
-            [(b.mean, b.cov) for b in predicted],
-            model.A,
-        )
-        for got, (mean, cov) in zip(smoothed, ref):
-            np.testing.assert_allclose(got.mean, mean, rtol=0.0, atol=1e-12)
-            np.testing.assert_allclose(got.cov, cov, rtol=0.0, atol=1e-12)
+        lambdas = rng.uniform(0.2, 1.5, (20, n_y))
+        filtered = forward_pass(model, ys, lambdas)
+        assert_matches_augmented_reference(model, filtered, 1.0 / lambdas[1:])
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_x=st.integers(1, 4),
+        n_y=st.integers(1, 4),
+        n_steps=st.integers(1, 12),
+    )
+    def test_arbitrary_filtered_sequence_matches_augmented_reference(
+        self, seed, n_x, n_y, n_steps
+    ):
+        """backward_pass needs only the filtered beliefs: on random [x; u]
+        sequences that no forward pass produced, with random PSD
+        covariances, a non-identity A and a full Q, it equals the full
+        augmented gain fed predictions built in plain numpy, for any
+        positive u variances, which A_z = blockdiag(A, 0) keeps out of
+        the gain."""
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_x, n_y)
+        n = n_x + n_y
+        roots = rng.standard_normal((n_steps, n, n))
+        filtered = [
+            GaussianBelief(m, c)
+            for m, c in zip(
+                rng.standard_normal((n_steps, n)),
+                roots @ roots.swapaxes(1, 2) / n + 0.05 * np.eye(n),
+            )
+        ]
+        u_var = rng.uniform(0.1, 10.0, (n_steps - 1, n_y))
+        assert_matches_augmented_reference(model, filtered, u_var)
 
     def test_smoothing_reduces_variance_on_scalar_walk(self):
         model = StateSpaceModel(
@@ -173,8 +206,8 @@ class TestBackwardPass:
         )
         rng = np.random.default_rng(37)
         ys = rng.normal(0.0, 2.0, (15, 1))
-        filtered, predicted = forward_pass(model, ys, [np.ones(1)] * 15)
-        smoothed = backward_pass(filtered, predicted, model)
+        filtered = forward_pass(model, ys, [np.ones(1)] * 15)
+        smoothed = backward_pass(filtered, model)
         for k in range(14):
             assert smoothed[k].cov[0, 0] <= filtered[k].cov[0, 0] + 1e-12
 
@@ -268,8 +301,8 @@ class TestSmootherRun:
         ys = simulate_linear(model, rng, 20)
         # One pass at the smoother's final mixing precisions.
         _, _, lambdas, _, _, _ = run_vb(model, ys, VBConfig())
-        filtered, predicted = forward_pass(model, ys, lambdas[0])
-        smoothed = backward_pass(filtered, predicted, model)
+        filtered = forward_pass(model, ys, lambdas[0])
+        smoothed = backward_pass(filtered, model)
         for filt, smth in zip(filtered, smoothed):
             assert np.trace(smth.cov[:3, :3]) <= np.trace(filt.cov[:3, :3]) + 1e-10
 
@@ -281,8 +314,8 @@ class TestSmootherRun:
         _, _, lambdas, _, converged, _ = run_vb(model, ys, cfg)
         assert converged[0]
         # One extra plain outer iteration leaves the mixing weights put.
-        filtered, predicted = forward_pass(model, ys, lambdas[0])
-        smoothed = backward_pass(filtered, predicted, model)
+        filtered = forward_pass(model, ys, lambdas[0])
+        smoothed = backward_pass(filtered, model)
         for k in range(len(ys)):
             fresh = update_lambda(smoothed[k], ys[k], model)
             np.testing.assert_allclose(

@@ -35,10 +35,11 @@ Each line is a name and the first 16 hex digits of the SHA-256 of:
   * library-runs: the outputs of the library's sequence functions on 12
     random linear models of 30 steps at seed 0 (library_runs): every
     field of stf_run's pairs, sts_run's beliefs, iteration count and
-    flag, and the beliefs of kf_gated_run and rtss_gated_run;
+    flag, and the filtered beliefs of kf_gated_run and the smoothed ones
+    of rtss_gated_run;
   * library-passes: the outputs of the smoother's public passes on the
-    same models (library_passes): forward_pass at seeded positive mixing
-    precisions, its filtered and predicted beliefs, and the beliefs of
+    same models (library_passes): the filtered beliefs of forward_pass
+    at seeded positive mixing precisions, and the beliefs of
     backward_pass of them.
 
 Two trees that print the same lines give the same bits on all of these.
@@ -133,8 +134,8 @@ def library_runs(seed: int, n_models: int, n_steps: int) -> list:
     the linear_models(seed, n_models, n_steps).  Per model, in order: each
     step's posterior mean and covariance and every VBStepDiagnostics
     field of stf_run; each smoothed mean and covariance of sts_run, then
-    its iterations and flag; the filtered and predicted means and
-    covariances of kf_gated_run; the smoothed ones of rtss_gated_run."""
+    its iterations and flag; the filtered means and covariances of
+    kf_gated_run; the smoothed ones of rtss_gated_run."""
     arrays = []
     for model, ys in linear_models(seed, n_models, n_steps):
         for post, diag in filtering.stf_run(model, ys):
@@ -142,9 +143,8 @@ def library_runs(seed: int, n_models: int, n_steps: int) -> list:
         track = smoothing.sts_run(model, ys)
         arrays += [a for b in track for a in (b.mean, b.cov)]
         arrays.append(np.array([track.iterations, track.converged]))
-        filtered, predicted = baselines.kf_gated_run(model, ys)
-        smoothed = baselines.rtss_gated_run(model, ys)
-        arrays += [a for b in filtered + predicted + smoothed for a in (b.mean, b.cov)]
+        beliefs = baselines.kf_gated_run(model, ys) + baselines.rtss_gated_run(model, ys)
+        arrays += [a for b in beliefs for a in (b.mean, b.cov)]
     return arrays
 
 
@@ -153,15 +153,15 @@ def library_passes(seed: int, n_models: int, n_steps: int) -> list:
     linear_models(seed, n_models, n_steps), at mixing precisions drawn
     uniformly from [0.1, 2] by default_rng(seed + 1), one (n_steps, n_y)
     draw per model.  Per model, in order: the means and covariances of
-    the filtered and predicted beliefs of forward_pass, then those of
-    backward_pass of them."""
+    the filtered beliefs of forward_pass, then those of backward_pass of
+    them."""
     rng = np.random.default_rng(seed + 1)
     arrays = []
     for model, ys in linear_models(seed, n_models, n_steps):
         lambdas = rng.uniform(0.1, 2.0, (n_steps, model.n_y))
-        filtered, predicted = smoothing.forward_pass(model, ys, lambdas)
-        smoothed = smoothing.backward_pass(filtered, predicted, model)
-        arrays += [a for b in filtered + predicted + smoothed for a in (b.mean, b.cov)]
+        filtered = smoothing.forward_pass(model, ys, lambdas)
+        beliefs = filtered + smoothing.backward_pass(filtered, model)
+        arrays += [a for b in beliefs for a in (b.mean, b.cov)]
     return arrays
 
 
