@@ -28,6 +28,7 @@ from .filtering import (
     GaussianBelief,
     StateSpaceModel,
     _beliefs,
+    _dim,
     _filter_rows,
     _finite,
     _linear_source,
@@ -66,10 +67,12 @@ def kf_gated_update(
     a component is discarded when its normalized innovation squared
     exceeds GATE_THRESHOLD.  `r_matched` holds the matched normal
     variances (diagonal); the caller removes any noise mean offset from y
-    beforehand.  This is the one-row call of _kf_gated_update_rows.  A
-    non-finite y raises NumericalFailureError.
+    beforehand.  The prior has dimension c_mat.shape[1].  This is the
+    one-row call of _kf_gated_update_rows.  A non-finite y raises
+    NumericalFailureError.
     """
     c_mat = np.atleast_2d(np.asarray(c_mat, dtype=float))
+    _dim("prior", prior, c_mat.shape[1])
     r_matched = _vector("r_matched", r_matched, c_mat.shape[0])
     y = _finite(_vector("y", y, c_mat.shape[0]))
     x, p, _ = _kf_gated_update_rows(

@@ -33,7 +33,6 @@ import numpy as np
 
 from ..baselines import _kf_gated_run_rows, _pf_moments, pf_run
 from ..exceptions import EstimationError
-from .._linalg import symmetrize
 from ..filtering import StateSpaceModel, VBConfig, _finite, _stf_run_rows, stf_update
 from ..skewt import SkewTComponent, moment_match, moments, sample_rng
 from ..smoothing import _backward_rows, _sts_run_rows
@@ -91,9 +90,9 @@ class RunRecord:
     # Not in the CSV: str() of the error of a "failed" run, the same as
     # its replication's one-row run raises (the row's outcome in its
     # batch, which went on with the other rows; "sts" linearizes on its
-    # own first forward pass at lambda = 1, so a row failing in the STF no
-    # longer fails its STS); for "sts" the outer VB iterations; for "stf"
-    # and "sts" whether every VB loop converged.
+    # own first forward pass at lambda = 1, so its outcome does not depend
+    # on the STF's); for "sts" the outer VB iterations; for "stf" and
+    # "sts" whether every VB loop converged.
     reason: str = ""
     outer_iterations: int = 0
     converged: bool = True
@@ -188,7 +187,7 @@ def _sts_rows(model, sats, trajs, vb_cfg):
         model, *_pseudorange_source(sats, trajs), vb_cfg
     )
     return [
-        failed.get(b) or EstimatorRun("sts", m, symmetrize(c), np.zeros(0), int(n), bool(ok))
+        failed.get(b) or EstimatorRun("sts", m, c, np.zeros(0), int(n), bool(ok))
         for b, (m, c, n, ok) in enumerate(zip(means[..., :3], covs[..., :3, :3], iters, conv))
     ]
 
@@ -262,14 +261,14 @@ def run_estimator(
     reuses those points in its later passes, so it never runs the STF;
     "rtss" smooths the "kf" pass on the KF's linearization points; "pf"
     seeds its particles from cfg.seed and `replication`.  Each name is
-    the one-row call of the batch run_experiment runs (_lockstep_rows),
-    and raises the EstimationError that fails the trajectory.
+    the one-row call of the batch run_experiment runs (_lockstep_rows):
+    the trajectory's outcome in that batch is its run, or the
+    EstimationError that failed it, which is raised unchanged.
     """
     if name not in KNOWN_ESTIMATORS:
         raise ValueError(f"unknown estimator {name!r}")
     (run,), _ = _lockstep_rows({name}, cfg, sats, [traj], vb_cfg, [replication])[name]
     if isinstance(run, EstimationError):
-        run.row = 0
         raise run
     return run
 
@@ -291,7 +290,7 @@ def _lockstep_rows(names, cfg, sats, trajs, vb_cfg, reps) -> dict:
     runs to its end, even when all its rows fail.  A row that fails in
     "kf" fails in "rtss" with the same error, and the backward pass makes
     no solve for it; a row that fails only in "rtss" keeps its "kf" run.
-    A row that fails in "stf" no longer fails its "sts".  Returns
+    A row's "sts" outcome does not depend on its "stf" one.  Returns
     {estimator: (outcomes, seconds)}: outcomes[b] is the EstimatorRun of
     trajs[b] or the EstimationError that failed it, and seconds the
     family's measured time per row up to that estimator's end ("rtss"'s
@@ -346,8 +345,8 @@ def run_experiment(cfg: ScenarioConfig, out_path=None, timing: bool = False) -> 
     which runs once: "stf", "sts" and "kf" with "rtss" in lockstep, and
     "pf" one row at a time.  "sts" linearizes on its own first forward
     pass at lambda = 1 and never runs the STF, so its records do not
-    depend on whether "stf" is configured, and a replication failing in
-    the STF no longer fails its STS; "rtss" smooths the "kf" pass.  A
+    depend on whether "stf" is configured, nor on the STF's outcome of
+    the same replication; "rtss" smooths the "kf" pass.  A
     replication whose run meets an EstimationError leaves the loop it
     fails in with that error as its outcome, and the other rows go on in
     the same batch, so each record is the one a single-replication run

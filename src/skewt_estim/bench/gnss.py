@@ -233,15 +233,14 @@ def linearize(sats: np.ndarray, nominal: np.ndarray) -> tuple:
     y0 holds the predicted pseudoranges at the nominal state, so that
     y ~= y0 + C (x - nominal).  `nominal` has shape (..., 4); C has shape
     (..., n_sats, 4) and y0 (..., n_sats), and each nominal state of a
-    stack gets exactly its own linearization.  A nominal position within
-    1 m of a satellite raises GeometryError; for a (B, 4) stack its `row`
-    is the first such state.
+    stack gets exactly its own linearization.  It is _linearize_rows with
+    its failures raised: a nominal position within 1 m of a satellite
+    raises that state's GeometryError unchanged, of the lowest such
+    state of a stack.
     """
     c_mat, y0, failed = _linearize_rows(sats, nominal)
     if failed:
-        b = min(failed)
-        failed[b].row = b if np.ndim(nominal) == 2 else None
-        raise failed[b]
+        raise failed[min(failed)]
     return c_mat, y0
 
 

@@ -7,25 +7,23 @@ class EstimationError(Exception):
     A stacked call, on a lockstep stack of rows, does not raise a row's
     error: it returns it as data, beside its outputs, in a dict of the
     failed rows and their errors, and a lockstep loop records each as its
-    row's outcome and goes on with the other rows.  A one-row call raises
-    its row's error: rec_trunc, stf_update, linearize of one nominal
-    state, and the sequence functions (stf_run, sts_run, kf_gated_run,
-    forward_pass, backward_pass and the benchmark's run_estimator), which
-    are one-row calls of lockstep families.
+    row's outcome and goes on with the other rows.  So a failed row is
+    named once, by its key in those outcomes.  A one-row call raises its
+    row's error unchanged: rec_trunc, stf_update, linearize (the error of
+    its lowest failing state), and the sequence functions (stf_run,
+    sts_run, kf_gated_run, forward_pass, backward_pass and the
+    benchmark's run_estimator), which are one-row calls of lockstep
+    families.
 
     `step` is the time step the error arose at, when known; the loop over
-    the steps sets it on the error.  `row` is set only by a one-row raise
-    of a lockstep family, which names row 0, and by linearize of a (B, 4)
-    stack of nominal states, which names its first failing state; it is
-    None otherwise.  str() ends in "(time step k)" once the step is
-    known; the row never shows, so a row's error reads the same at any
-    position of its batch.
+    the steps sets it on the error, and str() then ends in
+    "(time step k)".  So a row's error reads the same at any position of
+    its batch.
     """
 
-    def __init__(self, message, step=None, row=None):
+    def __init__(self, message, step=None):
         super().__init__(message)
         self.step = step
-        self.row = row
 
     def __str__(self):
         text = super().__str__()
@@ -44,10 +42,10 @@ class NumericalFailureError(EstimationError):
     """A numerical step failed: a matrix that must be positive definite is
     not, even after jitter escalation, or an input is not finite."""
 
-    def __init__(self, message, smallest_eigenvalue=None, step=None, row=None):
+    def __init__(self, message, smallest_eigenvalue=None, step=None):
         if smallest_eigenvalue is not None:
             message = f"{message}; smallest eigenvalue {smallest_eigenvalue:.3e}"
-        super().__init__(message, step, row)
+        super().__init__(message, step)
         self.smallest_eigenvalue = smallest_eigenvalue
 
 

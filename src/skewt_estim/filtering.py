@@ -347,6 +347,14 @@ def _vectors(name: str, seq, n: int) -> list:
     return [_vector(f"{name}[{k}]", v, n) for k, v in enumerate(seq)]
 
 
+def _dim(name: str, belief: GaussianBelief, *dims) -> int:
+    """The dimension of belief, checked to be one of dims; the ValueError
+    names it as `name`."""
+    if belief.dim not in dims:
+        raise ValueError(f"{name} has dim {belief.dim}, expected {' or '.join(map(str, dims))}")
+    return belief.dim
+
+
 def _finite(y: np.ndarray, what: str = "measurement"):
     """y, one measurement or a (B, n_y) stack of them, checked to be
     finite; a non-finite entry fails its measurement with
@@ -459,11 +467,10 @@ def _beliefs(mean, cov) -> list:
 
 def _one_row(*out) -> tuple:
     """out without its last item, the outcomes of a lockstep call on one
-    row; if the row failed, its error is raised instead, naming row 0."""
+    row; if the row failed, its error, outcomes[0], is raised unchanged
+    instead."""
     if out[-1]:
-        err = out[-1][0]
-        err.row = 0
-        raise err
+        raise out[-1][0]
     return out[:-1]
 
 
@@ -628,9 +635,9 @@ def _vb_loop(update, args, lam, upper, cfg) -> tuple:
     Each iteration calls update once.  A row leaves the stack, with its
     window, its last x means and args, in one of three ways, so row b is
     bit-equal to the loop run on it alone.  It fails: update fails it,
-    one row raises the error, and a stack records it as the row's outcome
-    and drops the row from what the iteration computed (_drop_rows), so
-    the row's count holds the iterations it completed.  It converges:
+    the loop records the error as the row's outcome (0 for one row) and
+    drops the row from what the iteration computed (_drop_rows), so the
+    row's count holds the iterations it completed.  It converges:
     from the second iteration on, the largest Euclidean change of its x
     means over its steps is below cfg.tol.  Or it reaches
     cfg.max_iterations.  A row's outputs and next lam are written once,
@@ -654,8 +661,9 @@ def _vb_loop(update, args, lam, upper, cfg) -> tuple:
         if not it:
             out = [np.empty(batch + np.shape(o)[len(batch):]) for o in kept]
         if lost:
-            if not batch:
-                raise lost[0]
+            if not batch:  # one row: no row is left
+                failed.update(lost)
+                break
             rows, (image, x, xs, gs, last, *args), kept = _drop_rows(
                 failed, lost, rows, (image, x, xs, gs, last, *args), kept
             )
@@ -699,9 +707,9 @@ def _stf_update_rows(model, x_prior, p_prior, y, c_mat, cfg=VBConfig()) -> tuple
     (..., n) and covariances (..., n, n), the mixing precisions (..., n_y)
     the last update ran with, the psi statistic (..., n_y) of the last
     posterior, the VB iteration counts and the convergence flags, then
-    the outcomes of the rows of a stack (_vb_loop): a dict of each failed
-    row and its error, which the recursion this update runs in owns.  One
-    row raises its error.
+    the outcomes (_vb_loop): a dict of each failed row and its error, 0
+    for one row, which the caller owns: the recursion this update runs
+    in, or the one-row call stf_update, which raises it.
     """
     n_x = x_prior.shape[-1]
 
@@ -722,10 +730,10 @@ def _stf_update_rows(model, x_prior, p_prior, y, c_mat, cfg=VBConfig()) -> tuple
 
 def _stf_pair(model, mean, cov, lam, psi, iterations, converged) -> tuple:
     """The (GaussianBelief, VBStepDiagnostics) of one row's outputs of
-    _stf_update_rows: the x marginal of the augmented posterior and the
-    loop diagnostics."""
+    _stf_update_rows: the x marginal of the augmented posterior, exactly
+    symmetric as the truncation leaves it, and the loop diagnostics."""
     n_x = model.n_x
-    belief = GaussianBelief(mean[:n_x], symmetrize(cov[:n_x, :n_x]))
+    belief = GaussianBelief(mean[:n_x], cov[:n_x, :n_x])
     diag = VBStepDiagnostics(
         iterations=int(iterations),
         lambda_diag=lam,
@@ -751,13 +759,14 @@ def stf_update(
     from unit precisions, until the state mean stabilizes.  The precision
     sequence is Anderson-extrapolated, which speeds up the approach to the
     same stationary point without changing it.  Returns the normal
-    approximation of the x marginal and the loop diagnostics.  A
-    non-finite y raises NumericalFailureError.
+    approximation of the x marginal and the loop diagnostics.  It is the
+    one-row call of _stf_update_rows: a failed update raises its error
+    unchanged (_one_row), and a non-finite y raises NumericalFailureError.
     """
     y = _finite(_vector("y", y, model.n_y))
-    if prior.dim != model.n_x:
-        raise ValueError(f"prior dimension {prior.dim} != n_x {model.n_x}")
-    return _stf_pair(model, *_stf_update_rows(model, prior.mean, prior.cov, y, model.C, cfg)[:-1])
+    _dim("prior", prior, model.n_x)
+    out = _one_row(*_stf_update_rows(model, prior.mean, prior.cov, y, model.C, cfg))
+    return _stf_pair(model, *out)
 
 
 def _stf_run_rows(model: StateSpaceModel, n_rows: int, n_steps: int, measure, cfg) -> list:
@@ -768,9 +777,9 @@ def _stf_run_rows(model: StateSpaceModel, n_rows: int, n_steps: int, measure, cf
     outputs (the augmented posterior means and covariances, the mixing
     precisions, psi, the VB iteration counts and the convergence flags),
     then the outcomes (_filter_rows).  Each row is bit-equal to the same
-    trajectory filtered alone.  The augmented
-    covariances come out of the truncation exactly symmetric, so the time
-    update reads their x block as the symmetrized one stf_update returns.
+    trajectory filtered alone.  The augmented covariances come out of the
+    truncation exactly symmetric, and the time update reads their x block
+    as stf_update returns it.
     """
 
     def update(x, p, c_mat, y):

@@ -46,6 +46,7 @@ from .filtering import (
     VBConfig,
     _augmented_update,
     _beliefs,
+    _dim,
     _filter_rows,
     _finite,
     _linear_source,
@@ -208,10 +209,13 @@ def backward_pass(filtered, model: StateSpaceModel) -> list:
     and P = A Z_f[:n_x, :n_x] A^T + Q is computed here from the filtered
     beliefs.  This is the classical RTS recursion, and beliefs with no
     u-block get exactly that: baselines.rtss_gated_run smooths through it
-    as well.
+    as well.  The beliefs are of one dimension, n_x or n_x + n_y.
     """
     if not filtered:
         return []
+    dim = _dim("filtered[0]", filtered[0], model.n_x, model.n_x + model.n_y)
+    for k, b in enumerate(filtered):
+        _dim(f"filtered[{k}]", b, dim)
     s_mean, s_cov = _one_row(*_backward_rows(
         np.stack([b.mean for b in filtered])[None],
         np.stack([b.cov for b in filtered])[None],
@@ -235,12 +239,8 @@ def update_lambda(
 ) -> np.ndarray:
     """Refreshed mixing-precision diagonal from one smoothed augmented
     belief.  A non-finite y raises NumericalFailureError."""
-    n_x, n_y = model.n_x, model.n_y
-    y = _finite(_vector("y", y, n_y))
-    if smoothed.dim != n_x + n_y:
-        raise ValueError(
-            f"smoothed belief has dim {smoothed.dim}, expected {n_x + n_y}"
-        )
+    y = _finite(_vector("y", y, model.n_y))
+    _dim("smoothed belief", smoothed, model.n_x + model.n_y)
     cz = _stack_cz(model.C, model.Delta)
     return _lambda_rows(smoothed.mean, smoothed.cov, y, cz, model)
 
@@ -259,10 +259,7 @@ def sts_run(model: StateSpaceModel, ys, cfg: VBConfig = VBConfig()) -> SmoothedT
     s_mean, s_cov, _, iterations, converged = _one_row(*result)
     n_x = model.n_x
     return SmoothedTrack(
-        [
-            GaussianBelief(m[:n_x], symmetrize(c[:n_x, :n_x]))
-            for m, c in zip(s_mean[0], s_cov[0])
-        ],
+        [GaussianBelief(m[:n_x], c[:n_x, :n_x]) for m, c in zip(s_mean[0], s_cov[0])],
         int(iterations[0]),
         bool(converged[0]),
     )

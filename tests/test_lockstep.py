@@ -580,8 +580,8 @@ class TestStackedKernels:
         """A negative mixing precision in one row makes that row's
         innovation covariance indefinite at step 3 of a 4-row batch: the
         pass returns the solve's error as the outcome of row 2, with its
-        step; the stack of that row alone, a one-row call, raises it,
-        naming row 0."""
+        step; the stack of that row alone returns it as outcome 0, and its
+        one-row call raises it unchanged."""
         rng = np.random.default_rng(11)
         n_rows, n_steps, n_x, n_y = 4, 5, 3, 4
         model = StateSpaceModel(
@@ -606,14 +606,16 @@ class TestStackedKernels:
         assert list(lone) == [0] and str(lone[0]) == str(err)
         with pytest.raises(NumericalFailureError) as info:
             filtering._one_row(*_forward_rows(model, ys[2:3], lambdas[2:3], c_seq[2:3], cz[2:3]))
-        assert (info.value.row, str(info.value)) == (0, str(err))
+        assert (info.value.step, str(info.value)) == (3, str(err))
 
     def test_vb_loop_names_the_input_row_of_a_failure(self):
         """Rows 0 and 2 converge at the second iteration; at the third the
         update fails row 1 of the two rows left, which is input row 3.  The
         error is the outcome of input row 3, which completed two
         iterations, and the loop goes on with input row 1 alone: each
-        iteration calls the update once.  One row raises the error."""
+        iteration calls the update once.  One row fails at the third
+        update too: the loop records the error as outcome 0, with the two
+        iterations it completed, and stops."""
         calls = []
 
         def update(ids, lam):
@@ -633,9 +635,9 @@ class TestStackedKernels:
         assert isinstance(failed[3], NumericalFailureError) and str(failed[3]) == "injected"
         assert iterations.tolist() == [2, VBConfig().max_iterations, 2, 2]
         calls.clear()
-        with pytest.raises(NumericalFailureError) as info:
-            _vb_loop(update, (np.array(1.0),), np.ones(2), 10.0, VBConfig())
-        assert info.value.row is None
+        *_, iterations, _, lone = _vb_loop(update, (np.array(1.0),), np.ones(2), 10.0, VBConfig())
+        assert list(lone) == [0] and str(lone[0]) == "injected"
+        assert int(iterations) == 2
         assert len(calls) == 3
 
     def test_vb_loop_fails_the_rows_of_a_nested_loop_at_once(self):
@@ -713,18 +715,18 @@ class TestStackedKernels:
     ],
     ids=["stf_run", "sts_run", "kf_gated_run", "rtss_gated_run", "forward_pass"],
 )
-def test_sequence_function_error_names_row_0(run):
+def test_sequence_function_error_names_the_step(run):
     """The linear sequence functions are one-row calls of the forward
     recursion on the linear model's source, which owns the check of its
     measurements: a non-finite measurement at step 2 raises one message
-    that names step 2 and row 0, and str() shows only the step."""
+    that names step 2."""
     rng = np.random.default_rng(0)
     model = random_model(rng, 3, 2, delta=2.0, nu=4.0)
     ys = simulate_linear(model, rng, 5)
     ys[2, 0] = np.nan
     with pytest.raises(NumericalFailureError) as info:
         run(model, ys)
-    assert (info.value.step, info.value.row) == (2, 0)
+    assert info.value.step == 2
     assert str(info.value) == "measurement is not finite (time step 2)"
 
 
@@ -733,7 +735,7 @@ def test_sequence_function_error_names_row_0(run):
 def test_one_step_update_rejects_non_finite_measurement(update, value):
     """The one-step updates check their measurement as the sources do:
     a non-finite entry raises NumericalFailureError("measurement is not
-    finite"), naming no step and no row."""
+    finite"), naming no step."""
     model = random_model(np.random.default_rng(0), 3, 2, delta=2.0, nu=4.0)
     y = np.array([0.5, value])
     n_z = model.n_x + model.n_y
@@ -745,7 +747,38 @@ def test_one_step_update_rejects_non_finite_measurement(update, value):
     with pytest.raises(NumericalFailureError) as info:
         calls[update]()
     assert str(info.value) == "measurement is not finite"
-    assert (info.value.step, info.value.row) == (None, None)
+    assert info.value.step is None
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("2-dim beliefs", "filtered[0] has dim 2, expected 3 or 5"),
+        ("mixed beliefs", "filtered[1] has dim 5, expected 3"),
+        ("4-dim beliefs", "filtered[0] has dim 4, expected 3 or 5"),
+        ("2-dim KF prior", "prior has dim 2, expected 3"),
+    ],
+    ids=["2-dim", "mixed", "4-dim", "kf-2-dim"],
+)
+def test_public_boundaries_check_belief_dims(case, message):
+    """backward_pass takes beliefs of one dimension, n_x or n_x + n_y, and
+    kf_gated_update a prior of dimension c_mat.shape[1], checked as
+    stf_update and update_lambda check theirs (filtering._dim): a belief
+    of another dimension raises a ValueError that names the argument."""
+    model = random_model(np.random.default_rng(0), 3, 2)
+
+    def belief(n):
+        return GaussianBelief(np.zeros(n), np.eye(n))
+
+    calls = {
+        "2-dim beliefs": lambda: backward_pass([belief(2)] * 3, model),
+        "mixed beliefs": lambda: backward_pass([belief(3), belief(5), belief(3)], model),
+        "4-dim beliefs": lambda: backward_pass([belief(4)] * 3, model),
+        "2-dim KF prior": lambda: kf_gated_update(model.C, model.R, belief(2), np.zeros(2)),
+    }
+    with pytest.raises(ValueError) as info:
+        calls[case]()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -921,6 +954,38 @@ def sweep_config(**overrides):
                 estimators=("stf", "sts"), name="lockstep")
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+@pytest.mark.parametrize(
+    "overrides, lost",
+    [
+        (dict(q=5.0, nu=4.0, n_mc=8, seed=1), ([], [])),
+        (dict(q=0.5, nu=0.02, n_mc=8, seed=1), (list(range(8)), list(range(8)))),
+        (dict(q=5.0, nu=0.05, n_mc=12, seed=2), ([], [7, 11])),
+    ],
+    ids=["q5", "nu0.02", "nu0.05"],
+)
+def test_family_covariances_are_exactly_symmetric(overrides, lost):
+    """The truncation kernels and the backward recursion leave every
+    covariance exactly symmetric, so no boundary re-symmetrizes one
+    (filtering._stf_pair, sts_run, experiments._sts_rows).  On a q=5 sweep
+    and the two failing sweeps of tools/bitcheck.py's records-failing
+    digest (every row of the nu=0.02 one fails, and STS rows 7 and 11 of
+    the nu=0.05 one), each covariance of an ok row of _stf_run_rows and
+    _sts_run_rows equals its transpose bit for bit."""
+    cfg = sweep_config(K=100, **overrides)
+    sats = make_constellation(cfg.n_sats, cfg.seed)
+    model = scenario_model(cfg, sats)
+    with np.errstate(all="ignore"):
+        trajs = [simulate(cfg, rep) for rep in range(cfg.n_mc)]
+        runs = [
+            family(model, *experiments._pseudorange_source(sats, trajs), VBConfig())
+            for family in (filtering._stf_run_rows, _sts_run_rows)
+        ]
+    assert [sorted(run[-1]) for run in runs] == list(lost)
+    for _, cov, *_, failed in runs:
+        ok = np.setdiff1d(np.arange(cfg.n_mc), list(failed))
+        assert np.array_equal(cov[ok], cov[ok].swapaxes(-1, -2))
 
 
 def timeless(records):
