@@ -20,8 +20,11 @@ def solve_spd(s: np.ndarray, b: np.ndarray, what: str = "matrix") -> np.ndarray:
 
     Calls LAPACK potrf/potrs (upper factor) directly.  Escalating diagonal
     jitter (1e-12 then 1e-9 times the mean diagonal) is added if the
-    Cholesky factorization fails; after that a NumericalFailureError
-    carrying the smallest eigenvalue of s is raised.
+    Cholesky factorization fails; after that a NumericalFailureError is
+    raised, naming a non-finite s as such and otherwise carrying the
+    smallest eigenvalue of s.  Finiteness is checked only then, so a
+    non-finite s that LAPACK factors, such as [[nan, 0], [0, 1]], gives
+    a non-finite solution with no error.
     """
     mat = s
     for level in _JITTER_LEVELS:
@@ -32,6 +35,8 @@ def solve_spd(s: np.ndarray, b: np.ndarray, what: str = "matrix") -> np.ndarray:
         c, info = dpotrf(mat, clean=0)
         if info == 0:
             return dpotrs(c, b)[0]
+    if not np.isfinite(s).all():
+        raise NumericalFailureError(f"{what} is not finite")
     raise NumericalFailureError(
         f"{what} is not positive definite",
         smallest_eigenvalue=float(np.linalg.eigvalsh(symmetrize(s)).min()),

@@ -78,7 +78,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaussianBelief:
-    """Mean and symmetric PSD covariance of a normal belief."""
+    """Mean and covariance of a normal belief.
+
+    Checks that mean is a vector and cov a matching square matrix,
+    symmetric to 1e-12 of its largest entry (at least 1).  It does not
+    check that cov is positive semidefinite: an eigen check would cost on
+    every belief, and a covariance that is not fails where it is factored
+    (solve_spd) or truncated.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
@@ -518,10 +525,12 @@ def _lambda_update(cpc, zct, cz, z_prior_mean, z_prior_cov, innovation, delta, r
     gain solve, the posterior and its truncation.  The first six
     arguments are _prior_terms, which it does not modify; returns the
     truncated posterior mean and covariance, then the rows it failed, as
-    _augmented_update does.  A row whose gain solve fails takes a zero
-    gain, and a row whose truncation fails is zeroed (_rec_trunc_rows;
-    one row, or the row of a stack of one, here), so every output stays
-    finite; the rows failed, by their first error, come last."""
+    _augmented_update does.  A row whose gain solve fails holds no
+    posterior: its mean and covariance are zeroed, which its truncation
+    then fails.  A row whose truncation fails is zeroed too
+    (_rec_trunc_rows; one row, or the row of a stack of one, here), so
+    every output stays finite and nothing is computed from an unsolved
+    posterior; the rows failed, by their first error, come last."""
     batch = lam.shape[:-1]
     n_y = lam.shape[-1]
     n_x = z_prior_mean.shape[-1] - n_y
@@ -545,6 +554,9 @@ def _lambda_update(cpc, zct, cz, z_prior_mean, z_prior_cov, innovation, delta, r
 
     z_mean = z_prior_mean + (gain @ innovation[..., None])[..., 0]
     z_cov = z_prior_cov - gain @ (cz @ z_prior_cov)  # truncation symmetrizes it
+    if failed:
+        z_mean.reshape(-1, z_mean.shape[-1])[list(failed)] = 0.0
+        z_cov.reshape((-1,) + z_cov.shape[-2:])[list(failed)] = 0.0
     truncated = range(n_x, n_x + n_y)
     if batch and batch[0] != 1:
         *post, lost = _rec_trunc_rows(z_mean, z_cov, truncated)

@@ -17,6 +17,14 @@ row as rec_trunc or a stack of rows as _rec_trunc_rows; rec_trunc checks
 its input, then runs the private one-row kernel _rec_trunc_row, which the
 filter's update calls directly on moments it owns.
 
+A step fails a remaining direction as degenerate, with a
+DegenerateDirectionError naming the direction, its variance and its
+tolerance, when its variance is at most 1e-14 times its own variance at
+the kernel's input, which a variance of zero or less always is.  The
+rule is scale-free per direction, so a large variance elsewhere (a
+down-weighted component's 1/lambda) fails no healthy direction, and a
+remaining direction that a downdate collapses fails at the next step.
+
 The seeded sampling oracle tmnd_oracle gives independent reference
 moments for testing and benchmarking: the empirical moments of exact iid
 draws by Botev's minimax tilting (Botev 2017, JRSS-B 79(1)), one
@@ -67,15 +75,21 @@ def hazard(xi: float) -> tuple:
     return eps, min(max(xi * eps + eps * eps, 0.0), 1.0), False
 
 
-def _greedy_index(mu: list, var: list, left: list) -> int:
+def _greedy_index(mu: list, var: list, tol: list, left: list) -> int:
     """Index in the ascending list `left` with the smallest
     mu[i] / sqrt(var[i]), on Python floats: lowest on ties, and the first
-    NaN wins (np.argmin's rule)."""
+    NaN wins (np.argmin's rule).  The first i in left whose variance is at
+    most its tolerance tol[i] (1e-14 times its variance at the kernel's
+    input, which a variance of zero or less always is) raises
+    DegenerateDirectionError; a NaN variance passes, and hazard reports
+    its NaN distance."""
     best, k = 0.0, -1
     for i in left:
         v = var[i]
-        if v <= 0.0:
-            raise DegenerateDirectionError("nonpositive variance in remaining directions")
+        if v <= tol[i]:
+            raise DegenerateDirectionError(
+                f"direction {i} has variance {v:.3e} <= tolerance {tol[i]:.3e}"
+            )
         r = mu[i] / math.sqrt(v)
         if k < 0 or r < best or (r != r and best == best):
             best, k = r, i
@@ -114,7 +128,8 @@ def select_next(mean, cov, remaining: Iterable[int]) -> int:
     left = _indices(remaining, mean.size)
     if not left:
         raise ValueError("remaining index set is empty")
-    return _greedy_index(mean.tolist(), cov.diagonal().tolist(), left)
+    diag = cov.diagonal()
+    return _greedy_index(mean.tolist(), diag.tolist(), (1e-14 * diag).tolist(), left)
 
 
 def rec_trunc(mean, cov, truncated: Iterable[int]) -> tuple:
@@ -144,36 +159,22 @@ def _rec_trunc_row(mean: np.ndarray, cov: np.ndarray, todo) -> tuple:
 
     todo holds the truncated indices, distinct, ascending and in range:
     rec_trunc checks them, and the filter's update passes range(n_x, n).
-    Each step picks k by _greedy_index on Python floats, then applies
-    z_k >= 0: the mean moves along row k, which is column k, and cov takes
-    the rank-one downdate (c / var) (col col^T) through one (n, n) buffer,
-    which keeps it exactly symmetric.  An error is rec_trunc's, with its
-    message.
+    Each step picks k by _greedy_index on Python floats, against the
+    tolerances 1e-14 times the input diagonal, then applies z_k >= 0: the
+    mean moves along row k, which is column k, and cov takes the rank-one
+    downdate (c / var) (col col^T) through one (n, n) buffer, which keeps
+    it exactly symmetric.  An error is rec_trunc's, with its message.
     """
     diag = cov.diagonal()
-    tol0 = 1e-14 * float(cov.trace())
+    tol = (1e-14 * diag).tolist()
     buf = np.empty(cov.shape)
     left = list(todo)
     for _ in todo:
         mu, var = mean.tolist(), diag.tolist()
-        k = _greedy_index(mu, var, left)
+        k = _greedy_index(mu, var, tol, left)
         left.remove(k)
         var_k = var[k]
-        if var_k <= tol0:
-            # Above tol0 the check against the current trace cannot fail:
-            # each downdate subtracts fl(c * col_i**2) >= 0 (c in [0, 1])
-            # from a diagonal entry, rounded subtraction of a non-negative
-            # number never increases a value, and a rounded sum is monotone
-            # in each term, so no later trace exceeds the first (a NaN one
-            # never raises).
-            tol = 1e-14 * float(cov.trace())
-            if var_k <= tol:
-                raise DegenerateDirectionError(
-                    f"direction {k} has variance {var_k:.3e} <= tolerance {tol:.3e}"
-                )
-        # _greedy_index let only a positive or NaN variance through; a NaN
-        # one gives a NaN distance, which hazard reports.
-        sd = math.sqrt(var_k)
+        sd = math.sqrt(var_k)  # a NaN variance: hazard reports the NaN distance
         mean_coeff, cov_coeff, _ = hazard(float(mu[k] / sd))
         col = cov[k]  # a view, read in full before cov is updated
         mean += (mean_coeff / sd) * col
@@ -195,8 +196,11 @@ def _rec_trunc_rows(mean: np.ndarray, cov: np.ndarray, truncated) -> tuple:
     rec_trunc raises on it, which _rec_trunc_row, run on its input, gives.
     Returns (mean, cov, failed), failed mapping each failed row to that
     error, empty when no row fails.  The covariances are exactly
-    symmetric, which lets row k stand for column k.  For a single row
-    rec_trunc itself is faster.
+    symmetric, which lets row k stand for column k.  One (B, n) array
+    holds the tolerances of _rec_trunc_row for the remaining directions
+    and -inf for the others, a truncated direction or a failed row's, so
+    one comparison per step finds the rows that _greedy_index fails.  For
+    a single row rec_trunc itself is faster.
     """
     n = mean.shape[1]
     todo = _indices(truncated, n)
@@ -206,7 +210,7 @@ def _rec_trunc_rows(mean: np.ndarray, cov: np.ndarray, truncated) -> tuple:
     active[:, todo] = True
     diag = cov.diagonal(axis1=1, axis2=2)
     base = np.arange(mean.shape[0]) * n
-    tol0 = 1e-14 * cov.trace(axis1=1, axis2=2)
+    tol = np.where(active, 1e-14 * diag, -np.inf)
 
     def fail(bad):
         for b in np.flatnonzero(bad):
@@ -214,12 +218,12 @@ def _rec_trunc_rows(mean: np.ndarray, cov: np.ndarray, truncated) -> tuple:
                 _rec_trunc_row(given[0][b].copy(), symmetrize(given[1][b]), todo)
             except EstimationError as err:
                 failed[int(b)] = err
-        mean[bad], cov[bad], active[bad] = 0.0, 0.0, False
+        mean[bad], cov[bad], active[bad], tol[bad] = 0.0, 0.0, False, -np.inf
 
     for _ in todo:
         var = np.where(active, diag, 1.0)
-        if np.count_nonzero(var <= 0.0):
-            fail((var <= 0.0).any(1))
+        if np.count_nonzero(var <= tol):
+            fail((var <= tol).any(1))
             var = np.where(active, diag, 1.0)
         k = np.where(active, mean / np.sqrt(var), np.inf).argmin(axis=1)
         flat = base + k
@@ -230,15 +234,9 @@ def _rec_trunc_rows(mean: np.ndarray, cov: np.ndarray, truncated) -> tuple:
             k = np.where(active.take(flat), k, active.argmax(axis=1))
             flat = base + k
         active.put(flat, False)
+        tol.put(flat, -np.inf)
 
         var_k = var.take(flat)
-        if np.count_nonzero(var_k <= tol0):
-            # The traces only fall (see _rec_trunc_row), so only these rows
-            # can fail against their current trace.
-            bad = var_k <= 1e-14 * cov.trace(axis1=1, axis2=2)
-            if np.count_nonzero(bad):
-                fail(bad)
-                var_k[bad] = 1.0
         sd = np.sqrt(var_k)
         xi = mean.take(flat) / sd
         if np.count_nonzero(np.isfinite(xi)) < len(base):

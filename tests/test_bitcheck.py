@@ -3,6 +3,7 @@ These tests pin what each digest covers, on tiny configurations."""
 
 import hashlib
 import importlib.util
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -143,17 +144,23 @@ def test_library_passes_digest_is_of_the_smoother_passes(tool):
 
 
 def test_records_failing_digest_is_of_the_failing_sweeps(tool):
-    """records-failing covers the records of both failing sweeps as one
-    list, in order: every record of the nu=0.02 sweep fails, and two STS
-    records of the nu=0.05 one, at steps 77 and 43, on the variance
-    tolerance of the truncation."""
+    """records-failing covers the records of both heavy-tail sweeps as one
+    list, in order: every record of the nu=0.02 sweep fails, 7 STF and 5
+    STS ones on a NaN truncation distance and the others on a pseudorange
+    that is not finite, and every record of the nu=0.05 one is ok."""
     cfgs = tool.failing_configs()
     with np.errstate(all="ignore"):
         runs = [[replace(r, wall_time=0.0) for r in bench.run_experiment(cfg)] for cfg in cfgs]
         digest = tool.records_digest(*cfgs)
     assert [r.status for r in runs[0]] == ["failed"] * 16
-    failed = [(r.estimator, r.replication, r.reason) for r in runs[1] if r.status == "failed"]
-    assert [(est, rep) for est, rep, _ in failed] == [("sts", 7), ("sts", 11)]
-    assert [reason.split(" (")[-1] for *_, reason in failed] == ["time step 77)", "time step 43)"]
-    assert all("<= tolerance" in reason for *_, reason in failed)
+    reasons = Counter((r.estimator, r.reason.split(" (")[0]) for r in runs[0])
+    nan_distance = "truncation distance is not finite, got nan"
+    inf_range = "pseudorange is not finite"
+    assert reasons == {
+        ("stf", nan_distance): 7,
+        ("stf", inf_range): 1,
+        ("sts", nan_distance): 5,
+        ("sts", inf_range): 3,
+    }
+    assert [r.status for r in runs[1]] == ["ok"] * 24
     assert digest == hashlib.sha256(repr(runs[0] + runs[1]).encode()).hexdigest()[:16]

@@ -119,6 +119,8 @@ class TestMeasurementUpdate:
         oracle_mean = float(w @ xs)
         assert post.mean[0] == pytest.approx(oracle_mean, abs=0.05)
 
+    # The unsolved row's posterior is zeroed, so nothing divides by zero.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_innovation_not_positive_definite(self):
         model = StateSpaceModel(
             A=[[1.0]], Q=[[0.0]], C=[[1.0]], R=[1.0], Delta=[0.0], nu=[4.0],

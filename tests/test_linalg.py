@@ -45,3 +45,20 @@ class TestSolveSpd:
         with pytest.raises(NumericalFailureError, match="innovation") as info:
             solve_spd(s, np.ones(2), what="innovation covariance")
         assert info.value.smallest_eigenvalue == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            [[1.0, np.inf], [np.inf, 1.0]],
+            [[-np.inf, 0.0], [0.0, 1.0]],
+            # numpy's eigvalsh raises an untyped "did not converge" on it.
+            [[1.0, 2.0, np.nan], [2.0, 1.0, 0.0], [np.nan, 0.0, 1.0]],
+        ],
+        ids=["inf", "minus_inf", "nan"],
+    )
+    def test_non_finite_failure_is_typed_without_eigenvalue(self, s):
+        s = np.array(s)
+        with pytest.raises(NumericalFailureError) as info:
+            solve_spd(s, np.ones(len(s)), what="innovation covariance")
+        assert str(info.value) == "innovation covariance is not finite"
+        assert info.value.smallest_eigenvalue is None

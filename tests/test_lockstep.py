@@ -74,7 +74,7 @@ from test_filtering import random_model, simulate_linear
 
 
 # The three checks of a truncation step that fail a row.
-CHECKS = ("nonpositive variance", "variance under tolerance", "non-finite distance")
+CHECKS = ("nonpositive variance", "collapsed by a downdate", "non-finite distance")
 
 
 @st.composite
@@ -84,11 +84,13 @@ def truncation_stacks(draw):
     Standardized means reach down into the xi < -37 branch; optionally
     row 0 starts there for certain.  Some rows are made to fail one check
     each, at a truncated direction k: "nonpositive variance" zeroes row
-    and column k; "variance under tolerance" leaves k uncorrelated with
-    variance 1e-20 and mean -1, so that it is truncated first, below
-    1e-14 times the trace; "non-finite distance" sets the mean of k to
-    NaN or -inf (truncated first) or +inf (truncated last), or its
-    variance to NaN (truncated first).  Returns the moments, the
+    and column k; "collapsed by a downdate" makes k a copy of another
+    truncated direction j and sets j's mean 50 standard deviations below
+    zero, so that the first of the two is truncated in the xi < -37
+    limit and takes the other's variance to at most 1e-14 of its own;
+    "non-finite distance" sets the mean of k to NaN or -inf (truncated
+    first) or +inf (truncated last), or its variance to NaN (truncated
+    first).  Returns the moments, the
     truncated set and the failing rows' checks by row.
     """
     n_rows = draw(st.integers(1, 8))
@@ -102,12 +104,17 @@ def truncation_stacks(draw):
     if draw(st.booleans()):
         ratios[0, truncated[0]] = -39.0
     mean = ratios * np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
-    # One direction's variance is under 1e-14 times the trace only beside another.
-    checks = CHECKS if dim > 1 else CHECKS[::2]
+    # A downdate collapses a direction only after another is truncated.
+    checks = CHECKS if len(truncated) > 1 else CHECKS[::2]
     failing = draw(st.dictionaries(st.integers(0, n_rows - 1), st.sampled_from(checks)))
     for b, check in failing.items():
         k = draw(st.sampled_from(truncated))
-        if check == "non-finite distance":
+        if check == "collapsed by a downdate":
+            j = draw(st.sampled_from([i for i in truncated if i != k]))
+            cov[b, k] = cov[b, j]
+            cov[b, :, k] = cov[b, :, j]
+            mean[b, j] = -50.0 * np.sqrt(cov[b, j, j])
+        elif check == "non-finite distance":
             value = draw(st.sampled_from([np.nan, -np.inf, np.inf, None]))
             if value is None:
                 cov[b, k, k] = np.nan
@@ -115,8 +122,6 @@ def truncation_stacks(draw):
                 mean[b, k] = value
         else:
             cov[b, k, :] = cov[b, :, k] = 0.0
-            if check == "variance under tolerance":
-                cov[b, k, k], mean[b, k] = 1e-20, -1.0
     return mean, cov, truncated, failing
 
 
@@ -961,7 +966,7 @@ def sweep_config(**overrides):
     [
         (dict(q=5.0, nu=4.0, n_mc=8, seed=1), ([], [])),
         (dict(q=0.5, nu=0.02, n_mc=8, seed=1), (list(range(8)), list(range(8)))),
-        (dict(q=5.0, nu=0.05, n_mc=12, seed=2), ([], [7, 11])),
+        (dict(q=5.0, nu=0.05, n_mc=12, seed=2), ([], [])),
     ],
     ids=["q5", "nu0.02", "nu0.05"],
 )
@@ -969,10 +974,10 @@ def test_family_covariances_are_exactly_symmetric(overrides, lost):
     """The truncation kernels and the backward recursion leave every
     covariance exactly symmetric, so no boundary re-symmetrizes one
     (filtering._stf_pair, sts_run, experiments._sts_rows).  On a q=5 sweep
-    and the two failing sweeps of tools/bitcheck.py's records-failing
-    digest (every row of the nu=0.02 one fails, and STS rows 7 and 11 of
-    the nu=0.05 one), each covariance of an ok row of _stf_run_rows and
-    _sts_run_rows equals its transpose bit for bit."""
+    and the two heavy-tail sweeps of tools/bitcheck.py's records-failing
+    digest (every row of the nu=0.02 one fails, and none of the nu=0.05
+    one), each covariance of an ok row of _stf_run_rows and _sts_run_rows
+    equals its transpose bit for bit."""
     cfg = sweep_config(K=100, **overrides)
     sats = make_constellation(cfg.n_sats, cfg.seed)
     model = scenario_model(cfg, sats)

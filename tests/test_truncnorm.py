@@ -113,9 +113,17 @@ class TestTruncateOnce:
         with pytest.raises(ValueError, match="out of range for dim 2"):
             rec_trunc(np.zeros(2), np.eye(2), [k])
 
-    def test_degenerate_direction_rejected(self):
-        with pytest.raises(DegenerateDirectionError):
-            rec_trunc([0.0, 0.0], np.diag([1.0, 1e-16]), [1])
+    @pytest.mark.parametrize(
+        "var, msg",
+        [
+            (0.0, "direction 1 has variance 0.000e+00 <= tolerance 0.000e+00"),
+            (-1e-16, "direction 1 has variance -1.000e-16 <= tolerance -1.000e-30"),
+        ],
+    )
+    def test_degenerate_direction_rejected(self, var, msg):
+        """A nonpositive variance is at most 1e-14 times itself."""
+        with pytest.raises(DegenerateDirectionError, match=re.escape(msg)):
+            rec_trunc([0.0, 0.0], np.diag([1.0, var]), [1])
 
 
 class TestSelectNext:
@@ -257,18 +265,20 @@ class TestRecTrunc:
 
 
 class TestScalarLoop:
-    """rec_trunc's order and coefficients run on Python floats, with the
-    degeneracy tolerance of the first step's trace checked against the
-    current trace only when a variance falls below it."""
+    """rec_trunc's order and coefficients run on Python floats, with each
+    remaining direction's variance checked at every step against 1e-14
+    times its own variance at the input."""
 
-    # Step one truncates z_0 deep in the tail, which zeroes its variance
-    # and drops the trace from 1e6 + 1e-9 to 1e-9: then 1e-14 * trace <
-    # var_1 = 1e-9 <= 1e-14 times the first trace.
-    SHRINKING = (np.array([-4e4, 0.0]), np.diag([1e6, 1e-9]))
+    # var_1 = 1e-9 is 1e-15 of the trace, and step one, deep in z_0's
+    # tail, zeroes var_0.
+    SMALL_BESIDE_LARGE = (np.array([-4e4, 0.0]), np.diag([1e6, 1e-9]))
+    # z_0 is healthy beside a variance of 1e40 that dominates the trace.
+    HEALTHY_BESIDE_HUGE = (np.array([-1.0, 0.0]), np.diag([1.0, 1e40]))
 
+    @pytest.mark.parametrize("case", ["SMALL_BESIDE_LARGE", "HEALTHY_BESIDE_HUGE"])
     @pytest.mark.parametrize("order", ["greedy", (0, 1)])
-    def test_variance_under_first_tolerance_only_is_truncated(self, order):
-        mean, cov = self.SHRINKING
+    def test_small_variance_beside_large_one_is_truncated(self, case, order):
+        mean, cov = getattr(self, case)
         out_mean, out_cov = truncate_in(order, mean, cov, [0, 1])
         ref_mean, ref_cov = rec_trunc_stepwise(mean, cov, [0, 1], order)
         np.testing.assert_array_equal(out_mean, ref_mean)
@@ -282,12 +292,14 @@ class TestScalarLoop:
     @pytest.mark.parametrize(
         "mean, cov, msg",
         [
-            (np.array([0.0, -1.0]), np.diag([1.0, 1e-16]), "direction 1 has variance 1.000e-16 <= tolerance 1.000e-14"),
-            # Fails at step two, against the trace after step one.
-            (np.array([-40.0, 0.0, 0.0]), np.diag([1.0, 1.0, 1e-15]), "direction 2 has variance 1.000e-15 <= tolerance 1.000e-14"),
+            (np.array([0.0, -1.0]), np.diag([1.0, 0.0]), "direction 1 has variance 0.000e+00 <= tolerance 0.000e+00"),
+            # Step one, deep in z_0's tail, takes z_1's variance with it.
+            (np.array([-40.0, 0.0]), np.ones((2, 2)), "direction 1 has variance 0.000e+00 <= tolerance 1.000e-14"),
+            # Step one leaves 1.1e-15 of z_2's variance, 1 + 1e-15.
+            (np.array([-40.0, 0.0, 0.0]), np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0 + 1e-15]]), "direction 2 has variance 1.110e-15 <= tolerance 1.000e-14"),
         ],
     )
-    def test_variance_under_current_tolerance_raises(self, mean, cov, msg):
+    def test_variance_under_own_tolerance_raises(self, mean, cov, msg):
         dim = mean.size
         truncated = [0, dim - 1]
         with pytest.raises(DegenerateDirectionError, match=re.escape(msg)):
@@ -308,6 +320,12 @@ class TestScalarLoop:
             mean[hit] = rng.choice(specials, hit.sum())
             var = rng.choice([1.0, 4.0, np.inf], dim, p=[0.45, 0.45, 0.1])
             remaining = sorted({int(i) for i in rng.integers(0, dim, dim)})
+            infinite = [i for i in remaining if var[i] == np.inf]
+            if infinite:  # inf <= 1e-14 * inf, and no finite moments follow
+                msg = f"direction {infinite[0]} has variance inf <= tolerance inf"
+                with pytest.raises(DegenerateDirectionError, match=re.escape(msg)):
+                    select_next(mean, np.diag(var), remaining)
+                continue
             with np.errstate(invalid="ignore"):
                 ratios = mean[remaining] / np.sqrt(var[remaining])
             assert select_next(mean, np.diag(var), remaining) == remaining[int(np.argmin(ratios))]

@@ -11,12 +11,12 @@ Each line is a name and the first 16 hex digits of the SHA-256 of:
     (q=0.5 and q=5; delta=5, rho=100, nu=4, K=100) at seeds 1 and
     7340033, 20 replications of all five estimators;
   * records-34-replications: the same of q=5, K=8, seed 1, 34 replications;
-  * records-failing: the same of two failing sweeps of "stf" and "sts"
-    (delta=5, rho=100, K=100), one list of records: nu=0.02, q=0.5,
-    seed 1, 8 replications, where all 16 records fail, then nu=0.05,
-    q=5, seed 2, 12 replications, where two STS rows fail, at steps 77
-    and 43, on the variance tolerance of the truncation; these runs may
-    print RuntimeWarnings;
+  * records-failing: the same of two heavy-tail sweeps of "stf" and
+    "sts" (delta=5, rho=100, K=100), one list of records: nu=0.02,
+    q=0.5, seed 1, 8 replications, where all 16 records fail (12 on a
+    NaN truncation distance, 4 on a pseudorange that is not finite), then
+    nu=0.05, q=5, seed 2, 12 replications, where all 24 records are ok;
+    these runs may print RuntimeWarnings;
   * criterion-10-csv: the bytes of the CSV that criterion 10 writes;
   * criterion-9-arrays: the three arrays of run_static_experiment
     (dist_stf, dist_prior, nees_stf) at delta=5, nu=4, rho=1, 200
@@ -190,7 +190,7 @@ def online_epochs(seed: int, epochs: int) -> tuple:
 
 
 def failing_configs() -> tuple:
-    """The two failing sweeps of the records-failing digest."""
+    """The two heavy-tail sweeps of the records-failing digest."""
     return (
         bench.ScenarioConfig(name="s0.02", q=0.5, nu=0.02, n_mc=8, seed=1, **FAILING),
         bench.ScenarioConfig(name="s0.05", q=5.0, nu=0.05, n_mc=12, seed=2, **FAILING),
