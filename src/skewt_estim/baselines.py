@@ -5,15 +5,20 @@ skewt.moment_match) with per-component validation gating: a measurement
 component whose normalized innovation squared exceeds GATE_THRESHOLD,
 the chi-square(1) quantile of probability 0.99, is discarded.  The
 bootstrap particle filter weights particles with the skew-t component
-densities and serves as the reference posterior in the benchmark
-experiments.  The densities are interpolated
-in a cached table of each component's log density on a uniform grid,
-looked up by direct indexing; the grid step of at most 0.05 spreads bounds
-the interpolation error (see _component_log_likelihoods), and residuals
-outside the grid take the exact density.  A PF run resolves the tables of
-its components once (_stacked_tables) and writes each step's weighted mean
-and covariance into preallocated arrays (_pf_moments); pf_run returns their
-rows as GaussianBeliefs, and the benchmark reads the arrays.
+densities.  At 100,000 particles, in the static experiment
+(bench.experiments.run_static_experiment), it is the reference posterior
+of the benchmark; the sweep's 1000-particle PF is a baseline and no
+reference (see bench.ScenarioConfig.pf_particles).  The densities are
+interpolated in a cached table of each component's log density on a
+uniform grid, looked up by direct indexing in two reads; the grid step of
+at most 0.05 spreads bounds the interpolation error (see
+_component_log_likelihoods), and residuals outside the grid take the
+exact density.  The particles are (n_p, n_x), and each step's predicted
+measurements, residuals and log-likelihoods are (n_y, n_p), one row per
+component.  A PF run resolves the tables of its components once
+(_stacked_tables) and writes each step's weighted mean and covariance
+into preallocated arrays (_pf_moments); pf_run returns their rows as
+GaussianBeliefs, and the benchmark reads the arrays.
 """
 
 from functools import lru_cache
@@ -185,11 +190,12 @@ class _Tables(NamedTuple):
     """The density tables of the skew-t components `comps` laid end to end
     for one lookup over all of them (_stacked_tables).
 
-    Per component: the grid ends lo and hi, the step, and the offset of
+    Per component, as (n_y, 1) columns that broadcast over a residual
+    matrix's rows: the grid ends lo and hi, the step, and the offset of
     its table in the flat arrays; lo_max and hi_min bound the interval
-    that lies inside every grid.  Then the flat grids, tables and slopes.
-    Each table has one slope per point; the last point's is 0, a
-    placeholder, since a lookup there sits on the grid point itself.
+    that lies inside every grid.  Then the flat tables and their forward
+    differences, slope[j] = table[j + 1] - table[j]; the last point's is
+    0, a placeholder, since no lookup brackets from it.
     """
 
     comps: tuple
@@ -199,7 +205,6 @@ class _Tables(NamedTuple):
     offset: np.ndarray
     lo_max: float
     hi_min: float
-    grid: np.ndarray
     table: np.ndarray
     slope: np.ndarray
 
@@ -212,32 +217,36 @@ def _stacked_tables(comps):
         np.stack, zip(*(_density_table(c.spread_sq, c.shape, c.dof) for c in comps))
     )
     slopes = np.zeros_like(tables)
-    slopes[:, :-1] = np.diff(tables, axis=1) / np.diff(grids, axis=1)
-    lo, hi = grids[:, 0], grids[:, -1]
-    offset = np.arange(len(comps)) * _GRID_POINTS
+    slopes[:, :-1] = np.diff(tables, axis=1)
+    lo, hi = grids[:, :1], grids[:, -1:]
+    offset = np.arange(len(comps))[:, None] * _GRID_POINTS
     step = (hi - lo) / (_GRID_POINTS - 1)
     return _Tables(
-        comps, lo, hi, step, offset, lo.max(), hi.min(),
-        grids.ravel(), tables.ravel(), slopes.ravel(),
+        comps, lo, hi, step, offset, lo.max(), hi.min(), tables.ravel(), slopes.ravel()
     )
 
 
 def _component_log_likelihoods(tables, residuals):
-    """Skew-t log densities of a residual matrix (n_p, n_y), column i
-    under component tables.comps[i], from the _Tables of those components.
+    """Skew-t log densities of a residual matrix (n_y, n_p), row i under
+    component tables.comps[i], from the _Tables of those components.
 
     Interpolates linearly in each component's cached density table, in
-    one pass over the whole matrix.  The grid is uniform, so a residual's
-    bracket is found by direct indexing and then moved by at most one
-    step against the grid points; bracket and arithmetic are np.interp's,
-    bit for bit.  The error at a grid midpoint is about step**2 / 8 times
+    one pass over the whole matrix.  The grid is uniform, so a residual r
+    sits at q = (r - lo) / step grid steps; its bracket j is q's integer
+    part clipped to [0, G - 2] (G grid points) and its value
+    table[j] + (q - j) * slope[j], two reads.  The bracket is clipped,
+    not q, so that the last interval keeps its fraction.  This is the
+    piecewise-linear interpolant of np.interp in other rounding: q's
+    relative rounding error of a few eps scales with q <= G - 1, so the
+    two differ by at most about 4 eps ((G - 1) |slope[j]| + |table[j]|).
+    The interpolation error at a grid midpoint is about step**2 / 8 times
     the curvature of the log density; with the step capped at 0.05
     spreads it measured at most 3.3e-4 on components with dof from 1.2 to
     1e8 and shapes up to 200 spreads, and 9.3e-4 at dof 0.5.  Residuals
     outside the grid are evaluated exactly with log_pdf; NaN and infinite
     residuals give NaN.  `residuals` is left as it is.
     """
-    comps, lo, hi, step, offset, lo_max, hi_min, grid, table, slope = tables
+    comps, lo, hi, step, offset, lo_max, hi_min, table, slope = tables
     # Most calls have every residual inside every grid, which the extremes
     # of the whole matrix show for less than a mask over it (a NaN fails
     # the test, and the mask then decides).
@@ -251,21 +260,20 @@ def _component_log_likelihoods(tables, residuals):
         infinite = np.isinf(residuals)
         residuals = np.where(infinite, np.nan, residuals)
         outside &= ~infinite
-    # Clamped as floats before the cast: fmax maps NaN to 0, so NaN and
-    # far-off residuals get a valid index (their values are NaN or exact).
     q = residuals - lo
     q /= step
-    j = np.fmin(np.fmax(q, 0.0, out=q), _GRID_POINTS - 2.0, out=q).astype(np.intp)
+    # Clamped as floats before the cast: fmax maps NaN to 0, so NaN and
+    # far-off residuals get a valid index (their values are NaN or exact).
+    j = np.fmin(np.fmax(q, 0.0), _GRID_POINTS - 2.0).astype(np.intp)
+    q -= j
     j += offset
-    j -= grid[j] > residuals
-    j += grid[j + 1] <= residuals
-    out = residuals - grid[j]
-    out *= slope[j]
+    out = slope[j]
+    out *= q
     out += table[j]
     if far:
-        for i in np.flatnonzero(outside.any(axis=0)):
-            rows = outside[:, i]
-            out[rows, i] = log_pdf(comps[i], residuals[rows, i])
+        for i in np.flatnonzero(outside.any(axis=1)):
+            cols = outside[i]
+            out[i, cols] = log_pdf(comps[i], residuals[i, cols])
     return out
 
 
@@ -294,7 +302,8 @@ def pf_run(
     densities of the measurement residuals.  Resampling triggers when the
     effective sample size drops below n_particles / 2.  An optional
     `measurement_fn(states) -> (n_p, n_y)` replaces the linear map C x,
-    letting the same filter run on nonlinear measurement models.
+    letting the same filter run on nonlinear measurement models; a result
+    of any other shape raises ValueError.
     Deterministic for a given seed; returns one GaussianBelief per step,
     the weighted particle mean and covariance, row k of the arrays that
     _pf_moments returns.  Each measurement must have shape (n_y,), as in
@@ -337,10 +346,17 @@ def _pf_moments(model, ys, n_particles, seed, measurement_fn=None) -> tuple:
             states = states @ model.A.T + rng.standard_normal(
                 (n_particles, model.n_x)
             ) @ q_factor.T
-        predicted = (
-            measurement_fn(states) if measurement_fn is not None else states @ model.C.T
-        )
-        log_w += _component_log_likelihoods(tables, y - predicted).sum(axis=1)
+        if measurement_fn is None:
+            predicted = model.C @ states.T
+        else:
+            predicted = np.asarray(measurement_fn(states))
+            if predicted.shape != (n_particles, model.n_y):
+                raise ValueError(
+                    f"measurement_fn must return (n_p, n_y) = {(n_particles, model.n_y)},"
+                    f" got {predicted.shape}"
+                )
+            predicted = predicted.T
+        log_w += _component_log_likelihoods(tables, y[:, None] - predicted).sum(axis=0)
         shift = log_w.max()
         if not np.isfinite(shift):
             raise DegeneracyError("all particle weights vanished", step=k)

@@ -60,10 +60,11 @@ class ScenarioConfig:
         name of `skewt-estim run`: letters, digits, ".", "_" and "-", not
         starting with "." (so it holds no CSV separator or path part).
     pf_particles : particle count of the bootstrap PF ("pf").  The default
-        1000 is no reference at the 0.1 m level: changing only the PF's
-        density interpolation (log densities by up to 7e-2) moved the
-        per-trajectory RMSE with a paired SD of 0.07-0.21 m (nu=1.2, q=5,
-        K=100).
+        1000 makes the PF a baseline, not a reference posterior, at the
+        0.1 m level: changing only the PF's density interpolation (log
+        densities by up to 7e-2) moved the per-trajectory RMSE with a
+        paired SD of 0.07-0.21 m (nu=1.2, q=5, K=100).  The reference is
+        the 100,000-particle PF of run_static_experiment.
     """
 
     q: float
@@ -202,14 +203,20 @@ def simulate(cfg: ScenarioConfig, replication: int) -> Trajectory:
 def pseudoranges(sats: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Noise-free pseudoranges: range to each satellite plus clock bias.
 
-    `states` has shape (..., 4); the result has shape (..., n_sats).
+    `states` has shape (..., 4); the result has shape (..., n_sats).  It
+    is computed satellite-major, as an (n_sats, ...) array returned as a
+    view with the satellite axis moved last, so on a particle stack
+    (n_p, 4) its transpose is C-contiguous (n_sats, n_p), the layout the
+    PF's likelihood lookup takes.  The values are those of the
+    per-satellite formula, bit for bit, on any stack.
     """
-    # One contiguous (..., n_sats) array per coordinate: on a particle
+    # One contiguous (n_sats, ...) array per coordinate: on a particle
     # stack this is twice as fast as strided views of a (..., n_sats, 3) one.
-    dx, dy, dz = (s - states[..., i, None] for i, s in enumerate(sats.T))
+    column = (-1,) + (1,) * (states.ndim - 1)
+    dx, dy, dz = (s.reshape(column) - states[..., i] for i, s in enumerate(sats.T))
     out = _range(dx, dy, dz)
-    out += states[..., 3:4]
-    return out
+    out += states[..., 3]
+    return np.moveaxis(out, 0, -1)
 
 
 def _range(dx, dy, dz):

@@ -4,14 +4,16 @@ Everything here is deliberately written in the plainest possible form
 (batch matrix updates, explicit inverses) and shares no code with the
 package under test.  The exceptions are sts_run_scalar, the smoother of
 one trajectory at a time that the lockstep smoother replaced,
-component_log_likelihoods_interp, the per-component np.interp lookup
-that the one-pass lookup replaced, and simulate_loop, the per-step random
-walk that one draw and one cumsum replaced.  They are built on the
-package's scalar update kernel, Anderson step, density tables, geometry
-and noise sampler, so the code that replaced them can be held to them bit
-for bit.  static_ordering_study compares the package's truncation
-orders on the static experiment's draws; only its posterior and its
-exact mean are written here.
+component_log_likelihoods_two_read, the PF's one-pass lookup written one
+component at a time, and simulate_loop, the per-step random walk that
+one draw and one cumsum replaced.  They are built on the package's
+scalar update kernel, Anderson step, density tables, geometry and noise
+sampler, so the code that replaced them can be held to them bit for
+bit.  component_log_likelihoods_interp, the np.interp lookup that the
+one-pass lookup replaced, holds it to a rounding bound.
+static_ordering_study compares the package's truncation orders on the
+static experiment's draws; only its posterior and its exact mean are
+written here.
 """
 
 import numpy as np
@@ -317,18 +319,42 @@ def sts_run_scalar(model, ys, cfg, measurement_matrices):
 
 
 def component_log_likelihoods_interp(comps, residuals):
-    """Skew-t log densities of a residual matrix (n_p, n_y), column i under
+    """Skew-t log densities of a residual matrix (n_y, n_p), row i under
     comps[i]: np.interp in each component's density table, one component
     at a time, and the exact log_pdf outside the table's grid."""
     out = np.zeros_like(residuals)
     for i, comp in enumerate(comps):
-        r = residuals[:, i]
+        r = residuals[i]
         grid, table = _density_table(comp.spread_sq, comp.shape, comp.dof)
         vals = np.interp(r, grid, table)
         outside = (r < grid[0]) | (r > grid[-1])
         if np.any(outside):
             vals[outside] = log_pdf(comp, r[outside])
-        out[:, i] = vals
+        out[i] = vals
+    return out
+
+
+def component_log_likelihoods_two_read(comps, residuals):
+    """Skew-t log densities of a residual matrix (n_y, n_p), row i under
+    comps[i], one component at a time: a residual r at q = (r - lo) / step
+    grid steps of the component's own table takes
+    table[j] + (q - j) (table[j + 1] - table[j]), j the integer part of q
+    clipped to [0, G - 2]; outside the grid it takes the exact log_pdf,
+    and a NaN or infinite residual gives NaN."""
+    out = np.zeros_like(residuals)
+    for i, comp in enumerate(comps):
+        r = residuals[i]
+        grid, table = _density_table(comp.spread_sq, comp.shape, comp.dof)
+        lo, hi = grid[0], grid[-1]
+        finite = np.isfinite(r)
+        q = (np.where(finite, r, lo) - lo) / ((hi - lo) / (grid.size - 1))
+        j = np.clip(np.floor(q), 0, grid.size - 2).astype(int)
+        vals = table[j] + (q - j) * np.diff(table)[j]
+        outside = finite & ((r < lo) | (r > hi))
+        if np.any(outside):
+            vals[outside] = log_pdf(comp, r[outside])
+        vals[~finite] = np.nan
+        out[i] = vals
     return out
 
 

@@ -30,6 +30,7 @@ from skewt_estim.skewt import SkewTComponent, log_pdf
 
 from reference import (
     component_log_likelihoods_interp,
+    component_log_likelihoods_two_read,
     kalman_filter,
     rts_smooth,
     wls_pool,
@@ -297,6 +298,23 @@ class TestParticleFilter:
         _pf_moments(*args, measurement_fn=h)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize(
+        "h, shape",
+        [
+            (lambda s: s[:, :1], (1000, 1)),
+            (lambda s: s.T, (2, 1000)),
+            (lambda s: s[:, 0], (1000,)),
+        ],
+        ids=["one-column", "transposed", "flat"],
+    )
+    def test_measurement_fn_shape_validated(self, h, shape):
+        # (n_p, 1) would broadcast against the (n_y,) measurement without
+        # the check, and (n_y, n_p) is the layout the filter uses inside.
+        model = random_model(np.random.default_rng(67), 2, 2)
+        message = re.escape(f"measurement_fn must return (n_p, n_y) = (1000, 2), got {shape}")
+        with pytest.raises(ValueError, match=message):
+            pf_run(model, [np.zeros(2)], 1000, seed=0, measurement_fn=h)
+
     def test_linear_measurement_fn_bit_equal_to_linear_map(self):
         rng = np.random.default_rng(64)
         model = random_model(rng, 2, 3, delta=2.0, nu=4.0)
@@ -375,7 +393,7 @@ def lookup_cases(draw):
     ))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_p = 300
-    residuals = np.empty((n_p, len(comps)))
+    residuals = np.empty((len(comps), n_p))
     for i, comp in enumerate(comps):
         grid, _ = _density_table(*comp)
         node = grid[rng.integers(0, grid.size, n_p)]
@@ -389,18 +407,24 @@ def lookup_cases(draw):
             np.full(n_p, np.nan),
         ])
         kind = rng.choice(len(candidates), n_p, p=[0.2, 0.15, 0.15, 0.1, 0.2, 0.15, 0.05])
-        residuals[:, i] = candidates[kind, np.arange(n_p)]
+        residuals[i] = candidates[kind, np.arange(n_p)]
     return components_of(comps), residuals
 
 
 class TestLikelihoodLookup:
+    """The one-pass lookup of a residual matrix (n_y, n_p) is bit-equal to
+    the same two-read arithmetic run one component at a time
+    (reference.component_log_likelihoods_two_read), which checks the
+    stacking, the offsets and the handling of residuals outside a grid,
+    and lies within a rounding bound of np.interp in the same tables."""
+
     @settings(deadline=None, max_examples=60)
     @given(lookup_cases())
     def test_bit_equal_to_interp_per_component(self, case):
         comps, residuals = case
         np.testing.assert_array_equal(
             _component_log_likelihoods(_stacked_tables(comps), residuals),
-            component_log_likelihoods_interp(comps, residuals),
+            component_log_likelihoods_two_read(comps, residuals),
         )
 
     @pytest.mark.parametrize("comp", TABLE_COMPONENTS)
@@ -408,12 +432,42 @@ class TestLikelihoodLookup:
         grid, _ = _density_table(*comp)
         residuals = np.concatenate(
             [grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf)]
-        )[:, None]
+        )[None]
         comps = components_of([comp])
         np.testing.assert_array_equal(
             _component_log_likelihoods(_stacked_tables(comps), residuals),
-            component_log_likelihoods_interp(comps, residuals),
+            component_log_likelihoods_two_read(comps, residuals),
         )
+
+    @pytest.mark.parametrize("comp", TABLE_COMPONENTS + [(1.0, 5.0, 0.5)])
+    def test_within_rounding_of_interp(self, comp):
+        """Both lookups take the piecewise-linear interpolant through the
+        table's points; they differ in rounding only.  The lookup's
+        position q = (r - lo) / step, in grid steps, carries a relative
+        error of a few eps, so up to about 2 eps (G - 1) steps at q <= G - 1,
+        as does np.interp's grid point grid[j] = lo + j step on these grids,
+        which hold 0 (|lo|, |hi| <= (G - 1) step).  A position error of
+        one step moves the value by |slope[j]|, and the products and sums
+        round by eps |table[j]| and less, so the two differ by at most
+        4 eps ((G - 1) |slope[j]| + |table[j]|), j the lookup's bracket.
+        Measured on grid points, their float neighbours, the midpoints and
+        1e5 uniform draws: at most 0.23 of that bound, and 2.0e-14
+        relative to max(1, |value|)."""
+        grid, table = _density_table(*comp)
+        rng = np.random.default_rng(66)
+        residuals = np.concatenate([
+            grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf),
+            0.5 * (grid[:-1] + grid[1:]), rng.uniform(grid[0], grid[-1], 100_000),
+        ])
+        comps = components_of([comp])
+        got = _component_log_likelihoods(_stacked_tables(comps), residuals[None])[0]
+        interp = component_log_likelihoods_interp(comps, residuals[None])[0]
+        n_grid = grid.size
+        q = (residuals - grid[0]) / ((grid[-1] - grid[0]) / (n_grid - 1))
+        j = np.clip(np.floor(q), 0, n_grid - 2).astype(int)
+        eps = np.finfo(float).eps
+        bound = 4.0 * eps * ((n_grid - 1) * np.abs(np.diff(table))[j] + np.abs(table[j]))
+        assert np.all(np.abs(got - interp) <= bound)
 
     @pytest.mark.parametrize("comp", TABLE_COMPONENTS)
     def test_midpoint_error_bounded(self, comp):
@@ -421,14 +475,14 @@ class TestLikelihoodLookup:
         assert grid[1] - grid[0] <= 0.05 * np.sqrt(comp[0]) * (1 + 1e-12)
         mid = 0.5 * (grid[:-1] + grid[1:])
         tables = _stacked_tables(components_of([comp]))
-        got = _component_log_likelihoods(tables, mid[:, None])[:, 0]
+        got = _component_log_likelihoods(tables, mid[None])[0]
         assert np.abs(got - log_pdf(SkewTComponent(*comp), mid)).max() <= 1e-3
 
     @pytest.mark.parametrize("n_particles", [1000, 100_000])
     @pytest.mark.parametrize("q", [0.5, 5.0])
     def test_pf_bit_equal_to_interp_reference(self, monkeypatch, q, n_particles):
         # A few steps of a sweep scenario (the benchmark's PF workload)
-        # with the one-pass lookup and with per-component np.interp.
+        # with the one-pass lookup and with its per-component reference.
         cfg = ScenarioConfig(q=q, delta=5.0, nu=4.0, rho=100.0, K=4, n_mc=1, seed=1)
         sats = make_constellation(cfg.n_sats, cfg.seed)
         model = scenario_model(cfg, sats)
@@ -438,7 +492,7 @@ class TestLikelihoodLookup:
         fast = run()
         monkeypatch.setattr(
             baselines, "_component_log_likelihoods",
-            lambda tables, residuals: component_log_likelihoods_interp(tables.comps, residuals),
+            lambda tables, residuals: component_log_likelihoods_two_read(tables.comps, residuals),
         )
         for a, b in zip(fast, run(), strict=True):
             assert np.array_equal(a.mean, b.mean)

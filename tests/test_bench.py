@@ -177,6 +177,24 @@ class TestPseudoranges:
             np.testing.assert_array_equal(row, pseudoranges(sats, state))
             np.testing.assert_array_equal(row, linearize(sats, state)[1])
 
+    @pytest.mark.parametrize("batch", [(), (20,), (4, 5)])
+    def test_satellite_major_layout_keeps_the_per_satellite_bits(self, batch):
+        """Computed satellite-major, the pseudoranges of (4,), (K, 4) and
+        (B, K, 4) states are the per-satellite formula's, bit for bit, and
+        on a particle stack (n_p, 4) their transpose is the C-contiguous
+        (n_sats, n_p) array that the PF's lookup takes."""
+        sats = make_constellation(8, seed=3)
+        rng = np.random.default_rng(68)
+        states = np.append(RECEIVER_NOMINAL_M, 0.0) + 10.0 * rng.standard_normal(batch + (4,))
+        got = pseudoranges(sats, states)
+        assert got.shape == batch + (8,)
+        for i, sat in enumerate(sats):
+            d = sat - states[..., :3]
+            want = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2])
+            np.testing.assert_array_equal(got[..., i], want + states[..., 3])
+        particles = rng.standard_normal((1000, 4))
+        assert pseudoranges(sats, particles).T.flags.c_contiguous
+
     def test_stacked_linearization_rows_equal_single_state(self):
         cfg = small_config(K=20)
         sats = make_constellation(cfg.n_sats, cfg.seed)
@@ -683,8 +701,8 @@ class TestStaticOrdering:
                 (STATIC_PF_PARTICLES, model.n_x)
             ) @ psd_sqrt(model.prior_cov).T
             log_w = _component_log_likelihoods(
-                _stacked_tables(model.noise_model()), y - pseudoranges(sats, states)
-            ).sum(axis=1)
+                _stacked_tables(model.noise_model()), y[:, None] - pseudoranges(sats, states).T
+            ).sum(axis=0)
             w = np.exp(log_w - log_w.max())
             w /= w.sum()
             np.testing.assert_allclose(w @ states, pf.mean, rtol=0, atol=1e-9)
