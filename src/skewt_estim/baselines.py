@@ -72,11 +72,13 @@ def kf_gated_update(
     a component is discarded when its normalized innovation squared
     exceeds GATE_THRESHOLD.  `r_matched` holds the matched normal
     variances (diagonal); the caller removes any noise mean offset from y
-    beforehand.  The prior has dimension c_mat.shape[1].  This is the
-    one-row call of _kf_gated_update_rows.  A non-finite y raises
-    NumericalFailureError.
+    beforehand.  c_mat is one matrix (n_y, n_x), and the prior has
+    dimension n_x.  This is the one-row call of _kf_gated_update_rows.
+    A non-finite y raises NumericalFailureError.
     """
     c_mat = np.atleast_2d(np.asarray(c_mat, dtype=float))
+    if c_mat.ndim != 2:
+        raise ValueError(f"c_mat must be a matrix (n_y, n_x), got shape {c_mat.shape}")
     _dim("prior", prior, c_mat.shape[1])
     r_matched = _vector("r_matched", r_matched, c_mat.shape[0])
     y = _finite(_vector("y", y, c_mat.shape[0]))
@@ -138,11 +140,10 @@ def kf_gated_run(model: StateSpaceModel, ys) -> list:
     model's source (filtering._linear_source), which fails a non-finite
     measurement with a NumericalFailureError at its step.
     """
-    ys = _vectors("ys", ys, model.n_y)
-    if not ys:
+    source = _linear_source(model, ys)
+    if not source[1]:
         return []
-    source = _linear_source(model, np.stack(ys)[None])
-    mean, cov, _ = _one_row(*_kf_gated_run_rows(model, 1, len(ys), source))
+    mean, cov, _ = _one_row(*_kf_gated_run_rows(model, *source))
     return _beliefs(mean[0], cov[0])
 
 
@@ -320,7 +321,9 @@ def pf_run(
 def _pf_moments(model, ys, n_particles, seed, measurement_fn=None) -> tuple:
     """The filter of pf_run, returning its weighted means (K, n_x) and
     covariances (K, n_x, n_x) as arrays; the "pf" family of
-    bench.experiments._lockstep_rows calls it, one row at a time.
+    bench.experiments._lockstep_rows calls it, one row at a time.  ys
+    holds checked float measurements of shape (n_y,): pf_run's, checked
+    by _vectors, or the rows of a (K, n_y) float array (_pf_rows).
 
     The density tables are looked up once per run, and each step writes
     its moments into the preallocated arrays.
@@ -328,7 +331,6 @@ def _pf_moments(model, ys, n_particles, seed, measurement_fn=None) -> tuple:
     n_particles = int(n_particles)
     if n_particles < 100:
         raise ValueError(f"n_particles must be >= 100, got {n_particles}")
-    ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
     tables = _stacked_tables(model.noise_model())
     rng = np.random.default_rng(seed)
 

@@ -156,16 +156,17 @@ def _pseudorange_source(sats, trajs, noise_offset=0.0) -> tuple:
     return len(trajs), meas.shape[1], measure
 
 
-def _stf_rows(model, sats, trajs, vb_cfg):
+def _stf_rows(model, sats, trajs):
     """Skew-t filter of B trajectories in lockstep (filtering._stf_run_rows
-    on their pseudoranges); run_estimator("stf") is its one-row call.
+    on their pseudoranges, with the default VBConfig());
+    run_estimator("stf") is its one-row call.
 
     Returns the outcome of each trajectory, its "stf" EstimatorRun or the
     EstimationError that failed it.  Each row is bit-equal to the same
     trajectory filtered alone.
     """
     means, covs, _, _, iters, conv, failed = _stf_run_rows(
-        model, *_pseudorange_source(sats, trajs), vb_cfg
+        model, *_pseudorange_source(sats, trajs), VBConfig()
     )
     return [
         failed.get(b) or EstimatorRun("stf", m, c, it.astype(float), converged=bool(ok.all()))
@@ -173,18 +174,18 @@ def _stf_rows(model, sats, trajs, vb_cfg):
     ]
 
 
-def _sts_rows(model, sats, trajs, vb_cfg):
+def _sts_rows(model, sats, trajs):
     """Skew-t smoother of B trajectories in lockstep
-    (smoothing._sts_run_rows on their pseudoranges, linearized at each
-    row's own predicted means in its first forward pass, at lambda = 1);
-    run_estimator("sts") is its one-row call.  It never runs the skew-t
-    filter.
+    (smoothing._sts_run_rows on their pseudoranges, with the default
+    VBConfig(), linearized at each row's own predicted means in its first
+    forward pass, at lambda = 1); run_estimator("sts") is its one-row
+    call.  It never runs the skew-t filter.
 
     Returns the outcome of each trajectory, its "sts" EstimatorRun or the
     EstimationError that failed it, in the first pass or in the loop.
     """
     means, covs, _, iters, conv, failed = _sts_run_rows(
-        model, *_pseudorange_source(sats, trajs), vb_cfg
+        model, *_pseudorange_source(sats, trajs), VBConfig()
     )
     return [
         failed.get(b) or EstimatorRun("sts", m, c, np.zeros(0), int(n), bool(ok))
@@ -252,7 +253,6 @@ def run_estimator(
     sats: np.ndarray,
     traj: Trajectory,
     replication: int = 0,
-    vb_cfg: VBConfig = VBConfig(),
 ) -> EstimatorRun:
     """Run one named estimator on a simulated trajectory.
 
@@ -263,25 +263,29 @@ def run_estimator(
     seeds its particles from cfg.seed and `replication`.  Each name is
     the one-row call of the batch run_experiment runs (_lockstep_rows):
     the trajectory's outcome in that batch is its run, or the
-    EstimationError that failed it, which is raised unchanged.
+    EstimationError that failed it, which is raised unchanged.  "stf" and
+    "sts" run the default VBConfig(), as run_experiment does; another
+    loop control is a call of their families (filtering._stf_run_rows,
+    smoothing._sts_run_rows) on _pseudorange_source.
     """
     if name not in KNOWN_ESTIMATORS:
         raise ValueError(f"unknown estimator {name!r}")
-    (run,), _ = _lockstep_rows({name}, cfg, sats, [traj], vb_cfg, [replication])[name]
+    (run,), _ = _lockstep_rows({name}, cfg, sats, [traj], [replication])[name]
     if isinstance(run, EstimationError):
         raise run
     return run
 
 
-def _lockstep_rows(names, cfg, sats, trajs, vb_cfg, reps) -> dict:
+def _lockstep_rows(names, cfg, sats, trajs, reps) -> dict:
     """The runs of the estimators `names` on all trajs at once; reps[b]
     is the replication number of trajs[b], which seeds its PF.
 
     Each family runs once as one batch: the filter "stf"; the smoother
     "sts", which linearizes on its own first forward pass at lambda = 1
-    (_sts_rows) and never runs the filter; "kf" with "rtss", which
-    smooths the "kf" pass; and "pf", whose rows run one at a time
-    (_pf_rows).  So an outcome is the same whatever else `names` holds.
+    (_sts_rows) and never runs the filter, both with the default
+    VBConfig(); "kf" with "rtss", which smooths the "kf" pass; and "pf",
+    whose rows run one at a time (_pf_rows).  So an outcome is the same
+    whatever else `names` holds.
 
     Each family returns the outcome of every row: a row leaves the loop
     it fails in with its error while the other rows go on
@@ -304,9 +308,9 @@ def _lockstep_rows(names, cfg, sats, trajs, vb_cfg, reps) -> dict:
             continue
         start = time.perf_counter()
         if family == ("stf",):
-            runs = _stf_rows(model, sats, trajs, vb_cfg)
+            runs = _stf_rows(model, sats, trajs)
         elif family == ("sts",):
-            runs = _sts_rows(model, sats, trajs, vb_cfg)
+            runs = _sts_rows(model, sats, trajs)
         elif family == ("pf",):
             runs = _pf_rows(model, cfg, sats, trajs, reps)
         else:
@@ -370,7 +374,7 @@ def run_experiment(cfg: ScenarioConfig, out_path=None, timing: bool = False) -> 
         for rep in range(cfg.n_mc)
     ]
     if trajs:  # _lockstep_rows takes one row or more
-        batch = _lockstep_rows(set(cfg.estimators), cfg, sats, trajs, VBConfig(), range(cfg.n_mc))
+        batch = _lockstep_rows(set(cfg.estimators), cfg, sats, trajs, range(cfg.n_mc))
         for est in cfg.estimators:
             runs, elapsed = batch[est]
             for rep, (traj, run) in enumerate(zip(trajs, runs)):

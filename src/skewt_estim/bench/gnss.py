@@ -208,8 +208,10 @@ def pseudoranges(sats: np.ndarray, states: np.ndarray) -> np.ndarray:
     view with the satellite axis moved last, so on a particle stack
     (n_p, 4) its transpose is C-contiguous (n_sats, n_p), the layout the
     PF's likelihood lookup takes.  The values are those of the
-    per-satellite formula, bit for bit, on any stack.
+    per-satellite formula, bit for bit, on any stack.  sats must be
+    (n_sats, 3) (_geometry).
     """
+    sats, states = _geometry(sats, states)
     # One contiguous (n_sats, ...) array per coordinate: on a particle
     # stack this is twice as fast as strided views of a (..., n_sats, 3) one.
     column = (-1,) + (1,) * (states.ndim - 1)
@@ -217,6 +219,17 @@ def pseudoranges(sats: np.ndarray, states: np.ndarray) -> np.ndarray:
     out = _range(dx, dy, dz)
     out += states[..., 3]
     return np.moveaxis(out, 0, -1)
+
+
+def _geometry(sats, states) -> tuple:
+    """sats and states as float arrays, checked to be (n_sats, 3)
+    satellite positions and a state or stack of states (..., 4); the
+    ValueError names both shapes.  pseudoranges and _linearize_rows check
+    their input with it."""
+    sats, states = np.asarray(sats, dtype=float), np.asarray(states, dtype=float)
+    if sats.ndim != 2 or sats.shape[1] != 3 or states.shape[-1:] != (4,):
+        raise ValueError(f"need sats (n, 3) and states (..., 4), got {sats.shape}, {states.shape}")
+    return sats, states
 
 
 def _range(dx, dy, dz):
@@ -256,9 +269,8 @@ def _linearize_rows(sats, nominal) -> tuple:
     dict of the flat indices of the nominal states within 1 m of a
     satellite and their GeometryErrors, empty when there is none.  The
     ranges of such a state are raised to 1 m, so its C and y0 are
-    finite."""
-    sats = np.atleast_2d(np.asarray(sats, dtype=float))
-    nominal = np.atleast_1d(np.asarray(nominal, dtype=float))
+    finite.  The shapes are checked as in pseudoranges (_geometry)."""
+    sats, nominal = _geometry(sats, nominal)
     diff = sats - nominal[..., None, :3]
     ranges = _range(diff[..., 0], diff[..., 1], diff[..., 2])
     close = ranges < 1.0

@@ -10,7 +10,8 @@ as an independent Gamma block, alternating two closed-form updates:
     are a study of the truncation layer, not a choice of the filter);
   * given the truncated moments, a refresh of the expected mixing
     precisions (nu_i + 2) / (nu_i + psi_i) from the per-component residual
-    statistic psi.
+    statistic psi (_mixing_update, which the smoother's outer loop and
+    smoothing.update_lambda run as well).
 
 The precisions are Anderson-mixed over the last three iterates, and the
 loop stops when the state mean moves less than the configured tolerance
@@ -31,15 +32,16 @@ _filter_rows: at each step it takes the measurement terms of the live
 rows from a source measure(k, rows, x), updates, stacks what the update
 returns and predicts.  A source owns its measurements: it hands out the
 measurement matrices and measurements of the rows at their predicted
-means x, and fails a row whose measurement is not finite.  A linear
-model's source is model.C and the rows' own measurements
-(_linear_source); the GNSS benchmark's relinearizes at each row's
-predicted mean (bench.experiments._pseudorange_source).  The skew-t
+means x, and fails a row whose measurement is not finite.  A source
+comes with the row and step counts of its run: a linear model's,
+_linear_source, checks and stacks one measurement sequence and hands out
+model.C and its measurements; the GNSS benchmark's relinearizes at each
+row's predicted mean (bench.experiments._pseudorange_source).  The skew-t
 filter's family is _stf_run_rows, the smoother's and the gated Kalman
 filter's are smoothing._sts_run_rows and baselines._kf_gated_run_rows,
 and the public sequence functions stf_run, sts_run and kf_gated_run are
-their one-row calls, so the code the benchmark runs is the code the
-library exports.
+their one-row calls, family(model, *_linear_source(model, ys), ...), so
+the code the benchmark runs is the code the library exports.
 
 A row's failure is data, with one code path for a batch that fails and
 one that does not.  Every stacked kernel and source returns, beside its
@@ -62,7 +64,7 @@ import numpy as np
 from ._linalg import solve_spd, symmetrize
 from .exceptions import EstimationError, NumericalFailureError
 from .skewt import SkewTComponent
-from .truncnorm import _rec_trunc_row, _rec_trunc_rows
+from .truncnorm import _moments, _rec_trunc_row, _rec_trunc_rows
 
 __all__ = [
     "StateSpaceModel",
@@ -80,23 +82,19 @@ __all__ = [
 class GaussianBelief:
     """Mean and covariance of a normal belief.
 
-    Checks that mean is a vector and cov a matching square matrix,
-    symmetric to 1e-12 of its largest entry (at least 1).  It does not
-    check that cov is positive semidefinite: an eigen check would cost on
-    every belief, and a covariance that is not fails where it is factored
-    (solve_spd) or truncated.
+    Checks that mean is a vector and cov a matching square matrix with
+    the truncation layer's one moment-pair check (truncnorm._moments), and
+    that cov is symmetric to 1e-12 of its largest entry (at least 1).  It
+    does not check that cov is positive semidefinite: an eigen check would
+    cost on every belief, and a covariance that is not fails where it is
+    factored (solve_spd) or truncated.
     """
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
-            raise ValueError(
-                f"inconsistent shapes: mean {mean.shape}, cov {cov.shape}"
-            )
+        mean, cov = _moments(self.mean, self.cov)
         scale = max(float(np.abs(cov).max()), 1.0)
         if np.abs(cov - cov.T).max() > 1e-12 * scale:
             raise ValueError("covariance is not symmetric")
@@ -460,12 +458,20 @@ def _drop_rows(failed: dict, lost: dict, rows: np.ndarray, *groups) -> tuple:
     return rows[left], *([a[left] for a in arrays] for arrays in groups)
 
 
-def _linear_source(model: StateSpaceModel, ys: np.ndarray):
-    """The measurement source of the linear model: model.C for each live
-    row, and the rows' own measurements of ys (B, K, n_y), which fail a
-    row with a non-finite one at its step (_finite)."""
-    shape = model.C.shape
-    return lambda k, rows, x: (np.broadcast_to(model.C, (len(x),) + shape), *_finite(ys[rows, k]))
+def _linear_source(model: StateSpaceModel, ys) -> tuple:
+    """The measurement source of the linear model over one measurement
+    sequence ys, with its row and step counts: (1, K, measure), as
+    bench.experiments._pseudorange_source returns them, or (1, 0, None)
+    for no measurement.  Each y_k must have shape (n_y,) (_vectors).  At
+    step k, measure hands out model.C as a stack of one, (1, n_y, n_x),
+    and y_k, which fails the row if it is not finite (_finite): the
+    recursion stops once its one row has failed, so the live rows are
+    that row until then."""
+    ys = _vectors("ys", ys, model.n_y)
+    if not ys:
+        return 1, 0, None
+    ys = np.stack(ys)[None]
+    return 1, ys.shape[1], lambda k, rows, x: (model.C[None], *_finite(ys[rows, k]))
 
 
 def _beliefs(mean, cov) -> list:
@@ -629,6 +635,18 @@ def _psi_diagonal(y, cz, z_mean, z_cov, r, n_x):
     return (resid**2 + quad) / r + z_mean[..., n_x:] ** 2 + u_var
 
 
+def _mixing_update(model, y, cz, mean, cov) -> tuple:
+    """The refresh of the mixing precisions from augmented [x; u]
+    beliefs (mean, cov), of one step, of a stack or of (B, K) trajectory
+    stacks, with measurements y and cz = [C, diag(Delta)] of their steps:
+    the residual statistic psi (_psi_diagonal) and the image
+    (nu + 2) / (nu + psi).  The filter's VB update (_stf_update_rows),
+    the smoother's outer loop and smoothing.update_lambda all refresh
+    through it; each belief of a stack is bit-equal to its own call."""
+    psi = _psi_diagonal(y, cz, mean, cov, model.R, model.n_x)
+    return psi, expected_mixing_precision(model.nu, psi)
+
+
 def _vb_loop(update, args, lam, upper, cfg) -> tuple:
     """The VB fixed-point loop of the filter and of the smoother, for one
     row (lam of leading shape ()) or a lockstep stack of rows ((B,)).
@@ -723,15 +741,13 @@ def _stf_update_rows(model, x_prior, p_prior, y, c_mat, cfg=VBConfig()) -> tuple
     for one row, which the caller owns: the recursion this update runs
     in, or the one-row call stf_update, which raises it.
     """
-    n_x = x_prior.shape[-1]
 
     def update(y, cpc, zct, cz, z_prior_mean, z_prior_cov, innovation, lam):
         mean, cov, failed = _lambda_update(
             cpc, zct, cz, z_prior_mean, z_prior_cov, innovation, model.Delta, model.R, lam
         )
-        psi = _psi_diagonal(y, cz, mean, cov, model.R, n_x)
-        image = expected_mixing_precision(model.nu, psi)
-        return (mean, cov, lam, psi), image, mean[..., :n_x], failed
+        psi, image = _mixing_update(model, y, cz, mean, cov)
+        return (mean, cov, lam, psi), image, mean[..., : model.n_x], failed
 
     args = (y, *_prior_terms(x_prior, p_prior, y, c_mat, _stack_cz(c_mat, model.Delta)))
     out, _, iterations, converged, failed = _vb_loop(
@@ -805,9 +821,8 @@ def stf_run(model: StateSpaceModel, ys, cfg: VBConfig = VBConfig()) -> list:
 
     Returns one (GaussianBelief, VBStepDiagnostics) pair per measurement.
     """
-    ys = _vectors("ys", ys, model.n_y)
-    if not ys:
+    source = _linear_source(model, ys)
+    if not source[1]:
         return []
-    source = _linear_source(model, np.stack(ys)[None])
-    rows = _one_row(*_stf_run_rows(model, 1, len(ys), source, cfg))
+    rows = _one_row(*_stf_run_rows(model, *source, cfg))
     return [_stf_pair(model, *step) for step in zip(*(a[0] for a in rows))]

@@ -4,9 +4,10 @@ The outer loop alternates, over the whole trajectory: a forward pass of
 the filter's recursion (filtering._filter_rows) with the expected mixing
 precisions held fixed, one truncated augmented update per step; a
 fixed-interval backward recursion on the augmented [x; u] state; and the
-per-step refresh of the mixing precisions from the smoothed moments.  The
-augmented dynamics propagate x with the model transition and reset u each
-step (its transition block is zero), so the one-step augmented prediction
+per-step refresh of the mixing precisions from the smoothed moments, the
+filter's own (filtering._mixing_update).  The augmented dynamics
+propagate x with the model transition and reset u each step (its
+transition block is zero), so the one-step augmented prediction
 covariance is blockdiag(A P A^T + Q, diag(1/lam)).  Only its x block
 enters the backward gain, and the backward pass computes it from the
 filtered moments it smooths, as the forward pass did: no pass hands out
@@ -50,14 +51,13 @@ from .filtering import (
     _filter_rows,
     _finite,
     _linear_source,
+    _mixing_update,
     _one_row,
-    _psi_diagonal,
     _stack_cz,
     _time_update,
     _vb_loop,
     _vector,
     _vectors,
-    expected_mixing_precision,
 )
 
 __all__ = [
@@ -130,8 +130,7 @@ def forward_pass(model: StateSpaceModel, ys, lambdas) -> list:
     backward_pass smooths.  A non-finite measurement raises
     NumericalFailureError at its step (filtering._linear_source).
     """
-    ys = _vectors("ys", ys, model.n_y)
-    n_steps = len(ys)
+    n_rows, n_steps, measure = _linear_source(model, ys)
     if len(lambdas) != n_steps:
         raise ValueError(f"got {len(lambdas)} lambdas for {n_steps} steps")
     lams = _vectors("lambdas", lambdas, model.n_y)
@@ -140,8 +139,8 @@ def forward_pass(model: StateSpaceModel, ys, lambdas) -> list:
             raise ValueError(f"lambdas[{k}] must be positive and finite")
     if n_steps == 0:
         return []
-    source = _at_precisions(model, _linear_source(model, np.stack(ys)[None]), np.stack(lams)[None])
-    f_mean, f_cov = _one_row(*_filter_rows(model, 1, n_steps, source, _pass_update(model)))
+    source = _at_precisions(model, measure, np.stack(lams)[None])
+    f_mean, f_cov = _one_row(*_filter_rows(model, n_rows, n_steps, source, _pass_update(model)))
     return _beliefs(f_mean[0], f_cov[0])
 
 
@@ -225,24 +224,19 @@ def backward_pass(filtered, model: StateSpaceModel) -> list:
     return _beliefs(s_mean[0, :-1], s_cov[0, :-1]) + [filtered[-1]]
 
 
-def _lambda_rows(s_mean, s_cov, ys, cz, model) -> np.ndarray:
-    """Refreshed mixing precisions of smoothed (mean, cov) stacks whose
-    steps have measurements ys and [C, diag(Delta)] matrices cz."""
-    psi = _psi_diagonal(ys, cz, s_mean, s_cov, model.R, model.n_x)
-    return expected_mixing_precision(model.nu, psi)
-
-
 def update_lambda(
     smoothed: GaussianBelief,
     y: np.ndarray,
     model: StateSpaceModel,
 ) -> np.ndarray:
-    """Refreshed mixing-precision diagonal from one smoothed augmented
-    belief.  A non-finite y raises NumericalFailureError."""
+    """Refreshed mixing-precision diagonal (nu + 2) / (nu + psi) from one
+    smoothed augmented belief: the one-step call of
+    filtering._mixing_update, the refresh of the smoother's outer loop.
+    A non-finite y raises NumericalFailureError."""
     y = _finite(_vector("y", y, model.n_y))
     _dim("smoothed belief", smoothed, model.n_x + model.n_y)
     cz = _stack_cz(model.C, model.Delta)
-    return _lambda_rows(smoothed.mean, smoothed.cov, y, cz, model)
+    return _mixing_update(model, y, cz, smoothed.mean, smoothed.cov)[1]
 
 
 def sts_run(model: StateSpaceModel, ys, cfg: VBConfig = VBConfig()) -> SmoothedTrack:
@@ -252,11 +246,10 @@ def sts_run(model: StateSpaceModel, ys, cfg: VBConfig = VBConfig()) -> SmoothedT
     GaussianBelief per step, with the outer-loop iteration count and
     convergence flag.
     """
-    ys = _vectors("ys", ys, model.n_y)
-    if not ys:
+    source = _linear_source(model, ys)
+    if not source[1]:
         return SmoothedTrack([], 0, True)
-    result = _sts_run_rows(model, 1, len(ys), _linear_source(model, np.stack(ys)[None]), cfg)
-    s_mean, s_cov, _, iterations, converged = _one_row(*result)
+    s_mean, s_cov, _, iterations, converged = _one_row(*_sts_run_rows(model, *source, cfg))
     n_x = model.n_x
     return SmoothedTrack(
         [GaussianBelief(m[:n_x], c[:n_x, :n_x]) for m, c in zip(s_mean[0], s_cov[0])],
@@ -311,7 +304,7 @@ def _sts_run_rows(model, n_rows, n_steps, measure, cfg) -> tuple:
         else:
             passed = _forward_rows(model, ys, lam.reshape(-1, n_steps, n_y), c_seq, cz)
         *smoothed, failed = _backward_rows(*passed, model)
-        plain = _lambda_rows(*smoothed, ys, cz, model)
+        _, plain = _mixing_update(model, ys, cz, *smoothed)
         return smoothed, plain.reshape(lam.shape), smoothed[0][..., :n_x], failed
 
     out, lambdas, iterations, converged, failed = _vb_loop(

@@ -92,6 +92,14 @@ class TestGatedUpdate:
         with pytest.raises(ValueError, match=re.escape(f"y must have shape (2,), got {shape}")):
             kf_gated_update(model.C, model.R, model.prior_belief(), y)
 
+    def test_measurement_matrix_validated(self):
+        # A stack of one matrix was read as one row of two columns.
+        prior = GaussianBelief(np.zeros(2), np.eye(2))
+        with pytest.raises(
+            ValueError, match=re.escape("c_mat must be a matrix (n_y, n_x), got shape (1, 2, 2)")
+        ):
+            kf_gated_update(np.eye(2)[None], np.ones(2), prior, np.zeros(2))
+
     @pytest.mark.parametrize("r, shape", [(np.ones(3), "(3,)"), (np.ones(1), "(1,)"), (1.0, "(1,)")])
     def test_matched_variance_length_validated(self, r, shape):
         # A long r_matched would be used without its last entries.

@@ -28,7 +28,7 @@ from skewt_estim.bench import (
 )
 from skewt_estim.bench import experiments
 from skewt_estim.bench.contours import CONTOUR_HEADER
-from skewt_estim.bench.experiments import STATIC_PF_PARTICLES, _stf_rows, _sts_rows, run_estimator
+from skewt_estim.bench.experiments import STATIC_PF_PARTICLES, _stf_rows, run_estimator
 from skewt_estim.bench.gnss import (
     ORBIT_RADIUS_M,
     RECEIVER_NOMINAL_M,
@@ -45,6 +45,7 @@ from skewt_estim.exceptions import (
 )
 from skewt_estim.filtering import VBConfig
 from skewt_estim.skewt import SkewTComponent, moments
+from skewt_estim.smoothing import _sts_run_rows
 
 from reference import augmented_posterior, simulate_loop, static_ordering_study
 
@@ -164,6 +165,21 @@ class TestLinearize:
     def test_degenerate_geometry_rejected(self):
         with pytest.raises(GeometryError):
             linearize(np.array([[0.0, 0.0, 0.1]]), np.zeros(4))
+
+    @pytest.mark.parametrize(
+        "sats_shape, state_shape",
+        [((4, 3), (3,)), ((4, 2), (4,)), ((4, 3), (2, 5)), ((4, 3), ()), ((3,), (4,))],
+    )
+    def test_input_shapes_checked(self, sats_shape, state_shape):
+        """pseudoranges, linearize and its stacked form take (n_sats, 3)
+        satellites and a state or stack of states (..., 4), and name both
+        shapes otherwise, where numpy's broadcasting or indexing failed or
+        a single satellite was taken as a stack of one."""
+        sats, states = np.ones(sats_shape), np.zeros(state_shape)
+        message = f"need sats (n, 3) and states (..., 4), got {sats_shape}, {state_shape}"
+        for call in (pseudoranges, linearize, _linearize_rows):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(sats, states)
 
 
 class TestPseudoranges:
@@ -594,7 +610,7 @@ class TestRunExperiment:
         monkeypatch.setattr(experiments, "_linearize_rows", fail_on_fourth)
         with pytest.raises(GeometryError, match=r"injected \(time step 3\)$") as info:
             if family == "stf":
-                runs = _stf_rows(model, sats, trajs, VBConfig())
+                runs = _stf_rows(model, sats, trajs)
             else:
                 runs = experiments._kf_rows(model, cfg, sats, trajs)[0]
             raise runs[0]  # the row's outcome
@@ -626,13 +642,14 @@ class TestSmootherIterations:
             traj = simulate(cfg, rep)
             # The smoother linearizes on its own first forward pass; a
             # tolerance no change meets makes the cap end both runs.
-            run5, run30 = (
-                _sts_rows(model, sats, [traj], VBConfig(max_iterations=n, tol=1e-300))[0]
-                for n in (5, 30)
-            )
-            assert (run5.outer_iterations, run30.outer_iterations) == (5, 30)
-            r5 = rmse(run5.positions, traj.states)
-            r30 = rmse(run30.positions, traj.states)
+            source = experiments._pseudorange_source(sats, [traj])
+            rmses = []
+            for n in (5, 30):
+                capped = VBConfig(max_iterations=n, tol=1e-300)
+                means, _, _, iterations, _, failed = _sts_run_rows(model, *source, capped)
+                assert (iterations[0], failed) == (n, {})
+                rmses.append(rmse(means[0, :, :3], traj.states))
+            r5, r30 = rmses
             assert abs(r5 - r30) <= 0.01 * r30
 
 

@@ -12,6 +12,7 @@ from skewt_estim.filtering import (
     StateSpaceModel,
     VBConfig,
     _augmented_update,
+    _linear_source,
     expected_mixing_precision,
     predict,
     stf_run,
@@ -243,6 +244,22 @@ class TestFilterRun:
         with pytest.raises(ValueError, match=r"ys\[1\] must have shape \(2,\), got \(3,\)"):
             stf_run(model, [np.zeros(2), np.zeros(3)])
 
+    def test_linear_source_sizes_its_run(self):
+        """_linear_source checks and stacks one measurement sequence and
+        returns the row and step counts of its run with the source: (1, 0,
+        None) for no measurement, else (1, K, measure), measure handing
+        out model.C as a stack of one and the measurement of step k."""
+        model = random_model(np.random.default_rng(9), 3, 2)
+        assert _linear_source(model, []) == (1, 0, None)
+        n_rows, n_steps, measure = _linear_source(model, [[1.0, 2.0], np.array([3.0, 4.0])])
+        assert (n_rows, n_steps) == (1, 2)
+        c_k, y_k, failed = measure(1, slice(None), np.zeros((1, 3)))
+        np.testing.assert_array_equal(c_k, model.C[None])
+        np.testing.assert_array_equal(y_k, [[3.0, 4.0]])
+        assert failed == {}
+        with pytest.raises(ValueError, match=r"ys\[1\] must have shape \(2,\), got \(3,\)"):
+            _linear_source(model, [np.zeros(2), np.zeros(3)])
+
 
 class TestBeliefValidation:
     def test_asymmetric_covariance_rejected(self):
@@ -250,7 +267,9 @@ class TestBeliefValidation:
             GaussianBelief([0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        # The truncation layer's moment-pair check, and its message.
+        message = "inconsistent shapes: mean (2,), cov (3, 3)"
+        with pytest.raises(ValueError, match=re.escape(message)):
             GaussianBelief([0.0, 0.0], np.eye(3))
 
     def test_model_validation(self):

@@ -308,17 +308,18 @@ class TestUpdateRows:
 
 
     def test_sts_run_rows_broadcast_c_bit_equal_to_stacked(self):
-        """A measurement matrix broadcast over the steps gives the bits of
-        the same matrix stacked, in every output of _sts_run_rows; sts_run
-        broadcasts it (filtering._linear_source) and returns those bits."""
+        """The model's measurement matrix handed out at every step as a
+        stack of one (filtering._linear_source, which sts_run runs on)
+        gives the bits of the same matrix stacked over the steps, in every
+        output of _sts_run_rows, and sts_run returns those bits."""
         rng = np.random.default_rng(3)
         model = random_model(rng, 4, 8, delta=2.0, nu=4.0)
         ys = simulate_linear(model, rng, 20)
         c_seq = np.broadcast_to(model.C, (1, 20) + model.C.shape)
-        broadcast = _sts_run_rows(model, 1, 20, _linear_source(model, ys[None]), VBConfig())
+        linear = _sts_run_rows(model, *_linear_source(model, ys), VBConfig())
         stacked = _sts_run_rows(model, 1, 20, sequence_source(c_seq.copy(), ys[None]), VBConfig())
-        assert len(broadcast) == len(stacked) == 6
-        for g, w in zip(broadcast, stacked):
+        assert len(linear) == len(stacked) == 6
+        for g, w in zip(linear, stacked):
             assert_array_equal(g, w)
         s_mean, s_cov, _, iterations, converged, _ = stacked
         alone = sts_run(model, ys, VBConfig())
@@ -822,8 +823,8 @@ def test_forward_recursion_bit_equal_under_non_identity_dynamics(seed):
         assert_array_equal(f.cov, belief.cov)
         belief = predict(model, belief)
 
-    source = _linear_source(model, np.stack(ys)[None])
-    s_mean, s_cov, _, iterations, flags, _ = _sts_run_rows(model, 1, n_steps, source, VBConfig())
+    source = _linear_source(model, ys)
+    s_mean, s_cov, _, iterations, flags, _ = _sts_run_rows(model, *source, VBConfig())
     means, covs, n_outer, converged = sts_run_scalar(
         model, ys, VBConfig(), [model.C] * n_steps
     )
@@ -882,8 +883,8 @@ def test_sweep_rows_equal_scalar_reference(q, seed):
     model = scenario_model(cfg, sats)
     vb_cfg = VBConfig()
     trajs = [simulate(cfg, rep) for rep in range(cfg.n_mc)]
-    stf = _stf_rows(model, sats, trajs, vb_cfg)
-    sts = _sts_rows(model, sats, trajs, vb_cfg)
+    stf = _stf_rows(model, sats, trajs)
+    sts = _sts_rows(model, sats, trajs)
     for b, traj in enumerate(trajs):
         filtered, iters = stf_reference(model, sats, traj, vb_cfg)
         assert_array_equal(stf[b].positions, np.stack([f.mean[:3] for f in filtered]))
@@ -898,9 +899,9 @@ def test_sweep_rows_equal_scalar_reference(q, seed):
         assert sts[b].outer_iterations == n_outer
         assert sts[b].converged == converged
     # Batch invariance: a row run alone equals its row of the batch.
-    alone = _stf_rows(model, sats, trajs[2:3], vb_cfg)
+    alone = _stf_rows(model, sats, trajs[2:3])
     assert_array_equal(alone[0].positions, stf[2].positions)
-    alone_sts = _sts_rows(model, sats, trajs[2:3], vb_cfg)
+    alone_sts = _sts_rows(model, sats, trajs[2:3])
     assert_array_equal(alone_sts[0].positions, sts[2].positions)
 
 
@@ -1011,9 +1012,9 @@ class TestRunExperimentLockstep:
         def counting(name):
             real = getattr(experiments, name)
 
-            def run(model, sats, trajs, vb_cfg):
+            def run(model, sats, trajs):
                 batches.append((name, len(trajs)))
-                return real(model, sats, trajs, vb_cfg)
+                return real(model, sats, trajs)
             return run
 
         for name in ("_stf_rows", "_sts_rows"):
@@ -1198,18 +1199,24 @@ class TestRunExperimentLockstep:
         cfg = sweep_config(n_mc=0, estimators=("stf", "sts", "kf", "rtss", "pf"))
         assert run_experiment(cfg) == []
 
-    def test_sts_reports_outer_iterations_and_convergence(self):
+    def test_sts_reports_outer_iterations_and_convergence(self, monkeypatch):
         cfg = sweep_config(K=30, n_mc=3)
         sats = make_constellation(cfg.n_sats, cfg.seed)
         model = scenario_model(cfg, sats)
         trajs = [simulate(cfg, rep) for rep in range(cfg.n_mc)]
         capped = VBConfig(max_iterations=2)
-        run = run_estimator("sts", cfg, sats, trajs[0], vb_cfg=capped)
-        assert (run.outer_iterations, run.converged) == (2, False)
-        rows = _sts_rows(model, sats, trajs, capped)
-        assert [(r.outer_iterations, r.converged) for r in rows] == [(2, False)] * 3
+        for batch in (trajs[:1], trajs):
+            source = experiments._pseudorange_source(sats, batch)
+            *_, iterations, converged, failed = _sts_run_rows(model, *source, capped)
+            assert failed == {}
+            assert iterations.tolist() == [2] * len(batch)
+            assert converged.tolist() == [False] * len(batch)
         for record in run_experiment(replace(cfg, estimators=("sts",))):
             assert record.converged and 2 <= record.outer_iterations < 30
+        # _sts_rows runs VBConfig(); cap that.
+        monkeypatch.setattr(experiments, "VBConfig", lambda: capped)
+        run = run_estimator("sts", cfg, sats, trajs[0])
+        assert (run.outer_iterations, run.converged) == (2, False)
 
     def test_kalman_records_equal_scalar_runs(self):
         cfg = sweep_config(n_mc=5, estimators=("kf", "rtss"))
@@ -1229,12 +1236,15 @@ class TestRunExperimentLockstep:
         model = scenario_model(cfg, sats)
         trajs = [simulate(cfg, rep) for rep in range(cfg.n_mc)]
         capped = VBConfig(max_iterations=1)
-        assert not run_estimator("stf", cfg, sats, trajs[0], vb_cfg=capped).converged
+        for batch in (trajs[:1], trajs):
+            source = experiments._pseudorange_source(sats, batch)
+            *_, iterations, converged, failed = filtering._stf_run_rows(model, *source, capped)
+            assert failed == {}
+            assert (iterations == 1).all()
+            assert converged.all(axis=1).tolist() == [False] * len(batch)
         assert run_estimator("stf", cfg, sats, trajs[0]).converged
-        runs = _stf_rows(model, sats, trajs, capped)
-        assert [r.converged for r in runs] == [False] * 3
         assert all(r.converged for r in run_experiment(cfg))
-        # run_experiment runs its batches with VBConfig(); cap that.
+        # run_experiment's families run VBConfig() (_stf_rows); cap that.
         monkeypatch.setattr(experiments, "VBConfig", lambda: capped)
         for record in run_experiment(cfg):
             assert not record.converged and record.mean_vb_iterations == 1.0
